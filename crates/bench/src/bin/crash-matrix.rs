@@ -44,15 +44,6 @@ use tpftl_flash::FaultPlan;
 use tpftl_sim::{CrashHarness, CrashOutcome};
 use tpftl_trace::SyntheticSpec;
 
-/// The FTLs under test: every cached-mapping design in the tree.
-const KINDS: [FtlKind; 5] = [
-    FtlKind::Tpftl,
-    FtlKind::Dftl,
-    FtlKind::Sftl,
-    FtlKind::Cdftl,
-    FtlKind::Learned,
-];
-
 struct Opts {
     quick: bool,
     exhaustive: bool,
@@ -194,7 +185,7 @@ fn sweep(harness: &CrashHarness, kind: FtlKind, opts: &Opts) -> MatrixRow {
     };
 
     let mut row = MatrixRow {
-        ftl: build().name(),
+        ftl: kind.label(),
         horizon,
         crash_points: points.len() as u64,
         torn_pages: 0,
@@ -261,7 +252,7 @@ fn main() {
     );
     let mut rows = Vec::new();
     let mut failed = false;
-    for kind in KINDS {
+    for kind in FtlKind::PERSISTING {
         let row = sweep(&harness, kind, &opts);
         println!(
             "{:<14} {:>10} {:>8} {:>8} {:>8} {:>10} {:>10}",

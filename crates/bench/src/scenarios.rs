@@ -15,16 +15,6 @@ use tpftl_sim::{OpenLoopOpts, ShardedSsd, Ssd};
 use tpftl_trace::presets::Workload;
 use tpftl_trace::{Locality, MultiTenantSpec, SyntheticSpec, TenantSpec};
 
-/// The FTLs under test: the paper's cached-mapping designs plus the
-/// LearnedFTL extension.
-pub const KINDS: [FtlKind; 5] = [
-    FtlKind::Tpftl,
-    FtlKind::Dftl,
-    FtlKind::Sftl,
-    FtlKind::Cdftl,
-    FtlKind::Learned,
-];
-
 /// Shard counts benchmarked by default (`ftlbench` with no `--shards`).
 pub const DEFAULT_SHARD_COUNTS: [u32; 2] = [2, 4];
 
@@ -119,6 +109,49 @@ fn build(kind: FtlKind, config: &SsdConfig) -> (Box<dyn Ftl + Send>, SsdEnv) {
     let mut env = SsdEnv::new(config.clone()).expect("env builds");
     driver::bootstrap(ftl.as_mut(), &mut env).expect("bootstrap");
     (ftl, env)
+}
+
+/// The body every replay row shares: per sample, `build` a fresh device,
+/// time `run` on it, and record wall ns per request. Returns the row
+/// (`extra` left for the caller) and the last run's report.
+fn replay_row<D, R>(
+    scenario: String,
+    kind: FtlKind,
+    samples: usize,
+    requests: usize,
+    build: impl Fn() -> D,
+    run: impl Fn(&mut D) -> R,
+) -> (Record, R) {
+    let mut ns = Vec::new();
+    let mut last = None;
+    for _ in 0..samples {
+        let mut device = build();
+        let t = Instant::now();
+        let report = run(&mut device);
+        ns.push(t.elapsed().as_nanos() as f64 / requests as f64);
+        last = Some(report);
+    }
+    let row = Record {
+        scenario,
+        ftl: kind.label(),
+        ops_per_iter: requests as u64,
+        samples: ns,
+        extra: Vec::new(),
+    };
+    (row, last.expect("at least one sample"))
+}
+
+fn fresh_ssd(kind: FtlKind, config: &SsdConfig) -> Ssd<Box<dyn Ftl + Send>> {
+    let ftl = kind.build(config).expect("FTL builds");
+    Ssd::new(ftl, config.clone()).expect("ssd builds")
+}
+
+fn fresh_sharded(
+    kind: FtlKind,
+    config: &SsdConfig,
+    shards: u32,
+) -> ShardedSsd<Box<dyn Ftl + Send>> {
+    ShardedSsd::new(config, shards, |_, c| kind.build(c)).expect("sharded ssd builds")
 }
 
 /// Cache-hit translation path: one warmed entry translated repeatedly.
@@ -246,40 +279,27 @@ pub fn bench_replay(kind: FtlKind, samples: usize, requests: usize) -> Record {
     let workload = Workload::Financial1;
     let config = device_config(workload);
     let spec = workload.spec(requests);
-    let mut ns = Vec::new();
-    let mut last = None;
-    for _ in 0..samples {
-        let ftl = kind.build(&config).expect("FTL builds");
-        let mut ssd = Ssd::new(ftl, config.clone()).expect("ssd builds");
-        let t = Instant::now();
-        let report = ssd.run(spec.iter(SEED)).expect("replay");
-        ns.push(t.elapsed().as_nanos() as f64 / requests as f64);
-        last = Some(report);
-    }
-    let report = last.expect("at least one sample");
-    let median = {
-        let mut s = ns.clone();
-        s.sort_by(|a, b| a.total_cmp(b));
-        s[s.len() / 2]
-    };
-    Record {
-        scenario: "replay_financial1".to_string(),
-        ftl: kind.build(&config).expect("FTL builds").name(),
-        ops_per_iter: requests as u64,
-        samples: ns,
-        extra: vec![
-            ("requests_per_sec", Value::Float(1e9 / median)),
-            ("hit_ratio", Value::Float(report.hit_ratio())),
-            ("avg_response_us", Value::Float(report.avg_response_us)),
-            ("translation_reads", Value::UInt(report.translation_reads())),
-            (
-                "translation_writes",
-                Value::UInt(report.translation_writes()),
-            ),
-            ("predict_hits", Value::UInt(report.ftl_stats.predict_hits)),
-            ("mispredicts", Value::UInt(report.ftl_stats.mispredicts)),
-        ],
-    }
+    let (mut row, report) = replay_row(
+        "replay_financial1".to_string(),
+        kind,
+        samples,
+        requests,
+        || fresh_ssd(kind, &config),
+        |ssd| ssd.run(spec.iter(SEED)).expect("replay"),
+    );
+    row.extra = vec![
+        ("requests_per_sec", Value::Float(1e9 / row.median())),
+        ("hit_ratio", Value::Float(report.hit_ratio())),
+        ("avg_response_us", Value::Float(report.sim.resp_avg_us)),
+        ("translation_reads", Value::UInt(report.translation_reads())),
+        (
+            "translation_writes",
+            Value::UInt(report.translation_writes()),
+        ),
+        ("predict_hits", Value::UInt(report.ftl_stats.predict_hits)),
+        ("mispredicts", Value::UInt(report.ftl_stats.mispredicts)),
+    ];
+    row
 }
 
 /// The semi-sequential read trace that showcases the learned mapping:
@@ -310,33 +330,25 @@ pub fn bench_replay_semiseq(kind: FtlKind, samples: usize, requests: usize) -> R
     let mut config = micro_config();
     config.prefill_frac = 1.0;
     let spec = semiseq_spec(&config, requests);
-    let mut ns = Vec::new();
-    let mut last = None;
-    for _ in 0..samples {
-        let ftl = kind.build(&config).expect("FTL builds");
-        let mut ssd = Ssd::new(ftl, config.clone()).expect("ssd builds");
-        let t = Instant::now();
-        let report = ssd.run(spec.iter(SEED)).expect("replay");
-        ns.push(t.elapsed().as_nanos() as f64 / requests as f64);
-        last = Some(report);
-    }
-    let report = last.expect("at least one sample");
-    Record {
-        scenario: "replay_semiseq".to_string(),
-        ftl: kind.build(&config).expect("FTL builds").name(),
-        ops_per_iter: requests as u64,
-        samples: ns,
-        extra: vec![
-            ("hit_ratio", Value::Float(report.hit_ratio())),
-            ("translation_reads", Value::UInt(report.translation_reads())),
-            (
-                "translation_reads_per_req",
-                Value::Float(report.translation_reads() as f64 / requests as f64),
-            ),
-            ("predict_hits", Value::UInt(report.ftl_stats.predict_hits)),
-            ("mispredicts", Value::UInt(report.ftl_stats.mispredicts)),
-        ],
-    }
+    let (mut row, report) = replay_row(
+        "replay_semiseq".to_string(),
+        kind,
+        samples,
+        requests,
+        || fresh_ssd(kind, &config),
+        |ssd| ssd.run(spec.iter(SEED)).expect("replay"),
+    );
+    row.extra = vec![
+        ("hit_ratio", Value::Float(report.hit_ratio())),
+        ("translation_reads", Value::UInt(report.translation_reads())),
+        (
+            "translation_reads_per_req",
+            Value::Float(report.translation_reads() as f64 / requests as f64),
+        ),
+        ("predict_hits", Value::UInt(report.ftl_stats.predict_hits)),
+        ("mispredicts", Value::UInt(report.ftl_stats.mispredicts)),
+    ];
+    row
 }
 
 /// Macro replay across flash topologies: the Financial1 trace on a device
@@ -355,33 +367,25 @@ pub fn bench_replay_channels(
     let mut config = device_config(workload);
     config.topology.channels = channels;
     let spec = workload.spec(requests);
-    let mut ns = Vec::new();
-    let mut last = None;
-    for _ in 0..samples {
-        let ftl = kind.build(&config).expect("FTL builds");
-        let mut ssd = Ssd::new(ftl, config.clone()).expect("ssd builds");
-        let t = Instant::now();
-        let report = ssd.run(spec.iter(SEED)).expect("replay");
-        ns.push(t.elapsed().as_nanos() as f64 / requests as f64);
-        last = Some(report);
-    }
-    let report = last.expect("at least one sample");
-    Record {
-        scenario: format!("replay_financial1_chans{channels}"),
-        ftl: kind.build(&config).expect("FTL builds").name(),
-        ops_per_iter: requests as u64,
-        samples: ns,
-        extra: vec![
-            ("channels", Value::UInt(channels as u64)),
-            ("hit_ratio", Value::Float(report.hit_ratio())),
-            ("sim_device_us", Value::Float(report.sim.device_us)),
-            ("sim_makespan_us", Value::Float(report.sim.makespan_us)),
-            ("sim_resp_avg_us", Value::Float(report.sim.resp_avg_us)),
-            ("sim_resp_p50_us", Value::Float(report.sim.resp_p50_us)),
-            ("sim_resp_p99_us", Value::Float(report.sim.resp_p99_us)),
-            ("sim_resp_p999_us", Value::Float(report.sim.resp_p999_us)),
-        ],
-    }
+    let (mut row, report) = replay_row(
+        format!("replay_financial1_chans{channels}"),
+        kind,
+        samples,
+        requests,
+        || fresh_ssd(kind, &config),
+        |ssd| ssd.run(spec.iter(SEED)).expect("replay"),
+    );
+    row.extra = vec![
+        ("channels", Value::UInt(channels as u64)),
+        ("hit_ratio", Value::Float(report.hit_ratio())),
+        ("sim_device_us", Value::Float(report.sim.device_us)),
+        ("sim_makespan_us", Value::Float(report.sim.makespan_us)),
+        ("sim_resp_avg_us", Value::Float(report.sim.resp_avg_us)),
+        ("sim_resp_p50_us", Value::Float(report.sim.resp_p50_us)),
+        ("sim_resp_p99_us", Value::Float(report.sim.resp_p99_us)),
+        ("sim_resp_p999_us", Value::Float(report.sim.resp_p999_us)),
+    ];
+    row
 }
 
 /// Macro replay on the sharded multi-queue engine: the same Financial1
@@ -392,38 +396,25 @@ pub fn bench_replay_sharded(kind: FtlKind, samples: usize, requests: usize, shar
     let workload = Workload::Financial1;
     let config = device_config(workload);
     let spec = workload.spec(requests);
-    let mut ns = Vec::new();
-    let mut last = None;
-    for _ in 0..samples {
-        let mut ssd =
-            ShardedSsd::new(&config, shards, |_, c| kind.build(c)).expect("sharded ssd builds");
-        let t = Instant::now();
-        let report = ssd.run(spec.iter(SEED)).expect("replay");
-        ns.push(t.elapsed().as_nanos() as f64 / requests as f64);
-        last = Some(report);
-    }
-    let report = last.expect("at least one sample");
-    let median = {
-        let mut s = ns.clone();
-        s.sort_by(|a, b| a.total_cmp(b));
-        s[s.len() / 2]
-    };
-    Record {
-        scenario: format!("replay_financial1_shards{shards}"),
-        ftl: kind.build(&config).expect("FTL builds").name(),
-        ops_per_iter: requests as u64,
-        samples: ns,
-        extra: vec![
-            ("requests_per_sec", Value::Float(1e9 / median)),
-            ("hit_ratio", Value::Float(report.merged.hit_ratio())),
-            (
-                "avg_response_us",
-                Value::Float(report.merged.avg_response_us),
-            ),
-            ("shards", Value::UInt(shards as u64)),
-            ("load_imbalance", Value::Float(report.load.imbalance)),
-        ],
-    }
+    let (mut row, report) = replay_row(
+        format!("replay_financial1_shards{shards}"),
+        kind,
+        samples,
+        requests,
+        || fresh_sharded(kind, &config, shards),
+        |ssd| ssd.run(spec.iter(SEED)).expect("replay"),
+    );
+    row.extra = vec![
+        ("requests_per_sec", Value::Float(1e9 / row.median())),
+        ("hit_ratio", Value::Float(report.merged.hit_ratio())),
+        (
+            "avg_response_us",
+            Value::Float(report.merged.sim.resp_avg_us),
+        ),
+        ("shards", Value::UInt(shards as u64)),
+        ("load_imbalance", Value::Float(report.load.imbalance)),
+    ];
+    row
 }
 
 /// GC under sharding: a write-only stream over a pre-filled device keeps
@@ -438,29 +429,22 @@ pub fn bench_sharded_write_gc(shards: u32, samples: usize, requests: usize) -> R
         write_ratio: 1.0,
         ..SyntheticSpec::default()
     };
-    let mut ns = Vec::new();
-    let mut last = None;
-    for _ in 0..samples {
-        let mut ssd =
-            ShardedSsd::new(&config, shards, |_, c| FtlKind::Tpftl.build(c)).expect("sharded ssd");
-        let t = Instant::now();
-        let report = ssd.run(spec.iter(SEED)).expect("sharded write gc");
-        ns.push(t.elapsed().as_nanos() as f64 / requests as f64);
-        last = Some(report);
-    }
-    let report = last.expect("at least one sample");
-    Record {
-        scenario: "sharded_write_gc".to_string(),
-        ftl: "TPFTL(rsbc)".to_string(),
-        ops_per_iter: requests as u64,
-        samples: ns,
-        extra: vec![
-            ("hit_ratio", Value::Float(report.merged.hit_ratio())),
-            ("erases", Value::UInt(report.merged.erase_count())),
-            ("shards", Value::UInt(shards as u64)),
-            ("load_imbalance", Value::Float(report.load.imbalance)),
-        ],
-    }
+    let kind = FtlKind::Tpftl;
+    let (mut row, report) = replay_row(
+        "sharded_write_gc".to_string(),
+        kind,
+        samples,
+        requests,
+        || fresh_sharded(kind, &config, shards),
+        |ssd| ssd.run(spec.iter(SEED)).expect("sharded write gc"),
+    );
+    row.extra = vec![
+        ("hit_ratio", Value::Float(report.merged.hit_ratio())),
+        ("erases", Value::UInt(report.merged.erase_count())),
+        ("shards", Value::UInt(shards as u64)),
+        ("load_imbalance", Value::Float(report.load.imbalance)),
+    ];
+    row
 }
 
 /// Applies the multi-stream GC configuration measured by the aging and
@@ -535,33 +519,25 @@ fn bench_gc_quality(
     requests: usize,
     trace: impl Fn(u64) -> Box<dyn Iterator<Item = tpftl_trace::IoRequest>>,
 ) -> Record {
-    let mut ns = Vec::new();
-    let mut last = None;
-    for _ in 0..samples {
-        let ftl = kind.build(&config).expect("FTL builds");
-        let mut ssd = Ssd::new(ftl, config.clone()).expect("ssd builds");
-        let t = Instant::now();
-        let report = ssd.run(trace(SEED)).expect("replay");
-        ns.push(t.elapsed().as_nanos() as f64 / requests as f64);
-        last = Some(report);
-    }
-    let report = last.expect("at least one sample");
-    Record {
+    let (mut row, report) = replay_row(
         scenario,
-        ftl: kind.build(&config).expect("FTL builds").name(),
-        ops_per_iter: requests as u64,
-        samples: ns,
-        extra: vec![
-            ("write_amp", Value::Float(report.write_amp())),
-            ("erase_cv", Value::Float(report.erase_cv())),
-            ("erases", Value::UInt(report.erase_count())),
-            ("hit_ratio", Value::Float(report.hit_ratio())),
-        ],
-    }
+        kind,
+        samples,
+        requests,
+        || fresh_ssd(kind, &config),
+        |ssd| ssd.run(trace(SEED)).expect("replay"),
+    );
+    row.extra = vec![
+        ("write_amp", Value::Float(report.write_amp())),
+        ("erase_cv", Value::Float(report.erase_cv())),
+        ("erases", Value::UInt(report.erase_count())),
+        ("hit_ratio", Value::Float(report.hit_ratio())),
+    ];
+    row
 }
 
 /// Device-aging GC row: the device is prefilled to 90% utilization, then
-/// the skewed overwrite stream of [`aging_spec`] keeps the collector
+/// the skewed overwrite stream of `aging_spec` keeps the collector
 /// running for the whole replay. The [`GcVariant`] selects the GC
 /// configuration; the scenario name carries it because bench-diff keys
 /// rows by (scenario, ftl).
@@ -652,8 +628,7 @@ pub fn bench_open_loop(
         .cache_bytes
         .max(config.gtd_bytes() + shards as usize * 16 * 1024);
     let spec = workload.spec(requests);
-    let mut ssd = ShardedSsd::new(&config, shards, |_, c| kind.build(c)).expect("sharded ssd");
-    let out = ssd
+    let out = fresh_sharded(kind, &config, shards)
         .run_open_loop(
             spec.iter(SEED),
             OpenLoopOpts {
@@ -665,7 +640,7 @@ pub fn bench_open_loop(
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     Record {
         scenario: format!("open_loop_s{shards}_qd{queue_depth}_r{offered_rps}"),
-        ftl: kind.build(&config).expect("FTL builds").name(),
+        ftl: kind.label(),
         ops_per_iter: out.requests,
         samples: vec![out.wall_us * 1e3 / out.requests.max(1) as f64],
         extra: vec![
@@ -717,18 +692,11 @@ pub fn run_all(
 
     let wanted =
         |scenario: &str, ftl: &str| filter.is_none_or(|f| format!("{scenario}/{ftl}").contains(f));
+    let tpftl = FtlKind::Tpftl.label();
     let mut records = Vec::new();
-    for kind in KINDS {
-        // Static labels (matching `Ftl::name`) so filtering does not have
-        // to build an FTL just to learn what it is called.
-        let name = match kind {
-            FtlKind::Tpftl => "TPFTL(rsbc)",
-            FtlKind::Dftl => "DFTL",
-            FtlKind::Sftl => "S-FTL",
-            FtlKind::Cdftl => "CDFTL",
-            FtlKind::Learned => "LearnedFTL(e4)",
-            _ => "?",
-        };
+    // The cached-mapping designs plus the LearnedFTL extension.
+    for kind in FtlKind::PERSISTING {
+        let name = &kind.label();
         if wanted("translate_hit", name) {
             records.push(bench_translate_hit(kind, warmup, samples, hit_ops));
         }
@@ -742,12 +710,8 @@ pub fn run_all(
             records.push(bench_replay(kind, samples.min(3), replay_requests));
         }
     }
-    for (kind, name) in [
-        (FtlKind::Learned, "LearnedFTL(e4)"),
-        (FtlKind::Dftl, "DFTL"),
-        (FtlKind::Tpftl, "TPFTL(rsbc)"),
-    ] {
-        if wanted("replay_semiseq", name) {
+    for kind in [FtlKind::Learned, FtlKind::Dftl, FtlKind::Tpftl] {
+        if wanted("replay_semiseq", &kind.label()) {
             records.push(bench_replay_semiseq(kind, samples.min(3), replay_requests));
         }
     }
@@ -761,7 +725,8 @@ pub fn run_all(
     // write_amp / erase_cv rather than ns/op, so CI excludes them from
     // the strict latency gate and compares write_amp separately.
     let gc_requests = if quick { 12_000 } else { 60_000 };
-    for (kind, name) in [(FtlKind::Tpftl, "TPFTL(rsbc)"), (FtlKind::Dftl, "DFTL")] {
+    for kind in [FtlKind::Tpftl, FtlKind::Dftl] {
+        let name = &kind.label();
         for variant in [GcVariant::Greedy, GcVariant::Multi, GcVariant::Wear] {
             if wanted(&format!("aging_write_gc_{}", variant.label()), name) {
                 records.push(bench_aging_write_gc(
@@ -778,7 +743,7 @@ pub fn run_all(
     }
     for &shards in shard_counts {
         let label = format!("replay_financial1_shards{shards}");
-        if wanted(&label, "TPFTL(rsbc)") {
+        if wanted(&label, &tpftl) {
             records.push(bench_replay_sharded(
                 FtlKind::Tpftl,
                 samples.min(3),
@@ -788,7 +753,7 @@ pub fn run_all(
         }
     }
     if let Some(&max_shards) = shard_counts.iter().max() {
-        if wanted("sharded_write_gc", "TPFTL(rsbc)") {
+        if wanted("sharded_write_gc", &tpftl) {
             let gc_requests = if quick { 6_000 } else { 30_000 };
             records.push(bench_sharded_write_gc(
                 max_shards,
@@ -799,14 +764,14 @@ pub fn run_all(
     }
     for &channels in channel_counts {
         let label = format!("replay_financial1_chans{channels}");
-        for (kind, name) in [
-            (FtlKind::Tpftl, "TPFTL(rsbc)"),
-            (FtlKind::Dftl, "DFTL"),
-            (FtlKind::Sftl, "S-FTL"),
-            (FtlKind::Cdftl, "CDFTL"),
-            (FtlKind::Optimal, "Optimal"),
+        for kind in [
+            FtlKind::Tpftl,
+            FtlKind::Dftl,
+            FtlKind::Sftl,
+            FtlKind::Cdftl,
+            FtlKind::Optimal,
         ] {
-            if wanted(&label, name) {
+            if wanted(&label, &kind.label()) {
                 records.push(bench_replay_channels(
                     kind,
                     samples.min(3),
@@ -829,15 +794,15 @@ pub fn run_all(
         for &rate in open_loop_rates {
             for &depth in depths {
                 let label = format!("open_loop_s{all_shards}_qd{depth}_r{rate}");
-                for (kind, name) in [
-                    (FtlKind::Tpftl, "TPFTL(rsbc)"),
-                    (FtlKind::Dftl, "DFTL"),
-                    (FtlKind::Sftl, "S-FTL"),
-                    (FtlKind::Cdftl, "CDFTL"),
-                    (FtlKind::Learned, "LearnedFTL(e4)"),
-                    (FtlKind::Optimal, "Optimal"),
+                for kind in [
+                    FtlKind::Tpftl,
+                    FtlKind::Dftl,
+                    FtlKind::Sftl,
+                    FtlKind::Cdftl,
+                    FtlKind::Learned,
+                    FtlKind::Optimal,
                 ] {
-                    if wanted(&label, name) {
+                    if wanted(&label, &kind.label()) {
                         records.push(bench_open_loop(kind, all_shards, depth, rate, ol_requests));
                     }
                 }
@@ -852,7 +817,7 @@ pub fn run_all(
             }
             for &depth in depths {
                 let label = format!("open_loop_s{shards}_qd{depth}_r{mid_rate}");
-                if wanted(&label, "TPFTL(rsbc)") {
+                if wanted(&label, &tpftl) {
                     records.push(bench_open_loop(
                         FtlKind::Tpftl,
                         shards,

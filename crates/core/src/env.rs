@@ -373,41 +373,12 @@ impl SsdEnv {
     // ---- Translation-page operations ----------------------------------------
 
     /// Reads the full mapping payload of translation page `vtpn`,
-    /// accounting one page read of `purpose`. If the page has never been
-    /// written (possible only before [`SsdEnv::format`]), returns an
-    /// all-unmapped payload without flash traffic.
-    pub fn read_translation_entries(&mut self, vtpn: Vtpn, purpose: OpPurpose) -> Result<Vec<Ppn>> {
-        let mut out = Vec::new();
-        self.read_translation_entries_into(vtpn, &mut out, purpose)?;
-        Ok(out)
-    }
-
-    /// Like [`SsdEnv::read_translation_entries`] but reusing `out`
-    /// (cleared, then filled), so a translation miss costs no allocation
-    /// once the caller's scratch buffer has grown to one page.
-    pub fn read_translation_entries_into(
-        &mut self,
-        vtpn: Vtpn,
-        out: &mut Vec<Ppn>,
-        purpose: OpPurpose,
-    ) -> Result<()> {
-        out.clear();
-        match self.gtd.get(vtpn) {
-            Some(ppn) => out.extend_from_slice(self.flash.read_translation_payload(ppn, purpose)?),
-            None => out.resize(self.entries_per_tp, PPN_NONE),
-        }
-        Ok(())
-    }
-
-    /// Like [`SsdEnv::read_translation_entries`] but returning the payload
-    /// by reference straight out of the flash model's slab — the zero-copy
-    /// miss path. Never-written pages borrow the environment's persistent
-    /// all-unmapped page.
-    pub fn read_translation_entries_ref(
-        &mut self,
-        vtpn: Vtpn,
-        purpose: OpPurpose,
-    ) -> Result<&[Ppn]> {
+    /// accounting one page read of `purpose`. The payload is borrowed
+    /// straight out of the flash model's slab (no copy, no allocation);
+    /// callers that keep it call `.to_vec()`. A page that has never been
+    /// written (possible only before [`SsdEnv::format`]) borrows the
+    /// environment's persistent all-unmapped page without flash traffic.
+    pub fn read_translation_entries(&mut self, vtpn: Vtpn, purpose: OpPurpose) -> Result<&[Ppn]> {
         match self.gtd.get(vtpn) {
             Some(ppn) => Ok(self.flash.read_translation_payload(ppn, purpose)?),
             None => Ok(&self.unmapped_tp),
@@ -745,7 +716,8 @@ mod tests {
         env.format().unwrap();
         let entries = env
             .read_translation_entries(0, OpPurpose::Translation)
-            .unwrap();
+            .unwrap()
+            .to_vec();
         let mapped = entries.iter().filter(|&&p| p != PPN_NONE).count();
         assert_eq!(mapped, 512);
         // Every mapped entry resolves to a valid page holding that LPN.

@@ -22,6 +22,8 @@ pub enum FtlError {
     /// The mapping cache budget is too small to hold even one entry plus
     /// the structures the FTL needs.
     CacheTooSmall,
+    /// The operating system refused to start a shard worker thread.
+    WorkerSpawn(std::io::ErrorKind),
 }
 
 impl core::fmt::Display for FtlError {
@@ -33,6 +35,7 @@ impl core::fmt::Display for FtlError {
                 write!(f, "LPN {lpn} beyond logical space of {logical_pages} pages")
             }
             Self::CacheTooSmall => write!(f, "mapping cache budget too small"),
+            Self::WorkerSpawn(kind) => write!(f, "cannot spawn a shard worker thread: {kind}"),
         }
     }
 }

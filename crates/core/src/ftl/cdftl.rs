@@ -103,7 +103,9 @@ impl Cdftl {
         while self.ctp.len() >= self.ctp_cap_pages {
             self.evict_ctp(env)?;
         }
-        let entries = env.read_translation_entries(vtpn, OpPurpose::Translation)?;
+        let entries = env
+            .read_translation_entries(vtpn, OpPurpose::Translation)?
+            .to_vec();
         let lru = self.ctp_lru.push_mru(vtpn);
         self.ctp.insert(
             vtpn,

@@ -11,6 +11,7 @@ mod blocklevel;
 mod cdftl;
 mod dftl;
 mod fast;
+mod kind;
 mod learned;
 mod optimal;
 mod sftl;
@@ -21,6 +22,7 @@ pub use blocklevel::BlockLevelFtl;
 pub use cdftl::Cdftl;
 pub use dftl::Dftl;
 pub use fast::{FastFtl, MergeStats};
+pub use kind::FtlKind;
 pub use learned::{LearnedFtl, DEFAULT_EPSILON};
 pub use optimal::OptimalFtl;
 pub use sftl::Sftl;

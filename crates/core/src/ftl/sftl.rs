@@ -231,7 +231,9 @@ impl Sftl {
     /// Loads translation page `vtpn` into the cache (one `T_fr`), merging
     /// any buffered dirty entries of that page.
     fn load_page(&mut self, env: &mut SsdEnv, vtpn: Vtpn) -> Result<()> {
-        let entries = env.read_translation_entries(vtpn, OpPurpose::Translation)?;
+        let entries = env
+            .read_translation_entries(vtpn, OpPurpose::Translation)?
+            .to_vec();
         let words = entries.len().div_ceil(64);
         let mut page = CachedPage {
             runs: count_runs(&entries),

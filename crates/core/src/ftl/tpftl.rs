@@ -635,7 +635,7 @@ impl Ftl for TpFtl {
         // prefetched successor (they share the page by rule 1). The payload
         // is borrowed straight out of the flash model's slab — the miss
         // path copies single entries into the cache, never a whole page.
-        let payload = env.read_translation_entries_ref(vtpn, OpPurpose::Translation)?;
+        let payload = env.read_translation_entries(vtpn, OpPurpose::Translation)?;
         let requested_ppn = payload[offset as usize];
         for i in 0..=granted as u16 {
             let off = offset + i;

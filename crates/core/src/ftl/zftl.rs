@@ -166,7 +166,9 @@ impl Zftl {
         if self.active_tp.as_ref().is_some_and(|(v, _)| *v == vtpn) {
             return Ok(());
         }
-        let payload = env.read_translation_entries(vtpn, OpPurpose::Translation)?;
+        let payload = env
+            .read_translation_entries(vtpn, OpPurpose::Translation)?
+            .to_vec();
         self.active_tp = Some((vtpn, payload));
         Ok(())
     }

@@ -77,7 +77,9 @@ pub fn flush_cache<F: Ftl + ?Sized>(ftl: &mut F, env: &mut SsdEnv) -> Result<()>
 fn flush_one_page<F: Ftl + ?Sized>(ftl: &mut F, env: &mut SsdEnv, vtpn: Vtpn) -> Result<()> {
     let entries = env.entries_per_tp() as u32;
     let base = vtpn * entries;
-    let persisted = env.read_translation_entries(vtpn, OpPurpose::Translation)?;
+    let persisted = env
+        .read_translation_entries(vtpn, OpPurpose::Translation)?
+        .to_vec();
     let mut updates: Vec<(u16, Ppn)> = Vec::new();
     for off in 0..entries {
         let lpn = base + off;
@@ -229,7 +231,9 @@ impl Ftl for RecoveryFtl {
 fn diff_page(env: &mut SsdEnv, truth: &[Ppn], vtpn: Vtpn) -> Result<Vec<(u16, Ppn)>> {
     let entries = env.entries_per_tp() as u32;
     let base = vtpn * entries;
-    let persisted = env.read_translation_entries(vtpn, OpPurpose::Translation)?;
+    let persisted = env
+        .read_translation_entries(vtpn, OpPurpose::Translation)?
+        .to_vec();
     let mut updates = Vec::new();
     for off in 0..entries {
         let lpn = base + off;

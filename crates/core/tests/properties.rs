@@ -14,9 +14,7 @@ use std::collections::VecDeque;
 
 use tpftl_core::driver;
 use tpftl_core::env::SsdEnv;
-use tpftl_core::ftl::{
-    AccessCtx, Cdftl, Dftl, FastFtl, Ftl, OptimalFtl, Sftl, TpFtl, TpftlConfig, Zftl,
-};
+use tpftl_core::ftl::{AccessCtx, FastFtl, Ftl, FtlKind, TpFtl, TpftlConfig, Zftl};
 use tpftl_core::lru::LruList;
 use tpftl_core::SsdConfig;
 use tpftl_rng::Rng64;
@@ -150,53 +148,36 @@ fn lru_free_list_reuses_slots_without_growth() {
 
 // ---- FTL mapping consistency under random workloads ---------------------------
 
+/// The registry's configurations, plus deliberately small ZFTL/FAST
+/// instances (4 zones, 3 log blocks) so zone switches and merges happen
+/// within a few hundred accesses.
 #[derive(Debug, Clone, Copy)]
-enum FtlKind {
-    Optimal,
-    Dftl,
-    Sftl,
-    Cdftl,
-    Zftl,
-    Fast,
-    TpftlFull,
-    TpftlBare,
-    TpftlB,
-    TpftlRs,
+enum Kind {
+    Registry(FtlKind),
+    SmallZftl,
+    SmallFast,
 }
 
-const ALL_KINDS: [FtlKind; 10] = [
-    FtlKind::Optimal,
-    FtlKind::Dftl,
-    FtlKind::Sftl,
-    FtlKind::Cdftl,
-    FtlKind::Zftl,
-    FtlKind::Fast,
-    FtlKind::TpftlFull,
-    FtlKind::TpftlBare,
-    FtlKind::TpftlB,
-    FtlKind::TpftlRs,
-];
+fn all_kinds() -> [Kind; 10] {
+    [
+        Kind::Registry(FtlKind::Optimal),
+        Kind::Registry(FtlKind::Dftl),
+        Kind::Registry(FtlKind::Sftl),
+        Kind::Registry(FtlKind::Cdftl),
+        Kind::SmallZftl,
+        Kind::SmallFast,
+        Kind::Registry(FtlKind::Tpftl),
+        Kind::Registry(FtlKind::variant("")),
+        Kind::Registry(FtlKind::variant("b")),
+        Kind::Registry(FtlKind::variant("rs")),
+    ]
+}
 
-fn build(kind: FtlKind, config: &SsdConfig) -> Box<dyn Ftl> {
+fn build(kind: Kind, config: &SsdConfig) -> Box<dyn Ftl> {
     match kind {
-        FtlKind::Optimal => Box::new(OptimalFtl::new(config)),
-        FtlKind::Dftl => Box::new(Dftl::new(config).expect("budget fits")),
-        FtlKind::Sftl => Box::new(Sftl::new(config).expect("budget fits")),
-        FtlKind::Cdftl => Box::new(Cdftl::new(config).expect("budget fits")),
-        FtlKind::Zftl => Box::new(Zftl::new(config, 4).expect("budget fits")),
-        FtlKind::Fast => Box::new(FastFtl::new(config, 3)),
-        FtlKind::TpftlFull => {
-            Box::new(TpFtl::new(config, TpftlConfig::full()).expect("budget fits"))
-        }
-        FtlKind::TpftlBare => {
-            Box::new(TpFtl::new(config, TpftlConfig::baseline()).expect("budget fits"))
-        }
-        FtlKind::TpftlB => {
-            Box::new(TpFtl::new(config, TpftlConfig::from_flags("b")).expect("budget fits"))
-        }
-        FtlKind::TpftlRs => {
-            Box::new(TpFtl::new(config, TpftlConfig::from_flags("rs")).expect("budget fits"))
-        }
+        Kind::Registry(kind) => kind.build(config).expect("budget fits"),
+        Kind::SmallZftl => Box::new(Zftl::new(config, 4).expect("budget fits")),
+        Kind::SmallFast => Box::new(FastFtl::new(config, 3)),
     }
 }
 
@@ -225,7 +206,8 @@ fn ftl_mapping_matches_flash_oracle() {
     // Each case runs a few hundred page accesses; keep the count moderate.
     for case in 0..48u64 {
         let mut rng = Rng64::seed_from_u64(0xF71 + case);
-        let kind = ALL_KINDS[rng.range_usize(0, ALL_KINDS.len())];
+        let kinds = all_kinds();
+        let kind = kinds[rng.range_usize(0, kinds.len())];
         let prefill = if rng.gen_bool(0.5) { 0.6 } else { 0.0 };
         let accesses = accesses(&mut rng, 50, 250);
 
@@ -234,7 +216,7 @@ fn ftl_mapping_matches_flash_oracle() {
         // Small cache: S-FTL/CDFTL need a whole page + slack.
         config.cache_bytes = config.gtd_bytes() + 10 * 1024;
         // The block-mapping FAST FTL does not support pre-fill.
-        config.prefill_frac = if matches!(kind, FtlKind::Fast) {
+        config.prefill_frac = if matches!(kind, Kind::SmallFast) {
             0.0
         } else {
             prefill

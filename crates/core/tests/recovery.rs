@@ -3,7 +3,7 @@
 
 use tpftl_core::driver;
 use tpftl_core::env::SsdEnv;
-use tpftl_core::ftl::{AccessCtx, Cdftl, Dftl, Ftl, Sftl, TpFtl, TpftlConfig};
+use tpftl_core::ftl::{AccessCtx, Dftl, Ftl, FtlKind, TpFtl, TpftlConfig};
 use tpftl_core::{gc, recovery, SsdConfig};
 
 fn config() -> SsdConfig {
@@ -13,13 +13,16 @@ fn config() -> SsdConfig {
 }
 
 fn ftls(c: &SsdConfig) -> Vec<Box<dyn Ftl>> {
-    vec![
-        Box::new(Dftl::new(c).expect("budget")),
-        Box::new(TpFtl::new(c, TpftlConfig::full()).expect("budget")),
-        Box::new(TpFtl::new(c, TpftlConfig::baseline()).expect("budget")),
-        Box::new(Sftl::new(c).expect("budget")),
-        Box::new(Cdftl::new(c).expect("budget")),
+    [
+        FtlKind::Dftl,
+        FtlKind::Tpftl,
+        FtlKind::variant(""),
+        FtlKind::Sftl,
+        FtlKind::Cdftl,
     ]
+    .into_iter()
+    .map(|kind| -> Box<dyn Ftl> { kind.build(c).expect("budget") })
+    .collect()
 }
 
 fn workload(ftl: &mut dyn Ftl, env: &mut SsdEnv, n: u32) -> Vec<u32> {

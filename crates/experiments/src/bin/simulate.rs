@@ -40,8 +40,7 @@
 use std::process::ExitCode;
 
 use tpftl_core::config::GcPolicy;
-use tpftl_core::ftl::{FastFtl, Ftl, TpftlConfig, Zftl};
-use tpftl_experiments::runner::FtlKind;
+use tpftl_core::ftl::FtlKind;
 use tpftl_sim::{OpenLoopOpts, ShardedSsd, Ssd};
 use tpftl_trace::presets::Workload;
 use tpftl_trace::{parse, IoRequest};
@@ -54,7 +53,7 @@ const USAGE: &str = "usage: simulate [--ftl NAME] [--workload NAME | --trace FIL
 run `simulate --help` for details";
 
 struct Options {
-    ftl: String,
+    ftl: FtlKind,
     workload: Workload,
     trace: Option<String>,
     requests: usize,
@@ -77,7 +76,7 @@ struct Options {
 
 fn parse_args() -> Result<Options, String> {
     let mut o = Options {
-        ftl: "tpftl".into(),
+        ftl: FtlKind::Tpftl,
         workload: Workload::Financial1,
         trace: None,
         requests: 200_000,
@@ -101,7 +100,10 @@ fn parse_args() -> Result<Options, String> {
     while let Some(a) = args.next() {
         let mut value = |name: &str| args.next().ok_or_else(|| format!("{name} needs a value"));
         match a.as_str() {
-            "--ftl" => o.ftl = value("--ftl")?,
+            "--ftl" => {
+                let name = value("--ftl")?;
+                o.ftl = FtlKind::parse(&name).ok_or_else(|| format!("unknown FTL {name}"))?
+            }
             "--workload" => {
                 o.workload = match value("--workload")?.as_str() {
                     "financial1" => Workload::Financial1,
@@ -185,48 +187,6 @@ fn parse_args() -> Result<Options, String> {
     Ok(o)
 }
 
-/// A validated `--ftl` name, buildable any number of times (once per shard).
-enum FtlSpec {
-    Kind(FtlKind),
-    Fast,
-    Zftl,
-    TpftlCfg(TpftlConfig),
-}
-
-fn parse_ftl(name: &str) -> Result<FtlSpec, String> {
-    Ok(match name {
-        "dftl" => FtlSpec::Kind(FtlKind::Dftl),
-        "tpftl" => FtlSpec::Kind(FtlKind::Tpftl),
-        "sftl" => FtlSpec::Kind(FtlKind::Sftl),
-        "cdftl" => FtlSpec::Kind(FtlKind::Cdftl),
-        "optimal" => FtlSpec::Kind(FtlKind::Optimal),
-        "blocklevel" => FtlSpec::Kind(FtlKind::BlockLevel),
-        "learned" => FtlSpec::Kind(FtlKind::Learned),
-        "fast" => FtlSpec::Fast,
-        "zftl" => FtlSpec::Zftl,
-        s if s.starts_with("tpftl:") => {
-            let flags = &s["tpftl:".len()..];
-            FtlSpec::TpftlCfg(TpftlConfig::from_flags(if flags == "-" {
-                ""
-            } else {
-                flags
-            }))
-        }
-        other => return Err(format!("unknown FTL {other}")),
-    })
-}
-
-impl FtlSpec {
-    fn build(&self, config: &tpftl_core::SsdConfig) -> tpftl_core::Result<Box<dyn Ftl + Send>> {
-        Ok(match self {
-            FtlSpec::Kind(kind) => kind.build(config)?,
-            FtlSpec::Fast => Box::new(FastFtl::with_defaults(config)),
-            FtlSpec::Zftl => Box::new(Zftl::with_defaults(config)?),
-            FtlSpec::TpftlCfg(cfg) => Box::new(tpftl_core::ftl::TpFtl::new(config, *cfg)?),
-        })
-    }
-}
-
 fn main() -> ExitCode {
     let o = match parse_args() {
         Ok(o) => o,
@@ -274,8 +234,8 @@ fn main() -> ExitCode {
     if let Some(b) = o.cache_bytes {
         config.cache_bytes = b;
     }
-    config.prefill_frac = o.prefill.unwrap_or(match (o.ftl.as_str(), o.workload) {
-        ("blocklevel" | "fast", _) => 0.0,
+    config.prefill_frac = o.prefill.unwrap_or(match (o.ftl, o.workload) {
+        (FtlKind::BlockLevel | FtlKind::Fast, _) => 0.0,
         (_, Workload::Financial1 | Workload::Financial2) if o.trace.is_none() => 1.0,
         _ => 0.0,
     });
@@ -289,17 +249,13 @@ fn main() -> ExitCode {
         return ExitCode::FAILURE;
     }
 
-    let spec = match parse_ftl(&o.ftl) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("{e}");
-            return ExitCode::FAILURE;
-        }
-    };
-
-    if let Some(rate) = o.open_loop {
+    // Both sharded modes go through the one multi-queue runner.
+    if o.open_loop.is_some() || o.shards > 1 {
         if o.buffer > 0 || o.backing.is_some() {
-            eprintln!("--buffer/--backing are not supported with --open-loop");
+            eprintln!(
+                "--buffer/--backing are not supported with --shards/--open-loop \
+                 (single-queue engine only)"
+            );
             return ExitCode::FAILURE;
         }
         if !config.supports_shards(o.shards) {
@@ -310,18 +266,26 @@ fn main() -> ExitCode {
             );
             return ExitCode::FAILURE;
         }
-        let mut ssd = match ShardedSsd::new(&config, o.shards, |_, c| spec.build(c)) {
+        let mut ssd = match ShardedSsd::new(&config, o.shards, |_, c| o.ftl.build(c)) {
             Ok(s) => s,
             Err(e) => {
                 eprintln!("cannot build sharded SSD: {e}");
                 return ExitCode::FAILURE;
             }
         };
-        let opts = OpenLoopOpts {
-            offered_rps: rate,
-            queue_depth: o.qd,
+        let started = std::time::Instant::now();
+        let outcome = match o.open_loop {
+            None => ssd.run(trace).map(|report| (report, None)),
+            Some(offered_rps) => {
+                let opts = OpenLoopOpts {
+                    offered_rps,
+                    queue_depth: o.qd,
+                };
+                ssd.run_open_loop(trace, opts)
+                    .map(|out| (out.report.clone(), Some(out)))
+            }
         };
-        let out = match ssd.run_open_loop(trace, opts) {
+        let (report, open) = match outcome {
             Ok(r) => r,
             Err(e) => {
                 eprintln!("simulation failed: {e}");
@@ -330,33 +294,40 @@ fn main() -> ExitCode {
         };
         if o.json {
             use serde_json::Value;
-            let report = serde_json::to_value(&out.report).expect("serializable");
-            let doc = Value::Object(vec![
-                ("offered_rps".to_string(), Value::Float(out.offered_rps)),
-                ("achieved_rps".to_string(), Value::Float(out.achieved_rps)),
-                ("requests".to_string(), Value::UInt(out.requests as u64)),
-                ("sub_requests".to_string(), Value::UInt(out.sub_requests)),
-                ("wall_us".to_string(), Value::Float(out.wall_us)),
-                ("resp_avg_us".to_string(), Value::Float(out.resp_avg_us)),
-                ("resp_p50_us".to_string(), Value::Float(out.resp_p50_us)),
-                ("resp_p99_us".to_string(), Value::Float(out.resp_p99_us)),
-                ("resp_p999_us".to_string(), Value::Float(out.resp_p999_us)),
-                ("backlog_peak".to_string(), Value::UInt(out.backlog_peak)),
-                ("parks".to_string(), Value::UInt(out.doorbells.parks)),
-                ("wakeups".to_string(), Value::UInt(out.doorbells.wakeups)),
-                ("report".to_string(), report),
-            ]);
+            let report = serde_json::to_value(&report).expect("serializable");
+            let doc = match &open {
+                None => report,
+                Some(out) => Value::Object(vec![
+                    ("offered_rps".to_string(), Value::Float(out.offered_rps)),
+                    ("achieved_rps".to_string(), Value::Float(out.achieved_rps)),
+                    ("requests".to_string(), Value::UInt(out.requests)),
+                    ("sub_requests".to_string(), Value::UInt(out.sub_requests)),
+                    ("wall_us".to_string(), Value::Float(out.wall_us)),
+                    ("resp_avg_us".to_string(), Value::Float(out.resp_avg_us)),
+                    ("resp_p50_us".to_string(), Value::Float(out.resp_p50_us)),
+                    ("resp_p99_us".to_string(), Value::Float(out.resp_p99_us)),
+                    ("resp_p999_us".to_string(), Value::Float(out.resp_p999_us)),
+                    ("backlog_peak".to_string(), Value::UInt(out.backlog_peak)),
+                    ("parks".to_string(), Value::UInt(out.doorbells.parks)),
+                    ("wakeups".to_string(), Value::UInt(out.doorbells.wakeups)),
+                    ("report".to_string(), report),
+                ]),
+            };
             println!(
                 "{}",
                 serde_json::to_string_pretty(&doc).expect("serializable")
             );
             return ExitCode::SUCCESS;
         }
-        print_report(&out.report.merged, &config);
+        print_report(&report.merged, &config);
         println!(
             "shards:              {} (per-shard requests {:?}, imbalance {:.3})",
-            o.shards, out.report.load.requests, out.report.load.imbalance
+            o.shards, report.load.requests, report.load.imbalance
         );
+        let Some(out) = open else {
+            println!("wall clock:          {:.2?}", started.elapsed());
+            return ExitCode::SUCCESS;
+        };
         println!(
             "open loop:           offered {:.0} req/s, achieved {:.0} req/s (qd {})",
             out.offered_rps, out.achieved_rps, o.qd
@@ -372,55 +343,7 @@ fn main() -> ExitCode {
         return ExitCode::SUCCESS;
     }
 
-    if o.shards > 1 {
-        if o.buffer > 0 {
-            eprintln!("--buffer is not supported with --shards");
-            return ExitCode::FAILURE;
-        }
-        if o.backing.is_some() {
-            eprintln!("--backing is not supported with --shards (single-queue engine only)");
-            return ExitCode::FAILURE;
-        }
-        if !config.supports_shards(o.shards) {
-            eprintln!(
-                "cannot split {} logical pages into {} shards",
-                config.logical_pages(),
-                o.shards
-            );
-            return ExitCode::FAILURE;
-        }
-        let mut ssd = match ShardedSsd::new(&config, o.shards, |_, c| spec.build(c)) {
-            Ok(s) => s,
-            Err(e) => {
-                eprintln!("cannot build sharded SSD: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        let started = std::time::Instant::now();
-        let report = match ssd.run(trace) {
-            Ok(r) => r,
-            Err(e) => {
-                eprintln!("simulation failed: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        if o.json {
-            println!(
-                "{}",
-                serde_json::to_string_pretty(&report).expect("serializable")
-            );
-            return ExitCode::SUCCESS;
-        }
-        print_report(&report.merged, &config);
-        println!(
-            "shards:              {} (per-shard requests {:?}, imbalance {:.3})",
-            o.shards, report.load.requests, report.load.imbalance
-        );
-        println!("wall clock:          {:.2?}", started.elapsed());
-        return ExitCode::SUCCESS;
-    }
-
-    let ftl = match spec.build(&config) {
+    let ftl = match o.ftl.build(&config) {
         Ok(f) => f,
         Err(e) => {
             eprintln!("cannot build FTL: {e}");
@@ -526,7 +449,7 @@ fn print_report(report: &tpftl_sim::RunReport, config: &tpftl_core::SsdConfig) {
         report.erase_cv()
     );
     println!("block erases:        {}", report.erase_count());
-    println!("avg response:        {:.1} us", report.avg_response_us);
+    println!("avg response:        {:.1} us", report.sim.resp_avg_us);
     let sim = &report.sim;
     println!(
         "topology:            {} channel(s) x {} way(s)",

@@ -55,7 +55,7 @@ pub fn run(scale: Scale) -> ExperimentOutput {
             fraction: f,
             prd: r.dirty_replacement_prob(),
             hit_ratio: r.hit_ratio(),
-            avg_response_us: r.avg_response_us,
+            avg_response_us: r.sim.resp_avg_us,
             write_amplification: r.write_amplification(),
         }
     });

@@ -15,7 +15,6 @@
 
 use serde::{Deserialize, Serialize};
 use tpftl_core::config::GcPolicy;
-use tpftl_core::ftl::{FastFtl, Zftl};
 use tpftl_sim::Ssd;
 use tpftl_trace::presets::Workload;
 
@@ -73,57 +72,37 @@ pub struct BufferRow {
 fn related(scale: Scale) -> Vec<RelatedRow> {
     // The block-mapping FTLs pay a full merge per random write; run them
     // at a tenth of the requested scale so the table completes quickly.
-    let jobs: Vec<(Workload, &'static str)> = [Workload::Financial1, Workload::MsrTs]
+    let jobs: Vec<(Workload, FtlKind)> = [Workload::Financial1, Workload::MsrTs]
         .iter()
         .flat_map(|&w| {
             [
-                "blocklevel",
-                "fast",
-                "zftl",
-                "cdftl",
-                "dftl",
-                "sftl",
-                "tpftl",
-                "optimal",
+                FtlKind::BlockLevel,
+                FtlKind::Fast,
+                FtlKind::Zftl,
+                FtlKind::Cdftl,
+                FtlKind::Dftl,
+                FtlKind::Sftl,
+                FtlKind::Tpftl,
+                FtlKind::Optimal,
             ]
             .into_iter()
-            .map(move |f| (w, f))
+            .map(move |kind| (w, kind))
         })
         .collect();
-    runner::run_parallel(jobs, |&(w, name)| {
+    runner::run_parallel(jobs, |&(w, kind)| {
         let mut config = runner::device_config(w);
         let mut scale = Scale(scale.0);
-        let block_mapping = matches!(name, "blocklevel" | "fast");
-        if block_mapping {
+        if matches!(kind, FtlKind::BlockLevel | FtlKind::Fast) {
             config.prefill_frac = 0.0; // merge-based FTLs manage whole blocks
             scale = Scale(scale.0 * 0.1);
         }
-        let report = match name {
-            "blocklevel" => runner::run_one(FtlKind::BlockLevel, w, scale, &config),
-            "fast" => {
-                let ftl = FastFtl::with_defaults(&config);
-                let spec = w.spec(scale.requests(w));
-                Ssd::new(ftl, config.clone()).and_then(|mut s| s.run(spec.iter(SEED)))
-            }
-            "zftl" => {
-                let ftl = Zftl::with_defaults(&config).expect("budget fits");
-                let spec = w.spec(scale.requests(w));
-                Ssd::new(ftl, config.clone()).and_then(|mut s| s.run(spec.iter(SEED)))
-            }
-            "cdftl" => runner::run_one(FtlKind::Cdftl, w, scale, &config),
-            "dftl" => runner::run_one(FtlKind::Dftl, w, scale, &config),
-            "sftl" => runner::run_one(FtlKind::Sftl, w, scale, &config),
-            "tpftl" => runner::run_one(FtlKind::Tpftl, w, scale, &config),
-            "optimal" => runner::run_one(FtlKind::Optimal, w, scale, &config),
-            other => unreachable!("unknown FTL {other}"),
-        }
-        .expect("simulation failed");
+        let report = runner::run_one(kind, w, scale, &config).expect("simulation failed");
         RelatedRow {
             workload: w.name().to_string(),
             ftl: report.ftl.clone(),
             ram_bytes: report.cache_bytes_used,
             hit_ratio: report.hit_ratio(),
-            avg_response_us: report.avg_response_us,
+            avg_response_us: report.sim.resp_avg_us,
             write_amplification: report.write_amplification(),
             erases: report.erase_count(),
         }
@@ -158,7 +137,7 @@ fn gc_policies(scale: Scale) -> Vec<GcPolicyRow> {
             erases: report.erase_count(),
             max_wear: wears.iter().copied().max().unwrap_or(0),
             mean_wear: wears.iter().sum::<u64>() as f64 / wears.len() as f64,
-            avg_response_us: report.avg_response_us,
+            avg_response_us: report.sim.resp_avg_us,
         }
     })
 }
@@ -190,7 +169,7 @@ fn write_buffer(scale: Scale) -> Vec<BufferRow> {
             } else {
                 report_after.flash.total_writes() as f64 / user_writes.max(1) as f64
             },
-            avg_response_us: report.avg_response_us,
+            avg_response_us: report.sim.resp_avg_us,
         }
     })
 }

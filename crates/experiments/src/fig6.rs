@@ -46,7 +46,7 @@ impl Fig6Row {
             hit_ratio: r.hit_ratio(),
             trans_reads: r.translation_reads(),
             trans_writes: r.translation_writes(),
-            avg_response_us: r.avg_response_us,
+            avg_response_us: r.sim.resp_avg_us,
             write_amplification: r.write_amplification(),
             erases: r.erase_count(),
             gc_hit_ratio: r.ftl_stats.gc_hit_ratio(),

@@ -1,94 +1,19 @@
-//! Shared experiment machinery: FTL construction, the Section 5.1 device
-//! setup per workload, a parallel run executor, and result persistence.
+//! Shared experiment machinery: the Section 5.1 device setup per workload,
+//! a parallel run executor, and result persistence. FTL construction is
+//! `tpftl_core::ftl::FtlKind`, re-exported here.
 
 use std::collections::VecDeque;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
 
 use serde::{Deserialize, Serialize};
-use tpftl_core::ftl::{
-    BlockLevelFtl, Cdftl, Dftl, Ftl, LearnedFtl, OptimalFtl, Sftl, TpFtl, TpftlConfig,
-};
+pub use tpftl_core::ftl::FtlKind;
 use tpftl_core::{Result, SsdConfig};
 use tpftl_sim::{CacheSampler, RunReport, ShardedRunReport, ShardedSsd, Ssd};
 use tpftl_trace::presets::Workload;
 
 /// Default RNG seed for workload generation (fixed for reproducibility).
 pub const SEED: u64 = 2015;
-
-/// Which FTL to construct.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub enum FtlKind {
-    /// DFTL baseline.
-    Dftl,
-    /// Complete TPFTL (`rsbc`).
-    Tpftl,
-    /// A TPFTL ablation configuration (flags as in Figures 7/8).
-    TpftlVariant {
-        /// Technique monogram: subset of `rsbc` (empty = bare two-level).
-        r: bool,
-        /// Selective prefetching.
-        s: bool,
-        /// Batch-update replacement.
-        b: bool,
-        /// Clean-first replacement.
-        c: bool,
-    },
-    /// S-FTL baseline.
-    Sftl,
-    /// CDFTL baseline (the paper implements but does not plot it).
-    Cdftl,
-    /// Optimal page-level FTL (full table in RAM).
-    Optimal,
-    /// Block-level FTL (extension; not in the paper's plots).
-    BlockLevel,
-    /// LearnedFTL (extension): piecewise-linear learned mapping with
-    /// OOB-validated predictions and a demand-paged fallback.
-    Learned,
-}
-
-impl FtlKind {
-    /// The paper's Figure 6 lineup.
-    pub const FIG6: [FtlKind; 4] = [
-        FtlKind::Dftl,
-        FtlKind::Tpftl,
-        FtlKind::Sftl,
-        FtlKind::Optimal,
-    ];
-
-    /// TPFTL ablation variant from a flag monogram.
-    pub fn variant(flags: &str) -> Self {
-        FtlKind::TpftlVariant {
-            r: flags.contains('r'),
-            s: flags.contains('s'),
-            b: flags.contains('b'),
-            c: flags.contains('c'),
-        }
-    }
-
-    /// Builds the FTL for `config`.
-    pub fn build(&self, config: &SsdConfig) -> Result<Box<dyn Ftl + Send>> {
-        Ok(match self {
-            FtlKind::Dftl => Box::new(Dftl::new(config)?),
-            FtlKind::Tpftl => Box::new(TpFtl::new(config, TpftlConfig::full())?),
-            FtlKind::TpftlVariant { r, s, b, c } => {
-                let cfg = TpftlConfig {
-                    request_prefetch: *r,
-                    selective_prefetch: *s,
-                    batch_update: *b,
-                    clean_first: *c,
-                    counter_threshold: 3,
-                };
-                Box::new(TpFtl::new(config, cfg)?)
-            }
-            FtlKind::Sftl => Box::new(Sftl::new(config)?),
-            FtlKind::Cdftl => Box::new(Cdftl::new(config)?),
-            FtlKind::Optimal => Box::new(OptimalFtl::new(config)),
-            FtlKind::BlockLevel => Box::new(BlockLevelFtl::new(config)),
-            FtlKind::Learned => Box::new(LearnedFtl::new(config)?),
-        })
-    }
-}
 
 /// Experiment scale: multiplies the per-workload default request counts.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -266,27 +191,6 @@ mod tests {
         assert_eq!(Scale(1.0).requests(Workload::Financial1), 2_000_000);
         assert_eq!(Scale(0.5).requests(Workload::MsrTs), 1_250_000);
         assert_eq!(Scale(0.000001).requests(Workload::MsrTs), 1_000);
-    }
-
-    #[test]
-    fn ftl_kinds_build() {
-        let config = device_config(Workload::Financial1);
-        for kind in [
-            FtlKind::Dftl,
-            FtlKind::Tpftl,
-            FtlKind::variant("bc"),
-            FtlKind::Sftl,
-            FtlKind::Cdftl,
-            FtlKind::Optimal,
-            FtlKind::Learned,
-        ] {
-            let ftl = kind.build(&config).unwrap();
-            assert!(!ftl.name().is_empty());
-        }
-        assert_eq!(
-            FtlKind::variant("rs").build(&config).unwrap().name(),
-            "TPFTL(rs)"
-        );
     }
 
     #[test]

@@ -48,10 +48,10 @@ pub fn run(scale: Scale) -> ExperimentOutput {
         let dev = |d: f64, o: f64| if d > 0.0 { (d - o) / d } else { 0.0 };
         cols.push(Table2Col {
             workload: w.name().to_string(),
-            performance_deviation: dev(dftl.avg_response_us, opt.avg_response_us),
+            performance_deviation: dev(dftl.sim.resp_avg_us, opt.sim.resp_avg_us),
             erasure_deviation: dev(dftl.erase_count() as f64, opt.erase_count() as f64),
-            dftl_response_us: dftl.avg_response_us,
-            optimal_response_us: opt.avg_response_us,
+            dftl_response_us: dftl.sim.resp_avg_us,
+            optimal_response_us: opt.sim.resp_avg_us,
             dftl_erases: dftl.erase_count(),
             optimal_erases: opt.erase_count(),
         });

@@ -52,7 +52,7 @@ pub fn run(scale: Scale) -> ExperimentOutput {
             threshold: t,
             hit_ratio: r.hit_ratio(),
             prd: r.dirty_replacement_prob(),
-            avg_response_us: r.avg_response_us,
+            avg_response_us: r.sim.resp_avg_us,
         }
     });
 

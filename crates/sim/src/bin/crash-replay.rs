@@ -41,17 +41,13 @@ use std::os::unix::process::ExitStatusExt;
 use std::path::{Path, PathBuf};
 
 use serde_json::Value;
-use tpftl_core::ftl::{Cdftl, Dftl, Ftl, LearnedFtl, Sftl, TpFtl, TpftlConfig};
+use tpftl_core::ftl::FtlKind;
 use tpftl_core::{recovery, FtlError, SsdConfig};
 use tpftl_flash::{FaultPlan, Flash, FlashError, Lpn, Ppn};
 use tpftl_sim::{CrashHarness, Ssd};
 use tpftl_trace::{IoRequest, SyntheticSpec};
 
 const PAGE_BYTES: u64 = 4096;
-
-/// The mapping-persisting FTLs (Optimal keeps no state on flash, so a
-/// kill-9 durability oracle does not apply to it).
-const FTL_NAMES: [&str; 5] = ["dftl", "cdftl", "sftl", "tpftl", "learned"];
 
 /// Small starved device with prefill high enough that GC runs mid-trace
 /// (same shape as the in-RAM crash matrix).
@@ -71,20 +67,6 @@ fn trace(requests: usize, seed: u64) -> Vec<IoRequest> {
         ..SyntheticSpec::default()
     };
     spec.iter(seed).collect()
-}
-
-fn build_ftl(name: &str, c: &SsdConfig) -> Box<dyn Ftl> {
-    match name {
-        "dftl" => Box::new(Dftl::new(c).expect("budget")),
-        "cdftl" => Box::new(Cdftl::new(c).expect("budget")),
-        "sftl" => Box::new(Sftl::new(c).expect("budget")),
-        "tpftl" => Box::new(TpFtl::new(c, TpftlConfig::full()).expect("budget")),
-        "learned" => Box::new(LearnedFtl::new(c).expect("budget")),
-        other => {
-            eprintln!("unknown FTL {other:?}");
-            std::process::exit(2);
-        }
-    }
 }
 
 /// SplitMix64 — the same generator `FaultPlan::seeded` uses, kept inline
@@ -125,7 +107,7 @@ fn kill_self_9() -> ! {
 struct ChildArgs {
     img: PathBuf,
     acks: PathBuf,
-    ftl: String,
+    ftl: FtlKind,
     kill_at: u64,
     tear: u64,
     requests: usize,
@@ -140,7 +122,7 @@ fn run_child(a: ChildArgs) -> ! {
     let c = config();
     let reqs = trace(a.requests, a.seed);
     let flash = Flash::create_file(c.geometry(), &a.img).expect("create device file");
-    let ftl = build_ftl(&a.ftl, &c);
+    let ftl = a.ftl.build(&c).expect("budget");
     let mut ssd = Ssd::with_flash(ftl, c.clone(), flash).expect("bootstrap");
 
     let mut acks = std::fs::File::create(&a.acks).expect("create acks file");
@@ -183,7 +165,7 @@ fn parse_child_args(mut args: std::env::Args) -> ChildArgs {
     let mut a = ChildArgs {
         img: PathBuf::new(),
         acks: PathBuf::new(),
-        ftl: String::new(),
+        ftl: FtlKind::Tpftl,
         kill_at: 0,
         tear: 0,
         requests: 0,
@@ -199,7 +181,13 @@ fn parse_child_args(mut args: std::env::Args) -> ChildArgs {
         match arg.as_str() {
             "--img" => a.img = next(&mut args, "--img").into(),
             "--acks" => a.acks = next(&mut args, "--acks").into(),
-            "--ftl" => a.ftl = next(&mut args, "--ftl"),
+            "--ftl" => {
+                let name = next(&mut args, "--ftl");
+                a.ftl = FtlKind::parse(&name).unwrap_or_else(|| {
+                    eprintln!("unknown FTL {name:?}");
+                    std::process::exit(2);
+                })
+            }
             "--kill-at" => a.kill_at = next(&mut args, "--kill-at").parse().expect("number"),
             "--tear" => a.tear = next(&mut args, "--tear").parse().expect("number"),
             "--requests" => a.requests = next(&mut args, "--requests").parse().expect("number"),
@@ -326,7 +314,8 @@ struct PointResult {
     violations: Vec<String>,
 }
 
-fn run_point(exe: &Path, opts: &Opts, ftl: &str, kill_at: u64, tear: u64) -> PointResult {
+fn run_point(exe: &Path, opts: &Opts, kind: FtlKind, kill_at: u64, tear: u64) -> PointResult {
+    let ftl = &kind.label();
     let img = opts.dir.join(format!(
         "tpftl_kill9_{}_{ftl}_{kill_at}.img",
         std::process::id()
@@ -389,12 +378,12 @@ fn main() {
     let harness = CrashHarness::new(c.clone(), trace(opts.requests, opts.seed));
 
     // The op horizon per FTL bounds the randomized kill points.
-    let mut horizons: HashMap<&str, u64> = HashMap::new();
-    for name in FTL_NAMES {
+    let mut horizons: HashMap<FtlKind, u64> = HashMap::new();
+    for kind in FtlKind::PERSISTING {
         let ops = harness
-            .baseline_ops(build_ftl(name, &c))
+            .baseline_ops(kind.build(&c).expect("budget"))
             .expect("baseline run");
-        horizons.insert(name, ops);
+        horizons.insert(kind, ops);
     }
 
     let record_len = c.geometry().page_bytes as u64 + 64;
@@ -402,18 +391,18 @@ fn main() {
     let mut results: Vec<PointResult> = Vec::new();
     let mut killed = 0u64;
     if opts.exhaustive {
-        for name in FTL_NAMES {
-            for op in 0..horizons[name] {
+        for kind in FtlKind::PERSISTING {
+            for op in 0..horizons[&kind] {
                 let tear = splitmix64(&mut rng) % record_len;
-                results.push(run_point(&exe, &opts, name, op, tear));
+                results.push(run_point(&exe, &opts, kind, op, tear));
             }
         }
     } else {
         for i in 0..opts.points {
-            let name = FTL_NAMES[(i % FTL_NAMES.len() as u64) as usize];
-            let op = splitmix64(&mut rng) % horizons[name];
+            let kind = FtlKind::PERSISTING[(i % FtlKind::PERSISTING.len() as u64) as usize];
+            let op = splitmix64(&mut rng) % horizons[&kind];
             let tear = splitmix64(&mut rng) % record_len;
-            results.push(run_point(&exe, &opts, name, op, tear));
+            results.push(run_point(&exe, &opts, kind, op, tear));
         }
     }
 
@@ -447,9 +436,9 @@ fn main() {
         (
             "horizons".to_string(),
             Value::Object(
-                FTL_NAMES
+                FtlKind::PERSISTING
                     .iter()
-                    .map(|&n| (n.to_string(), Value::UInt(horizons[n])))
+                    .map(|k| (k.label(), Value::UInt(horizons[k])))
                     .collect(),
             ),
         ),

@@ -5,13 +5,18 @@ use tpftl_core::env::GcStats;
 use tpftl_core::FtlStats;
 use tpftl_flash::{FlashStats, OpPurpose};
 
-/// Simulated-time metrics from the channel/way unit-clock timing model.
+/// Simulated-time metrics from the channel/way unit-clock timing model —
+/// the simulator's only clock (see `Ssd::serve`).
 ///
 /// All zeros (including `channels`/`ways`) on reports recorded before the
-/// model existed. On a 1-channel/1-way device the unit-clock numbers agree
-/// with the serial FIFO model's (`makespan_us` tracks `busy_us` bit for
-/// bit when the device never idles); with more units, independent flash
-/// ops overlap and the device time and tail latencies compress.
+/// model existed. On a 1-channel/1-way device every flash op serializes on
+/// the one unit, so `makespan_us` tracks the serial `FlashStats::busy_us`
+/// bit for bit when the device never idles; response times can still be
+/// *shorter* than a serial sum of op latencies, because a translation
+/// write-back that ends a request is fire-and-forget: the request
+/// completes before it and only the next op on that unit queues behind
+/// it. With more units, independent flash ops overlap and the device time
+/// and tail latencies compress.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize, Default)]
 pub struct SimTiming {
     /// Channels of the device that produced this report.
@@ -47,8 +52,6 @@ pub struct RunReport {
     pub flash: FlashStats,
     /// GC aggregates (`N_gcd`, `V_d`, `N_gct`, `V_t`).
     pub gc: GcStats,
-    /// Mean system response time in microseconds (queuing included).
-    pub avg_response_us: f64,
     /// Mapping entries cached at the end of the run.
     pub cached_entries: usize,
     /// Cache bytes in use at the end of the run (excluding the GTD).
@@ -130,7 +133,6 @@ mod tests {
             ftl_stats: FtlStats::default(),
             flash: FlashStats::default(),
             gc: GcStats::default(),
-            avg_response_us: 100.0,
             cached_entries: 0,
             cache_bytes_used: 0,
             cache_bytes_total: 0,
@@ -150,5 +152,9 @@ mod tests {
         let json = serde_json::to_string(&r).unwrap();
         let back: RunReport = serde_json::from_str(&json).unwrap();
         assert_eq!(back, r);
+        // Reports persisted while `avg_response_us` was still a field carry
+        // one extra key; they must keep loading.
+        let old = json.replacen('{', "{\"avg_response_us\":100.0,", 1);
+        assert_eq!(serde_json::from_str::<RunReport>(&old).unwrap(), r);
     }
 }

@@ -15,10 +15,12 @@
 //! thread routes (and, for multi-page requests, splits) the incoming
 //! stream by the low LPN bits (see `tpftl_trace::ShardSplitter`).
 //!
-//! Two drive modes:
+//! Two drive modes over one runner (the private `ShardedSsd::drive`):
 //!
-//! * [`ShardedSsd::run`] — closed-loop replay: submit as fast as the
-//!   queues accept, measure deterministic counters and simulated clocks.
+//! * [`ShardedSsd::run`] — closed-loop replay: every request is due at
+//!   once, shards are fed full batches, and the host waits while a
+//!   shard's in-flight window is full; measures deterministic counters
+//!   and simulated clocks.
 //! * [`ShardedSsd::run_open_loop`] — open-loop steady state: requests
 //!   arrive on a fixed wall-clock schedule regardless of completion (no
 //!   coordinated omission; see `tpftl_trace::fixed_rate`), excess backlog
@@ -43,34 +45,29 @@
 //! histogram varies run to run.
 
 use std::collections::VecDeque;
+use std::panic::resume_unwind;
 use std::time::{Duration, Instant};
 
 use serde::{Deserialize, Serialize};
 use tpftl_core::env::GcStats;
 use tpftl_core::ftl::Ftl;
-use tpftl_core::{FtlStats, Result, SsdConfig};
+use tpftl_core::{FtlError, FtlStats, Result, SsdConfig};
 use tpftl_flash::FlashStats;
 use tpftl_trace::{fixed_rate, IoRequest, ShardSplitter};
 
-use crate::queue::{DoorbellStats, QueuePair};
+use crate::queue::{DoorbellRing, DoorbellStats, QueuePair};
 use crate::{LatencyHistogram, RunReport, SimTiming, Ssd};
 
 /// 4 KB pages everywhere (Table 3).
 const PAGE_BYTES: u64 = 4096;
 
-/// Requests per submitted batch in closed-loop replay (the submission
-/// queue's item granularity).
+/// Most requests per submission-queue entry, and the batch closed-loop
+/// replay always fills before submitting.
 const BATCH_REQUESTS: usize = 64;
 
-/// Closed-loop submission-queue depth in batches — bounds the per-shard
-/// queue at `SQ_BATCHES * BATCH_REQUESTS` in-flight requests.
+/// Closed-loop submission-queue depth in batches — bounds each shard at
+/// `SQ_BATCHES * BATCH_REQUESTS` requests in flight.
 const SQ_BATCHES: usize = 32;
-
-/// Closed-loop completion-queue depth in batches. Sized to hold every
-/// possible outstanding completion (`SQ_BATCHES` queued + one in
-/// service), so the final drain can harvest shard by shard without ever
-/// wedging a worker behind a full completion ring.
-const CQ_BATCHES: usize = 2 * SQ_BATCHES;
 
 // ---- Reports ----------------------------------------------------------------
 
@@ -109,7 +106,7 @@ impl ShardLoadStats {
 pub struct ShardedRunReport {
     /// Aggregate over all shards. With one shard this is the shard's
     /// report verbatim; otherwise counters are shard-order sums and
-    /// `avg_response_us` is the request-weighted mean.
+    /// `sim.resp_avg_us` is the request-weighted mean.
     pub merged: RunReport,
     /// One report per shard, in shard order.
     pub per_shard: Vec<RunReport>,
@@ -126,7 +123,6 @@ fn merge_reports(per_shard: &[RunReport]) -> RunReport {
     let mut ftl_stats = FtlStats::default();
     let mut flash = FlashStats::default();
     let mut gc = GcStats::default();
-    let mut response_weighted = 0.0;
     let mut responses = 0u64;
     let mut cached_entries = 0usize;
     let mut cache_bytes_used = 0usize;
@@ -147,7 +143,6 @@ fn merge_reports(per_shard: &[RunReport]) -> RunReport {
         ftl_stats.merge_from(&r.ftl_stats);
         flash.merge_from(&r.flash);
         gc.merge_from(&r.gc);
-        response_weighted += r.avg_response_us * r.ftl_stats.requests as f64;
         responses += r.ftl_stats.requests;
         cached_entries += r.cached_entries;
         cache_bytes_used += r.cache_bytes_used;
@@ -164,11 +159,6 @@ fn merge_reports(per_shard: &[RunReport]) -> RunReport {
         ftl_stats,
         flash,
         gc,
-        avg_response_us: if responses == 0 {
-            0.0
-        } else {
-            response_weighted / responses as f64
-        },
         cached_entries,
         cache_bytes_used,
         cache_bytes_total,
@@ -230,17 +220,71 @@ pub struct OpenLoopReport {
     pub report: ShardedRunReport,
 }
 
-/// Completion entry of the closed-loop (batch) path.
-struct BatchDone {
+// ---- The runner's host side ---------------------------------------------------
+
+/// One shard's queue pair: batches of requests in, one [`Cqe`] per batch
+/// out.
+type ShardQueues = QueuePair<Vec<IoRequest>, Cqe>;
+
+/// Completion entry of one batch.
+struct Cqe {
+    /// Requests now out of flight (served, or skipped after a failure).
+    retired: usize,
+    /// The shard's serve failed; the worker keeps draining.
     failed: bool,
 }
 
-/// Completion entry of the open-loop (per-request) path.
-enum OpenLoopCqe {
-    /// Wall-clock response time vs the scheduled arrival, µs.
-    Done(f64),
-    /// The shard's serve failed; the worker keeps draining.
-    Failed,
+/// The submitting thread's view of the shards: the backlog in front of
+/// each submission queue and how full each shard's in-flight window is.
+struct Host<'a> {
+    pairs: &'a [ShardQueues],
+    /// Most requests in flight per shard (submitted, not yet harvested).
+    window: usize,
+    backlog: Vec<VecDeque<IoRequest>>,
+    in_flight: Vec<usize>,
+    failed: bool,
+}
+
+impl Host<'_> {
+    fn retire(&mut self, shard: usize, cqe: Cqe) {
+        self.in_flight[shard] -= cqe.retired;
+        self.failed |= cqe.failed;
+    }
+
+    /// Harvests completions and submits backlog, in entries of `min_batch`
+    /// (at least 1) to [`BATCH_REQUESTS`] requests while the window has
+    /// room (the queues are sized so a push never waits). While some
+    /// backlog still holds `limit` requests its shard's window is full, so
+    /// that shard will post: sleep on its completion queue and go round
+    /// again. A queue that closes instead means the worker died, which
+    /// ends the run.
+    fn pump(&mut self, min_batch: usize, limit: usize) {
+        let pairs = self.pairs;
+        while !self.failed {
+            for (shard, pair) in pairs.iter().enumerate() {
+                while let Some(cqe) = pair.cq.try_pop() {
+                    self.retire(shard, cqe);
+                }
+                loop {
+                    let room = self.window - self.in_flight[shard];
+                    let take = self.backlog[shard].len().min(BATCH_REQUESTS).min(room);
+                    if take < min_batch {
+                        break;
+                    }
+                    self.in_flight[shard] += take;
+                    pair.sq
+                        .push_blocking(self.backlog[shard].drain(..take).collect());
+                }
+            }
+            let Some(shard) = self.backlog.iter().position(|q| q.len() >= limit) else {
+                return;
+            };
+            match pairs[shard].cq.pop_blocking() {
+                Some(cqe) => self.retire(shard, cqe),
+                None => self.failed = true,
+            }
+        }
+    }
 }
 
 // ---- The engine -------------------------------------------------------------
@@ -329,91 +373,7 @@ impl<F: Ftl + Send> ShardedSsd<F> {
     where
         I: IntoIterator<Item = IoRequest>,
     {
-        let n = self.shards.len();
-        let splitter = self.splitter;
-        let pairs: Vec<QueuePair<Vec<IoRequest>, BatchDone>> = (0..n)
-            .map(|_| QueuePair::new(SQ_BATCHES, CQ_BATCHES))
-            .collect();
-        let shards = std::mem::take(&mut self.shards);
-
-        let joined: Vec<(Ssd<F>, Result<()>)> = std::thread::scope(|scope| {
-            let handles: Vec<_> = shards
-                .into_iter()
-                .enumerate()
-                .map(|(i, ssd)| {
-                    let pair = &pairs[i];
-                    std::thread::Builder::new()
-                        .name(format!("ftl-shard-{i}"))
-                        .spawn_scoped(scope, move || shard_worker(ssd, pair))
-                        .expect("spawn shard worker")
-                })
-                .collect();
-
-            // The splitter runs on the submitting thread: route every
-            // request, batch per shard, push full batches, and harvest
-            // whatever completions have posted in the meantime.
-            let mut failed = false;
-            let mut pending: Vec<Vec<IoRequest>> =
-                (0..n).map(|_| Vec::with_capacity(BATCH_REQUESTS)).collect();
-            for req in trace {
-                harvest_batches(&pairs, &mut failed);
-                if failed {
-                    break;
-                }
-                splitter.split(&req, |shard, sub| pending[shard as usize].push(sub));
-                for (batch, pair) in pending.iter_mut().zip(&pairs) {
-                    if batch.len() >= BATCH_REQUESTS {
-                        let full = std::mem::replace(batch, Vec::with_capacity(BATCH_REQUESTS));
-                        // When the submission queue is full the push
-                        // keeps harvesting (the worker may be parked
-                        // behind a full completion queue) and parks with
-                        // a timeout instead of spinning.
-                        pair.sq
-                            .push_yielding(full, || harvest_batches(&pairs, &mut failed));
-                    }
-                }
-            }
-            for (batch, pair) in pending.iter_mut().zip(&pairs) {
-                if !batch.is_empty() {
-                    pair.sq.push_yielding(std::mem::take(batch), || {
-                        harvest_batches(&pairs, &mut failed)
-                    });
-                }
-                pair.sq.close();
-            }
-            // Final harvest, shard by shard: `pop_blocking` returns
-            // `None` exactly when a worker closed its completion queue
-            // after draining its submissions, and `CQ_BATCHES` slots are
-            // enough for every outstanding batch, so no worker can block
-            // while the host sleeps here.
-            for pair in &pairs {
-                while pair.cq.pop_blocking().is_some() {}
-            }
-
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("shard worker panicked"))
-                .collect()
-        });
-
-        self.last_doorbells = pairs
-            .iter()
-            .map(QueuePair::doorbell_stats)
-            .fold(DoorbellStats::default(), DoorbellStats::merge);
-
-        let mut first_err = None;
-        let mut ssds = Vec::with_capacity(n);
-        for (ssd, res) in joined {
-            if let (Err(e), None) = (res, &first_err) {
-                first_err = Some(e);
-            }
-            ssds.push(ssd);
-        }
-        self.shards = ssds;
-        match first_err {
-            Some(e) => Err(e),
-            None => Ok(self.report()),
-        }
+        Ok(self.drive(trace.into_iter(), None)?.report)
     }
 
     /// Drives the shards at a fixed wall-clock arrival rate (open loop).
@@ -436,182 +396,135 @@ impl<F: Ftl + Send> ShardedSsd<F> {
             opts.queue_depth.is_power_of_two(),
             "queue depth not a power of two"
         );
-        let n = self.shards.len();
-        let splitter = self.splitter;
-        // Completion queues get headroom over the submission depth so a
-        // worker rarely waits on the host; the host still harvests on
-        // every pacing tick.
-        let cq_depth = (opts.queue_depth * 2).max(64);
-        let pairs: Vec<QueuePair<IoRequest, OpenLoopCqe>> = (0..n)
-            .map(|_| QueuePair::new(opts.queue_depth, cq_depth))
-            .collect();
-        let shards = std::mem::take(&mut self.shards);
-        let epoch = Instant::now();
+        self.drive(fixed_rate(trace, opts.offered_rps), Some(opts))
+    }
 
-        struct HostState {
-            hist: LatencyHistogram,
-            resp_sum_us: f64,
-            completed: u64,
-            failed: bool,
-        }
-        let mut host = HostState {
-            hist: LatencyHistogram::new(),
-            resp_sum_us: 0.0,
-            completed: 0,
+    /// The one runner: a worker per shard, the trace split into per-shard
+    /// backlogs on this thread, backlog moved into the submission queues
+    /// as the pacing allows. Closed loop (`open == None`) is open loop with
+    /// every request always due, full batches, and a host that waits
+    /// instead of letting backlog grow; its wall-clock fields are unused.
+    ///
+    /// Returns the first shard error in shard order, or the error of a
+    /// worker thread that could not be spawned; a worker's panic is
+    /// re-raised with its own payload.
+    fn drive<I>(&mut self, trace: I, open: Option<OpenLoopOpts>) -> Result<OpenLoopReport>
+    where
+        I: Iterator<Item = IoRequest>,
+    {
+        // (requests per queue entry at least, requests in flight per shard
+        // at most, backlog at which the host stops reading the trace).
+        let (min_batch, window, backlog_limit) = match open {
+            None => (BATCH_REQUESTS, SQ_BATCHES * BATCH_REQUESTS, BATCH_REQUESTS),
+            Some(opts) => (1, opts.queue_depth, usize::MAX),
+        };
+        // Twice the submission depth for completions: every entry a worker
+        // can owe fits, so a worker never waits on the host.
+        let sq_depth = window / min_batch;
+        let pairs: Vec<ShardQueues> = (0..self.shards.len())
+            .map(|_| QueuePair::new(sq_depth, 2 * sq_depth))
+            .collect();
+        let mut host = Host {
+            pairs: &pairs,
+            window,
+            backlog: pairs.iter().map(|_| VecDeque::new()).collect(),
+            in_flight: vec![0; pairs.len()],
             failed: false,
         };
-        // Harvest every posted completion; returns true on progress.
-        fn harvest(pairs: &[QueuePair<IoRequest, OpenLoopCqe>], host: &mut HostState) -> bool {
-            let mut progress = false;
-            for pair in pairs {
-                while let Some(cqe) = pair.cq.try_pop() {
-                    progress = true;
-                    match cqe {
-                        OpenLoopCqe::Done(resp_us) => {
-                            host.hist.record(resp_us);
-                            host.resp_sum_us += resp_us;
-                            host.completed += 1;
-                        }
-                        OpenLoopCqe::Failed => host.failed = true,
+        let splitter = self.splitter;
+        let epoch = Instant::now();
+        let (mut requests, mut sub_requests, mut backlog_peak) = (0u64, 0u64, 0usize);
+
+        let (joined, wall_us) = std::thread::scope(|scope| {
+            let schedule = open.map(|_| epoch);
+            let mut handles = Vec::with_capacity(pairs.len());
+            for (i, (ssd, pair)) in self.shards.iter_mut().zip(&pairs).enumerate() {
+                match std::thread::Builder::new()
+                    .name(format!("ftl-shard-{i}"))
+                    .spawn_scoped(scope, move || shard_worker(ssd, pair, schedule))
+                {
+                    Ok(handle) => handles.push(handle),
+                    Err(e) => {
+                        // Release the workers already running; the scope
+                        // joins them on the way out.
+                        pairs.iter().for_each(|p| p.sq.close());
+                        return Err(FtlError::WorkerSpawn(e.kind()));
                     }
                 }
             }
-            progress
-        }
 
-        let mut requests = 0u64;
-        let mut sub_requests = 0u64;
-        let mut backlog_peak = 0u64;
-        let mut wall_us = 0.0f64;
-
-        let joined: Vec<(Ssd<F>, Result<()>)> = std::thread::scope(|scope| {
-            let handles: Vec<_> = shards
-                .into_iter()
-                .enumerate()
-                .map(|(i, ssd)| {
-                    let pair = &pairs[i];
-                    std::thread::Builder::new()
-                        .name(format!("ftl-ol-shard-{i}"))
-                        .spawn_scoped(scope, move || open_loop_worker(ssd, pair, epoch))
-                        .expect("spawn open-loop worker")
-                })
-                .collect();
-
-            // Host side: pace by the wall clock, split due requests into
-            // per-shard backlogs, feed the submission queues, harvest.
-            let mut backlog: Vec<VecDeque<IoRequest>> = (0..n).map(|_| VecDeque::new()).collect();
-            let drain = |backlog: &mut Vec<VecDeque<IoRequest>>| {
-                for (queue, pair) in backlog.iter_mut().zip(&pairs) {
-                    while let Some(&req) = queue.front() {
-                        if pair.sq.try_push(req).is_ok() {
-                            queue.pop_front();
-                        } else {
+            for req in trace {
+                // Open loop: hold the request until it is due. Sleep in
+                // bounded chunks so completions keep being harvested; close
+                // to the deadline, yield instead (the OS timer is ~50 µs-
+                // grained). Oversleep is harmless: late requests submit in
+                // a catch-up burst, still measured from the schedule.
+                if open.is_some() {
+                    loop {
+                        host.pump(min_batch, backlog_limit);
+                        let remaining = req.arrival_us - epoch.elapsed().as_secs_f64() * 1e6;
+                        if remaining <= 0.0 {
                             break;
+                        } else if remaining > 150.0 {
+                            let chunk = remaining.min(500.0) as u64 - 100;
+                            std::thread::sleep(Duration::from_micros(chunk));
+                        } else {
+                            std::thread::yield_now();
                         }
-                    }
-                }
-            };
-
-            for req in fixed_rate(trace, opts.offered_rps) {
-                let due_us = req.arrival_us;
-                loop {
-                    harvest(&pairs, &mut host);
-                    drain(&mut backlog);
-                    let now_us = epoch.elapsed().as_secs_f64() * 1e6;
-                    if now_us >= due_us {
-                        break;
-                    }
-                    // Sleep in bounded chunks so completions keep being
-                    // harvested; close to the deadline, yield instead
-                    // (the OS timer is ~50 µs-grained). Oversleep is
-                    // harmless: late requests submit in a catch-up
-                    // burst and their latency is still measured from
-                    // the schedule.
-                    let remaining = due_us - now_us;
-                    if remaining > 150.0 {
-                        std::thread::sleep(Duration::from_micros(
-                            remaining.min(500.0) as u64 - 100,
-                        ));
-                    } else {
-                        std::thread::yield_now();
                     }
                 }
                 if host.failed {
                     break;
                 }
                 splitter.split(&req, |shard, sub| {
-                    backlog[shard as usize].push_back(sub);
+                    host.backlog[shard as usize].push_back(sub);
                     sub_requests += 1;
                 });
                 requests += 1;
-                drain(&mut backlog);
-                let queued: u64 = backlog.iter().map(|q| q.len() as u64).sum();
-                backlog_peak = backlog_peak.max(queued);
+                host.pump(min_batch, backlog_limit);
+                backlog_peak = backlog_peak.max(host.backlog.iter().map(VecDeque::len).sum());
             }
 
-            // Flush the backlog (overload tail), then close and drain.
-            while !host.failed && backlog.iter().any(|q| !q.is_empty()) {
-                drain(&mut backlog);
-                if !harvest(&pairs, &mut host) {
-                    std::thread::sleep(Duration::from_micros(50));
-                }
-            }
+            // Flush what is left (partial batches, the overload tail), then
+            // close and drain: a worker closes its completion queue once
+            // its submissions are served.
+            host.pump(1, 1);
             for pair in &pairs {
                 pair.sq.close();
+                while pair.cq.pop_blocking().is_some() {}
             }
-            loop {
-                harvest(&pairs, &mut host);
-                if pairs.iter().all(|p| p.cq.is_closed() && p.cq.is_empty()) {
-                    break;
-                }
-                std::thread::sleep(Duration::from_micros(50));
-            }
-            wall_us = epoch.elapsed().as_secs_f64() * 1e6;
-
-            handles
+            let wall_us = epoch.elapsed().as_secs_f64() * 1e6;
+            let joined: Vec<_> = handles
                 .into_iter()
-                .map(|h| h.join().expect("open-loop worker panicked"))
-                .collect()
-        });
+                .map(|h| h.join().unwrap_or_else(|panic| resume_unwind(panic)))
+                .collect();
+            Ok((joined, wall_us))
+        })?;
 
         self.last_doorbells = pairs
             .iter()
             .map(QueuePair::doorbell_stats)
             .fold(DoorbellStats::default(), DoorbellStats::merge);
-
-        let mut first_err = None;
-        let mut ssds = Vec::with_capacity(n);
-        for (ssd, res) in joined {
-            if let (Err(e), None) = (res, &first_err) {
-                first_err = Some(e);
-            }
-            ssds.push(ssd);
+        let mut hist = LatencyHistogram::new();
+        let mut resp_sum_us = 0.0;
+        for (result, shard_hist, shard_sum_us) in joined {
+            result?;
+            hist.merge_from(&shard_hist);
+            resp_sum_us += shard_sum_us;
         }
-        self.shards = ssds;
-        if let Some(e) = first_err {
-            return Err(e);
-        }
-
-        debug_assert_eq!(host.completed, sub_requests);
+        debug_assert!(open.is_none() || hist.total() == sub_requests);
+        let per = |num: f64, den: f64| if den > 0.0 { num / den } else { 0.0 };
         Ok(OpenLoopReport {
-            offered_rps: opts.offered_rps,
+            offered_rps: open.map_or(0.0, |opts| opts.offered_rps),
             requests,
             sub_requests,
             wall_us,
-            achieved_rps: if wall_us > 0.0 {
-                requests as f64 * 1e6 / wall_us
-            } else {
-                0.0
-            },
-            resp_avg_us: if host.completed > 0 {
-                host.resp_sum_us / host.completed as f64
-            } else {
-                0.0
-            },
-            resp_p50_us: host.hist.quantile(0.5),
-            resp_p99_us: host.hist.quantile(0.99),
-            resp_p999_us: host.hist.p999(),
-            backlog_peak,
+            achieved_rps: per(requests as f64 * 1e6, wall_us),
+            resp_avg_us: per(resp_sum_us, hist.total() as f64),
+            resp_p50_us: hist.quantile(0.5),
+            resp_p99_us: hist.quantile(0.99),
+            resp_p999_us: hist.p999(),
+            backlog_peak: backlog_peak as u64,
             doorbells: self.last_doorbells,
             report: self.report(),
         })
@@ -640,72 +553,49 @@ impl<F: Ftl + Send> ShardedSsd<F> {
     }
 }
 
-/// Drains every closed-loop completion queue, noting failures.
-fn harvest_batches(pairs: &[QueuePair<Vec<IoRequest>, BatchDone>], failed: &mut bool) {
-    for pair in pairs {
-        while let Some(done) = pair.cq.try_pop() {
-            if done.failed {
-                *failed = true;
-            }
+/// One shard's worker: serves batches until the submission queue closes,
+/// posting one completion entry per batch, and returns the serve result
+/// with the wall-clock responses it measured (histogram, sum) — against
+/// each request's scheduled arrival when there is a `schedule`, none
+/// otherwise. After a serve error it posts failed completions (telling
+/// the host to stop) but keeps draining, so the host's window accounting
+/// still balances.
+fn shard_worker<F: Ftl>(
+    ssd: &mut Ssd<F>,
+    pair: &ShardQueues,
+    schedule: Option<Instant>,
+) -> (Result<()>, LatencyHistogram, f64) {
+    /// Closes the completion queue on every exit, a panic included: the
+    /// host must never sleep on a queue nobody will post to.
+    struct CloseOnExit<'a>(&'a DoorbellRing<Cqe>);
+    impl Drop for CloseOnExit<'_> {
+        fn drop(&mut self) {
+            self.0.close();
         }
     }
-}
+    let _close = CloseOnExit(&pair.cq);
 
-/// One shard's closed-loop worker: serve batches until the submission
-/// queue closes, posting one completion entry per batch. On a serve
-/// error the worker posts a failed completion (telling the host to stop
-/// submitting), then keeps draining without serving so the bounded queue
-/// never wedges the producer.
-fn shard_worker<F: Ftl + Send>(
-    mut ssd: Ssd<F>,
-    pair: &QueuePair<Vec<IoRequest>, BatchDone>,
-) -> (Ssd<F>, Result<()>) {
     let mut result = Ok(());
+    let (mut hist, mut resp_sum_us) = (LatencyHistogram::new(), 0.0);
     while let Some(batch) = pair.sq.pop_blocking() {
-        let mut done = BatchDone { failed: false };
-        if result.is_ok() {
-            for req in &batch {
-                if let Err(e) = ssd.serve(req) {
-                    result = Err(e);
-                    done.failed = true;
-                    break;
-                }
+        for req in &batch {
+            if result.is_err() {
+                break;
+            }
+            result = ssd.serve(req).map(drop);
+            if let (Ok(()), Some(epoch)) = (&result, schedule) {
+                let now_us = epoch.elapsed().as_secs_f64() * 1e6;
+                let resp_us = (now_us - req.arrival_us).max(0.0);
+                hist.record(resp_us);
+                resp_sum_us += resp_us;
             }
         }
-        pair.cq.push_blocking(done);
+        pair.cq.push_blocking(Cqe {
+            retired: batch.len(),
+            failed: result.is_err(),
+        });
     }
-    pair.cq.close();
-    (ssd, result)
-}
-
-/// One shard's open-loop worker: serve individual requests, posting each
-/// completion with its wall-clock response time measured against the
-/// request's scheduled arrival.
-fn open_loop_worker<F: Ftl + Send>(
-    mut ssd: Ssd<F>,
-    pair: &QueuePair<IoRequest, OpenLoopCqe>,
-    epoch: Instant,
-) -> (Ssd<F>, Result<()>) {
-    let mut result = Ok(());
-    while let Some(req) = pair.sq.pop_blocking() {
-        let cqe = if result.is_ok() {
-            match ssd.serve(&req) {
-                Ok(_) => {
-                    let now_us = epoch.elapsed().as_secs_f64() * 1e6;
-                    OpenLoopCqe::Done((now_us - req.arrival_us).max(0.0))
-                }
-                Err(e) => {
-                    result = Err(e);
-                    OpenLoopCqe::Failed
-                }
-            }
-        } else {
-            OpenLoopCqe::Failed
-        };
-        pair.cq.push_blocking(cqe);
-    }
-    pair.cq.close();
-    (ssd, result)
+    (result, hist, resp_sum_us)
 }
 
 #[cfg(test)]
@@ -800,14 +690,14 @@ mod tests {
         let by_hand: f64 = report
             .per_shard
             .iter()
-            .map(|r| r.avg_response_us * r.ftl_stats.requests as f64)
+            .map(|r| r.sim.resp_avg_us * r.ftl_stats.requests as f64)
             .sum::<f64>()
             / report
                 .per_shard
                 .iter()
                 .map(|r| r.ftl_stats.requests)
                 .sum::<u64>() as f64;
-        assert!((report.merged.avg_response_us - by_hand).abs() < 1e-9);
+        assert!((report.merged.sim.resp_avg_us - by_hand).abs() < 1e-9);
         assert_eq!(
             report.merged.ftl_stats.requests,
             report.per_shard.iter().map(|r| r.ftl_stats.requests).sum()
@@ -854,6 +744,56 @@ mod tests {
         // The engine survives the error: shards are back and usable.
         let ok = IoRequest::new(0.0, 0, 4096, Dir::Write);
         assert!(sharded.run(std::iter::once(ok)).is_ok());
+    }
+
+    #[test]
+    fn pacing_does_not_change_what_the_device_does() {
+        // Closed-loop batches of 64 vs open-loop single requests on a
+        // wall-clock schedule: each shard still sees the same projection of
+        // the trace, so everything but the clocks must agree.
+        let config = tp_config();
+        let trace: Vec<IoRequest> = spec(1_500).iter(17).collect();
+        for shards in [1, 4] {
+            let mut closed = ShardedSsd::new(&config, shards, build_tp).unwrap();
+            let closed = closed.run(trace.iter().copied()).unwrap();
+            let mut open = ShardedSsd::new(&config, shards, build_tp).unwrap();
+            let open = open
+                .run_open_loop(
+                    trace.iter().copied(),
+                    OpenLoopOpts {
+                        offered_rps: 400_000.0,
+                        queue_depth: 16,
+                    },
+                )
+                .unwrap()
+                .report;
+            assert_eq!(closed.load, open.load);
+            for (c, o) in closed.per_shard.iter().zip(&open.per_shard) {
+                assert_eq!(c.ftl_stats, o.ftl_stats);
+                assert_eq!(c.flash, o.flash);
+                assert_eq!(c.gc, o.gc);
+                assert_eq!(c.cached_entries, o.cached_entries);
+            }
+            assert_eq!(closed.merged.ftl_stats, open.merged.ftl_stats);
+            assert_eq!(closed.merged.flash, open.merged.flash);
+            assert_eq!(closed.merged.gc, open.merged.gc);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "index out of bounds")]
+    fn worker_panic_reaches_the_caller_with_its_own_payload() {
+        // Shard 1's mapping table is empty, so its worker dies on its first
+        // translate; the trace is far longer than one in-flight window, so
+        // the host is feeding (then waiting on) a dead shard when it goes.
+        use crate::ssd::tests::WriteThroughFtl;
+        let config = SsdConfig::paper_default(64 << 20);
+        let mut sharded = ShardedSsd::new(&config, 2, |shard, cfg| {
+            let pages = if shard == 1 { 0 } else { cfg.logical_pages() };
+            Ok(WriteThroughFtl(vec![None; pages as usize]))
+        })
+        .unwrap();
+        let _ = sharded.run(spec(20_000).iter(4));
     }
 
     #[test]

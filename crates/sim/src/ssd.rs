@@ -1,4 +1,4 @@
-//! The simulated SSD: an FTL + environment + FIFO timing model.
+//! The simulated SSD: an FTL + environment + unit-clock timing model.
 
 use tpftl_core::driver;
 use tpftl_core::env::SsdEnv;
@@ -38,13 +38,9 @@ pub struct Ssd<F: Ftl> {
     env: SsdEnv,
     sampler: Option<CacheSampler>,
     buffer: Option<WriteBuffer>,
-    /// Time at which the device becomes idle.
-    device_free_us: f64,
-    response_sum_us: f64,
     responses: u64,
-    /// Unit-clock model: completion time of the previous request (requests
-    /// are still served in arrival order, but their flash ops spread over
-    /// the channel/way units).
+    /// Completion time of the previous request (requests are served in
+    /// arrival order; their flash ops spread over the channel/way units).
     sim_free_us: f64,
     /// Sum of per-request simulated busy spans (completion − start).
     sim_span_us: f64,
@@ -54,22 +50,8 @@ pub struct Ssd<F: Ftl> {
 
 impl<F: Ftl> Ssd<F> {
     /// Builds and bootstraps (pre-fill + format + stats reset) an SSD.
-    pub fn new(mut ftl: F, config: SsdConfig) -> Result<Self> {
-        let mut env = SsdEnv::new(config)?;
-        driver::bootstrap(&mut ftl, &mut env)?;
-        Ok(Self {
-            ftl,
-            env,
-            sampler: None,
-            buffer: None,
-            device_free_us: 0.0,
-            response_sum_us: 0.0,
-            responses: 0,
-            sim_free_us: 0.0,
-            sim_span_us: 0.0,
-            sim_resp_sum_us: 0.0,
-            sim_hist: LatencyHistogram::new(),
-        })
+    pub fn new(ftl: F, config: SsdConfig) -> Result<Self> {
+        Self::bootstrapped(ftl, SsdEnv::new(config)?)
     }
 
     /// Like [`Ssd::new`], but bootstraps on a prebuilt flash device —
@@ -77,16 +59,17 @@ impl<F: Ftl> Ssd<F> {
     /// so the whole run (including bootstrap) is mirrored to the device
     /// file. The device must be fully erased and match `config`'s
     /// geometry.
-    pub fn with_flash(mut ftl: F, config: SsdConfig, flash: tpftl_flash::Flash) -> Result<Self> {
-        let mut env = SsdEnv::with_flash(config, flash)?;
+    pub fn with_flash(ftl: F, config: SsdConfig, flash: tpftl_flash::Flash) -> Result<Self> {
+        Self::bootstrapped(ftl, SsdEnv::with_flash(config, flash)?)
+    }
+
+    fn bootstrapped(mut ftl: F, mut env: SsdEnv) -> Result<Self> {
         driver::bootstrap(&mut ftl, &mut env)?;
         Ok(Self {
             ftl,
             env,
             sampler: None,
             buffer: None,
-            device_free_us: 0.0,
-            response_sum_us: 0.0,
             responses: 0,
             sim_free_us: 0.0,
             sim_span_us: 0.0,
@@ -168,16 +151,18 @@ impl<F: Ftl> Ssd<F> {
     }
 
     /// Serves one request; returns its system response time in µs
-    /// (queuing + service).
+    /// (queuing + service) on the unit clocks.
+    ///
+    /// The request starts once it has arrived and the previous request
+    /// completed (requests are served in order). Each of its page accesses
+    /// is an independent dependency chain from that start, so accesses
+    /// that land on different channel/way units overlap; the request
+    /// completes when its slowest chain does. A translation write-back is
+    /// a fire-and-forget persist (see `SsdEnv::update_translation_page`):
+    /// a request whose last flash op is one completes *before* it, and the
+    /// write-back delays only later ops on the same flash unit.
     pub fn serve(&mut self, req: &IoRequest) -> Result<f64> {
         self.env.stats.requests += 1;
-        let busy_before = self.env.flash().stats().busy_us;
-
-        // Unit-clock timing: the request starts once it arrives and the
-        // previous request completed (requests are served in order). Each
-        // of its page accesses is an independent dependency chain from that
-        // start, so accesses that land on different channel/way units
-        // overlap; the request completes when its slowest chain does.
         let sim_start = req.arrival_us.max(self.sim_free_us);
         let mut sim_done = sim_start;
 
@@ -223,20 +208,10 @@ impl<F: Ftl> Ssd<F> {
         // outside `serve` (flushes, crash harness) chains after it.
         self.env.sim_relax_to(sim_done);
         self.sim_free_us = sim_done;
-        let sim_response = sim_done - req.arrival_us;
-        self.sim_resp_sum_us += sim_response;
+        let response = sim_done - req.arrival_us;
+        self.sim_resp_sum_us += response;
         self.sim_span_us += sim_done - sim_start;
-        self.sim_hist.record(sim_response);
-
-        // FIFO timing: the device serves one request at a time; service
-        // time is the flash busy time this request induced (translation,
-        // data access, GC).
-        let service = self.env.flash().stats().busy_us - busy_before;
-        let start = req.arrival_us.max(self.device_free_us);
-        let completion = start + service;
-        self.device_free_us = completion;
-        let response = completion - req.arrival_us;
-        self.response_sum_us += response;
+        self.sim_hist.record(response);
         self.responses += 1;
         Ok(response)
     }
@@ -271,11 +246,6 @@ impl<F: Ftl> Ssd<F> {
             },
             flash: self.env.flash().stats().clone(),
             gc: self.env.gc_stats.clone(),
-            avg_response_us: if self.responses == 0 {
-                0.0
-            } else {
-                self.response_sum_us / self.responses as f64
-            },
             cached_entries: self.ftl.cached_entries(),
             cache_bytes_used: self.ftl.cache_bytes_used(),
             cache_bytes_total: self.env.config().cache_bytes,
@@ -301,7 +271,7 @@ impl<F: Ftl> Ssd<F> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use tpftl_core::ftl::{Dftl, OptimalFtl, TpFtl, TpftlConfig};
     use tpftl_trace::{Dir, SyntheticSpec};
@@ -336,8 +306,7 @@ mod tests {
             .serve(&IoRequest::new(10_000.0, 0, 4096, Dir::Read))
             .unwrap();
         assert!((r3 - 25.0).abs() < 1e-9, "r3={r3}");
-        // On the default 1-channel/1-way topology the unit-clock model
-        // reproduces the FIFO numbers exactly.
+        // One channel, one way: every flash op serializes on the one unit.
         let sim = ssd.report().sim;
         assert_eq!(sim.channels, 1);
         assert_eq!(sim.ways, 1);
@@ -345,6 +314,75 @@ mod tests {
         assert!((sim.makespan_us - 10_025.0).abs() < 1e-9);
         assert!((sim.device_us - 425.0).abs() < 1e-9, "spans 200+200+25");
         assert_eq!(sim.resp_p99_us, 384.0, "400 µs bucket lower edge");
+    }
+
+    /// A write-through mapping FTL: every host write ends with a
+    /// translation-page write-back, the one op the clock does not make the
+    /// issuing request wait for. (Also the shard tests' custom FTL.)
+    pub(crate) struct WriteThroughFtl(pub(crate) Vec<Option<tpftl_core::Ppn>>);
+
+    impl Ftl for WriteThroughFtl {
+        fn name(&self) -> String {
+            "WriteThrough".into()
+        }
+        fn translate(
+            &mut self,
+            env: &mut SsdEnv,
+            lpn: Lpn,
+            _: &AccessCtx,
+        ) -> Result<Option<tpftl_core::Ppn>> {
+            env.note_lookup(true);
+            Ok(self.0[lpn as usize])
+        }
+        fn update_mapping(
+            &mut self,
+            env: &mut SsdEnv,
+            lpn: Lpn,
+            ppn: tpftl_core::Ppn,
+        ) -> Result<()> {
+            self.0[lpn as usize] = Some(ppn);
+            let (vtpn, off) = (env.vtpn_of(lpn), env.offset_of(lpn));
+            env.update_translation_page(vtpn, &[(off, ppn)], tpftl_flash::OpPurpose::Translation)
+        }
+        fn on_gc_data_block(
+            &mut self,
+            _: &mut SsdEnv,
+            _: &[(Lpn, tpftl_core::Ppn)],
+        ) -> Result<u64> {
+            unreachable!("the test never fills the device")
+        }
+        fn cache_bytes_used(&self) -> usize {
+            0
+        }
+        fn cached_entries(&self) -> usize {
+            0
+        }
+        fn cached_tp_distribution(&self) -> Vec<tpftl_core::ftl::TpDistEntry> {
+            Vec::new()
+        }
+    }
+
+    #[test]
+    fn trailing_translation_writeback_does_not_delay_its_own_request() {
+        let config = SsdConfig::paper_default(16 << 20);
+        let ftl = WriteThroughFtl(vec![None; config.logical_pages() as usize]);
+        let mut ssd = Ssd::new(ftl, config).unwrap();
+        // Data program (200 µs), then the write-back's read-modify-write
+        // (25 + 200 µs): the request is done when its data is, at 200 µs,
+        // while the flash unit stays busy until 425 µs.
+        let r1 = ssd
+            .serve(&IoRequest::new(0.0, 0, 4096, Dir::Write))
+            .unwrap();
+        assert!((r1 - 200.0).abs() < 1e-9, "r1={r1}");
+        assert!((ssd.env().flash().sim_device_done_us() - 425.0).abs() < 1e-9);
+        // The next request may start at 200 µs, but its read lands on the
+        // same unit and queues behind the write-back: 425 + 25 µs.
+        let r2 = ssd.serve(&IoRequest::new(0.0, 0, 4096, Dir::Read)).unwrap();
+        assert!((r2 - 450.0).abs() < 1e-9, "r2={r2}");
+        let report = ssd.report();
+        assert!((report.flash.busy_us - 450.0).abs() < 1e-9);
+        assert!((report.sim.resp_avg_us - 325.0).abs() < 1e-9);
+        assert!((report.sim.device_us - (200.0 + 250.0)).abs() < 1e-9);
     }
 
     #[test]
@@ -364,15 +402,12 @@ mod tests {
         };
         let serial = run(&serial_cfg);
         let wide = run(&wide_cfg);
-        // The timing model is observation-only: op sequence, counters and
-        // the FIFO response metric are bit-identical across topologies.
+        // The timing model is observation-only: op sequence and counters
+        // (the serial `busy_us` sum included) are bit-identical across
+        // topologies.
         assert_eq!(serial.ftl_stats, wide.ftl_stats);
         assert_eq!(serial.flash, wide.flash);
         assert_eq!(serial.gc, wide.gc);
-        assert_eq!(
-            serial.avg_response_us.to_bits(),
-            wide.avg_response_us.to_bits()
-        );
         // Independent units overlap: simulated device time and latency
         // can only improve.
         assert_eq!(wide.sim.channels, 4);
@@ -395,10 +430,10 @@ mod tests {
             .unwrap();
         let rd = Ssd::new(dftl, config).unwrap().run(spec.iter(1)).unwrap();
         assert!(
-            rd.avg_response_us > ro.avg_response_us,
+            rd.sim.resp_avg_us > ro.sim.resp_avg_us,
             "DFTL ({}) must be slower than optimal ({})",
-            rd.avg_response_us,
-            ro.avg_response_us
+            rd.sim.resp_avg_us,
+            ro.sim.resp_avg_us
         );
         assert!(rd.translation_reads() > 0);
         assert_eq!(ro.translation_reads(), 0);

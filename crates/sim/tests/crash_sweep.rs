@@ -3,11 +3,13 @@
 //! holds at each one — no acknowledged write is lost, no mapping points at
 //! a torn or dead page, and `recovery::verify` is clean after remount.
 //!
-//! This is a loop over every op index, not a sample: if any single
-//! interleaving of (program, invalidate, erase) can lose data, this test
-//! finds it.
+//! In `--release` (what CI runs) this is a loop over every op index, not a
+//! sample: if any single interleaving of (program, invalidate, erase) can
+//! lose data, this test finds it. Debug builds — the tier-1 `cargo test` —
+//! visit every `STRIDE`th index so the three sweeps take seconds, not
+//! minutes.
 
-use tpftl_core::ftl::{LearnedFtl, TpFtl, TpftlConfig};
+use tpftl_core::ftl::{Ftl, LearnedFtl, TpFtl, TpftlConfig};
 use tpftl_core::SsdConfig;
 use tpftl_flash::FaultPlan;
 use tpftl_sim::CrashHarness;
@@ -37,20 +39,25 @@ fn ftl(c: &SsdConfig) -> TpFtl {
     TpFtl::new(c, TpftlConfig::full()).expect("budget")
 }
 
-/// The tentpole acceptance test: every op index, zero violations.
-#[test]
-fn power_loss_at_every_op_index_is_recoverable() {
-    let h = CrashHarness::new(config(), trace());
-    let horizon = h.baseline_ops(ftl(h.config())).expect("baseline");
+/// Distance between visited crash points: exhaustive when optimized; under
+/// `debug_assertions` a small prime stride (so the sample does not lock
+/// onto a per-request op pattern) that still interrupts reads, writes and
+/// erases on this trace.
+const STRIDE: usize = if cfg!(debug_assertions) { 5 } else { 1 };
+
+/// Crashes a fresh replay at each visited op index below the baseline
+/// horizon and asserts every outcome durable; returns the kinds of flash
+/// op the sweep interrupted.
+fn sweep<F: Ftl>(h: &CrashHarness, build: impl Fn() -> F) -> std::collections::BTreeSet<String> {
+    let horizon = h.baseline_ops(build()).expect("baseline");
     assert!(
         horizon > 1_000,
         "trace too small to be interesting: {horizon}"
     );
-
     let mut interrupted_kinds = std::collections::BTreeSet::new();
-    for op in 0..horizon {
+    for op in (0..horizon).step_by(STRIDE) {
         let out = h
-            .run_to_crash(ftl(h.config()), FaultPlan::at_op(op))
+            .run_to_crash(build(), FaultPlan::at_op(op))
             .unwrap_or_else(|e| panic!("op {op}: harness error {e}"));
         assert!(
             out.is_durable(),
@@ -68,6 +75,14 @@ fn power_loss_at_every_op_index_is_recoverable() {
         assert_eq!(fired.op_index, op);
         interrupted_kinds.insert(format!("{:?}", fired.kind));
     }
+    interrupted_kinds
+}
+
+/// The tentpole acceptance test: every op index, zero violations.
+#[test]
+fn power_loss_at_every_op_index_is_recoverable() {
+    let h = CrashHarness::new(config(), trace());
+    let interrupted_kinds = sweep(&h, || ftl(h.config()));
     // The sweep must have exercised interrupted reads, writes, and erases.
     assert!(
         interrupted_kinds.len() >= 3,
@@ -83,26 +98,7 @@ fn power_loss_at_every_op_index_is_recoverable() {
 #[test]
 fn learned_ftl_power_loss_at_every_op_index_is_recoverable() {
     let h = CrashHarness::new(config(), trace());
-    let build = || LearnedFtl::new(h.config()).expect("budget");
-    let horizon = h.baseline_ops(build()).expect("baseline");
-    assert!(
-        horizon > 1_000,
-        "trace too small to be interesting: {horizon}"
-    );
-    for op in 0..horizon {
-        let out = h
-            .run_to_crash(build(), FaultPlan::at_op(op))
-            .unwrap_or_else(|e| panic!("op {op}: harness error {e}"));
-        assert!(
-            out.is_durable(),
-            "op {op} ({:?}): {} violations, {} verify errors\n{}\n{}",
-            out.recovery.interrupted,
-            out.violations.len(),
-            out.verify.errors.len(),
-            out.violations.join("\n"),
-            out.verify.errors.join("\n")
-        );
-    }
+    sweep(&h, || LearnedFtl::new(h.config()).expect("budget"));
 }
 
 /// The exhaustive sweep under the multi-stream GC data plane: stream
@@ -117,25 +113,7 @@ fn two_stream_power_loss_at_every_op_index_is_recoverable() {
     c.streams = tpftl_core::config::StreamCount(2);
     c.gc_policy = tpftl_core::config::GcPolicy::Windowed { window: 8 };
     let h = CrashHarness::new(c, trace());
-    let horizon = h.baseline_ops(ftl(h.config())).expect("baseline");
-    assert!(
-        horizon > 1_000,
-        "trace too small to be interesting: {horizon}"
-    );
-    for op in 0..horizon {
-        let out = h
-            .run_to_crash(ftl(h.config()), FaultPlan::at_op(op))
-            .unwrap_or_else(|e| panic!("op {op}: harness error {e}"));
-        assert!(
-            out.is_durable(),
-            "op {op} ({:?}): {} violations, {} verify errors\n{}\n{}",
-            out.recovery.interrupted,
-            out.violations.len(),
-            out.verify.errors.len(),
-            out.violations.join("\n"),
-            out.verify.errors.join("\n")
-        );
-    }
+    sweep(&h, || ftl(h.config()));
 }
 
 /// The other trigger modes — Kth translation-page write, Kth erase —

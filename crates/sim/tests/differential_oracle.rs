@@ -10,9 +10,7 @@ use std::collections::HashMap;
 
 use tpftl_core::driver;
 use tpftl_core::env::SsdEnv;
-use tpftl_core::ftl::{
-    AccessCtx, Cdftl, Dftl, Ftl, LearnedFtl, OptimalFtl, Sftl, TpFtl, TpftlConfig,
-};
+use tpftl_core::ftl::{AccessCtx, Ftl, FtlKind, LearnedFtl};
 use tpftl_core::{gc, SsdConfig};
 use tpftl_flash::Lpn;
 use tpftl_trace::{IoRequest, SyntheticSpec};
@@ -27,14 +25,11 @@ fn config() -> SsdConfig {
 }
 
 fn ftls(c: &SsdConfig) -> Vec<Box<dyn Ftl>> {
-    vec![
-        Box::new(Dftl::new(c).expect("budget")),
-        Box::new(Cdftl::new(c).expect("budget")),
-        Box::new(Sftl::new(c).expect("budget")),
-        Box::new(TpFtl::new(c, TpftlConfig::full()).expect("budget")),
-        Box::new(LearnedFtl::new(c).expect("budget")),
-        Box::new(OptimalFtl::new(c)),
-    ]
+    FtlKind::PERSISTING
+        .into_iter()
+        .chain([FtlKind::Optimal])
+        .map(|kind| -> Box<dyn Ftl> { kind.build(c).expect("budget") })
+        .collect()
 }
 
 fn trace() -> Vec<IoRequest> {

@@ -14,7 +14,7 @@
 
 use std::path::PathBuf;
 
-use tpftl_core::ftl::{Cdftl, Dftl, Ftl, LearnedFtl, OptimalFtl, Sftl, TpFtl, TpftlConfig};
+use tpftl_core::ftl::{Ftl, FtlKind};
 use tpftl_core::{recovery, SsdConfig};
 use tpftl_flash::{FaultPlan, Flash, Lpn};
 use tpftl_sim::{CrashHarness, Ssd};
@@ -28,14 +28,11 @@ fn config() -> SsdConfig {
 }
 
 fn ftls(c: &SsdConfig) -> Vec<Box<dyn Ftl>> {
-    vec![
-        Box::new(Dftl::new(c).expect("budget")),
-        Box::new(Cdftl::new(c).expect("budget")),
-        Box::new(Sftl::new(c).expect("budget")),
-        Box::new(TpFtl::new(c, TpftlConfig::full()).expect("budget")),
-        Box::new(LearnedFtl::new(c).expect("budget")),
-        Box::new(OptimalFtl::new(c)),
-    ]
+    FtlKind::PERSISTING
+        .into_iter()
+        .chain([FtlKind::Optimal])
+        .map(|kind| -> Box<dyn Ftl> { kind.build(c).expect("budget") })
+        .collect()
 }
 
 fn trace() -> Vec<IoRequest> {
@@ -131,17 +128,9 @@ fn file_backing_is_bit_identical_to_ram_for_all_ftls() {
 fn crash_outcomes_match_between_ram_and_file_paths() {
     let c = config();
     let h = CrashHarness::new(c.clone(), trace());
-    type Mk = fn(&SsdConfig) -> Box<dyn Ftl>;
-    let kinds: Vec<(&str, Mk)> = vec![
-        ("dftl", |c| Box::new(Dftl::new(c).expect("budget"))),
-        ("cdftl", |c| Box::new(Cdftl::new(c).expect("budget"))),
-        ("sftl", |c| Box::new(Sftl::new(c).expect("budget"))),
-        ("tpftl", |c| {
-            Box::new(TpFtl::new(c, TpftlConfig::full()).expect("budget"))
-        }),
-        ("learned", |c| Box::new(LearnedFtl::new(c).expect("budget"))),
-    ];
-    for (key, mk) in kinds {
+    for kind in FtlKind::PERSISTING {
+        let key = kind.label();
+        let mk = |c: &SsdConfig| kind.build(c).expect("budget");
         let path = temp_path(&format!("crash_{key}"));
         let ops = h.baseline_ops(mk(&c)).expect("baseline");
         for at in [ops / 5, ops / 2, 4 * ops / 5, u64::MAX] {

@@ -44,7 +44,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             config.cache_bytes,
             r.dirty_replacement_prob() * 100.0,
             r.hit_ratio() * 100.0,
-            r.avg_response_us,
+            r.sim.resp_avg_us,
             r.write_amplification(),
         );
     }

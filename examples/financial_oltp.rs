@@ -47,7 +47,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             r.hit_ratio() * 100.0,
             r.translation_reads(),
             r.translation_writes(),
-            r.avg_response_us,
+            r.sim.resp_avg_us,
             r.write_amplification(),
             r.erase_count(),
         );

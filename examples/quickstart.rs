@@ -58,7 +58,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("translation writes:  {}", report.translation_writes());
     println!("write amplification: {:.2}", report.write_amplification());
     println!("block erases:        {}", report.erase_count());
-    println!("avg response time:   {:.0} us", report.avg_response_us);
+    println!("avg response time:   {:.0} us", report.sim.resp_avg_us);
     println!(
         "cache usage:         {} B of {} B ({} entries)",
         report.cache_bytes_used, report.cache_bytes_total, report.cached_entries,

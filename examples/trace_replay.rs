@@ -79,6 +79,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         report.translation_writes()
     );
     println!("  write amplification  {:.2}", report.write_amplification());
-    println!("  avg response         {:.0} us", report.avg_response_us);
+    println!("  avg response         {:.0} us", report.sim.resp_avg_us);
     Ok(())
 }

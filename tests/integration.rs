@@ -4,21 +4,24 @@
 use tpftl::core::driver;
 use tpftl::core::env::SsdEnv;
 use tpftl::core::ftl::{
-    AccessCtx, BlockLevelFtl, Cdftl, Dftl, Ftl, OptimalFtl, Sftl, TpFtl, TpftlConfig,
+    AccessCtx, BlockLevelFtl, Dftl, Ftl, FtlKind, OptimalFtl, TpFtl, TpftlConfig,
 };
 use tpftl::core::SsdConfig;
 use tpftl::sim::{CacheSampler, Ssd};
 use tpftl::trace::{Dir, IoRequest, Locality, SyntheticSpec};
 
 fn all_ftls(config: &SsdConfig) -> Vec<Box<dyn Ftl>> {
-    vec![
-        Box::new(OptimalFtl::new(config)),
-        Box::new(Dftl::new(config).expect("budget")),
-        Box::new(Sftl::new(config).expect("budget")),
-        Box::new(Cdftl::new(config).expect("budget")),
-        Box::new(TpFtl::new(config, TpftlConfig::full()).expect("budget")),
-        Box::new(TpFtl::new(config, TpftlConfig::baseline()).expect("budget")),
+    [
+        FtlKind::Optimal,
+        FtlKind::Dftl,
+        FtlKind::Sftl,
+        FtlKind::Cdftl,
+        FtlKind::Tpftl,
+        FtlKind::variant(""),
     ]
+    .into_iter()
+    .map(|kind| -> Box<dyn Ftl> { kind.build(config).expect("budget") })
+    .collect()
 }
 
 fn mixed_spec(requests: usize) -> SyntheticSpec {
@@ -163,7 +166,7 @@ fn determinism_and_optimal_lower_bound() {
             .expect("run")
     };
     let tpftl = run(1, true);
-    assert!(optimal.avg_response_us <= tpftl.avg_response_us);
+    assert!(optimal.sim.resp_avg_us <= tpftl.sim.resp_avg_us);
     assert!(optimal.erase_count() <= tpftl.erase_count());
     assert!(optimal.write_amplification() <= tpftl.write_amplification() + 1e-9);
 }
@@ -172,7 +175,7 @@ fn determinism_and_optimal_lower_bound() {
 /// DFTL and S-FTL on every Figure 6 metric; everything beats block-level.
 #[test]
 fn headline_ordering_holds() {
-    use tpftl::experiments::runner::{device_config, run_one, FtlKind, Scale};
+    use tpftl::experiments::runner::{device_config, run_one, Scale};
     use tpftl::trace::presets::Workload;
 
     let w = Workload::Financial1;
