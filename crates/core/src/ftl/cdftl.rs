@@ -15,28 +15,19 @@
 
 use crate::hash::FxHashMap;
 
-use tpftl_flash::{Lpn, OpPurpose, Ppn, Vtpn, PPN_NONE};
+use tpftl_flash::{Lpn, OpPurpose, Ppn, Vtpn};
 
 use crate::env::SsdEnv;
-use crate::ftl::{group_by_vtpn, AccessCtx, Ftl, TpDistEntry};
+use crate::ftl::cmt::{self, mapped, Entry, EntryCache, TpTally, ENTRY_BYTES};
+use crate::ftl::{AccessCtx, Ftl, TpDistEntry};
 use crate::lru::{LruIdx, LruList};
 use crate::{FtlError, Result, SsdConfig};
-
-/// Bytes per CMT entry (4 B LPN + 4 B PPN).
-const ENTRY_BYTES: usize = 8;
 
 /// Header bytes per CTP page.
 const PAGE_HEADER_BYTES: usize = 8;
 
 /// Fraction of the usable budget given to the CMT (the rest is CTP).
 const CMT_FRAC: f64 = 0.5;
-
-#[derive(Debug, Clone, Copy)]
-struct CmtEntry {
-    lpn: Lpn,
-    ppn: Ppn,
-    dirty: bool,
-}
 
 struct CtpPage {
     entries: Vec<Ppn>,
@@ -48,8 +39,7 @@ struct CtpPage {
 pub struct Cdftl {
     cmt_cap: usize,
     ctp_cap_pages: usize,
-    cmt_map: FxHashMap<Lpn, LruIdx>,
-    cmt: LruList<CmtEntry>,
+    cmt: EntryCache,
     ctp: FxHashMap<Vtpn, CtpPage>,
     ctp_lru: LruList<Vtpn>,
     entries_per_tp: usize,
@@ -76,8 +66,7 @@ impl Cdftl {
         Ok(Self {
             cmt_cap,
             ctp_cap_pages,
-            cmt_map: FxHashMap::default(),
-            cmt: LruList::new(),
+            cmt: EntryCache::new(config.entries_per_tp()),
             ctp: FxHashMap::default(),
             ctp_lru: LruList::new(),
             entries_per_tp: config.entries_per_tp(),
@@ -126,15 +115,14 @@ impl Cdftl {
         let candidate = self
             .cmt
             .iter_lru()
-            .find(|(_, e)| !e.dirty || self.ctp.contains_key(&env.vtpn_of(e.lpn)))
-            .map(|(idx, e)| (idx, *e));
-        let (idx, entry) = match candidate {
-            Some(c) => c,
+            .find(|e| !e.dirty || self.ctp.contains_key(&env.vtpn_of(e.lpn)))
+            .copied();
+        let entry = match candidate {
+            Some(e) => e,
             None => {
-                let (idx, e) = self.cmt.peek_lru().expect("eviction from empty CMT");
-                let e = *e;
+                let e = *self.cmt.peek_lru().expect("eviction from empty CMT");
                 self.load_ctp(env, env.vtpn_of(e.lpn))?;
-                (idx, e)
+                e
             }
         };
         env.note_replacement(entry.dirty);
@@ -144,18 +132,16 @@ impl Cdftl {
             page.entries[env.offset_of(entry.lpn) as usize] = entry.ppn;
             page.dirty = true;
         }
-        self.cmt.remove(idx);
-        self.cmt_map.remove(&entry.lpn);
+        self.cmt.remove(entry.lpn);
         Ok(())
     }
 
     /// Inserts into the CMT; the caller must have made room already (CMT
     /// eviction can itself reshuffle the CTP, so room is made *before* the
     /// target page is resolved).
-    fn push_cmt(&mut self, entry: CmtEntry) {
+    fn push_cmt(&mut self, lpn: Lpn, ppn: Ppn) {
         debug_assert!(self.cmt.len() < self.cmt_cap);
-        let idx = self.cmt.push_mru(entry);
-        self.cmt_map.insert(entry.lpn, idx);
+        self.cmt.insert_mru(Entry::clean(lpn, ppn));
     }
 }
 
@@ -165,11 +151,9 @@ impl Ftl for Cdftl {
     }
 
     fn translate(&mut self, env: &mut SsdEnv, lpn: Lpn, _ctx: &AccessCtx) -> Result<Option<Ppn>> {
-        if let Some(&idx) = self.cmt_map.get(&lpn) {
+        if let Some(e) = self.cmt.touch(lpn) {
             env.note_lookup(true);
-            self.cmt.touch(idx);
-            let ppn = self.cmt.get(idx).expect("mapped handle").ppn;
-            return Ok((ppn != PPN_NONE).then_some(ppn));
+            return Ok(mapped(e.ppn));
         }
         let vtpn = env.vtpn_of(lpn);
         let off = env.offset_of(lpn) as usize;
@@ -185,32 +169,21 @@ impl Ftl for Cdftl {
             let ppn = page.entries[off];
             let idx = page.lru;
             self.ctp_lru.touch(idx);
-            self.push_cmt(CmtEntry {
-                lpn,
-                ppn,
-                dirty: false,
-            });
-            return Ok((ppn != PPN_NONE).then_some(ppn));
+            self.push_cmt(lpn, ppn);
+            return Ok(mapped(ppn));
         }
         env.note_lookup(false);
         self.load_ctp(env, vtpn)?;
         let ppn = self.ctp[&vtpn].entries[off];
-        self.push_cmt(CmtEntry {
-            lpn,
-            ppn,
-            dirty: false,
-        });
-        Ok((ppn != PPN_NONE).then_some(ppn))
+        self.push_cmt(lpn, ppn);
+        Ok(mapped(ppn))
     }
 
     fn update_mapping(&mut self, _env: &mut SsdEnv, lpn: Lpn, new_ppn: Ppn) -> Result<()> {
-        let idx = *self
-            .cmt_map
-            .get(&lpn)
-            .expect("update_mapping contract: entry was translated immediately before");
-        let e = self.cmt.get_mut(idx).expect("mapped handle");
-        e.ppn = new_ppn;
-        e.dirty = true;
+        self.cmt
+            .get_mut(lpn)
+            .expect("update_mapping contract: entry was translated immediately before")
+            .remap(new_ppn);
         Ok(())
     }
 
@@ -218,10 +191,8 @@ impl Ftl for Cdftl {
         let mut hits = 0u64;
         let mut misses: Vec<(Lpn, Ppn)> = Vec::new();
         for &(lpn, new_ppn) in moved {
-            if let Some(&idx) = self.cmt_map.get(&lpn) {
-                let e = self.cmt.get_mut(idx).expect("mapped handle");
-                e.ppn = new_ppn;
-                e.dirty = true;
+            if let Some(e) = self.cmt.get_mut(lpn) {
+                e.remap(new_ppn);
                 hits += 1;
             } else if let Some(page) = self.ctp.get_mut(&env.vtpn_of(lpn)) {
                 page.entries[env.offset_of(lpn) as usize] = new_ppn;
@@ -231,9 +202,7 @@ impl Ftl for Cdftl {
                 misses.push((lpn, new_ppn));
             }
         }
-        for (vtpn, updates) in group_by_vtpn(env, &misses) {
-            env.update_translation_page(vtpn, &updates, OpPurpose::GcTranslation)?;
-        }
+        cmt::write_back_by_tp(env, &misses, OpPurpose::GcTranslation, |_, _, _| {})?;
         Ok(hits)
     }
 
@@ -247,65 +216,37 @@ impl Ftl for Cdftl {
     }
 
     fn peek_cached(&self, env: &SsdEnv, lpn: Lpn) -> crate::Result<Option<Option<Ppn>>> {
-        if let Some(&idx) = self.cmt_map.get(&lpn) {
-            let p = self.cmt.get(idx).expect("mapped handle").ppn;
-            return Ok(Some((p != PPN_NONE).then_some(p)));
+        if let Some(e) = self.cmt.get(lpn) {
+            return Ok(Some(mapped(e.ppn)));
         }
-        if let Some(page) = self.ctp.get(&env.vtpn_of(lpn)) {
-            let p = page.entries[env.offset_of(lpn) as usize];
-            return Ok(Some((p != PPN_NONE).then_some(p)));
-        }
-        Ok(None)
+        Ok(self
+            .ctp
+            .get(&env.vtpn_of(lpn))
+            .map(|page| mapped(page.entries[env.offset_of(lpn) as usize])))
     }
 
     fn mark_clean(&mut self, vtpn: Vtpn) {
         // Sync dirty CMT values into the cached page (now equal to flash)
         // and clear both dirty states.
-        let idxs: Vec<_> = self
-            .cmt
-            .iter_lru()
-            .filter(|(_, e)| e.lpn / self.entries_per_tp as u32 == vtpn)
-            .map(|(i, _)| i)
-            .collect();
-        for i in idxs {
-            let e = *self.cmt.get(i).expect("live handle");
-            if e.dirty {
-                if let Some(page) = self.ctp.get_mut(&vtpn) {
-                    page.entries[(e.lpn as usize) % self.entries_per_tp] = e.ppn;
-                }
-                self.cmt.get_mut(i).expect("live handle").dirty = false;
+        let mut page = self.ctp.get_mut(&vtpn);
+        let per_tp = self.entries_per_tp;
+        self.cmt.clean_vtpn(vtpn, |e| {
+            if let Some(page) = &mut page {
+                page.entries[e.lpn as usize % per_tp] = e.ppn;
             }
-        }
-        if let Some(page) = self.ctp.get_mut(&vtpn) {
+        });
+        if let Some(page) = page {
             page.dirty = false;
         }
     }
 
     fn cached_tp_distribution(&self) -> Vec<TpDistEntry> {
-        let mut by_tp: std::collections::BTreeMap<u32, (u32, u32)> =
-            std::collections::BTreeMap::new();
-        for (_, e) in self.cmt.iter_lru() {
-            let slot = by_tp.entry(e.lpn / self.entries_per_tp as u32).or_default();
-            slot.0 += 1;
-            if e.dirty {
-                slot.1 += 1;
-            }
-        }
+        let mut tally = TpTally::default();
+        self.cmt.tally(&mut tally);
         for (&vtpn, p) in &self.ctp {
-            let slot = by_tp.entry(vtpn).or_default();
-            slot.0 += p.entries.len() as u32;
-            if p.dirty {
-                slot.1 += 1;
-            }
+            tally.add(vtpn, p.entries.len() as u32, p.dirty as u32);
         }
-        by_tp
-            .into_iter()
-            .map(|(vtpn, (entries, dirty))| TpDistEntry {
-                vtpn,
-                entries,
-                dirty,
-            })
-            .collect()
+        tally.finish()
     }
 }
 
@@ -313,6 +254,7 @@ impl Ftl for Cdftl {
 mod tests {
     use super::*;
     use crate::driver;
+    use tpftl_flash::PPN_NONE;
 
     /// 8 MB device; CMT of `cmt_entries`, CTP of `ctp_pages`.
     fn setup(cmt_entries: usize, ctp_pages: usize) -> (Cdftl, SsdEnv) {

@@ -1,0 +1,381 @@
+//! The mapping-cache kit shared by the demand-paging FTLs.
+//!
+//! The paper's taxonomy (Sections 2.2 and 3.2) has one substrate — DFTL's
+//! cached mapping table, an LRU of `(LPN, PPN, dirty)` entries — that the
+//! other designs extend: CDFTL and ZFTL put a second tier behind it, S-FTL
+//! parks sparse dirty entries in one, LearnedFTL keeps it as the fallback
+//! of its learned index. This module holds that substrate once:
+//!
+//! * [`EntryCache`] — the entry LRU with its LPN index;
+//! * [`write_back_by_tp`] — the per-translation-page batcher every FTL
+//!   uses for GC misses (and ZFTL for its reserve flush), with a per-page
+//!   hook for the designs that piggyback on or react to the write;
+//! * [`TpTally`] and [`mapped`] — the two small conversions every
+//!   [`Ftl`](super::Ftl) implementation ends with.
+//!
+//! TPFTL's two-level lists, S-FTL's compressed pages and CDFTL's CTP keep
+//! their own structures: they track dirtiness per node or per page, so an
+//! entry cache serving them would have to branch on its caller.
+
+use std::collections::BTreeMap;
+
+use tpftl_flash::{Lpn, OpPurpose, Ppn, Vtpn, PPN_NONE};
+
+use crate::env::SsdEnv;
+use crate::ftl::TpDistEntry;
+use crate::hash::FxHashMap;
+use crate::lru::{LruIdx, LruList};
+use crate::Result;
+
+/// Bytes one cached entry is charged: 4 B LPN + 4 B PPN (Section 2.2/4.1).
+pub(crate) const ENTRY_BYTES: usize = 8;
+
+/// `Some(ppn)` unless `ppn` is the "not mapped yet" sentinel.
+#[inline]
+pub(crate) fn mapped(ppn: Ppn) -> Option<Ppn> {
+    (ppn != PPN_NONE).then_some(ppn)
+}
+
+/// One cached mapping entry.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Entry {
+    pub lpn: Lpn,
+    /// `PPN_NONE` caches "not mapped yet".
+    pub ppn: Ppn,
+    pub dirty: bool,
+}
+
+impl Entry {
+    /// A clean entry, as loaded from a translation page.
+    pub fn clean(lpn: Lpn, ppn: Ppn) -> Self {
+        Self {
+            lpn,
+            ppn,
+            dirty: false,
+        }
+    }
+
+    /// A dirty entry: a mapping newer than its translation page.
+    pub fn dirty(lpn: Lpn, ppn: Ppn) -> Self {
+        Self {
+            lpn,
+            ppn,
+            dirty: true,
+        }
+    }
+
+    /// Points the entry at `ppn` and marks it dirty, in place.
+    pub fn remap(&mut self, ppn: Ppn) {
+        self.ppn = ppn;
+        self.dirty = true;
+    }
+}
+
+/// An LRU of mapping entries indexed by LPN.
+///
+/// Capacity is the caller's business (DFTL counts entries over two caches,
+/// LearnedFTL bytes shared with its segments), so nothing here evicts on
+/// its own.
+pub(crate) struct EntryCache {
+    index: FxHashMap<Lpn, LruIdx>,
+    list: LruList<Entry>,
+    entries_per_tp: u32,
+}
+
+impl EntryCache {
+    pub fn new(entries_per_tp: usize) -> Self {
+        Self {
+            index: FxHashMap::default(),
+            list: LruList::new(),
+            entries_per_tp: entries_per_tp as u32,
+        }
+    }
+
+    pub fn len(&self) -> usize {
+        self.list.len()
+    }
+
+    fn vtpn_of(&self, lpn: Lpn) -> Vtpn {
+        lpn / self.entries_per_tp
+    }
+
+    /// The entry for `lpn`, leaving recency alone.
+    pub fn get(&self, lpn: Lpn) -> Option<&Entry> {
+        let idx = *self.index.get(&lpn)?;
+        Some(self.list.get(idx).expect("indexed handle is live"))
+    }
+
+    /// The entry for `lpn`, for an in-place update that is not a use.
+    pub fn get_mut(&mut self, lpn: Lpn) -> Option<&mut Entry> {
+        let idx = *self.index.get(&lpn)?;
+        Some(self.list.get_mut(idx).expect("indexed handle is live"))
+    }
+
+    /// The entry for `lpn`, after moving it to the MRU end.
+    pub fn touch(&mut self, lpn: Lpn) -> Option<&mut Entry> {
+        let idx = *self.index.get(&lpn)?;
+        self.list.touch(idx);
+        Some(self.list.get_mut(idx).expect("indexed handle is live"))
+    }
+
+    /// Inserts `entry`, whose LPN must not be cached, at the MRU end.
+    pub fn insert_mru(&mut self, entry: Entry) {
+        let idx = self.list.push_mru(entry);
+        let prev = self.index.insert(entry.lpn, idx);
+        debug_assert!(prev.is_none(), "LPN {} cached twice", entry.lpn);
+    }
+
+    /// The coldest entry.
+    pub fn peek_lru(&self) -> Option<&Entry> {
+        self.list.peek_lru().map(|(_, e)| e)
+    }
+
+    /// Removes and returns the coldest entry.
+    pub fn pop_lru(&mut self) -> Option<Entry> {
+        let e = self.list.pop_lru()?;
+        self.index.remove(&e.lpn);
+        Some(e)
+    }
+
+    /// Removes and returns the entry for `lpn`.
+    pub fn remove(&mut self, lpn: Lpn) -> Option<Entry> {
+        let idx = self.index.remove(&lpn)?;
+        Some(self.list.remove(idx))
+    }
+
+    /// Entries from coldest to hottest.
+    pub fn iter_lru(&self) -> impl Iterator<Item = &Entry> {
+        self.list.iter_lru().map(|(_, e)| e)
+    }
+
+    /// Removes every entry of translation page `vtpn`, returning them from
+    /// coldest to hottest; other pages' entries keep their order.
+    pub fn take_vtpn(&mut self, vtpn: Vtpn) -> Vec<Entry> {
+        let taken: Vec<Entry> = self
+            .iter_lru()
+            .filter(|e| self.vtpn_of(e.lpn) == vtpn)
+            .copied()
+            .collect();
+        for e in &taken {
+            self.remove(e.lpn);
+        }
+        taken
+    }
+
+    /// Marks every dirty entry of translation page `vtpn` clean, handing
+    /// each to `flushed` first (in no particular order).
+    pub fn clean_vtpn(&mut self, vtpn: Vtpn, mut flushed: impl FnMut(&Entry)) {
+        let per_tp = self.entries_per_tp;
+        self.list.for_each_value_mut(|e| {
+            if e.dirty && e.lpn / per_tp == vtpn {
+                flushed(e);
+                e.dirty = false;
+            }
+        });
+    }
+
+    /// Adds every entry to `tally` under its translation page.
+    pub fn tally(&self, tally: &mut TpTally) {
+        for e in self.iter_lru() {
+            tally.add(self.vtpn_of(e.lpn), 1, e.dirty as u32);
+        }
+    }
+}
+
+/// Accumulates `(entries, dirty)` per translation page for
+/// [`Ftl::cached_tp_distribution`](super::Ftl::cached_tp_distribution).
+#[derive(Default)]
+pub(crate) struct TpTally(BTreeMap<Vtpn, (u32, u32)>);
+
+impl TpTally {
+    pub fn add(&mut self, vtpn: Vtpn, entries: u32, dirty: u32) {
+        let slot = self.0.entry(vtpn).or_default();
+        slot.0 += entries;
+        slot.1 += dirty;
+    }
+
+    /// The distribution, sorted by VTPN.
+    pub fn finish(self) -> Vec<TpDistEntry> {
+        self.0
+            .into_iter()
+            .map(|(vtpn, (entries, dirty))| TpDistEntry {
+                vtpn,
+                entries,
+                dirty,
+            })
+            .collect()
+    }
+}
+
+/// Where in one translation page's write-back a [`write_back_by_tp`] hook
+/// is running.
+pub(crate) enum PageStep<'a> {
+    /// Before the write: the hook may add updates that ride along on it.
+    Gather(&'a mut Vec<(u16, Ppn)>),
+    /// After the write persisted exactly these updates.
+    Persisted(&'a [(u16, Ppn)]),
+}
+
+/// Writes mapping updates back in batches: one read-modify-write per
+/// translation page touched, in ascending VTPN order, updates within a
+/// page in the order given. `hook` runs twice per page, around the write —
+/// TPFTL piggybacks its cached dirty entries in [`PageStep::Gather`],
+/// ZFTL patches its active page and LearnedFTL refits the region in
+/// [`PageStep::Persisted`].
+pub(crate) fn write_back_by_tp(
+    env: &mut SsdEnv,
+    updates: &[(Lpn, Ppn)],
+    purpose: OpPurpose,
+    mut hook: impl FnMut(&mut SsdEnv, Vtpn, PageStep<'_>),
+) -> Result<()> {
+    let mut by_tp: BTreeMap<Vtpn, Vec<(u16, Ppn)>> = BTreeMap::new();
+    for &(lpn, ppn) in updates {
+        by_tp
+            .entry(env.vtpn_of(lpn))
+            .or_default()
+            .push((env.offset_of(lpn), ppn));
+    }
+    for (vtpn, mut batch) in by_tp {
+        hook(env, vtpn, PageStep::Gather(&mut batch));
+        env.update_translation_page(vtpn, &batch, purpose)?;
+        hook(env, vtpn, PageStep::Persisted(&batch));
+    }
+    Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::SsdConfig;
+
+    /// Four entries per translation page, so a dozen LPNs span three pages.
+    const PER_TP: u32 = 4;
+
+    /// Every `EntryCache` operation against a `Vec` model (front = LRU):
+    /// recency order under touch / in-place update / insert / remove,
+    /// `take_vtpn` and `clean_vtpn` leaving other pages' entries and order
+    /// alone, and the tally equal to a brute-force count — checked after
+    /// each of 4000 seeded operations.
+    #[test]
+    fn entry_cache_matches_a_vec_model() {
+        let mut rng = tpftl_rng::Rng64::seed_from_u64(0xC4E7);
+        let mut cache = EntryCache::new(PER_TP as usize);
+        let mut model: Vec<Entry> = Vec::new();
+        for step in 0..4000 {
+            let lpn = rng.range_u32(0, 3 * PER_TP);
+            let ppn = rng.range_u32(100, 200);
+            let vtpn = lpn / PER_TP;
+            let at = model.iter().position(|e| e.lpn == lpn);
+            match rng.range_u32(0, 8) {
+                0 | 1 => match at {
+                    None => {
+                        let e = Entry::clean(lpn, ppn);
+                        cache.insert_mru(e);
+                        model.push(e);
+                    }
+                    Some(i) => {
+                        let e = model.remove(i);
+                        model.push(e);
+                        assert_eq!(cache.touch(lpn).copied(), Some(e));
+                    }
+                },
+                2 => {
+                    let got = cache.get_mut(lpn).map(|e| e.remap(ppn)).is_some();
+                    if let Some(i) = at {
+                        model[i].remap(ppn);
+                    }
+                    assert_eq!(got, at.is_some());
+                }
+                3 => assert_eq!(cache.remove(lpn), at.map(|i| model.remove(i))),
+                4 => {
+                    let want = (!model.is_empty()).then(|| model.remove(0));
+                    assert_eq!(cache.peek_lru().copied(), want);
+                    assert_eq!(cache.pop_lru(), want);
+                }
+                5 => {
+                    let taken = cache.take_vtpn(vtpn);
+                    let (want, rest): (Vec<Entry>, Vec<Entry>) =
+                        model.iter().partition(|e| e.lpn / PER_TP == vtpn);
+                    assert_eq!(taken, want, "step {step}");
+                    model = rest;
+                }
+                6 => {
+                    let mut flushed = Vec::new();
+                    cache.clean_vtpn(vtpn, |e| flushed.push(*e));
+                    let mut want = Vec::new();
+                    for e in model.iter_mut().filter(|e| e.lpn / PER_TP == vtpn) {
+                        if e.dirty {
+                            want.push(*e);
+                            e.dirty = false;
+                        }
+                    }
+                    flushed.sort_by_key(|e| e.lpn);
+                    want.sort_by_key(|e| e.lpn);
+                    assert_eq!(flushed, want, "step {step}");
+                }
+                _ => assert_eq!(cache.get(lpn), at.map(|i| &model[i])),
+            }
+            assert_eq!(cache.len(), model.len(), "step {step}");
+            let order: Vec<Entry> = cache.iter_lru().copied().collect();
+            assert_eq!(order, model, "step {step}");
+
+            let mut tally = TpTally::default();
+            cache.tally(&mut tally);
+            let brute: Vec<TpDistEntry> = (0..3)
+                .map(|v| {
+                    let of_page = model.iter().filter(|e| e.lpn / PER_TP == v);
+                    TpDistEntry {
+                        vtpn: v,
+                        entries: of_page.clone().count() as u32,
+                        dirty: of_page.filter(|e| e.dirty).count() as u32,
+                    }
+                })
+                .filter(|d| d.entries > 0)
+                .collect();
+            assert_eq!(tally.finish(), brute, "step {step}");
+        }
+    }
+
+    /// The batcher writes one page per VTPN in ascending order, runs the
+    /// hook before and after each write, and persists what `Gather` added.
+    #[test]
+    fn write_back_by_tp_wraps_each_page_write_in_the_hook() {
+        // 8 MB -> 2048 pages -> 2 translation pages of 1024 entries.
+        let mut env = SsdEnv::new(SsdConfig::paper_default(8 << 20)).unwrap();
+        env.format().unwrap();
+        let writes = env.flash().stats().translation_writes();
+        let mut steps = Vec::new();
+        write_back_by_tp(
+            &mut env,
+            &[(1030, 5), (2, 6), (1029, 7)],
+            OpPurpose::GcTranslation,
+            |env, vtpn, step| match step {
+                PageStep::Gather(batch) => {
+                    steps.push((vtpn, "gather", batch.clone()));
+                    if vtpn == 0 {
+                        batch.push((9, 99));
+                    }
+                }
+                PageStep::Persisted(batch) => {
+                    let (off, ppn) = batch[0];
+                    let stored = env.read_translation_entry(vtpn, off, OpPurpose::Translation);
+                    assert_eq!(stored.unwrap(), ppn, "hook ran before the write");
+                    steps.push((vtpn, "persisted", batch.to_vec()));
+                }
+            },
+        )
+        .unwrap();
+        assert_eq!(
+            steps,
+            vec![
+                (0, "gather", vec![(2, 6)]),
+                (0, "persisted", vec![(2, 6), (9, 99)]),
+                (1, "gather", vec![(6, 5), (5, 7)]),
+                (1, "persisted", vec![(6, 5), (5, 7)]),
+            ]
+        );
+        assert_eq!(env.flash().stats().translation_writes(), writes + 2);
+        let stored = env.read_translation_entry(0, 9, OpPurpose::Translation);
+        assert_eq!(stored.unwrap(), 99);
+    }
+}

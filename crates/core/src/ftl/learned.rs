@@ -31,14 +31,12 @@
 //!   [`Ftl::after_bootstrap`]) rebuilds them from the persisted translation
 //!   pages with zero flash traffic, via the mount-scan peek path.
 
-use std::collections::BTreeMap;
-
 use tpftl_flash::{Lpn, OpPurpose, PageState, Ppn, Vtpn, PPN_NONE};
 
 use crate::env::SsdEnv;
-use crate::ftl::{group_by_vtpn, AccessCtx, Ftl, TpDistEntry};
+use crate::ftl::cmt::{self, mapped, Entry, EntryCache, PageStep, TpTally, ENTRY_BYTES};
+use crate::ftl::{AccessCtx, Ftl, TpDistEntry};
 use crate::hash::FxHashMap;
-use crate::lru::LruList;
 use crate::{FtlError, Result, SsdConfig};
 
 /// Default prediction error bound ε (in pages). Small enough that a
@@ -46,9 +44,6 @@ use crate::{FtlError, Result, SsdConfig};
 /// enough that the greedy fitter absorbs the small allocation jitter of
 /// semi-sequential writes into long segments.
 pub const DEFAULT_EPSILON: u32 = 4;
-
-/// Bytes per fallback-CMT entry: 4 B LPN + 4 B PPN, as DFTL.
-const ENTRY_BYTES: usize = 8;
 
 /// Modeled bytes per learned segment (start/end offsets + fixed-point
 /// base and slope — the hardware encoding LearnedFTL assumes).
@@ -154,14 +149,6 @@ fn fit_region(payload: &[Ppn], eps: u32) -> Vec<Segment> {
     segs
 }
 
-#[derive(Debug, Clone, Copy)]
-struct CmtEntry {
-    lpn: Lpn,
-    /// `PPN_NONE` caches "not mapped yet".
-    ppn: Ppn,
-    dirty: bool,
-}
-
 /// The learned page-level FTL.
 pub struct LearnedFtl {
     epsilon: u32,
@@ -174,8 +161,7 @@ pub struct LearnedFtl {
     /// Fallback CMT: flat LRU of individual entries, as DFTL's cache but
     /// unsegmented — the learned index already protects the sequential
     /// ranges an SLRU would.
-    map: FxHashMap<Lpn, crate::lru::LruIdx>,
-    cmt: LruList<CmtEntry>,
+    cmt: EntryCache,
 }
 
 impl LearnedFtl {
@@ -207,8 +193,7 @@ impl LearnedFtl {
             seg_budget_bytes: budget_bytes / 2,
             segs: FxHashMap::default(),
             seg_bytes: 0,
-            map: FxHashMap::default(),
-            cmt: LruList::new(),
+            cmt: EntryCache::new(config.entries_per_tp()),
         })
     }
 
@@ -330,10 +315,7 @@ impl LearnedFtl {
     /// Evicts the CMT's LRU entry, writing it back alone if dirty (and
     /// re-fitting its region from the freshly persisted page).
     fn evict_one(&mut self, env: &mut SsdEnv) -> Result<()> {
-        let Some(victim) = self.cmt.pop_lru() else {
-            return Err(FtlError::CacheTooSmall);
-        };
-        self.map.remove(&victim.lpn);
+        let victim = self.cmt.pop_lru().ok_or(FtlError::CacheTooSmall)?;
         env.note_replacement(victim.dirty);
         if victim.dirty {
             let vtpn = env.vtpn_of(victim.lpn);
@@ -347,12 +329,11 @@ impl LearnedFtl {
         Ok(())
     }
 
-    fn insert(&mut self, env: &mut SsdEnv, entry: CmtEntry) -> Result<()> {
+    fn insert(&mut self, env: &mut SsdEnv, entry: Entry) -> Result<()> {
         while (self.cmt.len() + 1) * ENTRY_BYTES + self.seg_bytes > self.budget_bytes {
             self.evict_one(env)?;
         }
-        let idx = self.cmt.push_mru(entry);
-        self.map.insert(entry.lpn, idx);
+        self.cmt.insert_mru(entry);
         Ok(())
     }
 }
@@ -363,11 +344,9 @@ impl Ftl for LearnedFtl {
     }
 
     fn translate(&mut self, env: &mut SsdEnv, lpn: Lpn, _ctx: &AccessCtx) -> Result<Option<Ppn>> {
-        if let Some(&idx) = self.map.get(&lpn) {
+        if let Some(e) = self.cmt.touch(lpn) {
             env.note_lookup(true);
-            self.cmt.touch(idx);
-            let ppn = self.cmt.get(idx).expect("mapped handle").ppn;
-            return Ok((ppn != PPN_NONE).then_some(ppn));
+            return Ok(mapped(e.ppn));
         }
         let vtpn = env.vtpn_of(lpn);
         let off = env.offset_of(lpn);
@@ -398,36 +377,19 @@ impl Ftl for LearnedFtl {
         }
         env.note_lookup(false);
         let ppn = env.read_translation_entry(vtpn, off, OpPurpose::Translation)?;
-        self.insert(
-            env,
-            CmtEntry {
-                lpn,
-                ppn,
-                dirty: false,
-            },
-        )?;
-        Ok((ppn != PPN_NONE).then_some(ppn))
+        self.insert(env, Entry::clean(lpn, ppn))?;
+        Ok(mapped(ppn))
     }
 
     fn update_mapping(&mut self, env: &mut SsdEnv, lpn: Lpn, new_ppn: Ppn) -> Result<()> {
         self.split_covering(env.vtpn_of(lpn), env.offset_of(lpn));
         // Unlike DFTL, a translate served by the learned index leaves no
         // CMT entry behind, so the write path must insert-if-absent.
-        if let Some(&idx) = self.map.get(&lpn) {
-            let e = self.cmt.get_mut(idx).expect("mapped handle");
-            e.ppn = new_ppn;
-            e.dirty = true;
-            self.cmt.touch(idx);
+        if let Some(e) = self.cmt.touch(lpn) {
+            e.remap(new_ppn);
             return Ok(());
         }
-        self.insert(
-            env,
-            CmtEntry {
-                lpn,
-                ppn: new_ppn,
-                dirty: true,
-            },
-        )
+        self.insert(env, Entry::dirty(lpn, new_ppn))
     }
 
     fn on_gc_data_block(&mut self, env: &mut SsdEnv, moved: &[(Lpn, Ppn)]) -> Result<u64> {
@@ -435,22 +397,21 @@ impl Ftl for LearnedFtl {
         let mut misses: Vec<(Lpn, Ppn)> = Vec::new();
         for &(lpn, new_ppn) in moved {
             self.split_covering(env.vtpn_of(lpn), env.offset_of(lpn));
-            if let Some(&idx) = self.map.get(&lpn) {
-                let e = self.cmt.get_mut(idx).expect("mapped handle");
-                e.ppn = new_ppn;
-                e.dirty = true;
+            if let Some(e) = self.cmt.get_mut(lpn) {
+                e.remap(new_ppn);
                 hits += 1;
             } else {
                 misses.push((lpn, new_ppn));
             }
         }
-        for (vtpn, updates) in group_by_vtpn(env, &misses) {
-            env.update_translation_page(vtpn, &updates, OpPurpose::GcTranslation)?;
+        cmt::write_back_by_tp(env, &misses, OpPurpose::GcTranslation, |env, vtpn, step| {
             // The freshly persisted page is the fitting opportunity: GC
             // lays migrated pages out near-contiguously, exactly the
             // pattern the segments capture.
-            self.refit(env, vtpn);
-        }
+            if let PageStep::Persisted(_) = step {
+                self.refit(env, vtpn);
+            }
+        })?;
         Ok(hits)
     }
 
@@ -468,46 +429,19 @@ impl Ftl for LearnedFtl {
     }
 
     fn peek_cached(&self, _env: &SsdEnv, lpn: Lpn) -> Result<Option<Option<Ppn>>> {
-        let Some(&idx) = self.map.get(&lpn) else {
-            return Ok(None);
-        };
-        let e = self.cmt.get(idx).expect("mapped handle");
-        Ok(Some((e.ppn != PPN_NONE).then_some(e.ppn)))
+        Ok(self.cmt.get(lpn).map(|e| mapped(e.ppn)))
     }
 
     fn mark_clean(&mut self, vtpn: Vtpn) {
-        let idxs: Vec<_> = self
-            .cmt
-            .iter_lru()
-            .filter(|(_, e)| e.lpn / 1024 == vtpn && e.dirty)
-            .map(|(i, _)| i)
-            .collect();
-        for i in idxs {
-            self.cmt.get_mut(i).expect("live handle").dirty = false;
-        }
+        self.cmt.clean_vtpn(vtpn, |_| {});
     }
 
     fn cached_tp_distribution(&self) -> Vec<TpDistEntry> {
         // Learned segments are clean derived state; only CMT entries count
         // as cached mapping entries (they are what a flush must persist).
-        let mut by_tp: BTreeMap<u32, (u32, u32)> = BTreeMap::new();
-        for (_, e) in self.cmt.iter_lru() {
-            // Entries per translation page is fixed at 1024 (4 KB / 4 B).
-            let vtpn = e.lpn / 1024;
-            let slot = by_tp.entry(vtpn).or_default();
-            slot.0 += 1;
-            if e.dirty {
-                slot.1 += 1;
-            }
-        }
-        by_tp
-            .into_iter()
-            .map(|(vtpn, (entries, dirty))| TpDistEntry {
-                vtpn,
-                entries,
-                dirty,
-            })
-            .collect()
+        let mut tally = TpTally::default();
+        self.cmt.tally(&mut tally);
+        tally.finish()
     }
 }
 
@@ -572,7 +506,7 @@ mod tests {
         for lpn in 600..610u32 {
             driver::serve_page_access(&mut ftl, &mut env, lpn, AccessCtx::single(true)).unwrap();
         }
-        assert!(!ftl.map.contains_key(&10), "entry 10 must be evicted");
+        assert!(ftl.cmt.get(10).is_none(), "entry 10 must be evicted");
         env.reset_stats();
         driver::serve_page_access(&mut ftl, &mut env, 10, AccessCtx::single(false)).unwrap();
         assert_eq!(env.stats.predict_hits, 0);

@@ -1,7 +1,5 @@
 //! The FTL abstraction and the concrete page-level FTLs.
 
-use std::collections::BTreeMap;
-
 use tpftl_flash::{Lpn, Ppn, Vtpn};
 
 use crate::env::SsdEnv;
@@ -9,6 +7,7 @@ use crate::Result;
 
 mod blocklevel;
 mod cdftl;
+mod cmt;
 mod dftl;
 mod fast;
 mod kind;
@@ -279,42 +278,14 @@ const _: () = {
     assert_send::<Box<dyn Ftl + Send>>();
 };
 
-/// Groups GC mapping updates by translation page, in deterministic VTPN
-/// order — the batching unit of DFTL's GC update and everyone else's flush.
-pub(crate) fn group_by_vtpn(
-    env: &SsdEnv,
-    updates: &[(Lpn, Ppn)],
-) -> BTreeMap<Vtpn, Vec<(u16, Ppn)>> {
-    let mut map: BTreeMap<Vtpn, Vec<(u16, Ppn)>> = BTreeMap::new();
-    for &(lpn, ppn) in updates {
-        map.entry(env.vtpn_of(lpn))
-            .or_default()
-            .push((env.offset_of(lpn), ppn));
-    }
-    map
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::SsdConfig;
 
     #[test]
     fn access_ctx_single() {
         let c = AccessCtx::single(true);
         assert!(c.is_write);
         assert_eq!(c.remaining_in_request, 0);
-    }
-
-    #[test]
-    fn group_by_vtpn_batches_and_orders() {
-        let env = SsdEnv::new(SsdConfig::paper_default(8 << 20)).unwrap();
-        // 8 MB -> 2048 pages -> 2 translation pages of 1024 entries.
-        let updates = vec![(1030u32, 5u32), (2, 6), (1029, 7), (3, 8)];
-        let grouped = group_by_vtpn(&env, &updates);
-        let keys: Vec<_> = grouped.keys().copied().collect();
-        assert_eq!(keys, vec![0, 1]);
-        assert_eq!(grouped[&0], vec![(2, 6), (3, 8)]);
-        assert_eq!(grouped[&1], vec![(6, 5), (5, 7)]);
     }
 }

@@ -21,7 +21,8 @@ use crate::hash::FxHashMap;
 use tpftl_flash::{Lpn, OpPurpose, Ppn, Vtpn, PPN_NONE};
 
 use crate::env::SsdEnv;
-use crate::ftl::{group_by_vtpn, AccessCtx, Ftl, TpDistEntry};
+use crate::ftl::cmt::{self, mapped, Entry, EntryCache, TpTally, ENTRY_BYTES};
+use crate::ftl::{AccessCtx, Ftl, TpDistEntry};
 use crate::lru::{LruIdx, LruList};
 use crate::{FtlError, Result, SsdConfig};
 
@@ -30,9 +31,6 @@ const PAGE_HEADER_BYTES: usize = 8;
 
 /// Bytes per run descriptor (start offset, start PPN, length).
 const RUN_BYTES: usize = 8;
-
-/// Bytes per dirty-buffer entry (4 B LPN + 4 B PPN).
-const DBUF_ENTRY_BYTES: usize = 8;
 
 /// A victim page with at most this many dirty entries is "sparse": its
 /// dirty entries are parked in the dirty buffer instead of forcing a
@@ -126,8 +124,9 @@ pub struct Sftl {
     pages: FxHashMap<Vtpn, CachedPage>,
     page_lru: LruList<Vtpn>,
     pages_bytes: usize,
-    dbuf: FxHashMap<Lpn, (Ppn, LruIdx)>,
-    dbuf_lru: LruList<Lpn>,
+    /// Dirty buffer: every entry is dirty; the LRU entry names the next
+    /// batch to flush.
+    dbuf: EntryCache,
     entries_per_tp: usize,
 }
 
@@ -140,7 +139,7 @@ impl Sftl {
     /// [`FtlError::CacheTooSmall`] if an incompressible page cannot fit.
     pub fn new(config: &SsdConfig) -> Result<Self> {
         let budget = config.usable_cache_bytes();
-        let dbuf_budget = (budget / 10).max(2 * DBUF_ENTRY_BYTES);
+        let dbuf_budget = (budget / 10).max(2 * ENTRY_BYTES);
         let page_budget = budget.saturating_sub(dbuf_budget);
         let worst_page = PAGE_HEADER_BYTES + 4 * config.entries_per_tp();
         if page_budget < worst_page {
@@ -152,53 +151,43 @@ impl Sftl {
             pages: FxHashMap::default(),
             page_lru: LruList::new(),
             pages_bytes: 0,
-            dbuf: FxHashMap::default(),
-            dbuf_lru: LruList::new(),
+            dbuf: EntryCache::new(config.entries_per_tp()),
             entries_per_tp: config.entries_per_tp(),
         })
     }
 
     fn dbuf_bytes(&self) -> usize {
-        self.dbuf.len() * DBUF_ENTRY_BYTES
+        self.dbuf.len() * ENTRY_BYTES
     }
 
     /// Flushes the dirty-buffer batch containing its LRU entry: every
     /// buffered entry of the same translation page goes out in one
     /// read-modify-write update.
     fn flush_dbuf_batch(&mut self, env: &mut SsdEnv) -> Result<()> {
-        let Some((_, &lru_lpn)) = self.dbuf_lru.peek_lru() else {
+        let Some(lru) = self.dbuf.peek_lru() else {
             return Ok(());
         };
-        let vtpn = env.vtpn_of(lru_lpn);
-        let batch: Vec<Lpn> = self
+        let vtpn = env.vtpn_of(lru.lpn);
+        let mut updates: Vec<(u16, Ppn)> = self
             .dbuf
-            .keys()
-            .copied()
-            .filter(|&l| env.vtpn_of(l) == vtpn)
+            .take_vtpn(vtpn)
+            .iter()
+            .map(|e| (env.offset_of(e.lpn), e.ppn))
             .collect();
-        let mut updates: Vec<(u16, Ppn)> = Vec::with_capacity(batch.len());
-        for lpn in batch {
-            let (ppn, idx) = self.dbuf.remove(&lpn).expect("key from iteration");
-            self.dbuf_lru.remove(idx);
-            updates.push((env.offset_of(lpn), ppn));
-        }
         updates.sort_unstable_by_key(|u| u.0);
         env.note_replacement(true);
         env.update_translation_page(vtpn, &updates, OpPurpose::Translation)
     }
 
     fn put_dbuf(&mut self, env: &mut SsdEnv, lpn: Lpn, ppn: Ppn) -> Result<()> {
-        if let Some((v, idx)) = self.dbuf.get_mut(&lpn) {
-            *v = ppn;
-            let idx = *idx;
-            self.dbuf_lru.touch(idx);
+        if let Some(e) = self.dbuf.touch(lpn) {
+            e.ppn = ppn;
             return Ok(());
         }
-        while self.dbuf_bytes() + DBUF_ENTRY_BYTES > self.dbuf_budget {
+        while self.dbuf_bytes() + ENTRY_BYTES > self.dbuf_budget {
             self.flush_dbuf_batch(env)?;
         }
-        let idx = self.dbuf_lru.push_mru(lpn);
-        self.dbuf.insert(lpn, (ppn, idx));
+        self.dbuf.insert_mru(Entry::dirty(lpn, ppn));
         Ok(())
     }
 
@@ -244,16 +233,8 @@ impl Sftl {
         };
         // Merge buffered entries (they are newer than the flash copy).
         let base = vtpn * self.entries_per_tp as u32;
-        let buffered: Vec<Lpn> = self
-            .dbuf
-            .keys()
-            .copied()
-            .filter(|&l| env.vtpn_of(l) == vtpn)
-            .collect();
-        for lpn in buffered {
-            let (ppn, idx) = self.dbuf.remove(&lpn).expect("key from iteration");
-            self.dbuf_lru.remove(idx);
-            page.update((lpn - base) as usize, ppn);
+        for e in self.dbuf.take_vtpn(vtpn) {
+            page.update((e.lpn - base) as usize, e.ppn);
         }
         // Make room, then insert (the fresh page is never the victim).
         while self.pages_bytes + page.bytes() > self.page_budget {
@@ -292,17 +273,15 @@ impl Ftl for Sftl {
             let ppn = page.entries[off];
             let idx = page.lru;
             self.page_lru.touch(idx);
-            return Ok((ppn != PPN_NONE).then_some(ppn));
+            return Ok(mapped(ppn));
         }
-        if let Some(&(ppn, idx)) = self.dbuf.get(&lpn) {
+        if let Some(e) = self.dbuf.touch(lpn) {
             env.note_lookup(true);
-            self.dbuf_lru.touch(idx);
-            return Ok(Some(ppn));
+            return Ok(Some(e.ppn));
         }
         env.note_lookup(false);
         self.load_page(env, vtpn)?;
-        let ppn = self.pages[&vtpn].entries[off];
-        Ok((ppn != PPN_NONE).then_some(ppn))
+        Ok(mapped(self.pages[&vtpn].entries[off]))
     }
 
     fn update_mapping(&mut self, env: &mut SsdEnv, lpn: Lpn, new_ppn: Ppn) -> Result<()> {
@@ -324,16 +303,14 @@ impl Ftl for Sftl {
             if self.pages.contains_key(&vtpn) {
                 self.update_cached(env, vtpn, env.offset_of(lpn) as usize, new_ppn)?;
                 hits += 1;
-            } else if let Some((v, _)) = self.dbuf.get_mut(&lpn) {
-                *v = new_ppn;
+            } else if let Some(e) = self.dbuf.get_mut(lpn) {
+                e.ppn = new_ppn;
                 hits += 1;
             } else {
                 misses.push((lpn, new_ppn));
             }
         }
-        for (vtpn, updates) in group_by_vtpn(env, &misses) {
-            env.update_translation_page(vtpn, &updates, OpPurpose::GcTranslation)?;
-        }
+        cmt::write_back_by_tp(env, &misses, OpPurpose::GcTranslation, |_, _, _| {})?;
         Ok(hits)
     }
 
@@ -347,13 +324,9 @@ impl Ftl for Sftl {
 
     fn peek_cached(&self, env: &SsdEnv, lpn: Lpn) -> crate::Result<Option<Option<Ppn>>> {
         if let Some(page) = self.pages.get(&env.vtpn_of(lpn)) {
-            let p = page.entries[env.offset_of(lpn) as usize];
-            return Ok(Some((p != PPN_NONE).then_some(p)));
+            return Ok(Some(mapped(page.entries[env.offset_of(lpn) as usize])));
         }
-        if let Some(&(p, _)) = self.dbuf.get(&lpn) {
-            return Ok(Some(Some(p)));
-        }
-        Ok(None)
+        Ok(self.dbuf.get(lpn).map(|e| mapped(e.ppn)))
     }
 
     fn mark_clean(&mut self, vtpn: Vtpn) {
@@ -362,40 +335,17 @@ impl Ftl for Sftl {
             page.dirty_count = 0;
         }
         // Flushed buffer entries are persisted; drop them from the buffer.
-        let flushed: Vec<Lpn> = self
-            .dbuf
-            .keys()
-            .copied()
-            .filter(|&l| l / self.entries_per_tp as u32 == vtpn)
-            .collect();
-        for lpn in flushed {
-            let (_, idx) = self.dbuf.remove(&lpn).expect("key from iteration");
-            self.dbuf_lru.remove(idx);
-        }
+        self.dbuf.take_vtpn(vtpn);
     }
 
     fn cached_tp_distribution(&self) -> Vec<TpDistEntry> {
-        let mut by_tp: std::collections::BTreeMap<Vtpn, (u32, u32)> =
-            std::collections::BTreeMap::new();
+        let mut tally = TpTally::default();
         for (&vtpn, p) in &self.pages {
-            let slot = by_tp.entry(vtpn).or_default();
-            slot.0 += p.entries.len() as u32;
-            slot.1 += p.dirty_count;
+            tally.add(vtpn, p.entries.len() as u32, p.dirty_count);
         }
         // Dirty-buffer entries are cached (and dirty) too.
-        for &lpn in self.dbuf.keys() {
-            let slot = by_tp.entry(lpn / self.entries_per_tp as u32).or_default();
-            slot.0 += 1;
-            slot.1 += 1;
-        }
-        by_tp
-            .into_iter()
-            .map(|(vtpn, (entries, dirty))| TpDistEntry {
-                vtpn,
-                entries,
-                dirty,
-            })
-            .collect()
+        self.dbuf.tally(&mut tally);
+        tally.finish()
     }
 }
 
@@ -544,7 +494,7 @@ mod tests {
     fn dbuf_overflow_flushes_batch_per_page() {
         let (mut ftl, mut env) = setup(4800);
         // dbuf budget = budget/10 bytes.
-        let cap_entries = ftl.dbuf_budget / DBUF_ENTRY_BYTES;
+        let cap_entries = ftl.dbuf_budget / ENTRY_BYTES;
         // Park dirty entries two at a time via sparse evictions until the
         // buffer must have overflowed.
         let mut next = 0u32;
@@ -608,8 +558,8 @@ mod tests {
         let expect: usize = ftl.pages.values().map(CachedPage::bytes).sum();
         assert_eq!(ftl.pages_bytes, expect);
         // No LPN is simultaneously in a cached page and the dirty buffer.
-        for &lpn in ftl.dbuf.keys() {
-            assert!(!ftl.pages.contains_key(&env.vtpn_of(lpn)));
+        for e in ftl.dbuf.iter_lru() {
+            assert!(!ftl.pages.contains_key(&env.vtpn_of(e.lpn)));
         }
     }
 }

@@ -39,10 +39,11 @@
 //! bytes against DFTL's 8 (the Figure 10 space-utilization gain); a TP node
 //! costs 8 bytes of overhead.
 
-use tpftl_flash::{Lpn, OpPurpose, Ppn, Vtpn, PPN_NONE};
+use tpftl_flash::{Lpn, OpPurpose, Ppn, Vtpn};
 
 use crate::env::SsdEnv;
-use crate::ftl::{group_by_vtpn, AccessCtx, Ftl, TpDistEntry};
+use crate::ftl::cmt::{self, mapped, PageStep, TpTally};
+use crate::ftl::{AccessCtx, Ftl, TpDistEntry};
 use crate::hash::FxHashMap;
 use crate::lru::{LruIdx, LruList};
 use crate::{FtlError, Result, SsdConfig};
@@ -610,7 +611,7 @@ impl Ftl for TpFtl {
 
         if let Some(ppn) = self.lookup_touch(vtpn, offset) {
             env.note_lookup(true);
-            return Ok((ppn != PPN_NONE).then_some(ppn));
+            return Ok(mapped(ppn));
         }
         env.note_lookup(false);
 
@@ -643,7 +644,7 @@ impl Ftl for TpFtl {
                 self.insert_entry(vtpn, off, payload[off as usize]);
             }
         }
-        Ok((requested_ppn != PPN_NONE).then_some(requested_ppn))
+        Ok(mapped(requested_ppn))
     }
 
     fn update_mapping(&mut self, env: &mut SsdEnv, lpn: Lpn, new_ppn: Ppn) -> Result<()> {
@@ -687,31 +688,31 @@ impl Ftl for TpFtl {
                 None => misses.push((lpn, new_ppn)),
             }
         }
-        let mut result = Ok(hits);
-        for (vtpn, mut updates) in group_by_vtpn(env, &misses) {
-            if self.cfg.batch_update {
+        let (batch_update, nodes) = (self.cfg.batch_update, &mut self.nodes);
+        let result =
+            cmt::write_back_by_tp(env, &misses, OpPurpose::GcTranslation, |_, vtpn, step| {
+                let PageStep::Gather(updates) = step else {
+                    return;
+                };
                 // Piggyback every cached dirty entry of this page on the
                 // unavoidable update (Section 4.4), marking them clean.
-                if let Some(node) = self.nodes.get_mut(&vtpn) {
-                    if node.dirty_count > 0 {
-                        node.entries.for_each_value_mut(|e| {
-                            if e.dirty {
-                                updates.push((e.offset, e.ppn));
-                                e.dirty = false;
-                            }
-                        });
-                        node.dirty_count = 0;
+                if batch_update {
+                    if let Some(node) = nodes.get_mut(&vtpn) {
+                        if node.dirty_count > 0 {
+                            node.entries.for_each_value_mut(|e| {
+                                if e.dirty {
+                                    updates.push((e.offset, e.ppn));
+                                    e.dirty = false;
+                                }
+                            });
+                            node.dirty_count = 0;
+                        }
                     }
                 }
-            }
-            updates.sort_unstable_by_key(|u| u.0);
-            if let Err(e) = env.update_translation_page(vtpn, &updates, OpPurpose::GcTranslation) {
-                result = Err(e);
-                break;
-            }
-        }
+                updates.sort_unstable_by_key(|u| u.0);
+            });
         self.scratch_misses = misses;
-        result
+        result.map(|()| hits)
     }
 
     fn cache_bytes_used(&self) -> usize {
@@ -725,7 +726,7 @@ impl Ftl for TpFtl {
     fn peek_cached(&self, env: &SsdEnv, lpn: Lpn) -> crate::Result<Option<Option<Ppn>>> {
         Ok(self
             .cached_ppn(env.vtpn_of(lpn), env.offset_of(lpn))
-            .map(|p| (p != PPN_NONE).then_some(p)))
+            .map(mapped))
     }
 
     fn mark_clean(&mut self, vtpn: Vtpn) {
@@ -736,17 +737,11 @@ impl Ftl for TpFtl {
     }
 
     fn cached_tp_distribution(&self) -> Vec<TpDistEntry> {
-        let mut out: Vec<TpDistEntry> = self
-            .nodes
-            .iter()
-            .map(|(&vtpn, n)| TpDistEntry {
-                vtpn,
-                entries: n.len() as u32,
-                dirty: n.dirty_count,
-            })
-            .collect();
-        out.sort_unstable_by_key(|d| d.vtpn);
-        out
+        let mut tally = TpTally::default();
+        for (&vtpn, n) in &self.nodes {
+            tally.add(vtpn, n.len() as u32, n.dirty_count);
+        }
+        tally.finish()
     }
 }
 
@@ -754,6 +749,7 @@ impl Ftl for TpFtl {
 mod tests {
     use super::*;
     use crate::driver;
+    use tpftl_flash::PPN_NONE;
 
     /// 8 MB logical space (2048 pages, 2 translation pages), cache budget
     /// of `bytes` for the FTL structures.

@@ -14,27 +14,15 @@
 //! Not part of the paper's evaluation; included to round out the
 //! related-work baselines.
 
-use std::collections::HashMap;
-
-use tpftl_flash::{Lpn, OpPurpose, Ppn, Vtpn, PPN_NONE};
+use tpftl_flash::{Lpn, OpPurpose, Ppn, Vtpn};
 
 use crate::env::SsdEnv;
-use crate::ftl::{group_by_vtpn, AccessCtx, Ftl, TpDistEntry};
-use crate::lru::{LruIdx, LruList};
+use crate::ftl::cmt::{self, mapped, Entry, EntryCache, PageStep, TpTally, ENTRY_BYTES};
+use crate::ftl::{AccessCtx, Ftl, TpDistEntry};
 use crate::{FtlError, Result, SsdConfig};
-
-/// Bytes per first-tier entry (4 B LPN + 4 B PPN).
-const ENTRY_BYTES: usize = 8;
 
 /// Fraction of the first-tier budget reserved for the batch-eviction area.
 const RESERVE_FRAC: f64 = 0.25;
-
-#[derive(Debug, Clone, Copy)]
-struct ZEntry {
-    lpn: Lpn,
-    ppn: Ppn,
-    dirty: bool,
-}
 
 /// The ZFTL baseline.
 pub struct Zftl {
@@ -45,18 +33,28 @@ pub struct Zftl {
     /// Zone whose mappings are currently cached (`None` before first use).
     active_zone: Option<u32>,
     /// First tier: entry cache (active zone only).
-    map: HashMap<Lpn, LruIdx>,
-    entries: LruList<ZEntry>,
+    entries: EntryCache,
     cap_entries: usize,
     /// Reserved batch-eviction area: dirty victims parked until a batch
-    /// sharing one translation page is flushed.
-    reserve: HashMap<Lpn, Ppn>,
+    /// sharing one translation page is flushed. Recency is never used.
+    reserve: EntryCache,
     reserve_cap: usize,
     /// Second tier: the active translation page (full copy, clean).
     active_tp: Option<(Vtpn, Vec<Ppn>)>,
     entries_per_tp: usize,
     /// Zone switches performed (the overhead the paper calls out).
     zone_switches: u64,
+}
+
+/// Keeps the second tier coherent with updates persisted to `vtpn`.
+fn patch_active_tp(active_tp: &mut Option<(Vtpn, Vec<Ppn>)>, vtpn: Vtpn, batch: &[(u16, Ppn)]) {
+    if let Some((active_vtpn, payload)) = active_tp {
+        if *active_vtpn == vtpn {
+            for &(off, ppn) in batch {
+                payload[off as usize] = ppn;
+            }
+        }
+    }
 }
 
 impl Zftl {
@@ -82,10 +80,9 @@ impl Zftl {
             zones,
             zone_pages: logical_pages.div_ceil(zones),
             active_zone: None,
-            map: HashMap::new(),
-            entries: LruList::new(),
+            entries: EntryCache::new(config.entries_per_tp()),
             cap_entries,
-            reserve: HashMap::new(),
+            reserve: EntryCache::new(config.entries_per_tp()),
             reserve_cap,
             active_tp: None,
             entries_per_tp: config.entries_per_tp(),
@@ -109,25 +106,29 @@ impl Zftl {
 
     /// Flushes the batch-eviction reserve, one update per translation page.
     fn flush_reserve(&mut self, env: &mut SsdEnv) -> Result<()> {
-        if self.reserve.is_empty() {
-            return Ok(());
+        let mut updates: Vec<(Lpn, Ppn)> = Vec::with_capacity(self.reserve.len());
+        while let Some(e) = self.reserve.pop_lru() {
+            updates.push((e.lpn, e.ppn));
         }
-        let updates: Vec<(Lpn, Ppn)> = {
-            let mut v: Vec<_> = self.reserve.drain().collect();
-            v.sort_unstable_by_key(|&(l, _)| l);
-            v
-        };
-        for (vtpn, batch) in group_by_vtpn(env, &updates) {
-            env.note_replacement(true);
-            env.update_translation_page(vtpn, &batch, OpPurpose::Translation)?;
-            // Keep the second tier coherent if it caches this page.
-            if let Some((active_vtpn, payload)) = &mut self.active_tp {
-                if *active_vtpn == vtpn {
-                    for &(off, ppn) in &batch {
-                        payload[off as usize] = ppn;
-                    }
-                }
-            }
+        updates.sort_unstable_by_key(|&(l, _)| l);
+        let active_tp = &mut self.active_tp;
+        cmt::write_back_by_tp(
+            env,
+            &updates,
+            OpPurpose::Translation,
+            |env, vtpn, step| match step {
+                PageStep::Gather(_) => env.note_replacement(true),
+                PageStep::Persisted(batch) => patch_active_tp(active_tp, vtpn, batch),
+            },
+        )
+    }
+
+    /// Parks a dirty first-tier victim in the reserve, flushing the reserve
+    /// in batches when it fills.
+    fn park(&mut self, env: &mut SsdEnv, victim: Entry) -> Result<()> {
+        self.reserve.insert_mru(victim);
+        if self.reserve.len() >= self.reserve_cap {
+            self.flush_reserve(env)?;
         }
         Ok(())
     }
@@ -141,61 +142,33 @@ impl Zftl {
         self.zone_switches += 1;
         // Park every dirty entry in the reserve (flushing as it fills),
         // then flush the remainder.
-        let dirty: Vec<(Lpn, Ppn)> = self
-            .entries
-            .iter_lru()
-            .filter(|(_, e)| e.dirty)
-            .map(|(_, e)| (e.lpn, e.ppn))
-            .collect();
-        for (lpn, ppn) in dirty {
-            self.reserve.insert(lpn, ppn);
-            if self.reserve.len() >= self.reserve_cap {
-                self.flush_reserve(env)?;
+        while let Some(e) = self.entries.pop_lru() {
+            if e.dirty {
+                self.park(env, e)?;
             }
         }
         self.flush_reserve(env)?;
-        self.map.clear();
-        while self.entries.pop_lru().is_some() {}
         self.active_tp = None;
         self.active_zone = Some(zone);
-        Ok(())
-    }
-
-    /// Loads the translation page of `vtpn` into the second tier.
-    fn load_active_tp(&mut self, env: &mut SsdEnv, vtpn: Vtpn) -> Result<()> {
-        if self.active_tp.as_ref().is_some_and(|(v, _)| *v == vtpn) {
-            return Ok(());
-        }
-        let payload = env
-            .read_translation_entries(vtpn, OpPurpose::Translation)?
-            .to_vec();
-        self.active_tp = Some((vtpn, payload));
         Ok(())
     }
 
     /// Evicts the first-tier LRU entry; dirty victims go to the reserve
     /// (batched flush when it fills).
     fn evict_entry(&mut self, env: &mut SsdEnv) -> Result<()> {
-        let Some(victim) = self.entries.pop_lru() else {
-            return Err(FtlError::CacheTooSmall);
-        };
-        self.map.remove(&victim.lpn);
+        let victim = self.entries.pop_lru().ok_or(FtlError::CacheTooSmall)?;
         env.note_replacement(victim.dirty);
         if victim.dirty {
-            self.reserve.insert(victim.lpn, victim.ppn);
-            if self.reserve.len() >= self.reserve_cap {
-                self.flush_reserve(env)?;
-            }
+            self.park(env, victim)?;
         }
         Ok(())
     }
 
-    fn insert_entry(&mut self, env: &mut SsdEnv, e: ZEntry) -> Result<()> {
+    fn insert_entry(&mut self, env: &mut SsdEnv, lpn: Lpn, ppn: Ppn) -> Result<()> {
         while self.entries.len() >= self.cap_entries {
             self.evict_entry(env)?;
         }
-        let idx = self.entries.push_mru(e);
-        self.map.insert(e.lpn, idx);
+        self.entries.insert_mru(Entry::clean(lpn, ppn));
         Ok(())
     }
 }
@@ -208,55 +181,40 @@ impl Ftl for Zftl {
     fn translate(&mut self, env: &mut SsdEnv, lpn: Lpn, _ctx: &AccessCtx) -> Result<Option<Ppn>> {
         self.switch_zone(env, self.zone_of(lpn))?;
         // First tier.
-        if let Some(&idx) = self.map.get(&lpn) {
+        if let Some(e) = self.entries.touch(lpn) {
             env.note_lookup(true);
-            self.entries.touch(idx);
-            let ppn = self.entries.get(idx).expect("mapped handle").ppn;
-            return Ok((ppn != PPN_NONE).then_some(ppn));
+            return Ok(mapped(e.ppn));
         }
         // Eviction reserve still holds the freshest value.
-        if let Some(&ppn) = self.reserve.get(&lpn) {
+        if let Some(e) = self.reserve.get(lpn) {
             env.note_lookup(true);
-            return Ok(Some(ppn));
+            return Ok(Some(e.ppn));
         }
         let vtpn = env.vtpn_of(lpn);
         let off = env.offset_of(lpn) as usize;
-        // Second tier: the active translation page.
-        if self.active_tp.as_ref().is_some_and(|(v, _)| *v == vtpn) {
-            env.note_lookup(true);
-            let ppn = self.active_tp.as_ref().expect("checked").1[off];
-            self.insert_entry(
-                env,
-                ZEntry {
-                    lpn,
-                    ppn,
-                    dirty: false,
-                },
-            )?;
-            return Ok((ppn != PPN_NONE).then_some(ppn));
+        // Second tier: the active translation page, loaded on a miss.
+        let hit = self.active_tp.as_ref().is_some_and(|(v, _)| *v == vtpn);
+        env.note_lookup(hit);
+        if !hit {
+            let payload = env
+                .read_translation_entries(vtpn, OpPurpose::Translation)?
+                .to_vec();
+            self.active_tp = Some((vtpn, payload));
         }
-        env.note_lookup(false);
-        self.load_active_tp(env, vtpn)?;
-        let ppn = self.active_tp.as_ref().expect("just loaded").1[off];
-        self.insert_entry(
-            env,
-            ZEntry {
-                lpn,
-                ppn,
-                dirty: false,
-            },
-        )?;
-        Ok((ppn != PPN_NONE).then_some(ppn))
+        let ppn = self.active_tp.as_ref().expect("hit or just loaded").1[off];
+        self.insert_entry(env, lpn, ppn)?;
+        Ok(mapped(ppn))
     }
 
     fn update_mapping(&mut self, _env: &mut SsdEnv, lpn: Lpn, new_ppn: Ppn) -> Result<()> {
         // The entry may have been answered from the reserve.
-        if let Some(&idx) = self.map.get(&lpn) {
-            let e = self.entries.get_mut(idx).expect("mapped handle");
-            e.ppn = new_ppn;
-            e.dirty = true;
-        } else {
-            self.reserve.insert(lpn, new_ppn);
+        match self
+            .entries
+            .get_mut(lpn)
+            .or_else(|| self.reserve.get_mut(lpn))
+        {
+            Some(e) => e.remap(new_ppn),
+            None => self.reserve.insert_mru(Entry::dirty(lpn, new_ppn)),
         }
         Ok(())
     }
@@ -265,28 +223,23 @@ impl Ftl for Zftl {
         let mut hits = 0u64;
         let mut misses: Vec<(Lpn, Ppn)> = Vec::new();
         for &(lpn, new_ppn) in moved {
-            if let Some(&idx) = self.map.get(&lpn) {
-                let e = self.entries.get_mut(idx).expect("mapped handle");
-                e.ppn = new_ppn;
-                e.dirty = true;
-                hits += 1;
-            } else if let Some(v) = self.reserve.get_mut(&lpn) {
-                *v = new_ppn;
+            if let Some(e) = self
+                .entries
+                .get_mut(lpn)
+                .or_else(|| self.reserve.get_mut(lpn))
+            {
+                e.remap(new_ppn);
                 hits += 1;
             } else {
                 misses.push((lpn, new_ppn));
             }
         }
-        for (vtpn, updates) in group_by_vtpn(env, &misses) {
-            env.update_translation_page(vtpn, &updates, OpPurpose::GcTranslation)?;
-            if let Some((active_vtpn, payload)) = &mut self.active_tp {
-                if *active_vtpn == vtpn {
-                    for &(off, ppn) in &updates {
-                        payload[off as usize] = ppn;
-                    }
-                }
+        let active_tp = &mut self.active_tp;
+        cmt::write_back_by_tp(env, &misses, OpPurpose::GcTranslation, |_, vtpn, step| {
+            if let PageStep::Persisted(batch) = step {
+                patch_active_tp(active_tp, vtpn, batch);
             }
-        }
+        })?;
         Ok(hits)
     }
 
@@ -302,70 +255,30 @@ impl Ftl for Zftl {
     }
 
     fn cached_tp_distribution(&self) -> Vec<TpDistEntry> {
-        let mut by_tp: std::collections::BTreeMap<u32, (u32, u32)> =
-            std::collections::BTreeMap::new();
-        for (_, e) in self.entries.iter_lru() {
-            let slot = by_tp.entry(e.lpn / self.entries_per_tp as u32).or_default();
-            slot.0 += 1;
-            if e.dirty {
-                slot.1 += 1;
-            }
-        }
-        for &lpn in self.reserve.keys() {
-            let slot = by_tp.entry(lpn / self.entries_per_tp as u32).or_default();
-            slot.0 += 1;
-            slot.1 += 1;
-        }
+        let mut tally = TpTally::default();
+        self.entries.tally(&mut tally);
+        self.reserve.tally(&mut tally);
         if let Some((vtpn, p)) = &self.active_tp {
-            let slot = by_tp.entry(*vtpn).or_default();
-            slot.0 += p.len() as u32;
+            tally.add(*vtpn, p.len() as u32, 0);
         }
-        by_tp
-            .into_iter()
-            .map(|(vtpn, (entries, dirty))| TpDistEntry {
-                vtpn,
-                entries,
-                dirty,
-            })
-            .collect()
+        tally.finish()
     }
 
     fn peek_cached(&self, env: &SsdEnv, lpn: Lpn) -> Result<Option<Option<Ppn>>> {
-        if let Some(&idx) = self.map.get(&lpn) {
-            let p = self.entries.get(idx).expect("mapped handle").ppn;
-            return Ok(Some((p != PPN_NONE).then_some(p)));
+        if let Some(e) = self.entries.get(lpn).or_else(|| self.reserve.get(lpn)) {
+            return Ok(Some(mapped(e.ppn)));
         }
-        if let Some(&p) = self.reserve.get(&lpn) {
-            return Ok(Some(Some(p)));
-        }
-        if let Some((vtpn, payload)) = &self.active_tp {
-            if *vtpn == env.vtpn_of(lpn) {
-                let p = payload[env.offset_of(lpn) as usize];
-                return Ok(Some((p != PPN_NONE).then_some(p)));
-            }
-        }
-        Ok(None)
+        Ok(self
+            .active_tp
+            .as_ref()
+            .filter(|(vtpn, _)| *vtpn == env.vtpn_of(lpn))
+            .map(|(_, payload)| mapped(payload[env.offset_of(lpn) as usize])))
     }
 
     fn mark_clean(&mut self, vtpn: Vtpn) {
-        let idxs: Vec<_> = self
-            .entries
-            .iter_lru()
-            .filter(|(_, e)| e.lpn / self.entries_per_tp as u32 == vtpn)
-            .map(|(i, _)| i)
-            .collect();
-        for i in idxs {
-            self.entries.get_mut(i).expect("live handle").dirty = false;
-        }
-        let flushed: Vec<Lpn> = self
-            .reserve
-            .keys()
-            .copied()
-            .filter(|&l| l / self.entries_per_tp as u32 == vtpn)
-            .collect();
-        for lpn in flushed {
-            self.reserve.remove(&lpn);
-        }
+        self.entries.clean_vtpn(vtpn, |_| {});
+        // Flushed reserve entries are persisted; drop them.
+        self.reserve.take_vtpn(vtpn);
     }
 }
 

@@ -94,26 +94,6 @@ impl<V> LruList<V> {
         }
     }
 
-    /// Creates an empty list whose slab holds `cap` elements before
-    /// reallocating.
-    pub fn with_capacity(cap: usize) -> Self {
-        Self {
-            slots: Vec::with_capacity(cap),
-            free: Vec::new(),
-            mru: NIL,
-            lru: NIL,
-            len: 0,
-        }
-    }
-
-    /// Reserves slab room for `additional` more elements.
-    pub fn reserve(&mut self, additional: usize) {
-        let spare = self.free.len() + (self.slots.capacity() - self.slots.len());
-        if additional > spare {
-            self.slots.reserve(additional - spare);
-        }
-    }
-
     /// Number of slab slots ever allocated (live + free-list). Stays flat
     /// under churn when the free list is reused correctly.
     pub fn slot_count(&self) -> usize {
@@ -167,40 +147,6 @@ impl<V> LruList<V> {
         self.mru = slot;
         if self.lru == NIL {
             self.lru = slot;
-        }
-        self.len += 1;
-        LruIdx {
-            slot,
-            gen: self.slots[slot as usize].gen,
-        }
-    }
-
-    /// Inserts `val` at the LRU (coldest) end and returns its handle.
-    pub fn push_lru(&mut self, val: V) -> LruIdx {
-        let slot = match self.free.pop() {
-            Some(s) => {
-                let sl = &mut self.slots[s as usize];
-                sl.val = Some(val);
-                sl.next = NIL;
-                sl.prev = self.lru;
-                s
-            }
-            None => {
-                self.slots.push(Slot {
-                    prev: self.lru,
-                    next: NIL,
-                    gen: 0,
-                    val: Some(val),
-                });
-                (self.slots.len() - 1) as u32
-            }
-        };
-        if self.lru != NIL {
-            self.slots[self.lru as usize].next = slot;
-        }
-        self.lru = slot;
-        if self.mru == NIL {
-            self.mru = slot;
         }
         self.len += 1;
         LruIdx {
@@ -300,21 +246,6 @@ impl<V> LruList<V> {
         ))
     }
 
-    /// Handle and value of the hottest element.
-    pub fn peek_mru(&self) -> Option<(LruIdx, &V)> {
-        if self.mru == NIL {
-            return None;
-        }
-        let s = &self.slots[self.mru as usize];
-        Some((
-            LruIdx {
-                slot: self.mru,
-                gen: s.gen,
-            },
-            s.val.as_ref().expect("linked slots are occupied"),
-        ))
-    }
-
     /// Removes and returns the coldest element.
     pub fn pop_lru(&mut self) -> Option<V> {
         let (idx, _) = self.peek_lru()?;
@@ -339,14 +270,6 @@ impl<V> LruList<V> {
             cur: self.lru,
         }
     }
-
-    /// Iterates from the MRU (hottest) end toward the LRU end.
-    pub fn iter_mru(&self) -> IterMru<'_, V> {
-        IterMru {
-            list: self,
-            cur: self.mru,
-        }
-    }
 }
 
 /// Iterator from coldest to hottest; see [`LruList::iter_lru`].
@@ -368,29 +291,6 @@ impl<'a, V> Iterator for IterLru<'a, V> {
             gen: s.gen,
         };
         self.cur = s.prev;
-        Some((idx, s.val.as_ref().expect("linked slots are occupied")))
-    }
-}
-
-/// Iterator from hottest to coldest; see [`LruList::iter_mru`].
-pub struct IterMru<'a, V> {
-    list: &'a LruList<V>,
-    cur: u32,
-}
-
-impl<'a, V> Iterator for IterMru<'a, V> {
-    type Item = (LruIdx, &'a V);
-
-    fn next(&mut self) -> Option<Self::Item> {
-        if self.cur == NIL {
-            return None;
-        }
-        let s = &self.list.slots[self.cur as usize];
-        let idx = LruIdx {
-            slot: self.cur,
-            gen: s.gen,
-        };
-        self.cur = s.next;
         Some((idx, s.val.as_ref().expect("linked slots are occupied")))
     }
 }
@@ -425,15 +325,6 @@ mod tests {
     }
 
     #[test]
-    fn push_lru_inserts_cold() {
-        let mut l = LruList::new();
-        l.push_mru("hot");
-        l.push_lru("cold");
-        assert_eq!(l.peek_lru().unwrap().1, &"cold");
-        assert_eq!(l.peek_mru().unwrap().1, &"hot");
-    }
-
-    #[test]
     fn remove_middle() {
         let mut l = LruList::new();
         let _a = l.push_mru(1);
@@ -443,10 +334,6 @@ mod tests {
         assert_eq!(
             l.iter_lru().map(|(_, v)| *v).collect::<Vec<_>>(),
             vec![1, 3]
-        );
-        assert_eq!(
-            l.iter_mru().map(|(_, v)| *v).collect::<Vec<_>>(),
-            vec![3, 1]
         );
     }
 

@@ -24,18 +24,16 @@ use tpftl_rng::Rng64;
 #[derive(Debug, Clone)]
 enum LruOp {
     PushMru(u32),
-    PushLru(u32),
     TouchNth(usize),
     RemoveNth(usize),
     PopLru,
 }
 
 fn lru_op(rng: &mut Rng64) -> LruOp {
-    match rng.range_u32(0, 5) {
+    match rng.range_u32(0, 4) {
         0 => LruOp::PushMru(rng.next_u64() as u32),
-        1 => LruOp::PushLru(rng.next_u64() as u32),
-        2 => LruOp::TouchNth(rng.range_usize(0, 64)),
-        3 => LruOp::RemoveNth(rng.range_usize(0, 64)),
+        1 => LruOp::TouchNth(rng.range_usize(0, 64)),
+        2 => LruOp::RemoveNth(rng.range_usize(0, 64)),
         _ => LruOp::PopLru,
     }
 }
@@ -55,10 +53,6 @@ fn lru_list_matches_vecdeque_model() {
                 LruOp::PushMru(v) => {
                     let idx = list.push_mru(v);
                     model.push_back((v, idx));
-                }
-                LruOp::PushLru(v) => {
-                    let idx = list.push_lru(v);
-                    model.push_front((v, idx));
                 }
                 LruOp::TouchNth(n) => {
                     if !model.is_empty() {

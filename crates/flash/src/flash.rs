@@ -505,12 +505,15 @@ impl Flash {
         b.torn_program(ppn, tag, seq, payload, tear)
     }
 
+    /// Programs `ppn`. The page must sit exactly at its block's write
+    /// pointer unless `may_skip`, which also admits any page beyond it.
     fn program_common(
         &mut self,
         ppn: Ppn,
         tag: u32,
         purpose: OpPurpose,
         content: TpContent<'_>,
+        may_skip: bool,
     ) -> Result<()> {
         if self.dark() {
             return Err(FlashError::PowerLoss);
@@ -520,19 +523,21 @@ impl Flash {
             return Err(FlashError::ProgramNotFree(ppn));
         }
         let block = self.geom.block_of(ppn);
-        let expected = self.geom.first_ppn(block) + self.write_ptr[block as usize];
-        if ppn != expected {
+        let first = self.geom.first_ppn(block);
+        let expected = first + self.write_ptr[block as usize];
+        if ppn < expected || (ppn != expected && !may_skip) {
             return Err(FlashError::NonSequentialProgram {
                 requested: ppn,
                 expected,
             });
         }
+        let next_ptr = ppn - first + 1;
         let is_translation = !matches!(content, TpContent::Data);
         if self.fault_trips(OpKind::Write, is_translation) {
             // The program pulse started: the page is torn (indeterminate
             // charge, behind the write pointer) but never becomes valid.
             self.state[ppn as usize] = PageState::Torn;
-            self.write_ptr[block as usize] += 1;
+            self.write_ptr[block as usize] = next_ptr;
             self.mirror_torn_program(ppn, tag, &content)?;
             return Err(FlashError::PowerLoss);
         }
@@ -540,7 +545,7 @@ impl Flash {
         self.tag[ppn as usize] = tag;
         self.seq[ppn as usize] = self.next_seq;
         self.next_seq += 1;
-        self.write_ptr[block as usize] += 1;
+        self.write_ptr[block as usize] = next_ptr;
         self.valid_count[block as usize] += 1;
         match content {
             TpContent::Data => {}
@@ -549,12 +554,7 @@ impl Flash {
         }
         self.stats
             .record(OpKind::Write, purpose, self.geom.write_us);
-        let unit = if self.units == 1 {
-            0
-        } else {
-            (block as usize) % self.units
-        };
-        self.clocks.write(unit, self.geom.write_us);
+        self.clocks.write(self.unit_of(ppn), self.geom.write_us);
         self.mirror_program(ppn)?;
         Ok(())
     }
@@ -562,7 +562,7 @@ impl Flash {
     /// Programs a data page carrying `tag` (its LPN), accounting one
     /// page-program latency.
     pub fn program_page(&mut self, ppn: Ppn, tag: u32, purpose: OpPurpose) -> Result<()> {
-        self.program_common(ppn, tag, purpose, TpContent::Data)
+        self.program_common(ppn, tag, purpose, TpContent::Data, false)
     }
 
     /// Programs a page at an offset at or beyond the block's write pointer,
@@ -571,43 +571,7 @@ impl Flash {
     /// until the next erase. Needed by block-mapping FTLs, whose page
     /// position within a block is fixed by the logical offset.
     pub fn program_page_at(&mut self, ppn: Ppn, tag: u32, purpose: OpPurpose) -> Result<()> {
-        if self.dark() {
-            return Err(FlashError::PowerLoss);
-        }
-        self.check_ppn(ppn)?;
-        if self.state[ppn as usize] != PageState::Free {
-            return Err(FlashError::ProgramNotFree(ppn));
-        }
-        let block = self.geom.block_of(ppn);
-        let expected = self.geom.first_ppn(block) + self.write_ptr[block as usize];
-        if ppn < expected {
-            return Err(FlashError::NonSequentialProgram {
-                requested: ppn,
-                expected,
-            });
-        }
-        if self.fault_trips(OpKind::Write, false) {
-            self.state[ppn as usize] = PageState::Torn;
-            self.write_ptr[block as usize] = self.geom.offset_in_block(ppn) as u32 + 1;
-            self.mirror_torn_program(ppn, tag, &TpContent::Data)?;
-            return Err(FlashError::PowerLoss);
-        }
-        self.state[ppn as usize] = PageState::Valid;
-        self.tag[ppn as usize] = tag;
-        self.seq[ppn as usize] = self.next_seq;
-        self.next_seq += 1;
-        self.write_ptr[block as usize] = self.geom.offset_in_block(ppn) as u32 + 1;
-        self.valid_count[block as usize] += 1;
-        self.stats
-            .record(OpKind::Write, purpose, self.geom.write_us);
-        let unit = if self.units == 1 {
-            0
-        } else {
-            (block as usize) % self.units
-        };
-        self.clocks.write(unit, self.geom.write_us);
-        self.mirror_program(ppn)?;
-        Ok(())
+        self.program_common(ppn, tag, purpose, TpContent::Data, true)
     }
 
     /// Programs a translation page for `vtpn` with `payload` (one PPN per
@@ -625,7 +589,7 @@ impl Flash {
                 expected: self.entries_per_tp,
             });
         }
-        self.program_common(ppn, vtpn, purpose, TpContent::Tp(payload))
+        self.program_common(ppn, vtpn, purpose, TpContent::Tp(payload), false)
     }
 
     /// Programs a translation page for `vtpn` whose payload is `src`'s
@@ -648,7 +612,7 @@ impl Flash {
         if !self.tp.contains(src) {
             return Err(FlashError::NotATranslationPage(src));
         }
-        self.program_common(ppn, vtpn, purpose, TpContent::TpFrom(src, updates))
+        self.program_common(ppn, vtpn, purpose, TpContent::TpFrom(src, updates), false)
     }
 
     /// Marks a valid page as invalid (superseded). This is a metadata-only
@@ -721,12 +685,8 @@ impl Flash {
         }
         self.stats
             .record(OpKind::Erase, purpose, self.geom.erase_us);
-        let unit = if self.units == 1 {
-            0
-        } else {
-            (block as usize) % self.units
-        };
-        self.clocks.erase(unit, self.geom.erase_us);
+        self.clocks
+            .erase(self.unit_of(first as Ppn), self.geom.erase_us);
         Ok(())
     }
 

@@ -1,9 +1,9 @@
 //! Cross-FTL differential oracle: every FTL is a different implementation
 //! of the *same* address-translation contract, so replaying one fixed-seed
-//! mixed trace through DFTL, CDFTL, S-FTL, TPFTL, LearnedFTL, and the
-//! Optimal pure-RAM baseline must produce identical read-your-writes
+//! mixed trace through DFTL, CDFTL, S-FTL, TPFTL, LearnedFTL, ZFTL, and
+//! the Optimal pure-RAM baseline must produce identical read-your-writes
 //! behaviour. A host-side shadow map (`HashMap<Lpn, u64>`, LPN → write
-//! version) is the ground truth all six are checked against — and then
+//! version) is the ground truth all seven are checked against — and then
 //! against each other.
 
 use std::collections::HashMap;
@@ -27,7 +27,7 @@ fn config() -> SsdConfig {
 fn ftls(c: &SsdConfig) -> Vec<Box<dyn Ftl>> {
     FtlKind::PERSISTING
         .into_iter()
-        .chain([FtlKind::Optimal])
+        .chain([FtlKind::Zftl, FtlKind::Optimal])
         .map(|kind| -> Box<dyn Ftl> { kind.build(c).expect("budget") })
         .collect()
 }
@@ -110,7 +110,7 @@ fn run_differential(c: &SsdConfig) {
         );
         results.push((name, mapped, shadowed));
     }
-    // Differential step: all six FTLs expose the identical logical state.
+    // Differential step: all seven FTLs expose the identical logical state.
     let (ref_name, ref_mapped, _) = &results[0];
     for (name, mapped, _) in &results[1..] {
         assert_eq!(
