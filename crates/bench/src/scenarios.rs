@@ -228,6 +228,49 @@ pub fn bench_write_gc(kind: FtlKind, warmup: usize, samples: usize, ops: u64) ->
     }
 }
 
+/// LearnedFTL's write-back refit in isolation: a cache too small to hold
+/// the 64 offsets the cursor cycles over (every 16th of translation region
+/// 0), so each write evicts one dirty entry into that region — a
+/// one-offset write-back and the refit it triggers — with no GC batch in
+/// the loop (the superseded copies of 64 hot pages leave fully invalid
+/// victims). `fragmented` first rewrites the whole region in a scattered
+/// order, so that no three entries share a line and the fit is ~512 raw
+/// segments; otherwise the region keeps its sequential prefill and the
+/// cursor's offsets are the only breaks in one long line.
+pub fn bench_learned_refit(fragmented: bool, warmup: usize, samples: usize, ops: u64) -> Record {
+    let mut config = micro_config();
+    config.cache_bytes = config.gtd_bytes() + 512;
+    config.prefill_frac = 0.5;
+    let region = config.entries_per_tp() as u32;
+    let (mut ftl, mut env) = build(FtlKind::Learned, &config);
+    let ctx = AccessCtx::single(true);
+    if fragmented {
+        // 389 is coprime to the region size: a permutation of its offsets.
+        for i in 0..region {
+            driver::serve_page_access(ftl.as_mut(), &mut env, i * 389 % region, ctx)
+                .expect("scatter write");
+        }
+    }
+    let evicted_before = env.stats.dirty_replacements;
+    let mut cursor: u32 = 0;
+    let ns = time_samples(warmup, samples, ops, || {
+        for _ in 0..ops {
+            driver::serve_page_access(ftl.as_mut(), &mut env, cursor, ctx).expect("write");
+            cursor = (cursor + 16) % region;
+        }
+    });
+    let dirty_evictions = (env.stats.dirty_replacements - evicted_before) as f64
+        / ((warmup + samples) as u64 * ops) as f64;
+    let shape = if fragmented { "fragmented" } else { "linear" };
+    Record {
+        scenario: format!("learned_refit_{shape}"),
+        ftl: ftl.name(),
+        ops_per_iter: ops,
+        samples: ns,
+        extra: vec![("dirty_evictions_per_op", Value::Float(dirty_evictions))],
+    }
+}
+
 /// GC victim scan: iterate every block's valid pages on a device where
 /// half the pages are valid — the exact walk `gc::migrate_data_pages`
 /// performs when collecting a victim. Exercises `Flash::valid_pages`
@@ -713,6 +756,13 @@ pub fn run_all(
     for kind in [FtlKind::Learned, FtlKind::Dftl, FtlKind::Tpftl] {
         if wanted("replay_semiseq", &kind.label()) {
             records.push(bench_replay_semiseq(kind, samples.min(3), replay_requests));
+        }
+    }
+    let learned = FtlKind::Learned.label();
+    for fragmented in [true, false] {
+        let shape = if fragmented { "fragmented" } else { "linear" };
+        if wanted(&format!("learned_refit_{shape}"), &learned) {
+            records.push(bench_learned_refit(fragmented, warmup, samples, write_ops));
         }
     }
     if wanted("gc_valid_scan", "flash") {

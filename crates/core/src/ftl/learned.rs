@@ -87,66 +87,196 @@ impl Segment {
         }
         Some(p as Ppn)
     }
+
+    /// Everything a prediction depends on, comparable bit for bit.
+    fn bits(&self) -> (u16, u16, u64, u64) {
+        (
+            self.start,
+            self.end,
+            self.base.to_bits(),
+            self.slope.to_bits(),
+        )
+    }
 }
 
-/// Greedy shrinking-cone fitter (LearnedFTL §3): walk each maximal run of
+/// One step of the greedy shrinking-cone fit (LearnedFTL §3): the raw
+/// segment that starts at the mapped offset `start`. Walk the run of
 /// mapped entries, intersecting the feasible-slope interval point by
-/// point; when the interval empties, close the segment at the previous
-/// point and restart. A closing verification pass re-checks every covered
-/// offset under the *rounded* prediction (the cone guarantees only the
-/// real-valued bound) and truncates at the first violation, so every
-/// emitted segment satisfies |predict(off) − payload[off]| ≤ ε exactly.
-fn fit_region(payload: &[Ppn], eps: u32) -> Vec<Segment> {
+/// point; when the interval empties (or the run ends), close the segment
+/// at the previous point. A closing verification pass re-checks every
+/// covered offset under the *rounded* prediction (the cone guarantees only
+/// the real-valued bound) and truncates at the first violation, so the
+/// segment satisfies |predict(off) − payload[off]| ≤ ε exactly.
+///
+/// Also returns the offset the cone stopped at (`payload.len()` when it
+/// ran off the end): the step read `payload[start..=stop]` and nothing
+/// else, which is what makes the fit restartable (see [`FitMemo`]). The
+/// cone stops right after the segment's end unless the verification pass
+/// cut the segment short.
+fn fit_one(payload: &[Ppn], start: usize, eps: u32) -> (Segment, usize) {
     let eps_f = f64::from(eps);
-    let mut segs = Vec::new();
-    let mut i = 0usize;
-    while i < payload.len() {
-        if payload[i] == PPN_NONE {
-            i += 1;
-            continue;
+    let y0 = f64::from(payload[start]);
+    let (mut lo, mut hi) = (f64::NEG_INFINITY, f64::INFINITY);
+    let mut stop = start + 1;
+    while stop < payload.len() && payload[stop] != PPN_NONE {
+        let dx = (stop - start) as f64;
+        let y = f64::from(payload[stop]);
+        let nlo = lo.max((y - eps_f - y0) / dx);
+        let nhi = hi.min((y + eps_f - y0) / dx);
+        if nlo > nhi {
+            break;
         }
-        let start = i;
-        let y0 = f64::from(payload[start]);
-        let (mut lo, mut hi) = (f64::NEG_INFINITY, f64::INFINITY);
-        let mut end = start;
-        let mut j = start + 1;
-        while j < payload.len() && payload[j] != PPN_NONE {
-            let dx = (j - start) as f64;
-            let y = f64::from(payload[j]);
-            let nlo = lo.max((y - eps_f - y0) / dx);
-            let nhi = hi.min((y + eps_f - y0) / dx);
-            if nlo > nhi {
-                break;
-            }
-            lo = nlo;
-            hi = nhi;
-            end = j;
-            j += 1;
-        }
-        let slope = if end == start { 0.0 } else { (lo + hi) / 2.0 };
-        let mut seg = Segment {
-            start: start as u16,
-            end: end as u16,
-            base: y0,
-            slope,
-        };
-        // Rounding verification: shrink to the prefix where the integer
-        // prediction really is within ε of the stored mapping.
-        let mut vend = start;
-        for (k, &stored) in payload.iter().enumerate().take(end + 1).skip(start) {
-            let ok = seg.predict(k as u16).is_some_and(|p| {
-                (i64::from(p) - i64::from(stored)).unsigned_abs() <= u64::from(eps)
-            });
-            if !ok {
-                break;
-            }
-            vend = k;
-        }
-        seg.end = vend as u16;
-        segs.push(seg);
-        i = vend + 1;
+        lo = nlo;
+        hi = nhi;
+        stop += 1;
     }
-    segs
+    let end = stop - 1;
+    let slope = if end == start { 0.0 } else { (lo + hi) / 2.0 };
+    let mut seg = Segment {
+        start: start as u16,
+        end: end as u16,
+        base: y0,
+        slope,
+    };
+    // Rounding verification: shrink to the prefix where the integer
+    // prediction really is within ε of the stored mapping.
+    let mut vend = start;
+    for (k, &stored) in payload.iter().enumerate().take(end + 1).skip(start) {
+        let ok = seg
+            .predict(k as u16)
+            .is_some_and(|p| (i64::from(p) - i64::from(stored)).unsigned_abs() <= u64::from(eps));
+        if !ok {
+            break;
+        }
+        vend = k;
+    }
+    seg.end = vend as u16;
+    (seg, stop)
+}
+
+/// The first mapped offset at or after `from`, or `payload.len()`.
+fn next_mapped(payload: &[Ppn], from: usize) -> usize {
+    payload[from..]
+        .iter()
+        .position(|&p| p != PPN_NONE)
+        .map_or(payload.len(), |d| from + d)
+}
+
+/// Host-side memo of a region's last greedy fit — simulator state, not
+/// modelled device RAM: [`Ftl::cache_bytes_used`] does not charge it.
+///
+/// The fit is a pure left-to-right function of the payload: the raw
+/// (pre-trim) segment that starts at `s` depends only on the entries from
+/// `s` up to where the next one starts — `overreach` more at worst — and
+/// where the next one starts depends only on those too. So after a
+/// write-back changed an offset, every raw segment before the last one
+/// that starts (`overreach` or more) below it stands, and as soon as the
+/// re-run pass is about to start a segment where the old pass started
+/// one, beyond the changed offset, the rest of the old fit stands too.
+/// [`FitMemo::update`] re-fits only what lies between.
+#[derive(Debug)]
+struct FitMemo {
+    /// Bit `s` is set iff a raw segment starts at offset `s`. All clear,
+    /// the memo knows nothing and the next update fits from scratch.
+    starts: Box<[u64]>,
+    /// No fit read further than this many entries beyond the start of
+    /// the raw segment after it: the most by which a cone outran its
+    /// segment's verified end (which takes a line that leaves the PPN
+    /// range). Kept as a bound, so never lowered short of `clear`.
+    overreach: usize,
+    /// The raw segments covering at least [`MIN_COVERED`] offsets — what
+    /// `refit` trims to the segment budget — by ascending `start`.
+    fits: Vec<Segment>,
+}
+
+impl FitMemo {
+    /// A memo that knows nothing, for a region of `entries` offsets.
+    fn new(entries: usize) -> Self {
+        Self {
+            starts: vec![0; entries.div_ceil(64)].into(),
+            overreach: 0,
+            fits: Vec::new(),
+        }
+    }
+
+    fn clear(&mut self) {
+        self.starts.fill(0);
+        self.overreach = 0;
+        self.fits.clear();
+    }
+
+    fn is_start(&self, off: usize) -> bool {
+        self.starts[off / 64] >> (off % 64) & 1 == 1
+    }
+
+    /// Brings the memo in line with `payload`, which differs from the
+    /// table it was last fitted on at most at the offsets `changed`
+    /// (ascending). `scratch` is a buffer to reuse.
+    fn update(&mut self, payload: &[Ppn], eps: u32, changed: &[u16], scratch: &mut Vec<Segment>) {
+        let n = payload.len();
+        let mut c = 0;
+        while let Some(&lo) = changed.get(c) {
+            let lo = usize::from(lo);
+            // Restart at the last raw segment that starts so far below
+            // `lo` that no fit before it read `lo`; failing that, at 0.
+            let from = (0..lo.saturating_sub(self.overreach))
+                .rev()
+                .find(|&off| self.is_start(off))
+                .unwrap_or(0);
+            scratch.clear();
+            // The pass has re-fitted every offset below `done` and will
+            // start its next segment at `start`.
+            let mut done = from;
+            let mut start = next_mapped(payload, from);
+            loop {
+                // Old starts the new pass stepped over are gone.
+                for off in done..start {
+                    self.starts[off / 64] &= !(1 << (off % 64));
+                }
+                // Resynchronised: past `lo` and about to start where the
+                // old pass started one, on entries it saw the same.
+                if start == n || (start > lo && self.is_start(start)) {
+                    break;
+                }
+                let (seg, stop) = fit_one(payload, start, eps);
+                let end = usize::from(seg.end);
+                self.starts[start / 64] |= 1 << (start % 64);
+                self.overreach = self.overreach.max(stop - end - 1);
+                if seg.covered() >= MIN_COVERED {
+                    scratch.push(seg);
+                }
+                done = start + 1;
+                start = next_mapped(payload, end + 1);
+            }
+            let a = self.fits.partition_point(|s| usize::from(s.start) < from);
+            let b = self.fits.partition_point(|s| usize::from(s.start) < start);
+            self.fits.splice(a..b, scratch.drain(..));
+            // The new fits read the changed offsets below `start`.
+            c = changed
+                .partition_point(|&o| usize::from(o) < start)
+                .max(c + 1);
+        }
+    }
+
+    /// Whether `self` is the fit `fresh`, the from-scratch fit of the same
+    /// payload, bit for bit.
+    fn matches(&self, fresh: &FitMemo) -> bool {
+        self.starts == fresh.starts
+            && self.overreach >= fresh.overreach
+            && self
+                .fits
+                .iter()
+                .map(Segment::bits)
+                .eq(fresh.fits.iter().map(Segment::bits))
+    }
+}
+
+/// The from-scratch fit of `payload`: the incremental fit of a memo that
+/// knows nothing, so started at offset 0 and never resynchronising.
+fn fit_region(payload: &[Ppn], eps: u32) -> FitMemo {
+    let mut memo = FitMemo::new(payload.len());
+    memo.update(payload, eps, &[0], &mut Vec::new());
+    memo
 }
 
 /// The learned page-level FTL.
@@ -162,6 +292,21 @@ pub struct LearnedFtl {
     /// unsegmented — the learned index already protects the sequential
     /// ranges an SLRU would.
     cmt: EntryCache,
+    /// Per region, the last raw fit, so that `refit` re-fits only what a
+    /// write-back changed. Volatile like the segments; indexed by VTPN.
+    memos: Vec<FitMemo>,
+    /// Buffers `refit` and `on_gc_data_block` reuse from call to call.
+    scratch: Scratch,
+}
+
+#[derive(Default)]
+struct Scratch {
+    /// The changed offsets of the refit in progress, ascending.
+    changed: Vec<u16>,
+    /// The segments [`FitMemo::update`] is about to splice in.
+    fits: Vec<Segment>,
+    /// The GC-migrated pages the CMT did not hold.
+    gc_misses: Vec<(Lpn, Ppn)>,
 }
 
 impl LearnedFtl {
@@ -194,6 +339,10 @@ impl LearnedFtl {
             segs: FxHashMap::default(),
             seg_bytes: 0,
             cmt: EntryCache::new(config.entries_per_tp()),
+            memos: std::iter::repeat_with(|| FitMemo::new(config.entries_per_tp()))
+                .take(config.num_vtpns() as usize)
+                .collect(),
+            scratch: Scratch::default(),
         })
     }
 
@@ -214,7 +363,9 @@ impl LearnedFtl {
     /// mount-time scan uses.
     pub fn warm_up(&mut self, env: &SsdEnv) {
         for vtpn in 0..env.gtd().len() as Vtpn {
-            self.refit(env, vtpn);
+            // An empty memo makes this the from-scratch fit.
+            self.memos[vtpn as usize].clear();
+            self.refit(env, vtpn, [0]);
         }
     }
 
@@ -230,29 +381,46 @@ impl LearnedFtl {
         s.predict(off)
     }
 
-    /// Re-fits region `vtpn` from its persisted translation page — called
-    /// on every translation-page writeback (dirty CMT eviction, GC batch
-    /// update) and from [`LearnedFtl::warm_up`]. Keeps only segments
-    /// covering at least [`MIN_COVERED`] offsets, caps the region at
-    /// [`MAX_SEGS_PER_REGION`], and trims (longest coverage first,
-    /// deterministic tie-break on start) to the global segment budget.
-    fn refit(&mut self, env: &SsdEnv, vtpn: Vtpn) {
-        if let Some(old) = self.segs.remove(&vtpn) {
-            self.seg_bytes -= old.len() * SEG_BYTES;
-        }
-        let Some(tp) = env.gtd().get(vtpn) else {
+    /// Re-fits region `vtpn` from its persisted translation page, which
+    /// the caller just wrote back with new values at the offsets `changed`
+    /// — called on every translation-page writeback (dirty CMT eviction,
+    /// GC batch update) and from [`LearnedFtl::warm_up`]. Only the part of
+    /// the greedy fit that read a changed offset is redone (see
+    /// [`FitMemo`]); the result is the from-scratch fit all the same.
+    /// Keeps only segments covering at least [`MIN_COVERED`] offsets, caps
+    /// the region at [`MAX_SEGS_PER_REGION`], and trims (longest coverage
+    /// first, deterministic tie-break on start) to the global segment
+    /// budget.
+    fn refit(&mut self, env: &SsdEnv, vtpn: Vtpn, changed: impl IntoIterator<Item = u16>) {
+        let mut fit = self.segs.remove(&vtpn).unwrap_or_default();
+        self.seg_bytes -= fit.len() * SEG_BYTES;
+        fit.clear();
+        let memo = &mut self.memos[vtpn as usize];
+        let tp = env.gtd().get(vtpn);
+        let Some(payload) = tp.and_then(|tp| env.flash().peek_translation_payload(tp)) else {
+            memo.clear();
             return;
         };
-        let Some(payload) = env.flash().peek_translation_payload(tp) else {
-            return;
-        };
-        let mut fit = fit_region(payload, self.epsilon);
-        fit.retain(|s| s.covered() >= MIN_COVERED);
+        let scratch = &mut self.scratch;
+        scratch.changed.clear();
+        scratch.changed.extend(changed);
+        scratch.changed.sort_unstable();
+        memo.update(payload, self.epsilon, &scratch.changed, &mut scratch.fits);
+        debug_assert!(
+            memo.matches(&fit_region(payload, self.epsilon)),
+            "incremental refit of region {vtpn} after changes at {:?} left the from-scratch fit",
+            scratch.changed
+        );
+        fit.extend_from_slice(&memo.fits);
         let room = ((self.seg_budget_bytes - self.seg_bytes) / SEG_BYTES).min(MAX_SEGS_PER_REGION);
         if fit.len() > room {
-            fit.sort_by(|a, b| b.covered().cmp(&a.covered()).then(a.start.cmp(&b.start)));
+            if room > 0 {
+                fit.select_nth_unstable_by(room - 1, |a, b| {
+                    b.covered().cmp(&a.covered()).then(a.start.cmp(&b.start))
+                });
+            }
             fit.truncate(room);
-            fit.sort_by_key(|s| s.start);
+            fit.sort_unstable_by_key(|s| s.start);
         }
         if !fit.is_empty() {
             self.seg_bytes += fit.len() * SEG_BYTES;
@@ -276,39 +444,36 @@ impl LearnedFtl {
         if s.end < off {
             return;
         }
-        let mut remnants: Vec<Segment> = Vec::with_capacity(2);
-        if off > s.start {
-            remnants.push(Segment {
-                start: s.start,
-                end: off - 1,
-                base: s.base,
-                slope: s.slope,
-            });
-        }
-        if off < s.end {
-            remnants.push(Segment {
+        let worth = |r: &Segment| r.covered() >= MIN_COVERED;
+        let left = (off > s.start)
+            .then(|| Segment { end: off - 1, ..s })
+            .filter(worth);
+        let right = (off < s.end)
+            .then(|| Segment {
                 start: off + 1,
-                end: s.end,
                 base: s.base + s.slope * f64::from(off + 1 - s.start),
-                slope: s.slope,
-            });
-        }
-        remnants.retain(|r| r.covered() >= MIN_COVERED);
-        if remnants.len() == 2 && self.seg_bytes + SEG_BYTES > self.seg_budget_bytes {
-            // A two-way split would net one extra segment over budget;
-            // keep the longer remnant (ties favour the left one).
-            let keep = if remnants[1].covered() > remnants[0].covered() {
-                remnants[1]
-            } else {
-                remnants[0]
-            };
-            remnants = vec![keep];
-        }
-        self.seg_bytes -= SEG_BYTES;
-        self.seg_bytes += remnants.len() * SEG_BYTES;
-        segs.splice(i..=i, remnants);
-        if segs.is_empty() {
-            self.segs.remove(&vtpn);
+                ..s
+            })
+            .filter(worth);
+        match (left, right) {
+            (Some(l), Some(r)) if self.seg_bytes + SEG_BYTES > self.seg_budget_bytes => {
+                // A two-way split would net one extra segment over budget;
+                // keep the longer remnant (ties favour the left one).
+                segs[i] = if r.covered() > l.covered() { r } else { l };
+            }
+            (Some(l), Some(r)) => {
+                segs[i] = l;
+                segs.insert(i + 1, r);
+                self.seg_bytes += SEG_BYTES;
+            }
+            (Some(one), None) | (None, Some(one)) => segs[i] = one,
+            (None, None) => {
+                segs.remove(i);
+                self.seg_bytes -= SEG_BYTES;
+                if segs.is_empty() {
+                    self.segs.remove(&vtpn);
+                }
+            }
         }
     }
 
@@ -318,13 +483,9 @@ impl LearnedFtl {
         let victim = self.cmt.pop_lru().ok_or(FtlError::CacheTooSmall)?;
         env.note_replacement(victim.dirty);
         if victim.dirty {
-            let vtpn = env.vtpn_of(victim.lpn);
-            env.update_translation_page(
-                vtpn,
-                &[(env.offset_of(victim.lpn), victim.ppn)],
-                OpPurpose::Translation,
-            )?;
-            self.refit(env, vtpn);
+            let (vtpn, off) = (env.vtpn_of(victim.lpn), env.offset_of(victim.lpn));
+            env.update_translation_page(vtpn, &[(off, victim.ppn)], OpPurpose::Translation)?;
+            self.refit(env, vtpn, [off]);
         }
         Ok(())
     }
@@ -394,7 +555,8 @@ impl Ftl for LearnedFtl {
 
     fn on_gc_data_block(&mut self, env: &mut SsdEnv, moved: &[(Lpn, Ppn)]) -> Result<u64> {
         let mut hits = 0u64;
-        let mut misses: Vec<(Lpn, Ppn)> = Vec::new();
+        let mut misses = std::mem::take(&mut self.scratch.gc_misses);
+        misses.clear();
         for &(lpn, new_ppn) in moved {
             self.split_covering(env.vtpn_of(lpn), env.offset_of(lpn));
             if let Some(e) = self.cmt.get_mut(lpn) {
@@ -404,15 +566,17 @@ impl Ftl for LearnedFtl {
                 misses.push((lpn, new_ppn));
             }
         }
-        cmt::write_back_by_tp(env, &misses, OpPurpose::GcTranslation, |env, vtpn, step| {
-            // The freshly persisted page is the fitting opportunity: GC
-            // lays migrated pages out near-contiguously, exactly the
-            // pattern the segments capture.
-            if let PageStep::Persisted(_) = step {
-                self.refit(env, vtpn);
-            }
-        })?;
-        Ok(hits)
+        let res =
+            cmt::write_back_by_tp(env, &misses, OpPurpose::GcTranslation, |env, vtpn, step| {
+                // The freshly persisted page is the fitting opportunity: GC
+                // lays migrated pages out near-contiguously, exactly the
+                // pattern the segments capture.
+                if let PageStep::Persisted(batch) = step {
+                    self.refit(env, vtpn, batch.iter().map(|&(off, _)| off));
+                }
+            });
+        self.scratch.gc_misses = misses;
+        res.map(|()| hits)
     }
 
     fn after_bootstrap(&mut self, env: &mut SsdEnv) -> Result<()> {
@@ -434,6 +598,9 @@ impl Ftl for LearnedFtl {
 
     fn mark_clean(&mut self, vtpn: Vtpn) {
         self.cmt.clean_vtpn(vtpn, |_| {});
+        // The flush rewrote the region's page without a refit: what the
+        // memo remembers is no longer a fit of what is persisted.
+        self.memos[vtpn as usize].clear();
     }
 
     fn cached_tp_distribution(&self) -> Vec<TpDistEntry> {
@@ -636,7 +803,11 @@ mod tests {
     ///    predicted *exactly* or routed to fallback — a wrong PPN is
     ///    never silently returned;
     /// 4. across the corpus both arms actually occur (exact hits and
-    ///    within-ε mispredicts), so the dichotomy is not vacuous.
+    ///    within-ε mispredicts), so the dichotomy is not vacuous;
+    /// 5. after each of 70 seeded edits per table (see [`seeded_edit`]) the
+    ///    incrementally updated memo is the from-scratch fit of the edited
+    ///    table, bit for bit — and so it is on 500 small tables at the PPN
+    ///    floor, where fits get cut short.
     #[test]
     fn fitter_property_vs_brute_force_oracle_500_tables() {
         let mut rng = tpftl_rng::Rng64::seed_from_u64(0x5EED_1EA2);
@@ -674,7 +845,19 @@ mod tests {
                 }
                 off = end;
             }
-            let segs = fit_region(&table, DEFAULT_EPSILON);
+            let mut memo = fit_region(&table, DEFAULT_EPSILON);
+            // Every raw segment, not only the ones long enough to keep.
+            let segs: Vec<Segment> = (0..n)
+                .filter(|&off| memo.is_start(off))
+                .map(|off| fit_one(&table, off, DEFAULT_EPSILON).0)
+                .collect();
+            assert!(
+                segs.iter()
+                    .filter(|s| s.covered() >= MIN_COVERED)
+                    .map(Segment::bits)
+                    .eq(memo.fits.iter().map(Segment::bits)),
+                "table {table_i}: kept segments are not the long raw segments"
+            );
             let mut prev_end: i64 = -1;
             for s in &segs {
                 assert!(
@@ -711,7 +894,35 @@ mod tests {
                     }
                 }
             }
+            let mut scratch = Vec::new();
+            for edit_i in 0..70u64 {
+                let changed = seeded_edit(&mut rng, &mut table, &memo, edit_i % 7);
+                memo.update(&table, DEFAULT_EPSILON, &changed, &mut scratch);
+                assert!(
+                    memo.matches(&fit_region(&table, DEFAULT_EPSILON)),
+                    "table {table_i} edit {edit_i} at {changed:?}: incremental fit diverged"
+                );
+            }
         }
+        // A line that dips below PPN 0 has its segment cut short by the
+        // verification pass: the one way a fit reads beyond the start of
+        // the next segment (`overreach`). Tables at the PPN floor do that.
+        let mut overreaching = 0;
+        for table_i in 0..500 {
+            let mut table: Vec<Ppn> = (0..64).map(|_| rng.below(12) as Ppn).collect();
+            let mut memo = fit_region(&table, DEFAULT_EPSILON);
+            for _ in 0..16 {
+                let off = rng.below(64) as u16;
+                table[usize::from(off)] = rng.below(12) as Ppn;
+                memo.update(&table, DEFAULT_EPSILON, &[off], &mut Vec::new());
+                assert!(
+                    memo.matches(&fit_region(&table, DEFAULT_EPSILON)),
+                    "floor table {table_i} at {off}: incremental fit diverged"
+                );
+            }
+            overreaching += usize::from(memo.overreach > 0);
+        }
+        assert!(overreaching > 0, "no fit at the PPN floor was cut short");
         assert_eq!(exact_total + mispredict_total, covered_total);
         assert!(exact_total > 0, "corpus produced no exact predictions");
         assert!(
@@ -720,17 +931,161 @@ mod tests {
         );
     }
 
+    /// One seeded edit of `table`, of the `kind`-th shape a write-back
+    /// gives a translation page, aimed with the help of the table's current
+    /// fit `memo`. Returns the changed offsets, ascending.
+    fn seeded_edit(
+        rng: &mut tpftl_rng::Rng64,
+        table: &mut [Ppn],
+        memo: &FitMemo,
+        kind: u64,
+    ) -> Vec<u16> {
+        let n = table.len();
+        let pick = |rng: &mut tpftl_rng::Rng64, len: usize| rng.below(len as u64) as usize;
+        let fresh = |rng: &mut tpftl_rng::Rng64| rng.below(1 << 22) as Ppn;
+        // Continues the run on the left, so that it may grow or merge.
+        let continuing = |table: &[Ppn], off: usize| match off.checked_sub(1).map(|p| table[p]) {
+            Some(left) if left != PPN_NONE => left + 1,
+            _ => 7,
+        };
+        let mut changed = Vec::new();
+        match kind {
+            // Overwrite strictly inside a long run.
+            0 if !memo.fits.is_empty() => {
+                let s = memo.fits[pick(rng, memo.fits.len())];
+                let off = usize::from(s.start) + 1 + pick(rng, s.covered() - 2);
+                table[off] = fresh(rng);
+                changed.push(off);
+            }
+            // Map a hole between two runs, merging them if the line allows.
+            1 => {
+                let bridges: Vec<usize> = (1..n - 1)
+                    .filter(|&o| {
+                        table[o] == PPN_NONE && table[o - 1] != PPN_NONE && table[o + 1] != PPN_NONE
+                    })
+                    .collect();
+                let off = match bridges.len() {
+                    0 => pick(rng, n),
+                    len => bridges[pick(rng, len)],
+                };
+                table[off] = continuing(table, off);
+                changed.push(off);
+            }
+            // Unmap a mapped offset.
+            2 => {
+                let from = pick(rng, n);
+                let off = (0..n)
+                    .map(|d| (from + d) % n)
+                    .find(|&o| table[o] != PPN_NONE);
+                let off = off.unwrap_or(from);
+                table[off] = PPN_NONE;
+                changed.push(off);
+            }
+            // The two ends of the table: map, remap or unmap.
+            3 | 4 => {
+                let off = if kind == 3 { 0 } else { n - 1 };
+                table[off] = match rng.below(3) {
+                    0 => PPN_NONE,
+                    1 => fresh(rng),
+                    _ => continuing(table, off),
+                };
+                changed.push(off);
+            }
+            // On either side of a raw segment boundary.
+            5 => {
+                let from = pick(rng, n);
+                let start = (from..n).find(|&o| memo.is_start(o)).unwrap_or(from);
+                let off = (start + pick(rng, 3)).saturating_sub(1).min(n - 1);
+                table[off] = if rng.below(2) == 0 {
+                    fresh(rng)
+                } else {
+                    continuing(table, off)
+                };
+                changed.push(off);
+            }
+            // A GC batch: a few runs of pages laid out contiguously at
+            // their new home, plus stragglers.
+            _ => {
+                for _ in 0..1 + rng.below(3) {
+                    let (start, base) = (pick(rng, n), fresh(rng));
+                    let len = 1 + pick(rng, 40);
+                    let run = &mut table[start..(start + len).min(n)];
+                    for (k, slot) in run.iter_mut().enumerate() {
+                        *slot = base + k as Ppn;
+                        changed.push(start + k);
+                    }
+                }
+                for _ in 0..rng.below(4) {
+                    let off = pick(rng, n);
+                    table[off] = fresh(rng);
+                    changed.push(off);
+                }
+            }
+        }
+        changed.sort_unstable();
+        changed.into_iter().map(|off| off as u16).collect()
+    }
+
     #[test]
     fn fitter_handles_degenerate_tables() {
-        assert!(fit_region(&[], DEFAULT_EPSILON).is_empty());
-        assert!(fit_region(&[PPN_NONE; 16], DEFAULT_EPSILON).is_empty());
-        // A single mapped point fits one singleton segment.
+        let starts = |payload: &[Ppn]| {
+            let memo = fit_region(payload, DEFAULT_EPSILON);
+            let starts = (0..payload.len()).filter(|&off| memo.is_start(off));
+            (starts.collect::<Vec<_>>(), memo.fits.len())
+        };
+        assert_eq!(starts(&[]), (vec![], 0));
+        assert_eq!(starts(&[PPN_NONE; 16]), (vec![], 0));
+        // A single mapped point fits one singleton segment, too short to
+        // keep.
         let mut one = vec![PPN_NONE; 8];
         one[3] = 42;
-        let segs = fit_region(&one, DEFAULT_EPSILON);
-        assert_eq!(segs.len(), 1);
-        assert_eq!((segs[0].start, segs[0].end), (3, 3));
-        assert_eq!(segs[0].predict(3), Some(42));
+        assert_eq!(starts(&one), (vec![3], 0));
+        let (seg, stop) = fit_one(&one, 3, DEFAULT_EPSILON);
+        assert_eq!((seg.start, seg.end, stop), (3, 3, 4));
+        assert_eq!(seg.predict(3), Some(42));
+    }
+
+    /// `flush_cache` rewrites a region's translation page and tells the FTL
+    /// only `mark_clean`: the next refit of that region must not trust a
+    /// memo fitted on the page as it was before the flush.
+    #[test]
+    fn flush_between_refits_does_not_leave_a_stale_memo() {
+        let (mut ftl, mut env) = setup(1024, 0.5);
+        let write = |ftl: &mut LearnedFtl, env: &mut SsdEnv, lpn: Lpn| {
+            driver::serve_page_access(ftl, env, lpn, AccessCtx::single(true)).unwrap();
+        };
+        let drain = |ftl: &mut LearnedFtl, env: &mut SsdEnv| {
+            while ftl.cached_entries() > 0 {
+                ftl.evict_one(env).unwrap();
+            }
+        };
+        // Break region 0's one line in the middle, so that a later refit
+        // near the end restarts beyond offset 100.
+        write(&mut ftl, &mut env, 500);
+        drain(&mut ftl, &mut env);
+        assert!(ftl.memos[0].is_start(502), "the overwrite split the line");
+        // Offset 100 reaches flash through the flush, not through a refit.
+        write(&mut ftl, &mut env, 100);
+        crate::recovery::flush_cache(&mut ftl, &mut env).unwrap();
+        // A dirty eviction into the same region.
+        write(&mut ftl, &mut env, 900);
+        drain(&mut ftl, &mut env);
+        let mut scratch = LearnedFtl::new(env.config()).unwrap();
+        scratch.warm_up(&env);
+        assert!(ftl.memos[0].matches(&scratch.memos[0]));
+        assert!(
+            ftl.segs[&0]
+                .iter()
+                .map(Segment::bits)
+                .eq(scratch.segs[&0].iter().map(Segment::bits)),
+            "segments differ from the from-scratch fit: {:?} vs {:?}",
+            ftl.segs[&0],
+            scratch.segs[&0]
+        );
+        assert!(
+            scratch.segs[&0].iter().any(|s| s.end == 99),
+            "the flushed overwrite of offset 100 must show in the fit"
+        );
     }
 
     #[test]
