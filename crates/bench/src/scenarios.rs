@@ -4,6 +4,7 @@ use std::hint::black_box;
 use std::time::Instant;
 
 use serde_json::Value;
+use tpftl_core::blockmgr::{AllocClass, BlockManager};
 use tpftl_core::config::{GcPolicy, StreamCount};
 use tpftl_core::driver;
 use tpftl_core::env::SsdEnv;
@@ -313,6 +314,75 @@ pub fn bench_gc_valid_scan(warmup: usize, samples: usize) -> Record {
         ops_per_iter: total_pages,
         samples: ns,
         extra: Vec::new(),
+    }
+}
+
+/// GC victim pick on a deep bucket: half of a `num_blocks` device sits
+/// sealed with no valid page — one valid-count bucket `num_blocks / 2`
+/// deep, the shape a sequential overwrite stream leaves on a large device
+/// (the MSR replay holds ~33 000 blocks there) — and each op collects one
+/// victim: pick, erase, then fill, kill and seal a fresh block so the
+/// bucket keeps its depth. Flash and `BlockManager` only, no FTL, and one
+/// page per block — the least flash work a collection can do, so the pick
+/// is as much of the row as it can be. That work is constant: the row
+/// moves only if the pick's cost depends on how many blocks share the
+/// victim's bucket. `label` names the policy in the row's `ftl` column.
+pub fn bench_gc_pick_deep(
+    policy: GcPolicy,
+    label: &str,
+    num_blocks: usize,
+    warmup: usize,
+    samples: usize,
+    ops: u64,
+) -> Record {
+    let geom = FlashGeometry {
+        page_bytes: 4096,
+        pages_per_block: 1,
+        num_blocks,
+        read_us: 25.0,
+        write_us: 200.0,
+        erase_us: 1500.0,
+        topology: FlashTopology::default(),
+    };
+    let mut flash = Flash::new(geom.clone()).expect("flash builds");
+    let mut mgr = BlockManager::new(geom.num_blocks, geom.pages_per_block);
+    // Fills the next (one-page) block the allocator hands out and kills its
+    // page. Still active, the block is in no bucket yet: the allocator seals
+    // it, at the zero valid pages it finds, when asked for the page after.
+    let fill_dead_block = |mgr: &mut BlockManager, flash: &mut Flash| {
+        let ppn = mgr.alloc_page(AllocClass::Data, flash).expect("free block");
+        flash
+            .program_page(ppn, ppn, OpPurpose::HostData)
+            .expect("program");
+        flash.invalidate(ppn).expect("invalidate");
+    };
+    for _ in 0..=num_blocks / 2 {
+        fill_dead_block(&mut mgr, &mut flash);
+    }
+    let depth = mgr.sealed_blocks();
+    let mut collect_one = || {
+        let (victim, _) = mgr.pick_victim(black_box(policy)).expect("a dead block");
+        flash.erase_block(victim, OpPurpose::GcData).expect("erase");
+        mgr.on_erased(victim);
+        fill_dead_block(&mut mgr, &mut flash);
+    };
+    // Turn the whole bucket over once, untimed: from here on every victim
+    // is a block this loop sealed, whatever `warmup` and `ops` are.
+    for _ in 0..depth {
+        collect_one();
+    }
+    let ns = time_samples(warmup, samples, ops, || {
+        for _ in 0..ops {
+            collect_one();
+        }
+    });
+    assert_eq!(mgr.sealed_blocks(), depth, "the bucket kept its depth");
+    Record {
+        scenario: "gc_pick_deep".to_string(),
+        ftl: label.to_string(),
+        ops_per_iter: ops,
+        samples: ns,
+        extra: vec![("bucket_depth", Value::UInt(depth as u64))],
     }
 }
 
@@ -767,6 +837,28 @@ pub fn run_all(
     }
     if wanted("gc_valid_scan", "flash") {
         records.push(bench_gc_valid_scan(warmup, samples));
+    }
+    // Quick mode keeps the bucket 8 k deep: a pick that walks its bucket is
+    // still tens of microseconds there, against a committed row of ~0.3 µs.
+    let (pick_blocks, pick_ops) = if quick {
+        (1 << 14, 4096)
+    } else {
+        (1 << 16, 8192)
+    };
+    for (policy, label) in [
+        (GcPolicy::Greedy, "Greedy"),
+        (GcPolicy::Windowed { window: 8 }, "Windowed8"),
+    ] {
+        if wanted("gc_pick_deep", label) {
+            records.push(bench_gc_pick_deep(
+                policy,
+                label,
+                pick_blocks,
+                warmup,
+                samples,
+                pick_ops,
+            ));
+        }
     }
     // GC-quality rows: TPFTL and DFTL, single-stream greedy baseline vs
     // the multi-stream windowed configuration (plus the wear-aware

@@ -16,15 +16,19 @@
 //! [`BlockManager::rebuild`] seals every partially-written block and
 //! restarts all streams empty, so crash recovery never depends on it.
 //!
-//! The valid-count index is allocation-free: each bucket is an intrusive
-//! doubly-linked list threaded through dense per-block `prev`/`next` arrays,
-//! and a bucket-occupancy bitmap locates the lowest non-empty bucket with a
-//! `trailing_zeros`. Victim *order* is nevertheless identical to the
-//! original per-bucket `BTreeSet` index (ascending block id within a
-//! bucket), which the golden fixed-seed fingerprints depend on: picks scan
-//! the — O(bucket) but allocation-free — list for the minimum id.
+//! The valid-count index is allocation-free and ordered by construction:
+//! bucket `v` — the sealed blocks with exactly `v` valid pages — is a
+//! two-level bitset over block ids (`IdSet`: a bit per block, a summary
+//! bit per 64-block word), and a bucket-occupancy bitmap on top locates the
+//! lowest non-empty bucket. Insert and remove flip a bit at each level;
+//! "smallest id in bucket `v`" and "next id after `x`" are a
+//! `trailing_zeros` per level, whatever the bucket holds. Victim order is
+//! therefore (valid count asc, block id asc) — bit order — which is what
+//! the original per-bucket `BTreeSet` index yielded and what the golden
+//! fixed-seed fingerprints depend on.
 
 use std::collections::{BTreeSet, VecDeque};
+use std::iter::successors;
 
 use tpftl_flash::{BlockId, Flash, Ppn};
 
@@ -34,9 +38,6 @@ use crate::{FtlError, Result};
 /// Candidates examined per pick for the non-greedy policies — a bounded
 /// candidate set, as sampling-based GC schemes use on real devices.
 const CANDIDATE_CAP: usize = 64;
-
-/// Null link in the intrusive bucket lists.
-const NIL: u32 = u32::MAX;
 
 /// Wear spread the windowed policy tolerates before its static
 /// wear-leveling arm turns over the least-worn sealed block, and the rate
@@ -82,6 +83,77 @@ pub enum AllocClass {
     Translation,
 }
 
+/// Index of the lowest set bit at or after bit `from` of `words`.
+fn next_set(words: &[u64], from: usize) -> Option<usize> {
+    let first = from / 64;
+    let rest = *words.get(first)? & (!0 << (from % 64));
+    let (w, bits) = if rest != 0 {
+        (first, rest)
+    } else {
+        let w = first + 1 + words[first + 1..].iter().position(|&x| x != 0)?;
+        (w, words[w])
+    };
+    Some(w * 64 + bits.trailing_zeros() as usize)
+}
+
+/// A set of block ids that iterates in ascending order: one bit per block
+/// in `leaf`, and in `summary` one bit per `leaf` word, set iff that word
+/// is non-zero — so a lookup skips 4096 absent ids per summary word.
+#[derive(Debug, Clone)]
+struct IdSet {
+    leaf: Vec<u64>,
+    summary: Vec<u64>,
+    len: u32,
+}
+
+impl IdSet {
+    fn new(num_blocks: usize) -> Self {
+        let words = num_blocks.div_ceil(64);
+        Self {
+            leaf: vec![0; words],
+            summary: vec![0; words.div_ceil(64)],
+            len: 0,
+        }
+    }
+
+    /// O(1), no allocation.
+    fn insert(&mut self, id: BlockId) {
+        let (w, bit) = (id as usize / 64, 1u64 << (id % 64));
+        debug_assert!(self.leaf[w] & bit == 0, "block {id} indexed twice");
+        self.leaf[w] |= bit;
+        self.summary[w / 64] |= 1 << (w % 64);
+        self.len += 1;
+    }
+
+    /// O(1), no allocation.
+    fn remove(&mut self, id: BlockId) {
+        let (w, bit) = (id as usize / 64, 1u64 << (id % 64));
+        debug_assert!(
+            self.leaf[w] & bit != 0,
+            "block {id} missing from its bucket"
+        );
+        self.leaf[w] &= !bit;
+        if self.leaf[w] == 0 {
+            self.summary[w / 64] &= !(1 << (w % 64));
+        }
+        self.len -= 1;
+    }
+
+    /// Smallest member `>= from`: the rest of `from`'s own word, else the
+    /// first later non-empty word the summary names.
+    fn next(&self, from: usize) -> Option<BlockId> {
+        let first = from / 64;
+        let id = match next_set(self.leaf.get(first..=first)?, from % 64) {
+            Some(bit) => first * 64 + bit,
+            None => {
+                let w = next_set(&self.summary, first + 1)?;
+                w * 64 + self.leaf[w].trailing_zeros() as usize
+            }
+        };
+        Some(id as BlockId)
+    }
+}
+
 /// Allocator and GC victim index over the device's blocks.
 #[derive(Debug, Clone)]
 pub struct BlockManager {
@@ -90,14 +162,9 @@ pub struct BlockManager {
     /// Active data block per stream (index 0 = coldest). Always non-empty.
     active_data: Vec<Option<BlockId>>,
     active_trans: Option<BlockId>,
-    /// Head of the intrusive list for bucket `v` = sealed blocks with
-    /// exactly `v` valid pages ([`NIL`] when empty).
-    bucket_head: Vec<u32>,
-    /// Intrusive list links, indexed by block id ([`NIL`]-terminated).
-    list_prev: Vec<u32>,
-    list_next: Vec<u32>,
-    /// One bit per bucket: set iff the bucket is non-empty, so the lowest
-    /// occupied bucket is a word scan plus `trailing_zeros`.
+    /// Bucket `v` = the sealed blocks with exactly `v` valid pages.
+    buckets: Vec<IdSet>,
+    /// One bit per bucket: set iff the bucket is non-empty.
     occupancy: Vec<u64>,
     /// Blocks currently indexed in a bucket.
     sealed_count: usize,
@@ -120,7 +187,6 @@ pub struct BlockManager {
 
 impl BlockManager {
     /// Creates a single-stream manager over `num_blocks` erased blocks.
-    #[cfg_attr(not(test), expect(dead_code))]
     pub fn new(num_blocks: usize, pages_per_block: usize) -> Self {
         Self::with_streams(num_blocks, pages_per_block, 1)
     }
@@ -133,9 +199,7 @@ impl BlockManager {
             free: (0..num_blocks as BlockId).collect(),
             active_data: vec![None; streams.max(1) as usize],
             active_trans: None,
-            bucket_head: vec![NIL; pages_per_block + 1],
-            list_prev: vec![NIL; num_blocks],
-            list_next: vec![NIL; num_blocks],
+            buckets: vec![IdSet::new(num_blocks); pages_per_block + 1],
             occupancy: vec![0; pages_per_block / 64 + 1],
             sealed_count: 0,
             pages_per_block,
@@ -170,136 +234,49 @@ impl BlockManager {
                 mgr.free.push_back(b);
                 continue;
             }
-            let valid = flash.valid_pages_in(b).map_err(FtlError::Flash)?;
             let is_translation = flash
                 .valid_pages(b)
                 .any(|(ppn, _)| flash.peek_translation_payload(ppn).is_some());
-            mgr.kind[b as usize] = if is_translation {
+            let sealed_kind = if is_translation {
                 BlockKind::SealedTranslation
             } else {
                 BlockKind::SealedData
             };
-            mgr.bucket_insert(b, valid);
-            mgr.seq += 1;
-            mgr.seal_seq[b as usize] = mgr.seq;
-            mgr.sealed_valid[b as usize] = valid as u32;
-            mgr.wear_index.insert((wear, b));
+            mgr.seal_block(b, sealed_kind, flash)?;
         }
         Ok(mgr)
     }
 
-    // ---- Intrusive valid-count buckets --------------------------------------
+    // ---- Valid-count buckets -------------------------------------------------
 
-    /// Links `block` at the head of bucket `v`. O(1), no allocation.
     fn bucket_insert(&mut self, block: BlockId, v: usize) {
-        let b = block as usize;
-        debug_assert!(self.list_prev[b] == NIL && self.list_next[b] == NIL);
-        let head = self.bucket_head[v];
-        self.list_next[b] = head;
-        if head != NIL {
-            self.list_prev[head as usize] = block;
-        }
-        self.bucket_head[v] = block;
+        self.buckets[v].insert(block);
         self.occupancy[v / 64] |= 1 << (v % 64);
         self.sealed_count += 1;
     }
 
-    /// Unlinks `block` from bucket `v`. O(1), no allocation.
     fn bucket_remove(&mut self, block: BlockId, v: usize) {
-        let b = block as usize;
-        let (prev, next) = (self.list_prev[b], self.list_next[b]);
-        if prev != NIL {
-            self.list_next[prev as usize] = next;
-        } else {
-            debug_assert_eq!(self.bucket_head[v], block, "block missing from its bucket");
-            self.bucket_head[v] = next;
-        }
-        if next != NIL {
-            self.list_prev[next as usize] = prev;
-        }
-        self.list_prev[b] = NIL;
-        self.list_next[b] = NIL;
-        if self.bucket_head[v] == NIL {
+        self.buckets[v].remove(block);
+        if self.buckets[v].len == 0 {
             self.occupancy[v / 64] &= !(1 << (v % 64));
         }
         self.sealed_count -= 1;
     }
 
-    /// Lowest non-empty bucket with fewer than `limit` valid pages.
-    fn min_occupied_bucket(&self, limit: usize) -> Option<usize> {
-        for (w, &bits) in self.occupancy.iter().enumerate() {
-            let base = w * 64;
-            if base >= limit {
-                break;
-            }
-            let mut bits = bits;
-            if limit - base < 64 {
-                bits &= (1u64 << (limit - base)) - 1;
-            }
-            if bits != 0 {
-                return Some(base + bits.trailing_zeros() as usize);
-            }
-        }
-        None
-    }
-
-    /// Smallest block id in bucket `v` (the `BTreeSet` index returned ids
-    /// in ascending order; picks preserve that for replay determinism).
-    fn min_block_in_bucket(&self, v: usize) -> Option<BlockId> {
-        let mut min = NIL;
-        let mut cur = self.bucket_head[v];
-        while cur != NIL {
-            min = min.min(cur);
-            cur = self.list_next[cur as usize];
-        }
-        (min != NIL).then_some(min)
-    }
-
-    /// Appends bucket `v`'s smallest ids, ascending, to `out[start..]`,
-    /// capping the total at [`CANDIDATE_CAP`]; returns the new length.
-    fn append_bucket_sorted(&self, v: usize, out: &mut [BlockId], start: usize) -> usize {
-        let mut len = start;
-        let mut cur = self.bucket_head[v];
-        while cur != NIL {
-            let pos = start + out[start..len].partition_point(|&x| x < cur);
-            if len < CANDIDATE_CAP {
-                out.copy_within(pos..len, pos + 1);
-                out[pos] = cur;
-                len += 1;
-            } else if pos < CANDIDATE_CAP {
-                out.copy_within(pos..CANDIDATE_CAP - 1, pos + 1);
-                out[pos] = cur;
-            }
-            cur = self.list_next[cur as usize];
-        }
-        len
-    }
-
-    /// Fills `out` with up to [`CANDIDATE_CAP`] reclaimable blocks in
-    /// (valid count asc, block id asc) order — exactly the first
-    /// `CANDIDATE_CAP` entries the per-bucket `BTreeSet` index would have
-    /// yielded — and returns how many were written. No allocation.
-    fn collect_candidates(&self, out: &mut [BlockId; CANDIDATE_CAP]) -> usize {
-        let mut n = 0;
-        for (w, &word) in self.occupancy.iter().enumerate() {
-            let base = w * 64;
-            if base >= self.pages_per_block {
-                break;
-            }
-            let mut bits = word;
-            if self.pages_per_block - base < 64 {
-                bits &= (1u64 << (self.pages_per_block - base)) - 1;
-            }
-            while bits != 0 {
-                let v = base + bits.trailing_zeros() as usize;
-                bits &= bits - 1;
-                n = self.append_bucket_sorted(v, out, n);
-                if n == CANDIDATE_CAP {
-                    return n;
-                }
-            }
-        }
-        n
+    /// The reclaimable blocks (fewer than `pages_per_block` valid pages) in
+    /// (valid count asc, block id asc) order — the order the per-bucket
+    /// `BTreeSet` index yielded — capped at [`CANDIDATE_CAP`]. Lazy: each
+    /// step is a couple of `trailing_zeros`, and nothing is allocated.
+    fn candidates(&self) -> impl Iterator<Item = BlockId> + '_ {
+        successors(next_set(&self.occupancy, 0), |&v| {
+            next_set(&self.occupancy, v + 1)
+        })
+        .take_while(|&v| v < self.pages_per_block)
+        .flat_map(|v| {
+            let bucket = &self.buckets[v];
+            successors(bucket.next(0), |&b| bucket.next(b as usize + 1))
+        })
+        .take(CANDIDATE_CAP)
     }
 
     /// Number of blocks in the free pool.
@@ -308,7 +285,6 @@ impl BlockManager {
     }
 
     /// Current use of `block`.
-    #[cfg_attr(not(test), expect(dead_code))]
     pub fn kind(&self, block: BlockId) -> BlockKind {
         self.kind[block as usize]
     }
@@ -340,6 +316,9 @@ impl BlockManager {
             if let Some(ppn) = flash.next_free_ppn(b) {
                 return Ok(ppn);
             }
+            // Cleared first: with an empty pool this call fails below, and a
+            // retry must not seal `b` a second time.
+            self.active_data[stream] = None;
             self.seal_block(b, BlockKind::SealedData, flash)?;
         }
         let b = self.free.pop_front().ok_or(FtlError::DeviceFull)?;
@@ -353,6 +332,7 @@ impl BlockManager {
             if let Some(ppn) = flash.next_free_ppn(b) {
                 return Ok(ppn);
             }
+            self.active_trans = None;
             self.seal_block(b, BlockKind::SealedTranslation, flash)?;
         }
         let b = self.free.pop_front().ok_or(FtlError::DeviceFull)?;
@@ -406,26 +386,28 @@ impl BlockManager {
     fn claim(&mut self, b: BlockId) -> Option<(BlockId, AllocClass)> {
         self.bucket_remove(b, self.sealed_valid[b as usize] as usize);
         self.wear_index.remove(&(self.wear[b as usize], b));
-        let class = match self.kind[b as usize] {
-            BlockKind::SealedData => AllocClass::Data,
+        // Only `seal_block` fills the buckets and the wear index, every pick
+        // reads one of the two, and claiming takes the block out of both.
+        let kind = std::mem::replace(&mut self.kind[b as usize], BlockKind::Collecting);
+        debug_assert!(
+            matches!(kind, BlockKind::SealedData | BlockKind::SealedTranslation),
+            "claimed block has kind {kind:?}"
+        );
+        let class = match kind {
             BlockKind::SealedTranslation => AllocClass::Translation,
-            k => unreachable!("claimed block has kind {k:?}"),
+            _ => AllocClass::Data,
         };
-        self.kind[b as usize] = BlockKind::Collecting;
         Some((b, class))
     }
 
     fn pick_greedy(&self) -> Option<BlockId> {
-        let v = self.min_occupied_bucket(self.pages_per_block)?;
-        self.min_block_in_bucket(v)
+        self.candidates().next()
     }
 
     fn pick_cost_benefit(&self) -> Option<BlockId> {
-        let mut cand = [0 as BlockId; CANDIDATE_CAP];
-        let n = self.collect_candidates(&mut cand);
         let np = self.pages_per_block as f64;
         let mut best: Option<(f64, BlockId)> = None;
-        for &b in &cand[..n] {
+        for b in self.candidates() {
             let valid = self.sealed_valid[b as usize] as f64;
             if valid == 0.0 {
                 return Some(b); // free reclaim, nothing can beat it
@@ -469,11 +451,7 @@ impl BlockManager {
             return Some(b);
         }
         // Dynamic: among the least-valid candidates, prefer the least worn.
-        let mut cand = [0 as BlockId; CANDIDATE_CAP];
-        let n = self.collect_candidates(&mut cand);
-        cand[..n]
-            .iter()
-            .copied()
+        self.candidates()
             .min_by_key(|&b| (self.sealed_valid[b as usize], self.wear[b as usize], b))
     }
 
@@ -500,13 +478,9 @@ impl BlockManager {
                 return Some(b);
             }
         }
-        let mut cand = [0 as BlockId; CANDIDATE_CAP];
-        let n = self
-            .collect_candidates(&mut cand)
-            .min(window.max(1) as usize);
         let np = self.pages_per_block as f64;
         let mut best: Option<(f64, u32, BlockId)> = None;
-        for &b in &cand[..n] {
+        for b in self.candidates().take(window.max(1) as usize) {
             let valid = self.sealed_valid[b as usize] as f64;
             if valid == 0.0 {
                 return Some(b); // free reclaim, nothing can beat it
@@ -546,17 +520,11 @@ impl BlockManager {
             AllocClass::Translation => (self.active_trans.take(), BlockKind::SealedTranslation),
         };
         let b = taken.expect("an active block to seal");
-        self.kind[b as usize] = sealed_kind;
-        let valid = flash.valid_pages_in(b).expect("block in range");
-        self.bucket_insert(b, valid);
-        self.seq += 1;
-        self.seal_seq[b as usize] = self.seq;
-        self.sealed_valid[b as usize] = valid as u32;
-        self.wear_index.insert((self.wear[b as usize], b));
+        self.seal_block(b, sealed_kind, flash)
+            .expect("block in range");
     }
 
     /// Number of sealed blocks currently indexed for collection.
-    #[cfg_attr(not(test), expect(dead_code))]
     pub fn sealed_blocks(&self) -> usize {
         self.sealed_count
     }
@@ -858,7 +826,7 @@ mod tests {
     }
 
     /// The original per-bucket `BTreeSet` victim index, kept verbatim as an
-    /// oracle: the intrusive-list rewrite must produce the *identical*
+    /// oracle: the bitset index must produce the *identical*
     /// victim sequence for every policy, or fixed-seed replays diverge.
     struct BucketOracle {
         buckets: Vec<BTreeSet<BlockId>>,
@@ -1023,33 +991,40 @@ mod tests {
         }
     }
 
-    /// Seeded seal/invalidate/pick/erase fuzz: the intrusive bucket lists
-    /// must yield the same victim sequence as the `BTreeSet` oracle for
-    /// greedy, cost-benefit, and wear-aware policies.
-    #[test]
-    fn victim_sequence_matches_btreeset_oracle() {
+    /// Every policy configuration the oracle fuzz covers.
+    const FUZZ_POLICIES: [GcPolicy; 7] = [
+        GcPolicy::Greedy,
+        GcPolicy::CostBenefit,
+        GcPolicy::WearAware { max_wear_delta: 1 },
+        GcPolicy::WearAware {
+            max_wear_delta: 100,
+        },
+        GcPolicy::Windowed { window: 1 },
+        GcPolicy::Windowed { window: 4 },
+        GcPolicy::Windowed { window: 64 },
+    ];
+
+    /// Seeded seal/invalidate/pick/erase fuzz on an `n_blocks` device: the
+    /// bucket bitsets must yield the same victim sequence as the `BTreeSet`
+    /// oracle for every policy. Three phases per (policy, seed):
+    ///
+    /// 1. all but 12 blocks are sealed up front — on even seeds at one
+    ///    valid count (a bucket as deep as the device, the MSR shape), on
+    ///    odd seeds at random counts — so ids span every leaf and summary
+    ///    word the size has;
+    /// 2. 400 random seal / invalidate / pick-and-erase steps;
+    /// 3. the index is picked dry, one compared victim at a time.
+    fn fuzz_against_oracle(n_blocks: usize, seeds: u64) {
         use tpftl_rng::Rng64;
 
-        const N_BLOCKS: usize = 12;
         const PPB: usize = 4;
-        let policies = [
-            GcPolicy::Greedy,
-            GcPolicy::CostBenefit,
-            GcPolicy::WearAware { max_wear_delta: 1 },
-            GcPolicy::WearAware {
-                max_wear_delta: 100,
-            },
-            GcPolicy::Windowed { window: 1 },
-            GcPolicy::Windowed { window: 4 },
-            GcPolicy::Windowed { window: 64 },
-        ];
-        for (pi, &policy) in policies.iter().enumerate() {
-            for seed in 0..48u64 {
+        for (pi, &policy) in FUZZ_POLICIES.iter().enumerate() {
+            for seed in 0..seeds {
                 let mut rng = Rng64::seed_from_u64(0xB10C + seed * 7 + pi as u64);
                 let mut flash = Flash::new(FlashGeometry {
                     page_bytes: 4096,
                     pages_per_block: PPB,
-                    num_blocks: N_BLOCKS,
+                    num_blocks: n_blocks,
                     read_us: 25.0,
                     write_us: 200.0,
                     erase_us: 1500.0,
@@ -1060,9 +1035,42 @@ mod tests {
                 // policy's static wear-leveling arm (multi-stream only)
                 // is part of the fuzzed surface; the extra stream is
                 // never written, so every other code path is identical.
-                let mut mgr = BlockManager::with_streams(N_BLOCKS, PPB, 1 + (seed % 2) as u32);
-                let mut oracle = BucketOracle::new(N_BLOCKS, PPB);
+                let mut mgr = BlockManager::with_streams(n_blocks, PPB, 1 + (seed % 2) as u32);
+                let mut oracle = BucketOracle::new(n_blocks, PPB);
                 let mut sealed: Vec<BlockId> = Vec::new();
+
+                let deep_valid = rng.range_usize(0, PPB);
+                for _ in 12..n_blocks {
+                    let valid = if seed % 2 == 0 {
+                        deep_valid
+                    } else {
+                        rng.range_usize(0, PPB + 1)
+                    };
+                    let b = seal_with(&mut mgr, &mut flash, valid);
+                    oracle.on_seal(b, valid);
+                    sealed.push(b);
+                }
+
+                // Picks through both indexes, compares, and erases the
+                // victim; returns it.
+                let pick_and_erase =
+                    |mgr: &mut BlockManager, oracle: &mut BucketOracle, flash: &mut Flash| {
+                        let expect = oracle.pick(policy, mgr.free_blocks(), mgr.streams() > 1);
+                        let got = mgr.pick_victim(policy).map(|(b, _)| b);
+                        assert_eq!(
+                            got, expect,
+                            "victim mismatch, policy {policy:?}, {n_blocks} blocks, seed {seed}"
+                        );
+                        let b = got?;
+                        oracle.on_claim(b);
+                        for (ppn, _) in flash.valid_pages(b).collect::<Vec<_>>() {
+                            flash.invalidate(ppn).unwrap();
+                        }
+                        flash.erase_block(b, OpPurpose::GcData).unwrap();
+                        mgr.on_erased(b);
+                        oracle.on_erased(b);
+                        Some(b)
+                    };
 
                 for _ in 0..400 {
                     match rng.range_u32(0, 4) {
@@ -1094,27 +1102,78 @@ mod tests {
                         }
                         // Pick a victim; sequences must agree exactly.
                         _ => {
-                            let expect = oracle.pick(policy, mgr.free_blocks(), mgr.streams() > 1);
-                            let got = mgr.pick_victim(policy);
-                            assert_eq!(
-                                got.map(|(b, _)| b),
-                                expect,
-                                "victim mismatch, policy {policy:?}, seed {seed}"
-                            );
-                            let Some((b, _)) = got else { continue };
-                            oracle.on_claim(b);
-                            sealed.retain(|&s| s != b);
-                            for (ppn, _) in flash.valid_pages(b).collect::<Vec<_>>() {
-                                flash.invalidate(ppn).unwrap();
+                            if let Some(b) = pick_and_erase(&mut mgr, &mut oracle, &mut flash) {
+                                sealed.retain(|&s| s != b);
                             }
-                            flash.erase_block(b, OpPurpose::GcData).unwrap();
-                            mgr.on_erased(b);
-                            oracle.on_erased(b);
                         }
                     }
                     assert_eq!(mgr.sealed_blocks(), sealed.len(), "seed {seed}");
                 }
+
+                // A pick fails only once nothing reclaimable is left (the
+                // static arms run before the candidate order, never in its
+                // place), so the first `None` means dry.
+                let mut picked = 0;
+                while pick_and_erase(&mut mgr, &mut oracle, &mut flash).is_some() {
+                    picked += 1;
+                }
+                assert!(oracle.buckets[..PPB].iter().all(BTreeSet::is_empty));
+                assert!(mgr.candidates().next().is_none());
+                assert_eq!(mgr.sealed_blocks() + picked, sealed.len(), "seed {seed}");
             }
+        }
+    }
+
+    #[test]
+    fn victim_sequence_matches_btreeset_oracle() {
+        fuzz_against_oracle(12, 48);
+    }
+
+    /// Ids on both sides of a 64-block leaf word.
+    #[test]
+    fn victim_sequence_matches_btreeset_oracle_across_a_word() {
+        fuzz_against_oracle(130, 12);
+    }
+
+    /// Ids on both sides of a 4096-block summary word, on a device whose
+    /// size is not a multiple of 64.
+    #[test]
+    fn victim_sequence_matches_btreeset_oracle_across_a_summary_word() {
+        fuzz_against_oracle(4200, 4);
+    }
+
+    /// `IdSet::next` at every boundary of the two levels: first and last
+    /// bit of a leaf word, of a summary word, and of a device that ends
+    /// mid-word (4200) or exactly on a summary word (8192).
+    #[test]
+    fn id_set_next_at_word_and_summary_boundaries() {
+        for n in [4200usize, 8192] {
+            let edges = [0, 63, 64, 4095, 4096, n as BlockId - 1];
+            let mut set = IdSet::new(n);
+            assert_eq!(set.next(0), None);
+            // Alone in the set: found from every start at or below it, and
+            // from nowhere above it (`id + 1` may be one past the device).
+            for &id in &edges {
+                set.insert(id);
+                for &from in &edges {
+                    assert_eq!(set.next(from as usize), (from <= id).then_some(id));
+                }
+                assert_eq!(set.next(id as usize + 1), None);
+                set.remove(id);
+                assert_eq!((set.next(0), set.len), (None, 0));
+            }
+            // Together: iteration is ascending whatever the insert order,
+            // and removing the minimum exposes the next one.
+            for &id in edges.iter().rev() {
+                set.insert(id);
+            }
+            let ids: Vec<_> = successors(set.next(0), |&b| set.next(b as usize + 1)).collect();
+            assert_eq!(ids, edges);
+            for &id in &edges {
+                assert_eq!(set.next(0), Some(id));
+                set.remove(id);
+            }
+            assert!(set.leaf.iter().chain(&set.summary).all(|&w| w == 0));
         }
     }
 
@@ -1236,14 +1295,39 @@ mod tests {
 
     #[test]
     fn device_full_reported() {
-        let flash = flash4();
+        let mut flash = flash4();
         let mut mgr = BlockManager::new(4, 4);
-        // Claim both actives, then drain the pool.
-        let _ = mgr.alloc_page(AllocClass::Data, &flash).unwrap();
-        let _ = mgr.alloc_page(AllocClass::Translation, &flash).unwrap();
-        // Exhaust the free pool via repeated sealing without programming is
-        // not possible (alloc returns the same page until programmed), so
-        // just steal the remaining free blocks directly.
-        assert_eq!(mgr.free_blocks(), 2);
+        // Fill every page of the device: the pool is drained and the last
+        // block is active but exhausted.
+        for i in 0..16u32 {
+            let ppn = mgr.alloc_page(AllocClass::Data, &flash).unwrap();
+            flash.program_page(ppn, i, OpPurpose::HostData).unwrap();
+        }
+        assert_eq!(mgr.free_blocks(), 0);
+        // Every way of asking for space says so — repeatedly: the failed
+        // call seals the exhausted active block exactly once.
+        for _ in 0..2 {
+            for class in [AllocClass::Data, AllocClass::Translation] {
+                assert_eq!(mgr.alloc_page(class, &flash), Err(FtlError::DeviceFull));
+            }
+            assert_eq!(mgr.take_raw_block(), Err(FtlError::DeviceFull));
+            assert_eq!(mgr.sealed_blocks(), 4);
+        }
+        // All four sealed blocks are fully valid: nothing to collect.
+        assert!(mgr.pick_victim(GcPolicy::Greedy).is_none());
+
+        // The collector turns that `None` into the same error.
+        let config = crate::SsdConfig::paper_default(4 << 20);
+        let mut env = crate::env::SsdEnv::new(config.clone()).unwrap();
+        let mut ftl = crate::ftl::OptimalFtl::new(&config);
+        let ppb = config.geometry().pages_per_block as u32;
+        for lpn in 0..=2 * ppb {
+            env.program_data_page(lpn, OpPurpose::HostData).unwrap();
+        }
+        assert_eq!(env.blocks.sealed_blocks(), 2);
+        assert_eq!(
+            crate::gc::collect_one(&mut ftl, &mut env),
+            Err(FtlError::DeviceFull)
+        );
     }
 }

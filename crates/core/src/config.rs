@@ -29,8 +29,8 @@ pub enum GcPolicy {
         max_wear_delta: u64,
     },
     /// Windowed cost-benefit (Dayan & Bonnet's bounded-window cleaning):
-    /// examine only the first `window` blocks of the intrusive victim
-    /// index's `(valid asc, id asc)` order — the min-valid buckets — and
+    /// examine only the first `window` blocks of the victim index's
+    /// `(valid asc, id asc)` order — the min-valid buckets — and
     /// pick the best `(1 − u) / 2u · age` score inside that window, exact
     /// score ties broken toward the block with the fewest erase cycles
     /// (cache-level wear mitigation, no separate leveling pass). The

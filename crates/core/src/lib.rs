@@ -29,11 +29,14 @@
 //! * [`env::SsdEnv`] — flash device + block manager + global translation
 //!   directory + translation-page I/O helpers + counters. FTLs never touch
 //!   the flash device directly.
+//! * [`blockmgr::BlockManager`] — block allocation (one active block per
+//!   translation class and data stream) and the GC victim index.
 //! * [`gc`] — the greedy garbage collector, generic over [`ftl::Ftl`] so it
 //!   can call back into the cache for the GC-hit/GC-miss handling of
 //!   Section 3.1.
 //! * [`lru::LruList`] — the slab-backed intrusive LRU all cache designs use.
 
+pub mod blockmgr;
 pub mod config;
 pub mod driver;
 pub mod env;
@@ -45,8 +48,6 @@ pub mod hash;
 pub mod lru;
 pub mod recovery;
 pub mod stats;
-
-mod blockmgr;
 
 pub use config::SsdConfig;
 pub use error::FtlError;
