@@ -9,7 +9,7 @@ use tpftl_core::config::{GcPolicy, StreamCount};
 use tpftl_core::driver;
 use tpftl_core::env::SsdEnv;
 use tpftl_core::ftl::{AccessCtx, Ftl};
-use tpftl_core::SsdConfig;
+use tpftl_core::{gc, SsdConfig};
 use tpftl_experiments::runner::{device_config, FtlKind, SEED};
 use tpftl_flash::{Flash, FlashGeometry, FlashTopology, OpPurpose};
 use tpftl_sim::{OpenLoopOpts, ShardedSsd, Ssd};
@@ -383,6 +383,79 @@ pub fn bench_gc_pick_deep(
         ops_per_iter: ops,
         samples: ns,
         extra: vec![("bucket_depth", Value::UInt(depth as u64))],
+    }
+}
+
+/// GC's data path on an aged device: the 512 MB Financial1 device, fully
+/// pre-filled, is overwritten at scattered LPNs until every collection
+/// migrates a steady ~42 valid pages, then only `gc::collect_one` is timed —
+/// data and translation victims as the policy picks them, each with its
+/// valid scan, page migrations, `Ftl::on_gc_data_block` (almost every moved
+/// page misses the 8.5 KB cache, so the write-back batcher and the
+/// translation read-modify-writes carry the row) and erase. ns per migrated
+/// page, so the row is the same quantity at any `victims` per sample; it
+/// moves if migrating a page copies a payload or allocates again.
+pub fn bench_gc_migrate(kind: FtlKind, warmup: usize, samples: usize, victims: u64) -> Record {
+    let config = device_config(Workload::Financial1);
+    let pages = config.logical_pages() as u32;
+    let (low, high) = (config.gc_low_blocks, config.gc_high_blocks);
+    let (mut ftl, mut env) = build(kind, &config);
+    let ctx = AccessCtx::single(true);
+    let mut writes = 0u32;
+    // Overwrites until `victims` blocks are collected; returns the time
+    // spent inside `collect_one`. Runs `gc::ensure_free`'s loop itself so
+    // that the driver's call finds the pool already topped up.
+    let mut collect = |env: &mut SsdEnv, victims: u64| {
+        let mut spent = std::time::Duration::ZERO;
+        let mut done = 0;
+        while done < victims {
+            if env.free_blocks() < low {
+                while env.free_blocks() < high {
+                    let t = Instant::now();
+                    gc::collect_one(ftl.as_mut(), env).expect("collect");
+                    spent += t.elapsed();
+                    done += 1;
+                }
+            }
+            // Knuth's multiplicative hash scatters the overwrites uniformly.
+            let lpn = (writes.wrapping_mul(2_654_435_761) >> 8) % pages;
+            driver::serve_page_access(ftl.as_mut(), env, lpn, ctx).expect("write");
+            writes += 1;
+        }
+        spent
+    };
+    let migrated =
+        |env: &SsdEnv| env.gc_stats.data_pages_migrated + env.gc_stats.trans_pages_migrated;
+    // Two collections per block of the device: valid pages per victim have
+    // levelled off well before that.
+    collect(&mut env, 2 * config.geometry().num_blocks as u64);
+    for _ in 0..warmup {
+        collect(&mut env, victims);
+    }
+    env.reset_stats();
+    let mut ops = 0;
+    let ns = (0..samples)
+        .map(|_| {
+            let before = migrated(&env);
+            let spent = collect(&mut env, victims);
+            ops = migrated(&env) - before;
+            spent.as_nanos() as f64 / ops as f64
+        })
+        .collect();
+    let gc = &env.gc_stats;
+    Record {
+        scenario: "gc_migrate".to_string(),
+        ftl: kind.label(),
+        ops_per_iter: ops,
+        samples: ns,
+        extra: vec![
+            ("pages_per_data_victim", Value::Float(gc.vd_mean())),
+            ("pages_per_trans_victim", Value::Float(gc.vt_mean())),
+            (
+                "gc_hit_ratio",
+                Value::Float(env.stats.gc_hits as f64 / env.stats.gc_updates as f64),
+            ),
+        ],
     }
 }
 
@@ -858,6 +931,13 @@ pub fn run_all(
                 samples,
                 pick_ops,
             ));
+        }
+    }
+    // Quick mode still times 3 × 2 000 victims (~250 k migrated pages).
+    let migrate_victims = if quick { 2000 } else { 4000 };
+    for kind in [FtlKind::Tpftl, FtlKind::Dftl] {
+        if wanted("gc_migrate", &kind.label()) {
+            records.push(bench_gc_migrate(kind, warmup, samples, migrate_victims));
         }
     }
     // GC-quality rows: TPFTL and DFTL, single-stream greedy baseline vs

@@ -151,6 +151,14 @@ pub struct SsdEnv {
     pub(crate) gc_page_scratch: Vec<(Ppn, u32)>,
     /// Scratch for the (LPN, new PPN) pairs a data-block collection moves.
     pub(crate) gc_moved_scratch: Vec<(Lpn, Ppn)>,
+    /// The one GC-miss buffer: the moved pages an FTL's cache did not hold
+    /// (`ftl::cmt::absorb_gc_moves`).
+    pub(crate) gc_miss_scratch: Vec<(Lpn, Ppn)>,
+    /// Scratch of `ftl::cmt::write_back_by_tp`: the updates keyed by
+    /// `(vtpn, arrival index)` for sorting into per-page runs, and the one
+    /// batch handed to each page's hook and write.
+    pub(crate) wb_keyed_scratch: Vec<(Vtpn, u32, u16, Ppn)>,
+    pub(crate) wb_batch_scratch: Vec<(u16, Ppn)>,
     /// Write-temperature estimator routing host writes to data streams.
     heat: HeatTracker,
 }
@@ -163,12 +171,19 @@ impl SsdEnv {
         let blocks =
             BlockManager::with_streams(geom.num_blocks, geom.pages_per_block, config.streams.get());
         let gtd = Gtd::new(config.num_vtpns() as usize);
+        Ok(Self::assemble(config, flash, blocks, gtd))
+    }
+
+    /// The one place the fields are listed: an environment around the
+    /// given device state with empty scratch, a cold temperature estimator
+    /// (volatile by design, so a remount re-learns) and zeroed statistics.
+    fn assemble(config: SsdConfig, flash: Flash, blocks: BlockManager, gtd: Gtd) -> Self {
         let entries_per_tp = config.entries_per_tp();
         assert!(
             entries_per_tp.is_power_of_two(),
             "entries_per_tp must be a power of two"
         );
-        Ok(Self {
+        Self {
             entries_per_tp,
             tp_shift: entries_per_tp.trailing_zeros(),
             tp_mask: (entries_per_tp - 1) as u32,
@@ -176,6 +191,9 @@ impl SsdEnv {
             tp_scratch: Vec::new(),
             gc_page_scratch: Vec::new(),
             gc_moved_scratch: Vec::new(),
+            gc_miss_scratch: Vec::new(),
+            wb_keyed_scratch: Vec::new(),
+            wb_batch_scratch: Vec::new(),
             heat: HeatTracker::new(config.logical_pages(), config.streams.get() as usize),
             config,
             flash,
@@ -183,7 +201,7 @@ impl SsdEnv {
             gtd,
             stats: FtlStats::default(),
             gc_stats: GcStats::default(),
-        })
+        }
     }
 
     /// Creates an SSD per `config` on a prebuilt flash device — typically
@@ -364,6 +382,12 @@ impl SsdEnv {
     /// Invalidates a superseded page and re-indexes its block for GC.
     pub fn invalidate_page(&mut self, ppn: Ppn) -> Result<()> {
         self.flash.invalidate(ppn)?;
+        self.reindex_invalidated(ppn)
+    }
+
+    /// The block-manager half of an invalidation the flash device has
+    /// already performed: `ppn`'s block moves to its new valid-count bucket.
+    fn reindex_invalidated(&mut self, ppn: Ppn) -> Result<()> {
         let block = self.flash.geometry().block_of(ppn);
         let valid = self.flash.valid_pages_in(block)?;
         self.blocks.on_invalidated(block, valid);
@@ -408,9 +432,9 @@ impl SsdEnv {
     /// `T_fr + T_fw` (plus the first-write case with no prior page). This
     /// is the writeback path of DFTL/TPFTL dirty entries and of GC misses.
     ///
-    /// The payload never surfaces: the flash model copies it slab-slot to
-    /// slab-slot with `updates` patched in, so the steady-state writeback
-    /// performs exactly one page-sized copy and no allocation.
+    /// The payload never surfaces: the flash model re-binds its slab slot
+    /// to the new page and patches `updates` in place, so the steady-state
+    /// writeback copies no page and allocates nothing.
     pub fn update_translation_page(
         &mut self,
         vtpn: Vtpn,
@@ -442,18 +466,7 @@ impl SsdEnv {
                         tpftl_flash::FlashError::NotATranslationPage(old),
                     ));
                 }
-                // Program the replacement before invalidating the old copy,
-                // so a power loss between the two steps never leaves the
-                // table without a valid copy of this translation page (crash
-                // recovery then picks the newer copy by program-sequence
-                // stamp).
-                let new_ppn = self
-                    .blocks
-                    .alloc_page(AllocClass::Translation, &self.flash)?;
-                self.flash
-                    .program_translation_page_from(new_ppn, vtpn, old, updates, purpose)?;
-                self.gtd.set(vtpn, new_ppn);
-                self.invalidate_page(old)?;
+                self.supersede_translation_page(vtpn, old, updates, purpose)?;
             }
             None => {
                 let mut payload = std::mem::take(&mut self.tp_scratch);
@@ -468,6 +481,28 @@ impl SsdEnv {
             }
         }
         Ok(())
+    }
+
+    /// Replaces translation page `vtpn`'s copy at `old` with a freshly
+    /// allocated page holding the same payload plus `updates`, and retires
+    /// `old` — one flash op, whose only fault point is the program. If that
+    /// trips, `old` is still the valid copy and the GTD still points at it,
+    /// so the table is never without a copy of this translation page. The
+    /// caller has read (and so accounted and validated) `old`.
+    pub(crate) fn supersede_translation_page(
+        &mut self,
+        vtpn: Vtpn,
+        old: Ppn,
+        updates: &[(u16, Ppn)],
+        purpose: OpPurpose,
+    ) -> Result<()> {
+        let new_ppn = self
+            .blocks
+            .alloc_page(AllocClass::Translation, &self.flash)?;
+        self.flash
+            .supersede_translation_page(new_ppn, vtpn, old, updates, purpose)?;
+        self.gtd.set(vtpn, new_ppn);
+        self.reindex_invalidated(old)
     }
 
     /// Full translation-page overwrite from a cached copy: costs `T_fw`
@@ -512,31 +547,9 @@ impl SsdEnv {
     /// Reconstructs an environment around an existing flash device at
     /// mount time (see [`crate::recovery::mount`]): block bookkeeping is
     /// rebuilt by scanning the device, statistics start from zero.
-    pub fn remount(config: SsdConfig, flash: Flash, gtd: crate::gtd::Gtd) -> Result<Self> {
-        let blocks = crate::blockmgr::BlockManager::rebuild(&flash, config.streams.get())?;
-        let entries_per_tp = config.entries_per_tp();
-        assert!(
-            entries_per_tp.is_power_of_two(),
-            "entries_per_tp must be a power of two"
-        );
-        Ok(Self {
-            entries_per_tp,
-            tp_shift: entries_per_tp.trailing_zeros(),
-            tp_mask: (entries_per_tp - 1) as u32,
-            unmapped_tp: vec![PPN_NONE; entries_per_tp].into_boxed_slice(),
-            tp_scratch: Vec::new(),
-            gc_page_scratch: Vec::new(),
-            gc_moved_scratch: Vec::new(),
-            // The temperature estimator is volatile: every mount starts
-            // cold and re-learns, so streams carry no recovery obligations.
-            heat: HeatTracker::new(config.logical_pages(), config.streams.get() as usize),
-            config,
-            flash,
-            blocks,
-            gtd,
-            stats: FtlStats::default(),
-            gc_stats: GcStats::default(),
-        })
+    pub fn remount(config: SsdConfig, flash: Flash, gtd: Gtd) -> Result<Self> {
+        let blocks = BlockManager::rebuild(&flash, config.streams.get())?;
+        Ok(Self::assemble(config, flash, blocks, gtd))
     }
 
     /// Consumes the environment and returns the flash device, as a power

@@ -188,22 +188,23 @@ impl Ftl for Cdftl {
     }
 
     fn on_gc_data_block(&mut self, env: &mut SsdEnv, moved: &[(Lpn, Ppn)]) -> Result<u64> {
-        let mut hits = 0u64;
-        let mut misses: Vec<(Lpn, Ppn)> = Vec::new();
-        for &(lpn, new_ppn) in moved {
-            if let Some(e) = self.cmt.get_mut(lpn) {
-                e.remap(new_ppn);
-                hits += 1;
-            } else if let Some(page) = self.ctp.get_mut(&env.vtpn_of(lpn)) {
-                page.entries[env.offset_of(lpn) as usize] = new_ppn;
-                page.dirty = true;
-                hits += 1;
-            } else {
-                misses.push((lpn, new_ppn));
-            }
-        }
-        cmt::write_back_by_tp(env, &misses, OpPurpose::GcTranslation, |_, _, _| {})?;
-        Ok(hits)
+        cmt::absorb_gc_moves(
+            self,
+            env,
+            moved,
+            |ftl, env, lpn, new_ppn| {
+                if let Some(e) = ftl.cmt.get_mut(lpn) {
+                    e.remap(new_ppn);
+                } else if let Some(page) = ftl.ctp.get_mut(&env.vtpn_of(lpn)) {
+                    page.entries[env.offset_of(lpn) as usize] = new_ppn;
+                    page.dirty = true;
+                } else {
+                    return Ok(false);
+                }
+                Ok(true)
+            },
+            |_, _, _, _| {},
+        )
     }
 
     fn cache_bytes_used(&self) -> usize {

@@ -10,6 +10,8 @@
 //! * [`write_back_by_tp`] — the per-translation-page batcher every FTL
 //!   uses for GC misses (and ZFTL for its reserve flush), with a per-page
 //!   hook for the designs that piggyback on or react to the write;
+//! * [`absorb_gc_moves`] — the shape every `on_gc_data_block` has: offer
+//!   each migrated page to the cache, batch what it did not hold;
 //! * [`TpTally`] and [`mapped`] — the two small conversions every
 //!   [`Ftl`](super::Ftl) implementation ends with.
 //!
@@ -222,25 +224,74 @@ pub(crate) enum PageStep<'a> {
 /// TPFTL piggybacks its cached dirty entries in [`PageStep::Gather`],
 /// ZFTL patches its active page and LearnedFTL refits the region in
 /// [`PageStep::Persisted`].
+///
+/// Grouping is a sort of the environment's scratch by `(vtpn, arrival
+/// index)` and a walk over the runs, so a call allocates nothing once the
+/// scratch has grown.
 pub(crate) fn write_back_by_tp(
     env: &mut SsdEnv,
     updates: &[(Lpn, Ppn)],
     purpose: OpPurpose,
     mut hook: impl FnMut(&mut SsdEnv, Vtpn, PageStep<'_>),
 ) -> Result<()> {
-    let mut by_tp: BTreeMap<Vtpn, Vec<(u16, Ppn)>> = BTreeMap::new();
-    for &(lpn, ppn) in updates {
-        by_tp
-            .entry(env.vtpn_of(lpn))
-            .or_default()
-            .push((env.offset_of(lpn), ppn));
-    }
-    for (vtpn, mut batch) in by_tp {
+    let mut keyed = std::mem::take(&mut env.wb_keyed_scratch);
+    let mut batch = std::mem::take(&mut env.wb_batch_scratch);
+    keyed.clear();
+    keyed.extend(
+        updates
+            .iter()
+            .zip(0u32..)
+            .map(|(&(lpn, ppn), i)| (env.vtpn_of(lpn), i, env.offset_of(lpn), ppn)),
+    );
+    // Tuple order is `(vtpn, arrival index, ..)` and the index is distinct,
+    // so the unstable sort is exact.
+    keyed.sort_unstable();
+    let res = keyed.chunk_by(|a, b| a.0 == b.0).try_for_each(|run| {
+        let vtpn = run[0].0;
+        batch.clear();
+        batch.extend(run.iter().map(|&(_, _, off, ppn)| (off, ppn)));
         hook(env, vtpn, PageStep::Gather(&mut batch));
         env.update_translation_page(vtpn, &batch, purpose)?;
         hook(env, vtpn, PageStep::Persisted(&batch));
-    }
-    Ok(())
+        Ok(())
+    });
+    env.wb_keyed_scratch = keyed;
+    env.wb_batch_scratch = batch;
+    res
+}
+
+/// The body of an [`Ftl::on_gc_data_block`](super::Ftl::on_gc_data_block):
+/// offers every migrated `(lpn, new_ppn)` to `absorb`, which returns
+/// whether `ftl`'s cache held the mapping and took the new PPN (a GC hit),
+/// then writes the misses back through [`write_back_by_tp`] with `hook`.
+/// Returns the hit count. The misses collect in the environment's one
+/// GC-miss buffer; `ftl` is threaded through so both closures can use it.
+pub(crate) fn absorb_gc_moves<F>(
+    ftl: &mut F,
+    env: &mut SsdEnv,
+    moved: &[(Lpn, Ppn)],
+    mut absorb: impl FnMut(&mut F, &mut SsdEnv, Lpn, Ppn) -> Result<bool>,
+    mut hook: impl FnMut(&mut F, &mut SsdEnv, Vtpn, PageStep<'_>),
+) -> Result<u64> {
+    let mut misses = std::mem::take(&mut env.gc_miss_scratch);
+    misses.clear();
+    let res = moved
+        .iter()
+        .try_fold(0u64, |hits, &(lpn, new_ppn)| {
+            let hit = absorb(ftl, env, lpn, new_ppn)?;
+            if !hit {
+                misses.push((lpn, new_ppn));
+            }
+            Ok(hits + u64::from(hit))
+        })
+        .and_then(|hits| {
+            write_back_by_tp(env, &misses, OpPurpose::GcTranslation, |env, vtpn, step| {
+                hook(ftl, env, vtpn, step)
+            })
+            .map(|()| hits)
+        });
+    env.gc_miss_scratch = misses;
+    res
 }
 
 #[cfg(test)]

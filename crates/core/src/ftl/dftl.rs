@@ -158,20 +158,15 @@ impl Ftl for Dftl {
     }
 
     fn on_gc_data_block(&mut self, env: &mut SsdEnv, moved: &[(Lpn, Ppn)]) -> Result<u64> {
-        let mut hits = 0u64;
-        let mut misses: Vec<(Lpn, Ppn)> = Vec::new();
-        for &(lpn, new_ppn) in moved {
-            if let Some(e) = self.get_mut(lpn) {
-                e.remap(new_ppn);
-                hits += 1;
-            } else {
-                misses.push((lpn, new_ppn));
-            }
-        }
         // DFTL's batch update: one translation-page update per victim block
         // and translation page.
-        cmt::write_back_by_tp(env, &misses, OpPurpose::GcTranslation, |_, _, _| {})?;
-        Ok(hits)
+        cmt::absorb_gc_moves(
+            self,
+            env,
+            moved,
+            |ftl, _, lpn, new_ppn| Ok(ftl.get_mut(lpn).map(|e| e.remap(new_ppn)).is_some()),
+            |_, _, _, _| {},
+        )
     }
 
     fn cache_bytes_used(&self) -> usize {

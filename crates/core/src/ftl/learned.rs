@@ -295,7 +295,7 @@ pub struct LearnedFtl {
     /// Per region, the last raw fit, so that `refit` re-fits only what a
     /// write-back changed. Volatile like the segments; indexed by VTPN.
     memos: Vec<FitMemo>,
-    /// Buffers `refit` and `on_gc_data_block` reuse from call to call.
+    /// Buffers `refit` reuses from call to call.
     scratch: Scratch,
 }
 
@@ -305,8 +305,6 @@ struct Scratch {
     changed: Vec<u16>,
     /// The segments [`FitMemo::update`] is about to splice in.
     fits: Vec<Segment>,
-    /// The GC-migrated pages the CMT did not hold.
-    gc_misses: Vec<(Lpn, Ppn)>,
 }
 
 impl LearnedFtl {
@@ -554,29 +552,23 @@ impl Ftl for LearnedFtl {
     }
 
     fn on_gc_data_block(&mut self, env: &mut SsdEnv, moved: &[(Lpn, Ppn)]) -> Result<u64> {
-        let mut hits = 0u64;
-        let mut misses = std::mem::take(&mut self.scratch.gc_misses);
-        misses.clear();
-        for &(lpn, new_ppn) in moved {
-            self.split_covering(env.vtpn_of(lpn), env.offset_of(lpn));
-            if let Some(e) = self.cmt.get_mut(lpn) {
-                e.remap(new_ppn);
-                hits += 1;
-            } else {
-                misses.push((lpn, new_ppn));
-            }
-        }
-        let res =
-            cmt::write_back_by_tp(env, &misses, OpPurpose::GcTranslation, |env, vtpn, step| {
+        cmt::absorb_gc_moves(
+            self,
+            env,
+            moved,
+            |ftl, env, lpn, new_ppn| {
+                ftl.split_covering(env.vtpn_of(lpn), env.offset_of(lpn));
+                Ok(ftl.cmt.get_mut(lpn).map(|e| e.remap(new_ppn)).is_some())
+            },
+            |ftl, env, vtpn, step| {
                 // The freshly persisted page is the fitting opportunity: GC
                 // lays migrated pages out near-contiguously, exactly the
                 // pattern the segments capture.
                 if let PageStep::Persisted(batch) = step {
-                    self.refit(env, vtpn, batch.iter().map(|&(off, _)| off));
+                    ftl.refit(env, vtpn, batch.iter().map(|&(off, _)| off));
                 }
-            });
-        self.scratch.gc_misses = misses;
-        res.map(|()| hits)
+            },
+        )
     }
 
     fn after_bootstrap(&mut self, env: &mut SsdEnv) -> Result<()> {

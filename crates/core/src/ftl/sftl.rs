@@ -296,22 +296,23 @@ impl Ftl for Sftl {
     }
 
     fn on_gc_data_block(&mut self, env: &mut SsdEnv, moved: &[(Lpn, Ppn)]) -> Result<u64> {
-        let mut hits = 0u64;
-        let mut misses: Vec<(Lpn, Ppn)> = Vec::new();
-        for &(lpn, new_ppn) in moved {
-            let vtpn = env.vtpn_of(lpn);
-            if self.pages.contains_key(&vtpn) {
-                self.update_cached(env, vtpn, env.offset_of(lpn) as usize, new_ppn)?;
-                hits += 1;
-            } else if let Some(e) = self.dbuf.get_mut(lpn) {
-                e.ppn = new_ppn;
-                hits += 1;
-            } else {
-                misses.push((lpn, new_ppn));
-            }
-        }
-        cmt::write_back_by_tp(env, &misses, OpPurpose::GcTranslation, |_, _, _| {})?;
-        Ok(hits)
+        cmt::absorb_gc_moves(
+            self,
+            env,
+            moved,
+            |ftl, env, lpn, new_ppn| {
+                let vtpn = env.vtpn_of(lpn);
+                if ftl.pages.contains_key(&vtpn) {
+                    ftl.update_cached(env, vtpn, env.offset_of(lpn) as usize, new_ppn)?;
+                } else if let Some(e) = ftl.dbuf.get_mut(lpn) {
+                    e.ppn = new_ppn;
+                } else {
+                    return Ok(false);
+                }
+                Ok(true)
+            },
+            |_, _, _, _| {},
+        )
     }
 
     fn cache_bytes_used(&self) -> usize {

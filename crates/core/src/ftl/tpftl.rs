@@ -223,12 +223,10 @@ pub struct TpFtl {
     /// Recycled `by_offset` tables of dismantled nodes (all-NONE), so node
     /// churn stops allocating once the pool covers the working set.
     table_pool: Vec<Box<[LruIdx]>>,
-    /// Reusable buffers for the request path (batch writebacks, GC
-    /// misses): taken, filled, returned — never reallocated once grown.
-    /// Miss-path payloads are borrowed from the flash slab and need no
-    /// buffer at all.
+    /// Reusable buffer for the request path's batch writebacks: taken,
+    /// filled, returned — never reallocated once grown. Miss-path payloads
+    /// are borrowed from the flash slab and need no buffer at all.
     scratch_updates: Vec<(u16, Ppn)>,
-    scratch_misses: Vec<(Lpn, Ppn)>,
 }
 
 impl TpFtl {
@@ -255,7 +253,6 @@ impl TpFtl {
             selective_active: false,
             table_pool: Vec::new(),
             scratch_updates: Vec::new(),
-            scratch_misses: Vec::new(),
         })
     }
 
@@ -665,39 +662,35 @@ impl Ftl for TpFtl {
     }
 
     fn on_gc_data_block(&mut self, env: &mut SsdEnv, moved: &[(Lpn, Ppn)]) -> Result<u64> {
-        let mut hits = 0u64;
-        let mut misses = std::mem::take(&mut self.scratch_misses);
-        misses.clear();
-        for &(lpn, new_ppn) in moved {
-            let vtpn = env.vtpn_of(lpn);
-            let offset = env.offset_of(lpn);
-            match self
-                .nodes
-                .get_mut(&vtpn)
-                .and_then(|n| n.idx_of(offset).map(|idx| (n, idx)))
-            {
-                Some((node, idx)) => {
-                    let e = node.entries.get_mut(idx).expect("valid handle");
-                    e.ppn = new_ppn;
-                    if !e.dirty {
-                        e.dirty = true;
-                        node.dirty_count += 1;
-                    }
-                    hits += 1;
+        cmt::absorb_gc_moves(
+            self,
+            env,
+            moved,
+            |ftl, env, lpn, new_ppn| {
+                let offset = env.offset_of(lpn);
+                let Some((node, idx)) = ftl
+                    .nodes
+                    .get_mut(&env.vtpn_of(lpn))
+                    .and_then(|n| n.idx_of(offset).map(|idx| (n, idx)))
+                else {
+                    return Ok(false);
+                };
+                let e = node.entries.get_mut(idx).expect("valid handle");
+                e.ppn = new_ppn;
+                if !e.dirty {
+                    e.dirty = true;
+                    node.dirty_count += 1;
                 }
-                None => misses.push((lpn, new_ppn)),
-            }
-        }
-        let (batch_update, nodes) = (self.cfg.batch_update, &mut self.nodes);
-        let result =
-            cmt::write_back_by_tp(env, &misses, OpPurpose::GcTranslation, |_, vtpn, step| {
+                Ok(true)
+            },
+            |ftl, _, vtpn, step| {
                 let PageStep::Gather(updates) = step else {
                     return;
                 };
                 // Piggyback every cached dirty entry of this page on the
                 // unavoidable update (Section 4.4), marking them clean.
-                if batch_update {
-                    if let Some(node) = nodes.get_mut(&vtpn) {
+                if ftl.cfg.batch_update {
+                    if let Some(node) = ftl.nodes.get_mut(&vtpn) {
                         if node.dirty_count > 0 {
                             node.entries.for_each_value_mut(|e| {
                                 if e.dirty {
@@ -710,9 +703,8 @@ impl Ftl for TpFtl {
                     }
                 }
                 updates.sort_unstable_by_key(|u| u.0);
-            });
-        self.scratch_misses = misses;
-        result.map(|()| hits)
+            },
+        )
     }
 
     fn cache_bytes_used(&self) -> usize {

@@ -220,27 +220,23 @@ impl Ftl for Zftl {
     }
 
     fn on_gc_data_block(&mut self, env: &mut SsdEnv, moved: &[(Lpn, Ppn)]) -> Result<u64> {
-        let mut hits = 0u64;
-        let mut misses: Vec<(Lpn, Ppn)> = Vec::new();
-        for &(lpn, new_ppn) in moved {
-            if let Some(e) = self
-                .entries
-                .get_mut(lpn)
-                .or_else(|| self.reserve.get_mut(lpn))
-            {
-                e.remap(new_ppn);
-                hits += 1;
-            } else {
-                misses.push((lpn, new_ppn));
-            }
-        }
-        let active_tp = &mut self.active_tp;
-        cmt::write_back_by_tp(env, &misses, OpPurpose::GcTranslation, |_, vtpn, step| {
-            if let PageStep::Persisted(batch) = step {
-                patch_active_tp(active_tp, vtpn, batch);
-            }
-        })?;
-        Ok(hits)
+        cmt::absorb_gc_moves(
+            self,
+            env,
+            moved,
+            |ftl, _, lpn, new_ppn| {
+                let cached = ftl
+                    .entries
+                    .get_mut(lpn)
+                    .or_else(|| ftl.reserve.get_mut(lpn));
+                Ok(cached.map(|e| e.remap(new_ppn)).is_some())
+            },
+            |ftl, _, vtpn, step| {
+                if let PageStep::Persisted(batch) = step {
+                    patch_active_tp(&mut ftl.active_tp, vtpn, batch);
+                }
+            },
+        )
     }
 
     fn cache_bytes_used(&self) -> usize {

@@ -52,7 +52,9 @@ fn collect_data_block<F: Ftl + ?Sized>(
     victim: tpftl_flash::BlockId,
 ) -> Result<()> {
     // Victim scans reuse the environment's scratch buffers (taken here, put
-    // back below), so a steady-state GC pass performs no heap allocation.
+    // back below), as do the FTL's miss buffer and write-back batcher, so a
+    // steady-state GC pass performs no heap allocation
+    // (`tests/gc_alloc.rs` counts them).
     let mut valid = std::mem::take(&mut env.gc_page_scratch);
     let mut moved = std::mem::take(&mut env.gc_moved_scratch);
     let res = migrate_data_pages(ftl, env, victim, &mut valid, &mut moved);
@@ -128,21 +130,11 @@ fn migrate_translation_pages(
         env.flash.sim_relax_to(fence);
         // Accounts the migration read and validates the source page.
         env.flash.read_page(old_ppn, OpPurpose::GcTranslation)?;
-        // Program the copy before invalidating the original (as the
-        // data-page path above does), so a power loss mid-migration never
-        // leaves the table without a valid copy of this translation page.
-        // The payload moves slab-slot to slab-slot inside the flash model —
-        // one page-sized copy, no allocation.
-        let new_ppn = env.blocks.alloc_page(AllocClass::Translation, &env.flash)?;
-        env.flash.program_translation_page_from(
-            new_ppn,
-            vtpn,
-            old_ppn,
-            &[],
-            OpPurpose::GcTranslation,
-        )?;
-        env.gtd.set(vtpn, new_ppn);
-        env.invalidate_page(old_ppn)?;
+        // The original is retired only by the program that replaces it, so
+        // a power loss mid-migration never leaves the table without a valid
+        // copy of this translation page. The payload is not copied: its slab
+        // slot moves to the new page inside the flash model.
+        env.supersede_translation_page(vtpn, old_ppn, &[], OpPurpose::GcTranslation)?;
         gc_done = gc_done.max(env.flash.sim_frontier_us());
     }
 

@@ -144,3 +144,59 @@ fn flush_is_idempotent() {
         "second flush is a no-op"
     );
 }
+
+/// A supersede mirrors two records to the device file: the new page's
+/// program, then the old page's invalidate marker. An image cut between
+/// the two (a `SIGKILL` there; the kill-9 harness and `file_differential`
+/// only ever stop *at* a program or erase) holds two valid copies of the
+/// translation page, and `crash_mount` must elect the newer one by its
+/// sequence stamp — nothing to reconcile, the old copy retired.
+#[test]
+fn image_cut_between_supersede_records_elects_the_newer_copy() {
+    use tpftl_flash::media::page_record_range;
+    use tpftl_flash::{Flash, OpPurpose, PageState};
+
+    let c = SsdConfig::paper_default(4 << 20);
+    let geom = c.geometry();
+    let path = std::env::temp_dir().join(format!("tpftl_supersede_cut_{}.img", std::process::id()));
+    let _ = std::fs::remove_file(&path);
+    let flash = Flash::create_file(geom.clone(), &path).expect("create image");
+    let mut env = SsdEnv::with_flash(c.clone(), flash).expect("env");
+    env.format().expect("format");
+
+    let lpn = 5;
+    let data = env
+        .program_data_page(lpn, OpPurpose::HostData)
+        .expect("data page");
+    let old = env.gtd().get(0).expect("formatted");
+    let before = std::fs::read(&path).expect("image before the supersede");
+    env.update_translation_page(0, &[(lpn as u16, data)], OpPurpose::Translation)
+        .expect("read-modify-write");
+    let new = env.gtd().get(0).expect("still mapped");
+    assert_ne!(old, new);
+    drop(env);
+
+    // The invalidate marker is the only write the supersede makes inside
+    // `old`'s record, so putting that record back is the cut image.
+    let mut image = std::fs::read(&path).expect("image after the supersede");
+    let (off, len) = page_record_range(&geom, old);
+    let range = off as usize..(off + len) as usize;
+    image[range.clone()].copy_from_slice(&before[range]);
+    std::fs::write(&path, &image).expect("write the cut image");
+
+    let flash = Flash::open_file(&path).expect("cut image mounts");
+    assert_eq!(flash.state(old).unwrap(), PageState::Valid);
+    assert_eq!(flash.state(new).unwrap(), PageState::Valid);
+    assert!(flash.program_seq(new) > flash.program_seq(old));
+    let (env, report) = recovery::crash_mount(flash, c).expect("crash mount");
+    assert_eq!(report.duplicate_translation_discarded, 1);
+    assert_eq!(
+        report.translation_pages_rewritten, 0,
+        "newer copy was current"
+    );
+    assert_eq!(env.gtd().get(0), Some(new));
+    assert_eq!(env.flash().state(old).unwrap(), PageState::Invalid);
+    assert_eq!(recovery::lookup(&env, lpn), Some(data));
+    recovery::verify(&env).assert_clean();
+    let _ = std::fs::remove_file(&path);
+}

@@ -36,13 +36,14 @@ pub struct PageInfo {
 }
 
 /// What a program is committing: plain host/GC data, a full translation
-/// payload, or a translation RMW copy (source page + patches). Carries
-/// everything the file mirror needs to serialize the page — including the
-/// page an interrupted program *would* have written.
+/// payload, or a translation page that supersedes another (source page +
+/// patches; the source is invalidated by the same op). Carries everything
+/// the file mirror needs to serialize the page — including the page an
+/// interrupted program *would* have written.
 enum TpContent<'a> {
     Data,
     Tp(&'a [Ppn]),
-    TpFrom(Ppn, &'a [(u16, Ppn)]),
+    Supersede(Ppn, &'a [(u16, Ppn)]),
 }
 
 /// A simulated NAND flash device.
@@ -472,9 +473,9 @@ impl Flash {
     /// Mirrors an *interrupted* program of `ppn` to the backing file: the
     /// torn OOB marker, or — with a tear budget on the fault plan — the
     /// partial prefix of the record the program would have written. The
-    /// payload a torn translation RMW *would* have committed is
-    /// materialized here on this cold path only (the RAM slab stores
-    /// nothing for torn programs).
+    /// payload a torn supersede *would* have committed is materialized
+    /// here on this cold path only, from the source's still-bound slot
+    /// (the RAM slab stores nothing for torn programs).
     fn mirror_torn_program(&mut self, ppn: Ppn, tag: u32, content: &TpContent<'_>) -> Result<()> {
         if self.backing.is_none() {
             return Ok(());
@@ -488,7 +489,7 @@ impl Flash {
         let payload: Option<&[Ppn]> = match content {
             TpContent::Data => None,
             TpContent::Tp(p) => Some(p),
-            TpContent::TpFrom(src, updates) => {
+            TpContent::Supersede(src, updates) => {
                 let mut p = self
                     .tp
                     .get(*src)
@@ -550,12 +551,27 @@ impl Flash {
         match content {
             TpContent::Data => {}
             TpContent::Tp(payload) => self.tp.insert(ppn, payload),
-            TpContent::TpFrom(src, updates) => self.tp.insert_copy(ppn, src, updates),
+            TpContent::Supersede(src, updates) => {
+                // The payload's slot moves with it, so `src` stops being
+                // valid in the same step (a slot exists exactly while its
+                // page is `Valid`).
+                self.tp.rebind(ppn, src, updates);
+                self.state[src as usize] = PageState::Invalid;
+                self.valid_count[self.geom.block_of(src) as usize] -= 1;
+            }
         }
         self.stats
             .record(OpKind::Write, purpose, self.geom.write_us);
         self.clocks.write(self.unit_of(ppn), self.geom.write_us);
         self.mirror_program(ppn)?;
+        if let TpContent::Supersede(src, _) = content {
+            // Program record first, invalidate record second: a process
+            // killed between the two leaves two valid copies on the device
+            // file, which `crash_mount` orders by `seq`.
+            if let Some(b) = self.backing.as_mut() {
+                b.invalidate(src)?;
+            }
+        }
         Ok(())
     }
 
@@ -592,17 +608,27 @@ impl Flash {
         self.program_common(ppn, vtpn, purpose, TpContent::Tp(payload), false)
     }
 
-    /// Programs a translation page for `vtpn` whose payload is `src`'s
-    /// payload with `updates` patched in — the read-modify-write write half.
-    /// The payload moves arena-to-arena inside the slab (one copy, no
-    /// allocation); `src` itself is left untouched, so the caller keeps the
-    /// program-before-invalidate crash-consistency order.
+    /// Programs `dst` as translation page `vtpn` holding `src`'s payload
+    /// with `updates` patched in, and invalidates `src` — the write half of
+    /// a read-modify-write and of a GC migration, which both retire the old
+    /// copy the moment the new one exists. The payload is not copied: its
+    /// slab slot is re-bound from `src` to `dst` and patched in place.
+    ///
+    /// One fault point, the program: if it trips, `dst` is torn and `src`
+    /// stays valid, bound and unpatched. A file backing receives the
+    /// program record before the invalidate record.
     ///
     /// Accounts one page-program latency; the caller accounts the read of
     /// `src` separately (via [`Flash::read_page`]).
-    pub fn program_translation_page_from(
+    ///
+    /// # Errors
+    ///
+    /// [`FlashError::OutOfRange`] / [`FlashError::NotATranslationPage`] when
+    /// `src` is not a valid translation page, and every error of a plain
+    /// program of `dst`; none of them changes `src`.
+    pub fn supersede_translation_page(
         &mut self,
-        ppn: Ppn,
+        dst: Ppn,
         vtpn: u32,
         src: Ppn,
         updates: &[(u16, Ppn)],
@@ -612,7 +638,13 @@ impl Flash {
         if !self.tp.contains(src) {
             return Err(FlashError::NotATranslationPage(src));
         }
-        self.program_common(ppn, vtpn, purpose, TpContent::TpFrom(src, updates), false)
+        self.program_common(
+            dst,
+            vtpn,
+            purpose,
+            TpContent::Supersede(src, updates),
+            false,
+        )
     }
 
     /// Marks a valid page as invalid (superseded). This is a metadata-only
@@ -857,43 +889,78 @@ mod tests {
     }
 
     #[test]
-    fn program_from_copies_and_patches() {
+    fn supersede_moves_the_payload_and_retires_the_source() {
         let mut f = small();
         let mut payload = vec![crate::PPN_NONE; 1024];
         payload[3] = 33;
         f.program_translation_page(0, 9, &payload, OpPurpose::Translation)
             .unwrap();
-        f.program_translation_page_from(1, 9, 0, &[(5, 55)], OpPurpose::Translation)
+        let writes = f.stats().total_writes();
+        f.supersede_translation_page(1, 9, 0, &[(5, 55)], OpPurpose::Translation)
             .unwrap();
-        // Source stays intact (program-before-invalidate order).
-        assert_eq!(f.peek_translation_payload(0).unwrap()[3], 33);
-        let copy = f.peek_translation_payload(1).unwrap();
-        assert_eq!(copy[3], 33);
-        assert_eq!(copy[5], 55);
-        // Copying from a data page (or a page without payload) is an error.
-        let mut f2 = small();
-        f2.program_page(0, 1, OpPurpose::HostData).unwrap();
+        let moved = f.peek_translation_payload(1).unwrap();
+        assert_eq!((moved[3], moved[5]), (33, 55));
+        assert_eq!(f.state(0).unwrap(), PageState::Invalid);
+        assert!(f.peek_translation_payload(0).is_none());
+        assert_eq!(f.valid_pages_in(0).unwrap(), 1);
+        assert_eq!(f.stats().total_writes(), writes + 1, "one program");
+        assert!(f.program_seq(1) > f.program_seq(0));
+    }
+
+    /// A `src` that is a data page, already invalid, free or out of range
+    /// is refused before anything changes — `dst` stays programmable.
+    #[test]
+    fn supersede_of_a_bad_source_is_a_typed_error_and_changes_nothing() {
+        let mut f = small();
+        f.program_page(0, 1, OpPurpose::HostData).unwrap();
+        f.program_translation_page(1, 4, &vec![0; 1024], OpPurpose::Translation)
+            .unwrap();
+        f.invalidate(1).unwrap();
+        let max = f.geometry().total_pages() as Ppn;
+        let writes = f.stats().total_writes();
+        for (src, want) in [
+            (0, FlashError::NotATranslationPage(0)),
+            (1, FlashError::NotATranslationPage(1)),
+            (5, FlashError::NotATranslationPage(5)),
+            (max, FlashError::OutOfRange(max)),
+        ] {
+            assert_eq!(
+                f.supersede_translation_page(2, 4, src, &[(0, 1)], OpPurpose::Translation),
+                Err(want)
+            );
+        }
+        assert_eq!(f.state(0).unwrap(), PageState::Valid);
+        assert_eq!(f.state(1).unwrap(), PageState::Invalid);
+        assert_eq!(f.state(2).unwrap(), PageState::Free);
+        assert_eq!(f.valid_pages_in(0).unwrap(), 1);
+        assert_eq!(f.stats().total_writes(), writes);
+        // A refused `dst` leaves a good `src` alone too.
+        f.program_translation_page(2, 4, &vec![7; 1024], OpPurpose::Translation)
+            .unwrap();
         assert_eq!(
-            f2.program_translation_page_from(1, 0, 0, &[], OpPurpose::Translation),
-            Err(FlashError::NotATranslationPage(0))
+            f.supersede_translation_page(2, 4, 2, &[(0, 1)], OpPurpose::Translation),
+            Err(FlashError::ProgramNotFree(2))
         );
+        assert_eq!(f.peek_translation_payload(2).unwrap()[0], 7);
     }
 
     #[test]
-    fn torn_program_from_stores_no_payload() {
+    fn torn_supersede_stores_no_payload_and_keeps_the_source() {
         let mut f = small();
         f.program_translation_page(0, 4, &vec![0; 1024], OpPurpose::Translation)
             .unwrap();
         f.arm_faults(FaultPlan::on_translation_write(0));
         assert_eq!(
-            f.program_translation_page_from(1, 4, 0, &[(0, 1)], OpPurpose::Translation),
+            f.supersede_translation_page(1, 4, 0, &[(0, 1)], OpPurpose::Translation),
             Err(FlashError::PowerLoss)
         );
         f.disarm_faults();
         assert_eq!(f.state(1).unwrap(), PageState::Torn);
         assert!(f.peek_translation_payload(1).is_none());
-        // The source copy survives the torn program.
-        assert!(f.peek_translation_payload(0).is_some());
+        // The source copy survives the torn program: valid, bound, unpatched.
+        assert_eq!(f.state(0).unwrap(), PageState::Valid);
+        assert_eq!(f.peek_translation_payload(0).unwrap()[0], 0);
+        assert_eq!(f.valid_pages_in(0).unwrap(), 1);
     }
 
     #[test]

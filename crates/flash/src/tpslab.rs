@@ -5,8 +5,9 @@
 //! `Ppn -> slot` index, so programming, reading and dropping a payload is
 //! index arithmetic — no hashing, no per-page heap allocation in steady
 //! state. A slot exists exactly while its page is `Valid`: invalidation
-//! recycles the slot, and a block erase never finds one because erases
-//! require zero valid pages.
+//! recycles the slot, a supersede *moves* it from the page that stops being
+//! valid to the page that starts, and a block erase never finds one because
+//! erases require zero valid pages.
 
 use crate::Ppn;
 
@@ -68,22 +69,18 @@ impl TpSlab {
         self.slot_of[ppn as usize] = slot as u32;
     }
 
-    /// Binds a fresh slot to `dst`, filled from `src`'s payload with
-    /// `updates` patched in — the read-modify-write path: one arena-internal
-    /// copy, no allocation.
-    pub(crate) fn insert_copy(&mut self, dst: Ppn, src: Ppn, updates: &[(u16, Ppn)]) {
+    /// Moves `src`'s slot to `dst` and patches `updates` into it in place —
+    /// the read-modify-write path: `src` ends unbound, nothing is copied,
+    /// the arena never grows.
+    pub(crate) fn rebind(&mut self, dst: Ppn, src: Ppn, updates: &[(u16, Ppn)]) {
         debug_assert!(!self.contains(dst), "page already holds a payload");
-        let src_slot = self.slot_of[src as usize];
-        debug_assert_ne!(src_slot, SLOT_NONE, "source page has no payload");
-        let src_base = src_slot as usize * self.entries;
-        let slot = self.alloc_slot();
-        self.arena
-            .copy_within(src_base..src_base + self.entries, slot * self.entries);
-        let out = &mut self.arena[slot * self.entries..][..self.entries];
+        let slot = std::mem::replace(&mut self.slot_of[src as usize], SLOT_NONE);
+        debug_assert_ne!(slot, SLOT_NONE, "source page has no payload");
+        let payload = &mut self.arena[slot as usize * self.entries..][..self.entries];
         for &(off, ppn) in updates {
-            out[off as usize] = ppn;
+            payload[off as usize] = ppn;
         }
-        self.slot_of[dst as usize] = slot as u32;
+        self.slot_of[dst as usize] = slot;
     }
 
     /// Unbinds `ppn`'s slot, if any, and recycles it.
@@ -115,23 +112,20 @@ mod tests {
     }
 
     #[test]
-    fn insert_copy_patches_without_growing_past_two_slots() {
+    fn rmw_churn_never_grows_the_arena_past_the_live_page_count() {
         let mut slab = TpSlab::new(8, 4);
         slab.insert(3, &[10, 11, 12, 13]);
-        slab.insert_copy(4, 3, &[(1, 99), (3, 77)]);
+        slab.rebind(4, 3, &[(1, 99), (3, 77)]);
         assert_eq!(slab.get(4).unwrap(), &[10, 99, 12, 77]);
-        assert_eq!(slab.get(3).unwrap(), &[10, 11, 12, 13], "source untouched");
-        // Steady-state RMW churn (copy to new, then drop old — the
-        // program-before-invalidate order) settles at one extra slot.
-        slab.remove(3);
+        assert!(!slab.contains(3), "the slot moved with the supersede");
         let mut old = 4u32;
         for dst in [5u32, 6, 7] {
-            slab.insert_copy(dst, old, &[(0, dst)]);
-            slab.remove(old);
+            slab.rebind(dst, old, &[(0, dst)]);
             old = dst;
         }
-        assert_eq!(slab.arena.len(), 2 * 4, "free-list reuse caps the arena");
-        assert_eq!(slab.get(7).unwrap()[0], 7);
+        assert_eq!(slab.arena.len(), 4, "one live page, one slot");
+        assert!(slab.free.is_empty());
+        assert_eq!(slab.get(7).unwrap(), &[7, 99, 12, 77]);
     }
 
     #[test]

@@ -80,7 +80,7 @@ fn random_op(f: &mut Flash, rng: &mut Rng64, entries: usize) -> tpftl_flash::Res
                 if n == 9 && !srcs.is_empty() {
                     let src = srcs[rng.below(srcs.len() as u64) as usize];
                     let patch = [(rng.below(entries as u64) as u16, rng.below(1 << 20) as Ppn)];
-                    f.program_translation_page_from(
+                    f.supersede_translation_page(
                         ppn,
                         rng.below(64) as u32,
                         src,

@@ -46,7 +46,7 @@ fn file_roundtrip_reconstructs_device() {
     assert!(f.has_backing());
     assert_eq!(f.backing_path(), Some(path.as_path()));
 
-    // Data pages, a translation page, an RMW copy, invalidations, erase.
+    // Data pages, a translation page, an RMW supersede, invalidations, erase.
     for i in 0..6u32 {
         f.program_page(i, 100 + i, OpPurpose::HostData)
             .expect("program");
@@ -54,9 +54,8 @@ fn file_roundtrip_reconstructs_device() {
     let payload: Vec<u32> = (0..entries as u32).collect();
     f.program_translation_page(6, 7, &payload, OpPurpose::Translation)
         .expect("tp");
-    f.program_translation_page_from(7, 7, 6, &[(3, 999)], OpPurpose::Translation)
+    f.supersede_translation_page(7, 7, 6, &[(3, 999)], OpPurpose::Translation)
         .expect("rmw");
-    f.invalidate(6).expect("invalidate tp");
     f.invalidate(0).expect("invalidate");
     f.invalidate(1).expect("invalidate");
     // Fill + drain block 1, then erase it (erase clears OOBs + bumps the

@@ -2,9 +2,9 @@
 //! `HashMap<Ppn, Box<[Ppn]>>` reference model.
 //!
 //! A seeded random workload of translation/data programs, read-modify-write
-//! copies, invalidations and erases — including fault-plan torn writes that
-//! must never leave a payload behind — is applied to the device while the
-//! model tracks what each valid translation page must hold. After every
+//! supersedes, invalidations and erases — including fault-plan torn writes
+//! that must never leave a payload behind — is applied to the device while
+//! the model tracks what each valid translation page must hold. After every
 //! operation the two stores must agree exactly, which exercises slot
 //! recycling through the slab's free list under arbitrary interleavings.
 
@@ -98,7 +98,7 @@ fn slab_matches_hashmap_model() {
                         model.insert(ppn, payload.into_boxed_slice());
                     }
                 }
-                // Read-modify-write copy from an existing translation page.
+                // Read-modify-write: supersede an existing translation page.
                 25..=44 => {
                     let Some(src) = pick_tp(&model, &mut rng) else {
                         continue;
@@ -117,35 +117,32 @@ fn slab_matches_hashmap_model() {
                         })
                         .collect();
                     let vtpn = rng.range_u32(0, 64);
-                    if rng.below(8) == 0 {
+                    let torn = rng.below(8) == 0;
+                    if torn {
                         flash.arm_faults(FaultPlan::on_translation_write(0));
-                        assert_eq!(
-                            flash.program_translation_page_from(
-                                dst,
-                                vtpn,
-                                src,
-                                &updates,
-                                OpPurpose::Translation
-                            ),
-                            Err(FlashError::PowerLoss),
-                            "seed {seed}"
-                        );
+                    }
+                    let res = flash.supersede_translation_page(
+                        dst,
+                        vtpn,
+                        src,
+                        &updates,
+                        OpPurpose::Translation,
+                    );
+                    if torn {
+                        assert_eq!(res, Err(FlashError::PowerLoss), "seed {seed}");
                         flash.disarm_faults();
+                        // The model keeps `src` as it was (`check` below
+                        // finds it bound and unpatched) and nothing at `dst`.
+                        assert_eq!(flash.state(src).unwrap(), PageState::Valid);
+                        assert_eq!(flash.state(dst).unwrap(), PageState::Torn);
                     } else {
-                        flash
-                            .program_translation_page_from(
-                                dst,
-                                vtpn,
-                                src,
-                                &updates,
-                                OpPurpose::Translation,
-                            )
-                            .unwrap();
-                        let mut payload = model[&src].clone();
+                        res.unwrap();
+                        let mut payload = model.remove(&src).expect("picked from the model");
                         for &(off, ppn) in &updates {
                             payload[off as usize] = ppn;
                         }
                         model.insert(dst, payload);
+                        assert_eq!(flash.state(src).unwrap(), PageState::Invalid);
                     }
                 }
                 // Data-page program: valid but carries no payload.
