@@ -488,6 +488,31 @@ pub fn bench_replay(kind: FtlKind, samples: usize, requests: usize) -> Record {
     row
 }
 
+/// The trace generator on its own: one preset's iterator built and drained,
+/// ns per generated request. Every replay row pays this per request before
+/// the simulator sees it, so a generator regression gates here, in its own
+/// row, rather than hiding inside the `replay_*` rows. The fold reads every
+/// field, so no draw (the arrival's `ln`, say) can be optimised away.
+pub fn bench_trace_synth(workload: Workload, warmup: usize, samples: usize) -> Record {
+    const REQUESTS: usize = 1_000_000;
+    let spec = workload.spec(REQUESTS);
+    let samples = time_samples(warmup, samples, REQUESTS as u64, || {
+        let sum = spec.iter(black_box(SEED)).fold(0u64, |h, r| {
+            h.wrapping_mul(31)
+                .wrapping_add(r.arrival_us.to_bits() ^ r.offset ^ u64::from(r.len))
+                .wrapping_add(u64::from(r.is_write()))
+        });
+        black_box(sum);
+    });
+    Record {
+        scenario: "trace_synth".to_string(),
+        ftl: workload.name().to_string(),
+        ops_per_iter: REQUESTS as u64,
+        samples,
+        extra: Vec::new(),
+    }
+}
+
 /// The semi-sequential read trace that showcases the learned mapping:
 /// long aligned read streams over a fully pre-filled device, with a thin
 /// random-write stream that keeps invalidation in the picture. A
@@ -899,6 +924,11 @@ pub fn run_all(
     for kind in [FtlKind::Learned, FtlKind::Dftl, FtlKind::Tpftl] {
         if wanted("replay_semiseq", &kind.label()) {
             records.push(bench_replay_semiseq(kind, samples.min(3), replay_requests));
+        }
+    }
+    for workload in [Workload::Financial1, Workload::Financial2, Workload::MsrTs] {
+        if wanted("trace_synth", workload.name()) {
+            records.push(bench_trace_synth(workload, warmup, samples));
         }
     }
     let learned = FtlKind::Learned.label();

@@ -20,8 +20,9 @@
 //!
 //! `--scale` multiplies the default request counts (1.0 = 2 M requests per
 //! Financial workload, 1 M per MSR workload). Results are printed as
-//! paper-style tables and persisted as JSON under `--out` (default
-//! `results/`).
+//! paper-style tables and persisted as JSON under `--out`. The default is
+//! `results/` at full scale and `results/scale-<F>/` otherwise, so a
+//! reduced-scale run never overwrites the committed full-scale results.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -32,11 +33,13 @@ use tpftl_experiments::{
 };
 
 const USAGE: &str = "usage: repro [--scale F] [--out DIR] [--cdftl] <experiment>...
+  --scale F   multiply the request counts by F (default 1)
+  --out DIR   where the JSON goes (default results/, or results/scale-<F>/ when F != 1)
 experiments: table2 table4 fig1 fig2 fig6 ablation sweep fig10 models threshold extensions all";
 
 fn main() -> ExitCode {
     let mut scale = Scale(1.0);
-    let mut out_dir = PathBuf::from("results");
+    let mut out_dir: Option<PathBuf> = None;
     let mut include_cdftl = false;
     let mut experiments: Vec<String> = Vec::new();
 
@@ -51,7 +54,7 @@ fn main() -> ExitCode {
                 }
             },
             "--out" => match args.next() {
-                Some(d) => out_dir = PathBuf::from(d),
+                Some(d) => out_dir = Some(PathBuf::from(d)),
                 None => {
                     eprintln!("--out needs a directory\n{USAGE}");
                     return ExitCode::FAILURE;
@@ -73,6 +76,13 @@ fn main() -> ExitCode {
         eprintln!("{USAGE}");
         return ExitCode::FAILURE;
     }
+    let out_dir = out_dir.unwrap_or_else(|| {
+        if scale.0 == 1.0 {
+            PathBuf::from("results")
+        } else {
+            PathBuf::from(format!("results/scale-{}", scale.0))
+        }
+    });
     if experiments.iter().any(|e| e == "all") {
         experiments = [
             "table4",

@@ -197,16 +197,21 @@ pub fn parse_msr<R: BufRead>(reader: R) -> Result<Vec<IoRequest>, ParseError> {
 
 /// Guesses the trace format from its first non-empty line and parses it.
 ///
-/// MSR records have 7 fields and a `Read`/`Write` type in field 4; SPC
-/// records have 5 fields with a one-letter opcode in field 4.
+/// Field 4 decides: MSR records spell the type out (`Read`/`Write`), SPC
+/// records carry a one-letter opcode there. The field count does not tell
+/// them apart — MSR has 7, and the SPC format allows optional columns after
+/// its 5.
 pub fn parse_auto(content: &str) -> Result<Vec<IoRequest>, ParseError> {
     let first = content
         .lines()
         .map(str::trim)
         .find(|l| !l.is_empty())
         .ok_or(ParseError::Empty)?;
-    let fields: Vec<&str> = first.split(',').collect();
-    if fields.len() >= 7 {
+    let is_msr = first.split(',').nth(3).is_some_and(|t| {
+        let t = t.trim();
+        t.eq_ignore_ascii_case("read") || t.eq_ignore_ascii_case("write")
+    });
+    if is_msr {
         parse_msr(content.as_bytes())
     } else {
         parse_spc(content.as_bytes())
@@ -282,6 +287,21 @@ mod tests {
         let msr = "1000,ts,0,Read,8192,4096,77\n";
         assert_eq!(parse_auto(spc).unwrap()[0].dir, Dir::Write);
         assert_eq!(parse_auto(msr).unwrap()[0].dir, Dir::Read);
+    }
+
+    /// The SPC format allows optional trailing columns, so a 7-column line
+    /// is not necessarily MSR.
+    #[test]
+    fn autodetect_goes_by_field_four_not_field_count() {
+        let spc7 = "0,100,4096,W,1.0,0,0\n1,24,512,r,1.5,0,0\n";
+        let reqs = parse_auto(spc7).unwrap();
+        assert_eq!(reqs, parse_spc(spc7.as_bytes()).unwrap());
+        assert_eq!(reqs[0].offset, 100 * 512);
+        assert_eq!(reqs[1].dir, Dir::Read);
+        let msr7 = "1000,ts,0,Write,8192,4096,77\n";
+        let reqs = parse_auto(msr7).unwrap();
+        assert_eq!(reqs, parse_msr(msr7.as_bytes()).unwrap());
+        assert_eq!(reqs[0].offset, 8192);
     }
 
     #[test]

@@ -51,6 +51,39 @@ impl Default for Locality {
     }
 }
 
+/// Geometric distribution on `{1, 2, ...}` with a fixed mean, drawn by
+/// inversion: `⌊ln u / ln(1 − 1/mean)⌋ + 1`.
+///
+/// The divisor depends on the mean alone, so it is taken once here rather
+/// than on every draw. The quotient is never negative (`ln u <= 0` over a
+/// negative divisor), so the saturating `as u64` already floors it.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Geometric {
+    /// `ln(1 − 1/mean)`; `None` when `mean <= 1`, where every draw is 1
+    /// and consumes no randomness.
+    ln_q: Option<f64>,
+}
+
+impl Geometric {
+    pub(crate) fn new(mean: f64) -> Self {
+        Self {
+            ln_q: (mean > 1.0).then(|| (1.0 - 1.0 / mean).ln()),
+        }
+    }
+
+    pub(crate) fn sample(&self, rng: &mut Rng64) -> u64 {
+        let Some(ln_q) = self.ln_q else { return 1 };
+        let u = rng.range_f64(f64::EPSILON, 1.0);
+        (u.ln() / ln_q) as u64 + 1
+    }
+}
+
+/// Exponential draw with the given mean (a Poisson process's inter-arrival
+/// time).
+pub(crate) fn sample_exponential(mean: f64, rng: &mut Rng64) -> f64 {
+    -mean * rng.range_f64(f64::EPSILON, 1.0).ln()
+}
+
 /// Parameters of a synthetic workload.
 ///
 /// # Examples
@@ -161,9 +194,11 @@ impl SyntheticSpec {
             / (1.0 - read_burst_frac - write_burst_frac).max(f64::EPSILON))
         .clamp(0.0, 1.0);
         SyntheticIter {
-            read_credit: 0.0,
-            write_credit: 0.0,
+            credit: [0.0; 2],
+            seq_frac: [self.seq_read_frac, self.seq_write_frac],
             base_write_ratio,
+            req_sectors: Geometric::new(self.mean_req_sectors),
+            burst_len: Geometric::new(self.mean_burst_len),
             spec: self.clone(),
             rng,
             zipf,
@@ -188,33 +223,20 @@ pub struct SyntheticIter {
     /// Sequentiality credit balances, in burst-continuation units. Each
     /// request of a direction earns its `seq_*_frac`; each emitted burst
     /// continuation spends one unit, so the continuation fraction converges
-    /// to the spec value regardless of burst lengths or truncation.
-    read_credit: f64,
-    write_credit: f64,
+    /// to the spec value regardless of burst lengths or truncation. Both
+    /// are indexed by `Dir as usize` (read, write): the direction is a coin
+    /// flip, and a `match` on it is a branch the predictor loses.
+    credit: [f64; 2],
+    seq_frac: [f64; 2],
     /// Direction mix for non-burst requests, compensated so that the
     /// overall write ratio (bursts included) matches the spec.
     base_write_ratio: f64,
+    /// Request size in sectors, and burst length in requests.
+    req_sectors: Geometric,
+    burst_len: Geometric,
     burst_dir: Dir,
     burst_left: u32,
     burst_end: u64,
-}
-
-impl SyntheticIter {
-    /// Geometric sample on `{1, 2, ...}` with the given mean.
-    fn sample_geometric(&mut self, mean: f64) -> u64 {
-        if mean <= 1.0 {
-            return 1;
-        }
-        let p = 1.0 / mean;
-        let u = self.rng.range_f64(f64::EPSILON, 1.0);
-        (u.ln() / (1.0 - p).ln()).floor() as u64 + 1
-    }
-
-    /// Geometric request length in sectors with the configured mean.
-    fn sample_len_sectors(&mut self) -> u64 {
-        let mean = self.spec.mean_req_sectors;
-        self.sample_geometric(mean).min(self.sectors)
-    }
 }
 
 impl Iterator for SyntheticIter {
@@ -226,7 +248,7 @@ impl Iterator for SyntheticIter {
         }
         self.remaining -= 1;
 
-        let len_sectors = self.sample_len_sectors();
+        let len_sectors = self.req_sectors.sample(&mut self.rng).min(self.sectors);
         let burst_len_mean = self.spec.mean_burst_len;
 
         let (dir, start_sector) =
@@ -235,10 +257,7 @@ impl Iterator for SyntheticIter {
                 // back-to-back in both address and time, as real scans are.
                 // Each continuation spends one unit of sequentiality credit.
                 self.burst_left -= 1;
-                match self.burst_dir {
-                    Dir::Read => self.read_credit -= 1.0,
-                    Dir::Write => self.write_credit -= 1.0,
-                }
+                self.credit[self.burst_dir as usize] -= 1.0;
                 let start = self.burst_end;
                 self.burst_end += len_sectors;
                 (self.burst_dir, start)
@@ -253,18 +272,12 @@ impl Iterator for SyntheticIter {
                 // accrued credit funds a full mean-length one. The length is
                 // still geometric, but capped at what the balance funds (a
                 // continuation nets 1 − f: it spends 1 and earns f back).
-                let f = match dir {
-                    Dir::Read => self.spec.seq_read_frac,
-                    Dir::Write => self.spec.seq_write_frac,
-                };
-                let credit = match dir {
-                    Dir::Read => self.read_credit,
-                    Dir::Write => self.write_credit,
-                };
+                let f = self.seq_frac[dir as usize];
+                let credit = self.credit[dir as usize];
                 let net_cost = (1.0 - f).max(f64::EPSILON);
                 self.burst_left = if f > 0.0 && credit >= (burst_len_mean - 1.0) * net_cost {
                     let funded = (credit / net_cost).floor() as u64;
-                    (self.sample_geometric(burst_len_mean) - 1).min(funded) as u32
+                    (self.burst_len.sample(&mut self.rng) - 1).min(funded) as u32
                 } else {
                     0
                 };
@@ -276,13 +289,9 @@ impl Iterator for SyntheticIter {
                 (dir, start)
             };
         // Every request of a direction earns it credit at the target rate.
-        match dir {
-            Dir::Read => self.read_credit += self.spec.seq_read_frac,
-            Dir::Write => self.write_credit += self.spec.seq_write_frac,
-        }
+        self.credit[dir as usize] += self.seq_frac[dir as usize];
 
-        let dt = -self.spec.mean_interarrival_us * self.rng.range_f64(f64::EPSILON, 1.0).ln();
-        self.clock_us += dt;
+        self.clock_us += sample_exponential(self.spec.mean_interarrival_us, &mut self.rng);
 
         Some(IoRequest::new(
             self.clock_us,

@@ -15,6 +15,7 @@
 use serde::{Deserialize, Serialize};
 use tpftl_rng::Rng64;
 
+use crate::synth::{sample_exponential, Geometric};
 use crate::{Dir, IoRequest, ZipfRegions, SECTOR_BYTES};
 
 /// One tenant's traffic model.
@@ -127,6 +128,7 @@ impl MultiTenantSpec {
                     spec,
                     rng,
                     zipf,
+                    req_sectors: Geometric::new(spec.mean_req_sectors),
                     base_sector: base,
                     slice_len: len,
                     clock_us: 0.0,
@@ -150,6 +152,7 @@ struct TenantState {
     spec: TenantSpec,
     rng: Rng64,
     zipf: ZipfRegions,
+    req_sectors: Geometric,
     base_sector: u64,
     slice_len: u64,
     clock_us: f64,
@@ -160,15 +163,7 @@ struct TenantState {
 impl TenantState {
     /// Draws the tenant's next request and parks it in `next`.
     fn advance(&mut self, align: u64) {
-        let mean = self.spec.mean_req_sectors;
-        let len = if mean <= 1.0 {
-            1
-        } else {
-            let p = 1.0 / mean;
-            let u = self.rng.range_f64(f64::EPSILON, 1.0);
-            (u.ln() / (1.0 - p).ln()).floor() as u64 + 1
-        }
-        .min(self.slice_len);
+        let len = self.req_sectors.sample(&mut self.rng).min(self.slice_len);
         let s = self.zipf.sample(&mut self.rng);
         let s = s - s % align;
         let start = self.base_sector + s.min(self.slice_len - len);
@@ -177,8 +172,7 @@ impl TenantState {
         } else {
             Dir::Read
         };
-        let dt = -self.spec.mean_interarrival_us * self.rng.range_f64(f64::EPSILON, 1.0).ln();
-        self.clock_us += dt;
+        self.clock_us += sample_exponential(self.spec.mean_interarrival_us, &mut self.rng);
         self.next = Some(IoRequest::new(
             self.clock_us,
             start * SECTOR_BYTES,
