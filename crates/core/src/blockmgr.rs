@@ -177,8 +177,10 @@ pub struct BlockManager {
     sealed_valid: Vec<u32>,
     /// Erase cycles per block (mirrors the flash wear counters).
     wear: Vec<u32>,
-    /// Sealed blocks ordered by wear, for wear-aware selection.
-    wear_index: BTreeSet<(u32, BlockId)>,
+    /// Sealed blocks ordered by wear, for static wear leveling: `None`
+    /// until a pick first reads it (see [`BlockManager::static_turnover`]),
+    /// so a run under a policy that never does keeps no such index.
+    wear_index: Option<BTreeSet<(u32, BlockId)>>,
     /// Highest erase count any block has reached.
     max_wear: u32,
     /// Picks since the last static wear-leveling turn-over (rate limiter).
@@ -207,7 +209,7 @@ impl BlockManager {
             seal_seq: vec![0; num_blocks],
             sealed_valid: vec![0; num_blocks],
             wear: vec![0; num_blocks],
-            wear_index: BTreeSet::new(),
+            wear_index: None,
             max_wear: 0,
             picks_since_static: 0,
         }
@@ -349,7 +351,9 @@ impl BlockManager {
         self.seq += 1;
         self.seal_seq[b as usize] = self.seq;
         self.sealed_valid[b as usize] = valid as u32;
-        self.wear_index.insert((self.wear[b as usize], b));
+        if let Some(index) = &mut self.wear_index {
+            index.insert((self.wear[b as usize], b));
+        }
         Ok(())
     }
 
@@ -385,7 +389,9 @@ impl BlockManager {
 
     fn claim(&mut self, b: BlockId) -> Option<(BlockId, AllocClass)> {
         self.bucket_remove(b, self.sealed_valid[b as usize] as usize);
-        self.wear_index.remove(&(self.wear[b as usize], b));
+        if let Some(index) = &mut self.wear_index {
+            index.remove(&(self.wear[b as usize], b));
+        }
         // Only `seal_block` fills the buckets and the wear index, every pick
         // reads one of the two, and claiming takes the block out of both.
         let kind = std::mem::replace(&mut self.kind[b as usize], BlockKind::Collecting);
@@ -433,12 +439,29 @@ impl BlockManager {
     /// both the data and the translation active block (two fresh-block
     /// pops) before its erase returns one, so firing it with fewer than
     /// two free blocks can exhaust the pool mid-collection.
+    ///
+    /// The wear index is built here, the first time it is read, from what
+    /// it indexes — the sealed blocks of `kind` at their `wear`, which does
+    /// not change while a block is sealed — and kept current by
+    /// `seal_block` and `claim` from then on: the same set an index kept
+    /// from the start would hold.
     fn static_turnover(&mut self, max_wear_delta: u64, rate: u32) -> Option<BlockId> {
         self.picks_since_static += 1;
         if self.picks_since_static < rate || self.free.len() < 2 {
             return None;
         }
-        let &(wear, b) = self.wear_index.iter().next()?;
+        let index = self.wear_index.get_or_insert_with(|| {
+            let sealed = |&b: &BlockId| {
+                let kind = self.kind[b as usize];
+                matches!(kind, BlockKind::SealedData | BlockKind::SealedTranslation)
+            };
+            let blocks = 0..self.kind.len() as BlockId;
+            blocks
+                .filter(sealed)
+                .map(|b| (self.wear[b as usize], b))
+                .collect()
+        });
+        let &(wear, b) = index.iter().next()?;
         if (self.max_wear as u64).saturating_sub(wear as u64) > max_wear_delta {
             self.picks_since_static = 0;
             return Some(b);
@@ -991,7 +1014,7 @@ mod tests {
         }
     }
 
-    /// Every policy configuration the oracle fuzz covers.
+    /// Every policy the oracle fuzz covers.
     const FUZZ_POLICIES: [GcPolicy; 7] = [
         GcPolicy::Greedy,
         GcPolicy::CostBenefit,
@@ -1003,6 +1026,13 @@ mod tests {
         GcPolicy::Windowed { window: 4 },
         GcPolicy::Windowed { window: 64 },
     ];
+
+    /// The policies the fuzz also asks for only from its 200th random step
+    /// on, after greedy picks. The oracle keeps its wear index from the
+    /// first seal; the manager builds its own when a pick first reads it —
+    /// here after 200 steps of seals and claims it never recorded, in the
+    /// runs above after the up-front seals.
+    const AFTER_GREEDY: [GcPolicy; 3] = [FUZZ_POLICIES[2], FUZZ_POLICIES[3], FUZZ_POLICIES[5]];
 
     /// Seeded seal/invalidate/pick/erase fuzz on an `n_blocks` device: the
     /// bucket bitsets must yield the same victim sequence as the `BTreeSet`
@@ -1018,7 +1048,9 @@ mod tests {
         use tpftl_rng::Rng64;
 
         const PPB: usize = 4;
-        for (pi, &policy) in FUZZ_POLICIES.iter().enumerate() {
+        let throughout = FUZZ_POLICIES.map(|policy| (policy, policy));
+        let switched = AFTER_GREEDY.map(|policy| (GcPolicy::Greedy, policy));
+        for (pi, (early, late)) in throughout.into_iter().chain(switched).enumerate() {
             for seed in 0..seeds {
                 let mut rng = Rng64::seed_from_u64(0xB10C + seed * 7 + pi as u64);
                 let mut flash = Flash::new(FlashGeometry {
@@ -1053,26 +1085,29 @@ mod tests {
 
                 // Picks through both indexes, compares, and erases the
                 // victim; returns it.
-                let pick_and_erase =
-                    |mgr: &mut BlockManager, oracle: &mut BucketOracle, flash: &mut Flash| {
-                        let expect = oracle.pick(policy, mgr.free_blocks(), mgr.streams() > 1);
-                        let got = mgr.pick_victim(policy).map(|(b, _)| b);
-                        assert_eq!(
-                            got, expect,
-                            "victim mismatch, policy {policy:?}, {n_blocks} blocks, seed {seed}"
-                        );
-                        let b = got?;
-                        oracle.on_claim(b);
-                        for (ppn, _) in flash.valid_pages(b).collect::<Vec<_>>() {
-                            flash.invalidate(ppn).unwrap();
-                        }
-                        flash.erase_block(b, OpPurpose::GcData).unwrap();
-                        mgr.on_erased(b);
-                        oracle.on_erased(b);
-                        Some(b)
-                    };
+                let pick_and_erase = |mgr: &mut BlockManager,
+                                      oracle: &mut BucketOracle,
+                                      flash: &mut Flash,
+                                      policy: GcPolicy| {
+                    let expect = oracle.pick(policy, mgr.free_blocks(), mgr.streams() > 1);
+                    let got = mgr.pick_victim(policy).map(|(b, _)| b);
+                    assert_eq!(
+                        got, expect,
+                        "victim mismatch, policy {policy:?}, {n_blocks} blocks, seed {seed}"
+                    );
+                    let b = got?;
+                    oracle.on_claim(b);
+                    for (ppn, _) in flash.valid_pages(b).collect::<Vec<_>>() {
+                        flash.invalidate(ppn).unwrap();
+                    }
+                    flash.erase_block(b, OpPurpose::GcData).unwrap();
+                    mgr.on_erased(b);
+                    oracle.on_erased(b);
+                    Some(b)
+                };
 
-                for _ in 0..400 {
+                for step in 0..400 {
+                    let policy = if step < 200 { early } else { late };
                     match rng.range_u32(0, 4) {
                         // Seal a fresh block with a random valid count.
                         0 | 1 => {
@@ -1102,7 +1137,8 @@ mod tests {
                         }
                         // Pick a victim; sequences must agree exactly.
                         _ => {
-                            if let Some(b) = pick_and_erase(&mut mgr, &mut oracle, &mut flash) {
+                            let picked = pick_and_erase(&mut mgr, &mut oracle, &mut flash, policy);
+                            if let Some(b) = picked {
                                 sealed.retain(|&s| s != b);
                             }
                         }
@@ -1114,11 +1150,19 @@ mod tests {
                 // static arms run before the candidate order, never in its
                 // place), so the first `None` means dry.
                 let mut picked = 0;
-                while pick_and_erase(&mut mgr, &mut oracle, &mut flash).is_some() {
+                while pick_and_erase(&mut mgr, &mut oracle, &mut flash, late).is_some() {
                     picked += 1;
                 }
                 assert!(oracle.buckets[..PPB].iter().all(BTreeSet::is_empty));
                 assert!(mgr.candidates().next().is_none());
+                // The wear index exists iff some pick went to read it.
+                match late {
+                    GcPolicy::WearAware { .. } => assert!(mgr.wear_index.is_some()),
+                    GcPolicy::Greedy | GcPolicy::CostBenefit => assert!(mgr.wear_index.is_none()),
+                    GcPolicy::Windowed { .. } => {
+                        assert_eq!(mgr.wear_index.is_some(), mgr.streams() > 1)
+                    }
+                }
                 assert_eq!(mgr.sealed_blocks() + picked, sealed.len(), "seed {seed}");
             }
         }

@@ -607,13 +607,29 @@ impl SsdEnv {
 
     fn prefill_chunks(&mut self, pages: u64, payload: &mut Vec<Ppn>) -> Result<()> {
         let mut lpn: Lpn = 0;
+        // What `program_data_page` does per page, with the allocator asked
+        // once per run: after it hands out a page, the rest of that page's
+        // block is what it would hand out next for the same stream, as long
+        // as each is programmed in turn and nothing else writes data.
+        let (mut stream, mut run) = (0, 0..0);
         while (lpn as u64) < pages {
             let vtpn = self.vtpn_of(lpn);
             payload.clear();
             payload.resize(self.entries_per_tp, PPN_NONE);
             let chunk_end = (((vtpn as u64) + 1) * self.entries_per_tp as u64).min(pages) as Lpn;
             while lpn < chunk_end {
-                let ppn = self.program_data_page(lpn, OpPurpose::HostData)?;
+                let wanted = self.heat.on_host_write(lpn);
+                let ppn = match run.next() {
+                    Some(ppn) if wanted == stream => ppn,
+                    _ => {
+                        let first = self.blocks.alloc_data_page(wanted, &self.flash)?;
+                        let block = self.flash.geometry().block_of(first);
+                        let left = self.flash.free_pages_in(block)? as Ppn;
+                        (stream, run) = (wanted, first + 1..first + left);
+                        first
+                    }
+                };
+                self.flash.program_page(ppn, lpn, OpPurpose::HostData)?;
                 payload[self.offset_of(lpn) as usize] = ppn;
                 lpn += 1;
             }
@@ -737,6 +753,63 @@ mod tests {
         for (lpn, &ppn) in entries.iter().enumerate().take(512) {
             env.read_data_page(ppn, lpn as Lpn).unwrap();
         }
+    }
+
+    /// `prefill` asks the allocator once per run of pages; the device must
+    /// end up as programming page by page leaves it — also where a hot LPN
+    /// breaks a run by going to the other stream, and where the pre-fill
+    /// stops in the middle of a block and of a translation page.
+    #[test]
+    fn prefill_equals_programming_page_by_page() {
+        let mut cfg = SsdConfig::paper_default(8 << 20); // two translation pages
+        cfg.streams = crate::config::StreamCount(2);
+        let with_hot_lpns = || {
+            let mut env = SsdEnv::new(cfg.clone()).unwrap();
+            for lpn in [3, 700, 3, 1500, 700] {
+                env.program_data_page(lpn, OpPurpose::HostData).unwrap();
+            }
+            env
+        };
+        let mut fast = with_hot_lpns();
+        fast.prefill(0.7).unwrap();
+
+        let mut slow = with_hot_lpns();
+        let pages = (cfg.logical_pages() as f64 * 0.7) as Lpn;
+        let mut payload = vec![PPN_NONE; slow.entries_per_tp()];
+        for lpn in 0..pages {
+            let ppn = slow.program_data_page(lpn, OpPurpose::HostData).unwrap();
+            payload[slow.offset_of(lpn) as usize] = ppn;
+            if slow.vtpn_of(lpn + 1) != slow.vtpn_of(lpn) || lpn + 1 == pages {
+                slow.write_translation_page_full(
+                    slow.vtpn_of(lpn),
+                    &payload,
+                    OpPurpose::Translation,
+                )
+                .unwrap();
+                payload.fill(PPN_NONE);
+            }
+        }
+
+        // LPN 3 was hot: it left its neighbours' run, which then resumed.
+        let geom = fast.flash().geometry().clone();
+        let mapped = fast
+            .read_translation_entries(0, OpPurpose::Translation)
+            .unwrap();
+        assert_ne!(geom.block_of(mapped[3]), geom.block_of(mapped[2]));
+        assert_eq!(mapped[4], mapped[2] + 1);
+        let mapped = mapped.to_vec();
+        let reference = slow.read_translation_entries(0, OpPurpose::Translation);
+        assert_eq!(mapped, reference.unwrap());
+        assert!(fast.flash().scan_valid().eq(slow.flash().scan_valid()));
+        assert!(fast.gtd().iter_present().eq(slow.gtd().iter_present()));
+        for ppn in 0..fast.flash().geometry().total_pages() as Ppn {
+            assert_eq!(fast.flash().program_seq(ppn), slow.flash().program_seq(ppn));
+        }
+        for block in 0..fast.flash().geometry().num_blocks as u32 {
+            assert_eq!(fast.blocks.kind(block), slow.blocks.kind(block));
+        }
+        assert_eq!(fast.blocks.sealed_blocks(), slow.blocks.sealed_blocks());
+        assert_eq!(fast.heat.heat, slow.heat.heat);
     }
 
     #[test]

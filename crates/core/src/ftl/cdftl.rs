@@ -13,12 +13,10 @@
 //! The TPFTL paper drops CDFTL from its plots because it "performs worse
 //! than S-FTL in our experiments"; we implement and report it anyway.
 
-use crate::hash::FxHashMap;
-
 use tpftl_flash::{Lpn, OpPurpose, Ppn, Vtpn};
 
 use crate::env::SsdEnv;
-use crate::ftl::cmt::{self, mapped, Entry, EntryCache, TpTally, ENTRY_BYTES};
+use crate::ftl::cmt::{self, mapped, Entry, EntryCache, TpTally, VtpnTable, ENTRY_BYTES};
 use crate::ftl::{AccessCtx, Ftl, TpDistEntry};
 use crate::lru::{LruIdx, LruList};
 use crate::{FtlError, Result, SsdConfig};
@@ -40,7 +38,7 @@ pub struct Cdftl {
     cmt_cap: usize,
     ctp_cap_pages: usize,
     cmt: EntryCache,
-    ctp: FxHashMap<Vtpn, CtpPage>,
+    ctp: VtpnTable<CtpPage>,
     ctp_lru: LruList<Vtpn>,
     entries_per_tp: usize,
 }
@@ -67,7 +65,7 @@ impl Cdftl {
             cmt_cap,
             ctp_cap_pages,
             cmt: EntryCache::new(config.entries_per_tp()),
-            ctp: FxHashMap::default(),
+            ctp: VtpnTable::new(config.num_vtpns() as usize),
             ctp_lru: LruList::new(),
             entries_per_tp: config.entries_per_tp(),
         })
@@ -78,7 +76,7 @@ impl Cdftl {
         let Some((_, &vtpn)) = self.ctp_lru.peek_lru() else {
             return Err(FtlError::CacheTooSmall);
         };
-        let page = self.ctp.remove(&vtpn).expect("LRU page cached");
+        let page = self.ctp.remove(vtpn).expect("LRU page cached");
         self.ctp_lru.remove(page.lru);
         env.note_replacement(page.dirty);
         if page.dirty {
@@ -115,7 +113,7 @@ impl Cdftl {
         let candidate = self
             .cmt
             .iter_lru()
-            .find(|e| !e.dirty || self.ctp.contains_key(&env.vtpn_of(e.lpn)))
+            .find(|e| !e.dirty || self.ctp.contains(env.vtpn_of(e.lpn)))
             .copied();
         let entry = match candidate {
             Some(e) => e,
@@ -128,7 +126,7 @@ impl Cdftl {
         env.note_replacement(entry.dirty);
         if entry.dirty {
             let vtpn = env.vtpn_of(entry.lpn);
-            let page = self.ctp.get_mut(&vtpn).expect("victim's page is in CTP");
+            let page = &mut self.ctp[vtpn]; // checked or loaded above
             page.entries[env.offset_of(entry.lpn) as usize] = entry.ppn;
             page.dirty = true;
         }
@@ -163,7 +161,7 @@ impl Ftl for Cdftl {
         while self.cmt.len() >= self.cmt_cap {
             self.evict_cmt(env)?;
         }
-        if let Some(page) = self.ctp.get(&vtpn) {
+        if let Some(page) = self.ctp.get(vtpn) {
             // Second-level hit: no flash traffic, copy into the CMT.
             env.note_lookup(true);
             let ppn = page.entries[off];
@@ -174,7 +172,7 @@ impl Ftl for Cdftl {
         }
         env.note_lookup(false);
         self.load_ctp(env, vtpn)?;
-        let ppn = self.ctp[&vtpn].entries[off];
+        let ppn = self.ctp[vtpn].entries[off];
         self.push_cmt(lpn, ppn);
         Ok(mapped(ppn))
     }
@@ -195,7 +193,7 @@ impl Ftl for Cdftl {
             |ftl, env, lpn, new_ppn| {
                 if let Some(e) = ftl.cmt.get_mut(lpn) {
                     e.remap(new_ppn);
-                } else if let Some(page) = ftl.ctp.get_mut(&env.vtpn_of(lpn)) {
+                } else if let Some(page) = ftl.ctp.get_mut(env.vtpn_of(lpn)) {
                     page.entries[env.offset_of(lpn) as usize] = new_ppn;
                     page.dirty = true;
                 } else {
@@ -222,14 +220,14 @@ impl Ftl for Cdftl {
         }
         Ok(self
             .ctp
-            .get(&env.vtpn_of(lpn))
+            .get(env.vtpn_of(lpn))
             .map(|page| mapped(page.entries[env.offset_of(lpn) as usize])))
     }
 
     fn mark_clean(&mut self, vtpn: Vtpn) {
         // Sync dirty CMT values into the cached page (now equal to flash)
         // and clear both dirty states.
-        let mut page = self.ctp.get_mut(&vtpn);
+        let mut page = self.ctp.get_mut(vtpn);
         let per_tp = self.entries_per_tp;
         self.cmt.clean_vtpn(vtpn, |e| {
             if let Some(page) = &mut page {
@@ -244,7 +242,7 @@ impl Ftl for Cdftl {
     fn cached_tp_distribution(&self) -> Vec<TpDistEntry> {
         let mut tally = TpTally::default();
         self.cmt.tally(&mut tally);
-        for (&vtpn, p) in &self.ctp {
+        for (vtpn, p) in self.ctp.iter() {
             tally.add(vtpn, p.entries.len() as u32, p.dirty as u32);
         }
         tally.finish()
@@ -307,7 +305,7 @@ mod tests {
             driver::serve_page_access(&mut ftl, &mut env, lpn, AccessCtx::single(false)).unwrap();
         }
         assert_eq!(env.flash().stats().translation_writes(), tw);
-        let page = &ftl.ctp[&0];
+        let page = &ftl.ctp[0];
         assert!(page.dirty, "CTP page carries the absorbed update");
         assert_ne!(page.entries[0], PPN_NONE);
     }

@@ -7,6 +7,8 @@
 //! of its learned index. This module holds that substrate once:
 //!
 //! * [`EntryCache`] — the entry LRU with its LPN index;
+//! * [`VtpnTable`] — per-translation-page state (TPFTL's nodes, CDFTL's
+//!   and S-FTL's cached pages, LearnedFTL's segments) indexed by VTPN;
 //! * [`write_back_by_tp`] — the per-translation-page batcher every FTL
 //!   uses for GC misses (and ZFTL for its reserve flush), with a per-page
 //!   hook for the designs that piggyback on or react to the write;
@@ -181,6 +183,82 @@ impl EntryCache {
         for e in self.iter_lru() {
             tally.add(self.vtpn_of(e.lpn), 1, e.dirty as u32);
         }
+    }
+}
+
+/// State kept per translation page, found by indexing with the VTPN: one
+/// slot for each of the device's `SsdConfig::num_vtpns` pages, empty until
+/// the page has state. The VTPN space is small and dense (128 pages on
+/// the 512 MB device, 4 096 on 16 GB), so the table is a few hundred
+/// kilobytes of host memory at most — simulator state like TPFTL's
+/// `by_offset`, charged to no modelled cache — and a lookup is an indexed
+/// load where a map keyed by VTPN hashes and probes.
+pub(crate) struct VtpnTable<T> {
+    slots: Vec<Option<T>>,
+    len: usize,
+}
+
+impl<T> VtpnTable<T> {
+    pub fn new(num_vtpns: usize) -> Self {
+        Self {
+            slots: std::iter::repeat_with(|| None).take(num_vtpns).collect(),
+            len: 0,
+        }
+    }
+
+    /// Number of pages that have state.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    #[inline]
+    pub fn get(&self, vtpn: Vtpn) -> Option<&T> {
+        self.slots.get(vtpn as usize)?.as_ref()
+    }
+
+    #[inline]
+    pub fn get_mut(&mut self, vtpn: Vtpn) -> Option<&mut T> {
+        self.slots.get_mut(vtpn as usize)?.as_mut()
+    }
+
+    pub fn contains(&self, vtpn: Vtpn) -> bool {
+        self.get(vtpn).is_some()
+    }
+
+    /// Gives page `vtpn`, which has none, its state.
+    pub fn insert(&mut self, vtpn: Vtpn, state: T) {
+        let old = self.slots[vtpn as usize].replace(state);
+        debug_assert!(old.is_none(), "translation page {vtpn} had state");
+        self.len += 1;
+    }
+
+    pub fn remove(&mut self, vtpn: Vtpn) -> Option<T> {
+        let old = self.slots.get_mut(vtpn as usize)?.take();
+        self.len -= usize::from(old.is_some());
+        old
+    }
+
+    /// The pages that have state, by ascending VTPN.
+    pub fn iter(&self) -> impl Iterator<Item = (Vtpn, &T)> {
+        let states = self.slots.iter().zip(0..);
+        states.filter_map(|(slot, vtpn)| Some((vtpn, slot.as_ref()?)))
+    }
+}
+
+/// The state of a page that is known to have some.
+impl<T> std::ops::Index<Vtpn> for VtpnTable<T> {
+    type Output = T;
+
+    #[inline]
+    fn index(&self, vtpn: Vtpn) -> &T {
+        self.get(vtpn).expect("translation page has no state")
+    }
+}
+
+impl<T> std::ops::IndexMut<Vtpn> for VtpnTable<T> {
+    #[inline]
+    fn index_mut(&mut self, vtpn: Vtpn) -> &mut T {
+        self.get_mut(vtpn).expect("translation page has no state")
     }
 }
 

@@ -34,9 +34,8 @@
 use tpftl_flash::{Lpn, OpPurpose, PageState, Ppn, Vtpn, PPN_NONE};
 
 use crate::env::SsdEnv;
-use crate::ftl::cmt::{self, mapped, Entry, EntryCache, PageStep, TpTally, ENTRY_BYTES};
+use crate::ftl::cmt::{self, mapped, Entry, EntryCache, PageStep, TpTally, VtpnTable, ENTRY_BYTES};
 use crate::ftl::{AccessCtx, Ftl, TpDistEntry};
-use crate::hash::FxHashMap;
 use crate::{FtlError, Result, SsdConfig};
 
 /// Default prediction error bound ε (in pages). Small enough that a
@@ -81,11 +80,7 @@ impl Segment {
     /// representable PPN range (never a silent wraparound).
     fn predict(&self, off: u16) -> Option<Ppn> {
         debug_assert!(self.start <= off && off <= self.end);
-        let p = (self.base + self.slope * f64::from(off - self.start)).round();
-        if !(0.0..f64::from(PPN_NONE)).contains(&p) {
-            return None;
-        }
-        Some(p as Ppn)
+        round_to_ppn(self.base + self.slope * f64::from(off - self.start))
     }
 
     /// Everything a prediction depends on, comparable bit for bit.
@@ -97,6 +92,32 @@ impl Segment {
             self.slope.to_bits(),
         )
     }
+}
+
+/// `x.round()` as a PPN, or `None` when that is negative, `PPN_NONE` or
+/// more, or NaN — in integer arithmetic, because `f64::round` is a library
+/// call on baseline x86-64 and this runs once per fitted offset.
+///
+/// `round` takes halves away from zero, so it lands in `0..PPN_NONE`
+/// exactly for `x` in `(-0.5, PPN_NONE - 0.5)`, an interval whose ends are
+/// representable; a NaN fails both comparisons. Inside it a negative `x`
+/// rounds to zero. Otherwise `t = x as u64` is `floor(x)` with nothing
+/// lost (`x < 2^32`), `x - t` is exact (`t <= x < t + 1` puts both within
+/// a factor of two of each other, or `t` is zero), and `round` adds one
+/// exactly when that fraction reaches a half — which `floor(x + 0.5)`
+/// would get wrong just below a half, where the sum rounds up.
+fn round_to_ppn(x: f64) -> Option<Ppn> {
+    if !(x > -0.5 && x < f64::from(PPN_NONE) - 0.5) {
+        return None;
+    }
+    let p = if x < 0.0 {
+        0
+    } else {
+        let t = x as u64;
+        t + u64::from(x - t as f64 >= 0.5)
+    };
+    debug_assert_eq!(p as f64, x.round());
+    Some(p as Ppn)
 }
 
 /// One step of the greedy shrinking-cone fit (LearnedFTL §3): the raw
@@ -209,6 +230,35 @@ impl FitMemo {
         self.starts[off / 64] >> (off % 64) & 1 == 1
     }
 
+    /// The last offset below `below` that starts a raw segment.
+    fn last_start_below(&self, below: usize) -> Option<usize> {
+        let top = |w: usize, bits: u64| w * 64 + 63 - bits.leading_zeros() as usize;
+        let (w, bit) = (below / 64, below % 64);
+        let partial = self.starts.get(w).map_or(0, |&x| x & ((1 << bit) - 1));
+        if partial != 0 {
+            return Some(top(w, partial));
+        }
+        let w = self.starts[..w].iter().rposition(|&x| x != 0)?;
+        Some(top(w, self.starts[w]))
+    }
+
+    /// Forgets the starts at the offsets `from..to`.
+    fn clear_starts(&mut self, from: usize, to: usize) {
+        if from == to {
+            return;
+        }
+        let (first, last) = (from / 64, (to - 1) / 64);
+        let head = !0u64 << (from % 64);
+        let tail = !0u64 >> (63 - (to - 1) % 64);
+        if first == last {
+            self.starts[first] &= !(head & tail);
+        } else {
+            self.starts[first] &= !head;
+            self.starts[first + 1..last].fill(0);
+            self.starts[last] &= !tail;
+        }
+    }
+
     /// Brings the memo in line with `payload`, which differs from the
     /// table it was last fitted on at most at the offsets `changed`
     /// (ascending). `scratch` is a buffer to reuse.
@@ -219,9 +269,8 @@ impl FitMemo {
             let lo = usize::from(lo);
             // Restart at the last raw segment that starts so far below
             // `lo` that no fit before it read `lo`; failing that, at 0.
-            let from = (0..lo.saturating_sub(self.overreach))
-                .rev()
-                .find(|&off| self.is_start(off))
+            let from = self
+                .last_start_below(lo.saturating_sub(self.overreach))
                 .unwrap_or(0);
             scratch.clear();
             // The pass has re-fitted every offset below `done` and will
@@ -230,9 +279,7 @@ impl FitMemo {
             let mut start = next_mapped(payload, from);
             loop {
                 // Old starts the new pass stepped over are gone.
-                for off in done..start {
-                    self.starts[off / 64] &= !(1 << (off % 64));
-                }
+                self.clear_starts(done, start);
                 // Resynchronised: past `lo` and about to start where the
                 // old pass started one, on entries it saw the same.
                 if start == n || (start > lo && self.is_start(start)) {
@@ -279,13 +326,39 @@ fn fit_region(payload: &[Ppn], eps: u32) -> FitMemo {
     memo
 }
 
+/// Appends to `out` the `room` segments of `fits` (a region of `entries`
+/// offsets, ascending by `start`) that cover the most offsets, ties to the
+/// lower start — all of them if there are no more — still ascending.
+///
+/// That order is the ascending order of one `u32` per segment, its count
+/// of uncovered offsets above its start, and no two are equal. So only the
+/// keys are selected on, in the reused buffer `keys`, and the segments at
+/// or below the `room`-th key are copied across in the order they are in.
+fn keep_longest(
+    fits: &[Segment],
+    room: usize,
+    entries: usize,
+    keys: &mut Vec<u32>,
+    out: &mut Vec<Segment>,
+) {
+    if fits.len() <= room {
+        out.extend_from_slice(fits);
+    } else if room > 0 {
+        let key = |s: &Segment| ((entries - s.covered()) as u32) << 16 | u32::from(s.start);
+        keys.clear();
+        keys.extend(fits.iter().map(key));
+        let cut = *keys.select_nth_unstable(room - 1).1;
+        out.extend(fits.iter().filter(|s| key(s) <= cut));
+    }
+}
+
 /// The learned page-level FTL.
 pub struct LearnedFtl {
     epsilon: u32,
     budget_bytes: usize,
     seg_budget_bytes: usize,
     /// Learned index: per-region segments, sorted by `start`, disjoint.
-    segs: FxHashMap<Vtpn, Vec<Segment>>,
+    segs: VtpnTable<Vec<Segment>>,
     /// Total bytes charged for segments (`Σ len · SEG_BYTES`).
     seg_bytes: usize,
     /// Fallback CMT: flat LRU of individual entries, as DFTL's cache but
@@ -305,6 +378,8 @@ struct Scratch {
     changed: Vec<u16>,
     /// The segments [`FitMemo::update`] is about to splice in.
     fits: Vec<Segment>,
+    /// One trim key per raw fit of the region being trimmed.
+    keys: Vec<u32>,
 }
 
 impl LearnedFtl {
@@ -334,7 +409,7 @@ impl LearnedFtl {
             epsilon,
             budget_bytes,
             seg_budget_bytes: budget_bytes / 2,
-            segs: FxHashMap::default(),
+            segs: VtpnTable::new(config.num_vtpns() as usize),
             seg_bytes: 0,
             cmt: EntryCache::new(config.entries_per_tp()),
             memos: std::iter::repeat_with(|| FitMemo::new(config.entries_per_tp()))
@@ -370,7 +445,7 @@ impl LearnedFtl {
     /// The predicted PPN for `off` in region `vtpn`, if a segment covers
     /// it and the line stays in range.
     fn predict_at(&self, vtpn: Vtpn, off: u16) -> Option<Ppn> {
-        let segs = self.segs.get(&vtpn)?;
+        let segs = self.segs.get(vtpn)?;
         let i = segs.partition_point(|s| s.start <= off).checked_sub(1)?;
         let s = &segs[i];
         if s.end < off {
@@ -390,7 +465,7 @@ impl LearnedFtl {
     /// first, deterministic tie-break on start) to the global segment
     /// budget.
     fn refit(&mut self, env: &SsdEnv, vtpn: Vtpn, changed: impl IntoIterator<Item = u16>) {
-        let mut fit = self.segs.remove(&vtpn).unwrap_or_default();
+        let mut fit = self.segs.remove(vtpn).unwrap_or_default();
         self.seg_bytes -= fit.len() * SEG_BYTES;
         fit.clear();
         let memo = &mut self.memos[vtpn as usize];
@@ -409,17 +484,8 @@ impl LearnedFtl {
             "incremental refit of region {vtpn} after changes at {:?} left the from-scratch fit",
             scratch.changed
         );
-        fit.extend_from_slice(&memo.fits);
         let room = ((self.seg_budget_bytes - self.seg_bytes) / SEG_BYTES).min(MAX_SEGS_PER_REGION);
-        if fit.len() > room {
-            if room > 0 {
-                fit.select_nth_unstable_by(room - 1, |a, b| {
-                    b.covered().cmp(&a.covered()).then(a.start.cmp(&b.start))
-                });
-            }
-            fit.truncate(room);
-            fit.sort_unstable_by_key(|s| s.start);
-        }
+        keep_longest(&memo.fits, room, payload.len(), &mut scratch.keys, &mut fit);
         if !fit.is_empty() {
             self.seg_bytes += fit.len() * SEG_BYTES;
             self.segs.insert(vtpn, fit);
@@ -432,7 +498,7 @@ impl LearnedFtl {
     /// predictions are bit-identical to before), and remnants too short
     /// to pay for themselves are dropped.
     fn split_covering(&mut self, vtpn: Vtpn, off: u16) {
-        let Some(segs) = self.segs.get_mut(&vtpn) else {
+        let Some(segs) = self.segs.get_mut(vtpn) else {
             return;
         };
         let Some(i) = segs.partition_point(|s| s.start <= off).checked_sub(1) else {
@@ -469,7 +535,7 @@ impl LearnedFtl {
                 segs.remove(i);
                 self.seg_bytes -= SEG_BYTES;
                 if segs.is_empty() {
-                    self.segs.remove(&vtpn);
+                    self.segs.remove(vtpn);
                 }
             }
         }
@@ -1018,6 +1084,155 @@ mod tests {
         changed.into_iter().map(|off| off as u16).collect()
     }
 
+    /// `round_to_ppn` is `f64::round` followed by the range check, on the
+    /// values where the two could part — around each half, at both ends of
+    /// the PPN range, where `f64` stops holding fractions, on non-numbers —
+    /// and on seeded lines, negative ones included. (In a debug build the
+    /// function checks itself as well; this runs in release too.)
+    #[test]
+    fn integer_rounding_is_round_then_range_check() {
+        let by_libm = |x: f64| {
+            let p = x.round();
+            (0.0..f64::from(PPN_NONE)).contains(&p).then_some(p as Ppn)
+        };
+        let top = f64::from(PPN_NONE);
+        let below_half = 0.49999999999999994; // 0.5 − 2⁻⁵⁴: `floor(x + 0.5)` says 1
+        let mut edges = vec![
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            -0.0,
+            f64::MIN_POSITIVE,
+            top - 0.5,
+            top - 1.0,
+            top,
+            4294967296.0 + 1.0,
+            4294967296.0 - 1.0,
+            1e300,
+            -1e300,
+        ];
+        for around in [0.0, 1.0, 2.0, 1023.0, 8388608.0, top - 1.0] {
+            for half in [-0.5, -below_half, below_half, 0.5] {
+                let x: f64 = around + half;
+                // The neighbours of each value, too.
+                edges.extend([
+                    x,
+                    f64::from_bits(x.to_bits() + 1),
+                    f64::from_bits(x.to_bits() - 1),
+                ]);
+            }
+        }
+        for x in edges {
+            assert_eq!(round_to_ppn(x), by_libm(x), "x = {x:e}");
+        }
+        assert_eq!(round_to_ppn(below_half), Some(0));
+        assert_eq!(round_to_ppn(-below_half), Some(0));
+        assert_eq!(round_to_ppn(-0.5), None);
+        assert_eq!(round_to_ppn(top - 0.5), None);
+        assert_eq!(round_to_ppn(top - 0.5 - 1e-6), Some(PPN_NONE - 1));
+
+        let mut rng = tpftl_rng::Rng64::seed_from_u64(0x2047D);
+        for _ in 0..20_000 {
+            // A line through a random height with a slope in (−4, 4), in
+            // steps of 2⁻²⁰, sampled along a region.
+            let base = rng.below(1 << 33) as f64 / 2.0 - 1024.0;
+            let slope = (rng.below(1 << 23) as f64 - (1 << 22) as f64) / (1 << 20) as f64;
+            let seg = Segment {
+                start: 0,
+                end: 1023,
+                base,
+                slope,
+            };
+            for off in [0, 1, 2, 511, 1023] {
+                let x = base + slope * f64::from(off);
+                assert_eq!(seg.predict(off), by_libm(x), "x = {x:e}");
+            }
+        }
+    }
+
+    /// The key-select trim keeps what sorting the segments themselves by
+    /// (coverage descending, start ascending) and re-sorting the survivors
+    /// by start kept, for every `room` from none to all of them.
+    #[test]
+    fn keep_longest_matches_sorting_the_segments() {
+        let mut rng = tpftl_rng::Rng64::seed_from_u64(0x7219);
+        let mut keys = Vec::new();
+        for _ in 0..200 {
+            // Disjoint segments with many coverage ties, up to offset 1023.
+            let mut fits = Vec::new();
+            let mut start = rng.below(8) as u16;
+            while start < 1000 {
+                let end = (start + MIN_COVERED as u16 - 1 + rng.below(6) as u16).min(1023);
+                fits.push(Segment {
+                    start,
+                    end,
+                    base: f64::from(start),
+                    slope: 1.0,
+                });
+                start = end + 1 + rng.below(30) as u16;
+            }
+            for room in [0, 1, 2, 3, MAX_SEGS_PER_REGION, fits.len() - 1, fits.len()] {
+                let mut want = fits.clone();
+                want.sort_by(|a, b| b.covered().cmp(&a.covered()).then(a.start.cmp(&b.start)));
+                want.truncate(room);
+                want.sort_by_key(|s| s.start);
+                let mut got = Vec::new();
+                keep_longest(&fits, room, 1024, &mut keys, &mut got);
+                assert!(
+                    got.iter()
+                        .map(Segment::bits)
+                        .eq(want.iter().map(Segment::bits)),
+                    "room {room} of {}",
+                    fits.len()
+                );
+            }
+        }
+        // The largest region `u16` offsets allow: the keys still fit.
+        let long = Segment {
+            start: 0,
+            end: u16::MAX - 10,
+            base: 0.0,
+            slope: 1.0,
+        };
+        let short = Segment {
+            start: u16::MAX - 9,
+            end: u16::MAX,
+            ..long
+        };
+        let mut got = Vec::new();
+        keep_longest(&[long, short], 1, 1 << 16, &mut keys, &mut got);
+        assert_eq!(got.len(), 1);
+        assert_eq!(got[0].bits(), long.bits());
+    }
+
+    /// The word-wise start search and range clear against the bit-by-bit
+    /// forms they replaced, at every offset pair of a three-word memo.
+    #[test]
+    fn fit_memo_word_operations_match_bit_loops() {
+        let mut rng = tpftl_rng::Rng64::seed_from_u64(0xB175);
+        for round in 0..40 {
+            let mut memo = FitMemo::new(150);
+            for off in 0..150 {
+                // Sparse, dense and empty memos.
+                if rng.below(40) < round {
+                    memo.starts[off / 64] |= 1 << (off % 64);
+                }
+            }
+            for below in 0..=150 {
+                let want = (0..below).rev().find(|&off| memo.is_start(off));
+                assert_eq!(memo.last_start_below(below), want, "below {below}");
+            }
+            let (from, to) = (rng.below(151) as usize, rng.below(151) as usize);
+            let (from, to) = (from.min(to), from.max(to));
+            let mut want = memo.starts.clone();
+            for off in from..to {
+                want[off / 64] &= !(1 << (off % 64));
+            }
+            memo.clear_starts(from, to);
+            assert_eq!(memo.starts, want, "clearing {from}..{to}");
+        }
+    }
+
     #[test]
     fn fitter_handles_degenerate_tables() {
         let starts = |payload: &[Ppn]| {
@@ -1066,16 +1281,16 @@ mod tests {
         scratch.warm_up(&env);
         assert!(ftl.memos[0].matches(&scratch.memos[0]));
         assert!(
-            ftl.segs[&0]
+            ftl.segs[0]
                 .iter()
                 .map(Segment::bits)
-                .eq(scratch.segs[&0].iter().map(Segment::bits)),
+                .eq(scratch.segs[0].iter().map(Segment::bits)),
             "segments differ from the from-scratch fit: {:?} vs {:?}",
-            ftl.segs[&0],
-            scratch.segs[&0]
+            ftl.segs[0],
+            scratch.segs[0]
         );
         assert!(
-            scratch.segs[&0].iter().any(|s| s.end == 99),
+            scratch.segs[0].iter().any(|s| s.end == 99),
             "the flushed overwrite of offset 100 must show in the fit"
         );
     }

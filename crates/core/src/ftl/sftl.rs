@@ -16,12 +16,10 @@
 //! the TPFTL paper mentions). This makes S-FTL behave well on random
 //! workloads while its page granularity exploits sequential ones.
 
-use crate::hash::FxHashMap;
-
 use tpftl_flash::{Lpn, OpPurpose, Ppn, Vtpn, PPN_NONE};
 
 use crate::env::SsdEnv;
-use crate::ftl::cmt::{self, mapped, Entry, EntryCache, TpTally, ENTRY_BYTES};
+use crate::ftl::cmt::{self, mapped, Entry, EntryCache, TpTally, VtpnTable, ENTRY_BYTES};
 use crate::ftl::{AccessCtx, Ftl, TpDistEntry};
 use crate::lru::{LruIdx, LruList};
 use crate::{FtlError, Result, SsdConfig};
@@ -121,7 +119,7 @@ pub struct Sftl {
     page_budget: usize,
     /// Budget for the dirty buffer.
     dbuf_budget: usize,
-    pages: FxHashMap<Vtpn, CachedPage>,
+    pages: VtpnTable<CachedPage>,
     page_lru: LruList<Vtpn>,
     pages_bytes: usize,
     /// Dirty buffer: every entry is dirty; the LRU entry names the next
@@ -148,7 +146,7 @@ impl Sftl {
         Ok(Self {
             page_budget,
             dbuf_budget,
-            pages: FxHashMap::default(),
+            pages: VtpnTable::new(config.num_vtpns() as usize),
             page_lru: LruList::new(),
             pages_bytes: 0,
             dbuf: EntryCache::new(config.entries_per_tp()),
@@ -198,7 +196,7 @@ impl Sftl {
         let Some((_, &vtpn)) = self.page_lru.peek_lru() else {
             return Err(FtlError::CacheTooSmall);
         };
-        let page = self.pages.remove(&vtpn).expect("LRU page cached");
+        let page = self.pages.remove(vtpn).expect("LRU page cached");
         self.page_lru.remove(page.lru);
         self.pages_bytes -= page.bytes();
         if page.dirty_count == 0 {
@@ -248,7 +246,7 @@ impl Sftl {
     /// Applies an update to a cached page, maintaining size accounting and
     /// re-shrinking to budget if fragmentation grew the page.
     fn update_cached(&mut self, env: &mut SsdEnv, vtpn: Vtpn, off: usize, ppn: Ppn) -> Result<()> {
-        let page = self.pages.get_mut(&vtpn).expect("caller checked");
+        let page = &mut self.pages[vtpn]; // the caller checked
         let before = page.bytes();
         page.update(off, ppn);
         let after = page.bytes();
@@ -268,7 +266,7 @@ impl Ftl for Sftl {
     fn translate(&mut self, env: &mut SsdEnv, lpn: Lpn, _ctx: &AccessCtx) -> Result<Option<Ppn>> {
         let vtpn = env.vtpn_of(lpn);
         let off = env.offset_of(lpn) as usize;
-        if let Some(page) = self.pages.get(&vtpn) {
+        if let Some(page) = self.pages.get(vtpn) {
             env.note_lookup(true);
             let ppn = page.entries[off];
             let idx = page.lru;
@@ -281,13 +279,13 @@ impl Ftl for Sftl {
         }
         env.note_lookup(false);
         self.load_page(env, vtpn)?;
-        Ok(mapped(self.pages[&vtpn].entries[off]))
+        Ok(mapped(self.pages[vtpn].entries[off]))
     }
 
     fn update_mapping(&mut self, env: &mut SsdEnv, lpn: Lpn, new_ppn: Ppn) -> Result<()> {
         let vtpn = env.vtpn_of(lpn);
         let off = env.offset_of(lpn) as usize;
-        if self.pages.contains_key(&vtpn) {
+        if self.pages.contains(vtpn) {
             self.update_cached(env, vtpn, off, new_ppn)
         } else {
             // The preceding translate hit the dirty buffer.
@@ -302,7 +300,7 @@ impl Ftl for Sftl {
             moved,
             |ftl, env, lpn, new_ppn| {
                 let vtpn = env.vtpn_of(lpn);
-                if ftl.pages.contains_key(&vtpn) {
+                if ftl.pages.contains(vtpn) {
                     ftl.update_cached(env, vtpn, env.offset_of(lpn) as usize, new_ppn)?;
                 } else if let Some(e) = ftl.dbuf.get_mut(lpn) {
                     e.ppn = new_ppn;
@@ -324,14 +322,14 @@ impl Ftl for Sftl {
     }
 
     fn peek_cached(&self, env: &SsdEnv, lpn: Lpn) -> crate::Result<Option<Option<Ppn>>> {
-        if let Some(page) = self.pages.get(&env.vtpn_of(lpn)) {
+        if let Some(page) = self.pages.get(env.vtpn_of(lpn)) {
             return Ok(Some(mapped(page.entries[env.offset_of(lpn) as usize])));
         }
         Ok(self.dbuf.get(lpn).map(|e| mapped(e.ppn)))
     }
 
     fn mark_clean(&mut self, vtpn: Vtpn) {
-        if let Some(page) = self.pages.get_mut(&vtpn) {
+        if let Some(page) = self.pages.get_mut(vtpn) {
             page.dirty.iter_mut().for_each(|w| *w = 0);
             page.dirty_count = 0;
         }
@@ -341,7 +339,7 @@ impl Ftl for Sftl {
 
     fn cached_tp_distribution(&self) -> Vec<TpDistEntry> {
         let mut tally = TpTally::default();
-        for (&vtpn, p) in &self.pages {
+        for (vtpn, p) in self.pages.iter() {
             tally.add(vtpn, p.entries.len() as u32, p.dirty_count);
         }
         // Dirty-buffer entries are cached (and dirty) too.
@@ -422,7 +420,7 @@ mod tests {
         let (mut ftl, mut env) = setup(8 << 10);
         driver::serve_page_access(&mut ftl, &mut env, 0, AccessCtx::single(false)).unwrap();
         // All entries PPN_NONE: one run.
-        assert_eq!(ftl.pages[&0].runs, 1);
+        assert_eq!(ftl.pages[0].runs, 1);
         assert_eq!(ftl.cache_bytes_used(), PAGE_HEADER_BYTES + RUN_BYTES);
     }
 
@@ -436,7 +434,7 @@ mod tests {
         driver::bootstrap(&mut ftl, &mut env).unwrap();
         driver::serve_page_access(&mut ftl, &mut env, 0, AccessCtx::single(false)).unwrap();
         // Sequential prefill -> PPNs are consecutive -> very few runs.
-        assert!(ftl.pages[&0].runs <= 2, "runs={}", ftl.pages[&0].runs);
+        assert!(ftl.pages[0].runs <= 2, "runs={}", ftl.pages[0].runs);
     }
 
     #[test]
@@ -446,7 +444,7 @@ mod tests {
         for i in 0..20u32 {
             driver::serve_page_access(&mut ftl, &mut env, i * 37, AccessCtx::single(true)).unwrap();
         }
-        let page = &ftl.pages[&0];
+        let page = &ftl.pages[0];
         assert!(page.runs > 20, "runs={}", page.runs);
         assert_eq!(ftl.pages_bytes, page.bytes());
     }
@@ -528,15 +526,16 @@ mod tests {
             .unwrap();
         let hits = ftl.on_gc_data_block(&mut env, &[(5, new_ppn)]).unwrap();
         assert_eq!(hits, 1);
-        assert_eq!(ftl.pages[&0].entries[5], new_ppn);
+        assert_eq!(ftl.pages[0].entries[5], new_ppn);
         // A miss goes to flash, batched.
         let other = env
             .program_data_page(2000, tpftl_flash::OpPurpose::GcData)
             .unwrap();
-        // Evict page of vtpn 1 if cached; ensure miss by dropping caches.
-        ftl.pages.clear();
-        while ftl.page_lru.pop_lru().is_some() {}
-        ftl.pages_bytes = 0;
+        // Ensure a miss by evicting every cached page (page 0's one dirty
+        // entry is parked in the buffer, not written).
+        while ftl.pages.len() > 0 {
+            ftl.evict_page(&mut env).unwrap();
+        }
         let tw = env.flash().stats().translation_writes();
         let hits = ftl.on_gc_data_block(&mut env, &[(2000, other)]).unwrap();
         assert_eq!(hits, 0);
@@ -556,11 +555,11 @@ mod tests {
             );
         }
         // Size accounting is exact.
-        let expect: usize = ftl.pages.values().map(CachedPage::bytes).sum();
+        let expect: usize = ftl.pages.iter().map(|(_, p)| p.bytes()).sum();
         assert_eq!(ftl.pages_bytes, expect);
         // No LPN is simultaneously in a cached page and the dirty buffer.
         for e in ftl.dbuf.iter_lru() {
-            assert!(!ftl.pages.contains_key(&env.vtpn_of(e.lpn)));
+            assert!(!ftl.pages.contains(env.vtpn_of(e.lpn)));
         }
     }
 }

@@ -42,9 +42,8 @@
 use tpftl_flash::{Lpn, OpPurpose, Ppn, Vtpn};
 
 use crate::env::SsdEnv;
-use crate::ftl::cmt::{self, mapped, PageStep, TpTally};
+use crate::ftl::cmt::{self, mapped, PageStep, TpTally, VtpnTable};
 use crate::ftl::{AccessCtx, Ftl, TpDistEntry};
-use crate::hash::FxHashMap;
 use crate::lru::{LruIdx, LruList};
 use crate::{FtlError, Result, SsdConfig};
 
@@ -147,15 +146,38 @@ struct EntryNode {
     stamp: u64,
 }
 
-struct TpNode {
-    /// Entry-level LRU list (MRU = hottest entry).
-    entries: LruList<EntryNode>,
+/// A TP node's two per-offset tables. They are pooled by [`TpFtl`] across
+/// node churn, so node creation allocates only until the pool has warmed
+/// up; a table in the pool is all-[`LruIdx::NONE`] / all-zero.
+struct OffsetTables {
     /// Dense offset → handle table, one slot per entry of the translation
     /// page ([`LruIdx::NONE`] = not cached). An offset lookup is a single
     /// indexed load — the hottest operation of the whole FTL — instead of
-    /// a hash probe. Tables are pooled by [`TpFtl`] across node churn, so
-    /// node creation allocates only until the pool has warmed up.
+    /// a hash probe.
     by_offset: Box<[LruIdx]>,
+    /// Bit `offset` is set iff the entry cached for `offset` is dirty, one
+    /// word per 64 offsets: collecting a node's dirty entries walks set
+    /// bits instead of every entry of the list.
+    dirty: Box<[u64]>,
+}
+
+impl OffsetTables {
+    fn new(entries_per_tp: usize) -> Self {
+        Self {
+            by_offset: vec![LruIdx::NONE; entries_per_tp].into(),
+            dirty: vec![0; entries_per_tp.div_ceil(64)].into(),
+        }
+    }
+
+    fn is_clear(&self) -> bool {
+        self.by_offset.iter().all(|i| i.is_none()) && self.dirty.iter().all(|&w| w == 0)
+    }
+}
+
+struct TpNode {
+    /// Entry-level LRU list (MRU = hottest entry).
+    entries: LruList<EntryNode>,
+    tables: OffsetTables,
     /// Sum of entry stamps; hotness = sum / len.
     stamp_sum: u64,
     dirty_count: u32,
@@ -168,10 +190,10 @@ struct TpNode {
 }
 
 impl TpNode {
-    fn new(by_offset: Box<[LruIdx]>) -> Self {
+    fn new(tables: OffsetTables) -> Self {
         Self {
             entries: LruList::new(),
-            by_offset,
+            tables,
             stamp_sum: 0,
             dirty_count: 0,
             hot_key: 0,
@@ -182,8 +204,47 @@ impl TpNode {
     /// Handle of the entry caching `offset`, if any.
     #[inline]
     fn idx_of(&self, offset: u16) -> Option<LruIdx> {
-        let idx = self.by_offset[offset as usize];
+        let idx = self.tables.by_offset[offset as usize];
         (!idx.is_none()).then_some(idx)
+    }
+
+    /// Points the entry behind `idx`, cached for `offset`, at `ppn` and
+    /// marks it dirty.
+    #[inline]
+    fn remap(&mut self, idx: LruIdx, offset: u16, ppn: Ppn) {
+        let e = self.entries.get_mut(idx).expect("valid handle");
+        e.ppn = ppn;
+        if !e.dirty {
+            e.dirty = true;
+            self.tables.dirty[offset as usize / 64] |= 1 << (offset % 64);
+            self.dirty_count += 1;
+        }
+    }
+
+    /// Marks every dirty entry clean, appending its `(offset, ppn)` to
+    /// `out` by ascending offset: the update list of the write-back that
+    /// persists them.
+    fn drain_dirty(&mut self, out: &mut Vec<(u16, Ppn)>) {
+        let OffsetTables { by_offset, dirty } = &mut self.tables;
+        for (base, word) in (0..).step_by(64).zip(dirty.iter_mut()) {
+            let mut bits = std::mem::take(word);
+            while bits != 0 {
+                let offset = base + bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                let e = self.entries.get_mut(by_offset[offset]);
+                let e = e.expect("dirty bit names a cached entry");
+                e.dirty = false;
+                out.push((offset as u16, e.ppn));
+            }
+        }
+        self.dirty_count = 0;
+    }
+
+    /// Marks every entry clean without writing anything back.
+    fn forget_dirty(&mut self) {
+        self.entries.for_each_value_mut(|e| e.dirty = false);
+        self.tables.dirty.fill(0);
+        self.dirty_count = 0;
     }
 
     fn len(&self) -> usize {
@@ -204,7 +265,7 @@ pub struct TpFtl {
     cfg: TpftlConfig,
     budget_bytes: usize,
     entries_per_tp: usize,
-    nodes: FxHashMap<Vtpn, TpNode>,
+    nodes: VtpnTable<TpNode>,
     /// Page-level order: a binary min-heap over `(hotness, vtpn)`, coldest
     /// node at the root. Only two queries are ever needed — peek the
     /// coldest node and move one node after its hotness changes — so the
@@ -220,9 +281,9 @@ pub struct TpFtl {
     /// The Section 4.3 counter: +1 per TP-node load, −1 per eviction.
     counter: i32,
     selective_active: bool,
-    /// Recycled `by_offset` tables of dismantled nodes (all-NONE), so node
-    /// churn stops allocating once the pool covers the working set.
-    table_pool: Vec<Box<[LruIdx]>>,
+    /// Recycled tables of dismantled nodes (all clear), so node churn
+    /// stops allocating once the pool covers the working set.
+    table_pool: Vec<OffsetTables>,
     /// Reusable buffer for the request path's batch writebacks: taken,
     /// filled, returned — never reallocated once grown. Miss-path payloads
     /// are borrowed from the flash slab and need no buffer at all.
@@ -245,7 +306,7 @@ impl TpFtl {
             cfg,
             budget_bytes,
             entries_per_tp: config.entries_per_tp(),
-            nodes: FxHashMap::default(),
+            nodes: VtpnTable::new(config.num_vtpns() as usize),
             order: Vec::new(),
             bytes_used: 0,
             clock: 0,
@@ -256,18 +317,17 @@ impl TpFtl {
         })
     }
 
-    /// A fresh or recycled all-NONE offset table.
-    fn alloc_table(&mut self) -> Box<[LruIdx]> {
-        self.table_pool
-            .pop()
-            .unwrap_or_else(|| vec![LruIdx::NONE; self.entries_per_tp].into_boxed_slice())
+    /// Fresh or recycled clear tables.
+    fn alloc_table(&mut self) -> OffsetTables {
+        let pooled = self.table_pool.pop();
+        pooled.unwrap_or_else(|| OffsetTables::new(self.entries_per_tp))
     }
 
-    /// Returns a dismantled node's table (all entries removed, hence
-    /// all-NONE again) to the pool.
-    fn recycle_table(&mut self, table: Box<[LruIdx]>) {
-        debug_assert!(table.iter().all(|i| i.is_none()), "table not cleared");
-        self.table_pool.push(table);
+    /// Returns a dismantled node's tables (all entries removed, every one
+    /// of them clean, hence clear again) to the pool.
+    fn recycle_table(&mut self, tables: OffsetTables) {
+        debug_assert!(tables.is_clear(), "tables not cleared");
+        self.table_pool.push(tables);
     }
 
     /// Whether selective prefetching is currently active (test hook).
@@ -287,24 +347,13 @@ impl TpFtl {
     // lexicographic order on `(hot_key, vtpn)`.
 
     /// Swaps two heap slots and fixes both nodes' back-pointers.
-    fn heap_swap(
-        order: &mut [(u64, Vtpn)],
-        nodes: &mut FxHashMap<Vtpn, TpNode>,
-        a: usize,
-        b: usize,
-    ) {
+    fn heap_swap(order: &mut [(u64, Vtpn)], nodes: &mut VtpnTable<TpNode>, a: usize, b: usize) {
         order.swap(a, b);
-        nodes
-            .get_mut(&order[a].1)
-            .expect("heap slot has a node")
-            .heap_pos = a as u32;
-        nodes
-            .get_mut(&order[b].1)
-            .expect("heap slot has a node")
-            .heap_pos = b as u32;
+        nodes[order[a].1].heap_pos = a as u32;
+        nodes[order[b].1].heap_pos = b as u32;
     }
 
-    fn heap_sift_up(order: &mut [(u64, Vtpn)], nodes: &mut FxHashMap<Vtpn, TpNode>, mut i: usize) {
+    fn heap_sift_up(order: &mut [(u64, Vtpn)], nodes: &mut VtpnTable<TpNode>, mut i: usize) {
         while i > 0 {
             let parent = (i - 1) / 2;
             if order[i] < order[parent] {
@@ -316,11 +365,7 @@ impl TpFtl {
         }
     }
 
-    fn heap_sift_down(
-        order: &mut [(u64, Vtpn)],
-        nodes: &mut FxHashMap<Vtpn, TpNode>,
-        mut i: usize,
-    ) {
+    fn heap_sift_down(order: &mut [(u64, Vtpn)], nodes: &mut VtpnTable<TpNode>, mut i: usize) {
         loop {
             let left = 2 * i + 1;
             if left >= order.len() {
@@ -345,7 +390,7 @@ impl TpFtl {
     /// set) to the heap.
     fn heap_insert(&mut self, vtpn: Vtpn) {
         let i = self.order.len();
-        let node = self.nodes.get_mut(&vtpn).expect("inserting a cached node");
+        let node = &mut self.nodes[vtpn];
         node.heap_pos = i as u32;
         self.order.push((node.hot_key, vtpn));
         Self::heap_sift_up(&mut self.order, &mut self.nodes, i);
@@ -372,10 +417,7 @@ impl TpFtl {
         let last = self.order.pop().expect("removal from empty heap");
         if i < self.order.len() {
             self.order[i] = last;
-            self.nodes
-                .get_mut(&last.1)
-                .expect("heap slot has a node")
-                .heap_pos = i as u32;
+            self.nodes[last.1].heap_pos = i as u32;
             Self::heap_sift_up(&mut self.order, &mut self.nodes, i);
             Self::heap_sift_down(&mut self.order, &mut self.nodes, i);
         }
@@ -383,10 +425,7 @@ impl TpFtl {
 
     /// Recomputes `vtpn`'s hotness key and repositions its heap slot.
     fn reposition(&mut self, vtpn: Vtpn) {
-        let node = self
-            .nodes
-            .get_mut(&vtpn)
-            .expect("repositioning a cached node");
+        let node = &mut self.nodes[vtpn];
         let new_key = node.hotness();
         node.hot_key = new_key;
         let i = node.heap_pos as usize;
@@ -416,7 +455,7 @@ impl TpFtl {
     /// move, stamp refresh and node reposition — one node lookup for the
     /// probe and the touch combined.
     fn lookup_touch(&mut self, vtpn: Vtpn, offset: u16) -> Option<Ppn> {
-        let node = self.nodes.get_mut(&vtpn)?;
+        let node = self.nodes.get_mut(vtpn)?;
         let idx = node.idx_of(offset)?;
         node.entries.touch(idx);
         let e = node.entries.get_mut(idx).expect("valid handle");
@@ -432,7 +471,7 @@ impl TpFtl {
     }
 
     fn cached_ppn(&self, vtpn: Vtpn, offset: u16) -> Option<Ppn> {
-        let node = self.nodes.get(&vtpn)?;
+        let node = self.nodes.get(vtpn)?;
         let idx = node.idx_of(offset)?;
         Some(node.entries.get(idx).expect("valid handle").ppn)
     }
@@ -440,12 +479,12 @@ impl TpFtl {
     /// Number of consecutive cached predecessors of `offset` in `vtpn`
     /// (the selective-prefetch length rule, Section 4.3).
     fn cached_predecessors(&self, vtpn: Vtpn, offset: u16) -> usize {
-        let Some(node) = self.nodes.get(&vtpn) else {
+        let Some(node) = self.nodes.get(vtpn) else {
             return 0;
         };
         let mut n = 0;
         let mut off = offset;
-        while off > 0 && !node.by_offset[off as usize - 1].is_none() {
+        while off > 0 && !node.tables.by_offset[off as usize - 1].is_none() {
             n += 1;
             off -= 1;
         }
@@ -454,22 +493,22 @@ impl TpFtl {
 
     /// Inserts a fresh entry (assumes capacity has been made).
     fn insert_entry(&mut self, vtpn: Vtpn, offset: u16, ppn: Ppn) {
-        let created = !self.nodes.contains_key(&vtpn);
+        let created = !self.nodes.contains(vtpn);
         if created {
             self.bytes_used += NODE_BYTES;
-            let table = self.alloc_table();
-            self.nodes.insert(vtpn, TpNode::new(table));
+            let tables = self.alloc_table();
+            self.nodes.insert(vtpn, TpNode::new(tables));
             self.heap_insert(vtpn);
         }
-        let node = self.nodes.get_mut(&vtpn).expect("present or just created");
-        debug_assert!(node.by_offset[offset as usize].is_none(), "double insert");
+        let node = &mut self.nodes[vtpn];
+        debug_assert!(node.idx_of(offset).is_none(), "double insert");
         let idx = node.entries.push_mru(EntryNode {
             offset,
             ppn,
             dirty: false,
             stamp: self.clock,
         });
-        node.by_offset[offset as usize] = idx;
+        node.tables.by_offset[offset as usize] = idx;
         node.stamp_sum += self.clock;
         self.bytes_used += ENTRY_BYTES;
         self.reposition(vtpn);
@@ -481,7 +520,7 @@ impl TpFtl {
     /// Picks the victim entry inside `node` per the replacement policy:
     /// LRU clean entry when clean-first is on, else the LRU entry.
     fn pick_victim_in(&self, vtpn: Vtpn) -> (LruIdx, EntryNode) {
-        let node = &self.nodes[&vtpn];
+        let node = &self.nodes[vtpn];
         if self.cfg.clean_first {
             if let Some((idx, e)) = node
                 .entries
@@ -505,22 +544,13 @@ impl TpFtl {
 
         if victim.dirty {
             if self.cfg.batch_update {
-                // Write back every dirty entry of the node in one update;
-                // the others stay cached, now clean (Section 4.4). The
-                // update list lives in a reusable scratch buffer; offsets
-                // are unique per node, so the sort makes the order
-                // deterministic regardless of collection order.
+                // Write back every dirty entry of the node in one update,
+                // by ascending offset; the others stay cached, now clean
+                // (Section 4.4). The update list lives in a reusable
+                // scratch buffer.
                 let mut updates = std::mem::take(&mut self.scratch_updates);
                 updates.clear();
-                let node = self.nodes.get_mut(&vtpn).expect("victim node");
-                node.entries.for_each_value_mut(|e| {
-                    if e.dirty {
-                        updates.push((e.offset, e.ppn));
-                        e.dirty = false;
-                    }
-                });
-                updates.sort_unstable_by_key(|u| u.0);
-                node.dirty_count = 0;
+                self.nodes[vtpn].drain_dirty(&mut updates);
                 let res = env.update_translation_page(vtpn, &updates, OpPurpose::Translation);
                 self.scratch_updates = updates;
                 res?;
@@ -530,26 +560,24 @@ impl TpFtl {
                     &[(victim.offset, victim.ppn)],
                     OpPurpose::Translation,
                 )?;
-                let node = self.nodes.get_mut(&vtpn).expect("victim node");
-                node.entries
-                    .get_mut(victim_idx)
-                    .expect("valid handle")
-                    .dirty = false;
+                // The victim leaves the cache below, its entry with it.
+                let node = &mut self.nodes[vtpn];
+                node.tables.dirty[victim.offset as usize / 64] &= !(1 << (victim.offset % 64));
                 node.dirty_count -= 1;
             }
         }
 
-        // Remove the (now clean) victim.
-        let node = self.nodes.get_mut(&vtpn).expect("victim node");
+        // Remove the (now persisted) victim.
+        let node = &mut self.nodes[vtpn];
         let e = node.entries.remove(victim_idx);
-        node.by_offset[e.offset as usize] = LruIdx::NONE;
+        node.tables.by_offset[e.offset as usize] = LruIdx::NONE;
         node.stamp_sum -= e.stamp;
         let mut freed = ENTRY_BYTES;
         if node.entries.is_empty() {
             let i = node.heap_pos as usize;
             self.heap_remove(i);
-            let node = self.nodes.remove(&vtpn).expect("present");
-            self.recycle_table(node.by_offset);
+            let node = self.nodes.remove(vtpn).expect("present");
+            self.recycle_table(node.tables);
             freed += NODE_BYTES;
             self.on_node_removed();
         } else {
@@ -567,7 +595,7 @@ impl TpFtl {
         loop {
             // Re-evaluated every iteration: an eviction can dismantle the
             // target node itself, re-introducing its NODE_BYTES cost.
-            let node_cost = if self.nodes.contains_key(&vtpn) {
+            let node_cost = if self.nodes.contains(vtpn) {
                 0
             } else {
                 NODE_BYTES
@@ -582,7 +610,7 @@ impl TpFtl {
             let lru_len = self
                 .order
                 .first()
-                .map(|&(_, v)| self.nodes[&v].len())
+                .map(|&(_, v)| self.nodes[v].len())
                 .unwrap_or(0);
             if evictions <= lru_len || prefetch == 0 {
                 // Evict one entry and re-evaluate. When prefetch is already
@@ -649,15 +677,10 @@ impl Ftl for TpFtl {
         let offset = env.offset_of(lpn);
         let node = self
             .nodes
-            .get_mut(&vtpn)
+            .get_mut(vtpn)
             .expect("update_mapping contract: entry was translated immediately before");
         let idx = node.idx_of(offset).expect("entry cached");
-        let e = node.entries.get_mut(idx).expect("valid handle");
-        e.ppn = new_ppn;
-        if !e.dirty {
-            e.dirty = true;
-            node.dirty_count += 1;
-        }
+        node.remap(idx, offset, new_ppn);
         Ok(())
     }
 
@@ -670,17 +693,12 @@ impl Ftl for TpFtl {
                 let offset = env.offset_of(lpn);
                 let Some((node, idx)) = ftl
                     .nodes
-                    .get_mut(&env.vtpn_of(lpn))
+                    .get_mut(env.vtpn_of(lpn))
                     .and_then(|n| n.idx_of(offset).map(|idx| (n, idx)))
                 else {
                     return Ok(false);
                 };
-                let e = node.entries.get_mut(idx).expect("valid handle");
-                e.ppn = new_ppn;
-                if !e.dirty {
-                    e.dirty = true;
-                    node.dirty_count += 1;
-                }
+                node.remap(idx, offset, new_ppn);
                 Ok(true)
             },
             |ftl, _, vtpn, step| {
@@ -690,15 +708,9 @@ impl Ftl for TpFtl {
                 // Piggyback every cached dirty entry of this page on the
                 // unavoidable update (Section 4.4), marking them clean.
                 if ftl.cfg.batch_update {
-                    if let Some(node) = ftl.nodes.get_mut(&vtpn) {
+                    if let Some(node) = ftl.nodes.get_mut(vtpn) {
                         if node.dirty_count > 0 {
-                            node.entries.for_each_value_mut(|e| {
-                                if e.dirty {
-                                    updates.push((e.offset, e.ppn));
-                                    e.dirty = false;
-                                }
-                            });
-                            node.dirty_count = 0;
+                            node.drain_dirty(updates);
                         }
                     }
                 }
@@ -712,7 +724,7 @@ impl Ftl for TpFtl {
     }
 
     fn cached_entries(&self) -> usize {
-        self.nodes.values().map(TpNode::len).sum()
+        self.nodes.iter().map(|(_, n)| n.len()).sum()
     }
 
     fn peek_cached(&self, env: &SsdEnv, lpn: Lpn) -> crate::Result<Option<Option<Ppn>>> {
@@ -722,15 +734,14 @@ impl Ftl for TpFtl {
     }
 
     fn mark_clean(&mut self, vtpn: Vtpn) {
-        if let Some(node) = self.nodes.get_mut(&vtpn) {
-            node.entries.for_each_value_mut(|e| e.dirty = false);
-            node.dirty_count = 0;
+        if let Some(node) = self.nodes.get_mut(vtpn) {
+            node.forget_dirty();
         }
     }
 
     fn cached_tp_distribution(&self) -> Vec<TpDistEntry> {
         let mut tally = TpTally::default();
-        for (&vtpn, n) in &self.nodes {
+        for (vtpn, n) in self.nodes.iter() {
             tally.add(vtpn, n.len() as u32, n.dirty_count);
         }
         tally.finish()
@@ -764,6 +775,21 @@ mod tests {
 
     fn write(ftl: &mut TpFtl, env: &mut SsdEnv, lpn: Lpn) {
         driver::serve_page_access(ftl, env, lpn, AccessCtx::single(true)).unwrap();
+    }
+
+    /// Every node's dirty bitmap is the set of its dirty entries and
+    /// `dirty_count` its population; every pooled table is clear.
+    fn assert_dirty_bitmaps_in_sync(ftl: &TpFtl) {
+        for (vtpn, node) in ftl.nodes.iter() {
+            let mut want = vec![0u64; node.tables.dirty.len()];
+            for (_, e) in node.entries.iter_lru().filter(|(_, e)| e.dirty) {
+                want[e.offset as usize / 64] |= 1 << (e.offset % 64);
+            }
+            assert_eq!(&node.tables.dirty[..], &want[..], "bitmap of vtpn {vtpn}");
+            let ones: u32 = want.iter().map(|w| w.count_ones()).sum();
+            assert_eq!(node.dirty_count, ones, "dirty count of vtpn {vtpn}");
+        }
+        assert!(ftl.table_pool.iter().all(OffsetTables::is_clear));
     }
 
     #[test]
@@ -884,6 +910,9 @@ mod tests {
         read(&mut ftl, &mut env, 4);
         assert_eq!(env.flash().stats().translation_writes(), tw + 2);
         assert_eq!(env.stats.dirty_replacements, 2);
+        // One dirty entry (2) is left, and one bit for it.
+        assert_eq!(ftl.cached_tp_distribution()[0].dirty, 1);
+        assert_dirty_bitmaps_in_sync(&ftl);
     }
 
     #[test]
@@ -976,9 +1005,11 @@ mod tests {
     #[test]
     fn gc_miss_piggybacks_cached_dirty_entries() {
         let (mut ftl, mut env) = setup(NODE_BYTES + ENTRY_BYTES * 8, "b");
-        // Dirty a couple of entries of vtpn 0 and keep them cached.
-        write(&mut ftl, &mut env, 0);
-        write(&mut ftl, &mut env, 1);
+        // Dirty a few entries of vtpn 0, out of offset order and in more
+        // than one bitmap word, and keep them cached.
+        for lpn in [700, 1, 64, 0] {
+            write(&mut ftl, &mut env, lpn);
+        }
         // Simulate GC misses on the same translation page.
         let moved = vec![(
             512u32,
@@ -988,8 +1019,12 @@ mod tests {
         let hits = ftl.on_gc_data_block(&mut env, &moved).unwrap();
         assert_eq!(hits, 0);
         assert_eq!(env.flash().stats().translation_writes(), tw + 1);
-        // The cached dirty entries were flushed alongside.
+        // The cached dirty entries were flushed alongside, the one update
+        // (still in the batcher's buffer) ascending by offset.
         assert_eq!(ftl.cached_tp_distribution()[0].dirty, 0);
+        assert_dirty_bitmaps_in_sync(&ftl);
+        let offsets: Vec<u16> = env.wb_batch_scratch.iter().map(|u| u.0).collect();
+        assert_eq!(offsets, [0, 1, 64, 512, 700]);
         // And are durable in flash.
         let entries = env
             .read_translation_entries(0, OpPurpose::Translation)
@@ -1033,8 +1068,8 @@ mod tests {
         // Invariants: node byte accounting is exact.
         let expect: usize = ftl
             .nodes
-            .values()
-            .map(|n| NODE_BYTES + n.len() * ENTRY_BYTES)
+            .iter()
+            .map(|(_, n)| NODE_BYTES + n.len() * ENTRY_BYTES)
             .sum();
         assert_eq!(ftl.cache_bytes_used(), expect);
         assert_eq!(ftl.order.len(), ftl.nodes.len());
@@ -1050,6 +1085,7 @@ mod tests {
                 100 + (i / 2) % 1700
             };
             write(&mut ftl, &mut env, lpn);
+            assert_dirty_bitmaps_in_sync(&ftl);
         }
         assert!(env.stats.gc_updates > 0, "GC must have migrated pages");
         // Every written LPN resolves to the valid page that holds it, and
@@ -1098,8 +1134,9 @@ mod tests {
                 },
             )
             .unwrap();
-            // The heap mirrors the node map exactly...
+            // The heap mirrors the node table exactly...
             assert_eq!(ftl.order.len(), ftl.nodes.len());
+            assert_dirty_bitmaps_in_sync(&ftl);
         }
         assert!(
             ftl.order.len() >= 4,
@@ -1107,7 +1144,7 @@ mod tests {
         );
         // ...every slot's key and back-pointer are in sync with its node...
         for (i, &(key, vtpn)) in ftl.order.iter().enumerate() {
-            let node = &ftl.nodes[&vtpn];
+            let node = &ftl.nodes[vtpn];
             assert_eq!(node.heap_pos as usize, i, "back-pointer of vtpn {vtpn}");
             assert_eq!(node.hot_key, key, "stale key for vtpn {vtpn}");
             assert_eq!(node.hotness(), key, "key != hotness for vtpn {vtpn}");
