@@ -154,10 +154,10 @@ pub struct SsdEnv {
     /// The one GC-miss buffer: the moved pages an FTL's cache did not hold
     /// (`ftl::cmt::absorb_gc_moves`).
     pub(crate) gc_miss_scratch: Vec<(Lpn, Ppn)>,
-    /// Scratch of `ftl::cmt::write_back_by_tp`: the updates keyed by
-    /// `(vtpn, arrival index)` for sorting into per-page runs, and the one
-    /// batch handed to each page's hook and write.
-    pub(crate) wb_keyed_scratch: Vec<(Vtpn, u32, u16, Ppn)>,
+    /// Scratch of `ftl::cmt::write_back_by_tp`: one key per update,
+    /// `vtpn << 32 | arrival index`, for sorting into per-page runs, and the
+    /// one batch handed to each page's hook and write.
+    pub(crate) wb_keyed_scratch: Vec<u64>,
     pub(crate) wb_batch_scratch: Vec<(u16, Ppn)>,
     /// Write-temperature estimator routing host writes to data streams.
     heat: HeatTracker,

@@ -8,7 +8,7 @@
 //!
 //! * [`EntryCache`] — the entry LRU with its LPN index;
 //! * [`VtpnTable`] — per-translation-page state (TPFTL's nodes, CDFTL's
-//!   and S-FTL's cached pages, LearnedFTL's segments) indexed by VTPN;
+//!   and S-FTL's cached pages) indexed by VTPN;
 //! * [`write_back_by_tp`] — the per-translation-page batcher every FTL
 //!   uses for GC misses (and ZFTL for its reserve flush), with a per-page
 //!   hook for the designs that piggyback on or react to the write;
@@ -303,9 +303,9 @@ pub(crate) enum PageStep<'a> {
 /// ZFTL patches its active page and LearnedFTL refits the region in
 /// [`PageStep::Persisted`].
 ///
-/// Grouping is a sort of the environment's scratch by `(vtpn, arrival
-/// index)` and a walk over the runs, so a call allocates nothing once the
-/// scratch has grown.
+/// Grouping is a sort of one `u64` per update, `vtpn << 32 | arrival
+/// index`, in the environment's scratch and a walk over the runs, so a call
+/// allocates nothing once the scratch has grown.
 pub(crate) fn write_back_by_tp(
     env: &mut SsdEnv,
     updates: &[(Lpn, Ppn)],
@@ -315,24 +315,25 @@ pub(crate) fn write_back_by_tp(
     let mut keyed = std::mem::take(&mut env.wb_keyed_scratch);
     let mut batch = std::mem::take(&mut env.wb_batch_scratch);
     keyed.clear();
-    keyed.extend(
-        updates
-            .iter()
-            .zip(0u32..)
-            .map(|(&(lpn, ppn), i)| (env.vtpn_of(lpn), i, env.offset_of(lpn), ppn)),
-    );
-    // Tuple order is `(vtpn, arrival index, ..)` and the index is distinct,
-    // so the unstable sort is exact.
+    let key = |(&(lpn, _), i): (&(Lpn, Ppn), u64)| u64::from(env.vtpn_of(lpn)) << 32 | i;
+    keyed.extend(updates.iter().zip(0u64..).map(key));
+    // The arrival index makes the keys distinct, so the unstable sort is
+    // exact.
     keyed.sort_unstable();
-    let res = keyed.chunk_by(|a, b| a.0 == b.0).try_for_each(|run| {
-        let vtpn = run[0].0;
-        batch.clear();
-        batch.extend(run.iter().map(|&(_, _, off, ppn)| (off, ppn)));
-        hook(env, vtpn, PageStep::Gather(&mut batch));
-        env.update_translation_page(vtpn, &batch, purpose)?;
-        hook(env, vtpn, PageStep::Persisted(&batch));
-        Ok(())
-    });
+    let res = keyed
+        .chunk_by(|a, b| a >> 32 == b >> 32)
+        .try_for_each(|run| {
+            let vtpn = (run[0] >> 32) as Vtpn;
+            batch.clear();
+            batch.extend(run.iter().map(|&key| {
+                let (lpn, ppn) = updates[key as u32 as usize];
+                (env.offset_of(lpn), ppn)
+            }));
+            hook(env, vtpn, PageStep::Gather(&mut batch));
+            env.update_translation_page(vtpn, &batch, purpose)?;
+            hook(env, vtpn, PageStep::Persisted(&batch));
+            Ok(())
+        });
     env.wb_keyed_scratch = keyed;
     env.wb_batch_scratch = batch;
     res

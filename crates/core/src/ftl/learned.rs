@@ -34,7 +34,7 @@
 use tpftl_flash::{Lpn, OpPurpose, PageState, Ppn, Vtpn, PPN_NONE};
 
 use crate::env::SsdEnv;
-use crate::ftl::cmt::{self, mapped, Entry, EntryCache, PageStep, TpTally, VtpnTable, ENTRY_BYTES};
+use crate::ftl::cmt::{self, mapped, Entry, EntryCache, PageStep, TpTally, ENTRY_BYTES};
 use crate::ftl::{AccessCtx, Ftl, TpDistEntry};
 use crate::{FtlError, Result, SsdConfig};
 
@@ -76,11 +76,16 @@ impl Segment {
         (self.end - self.start) as usize + 1
     }
 
+    /// The real-valued height of the line at `off`.
+    fn line(&self, off: u16) -> f64 {
+        debug_assert!(self.start <= off && off <= self.end);
+        self.base + self.slope * f64::from(off - self.start)
+    }
+
     /// The predicted PPN at `off`, or `None` when the line leaves the
     /// representable PPN range (never a silent wraparound).
     fn predict(&self, off: u16) -> Option<Ppn> {
-        debug_assert!(self.start <= off && off <= self.end);
-        round_to_ppn(self.base + self.slope * f64::from(off - self.start))
+        round_to_ppn(self.line(off))
     }
 
     /// Everything a prediction depends on, comparable bit for bit.
@@ -92,6 +97,11 @@ impl Segment {
             self.slope.to_bits(),
         )
     }
+}
+
+/// Whether two segment lists predict the same everywhere, bit for bit.
+fn same_bits(a: &[Segment], b: &[Segment]) -> bool {
+    a.iter().map(Segment::bits).eq(b.iter().map(Segment::bits))
 }
 
 /// `x.round()` as a PPN, or `None` when that is negative, `PPN_NONE` or
@@ -120,13 +130,34 @@ fn round_to_ppn(x: f64) -> Option<Ppn> {
     Some(p as Ppn)
 }
 
+/// Whether `round_to_ppn(x)` is a PPN within ε of `stored`, decided on the
+/// line: `round` takes halves away from zero, so it is `m` or more from
+/// `m - 0.5` on and `m` or less below `m + 0.5` — all bounds representable.
+fn rounds_within(x: f64, stored: Ppn, eps_f: f64) -> bool {
+    let s = f64::from(stored);
+    x > -0.5 && x < f64::from(PPN_NONE) - 0.5 && x >= s - eps_f - 0.5 && x < s + eps_f + 0.5
+}
+
+/// The feasible-slope cone after `d` points whose PPNs ascend by exactly
+/// one, in closed form: point `j` bounds the slope by `fl((j ∓ ε) / j)` with
+/// an exact numerator, `fl` is monotone, `1 − ε/j` rises and `1 + ε/j` falls
+/// in `j`, so the running max/min are the last point's (and `lo <= 1 <= hi`).
+fn unit_cone(d: usize, eps_f: f64) -> (f64, f64) {
+    if d == 0 {
+        return (f64::NEG_INFINITY, f64::INFINITY);
+    }
+    let d = d as f64;
+    ((d - eps_f) / d, (d + eps_f) / d)
+}
+
 /// One step of the greedy shrinking-cone fit (LearnedFTL §3): the raw
 /// segment that starts at the mapped offset `start`. Walk the run of
 /// mapped entries, intersecting the feasible-slope interval point by
-/// point; when the interval empties (or the run ends), close the segment
-/// at the previous point. A closing verification pass re-checks every
-/// covered offset under the *rounded* prediction (the cone guarantees only
-/// the real-valued bound) and truncates at the first violation, so the
+/// point from the end of its unit-stride prefix on ([`unit_cone`]); when
+/// the interval empties (or the run ends), close the segment at the
+/// previous point. A closing verification pass re-checks every covered
+/// offset under the *rounded* prediction (the cone guarantees only the
+/// real-valued bound) and truncates at the first violation, so the
 /// segment satisfies |predict(off) − payload[off]| ≤ ε exactly.
 ///
 /// Also returns the offset the cone stopped at (`payload.len()` when it
@@ -137,8 +168,11 @@ fn round_to_ppn(x: f64) -> Option<Ppn> {
 fn fit_one(payload: &[Ppn], start: usize, eps: u32) -> (Segment, usize) {
     let eps_f = f64::from(eps);
     let y0 = f64::from(payload[start]);
-    let (mut lo, mut hi) = (f64::NEG_INFINITY, f64::INFINITY);
-    let mut stop = start + 1;
+    // In `u64`: a run up to `PPN_NONE - 1` must not wrap, nor take a hole.
+    let run = payload[start..].iter().zip(u64::from(payload[start])..);
+    let run = run.take_while(|&(&p, unit)| p != PPN_NONE && u64::from(p) == unit);
+    let mut stop = start + run.count();
+    let (mut lo, mut hi) = unit_cone(stop - 1 - start, eps_f);
     while stop < payload.len() && payload[stop] != PPN_NONE {
         let dx = (stop - start) as f64;
         let y = f64::from(payload[stop]);
@@ -161,16 +195,8 @@ fn fit_one(payload: &[Ppn], start: usize, eps: u32) -> (Segment, usize) {
     };
     // Rounding verification: shrink to the prefix where the integer
     // prediction really is within ε of the stored mapping.
-    let mut vend = start;
-    for (k, &stored) in payload.iter().enumerate().take(end + 1).skip(start) {
-        let ok = seg
-            .predict(k as u16)
-            .is_some_and(|p| (i64::from(p) - i64::from(stored)).unsigned_abs() <= u64::from(eps));
-        if !ok {
-            break;
-        }
-        vend = k;
-    }
+    let ok = |&k: &usize| rounds_within(seg.line(k as u16), payload[k], eps_f);
+    let vend = (start..=end).take_while(ok).last().unwrap_or(start);
     seg.end = vend as u16;
     (seg, stop)
 }
@@ -208,6 +234,10 @@ struct FitMemo {
     /// The raw segments covering at least [`MIN_COVERED`] offsets — what
     /// `refit` trims to the segment budget — by ascending `start`.
     fits: Vec<Segment>,
+    /// The region's live view is exactly the `view.len()` longest of `fits`
+    /// (set by the refit that installs one, cleared by `split_covering`'s
+    /// edits and by `clear`): [`keep_longest`]'s choices are nested in `room`.
+    view_is_top: bool,
 }
 
 impl FitMemo {
@@ -217,6 +247,7 @@ impl FitMemo {
             starts: vec![0; entries.div_ceil(64)].into(),
             overreach: 0,
             fits: Vec::new(),
+            view_is_top: false,
         }
     }
 
@@ -224,6 +255,7 @@ impl FitMemo {
         self.starts.fill(0);
         self.overreach = 0;
         self.fits.clear();
+        self.view_is_top = false;
     }
 
     fn is_start(&self, off: usize) -> bool {
@@ -260,19 +292,19 @@ impl FitMemo {
     }
 
     /// Brings the memo in line with `payload`, which differs from the
-    /// table it was last fitted on at most at the offsets `changed`
-    /// (ascending). `scratch` is a buffer to reuse.
-    fn update(&mut self, payload: &[Ppn], eps: u32, changed: &[u16], scratch: &mut Vec<Segment>) {
+    /// table it was last fitted on at most at the offsets `at` (ascending);
+    /// returns whether `fits` changed in any bit. `buf` is a buffer to reuse.
+    fn update(&mut self, payload: &[Ppn], eps: u32, at: &[u16], buf: &mut Vec<Segment>) -> bool {
         let n = payload.len();
-        let mut c = 0;
-        while let Some(&lo) = changed.get(c) {
+        let (mut c, mut moved) = (0, false);
+        while let Some(&lo) = at.get(c) {
             let lo = usize::from(lo);
             // Restart at the last raw segment that starts so far below
             // `lo` that no fit before it read `lo`; failing that, at 0.
             let from = self
                 .last_start_below(lo.saturating_sub(self.overreach))
                 .unwrap_or(0);
-            scratch.clear();
+            buf.clear();
             // The pass has re-fitted every offset below `done` and will
             // start its next segment at `start`.
             let mut done = from;
@@ -290,19 +322,21 @@ impl FitMemo {
                 self.starts[start / 64] |= 1 << (start % 64);
                 self.overreach = self.overreach.max(stop - end - 1);
                 if seg.covered() >= MIN_COVERED {
-                    scratch.push(seg);
+                    buf.push(seg);
                 }
                 done = start + 1;
                 start = next_mapped(payload, end + 1);
             }
             let a = self.fits.partition_point(|s| usize::from(s.start) < from);
-            let b = self.fits.partition_point(|s| usize::from(s.start) < start);
-            self.fits.splice(a..b, scratch.drain(..));
+            let b = a + self.fits[a..].partition_point(|s| usize::from(s.start) < start);
+            if !same_bits(&self.fits[a..b], buf) {
+                self.fits.splice(a..b, buf.drain(..));
+                moved = true;
+            }
             // The new fits read the changed offsets below `start`.
-            c = changed
-                .partition_point(|&o| usize::from(o) < start)
-                .max(c + 1);
+            c = at.partition_point(|&o| usize::from(o) < start).max(c + 1);
         }
+        moved
     }
 
     /// Whether `self` is the fit `fresh`, the from-scratch fit of the same
@@ -310,11 +344,7 @@ impl FitMemo {
     fn matches(&self, fresh: &FitMemo) -> bool {
         self.starts == fresh.starts
             && self.overreach >= fresh.overreach
-            && self
-                .fits
-                .iter()
-                .map(Segment::bits)
-                .eq(fresh.fits.iter().map(Segment::bits))
+            && same_bits(&self.fits, &fresh.fits)
     }
 }
 
@@ -352,22 +382,33 @@ fn keep_longest(
     }
 }
 
+/// What is learned about one translation-page region. Volatile, all of it.
+struct Region {
+    /// The live segments, sorted by `start`, disjoint; empty for none.
+    view: Vec<Segment>,
+    /// The last raw fit, and whether `view` still is what it installed.
+    memo: FitMemo,
+}
+
+/// The index of the segment of `view` that covers `off`.
+fn covering(view: &[Segment], off: u16) -> Option<usize> {
+    let i = view.partition_point(|s| s.start <= off).checked_sub(1)?;
+    (off <= view[i].end).then_some(i)
+}
+
 /// The learned page-level FTL.
 pub struct LearnedFtl {
     epsilon: u32,
     budget_bytes: usize,
     seg_budget_bytes: usize,
-    /// Learned index: per-region segments, sorted by `start`, disjoint.
-    segs: VtpnTable<Vec<Segment>>,
-    /// Total bytes charged for segments (`Σ len · SEG_BYTES`).
+    /// Learned index and fit memo per region, indexed by VTPN.
+    regions: Vec<Region>,
+    /// Total bytes charged for segments (`Σ view.len() · SEG_BYTES`).
     seg_bytes: usize,
     /// Fallback CMT: flat LRU of individual entries, as DFTL's cache but
     /// unsegmented — the learned index already protects the sequential
     /// ranges an SLRU would.
     cmt: EntryCache,
-    /// Per region, the last raw fit, so that `refit` re-fits only what a
-    /// write-back changed. Volatile like the segments; indexed by VTPN.
-    memos: Vec<FitMemo>,
     /// Buffers `refit` reuses from call to call.
     scratch: Scratch,
 }
@@ -409,12 +450,14 @@ impl LearnedFtl {
             epsilon,
             budget_bytes,
             seg_budget_bytes: budget_bytes / 2,
-            segs: VtpnTable::new(config.num_vtpns() as usize),
+            regions: std::iter::repeat_with(|| Region {
+                view: Vec::new(),
+                memo: FitMemo::new(config.entries_per_tp()),
+            })
+            .take(config.num_vtpns() as usize)
+            .collect(),
             seg_bytes: 0,
             cmt: EntryCache::new(config.entries_per_tp()),
-            memos: std::iter::repeat_with(|| FitMemo::new(config.entries_per_tp()))
-                .take(config.num_vtpns() as usize)
-                .collect(),
             scratch: Scratch::default(),
         })
     }
@@ -437,7 +480,7 @@ impl LearnedFtl {
     pub fn warm_up(&mut self, env: &SsdEnv) {
         for vtpn in 0..env.gtd().len() as Vtpn {
             // An empty memo makes this the from-scratch fit.
-            self.memos[vtpn as usize].clear();
+            self.regions[vtpn as usize].memo.clear();
             self.refit(env, vtpn, [0]);
         }
     }
@@ -445,13 +488,8 @@ impl LearnedFtl {
     /// The predicted PPN for `off` in region `vtpn`, if a segment covers
     /// it and the line stays in range.
     fn predict_at(&self, vtpn: Vtpn, off: u16) -> Option<Ppn> {
-        let segs = self.segs.get(vtpn)?;
-        let i = segs.partition_point(|s| s.start <= off).checked_sub(1)?;
-        let s = &segs[i];
-        if s.end < off {
-            return None;
-        }
-        s.predict(off)
+        let view = &self.regions[vtpn as usize].view;
+        view[covering(view, off)?].predict(off)
     }
 
     /// Re-fits region `vtpn` from its persisted translation page, which
@@ -462,15 +500,16 @@ impl LearnedFtl {
     /// [`FitMemo`]); the result is the from-scratch fit all the same.
     /// Keeps only segments covering at least [`MIN_COVERED`] offsets, caps
     /// the region at [`MAX_SEGS_PER_REGION`], and trims (longest coverage
-    /// first, deterministic tie-break on start) to the global segment
-    /// budget.
+    /// first, ties to the lower start) to the global segment budget —
+    /// unless that would reinstall the view it found, which it then leaves.
     fn refit(&mut self, env: &SsdEnv, vtpn: Vtpn, changed: impl IntoIterator<Item = u16>) {
-        let mut fit = self.segs.remove(vtpn).unwrap_or_default();
-        self.seg_bytes -= fit.len() * SEG_BYTES;
-        fit.clear();
-        let memo = &mut self.memos[vtpn as usize];
+        let Region { view, memo } = &mut self.regions[vtpn as usize];
+        // The budget with the region's own bytes given back.
+        let others = self.seg_bytes - view.len() * SEG_BYTES;
         let tp = env.gtd().get(vtpn);
         let Some(payload) = tp.and_then(|tp| env.flash().peek_translation_payload(tp)) else {
+            self.seg_bytes = others;
+            view.clear();
             memo.clear();
             return;
         };
@@ -478,18 +517,25 @@ impl LearnedFtl {
         scratch.changed.clear();
         scratch.changed.extend(changed);
         scratch.changed.sort_unstable();
-        memo.update(payload, self.epsilon, &scratch.changed, &mut scratch.fits);
+        let moved = memo.update(payload, self.epsilon, &scratch.changed, &mut scratch.fits);
         debug_assert!(
             memo.matches(&fit_region(payload, self.epsilon)),
             "incremental refit of region {vtpn} after changes at {:?} left the from-scratch fit",
             scratch.changed
         );
-        let room = ((self.seg_budget_bytes - self.seg_bytes) / SEG_BYTES).min(MAX_SEGS_PER_REGION);
-        keep_longest(&memo.fits, room, payload.len(), &mut scratch.keys, &mut fit);
-        if !fit.is_empty() {
-            self.seg_bytes += fit.len() * SEG_BYTES;
-            self.segs.insert(vtpn, fit);
+        let room = ((self.seg_budget_bytes - others) / SEG_BYTES).min(MAX_SEGS_PER_REGION);
+        if !moved && memo.view_is_top && room.min(memo.fits.len()) == view.len() {
+            debug_assert!({
+                let (mut keys, mut full) = (Vec::new(), Vec::new());
+                keep_longest(&memo.fits, room, payload.len(), &mut keys, &mut full);
+                same_bits(&full, view)
+            });
+            return;
         }
+        view.clear();
+        keep_longest(&memo.fits, room, payload.len(), &mut scratch.keys, view);
+        self.seg_bytes = others + view.len() * SEG_BYTES;
+        memo.view_is_top = true;
     }
 
     /// Invalidates the prediction point `off` of region `vtpn` after an
@@ -498,16 +544,12 @@ impl LearnedFtl {
     /// predictions are bit-identical to before), and remnants too short
     /// to pay for themselves are dropped.
     fn split_covering(&mut self, vtpn: Vtpn, off: u16) {
-        let Some(segs) = self.segs.get_mut(vtpn) else {
-            return;
-        };
-        let Some(i) = segs.partition_point(|s| s.start <= off).checked_sub(1) else {
+        let Region { view: segs, memo } = &mut self.regions[vtpn as usize];
+        let Some(i) = covering(segs, off) else {
             return;
         };
         let s = segs[i];
-        if s.end < off {
-            return;
-        }
+        memo.view_is_top = false;
         let worth = |r: &Segment| r.covered() >= MIN_COVERED;
         let left = (off > s.start)
             .then(|| Segment { end: off - 1, ..s })
@@ -534,9 +576,6 @@ impl LearnedFtl {
             (None, None) => {
                 segs.remove(i);
                 self.seg_bytes -= SEG_BYTES;
-                if segs.is_empty() {
-                    self.segs.remove(vtpn);
-                }
             }
         }
     }
@@ -658,7 +697,7 @@ impl Ftl for LearnedFtl {
         self.cmt.clean_vtpn(vtpn, |_| {});
         // The flush rewrote the region's page without a refit: what the
         // memo remembers is no longer a fit of what is persisted.
-        self.memos[vtpn as usize].clear();
+        self.regions[vtpn as usize].memo.clear();
     }
 
     fn cached_tp_distribution(&self) -> Vec<TpDistEntry> {
@@ -865,12 +904,16 @@ mod tests {
     /// 5. after each of 70 seeded edits per table (see [`seeded_edit`]) the
     ///    incrementally updated memo is the from-scratch fit of the edited
     ///    table, bit for bit — and so it is on 500 small tables at the PPN
-    ///    floor, where fits get cut short.
+    ///    floor, where fits get cut short;
+    /// 6. `update` says the kept fits changed exactly when they did, in any
+    ///    bit, and says no when run again on the table it just fitted — and
+    ///    the corpus has plenty of edits of either kind.
     #[test]
     fn fitter_property_vs_brute_force_oracle_500_tables() {
         let mut rng = tpftl_rng::Rng64::seed_from_u64(0x5EED_1EA2);
         let n = 1024usize;
         let (mut exact_total, mut mispredict_total, mut covered_total) = (0u64, 0u64, 0u64);
+        let mut moved_total = 0u64;
         for table_i in 0..500 {
             let mut table = vec![PPN_NONE; n];
             let mut off = 0usize;
@@ -955,11 +998,20 @@ mod tests {
             let mut scratch = Vec::new();
             for edit_i in 0..70u64 {
                 let changed = seeded_edit(&mut rng, &mut table, &memo, edit_i % 7);
-                memo.update(&table, DEFAULT_EPSILON, &changed, &mut scratch);
+                let before = memo.fits.clone();
+                let moved = memo.update(&table, DEFAULT_EPSILON, &changed, &mut scratch);
                 assert!(
                     memo.matches(&fit_region(&table, DEFAULT_EPSILON)),
                     "table {table_i} edit {edit_i} at {changed:?}: incremental fit diverged"
                 );
+                assert_eq!(
+                    moved,
+                    !same_bits(&before, &memo.fits),
+                    "table {table_i} edit {edit_i} at {changed:?}: wrong about `fits` changing"
+                );
+                moved_total += u64::from(moved);
+                // What a refit with nothing new to say does: nothing.
+                assert!(!memo.update(&table, DEFAULT_EPSILON, &changed, &mut scratch));
             }
         }
         // A line that dips below PPN 0 has its segment cut short by the
@@ -981,6 +1033,11 @@ mod tests {
             overreaching += usize::from(memo.overreach > 0);
         }
         assert!(overreaching > 0, "no fit at the PPN floor was cut short");
+        let edits = 500 * 70;
+        assert!(
+            moved_total > edits / 10 && moved_total < edits * 9 / 10,
+            "{moved_total} of {edits} edits changed the kept fits: one arm is all but untested"
+        );
         assert_eq!(exact_total + mispredict_total, covered_total);
         assert!(exact_total > 0, "corpus produced no exact predictions");
         assert!(
@@ -1096,37 +1153,11 @@ mod tests {
             (0.0..f64::from(PPN_NONE)).contains(&p).then_some(p as Ppn)
         };
         let top = f64::from(PPN_NONE);
-        let below_half = 0.49999999999999994; // 0.5 − 2⁻⁵⁴: `floor(x + 0.5)` says 1
-        let mut edges = vec![
-            f64::NAN,
-            f64::INFINITY,
-            f64::NEG_INFINITY,
-            -0.0,
-            f64::MIN_POSITIVE,
-            top - 0.5,
-            top - 1.0,
-            top,
-            4294967296.0 + 1.0,
-            4294967296.0 - 1.0,
-            1e300,
-            -1e300,
-        ];
-        for around in [0.0, 1.0, 2.0, 1023.0, 8388608.0, top - 1.0] {
-            for half in [-0.5, -below_half, below_half, 0.5] {
-                let x: f64 = around + half;
-                // The neighbours of each value, too.
-                edges.extend([
-                    x,
-                    f64::from_bits(x.to_bits() + 1),
-                    f64::from_bits(x.to_bits() - 1),
-                ]);
-            }
-        }
-        for x in edges {
+        for x in rounding_edges(&[]) {
             assert_eq!(round_to_ppn(x), by_libm(x), "x = {x:e}");
         }
-        assert_eq!(round_to_ppn(below_half), Some(0));
-        assert_eq!(round_to_ppn(-below_half), Some(0));
+        assert_eq!(round_to_ppn(BELOW_HALF), Some(0));
+        assert_eq!(round_to_ppn(-BELOW_HALF), Some(0));
         assert_eq!(round_to_ppn(-0.5), None);
         assert_eq!(round_to_ppn(top - 0.5), None);
         assert_eq!(round_to_ppn(top - 0.5 - 1e-6), Some(PPN_NONE - 1));
@@ -1146,6 +1177,165 @@ mod tests {
             for off in [0, 1, 2, 511, 1023] {
                 let x = base + slope * f64::from(off);
                 assert_eq!(seg.predict(off), by_libm(x), "x = {x:e}");
+            }
+        }
+    }
+
+    /// 0.5 − 2⁻⁵⁴: `floor(x + 0.5)` says 1.
+    const BELOW_HALF: f64 = 0.49999999999999994;
+
+    /// The values where rounding, the range check and a comparison against
+    /// a bound could part: non-numbers, both ends of the PPN range, where
+    /// `f64` stops holding fractions, and each half around a few integers
+    /// and around `more`, with both neighbours of every one.
+    fn rounding_edges(more: &[f64]) -> Vec<f64> {
+        let top = f64::from(PPN_NONE);
+        let mut edges = vec![
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            -0.0,
+            f64::MIN_POSITIVE,
+            top - 0.5,
+            top - 1.0,
+            top,
+            4294967296.0 + 1.0,
+            4294967296.0 - 1.0,
+            1e300,
+            -1e300,
+        ];
+        let arounds = [0.0, 1.0, 2.0, 1023.0, 8388608.0, top - 1.0];
+        for around in arounds.iter().chain(more) {
+            for half in [-0.5, -BELOW_HALF, BELOW_HALF, 0.5] {
+                let x: f64 = around + half;
+                // The neighbours of each value, too.
+                edges.extend([
+                    x,
+                    f64::from_bits(x.to_bits() + 1),
+                    f64::from_bits(x.to_bits() - 1),
+                ]);
+            }
+        }
+        edges
+    }
+
+    /// Deciding on the line ([`rounds_within`]) is rounding to a PPN and
+    /// comparing the integers, on the rounding edge set and around every
+    /// bound the comparison has, for stored PPNs at both ends of the range.
+    #[test]
+    fn interval_test_is_round_then_compare() {
+        for eps in [0u32, 1, 4, 17] {
+            for stored in [0, eps, 1 << 20, PPN_NONE - 1 - eps, PPN_NONE - 1] {
+                let (s, e) = (f64::from(stored), f64::from(eps));
+                let bounds = [s - e - 1.0, s - e, s, s + e, s + e + 1.0];
+                for x in rounding_edges(&bounds) {
+                    let by_integer = round_to_ppn(x).is_some_and(|p| p.abs_diff(stored) <= eps);
+                    assert_eq!(
+                        rounds_within(x, stored, e),
+                        by_integer,
+                        "x = {x:e}, stored {stored}, eps {eps}"
+                    );
+                }
+            }
+        }
+    }
+
+    /// [`fit_one`] as it was before it knew about unit-stride runs and
+    /// before it verified on the line: every point through the cone, every
+    /// covered offset through `predict`. The reference for the test below.
+    fn fit_one_pointwise(payload: &[Ppn], start: usize, eps: u32) -> (Segment, usize) {
+        let eps_f = f64::from(eps);
+        let y0 = f64::from(payload[start]);
+        let (mut lo, mut hi) = (f64::NEG_INFINITY, f64::INFINITY);
+        let mut stop = start + 1;
+        while stop < payload.len() && payload[stop] != PPN_NONE {
+            let dx = (stop - start) as f64;
+            let y = f64::from(payload[stop]);
+            let nlo = lo.max((y - eps_f - y0) / dx);
+            let nhi = hi.min((y + eps_f - y0) / dx);
+            if nlo > nhi {
+                break;
+            }
+            lo = nlo;
+            hi = nhi;
+            stop += 1;
+        }
+        let end = stop - 1;
+        let slope = if end == start { 0.0 } else { (lo + hi) / 2.0 };
+        let mut seg = Segment {
+            start: start as u16,
+            end: end as u16,
+            base: y0,
+            slope,
+        };
+        let mut vend = start;
+        for (k, &stored) in payload.iter().enumerate().take(end + 1).skip(start) {
+            let ok = seg
+                .predict(k as u16)
+                .is_some_and(|p| p.abs_diff(stored) <= eps);
+            if !ok {
+                break;
+            }
+            vend = k;
+        }
+        seg.end = vend as u16;
+        (seg, stop)
+    }
+
+    /// The closed-form cone is the point-by-point cone bit for bit, for every
+    /// run length a region can hold and runs at the bottom, in the middle and
+    /// at the very top of the PPN range; and a fit that enters the cone loop
+    /// at the end of such a run — which then ends the table, meets a hole
+    /// (after a run up to `PPN_NONE - 1` the hole is the very number a
+    /// wrapping successor would be), or goes on within or beyond ε of the
+    /// line — is the fit that walked every point.
+    #[test]
+    fn unit_stride_entry_is_the_pointwise_cone() {
+        for (eps, d) in [0u32, 1, 4, 17]
+            .into_iter()
+            .flat_map(|e| (1..=1024).map(move |d| (e, d)))
+        {
+            let eps_f = f64::from(eps);
+            for base in [0, 1 << 20, PPN_NONE - 1 - d] {
+                let y0 = f64::from(base);
+                let (mut lo, mut hi) = (f64::NEG_INFINITY, f64::INFINITY);
+                for j in 1..=d {
+                    let (dx, y) = (f64::from(j), f64::from(base + j));
+                    lo = lo.max((y - eps_f - y0) / dx);
+                    hi = hi.min((y + eps_f - y0) / dx);
+                    assert!(lo <= hi, "the cone of a unit run emptied at {j}");
+                }
+                let (clo, chi) = unit_cone(d as usize, eps_f);
+                assert_eq!(
+                    (clo.to_bits(), chi.to_bits()),
+                    (lo.to_bits(), hi.to_bits()),
+                    "eps {eps}, base {base}, run of {d}"
+                );
+
+                let run: Vec<Ppn> = (base..=base + d).collect();
+                // Three more points parallel to the line, `by` off it towards
+                // the inside of the PPN range.
+                let inward = if base > 1 << 20 { -1 } else { 1 };
+                let on = |by: u32| {
+                    let next = i64::from(base + d) + inward * i64::from(by);
+                    (1..4).map(|k| Ppn::try_from(next + k).unwrap()).collect()
+                };
+                let tails: [Vec<Ppn>; 4] = [
+                    vec![],
+                    vec![PPN_NONE, 0, 1, 2],
+                    on(eps.max(3)),
+                    on(2 * eps + 3),
+                ];
+                for (t, tail) in tails.iter().enumerate() {
+                    let table = [&run[..], &tail[..]].concat();
+                    let (got, got_stop) = fit_one(&table, 0, eps);
+                    let (want, want_stop) = fit_one_pointwise(&table, 0, eps);
+                    assert_eq!(
+                        (got.bits(), got_stop),
+                        (want.bits(), want_stop),
+                        "eps {eps}, base {base}, run of {d}, tail {t}"
+                    );
+                }
             }
         }
     }
@@ -1178,13 +1368,7 @@ mod tests {
                 want.sort_by_key(|s| s.start);
                 let mut got = Vec::new();
                 keep_longest(&fits, room, 1024, &mut keys, &mut got);
-                assert!(
-                    got.iter()
-                        .map(Segment::bits)
-                        .eq(want.iter().map(Segment::bits)),
-                    "room {room} of {}",
-                    fits.len()
-                );
+                assert!(same_bits(&got, &want), "room {room} of {}", fits.len());
             }
         }
         // The largest region `u16` offsets allow: the keys still fit.
@@ -1270,7 +1454,10 @@ mod tests {
         // near the end restarts beyond offset 100.
         write(&mut ftl, &mut env, 500);
         drain(&mut ftl, &mut env);
-        assert!(ftl.memos[0].is_start(502), "the overwrite split the line");
+        assert!(
+            ftl.regions[0].memo.is_start(502),
+            "the overwrite split the line"
+        );
         // Offset 100 reaches flash through the flush, not through a refit.
         write(&mut ftl, &mut env, 100);
         crate::recovery::flush_cache(&mut ftl, &mut env).unwrap();
@@ -1279,20 +1466,106 @@ mod tests {
         drain(&mut ftl, &mut env);
         let mut scratch = LearnedFtl::new(env.config()).unwrap();
         scratch.warm_up(&env);
-        assert!(ftl.memos[0].matches(&scratch.memos[0]));
+        assert!(ftl.regions[0].memo.matches(&scratch.regions[0].memo));
         assert!(
-            ftl.segs[0]
-                .iter()
-                .map(Segment::bits)
-                .eq(scratch.segs[0].iter().map(Segment::bits)),
+            same_bits(&ftl.regions[0].view, &scratch.regions[0].view),
             "segments differ from the from-scratch fit: {:?} vs {:?}",
-            ftl.segs[0],
-            scratch.segs[0]
+            ftl.regions[0].view,
+            scratch.regions[0].view
         );
         assert!(
-            scratch.segs[0].iter().any(|s| s.end == 99),
+            scratch.regions[0].view.iter().any(|s| s.end == 99),
             "the flushed overwrite of offset 100 must show in the fit"
         );
+    }
+
+    /// The early return of `refit` hangs on one flag. A refit that finds it
+    /// set, the kept fits unchanged and room for as many segments as the view
+    /// holds leaves the view alone; everything that edits the view or the
+    /// fit behind the other's back clears it, and the next refit rebuilds.
+    #[test]
+    fn refit_rebuilds_the_view_exactly_when_something_changed_it() {
+        const NOTHING: [u16; 0] = [];
+        // Region 0 is one line over all 1024 offsets, region 1 is unmapped.
+        let (mut ftl, env) = setup(1024, 0.5);
+        let whole = ftl.regions[0].view.clone();
+        assert_eq!((whole.len(), whole[0].covered()), (1, 1024));
+        assert!(ftl.regions[0].memo.view_is_top, "warm-up installs the view");
+
+        // An overwrite inside the line splits it in two; the persisted page
+        // still holds the old mapping, so the refit puts the line back.
+        ftl.split_covering(0, 500);
+        assert_eq!(ftl.segment_count(), 2);
+        assert!(!ftl.regions[0].memo.view_is_top);
+        ftl.refit(&env, 0, NOTHING);
+        assert!(same_bits(&ftl.regions[0].view, &whole));
+        assert_eq!(ftl.segment_count(), 1);
+
+        // A split whose right remnant is too short to keep leaves the count
+        // at one: only the flag tells the refit that the view was edited.
+        ftl.split_covering(0, 1022);
+        assert_eq!(ftl.segment_count(), 1);
+        assert_eq!(ftl.regions[0].view[0].end, 1021);
+        ftl.refit(&env, 0, NOTHING);
+        assert!(same_bits(&ftl.regions[0].view, &whole));
+
+        // A point no segment covers edits nothing.
+        ftl.split_covering(1, 7);
+        assert!(ftl.regions[0].memo.view_is_top);
+
+        // Forgetting the fit forgets that the view came from it, whether a
+        // flush does it or the next warm-up.
+        ftl.mark_clean(0);
+        assert!(!ftl.regions[0].memo.view_is_top);
+        assert!(same_bits(&ftl.regions[0].view, &whole), "the view stands");
+        ftl.refit(&env, 0, [3]);
+        assert!(ftl.regions[0].memo.view_is_top);
+        ftl.regions[0].view[0].end = 9;
+        ftl.warm_up(&env);
+        assert!(same_bits(&ftl.regions[0].view, &whole));
+        assert_eq!(ftl.segment_count(), 1);
+    }
+
+    /// Room for one more segment extends a trimmed view although neither it
+    /// nor the fit behind it changed.
+    #[test]
+    fn refit_extends_the_view_when_room_grows() {
+        // Room for three segments in all.
+        let mut config = SsdConfig::paper_default(8 << 20);
+        config.cache_bytes = config.gtd_bytes() + 6 * SEG_BYTES;
+        let mut env = SsdEnv::new(config.clone()).unwrap();
+        let mut ftl = LearnedFtl::new(&config).unwrap();
+        // Region 0: runs of 10, 9, 8, 7 and 6 offsets, a hole after each.
+        // Region 1: one run of 4.
+        let mut pages = [vec![PPN_NONE; 1024], vec![PPN_NONE; 1024]];
+        let mut off = 0;
+        for len in (6..=10).rev() {
+            for k in 0..len {
+                pages[0][off + k] = (100 * len + k) as Ppn;
+            }
+            off += len + 1;
+        }
+        pages[1][..4].copy_from_slice(&[70, 71, 72, 73]);
+        for (vtpn, page) in pages.iter().enumerate() {
+            env.write_translation_page_full(vtpn as Vtpn, page, OpPurpose::Translation)
+                .unwrap();
+        }
+        ftl.refit(&env, 1, [0]);
+        ftl.refit(&env, 0, [0]);
+        let covered = |ftl: &LearnedFtl| -> Vec<usize> {
+            ftl.regions[0].view.iter().map(Segment::covered).collect()
+        };
+        assert_eq!(ftl.regions[0].memo.fits.len(), 5);
+        assert_eq!((covered(&ftl), ftl.segment_count()), (vec![10, 9], 3));
+        // Same room: the refit has nothing to do.
+        ftl.refit(&env, 0, [0]);
+        assert_eq!(covered(&ftl), [10, 9]);
+        // Region 1 loses its segment (neither remnant is worth keeping).
+        ftl.split_covering(1, 1);
+        assert_eq!(ftl.segment_count(), 2);
+        ftl.refit(&env, 0, [0]);
+        assert_eq!((covered(&ftl), ftl.segment_count()), (vec![10, 9, 8], 3));
+        assert!(ftl.seg_bytes <= ftl.seg_budget_bytes);
     }
 
     #[test]

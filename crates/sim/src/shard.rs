@@ -354,6 +354,15 @@ impl<F: Ftl + Send> ShardedSsd<F> {
         &self.shards[index]
     }
 
+    /// Flushes every shard ([`Ssd::flush`]) in shard order — the
+    /// clean-unmount barrier, after which `tpftl_core::recovery::verify`
+    /// holds on each shard's environment. A failing shard does not stop the
+    /// ones after it; the first error (in shard order) is returned.
+    pub fn flush(&mut self) -> Result<()> {
+        let flushed = self.shards.iter_mut().map(Ssd::flush);
+        flushed.fold(Ok(()), Result::and)
+    }
+
     /// Park/unpark totals across all queue-pair doorbells of the most
     /// recent `run`/`run_open_loop` — the proof that idle workers slept
     /// (parks) and were woken by doorbells (wakeups), not by polling.
@@ -744,6 +753,43 @@ mod tests {
         // The engine survives the error: shards are back and usable.
         let ok = IoRequest::new(0.0, 0, 4096, Dir::Write);
         assert!(sharded.run(std::iter::once(ok)).is_ok());
+    }
+
+    /// A sharded device unmounts cleanly: after a Financial1 replay over two
+    /// shards and one `flush`, each shard's persisted table and physical
+    /// pages agree exactly, nothing dirty is left in its cache, and every
+    /// page the trace wrote is found through the table of the shard that
+    /// owns it.
+    #[test]
+    fn flush_leaves_every_shard_verifiable() {
+        use tpftl_core::recovery;
+        use tpftl_trace::presets::Workload;
+
+        let mut config = SsdConfig::paper_default(Workload::Financial1.address_bytes());
+        config.cache_bytes = config.gtd_bytes() + 8 * 1024;
+        let trace: Vec<IoRequest> = Workload::Financial1.spec(20_000).iter(2015).collect();
+        let mut sharded = ShardedSsd::new(&config, 2, build_tp).unwrap();
+        sharded.run(trace.iter().copied()).unwrap();
+        let dirty = |ssd: &ShardedSsd<TpFtl>, shard: usize| -> u32 {
+            let cached = ssd.shard(shard).ftl().cached_tp_distribution();
+            cached.iter().map(|d| d.dirty).sum()
+        };
+        assert!(dirty(&sharded, 0) > 0 && dirty(&sharded, 1) > 0);
+        sharded.flush().unwrap();
+
+        for shard in 0..2 {
+            assert_eq!(dirty(&sharded, shard), 0);
+            recovery::verify(sharded.shard(shard).env()).assert_clean();
+        }
+        let written = trace.iter().filter(|r| r.dir == Dir::Write);
+        for page in written.flat_map(|r| r.pages(PAGE_BYTES)) {
+            let env = sharded
+                .shard(sharded.splitter.shard_of(page) as usize)
+                .env();
+            let local = sharded.splitter.local_page(page) as u32;
+            let ppn = recovery::lookup(env, local).expect("a written page is mapped");
+            assert_eq!(env.flash().tag(ppn), Ok(local), "page {page}");
+        }
     }
 
     #[test]
