@@ -658,20 +658,15 @@ pub fn bench_sharded_write_gc(shards: u32, samples: usize, requests: usize) -> R
     row
 }
 
-/// Applies the multi-stream GC configuration measured by the aging and
-/// multi-tenant rows: four hot/cold data streams fed by the write-count
-/// temperature estimator, windowed cost-benefit victim selection with the
-/// wear tiebreak. The single-stream baseline rows keep the defaults
-/// (greedy, one stream).
-/// GC configuration for the GC-quality rows. `Wear` is the single-stream
-/// wear-aware reference the erase-CV acceptance bar is measured against
-/// (`Multi` must not spread erases less evenly than it); same
-/// `max_wear_delta` as the extensions study.
+/// GC configuration for the GC-quality rows. `Multi` is the multi-stream
+/// configuration the aging and multi-tenant rows measure: four hot/cold
+/// data streams fed by the write-count temperature estimator, windowed
+/// cost-benefit victim selection with the wear tiebreak. `Greedy`, the
+/// single-stream baseline, keeps the defaults (greedy, one stream).
 #[derive(Clone, Copy, PartialEq, Eq)]
 pub enum GcVariant {
     Greedy,
     Multi,
-    Wear,
 }
 
 impl GcVariant {
@@ -679,7 +674,6 @@ impl GcVariant {
         match self {
             GcVariant::Greedy => "greedy",
             GcVariant::Multi => "multi",
-            GcVariant::Wear => "wear",
         }
     }
 
@@ -689,9 +683,6 @@ impl GcVariant {
             GcVariant::Multi => {
                 config.gc_policy = GcPolicy::Windowed { window: 16 };
                 config.streams = StreamCount(4);
-            }
-            GcVariant::Wear => {
-                config.gc_policy = GcPolicy::WearAware { max_wear_delta: 16 };
             }
         }
     }
@@ -971,15 +962,14 @@ pub fn run_all(
         }
     }
     // GC-quality rows: TPFTL and DFTL, single-stream greedy baseline vs
-    // the multi-stream windowed configuration (plus the wear-aware
-    // reference the erase-CV bar is judged against), on the aging
+    // the multi-stream windowed configuration, on the aging
     // overwrite stream and the multi-tenant mix. Their payload is
     // write_amp / erase_cv rather than ns/op, so CI excludes them from
     // the strict latency gate and compares write_amp separately.
     let gc_requests = if quick { 12_000 } else { 60_000 };
     for kind in [FtlKind::Tpftl, FtlKind::Dftl] {
         let name = &kind.label();
-        for variant in [GcVariant::Greedy, GcVariant::Multi, GcVariant::Wear] {
+        for variant in [GcVariant::Greedy, GcVariant::Multi] {
             if wanted(&format!("aging_write_gc_{}", variant.label()), name) {
                 records.push(bench_aging_write_gc(
                     kind,

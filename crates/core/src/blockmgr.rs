@@ -35,23 +35,26 @@ use tpftl_flash::{BlockId, Flash, Ppn};
 use crate::config::GcPolicy;
 use crate::{FtlError, Result};
 
-/// Candidates examined per pick for the non-greedy policies — a bounded
-/// candidate set, as sampling-based GC schemes use on real devices.
+/// Most candidates a pick examines, whatever window the policy asks for —
+/// a bounded candidate set, as sampling-based GC schemes use on real devices.
 const CANDIDATE_CAP: usize = 64;
 
-/// Wear spread the windowed policy tolerates before its static
+/// Wear spread a multi-stream manager tolerates before its static
 /// wear-leveling arm turns over the least-worn sealed block, and the rate
 /// limit (picks between turn-overs) it runs at (see
-/// [`BlockManager::static_turnover`]). Both are tighter than the
-/// wear-aware policy's — stream separation makes frozen cold blocks the
-/// rule rather than the exception, so the spread grows faster and the
-/// turn-over must keep pace.
-const WINDOWED_WEAR_DELTA: u64 = 4;
+/// [`BlockManager::static_turnover`]). Both are tight: stream separation
+/// makes frozen cold blocks the rule rather than the exception, so the
+/// spread grows fast and the turn-over must keep pace.
+const WINDOWED_WEAR_DELTA: u32 = 4;
 const WINDOWED_TURNOVER_RATE: u32 = 4;
 
-/// Rate limit of the wear-aware policy's static arm: every 8th pick, as
-/// the original single-policy implementation hardcoded.
-const WEAR_AWARE_TURNOVER_RATE: u32 = 8;
+/// Candidates `policy` scores per pick: greedy is the window of one.
+fn window(policy: GcPolicy) -> usize {
+    match policy {
+        GcPolicy::Greedy => 1,
+        GcPolicy::Windowed { window } => window.max(1) as usize,
+    }
+}
 
 /// What a block is currently used for.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -375,15 +378,10 @@ impl BlockManager {
     }
 
     /// Picks the GC victim according to `policy`. Fully-valid blocks are
-    /// only ever returned by the static wear-leveling path; for the normal
-    /// policies `None` means the device is genuinely full.
+    /// only ever returned by the static wear-leveling arm; otherwise `None`
+    /// means the device is genuinely full.
     pub fn pick_victim(&mut self, policy: GcPolicy) -> Option<(BlockId, AllocClass)> {
-        let b = match policy {
-            GcPolicy::Greedy => self.pick_greedy()?,
-            GcPolicy::CostBenefit => self.pick_cost_benefit()?,
-            GcPolicy::WearAware { max_wear_delta } => self.pick_wear_aware(max_wear_delta)?,
-            GcPolicy::Windowed { window } => self.pick_windowed(window)?,
-        };
+        let b = self.pick_windowed(window(policy))?;
         self.claim(b)
     }
 
@@ -406,48 +404,27 @@ impl BlockManager {
         Some((b, class))
     }
 
-    fn pick_greedy(&self) -> Option<BlockId> {
-        self.candidates().next()
-    }
-
-    fn pick_cost_benefit(&self) -> Option<BlockId> {
-        let np = self.pages_per_block as f64;
-        let mut best: Option<(f64, BlockId)> = None;
-        for b in self.candidates() {
-            let valid = self.sealed_valid[b as usize] as f64;
-            if valid == 0.0 {
-                return Some(b); // free reclaim, nothing can beat it
-            }
-            let u = valid / np;
-            let age = (self.seq - self.seal_seq[b as usize]) as f64 + 1.0;
-            let score = (1.0 - u) / (2.0 * u) * age;
-            if best.is_none_or(|(s, _)| score > s) {
-                best = Some((score, b));
-            }
-        }
-        best.map(|(_, b)| b)
-    }
-
-    /// Static wear leveling, shared by the wear-aware and windowed
-    /// policies: when the wear spread exceeds `max_wear_delta`, turn over
-    /// the least-worn sealed block so its cold data moves onto worn blocks
-    /// and the block rejoins the hot rotation. Such a block is usually
-    /// fully valid (that is *why* it never wears), so the turn-over frees
-    /// little; rate-limit it to every 8th pick so the collector always
-    /// makes progress in between, and defer it entirely while the free
-    /// pool is critically low — migrating a fully-valid victim can seal
-    /// both the data and the translation active block (two fresh-block
-    /// pops) before its erase returns one, so firing it with fewer than
-    /// two free blocks can exhaust the pool mid-collection.
+    /// Static wear leveling, the multi-stream arm of the pick: when the
+    /// wear spread exceeds [`WINDOWED_WEAR_DELTA`], turn over the
+    /// least-worn sealed block so its cold data moves onto worn blocks and
+    /// the block rejoins the hot rotation. Such a block is usually fully
+    /// valid (that is *why* it never wears), so the turn-over frees
+    /// little; rate-limit it to every [`WINDOWED_TURNOVER_RATE`]th pick so
+    /// the collector always makes progress in between, and defer it
+    /// entirely while the free pool is critically low — migrating a
+    /// fully-valid victim can seal both the data and the translation
+    /// active block (two fresh-block pops) before its erase returns one,
+    /// so firing it with fewer than two free blocks can exhaust the pool
+    /// mid-collection.
     ///
     /// The wear index is built here, the first time it is read, from what
     /// it indexes — the sealed blocks of `kind` at their `wear`, which does
     /// not change while a block is sealed — and kept current by
     /// `seal_block` and `claim` from then on: the same set an index kept
     /// from the start would hold.
-    fn static_turnover(&mut self, max_wear_delta: u64, rate: u32) -> Option<BlockId> {
+    fn static_turnover(&mut self) -> Option<BlockId> {
         self.picks_since_static += 1;
-        if self.picks_since_static < rate || self.free.len() < 2 {
+        if self.picks_since_static < WINDOWED_TURNOVER_RATE || self.free.len() < 2 {
             return None;
         }
         let index = self.wear_index.get_or_insert_with(|| {
@@ -462,48 +439,36 @@ impl BlockManager {
                 .collect()
         });
         let &(wear, b) = index.iter().next()?;
-        if (self.max_wear as u64).saturating_sub(wear as u64) > max_wear_delta {
+        if self.max_wear - wear > WINDOWED_WEAR_DELTA {
             self.picks_since_static = 0;
             return Some(b);
         }
         None
     }
 
-    fn pick_wear_aware(&mut self, max_wear_delta: u64) -> Option<BlockId> {
-        if let Some(b) = self.static_turnover(max_wear_delta, WEAR_AWARE_TURNOVER_RATE) {
-            return Some(b);
-        }
-        // Dynamic: among the least-valid candidates, prefer the least worn.
-        self.candidates()
-            .min_by_key(|&b| (self.sealed_valid[b as usize], self.wear[b as usize], b))
-    }
-
-    /// Windowed cost-benefit: scores only the first `window` entries of
-    /// the candidate order (valid asc, id asc) — i.e. a bounded window of
-    /// the min-valid buckets — by `(1 − u) / 2u · age`, breaking exact
-    /// score ties toward the least-worn block (then the smaller id). A
-    /// zero-valid candidate is a free reclaim and wins outright. With
-    /// `window == 1` the single candidate *is* the greedy victim, so the
-    /// policy degenerates to [`GcPolicy::Greedy`] exactly — the golden
-    /// test pins that identity bit for bit. With more than one stream the
-    /// static wear-leveling arm (shared with the wear-aware policy, at
-    /// [`WINDOWED_WEAR_DELTA`]/[`WINDOWED_TURNOVER_RATE`]) engages first:
-    /// stream separation freezes cold blocks at low wear forever (they
-    /// stay nearly fully valid, so no valid-count policy ever collects
-    /// them), and without the turn-over the erase spread grows without
-    /// bound. Single-stream windowed has no frozen-block problem — every
-    /// stream shares one active block — so it stays a pure victim-choice
-    /// policy there and the greedy equivalence is structural, not a
-    /// workload accident.
-    fn pick_windowed(&mut self, window: u32) -> Option<BlockId> {
+    /// The one victim pick, windowed cost-benefit: scores only the first
+    /// `window` entries of the candidate order (valid asc, id asc) — i.e. a
+    /// bounded window of the min-valid buckets — by `(1 − u) / 2u · age`,
+    /// breaking exact score ties toward the least-worn block (then the
+    /// smaller id). A zero-valid candidate is a free reclaim and wins
+    /// outright. With `window == 1` the single candidate is the paper's
+    /// greedy victim. With more than one stream the static wear-leveling
+    /// arm engages first: stream separation freezes cold blocks at low
+    /// wear forever (they stay nearly fully valid, so no valid-count
+    /// policy ever collects them), and without the turn-over the erase
+    /// spread grows without bound. A single-stream manager has no
+    /// frozen-block problem — every write shares one active block — so the
+    /// pick stays a pure victim choice there and never builds the wear
+    /// index.
+    fn pick_windowed(&mut self, window: usize) -> Option<BlockId> {
         if self.streams() > 1 {
-            if let Some(b) = self.static_turnover(WINDOWED_WEAR_DELTA, WINDOWED_TURNOVER_RATE) {
+            if let Some(b) = self.static_turnover() {
                 return Some(b);
             }
         }
         let np = self.pages_per_block as f64;
         let mut best: Option<(f64, u32, BlockId)> = None;
-        for b in self.candidates().take(window.max(1) as usize) {
+        for b in self.candidates().take(window) {
             let valid = self.sealed_valid[b as usize] as f64;
             if valid == 0.0 {
                 return Some(b); // free reclaim, nothing can beat it
@@ -573,11 +538,12 @@ mod tests {
     use super::*;
     use tpftl_flash::{FlashGeometry, FlashTopology, OpPurpose};
 
-    fn flash4() -> Flash {
+    /// A device of `num_blocks` four-page blocks.
+    fn flash_of(num_blocks: usize) -> Flash {
         Flash::new(FlashGeometry {
             page_bytes: 4096,
             pages_per_block: 4,
-            num_blocks: 4,
+            num_blocks,
             read_us: 25.0,
             write_us: 200.0,
             erase_us: 1500.0,
@@ -588,7 +554,7 @@ mod tests {
 
     #[test]
     fn alloc_rotates_and_seals() {
-        let mut flash = flash4();
+        let mut flash = flash_of(4);
         let mut mgr = BlockManager::new(4, 4);
         assert_eq!(mgr.free_blocks(), 4);
         // Fill one block's worth of data pages.
@@ -609,7 +575,7 @@ mod tests {
 
     #[test]
     fn data_and_translation_use_separate_actives() {
-        let flash = flash4();
+        let flash = flash_of(4);
         let mut mgr = BlockManager::new(4, 4);
         let d = mgr.alloc_page(AllocClass::Data, &flash).unwrap();
         let t = mgr.alloc_page(AllocClass::Translation, &flash).unwrap();
@@ -622,7 +588,7 @@ mod tests {
 
     #[test]
     fn victim_is_min_valid_sealed() {
-        let mut flash = flash4();
+        let mut flash = flash_of(4);
         let mut mgr = BlockManager::new(4, 4);
         // Seal two data blocks.
         for i in 0..8u32 {
@@ -648,7 +614,7 @@ mod tests {
 
     #[test]
     fn fully_valid_blocks_never_picked() {
-        let mut flash = flash4();
+        let mut flash = flash_of(4);
         let mut mgr = BlockManager::new(4, 4);
         for i in 0..4u32 {
             let ppn = mgr.alloc_page(AllocClass::Data, &flash).unwrap();
@@ -660,7 +626,7 @@ mod tests {
 
     #[test]
     fn erase_returns_to_pool() {
-        let mut flash = flash4();
+        let mut flash = flash_of(4);
         let mut mgr = BlockManager::new(4, 4);
         for i in 0..4u32 {
             let ppn = mgr.alloc_page(AllocClass::Data, &flash).unwrap();
@@ -682,16 +648,7 @@ mod tests {
     /// Seals `n` data blocks with `valid[i]` valid pages each.
     fn sealed_setup(valid: &[usize]) -> (Flash, BlockManager) {
         let n = valid.len();
-        let mut flash = Flash::new(FlashGeometry {
-            page_bytes: 4096,
-            pages_per_block: 4,
-            num_blocks: n + 1,
-            read_us: 25.0,
-            write_us: 200.0,
-            erase_us: 1500.0,
-            topology: FlashTopology::default(),
-        })
-        .unwrap();
+        let mut flash = flash_of(n + 1);
         let mut mgr = BlockManager::new(n + 1, 4);
         for (i, &v) in valid.iter().enumerate() {
             let b = seal_with(&mut mgr, &mut flash, v);
@@ -720,132 +677,97 @@ mod tests {
         block
     }
 
-    /// Claims `block` through the given policy-free greedy pick and erases
-    /// it, returning it to the pool with one more wear cycle.
-    fn churn_once(mgr: &mut BlockManager, flash: &mut Flash) -> BlockId {
-        let (victim, _) = mgr.pick_victim(GcPolicy::Greedy).unwrap();
-        for (ppn, _) in flash.valid_pages(victim).collect::<Vec<_>>() {
-            flash.invalidate(ppn).unwrap();
-        }
-        flash.erase_block(victim, OpPurpose::GcData).unwrap();
-        mgr.on_erased(victim);
-        victim
-    }
-
     #[test]
     fn cost_benefit_prefers_older_block_at_equal_utilization() {
         // Blocks 0 and 1 both have 2 valid pages; 0 was sealed earlier
         // (older age) so cost-benefit must pick it; block 2 is hot-full.
         let (_flash, mut mgr) = sealed_setup(&[2, 2, 4]);
-        let (victim, _) = mgr.pick_victim(GcPolicy::CostBenefit).unwrap();
+        let (victim, _) = mgr.pick_victim(GcPolicy::Windowed { window: 64 }).unwrap();
         assert_eq!(victim, 0);
     }
 
     #[test]
     fn cost_benefit_takes_free_reclaims_immediately() {
         let (_flash, mut mgr) = sealed_setup(&[2, 0, 3]);
-        let (victim, _) = mgr.pick_victim(GcPolicy::CostBenefit).unwrap();
+        let (victim, _) = mgr.pick_victim(GcPolicy::Windowed { window: 64 }).unwrap();
         assert_eq!(victim, 1, "a zero-valid block is a free win");
     }
 
-    #[test]
-    fn wear_aware_dynamic_prefers_less_worn_at_equal_valid() {
-        // 4-block device. Wear block 0 once, then seal every block with
-        // one valid page: all tie on valid count, wear differs.
-        let mut flash = Flash::new(FlashGeometry {
-            page_bytes: 4096,
-            pages_per_block: 4,
-            num_blocks: 4,
-            read_us: 25.0,
-            write_us: 200.0,
-            erase_us: 1500.0,
-            topology: FlashTopology::default(),
-        })
-        .unwrap();
-        let mut mgr = BlockManager::new(4, 4);
-        assert_eq!(seal_with(&mut mgr, &mut flash, 1), 0);
-        assert_eq!(churn_once(&mut mgr, &mut flash), 0); // wear[0] = 1
-                                                         // Free queue is now [1, 2, 3, 0]: seal all four with 1 valid page.
-        for _ in 0..4 {
-            seal_with(&mut mgr, &mut flash, 1);
+    /// A 6-block device for the static wear-leveling arm: block 0 sealed
+    /// cold with `cold_valid` valid pages at wear 0, blocks 1–3 held out of
+    /// the pool, blocks 4 and 5 churned to wear `hot_wear` each. One block
+    /// is free at every pick of the churn, so the arm stays deferred and
+    /// never touches block 0; it ends with both hot blocks free.
+    fn cold_block_setup(streams: u32, cold_valid: usize, hot_wear: u32) -> (Flash, BlockManager) {
+        let mut flash = flash_of(6);
+        let mut mgr = BlockManager::with_streams(6, 4, streams);
+        assert_eq!(seal_with(&mut mgr, &mut flash, cold_valid), 0);
+        for held in 1..=3 {
+            assert_eq!(mgr.take_raw_block(), Ok(held));
         }
-        // Greedy would take block 0 (smallest id in the bucket)...
-        let mut greedy = mgr.clone();
-        assert_eq!(greedy.pick_victim(GcPolicy::Greedy).unwrap().0, 0);
-        // ...wear-aware avoids it in favour of a fresh block.
-        let (victim, _) = mgr
-            .pick_victim(GcPolicy::WearAware {
-                max_wear_delta: 100,
-            })
-            .unwrap();
-        assert_eq!(victim, 1, "least-worn block wins the tie");
+        for _ in 0..2 * hot_wear {
+            let hot = seal_with(&mut mgr, &mut flash, 1);
+            let (victim, _) = mgr.pick_victim(GcPolicy::Greedy).unwrap();
+            assert_eq!(victim, hot, "block 0 stays sealed and cold");
+            for (ppn, _) in flash.valid_pages(victim).collect::<Vec<_>>() {
+                flash.invalidate(ppn).unwrap();
+            }
+            flash.erase_block(victim, OpPurpose::GcData).unwrap();
+            mgr.on_erased(victim);
+        }
+        assert_eq!((mgr.max_wear(), mgr.free_blocks()), (hot_wear as u64, 2));
+        (flash, mgr)
     }
 
+    /// Under two streams the least-worn sealed block is turned over once
+    /// the spread exceeds Δ = 4 — not at 4 — although a free reclaim is
+    /// sealed beside it.
     #[test]
-    fn wear_aware_static_leveling_turns_over_cold_blocks() {
-        // 6-block device. Block 0 holds cold data (3 valid) and never
-        // churns; the rest churn hot data and accumulate wear.
-        let mut flash = Flash::new(FlashGeometry {
-            page_bytes: 4096,
-            pages_per_block: 4,
-            num_blocks: 6,
-            read_us: 25.0,
-            write_us: 200.0,
-            erase_us: 1500.0,
-            topology: FlashTopology::default(),
-        })
-        .unwrap();
-        let mut mgr = BlockManager::new(6, 4);
-        assert_eq!(seal_with(&mut mgr, &mut flash, 3), 0);
-        for _ in 0..12 {
-            let b = seal_with(&mut mgr, &mut flash, 1);
-            assert_ne!(b, 0, "block 0 stays sealed and cold");
-            let v = churn_once(&mut mgr, &mut flash);
-            assert_ne!(v, 0, "greedy churn never touches the cold block");
+    fn static_leveling_turns_over_cold_blocks() {
+        for spread in [WINDOWED_WEAR_DELTA, WINDOWED_WEAR_DELTA + 1] {
+            let (mut flash, mut mgr) = cold_block_setup(2, 3, spread);
+            let hot = seal_with(&mut mgr, &mut flash, 0);
+            mgr.release_raw_block(1); // two free blocks again
+            let (victim, _) = mgr.pick_victim(GcPolicy::Windowed { window: 8 }).unwrap();
+            let expect = if spread > WINDOWED_WEAR_DELTA { 0 } else { hot };
+            assert_eq!(victim, expect, "spread {spread}");
         }
-        assert!(mgr.max_wear() >= 2);
-        // Tight wear budget: the cold block must be turned over although a
-        // 1-valid candidate exists... (none sealed right now except 0).
-        let (victim, _) = mgr
-            .pick_victim(GcPolicy::WearAware { max_wear_delta: 1 })
-            .unwrap();
-        assert_eq!(victim, 0, "static wear leveling turns over the cold block");
     }
 
-    /// A *fully valid* cold block is invisible to the dynamic path, but
-    /// the rate-limited static path still turns it over on the 8th pick.
+    /// A *fully valid* cold block is invisible to the candidate order, but
+    /// the rate-limited static arm still turns it over on the 4th pick.
     #[test]
-    fn wear_aware_static_leveling_reaches_full_blocks() {
-        let mut flash = Flash::new(FlashGeometry {
-            page_bytes: 4096,
-            pages_per_block: 4,
-            num_blocks: 6,
-            read_us: 25.0,
-            write_us: 200.0,
-            erase_us: 1500.0,
-            topology: FlashTopology::default(),
-        })
-        .unwrap();
-        let mut mgr = BlockManager::new(6, 4);
-        assert_eq!(seal_with(&mut mgr, &mut flash, 4), 0); // cold, fully valid
-        for _ in 0..12 {
-            let b = seal_with(&mut mgr, &mut flash, 1);
-            assert_ne!(b, 0);
-            let v = churn_once(&mut mgr, &mut flash);
-            assert_ne!(v, 0);
+    fn static_leveling_reaches_full_blocks() {
+        let (_flash, mut mgr) = cold_block_setup(2, 4, WINDOWED_WEAR_DELTA + 1);
+        mgr.picks_since_static = 0; // as a turn-over leaves it
+        let policy = GcPolicy::Windowed { window: 8 };
+        // Only block 0 is sealed and it is fully valid: nothing to score,
+        // so the first 3 picks return None...
+        for _ in 0..WINDOWED_TURNOVER_RATE - 1 {
+            assert!(mgr.pick_victim(policy).is_none());
         }
-        // Only block 0 is sealed and it is fully valid: the dynamic path
-        // has no candidate, so the first 7 picks return None...
-        for _ in 0..7 {
-            assert!(mgr
-                .pick_victim(GcPolicy::WearAware { max_wear_delta: 1 })
-                .is_none());
+        // ...and the 4th triggers the static turn-over.
+        assert_eq!(mgr.pick_victim(policy).unwrap().0, 0);
+    }
+
+    /// The free-pool guard: a turn-over waits, however overdue, until two
+    /// blocks are free; a single-stream manager has no such arm at all.
+    #[test]
+    fn static_leveling_waits_for_two_free_blocks() {
+        let policy = GcPolicy::Windowed { window: 8 };
+        let (_flash, mut mgr) = cold_block_setup(2, 4, WINDOWED_WEAR_DELTA + 1);
+        let held = mgr.take_raw_block().unwrap();
+        for _ in 0..2 * WINDOWED_TURNOVER_RATE {
+            assert!(mgr.pick_victim(policy).is_none(), "one free block");
         }
-        // ...and the 8th triggers the static turn-over.
-        let (victim, _) = mgr
-            .pick_victim(GcPolicy::WearAware { max_wear_delta: 1 })
-            .unwrap();
-        assert_eq!(victim, 0);
+        mgr.release_raw_block(held);
+        assert_eq!(mgr.pick_victim(policy).unwrap().0, 0, "two free blocks");
+
+        let (_flash, mut mgr) = cold_block_setup(1, 4, WINDOWED_WEAR_DELTA + 1);
+        for _ in 0..2 * WINDOWED_TURNOVER_RATE {
+            assert!(mgr.pick_victim(policy).is_none(), "one stream");
+        }
+        assert!(mgr.wear_index.is_none());
     }
 
     /// The original per-bucket `BTreeSet` victim index, kept verbatim as an
@@ -903,46 +825,19 @@ mod tests {
             self.max_wear = self.max_wear.max(*w);
         }
 
-        fn pick(
-            &mut self,
-            policy: GcPolicy,
-            free_now: usize,
-            multi_stream: bool,
-        ) -> Option<BlockId> {
-            match policy {
-                GcPolicy::Greedy => self.pick_greedy(),
-                GcPolicy::CostBenefit => self.pick_cost_benefit(),
-                GcPolicy::WearAware { max_wear_delta } => {
-                    self.pick_wear_aware(max_wear_delta, free_now)
-                }
-                GcPolicy::Windowed { window } => self.pick_windowed(window, free_now, multi_stream),
-            }
-        }
-
         /// Mirrors [`BlockManager::static_turnover`], with the live free
         /// count passed in (the oracle has no free pool of its own).
-        fn static_turnover(
-            &mut self,
-            max_wear_delta: u64,
-            rate: u32,
-            free_now: usize,
-        ) -> Option<BlockId> {
+        fn static_turnover(&mut self, free_now: usize) -> Option<BlockId> {
             self.picks_since_static += 1;
-            if self.picks_since_static < rate || free_now < 2 {
+            if self.picks_since_static < WINDOWED_TURNOVER_RATE || free_now < 2 {
                 return None;
             }
             let &(wear, b) = self.wear_index.iter().next()?;
-            if (self.max_wear as u64).saturating_sub(wear as u64) > max_wear_delta {
+            if self.max_wear - wear > WINDOWED_WEAR_DELTA {
                 self.picks_since_static = 0;
                 return Some(b);
             }
             None
-        }
-
-        fn pick_greedy(&self) -> Option<BlockId> {
-            self.buckets[..self.pages_per_block]
-                .iter()
-                .find_map(|bucket| bucket.iter().next().copied())
         }
 
         fn candidates(&self) -> impl Iterator<Item = BlockId> + '_ {
@@ -952,52 +847,22 @@ mod tests {
                 .take(CANDIDATE_CAP)
         }
 
-        fn pick_cost_benefit(&self) -> Option<BlockId> {
-            let np = self.pages_per_block as f64;
-            let mut best: Option<(f64, BlockId)> = None;
-            for b in self.candidates() {
-                let valid = self.sealed_valid[b as usize] as f64;
-                if valid == 0.0 {
-                    return Some(b);
-                }
-                let u = valid / np;
-                let age = (self.seq - self.seal_seq[b as usize]) as f64 + 1.0;
-                let score = (1.0 - u) / (2.0 * u) * age;
-                if best.is_none_or(|(s, _)| score > s) {
-                    best = Some((score, b));
-                }
-            }
-            best.map(|(_, b)| b)
-        }
-
-        fn pick_wear_aware(&mut self, max_wear_delta: u64, free_now: usize) -> Option<BlockId> {
-            if let Some(b) =
-                self.static_turnover(max_wear_delta, WEAR_AWARE_TURNOVER_RATE, free_now)
-            {
-                return Some(b);
-            }
-            self.candidates()
-                .min_by_key(|&b| (self.sealed_valid[b as usize], self.wear[b as usize], b))
-        }
-
-        /// Brute-force windowed pick: take the first `window` candidates of
+        /// Brute-force pick: take the first `window(policy)` candidates of
         /// the `BTreeSet` order and score them the same way.
-        fn pick_windowed(
+        fn pick(
             &mut self,
-            window: u32,
+            policy: GcPolicy,
             free_now: usize,
             multi_stream: bool,
         ) -> Option<BlockId> {
             if multi_stream {
-                if let Some(b) =
-                    self.static_turnover(WINDOWED_WEAR_DELTA, WINDOWED_TURNOVER_RATE, free_now)
-                {
+                if let Some(b) = self.static_turnover(free_now) {
                     return Some(b);
                 }
             }
             let np = self.pages_per_block as f64;
             let mut best: Option<(f64, u32, BlockId)> = None;
-            for b in self.candidates().take(window.max(1) as usize) {
+            for b in self.candidates().take(window(policy)) {
                 let valid = self.sealed_valid[b as usize] as f64;
                 if valid == 0.0 {
                     return Some(b);
@@ -1014,26 +879,6 @@ mod tests {
         }
     }
 
-    /// Every policy the oracle fuzz covers.
-    const FUZZ_POLICIES: [GcPolicy; 7] = [
-        GcPolicy::Greedy,
-        GcPolicy::CostBenefit,
-        GcPolicy::WearAware { max_wear_delta: 1 },
-        GcPolicy::WearAware {
-            max_wear_delta: 100,
-        },
-        GcPolicy::Windowed { window: 1 },
-        GcPolicy::Windowed { window: 4 },
-        GcPolicy::Windowed { window: 64 },
-    ];
-
-    /// The policies the fuzz also asks for only from its 200th random step
-    /// on, after greedy picks. The oracle keeps its wear index from the
-    /// first seal; the manager builds its own when a pick first reads it —
-    /// here after 200 steps of seals and claims it never recorded, in the
-    /// runs above after the up-front seals.
-    const AFTER_GREEDY: [GcPolicy; 3] = [FUZZ_POLICIES[2], FUZZ_POLICIES[3], FUZZ_POLICIES[5]];
-
     /// Seeded seal/invalidate/pick/erase fuzz on an `n_blocks` device: the
     /// bucket bitsets must yield the same victim sequence as the `BTreeSet`
     /// oracle for every policy. Three phases per (policy, seed):
@@ -1048,25 +893,25 @@ mod tests {
         use tpftl_rng::Rng64;
 
         const PPB: usize = 4;
-        let throughout = FUZZ_POLICIES.map(|policy| (policy, policy));
-        let switched = AFTER_GREEDY.map(|policy| (GcPolicy::Greedy, policy));
-        for (pi, (early, late)) in throughout.into_iter().chain(switched).enumerate() {
+        // Every policy the fuzz covers, as (first 200 random steps, from
+        // then on): the last column widens the window midway — the pick
+        // takes its policy per call and keeps no state that depends on it.
+        let windowed = |window| GcPolicy::Windowed { window };
+        let columns = [
+            (GcPolicy::Greedy, GcPolicy::Greedy),
+            (windowed(1), windowed(1)),
+            (windowed(4), windowed(4)),
+            (windowed(64), windowed(64)),
+            (GcPolicy::Greedy, windowed(4)),
+        ];
+        for (pi, (early, late)) in columns.into_iter().enumerate() {
             for seed in 0..seeds {
                 let mut rng = Rng64::seed_from_u64(0xB10C + seed * 7 + pi as u64);
-                let mut flash = Flash::new(FlashGeometry {
-                    page_bytes: 4096,
-                    pages_per_block: PPB,
-                    num_blocks: n_blocks,
-                    read_us: 25.0,
-                    write_us: 200.0,
-                    erase_us: 1500.0,
-                    topology: FlashTopology::default(),
-                })
-                .unwrap();
-                // Odd seeds run a two-stream manager so the windowed
-                // policy's static wear-leveling arm (multi-stream only)
-                // is part of the fuzzed surface; the extra stream is
-                // never written, so every other code path is identical.
+                let mut flash = flash_of(n_blocks);
+                // Odd seeds run a two-stream manager so the static
+                // wear-leveling arm (multi-stream only) is part of the
+                // fuzzed surface; the extra stream is never written, so
+                // every other code path is identical.
                 let mut mgr = BlockManager::with_streams(n_blocks, PPB, 1 + (seed % 2) as u32);
                 let mut oracle = BucketOracle::new(n_blocks, PPB);
                 let mut sealed: Vec<BlockId> = Vec::new();
@@ -1147,7 +992,7 @@ mod tests {
                 }
 
                 // A pick fails only once nothing reclaimable is left (the
-                // static arms run before the candidate order, never in its
+                // static arm runs before the candidate order, never in its
                 // place), so the first `None` means dry.
                 let mut picked = 0;
                 while pick_and_erase(&mut mgr, &mut oracle, &mut flash, late).is_some() {
@@ -1155,14 +1000,11 @@ mod tests {
                 }
                 assert!(oracle.buckets[..PPB].iter().all(BTreeSet::is_empty));
                 assert!(mgr.candidates().next().is_none());
-                // The wear index exists iff some pick went to read it.
-                match late {
-                    GcPolicy::WearAware { .. } => assert!(mgr.wear_index.is_some()),
-                    GcPolicy::Greedy | GcPolicy::CostBenefit => assert!(mgr.wear_index.is_none()),
-                    GcPolicy::Windowed { .. } => {
-                        assert_eq!(mgr.wear_index.is_some(), mgr.streams() > 1)
-                    }
-                }
+                // The wear index exists iff some pick went to read it: the
+                // oracle keeps its own from the first seal, the manager
+                // builds one at its first overdue multi-stream pick, after
+                // seals and claims it never recorded.
+                assert_eq!(mgr.wear_index.is_some(), mgr.streams() > 1);
                 assert_eq!(mgr.sealed_blocks() + picked, sealed.len(), "seed {seed}");
             }
         }
@@ -1221,17 +1063,15 @@ mod tests {
         }
     }
 
+    /// `Greedy` is a name for the window of one (and a window of zero is
+    /// clamped to it): one routine serves both, so there is nothing else
+    /// for the two to differ in.
     #[test]
     fn windowed_one_is_exactly_greedy() {
-        // Same setup as the cost-benefit test: block 0 is older at equal
-        // utilization, so a wide window prefers it — but window = 1 only
-        // ever sees the greedy candidate.
-        let (_flash, mut mgr) = sealed_setup(&[2, 1, 4]);
-        let mut greedy = mgr.clone();
-        let g = greedy.pick_victim(GcPolicy::Greedy).unwrap().0;
-        let w = mgr.pick_victim(GcPolicy::Windowed { window: 1 }).unwrap().0;
-        assert_eq!(w, g);
-        assert_eq!(w, 1, "min-valid block is the greedy victim");
+        let windowed = |window| GcPolicy::Windowed { window };
+        for policy in [GcPolicy::Greedy, windowed(1), windowed(0)] {
+            assert_eq!(window(policy), 1, "{policy:?}");
+        }
     }
 
     #[test]
@@ -1265,7 +1105,7 @@ mod tests {
 
     #[test]
     fn streams_never_share_an_active_block() {
-        let flash = flash4();
+        let flash = flash_of(4);
         let mut mgr = BlockManager::with_streams(4, 4, 2);
         let cold = mgr.alloc_data_page(0, &flash).unwrap();
         let hot = mgr.alloc_data_page(1, &flash).unwrap();
@@ -1294,16 +1134,7 @@ mod tests {
         for seed in 0..24u64 {
             let mut rng = Rng64::seed_from_u64(0x57EA + seed);
             let streams = 2 + (seed % 3) as u32; // 2..=4 streams
-            let mut flash = Flash::new(FlashGeometry {
-                page_bytes: 4096,
-                pages_per_block: PPB,
-                num_blocks: N_BLOCKS,
-                read_us: 25.0,
-                write_us: 200.0,
-                erase_us: 1500.0,
-                topology: FlashTopology::default(),
-            })
-            .unwrap();
+            let mut flash = flash_of(N_BLOCKS);
             let mut mgr = BlockManager::with_streams(N_BLOCKS, PPB, streams);
             // Which stream wrote each block (None = erased / untouched).
             let mut owner: Vec<Option<usize>> = vec![None; N_BLOCKS];
@@ -1339,7 +1170,7 @@ mod tests {
 
     #[test]
     fn device_full_reported() {
-        let mut flash = flash4();
+        let mut flash = flash_of(4);
         let mut mgr = BlockManager::new(4, 4);
         // Fill every page of the device: the pool is drained and the last
         // block is active but exhausted.

@@ -11,23 +11,16 @@ use tpftl_flash::{FlashGeometry, FlashTopology};
 
 /// Garbage-collection victim-selection policy (Section 2.3 of the paper
 /// surveys GC-policy and wear-leveling work; the paper itself uses greedy).
+/// Both variants name one routine — a scored window over the min-valid
+/// candidate order — at different widths.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize, Default)]
 pub enum GcPolicy {
-    /// The paper's policy: the sealed block with the fewest valid pages.
+    /// The paper's policy: the sealed block with the fewest valid pages —
+    /// a name for `Windowed { window: 1 }`. As such, with more than one
+    /// data stream it runs the static wear-leveling turn-over like every
+    /// other width (no recorded result pairs greedy with `streams > 1`).
     #[default]
     Greedy,
-    /// Cost-benefit (Kawaguchi-style): maximize `(1 − u) / 2u · age` over
-    /// the least-utilized candidates, trading reclaim efficiency against
-    /// block age so cold blocks eventually turn over.
-    CostBenefit,
-    /// Greedy, but ties (and near-ties) broken toward the block with the
-    /// fewest erase cycles; when the device's wear spread exceeds
-    /// `max_wear_delta`, the least-worn sealed block is collected instead
-    /// (simple static wear leveling).
-    WearAware {
-        /// Allowed spread between the most- and least-worn blocks.
-        max_wear_delta: u64,
-    },
     /// Windowed cost-benefit (Dayan & Bonnet's bounded-window cleaning):
     /// examine only the first `window` blocks of the victim index's
     /// `(valid asc, id asc)` order — the min-valid buckets — and
@@ -35,8 +28,8 @@ pub enum GcPolicy {
     /// score ties broken toward the block with the fewest erase cycles
     /// (cache-level wear mitigation, no separate leveling pass). The
     /// window bounds the scan to a handful of cache lines per pick while
-    /// keeping greedy's reclaim efficiency; `window == 1` degenerates to
-    /// exactly [`GcPolicy::Greedy`].
+    /// keeping greedy's reclaim efficiency; at most 64 candidates are
+    /// examined however wide it is set.
     Windowed {
         /// Number of least-valid candidates scored per victim pick
         /// (clamped to at least 1).

@@ -1,11 +1,14 @@
-//! Greedy garbage collection (Section 2/3.1 of the paper).
+//! Garbage collection (Section 2/3.1 of the paper).
 //!
-//! A GC operation performs the paper's three steps: (1) pick the sealed
-//! block with the fewest valid pages — data or translation; (2) migrate the
-//! remaining valid pages, updating their mapping entries (through the FTL,
-//! which decides GC hit vs. batched flash update) or the GTD; (3) erase the
-//! block. The collector is a free function generic over [`Ftl`] so that the
-//! FTL and the environment can be borrowed simultaneously without cycles.
+//! A GC operation performs the paper's three steps: (1) pick a sealed
+//! victim block, data or translation — the one with the fewest valid pages
+//! under the paper's greedy policy, the best cost-benefit score among the
+//! `window` fewest under [`GcPolicy::Windowed`](crate::config::GcPolicy);
+//! (2) migrate the remaining valid pages, updating their mapping entries
+//! (through the FTL, which decides GC hit vs. batched flash update) or the
+//! GTD; (3) erase the block. The collector is a free function generic over
+//! [`Ftl`] so that the FTL and the environment can be borrowed
+//! simultaneously without cycles.
 
 use tpftl_flash::{Lpn, OpPurpose, Ppn, Vtpn};
 

@@ -11,8 +11,8 @@
 //!   --cache-bytes N     total mapping-cache budget incl. GTD
 //!   --cache-frac F      budget as a fraction of the full table
 //!   --prefill F         pre-written fraction of the logical space
-//!   --gc POLICY         greedy | cost-benefit | wear-aware:N | windowed:N
-//!                       (default greedy)
+//!   --gc POLICY         greedy | windowed:N — score the N least-valid blocks
+//!                       by cost-benefit; greedy is windowed:1 (default greedy)
 //!   --streams N         hot/cold data streams for GC data separation
 //!                       (default 1 = no separation)
 //!   --buffer PAGES      host write buffer size (default none)
@@ -135,15 +135,19 @@ fn parse_args() -> Result<Options, String> {
                 let v = value("--gc")?;
                 o.gc = match v.as_str() {
                     "greedy" => GcPolicy::Greedy,
-                    "cost-benefit" => GcPolicy::CostBenefit,
-                    s if s.starts_with("wear-aware:") => GcPolicy::WearAware {
-                        max_wear_delta: s["wear-aware:".len()..]
-                            .parse()
-                            .map_err(|e| format!("{e}"))?,
-                    },
                     s if s.starts_with("windowed:") => GcPolicy::Windowed {
                         window: s["windowed:".len()..].parse().map_err(|e| format!("{e}"))?,
                     },
+                    // Removed policies name what replaced them.
+                    "cost-benefit" => {
+                        return Err("--gc cost-benefit was removed: use --gc windowed:64".into())
+                    }
+                    s if s.starts_with("wear-aware") => {
+                        return Err(format!(
+                            "--gc {s} was removed: use --streams N --gc windowed:K \
+                             (wear leveling is the multi-stream turn-over)"
+                        ))
+                    }
                     other => return Err(format!("unknown GC policy {other}")),
                 }
             }

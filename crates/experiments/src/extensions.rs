@@ -8,13 +8,14 @@
 //!    to the evaluated ones, quantifying the claims the paper makes only
 //!    qualitatively ("hybrids suffer under random writes", "zone switches
 //!    are cumbersome", "CDFTL performs worse than S-FTL").
-//! 2. **GC policy study** — greedy (the paper's) vs cost-benefit vs
-//!    wear-aware victim selection under TPFTL, reporting lifetime spread.
+//! 2. **GC policy study** — greedy (the paper's) vs wider cost-benefit
+//!    windows, alone and with hot/cold data streams, under TPFTL,
+//!    reporting lifetime spread.
 //! 3. **Write-buffer study** — the Section 2.1 "data buffer" role of the
 //!    internal RAM in front of TPFTL.
 
 use serde::{Deserialize, Serialize};
-use tpftl_core::config::GcPolicy;
+use tpftl_core::config::{GcPolicy, StreamCount};
 use tpftl_sim::Ssd;
 use tpftl_trace::presets::Workload;
 
@@ -44,6 +45,8 @@ pub struct RelatedRow {
 pub struct GcPolicyRow {
     /// Policy label.
     pub policy: String,
+    /// Hot/cold data streams.
+    pub streams: u32,
     /// Write amplification.
     pub write_amplification: f64,
     /// Total erases.
@@ -111,17 +114,18 @@ fn related(scale: Scale) -> Vec<RelatedRow> {
 
 fn gc_policies(scale: Scale) -> Vec<GcPolicyRow> {
     let w = Workload::Financial1;
-    let policies: Vec<(String, GcPolicy)> = vec![
-        ("greedy".into(), GcPolicy::Greedy),
-        ("cost-benefit".into(), GcPolicy::CostBenefit),
-        (
-            "wear-aware(16)".into(),
-            GcPolicy::WearAware { max_wear_delta: 16 },
-        ),
+    let windowed = |window| GcPolicy::Windowed { window };
+    let policies: Vec<(&str, GcPolicy, u32)> = vec![
+        ("greedy", GcPolicy::Greedy, 1),
+        ("windowed:16", windowed(16), 1),
+        ("windowed:64", windowed(64), 1),
+        ("windowed:64", windowed(64), 2),
+        ("windowed:16", windowed(16), 4),
     ];
-    runner::run_parallel(policies, |(label, policy)| {
+    runner::run_parallel(policies, |&(label, policy, streams)| {
         let mut config = runner::device_config(w);
-        config.gc_policy = *policy;
+        config.gc_policy = policy;
+        config.streams = StreamCount(streams);
         let ftl = FtlKind::Tpftl.build(&config).expect("budget fits");
         let mut ssd = Ssd::new(ftl, config.clone()).expect("ssd");
         let report = ssd.run(w.spec(scale.requests(w)).iter(SEED)).expect("run");
@@ -132,7 +136,8 @@ fn gc_policies(scale: Scale) -> Vec<GcPolicyRow> {
             .map(|b| flash.erase_count(b).expect("in range"))
             .collect();
         GcPolicyRow {
-            policy: label.clone(),
+            policy: label.to_string(),
+            streams,
             write_amplification: report.write_amplification(),
             erases: report.erase_count(),
             max_wear: wears.iter().copied().max().unwrap_or(0),
@@ -202,13 +207,19 @@ pub fn run(scale: Scale) -> ExperimentOutput {
     }
     text.push_str("\nExtension 2: GC victim-selection policies under TPFTL (Financial1)\n");
     text.push_str(&format!(
-        "{:<16} {:>6} {:>8} {:>9} {:>10} {:>11}\n",
-        "policy", "WA", "erases", "max wear", "mean wear", "resp (us)"
+        "{:<16} {:>7} {:>6} {:>8} {:>9} {:>10} {:>11}\n",
+        "policy", "streams", "WA", "erases", "max wear", "mean wear", "resp (us)"
     ));
     for r in &gc_rows {
         text.push_str(&format!(
-            "{:<16} {:>6.2} {:>8} {:>9} {:>10.2} {:>11.0}\n",
-            r.policy, r.write_amplification, r.erases, r.max_wear, r.mean_wear, r.avg_response_us
+            "{:<16} {:>7} {:>6.2} {:>8} {:>9} {:>10.2} {:>11.0}\n",
+            r.policy,
+            r.streams,
+            r.write_amplification,
+            r.erases,
+            r.max_wear,
+            r.mean_wear,
+            r.avg_response_us
         ));
     }
     text.push_str("\nExtension 3: host write buffer in front of TPFTL (Financial1)\n");

@@ -16,7 +16,7 @@ use tpftl_trace::presets::Workload;
 const TPFTL_FIN1_GOLDEN: &str = "TPFTL(rsbc) req=10000 lk=14046 hit=11654 rep=2137 drep=259 gcu=0 gch=0 upr=3012 upw=11034 tr=2651 tw=259 er=0 gcd=0 gcm=0 gct=0 gctm=0 ce=1212 cb=8192 resp=406f722c24b700d2";
 
 /// The GC-heavy TPFTL/Financial1 golden (scale large enough that writes
-/// exhaust the free pool), shared with the windowed-degeneracy pin below.
+/// exhaust the free pool).
 const TPFTL_FIN1_GC_GOLDEN: &str = "TPFTL(rsbc) req=40000 lk=56827 hit=48099 rep=11321 drep=762 gcu=3874 gch=424 upr=12056 upw=44771 tr=12534 tw=3806 er=522 gcd=465 gcm=3874 gct=57 gctm=422 ce=1213 cb=8190 resp=4078ec24c4dd0d60";
 
 /// Unit-clock sim-timing goldens for the TPFTL/Financial1 case: the
@@ -206,28 +206,6 @@ fn four_shard_replay_is_run_to_run_deterministic() {
     let (a, b) = (run(), run());
     assert_eq!(fingerprint(&a.merged), fingerprint(&b.merged));
     assert_eq!(a, b);
-}
-
-/// The multi-stream degeneracy pin: a window of one selects the head of
-/// the min-valid candidate order — exactly greedy — and a single stream
-/// routes every write through the same active block as before, so
-/// `streams=1` + `windowed:1` on the GC-heavy case must reproduce the
-/// greedy golden bit for bit (float accumulations included). This is the
-/// contract that lets the multi-stream data plane ship without perturbing
-/// any recorded baseline.
-#[test]
-fn one_stream_window_one_is_bit_identical_to_greedy() {
-    use tpftl_core::config::{GcPolicy, StreamCount};
-    let workload = Workload::Financial1;
-    let mut config = device_config(workload);
-    config.gc_policy = GcPolicy::Windowed { window: 1 };
-    config.streams = StreamCount(1);
-    let report = run_one(FtlKind::Tpftl, workload, Scale(0.02), &config).expect("run");
-    assert_eq!(
-        fingerprint(&report),
-        TPFTL_FIN1_GC_GOLDEN,
-        "windowed:1 with one stream must degenerate to greedy exactly"
-    );
 }
 
 #[test]

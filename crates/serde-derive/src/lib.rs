@@ -6,8 +6,8 @@
 //!
 //! * structs with named fields (including private fields);
 //! * enums whose variants are unit (`Greedy`) or struct-like
-//!   (`WearAware { max_wear_delta: u64 }`), encoded externally tagged the
-//!   way serde does: `"Greedy"` / `{"WearAware": {"max_wear_delta": 7}}`;
+//!   (`Windowed { window: u32 }`), encoded externally tagged the
+//!   way serde does: `"Greedy"` / `{"Windowed": {"window": 7}}`;
 //! * the field attribute `#[serde(default)]`.
 //!
 //! Anything else (tuple structs/variants, generics, other attributes)
