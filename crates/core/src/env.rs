@@ -545,7 +545,7 @@ impl SsdEnv {
     // ---- Bootstrap ----------------------------------------------------------
 
     /// Reconstructs an environment around an existing flash device at
-    /// mount time (see [`crate::recovery::mount`]): block bookkeeping is
+    /// mount time (see [`crate::recovery::crash_mount`]): block bookkeeping is
     /// rebuilt by scanning the device, statistics start from zero.
     pub fn remount(config: SsdConfig, flash: Flash, gtd: Gtd) -> Result<Self> {
         let blocks = BlockManager::rebuild(&flash, config.streams.get())?;

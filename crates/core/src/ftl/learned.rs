@@ -868,7 +868,7 @@ mod tests {
         // A power cycle constructs a fresh FTL: no learned state survives.
         let config = env.config().clone();
         let flash = env.into_flash();
-        let env2 = crate::recovery::mount(flash, config.clone()).unwrap();
+        let (env2, _) = crate::recovery::crash_mount(flash, config.clone()).unwrap();
         let mut fresh = LearnedFtl::new(&config).unwrap();
         assert_eq!(fresh.segment_count(), 0);
         assert_eq!(fresh.cached_entries(), 0);

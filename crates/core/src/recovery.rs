@@ -1,9 +1,7 @@
 //! Mount-time recovery: rebuilding the FTL's RAM state from flash.
 //!
 //! A real SSD loses its RAM state (GTD, block bookkeeping, mapping cache)
-//! at power-off. After a *clean* shutdown — the FTL flushed every dirty
-//! mapping entry with [`flush_cache`] — everything can be reconstructed
-//! from flash alone:
+//! at power-off, and everything is reconstructed from flash alone:
 //!
 //! * the GTD, by scanning for valid translation pages (their out-of-band
 //!   tag is the VTPN);
@@ -21,15 +19,18 @@
 //! rebuilt on demand after remount via `LearnedFtl::warm_up` or the
 //! normal writeback-triggered refits.
 //!
-//! [`mount`] performs the clean-shutdown reconstruction. [`crash_mount`]
-//! handles the hard case: the power failed at an *arbitrary* instant
-//! (see `tpftl_flash::FaultPlan`), so the persisted mapping table may be
-//! stale, duplicated, or torn. It runs the DFTL-style power-off recovery
-//! scan — elect the newest valid copy of every logical page and every
-//! translation page by out-of-band program-sequence stamp, discard the
-//! losers, then rewrite every translation page whose persisted entries
-//! disagree with the elected data pages — and returns a
-//! [`RecoveryReport`] describing what it found and fixed.
+//! [`crash_mount`] is the one mount path. It assumes the hard case: the
+//! power failed at an *arbitrary* instant (see `tpftl_flash::FaultPlan`),
+//! so the persisted mapping table may be stale, duplicated, or torn. It
+//! runs the DFTL-style power-off recovery scan — elect the newest valid
+//! copy of every logical page and every translation page by out-of-band
+//! program-sequence stamp, discard the losers, then rewrite every
+//! translation page whose persisted entries disagree with the elected
+//! data pages — and returns a [`RecoveryReport`] describing what it found
+//! and fixed. After a *clean* shutdown — the FTL flushed every dirty
+//! mapping entry with [`flush_cache`] — the same scan elects no
+//! duplicates and rewrites nothing: the report is all zeros and the GTD
+//! comes back entry for entry.
 //!
 //! [`verify`] cross-checks the persisted mapping table against the
 //! physically valid data pages — the strongest end-to-end consistency
@@ -98,38 +99,6 @@ fn flush_one_page<F: Ftl + ?Sized>(ftl: &mut F, env: &mut SsdEnv, vtpn: Vtpn) ->
     }
     ftl.mark_clean(vtpn);
     Ok(())
-}
-
-/// Rebuilds the translation directory by scanning flash for valid
-/// translation pages.
-///
-/// # Panics
-///
-/// Panics on a duplicate VTPN (two valid translation pages for the same
-/// slice of the table). After a *clean* shutdown that indicates on-flash
-/// corruption; after a power loss it is the expected interrupted-update
-/// race, which [`crash_mount`] resolves by program-sequence stamp.
-pub fn rebuild_gtd(flash: &Flash, config: &SsdConfig) -> Gtd {
-    let mut gtd = Gtd::new(config.num_vtpns() as usize);
-    for (ppn, tag, is_tp) in flash.scan_valid() {
-        if is_tp {
-            assert!(
-                gtd.get(tag).is_none(),
-                "two valid translation pages for VTPN {tag} (corruption)"
-            );
-            gtd.set(tag, ppn);
-        }
-    }
-    gtd
-}
-
-/// Reconstructs a full [`SsdEnv`] around an existing flash device, as an
-/// SSD controller does at mount time after a clean shutdown. Statistics
-/// start at zero; partially programmed blocks are conservatively sealed
-/// (their unwritten pages come back the next time GC erases them).
-pub fn mount(flash: Flash, config: SsdConfig) -> Result<SsdEnv> {
-    let gtd = rebuild_gtd(&flash, &config);
-    SsdEnv::remount(config, flash, gtd)
 }
 
 /// The flash operation an injected power loss interrupted.

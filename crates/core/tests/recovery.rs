@@ -76,7 +76,7 @@ fn power_cycle_roundtrip_across_ftls() {
     // Power cycle: only the flash array survives.
     let flash = env.into_flash();
     drop(tpftl);
-    let mut env2 = recovery::mount(flash, c.clone()).expect("mount");
+    let (mut env2, _) = recovery::crash_mount(flash, c.clone()).expect("mount");
     recovery::verify(&env2).assert_clean();
 
     // A cold DFTL mounts the same on-flash state.
@@ -93,6 +93,42 @@ fn power_cycle_roundtrip_across_ftls() {
     for i in 0..2_000u32 {
         driver::serve_page_access(&mut dftl, &mut env2, i % 4096, AccessCtx::single(true))
             .expect("serve after remount");
+    }
+}
+
+/// The one mount path on a cleanly flushed device: `crash_mount` elects no
+/// duplicates, repairs nothing, rewrites nothing, visits each translation
+/// page exactly once and brings the GTD back entry for entry — for every
+/// mapping-persisting FTL. (This is what a separate clean-shutdown mount
+/// would have computed; it is why there is none.)
+#[test]
+fn crash_mount_of_a_flushed_device_repairs_nothing() {
+    let c = config();
+    for kind in FtlKind::PERSISTING {
+        let name = kind.label();
+        let mut ftl = kind.build(&c).expect("budget");
+        let mut env = SsdEnv::new(c.clone()).expect("env");
+        driver::bootstrap(ftl.as_mut(), &mut env).expect("bootstrap");
+        let _ = workload(ftl.as_mut(), &mut env, 8_000);
+        recovery::flush_cache(ftl.as_mut(), &mut env).expect("flush");
+        let gtd = |env: &SsdEnv| -> Vec<_> {
+            (0..c.num_vtpns() as u32)
+                .map(|v| env.gtd().get(v))
+                .collect()
+        };
+        let gtd_before = gtd(&env);
+
+        let flash = env.into_flash();
+        drop(ftl);
+        let (env2, report) = recovery::crash_mount(flash, c.clone()).expect("mount");
+        assert_eq!(report.duplicate_data_discarded, 0, "{name}");
+        assert_eq!(report.duplicate_translation_discarded, 0, "{name}");
+        assert_eq!(report.mappings_recovered, 0, "{name}");
+        assert_eq!(report.stale_cleared, 0, "{name}");
+        assert_eq!(report.translation_pages_rewritten, 0, "{name}");
+        assert_eq!(report.reconcile_visits, c.num_vtpns(), "{name}");
+        assert_eq!(gtd(&env2), gtd_before, "{name}: GTD must survive the cycle");
+        recovery::verify(&env2).assert_clean();
     }
 }
 
@@ -114,7 +150,7 @@ fn remount_preserves_wear_and_gc_works() {
     recovery::flush_cache(&mut ftl, &mut env).expect("flush");
 
     let flash = env.into_flash();
-    let mut env2 = recovery::mount(flash, c.clone()).expect("mount");
+    let (mut env2, _) = recovery::crash_mount(flash, c.clone()).expect("mount");
     assert_eq!(env2.flash().total_erase_count(), erases_before);
     // Keep writing through a fresh FTL: GC must keep functioning.
     let mut ftl2 = TpFtl::new(&c, TpftlConfig::full()).expect("budget");

@@ -2,13 +2,12 @@
 //! a parallel run executor, and result persistence. FTL construction is
 //! `tpftl_core::ftl::FtlKind`, re-exported here.
 
-use std::collections::VecDeque;
 use std::path::{Path, PathBuf};
-use std::sync::{Arc, Mutex};
 
 use serde::{Deserialize, Serialize};
 pub use tpftl_core::ftl::FtlKind;
 use tpftl_core::{Result, SsdConfig};
+pub use tpftl_sim::run_parallel_with;
 use tpftl_sim::{CacheSampler, RunReport, ShardedRunReport, ShardedSsd, Ssd};
 use tpftl_trace::presets::Workload;
 
@@ -108,52 +107,6 @@ where
     F: Fn(&J) -> R + Sync,
 {
     run_parallel_with(jobs, None, f)
-}
-
-/// [`run_parallel`] with an explicit worker-thread count; `None` means one
-/// per available core. Output order matches input order either way.
-pub fn run_parallel_with<J, R, F>(jobs: Vec<J>, threads: Option<usize>, f: F) -> Vec<R>
-where
-    J: Send,
-    R: Send,
-    F: Fn(&J) -> R + Sync,
-{
-    let n = jobs.len();
-    let queue: Arc<Mutex<VecDeque<(usize, J)>>> =
-        Arc::new(Mutex::new(jobs.into_iter().enumerate().collect()));
-    let results: Arc<Mutex<Vec<Option<R>>>> = Arc::new(Mutex::new((0..n).map(|_| None).collect()));
-    let threads = threads
-        .unwrap_or_else(|| {
-            std::thread::available_parallelism()
-                .map(|p| p.get())
-                .unwrap_or(4)
-        })
-        .max(1)
-        .min(n.max(1));
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            let queue = Arc::clone(&queue);
-            let results = Arc::clone(&results);
-            let f = &f;
-            scope.spawn(move || loop {
-                let job = queue.lock().expect("queue lock").pop_front();
-                match job {
-                    Some((i, j)) => {
-                        let r = f(&j);
-                        results.lock().expect("results lock")[i] = Some(r);
-                    }
-                    None => break,
-                }
-            });
-        }
-    });
-    Arc::try_unwrap(results)
-        .unwrap_or_else(|_| panic!("all workers joined"))
-        .into_inner()
-        .expect("results lock")
-        .into_iter()
-        .map(|r| r.expect("every job ran"))
-        .collect()
 }
 
 /// A rendered experiment: text for the terminal, JSON for `results/`.

@@ -21,9 +21,9 @@ use tpftl_core::ftl::Ftl;
 use tpftl_core::recovery::{self, InterruptedOp, RecoveryReport, VerifyReport};
 use tpftl_core::{FtlError, Result, SsdConfig};
 use tpftl_flash::{FaultPlan, Flash, FlashError, Lpn, Ppn};
-use tpftl_trace::IoRequest;
+use tpftl_trace::{IoRequest, SyntheticSpec};
 
-use crate::Ssd;
+use crate::{run_parallel_with, Ssd};
 
 /// 4 KB pages everywhere (Table 3).
 const PAGE_BYTES: u64 = 4096;
@@ -55,12 +55,8 @@ pub struct CrashOutcome {
 }
 
 impl CrashOutcome {
-    /// No acknowledged write lost and the remounted table is consistent.
-    pub fn is_durable(&self) -> bool {
-        self.violations.is_empty() && self.verify.is_clean()
-    }
-
-    /// Panics with every violation and verify error if not durable.
+    /// Panics with every violation and verify error unless no acknowledged
+    /// write was lost and the remounted table is consistent.
     ///
     /// # Panics
     ///
@@ -82,35 +78,44 @@ impl CrashOutcome {
 /// loss. The harness owns the config and the trace so every run (and
 /// every FTL) sees exactly the same request stream.
 pub struct CrashHarness {
-    config: SsdConfig,
-    trace: Vec<IoRequest>,
+    /// The device configuration every run uses.
+    pub config: SsdConfig,
+    /// The request stream every run replays.
+    pub trace: Vec<IoRequest>,
 }
 
 impl CrashHarness {
-    /// Builds a harness over `trace` for devices configured by `config`.
-    pub fn new(config: SsdConfig, trace: Vec<IoRequest>) -> Self {
+    /// The crash-proof fixture every sweep, differential test and CLI mode
+    /// shares: a 4 MB device small enough to crash at every op index, its
+    /// cache starved to GTD + 10 KB so translation pages churn, pre-filled
+    /// to 60 % so GC runs mid-trace, under a 70 %-write synthetic trace of
+    /// `requests` requests drawn from `seed`. A test that needs a different
+    /// device overrides the one `config` field it differs in.
+    pub fn starved(requests: usize, seed: u64) -> Self {
+        let mut config = SsdConfig::paper_default(4 << 20);
+        config.cache_bytes = config.gtd_bytes() + 10 * 1024;
+        config.prefill_frac = 0.6;
+        let spec = SyntheticSpec {
+            requests,
+            address_bytes: 4 << 20,
+            write_ratio: 0.7,
+            mean_req_sectors: 8.0,
+            ..SyntheticSpec::default()
+        };
+        let trace = spec.iter(seed).collect();
         Self { config, trace }
-    }
-
-    /// The device configuration every run uses.
-    pub fn config(&self) -> &SsdConfig {
-        &self.config
     }
 
     /// Runs the trace (plus the clean-unmount flush) against `ftl` with a
     /// fault plan that never fires, and returns the number of flash
     /// operations the run issued — the sweep horizon: a crash injected at
     /// any op index below this value interrupts the run somewhere real.
+    /// Zero means the device came back without its plan: nothing to sweep.
     pub fn baseline_ops<F: Ftl>(&self, ftl: F) -> Result<u64> {
         let mut ssd = Ssd::new(ftl, self.config.clone())?;
-        ssd.arm_faults(FaultPlan::at_op(u64::MAX));
-        for req in &self.trace {
-            ssd.serve(req)?;
-        }
-        ssd.flush()?;
-        let mut flash = ssd.into_env().into_flash();
-        let plan = flash.disarm_faults().expect("plan was armed");
-        Ok(plan.ops_observed())
+        self.replay_until_crash(&mut ssd, FaultPlan::at_op(u64::MAX), |_| {})?;
+        let plan = ssd.into_env().into_flash().disarm_faults();
+        Ok(plan.map_or(0, |p| p.ops_observed()))
     }
 
     /// The full crash experiment: bootstrap `ftl` cleanly, arm `plan`,
@@ -118,132 +123,148 @@ impl CrashHarness {
     /// all RAM state, `crash_mount` the flash image, and check the
     /// durability oracle against every acknowledged write.
     ///
+    /// With `image` set the device is *file-backed*: the run mirrors every
+    /// flash transition to a fresh device file at that path, the power
+    /// cycle drops **all** RAM state (the file handle included), and
+    /// recovery starts from `Flash::open_file` — the remount reads the
+    /// on-device layout alone, exactly like a fresh process after
+    /// `kill -9` would. The outcome is bit-identical either way.
+    ///
     /// # Errors
     ///
     /// Propagates any simulator error *other* than the injected
-    /// `FlashError::PowerLoss` (which is the point of the experiment).
-    pub fn run_to_crash<F: Ftl>(&self, ftl: F, plan: FaultPlan) -> Result<CrashOutcome> {
-        // Bootstrap (pre-fill + format) happens before the plan is armed:
-        // the power loss strikes during the measured workload, and the
-        // pre-filled pages count as acknowledged content.
-        let mut ssd = Ssd::new(ftl, self.config.clone())?;
-        let (name, mut acked, requests_acknowledged, completed_trace) =
-            self.replay_until_crash(&mut ssd, plan)?;
-
-        // Power cycle: only the flash array survives.
-        let flash = ssd.into_env().into_flash();
-        let (env, recovery) = recovery::crash_mount(flash, self.config.clone())?;
-        Ok(self.judge(
-            env,
-            recovery,
-            name,
-            &mut acked,
-            requests_acknowledged,
-            completed_trace,
-        ))
-    }
-
-    /// [`CrashHarness::run_to_crash`] against a *file-backed* device: the
-    /// run mirrors every flash transition to a fresh device file at
-    /// `path`, the power cycle drops **all** RAM state (the file handle
-    /// included), and recovery starts from `Flash::open_file` — the
-    /// remount reads the on-device layout alone, exactly like a fresh
-    /// process after `kill -9` would.
-    ///
-    /// # Errors
-    ///
-    /// Propagates any simulator error other than the injected power loss,
-    /// plus `FlashError::Media` I/O failures from the device file.
-    pub fn run_to_crash_backed<F: Ftl>(
+    /// `FlashError::PowerLoss` (which is the point of the experiment),
+    /// including `FlashError::Media` I/O failures from the device file.
+    pub fn run_to_crash<F: Ftl>(
         &self,
         ftl: F,
         plan: FaultPlan,
-        path: &Path,
+        image: Option<&Path>,
     ) -> Result<CrashOutcome> {
-        let flash = Flash::create_file(self.config.geometry(), path)?;
-        let mut ssd = Ssd::with_flash(ftl, self.config.clone(), flash)?;
-        let (name, mut acked, requests_acknowledged, completed_trace) =
-            self.replay_until_crash(&mut ssd, plan)?;
+        // Bootstrap (pre-fill + format) happens before the plan is armed:
+        // the power loss strikes during the measured workload, and the
+        // pre-filled pages count as acknowledged content.
+        let mut ssd = match image {
+            None => Ssd::new(ftl, self.config.clone())?,
+            Some(path) => {
+                let flash = Flash::create_file(self.config.geometry(), path)?;
+                Ssd::with_flash(ftl, self.config.clone(), flash)?
+            }
+        };
+        let ftl = ssd.ftl().name();
+        let mut acked: Vec<Lpn> = Vec::new();
+        let (requests_acknowledged, completed_trace) =
+            self.replay_until_crash(&mut ssd, plan, |lpns| acked.extend_from_slice(lpns))?;
 
-        // The fault plan dies with the RAM state; remember what it killed
-        // so the outcome is comparable with the RAM-backed run's.
-        let fired = ssd.fault_fired();
-
-        // Power cycle: drop every byte of RAM state. Only the file is
-        // left; reopen and reconstruct the device from media.
-        drop(ssd.into_env().into_flash());
-        let flash = Flash::open_file(path)?;
-        let (env, mut recovery) = recovery::crash_mount(flash, self.config.clone())?;
-        recovery.interrupted = fired.map(|r| InterruptedOp {
+        // The fault plan dies with the RAM state of a file-backed device;
+        // remember what it killed before the cycle.
+        let interrupted = ssd.fault_fired().map(|r| InterruptedOp {
             op_index: r.op_index,
             kind: r.kind,
         });
-        Ok(self.judge(
-            env,
-            recovery,
-            name,
-            &mut acked,
-            requests_acknowledged,
+
+        // Power cycle: only the flash array (or only the file) survives.
+        let mut flash = ssd.into_env().into_flash();
+        if let Some(path) = image {
+            drop(flash);
+            flash = Flash::open_file(path)?;
+        }
+        let (env, mut recovery) = recovery::crash_mount(flash, self.config.clone())?;
+        recovery.interrupted = interrupted;
+        let (verify, violations) = Self::judge(&env, &mut acked);
+        Ok(CrashOutcome {
+            ftl,
             completed_trace,
-        ))
+            requests_acknowledged,
+            pages_checked: acked.len() as u64,
+            recovery,
+            verify,
+            violations,
+        })
+    }
+
+    /// Crashes a fresh `build()` replay at each op index in `points`,
+    /// fanned out over `threads` workers (`None`: one per core), and
+    /// returns the outcomes in point order — identical to a serial loop.
+    /// With `backing` set every replay is file-backed, its image a
+    /// per-worker scratch file under that directory.
+    ///
+    /// # Errors
+    ///
+    /// The first point (in point order) whose run failed; see
+    /// [`CrashHarness::run_to_crash`].
+    pub fn sweep<F: Ftl>(
+        &self,
+        build: impl Fn() -> F + Sync,
+        points: &[u64],
+        backing: Option<&Path>,
+        threads: Option<usize>,
+    ) -> Result<Vec<CrashOutcome>> {
+        run_parallel_with(points.to_vec(), threads, |&op| {
+            // Workers drain their jobs serially, so a per-thread path is
+            // never shared concurrently.
+            let image = backing.map(|dir| {
+                dir.join(format!(
+                    "tpftl_crash_{}_{:?}.img",
+                    std::process::id(),
+                    std::thread::current().id()
+                ))
+            });
+            let out = self.run_to_crash(build(), FaultPlan::at_op(op), image.as_deref());
+            if let Some(path) = &image {
+                let _ = std::fs::remove_file(path);
+            }
+            out
+        })
+        .into_iter()
+        .collect()
     }
 
     /// Arms `plan` on a bootstrapped `ssd` and replays the trace until the
-    /// plan fires or the trace (plus the unmount flush) completes. Returns
-    /// the FTL name, the acknowledged LPNs (pre-fill + `Ok` writes), the
-    /// acknowledged request count, and whether the run completed.
-    fn replay_until_crash<F: Ftl>(
+    /// plan fires or the trace (plus the unmount flush) completes. Every
+    /// batch of acknowledged pages — the pre-fill first, then each write
+    /// whose whole request returned `Ok` — is handed to `on_ack` the moment
+    /// it is acknowledged. Returns the acknowledged request count and
+    /// whether the run completed.
+    pub fn replay_until_crash<F: Ftl>(
         &self,
         ssd: &mut Ssd<F>,
         plan: FaultPlan,
-    ) -> Result<(String, Vec<Lpn>, u64, bool)> {
-        let name = ssd.ftl().name();
-        let prefilled = (self.config.logical_pages() as f64 * self.config.prefill_frac) as u64;
-        let mut acked: Vec<Lpn> = (0..prefilled as Lpn).collect();
+        mut on_ack: impl FnMut(&[Lpn]),
+    ) -> Result<(u64, bool)> {
+        let prefilled = (self.config.logical_pages() as f64 * self.config.prefill_frac) as Lpn;
+        let mut lpns: Vec<Lpn> = (0..prefilled).collect();
+        on_ack(&lpns);
 
         ssd.arm_faults(plan);
         let mut requests_acknowledged = 0u64;
-        let mut died = false;
-        for req in &self.trace {
-            match ssd.serve(req) {
-                Ok(_) => {
-                    requests_acknowledged += 1;
-                    if req.is_write() {
-                        acked.extend(req.pages(PAGE_BYTES).map(|p| p as Lpn));
-                    }
+        let mut run = || {
+            for req in &self.trace {
+                ssd.serve(req)?;
+                requests_acknowledged += 1;
+                if req.is_write() {
+                    lpns.clear();
+                    lpns.extend(req.pages(PAGE_BYTES).map(|p| p as Lpn));
+                    on_ack(&lpns);
                 }
-                Err(FtlError::Flash(FlashError::PowerLoss)) => {
-                    died = true;
-                    break;
-                }
-                Err(e) => return Err(e),
             }
-        }
-        let mut completed_trace = false;
-        if !died {
             // The plan may still fire inside the unmount flush.
-            match ssd.flush() {
-                Ok(()) => completed_trace = true,
-                Err(FtlError::Flash(FlashError::PowerLoss)) => {}
-                Err(e) => return Err(e),
-            }
+            ssd.flush()
+        };
+        match run() {
+            Ok(()) => Ok((requests_acknowledged, true)),
+            Err(FtlError::Flash(FlashError::PowerLoss)) => Ok((requests_acknowledged, false)),
+            Err(e) => Err(e),
         }
-        Ok((name, acked, requests_acknowledged, completed_trace))
     }
 
     /// The durability oracle over a remounted device. A write is
     /// acknowledged only once its whole request returned `Ok`;
     /// program-before-invalidate ordering plus newest-copy election must
-    /// make every such page readable again.
-    fn judge(
-        &self,
-        env: SsdEnv,
-        recovery: RecoveryReport,
-        name: String,
-        acked: &mut Vec<Lpn>,
-        requests_acknowledged: u64,
-        completed_trace: bool,
-    ) -> CrashOutcome {
+    /// make every such page readable again. Sorts and dedups `acked`, and
+    /// returns the remounted table's consistency check plus one violation
+    /// per acknowledged page that is unmapped or mis-mapped, in LPN order.
+    pub fn judge(env: &SsdEnv, acked: &mut Vec<Lpn>) -> (VerifyReport, Vec<String>) {
         acked.sort_unstable();
         acked.dedup();
         let live: HashMap<Lpn, Ppn> = env
@@ -254,7 +275,7 @@ impl CrashHarness {
             .collect();
         let mut violations = Vec::new();
         for &lpn in acked.iter() {
-            match recovery::lookup(&env, lpn) {
+            match recovery::lookup(env, lpn) {
                 None => violations.push(format!("acknowledged LPN {lpn} unmapped after recovery")),
                 Some(ppn) if live.get(&lpn) != Some(&ppn) => violations.push(format!(
                     "acknowledged LPN {lpn} maps to {ppn}, not its live copy {:?}",
@@ -263,16 +284,7 @@ impl CrashHarness {
                 Some(_) => {}
             }
         }
-
-        CrashOutcome {
-            ftl: name,
-            completed_trace,
-            requests_acknowledged,
-            pages_checked: acked.len() as u64,
-            recovery,
-            verify: recovery::verify(&env),
-            violations,
-        }
+        (recovery::verify(env), violations)
     }
 }
 
@@ -280,19 +292,9 @@ impl CrashHarness {
 mod tests {
     use super::*;
     use tpftl_core::ftl::{TpFtl, TpftlConfig};
-    use tpftl_trace::SyntheticSpec;
 
     fn harness() -> CrashHarness {
-        let mut config = SsdConfig::paper_default(4 << 20);
-        config.cache_bytes = config.gtd_bytes() + 2048;
-        let spec = SyntheticSpec {
-            requests: 120,
-            address_bytes: 4 << 20,
-            write_ratio: 0.7,
-            mean_req_sectors: 8.0,
-            ..SyntheticSpec::default()
-        };
-        CrashHarness::new(config, spec.iter(11).collect())
+        CrashHarness::starved(120, 11)
     }
 
     fn tpftl(c: &SsdConfig) -> TpFtl {
@@ -302,7 +304,7 @@ mod tests {
     #[test]
     fn baseline_counts_ops_without_firing() {
         let h = harness();
-        let ops = h.baseline_ops(tpftl(h.config())).expect("baseline");
+        let ops = h.baseline_ops(tpftl(&h.config)).expect("baseline");
         assert!(ops > 0);
     }
 
@@ -310,7 +312,7 @@ mod tests {
     fn unfired_plan_completes_and_is_durable() {
         let h = harness();
         let out = h
-            .run_to_crash(tpftl(h.config()), FaultPlan::at_op(u64::MAX))
+            .run_to_crash(tpftl(&h.config), FaultPlan::at_op(u64::MAX), None)
             .expect("run");
         assert!(out.completed_trace);
         assert!(out.recovery.interrupted.is_none());
@@ -321,9 +323,9 @@ mod tests {
     #[test]
     fn midway_crash_recovers_every_acknowledged_write() {
         let h = harness();
-        let ops = h.baseline_ops(tpftl(h.config())).expect("baseline");
+        let ops = h.baseline_ops(tpftl(&h.config)).expect("baseline");
         let out = h
-            .run_to_crash(tpftl(h.config()), FaultPlan::at_op(ops / 2))
+            .run_to_crash(tpftl(&h.config), FaultPlan::at_op(ops / 2), None)
             .expect("run");
         assert!(!out.completed_trace);
         assert_eq!(out.recovery.interrupted.map(|i| i.op_index), Some(ops / 2));
@@ -339,35 +341,32 @@ mod tests {
         let serial = harness();
         wide.config.topology.channels = 4;
         wide.config.topology.ways = 2;
-        let ops = wide.baseline_ops(tpftl(wide.config())).expect("baseline");
+        let ops = wide.baseline_ops(tpftl(&wide.config)).expect("baseline");
         assert_eq!(
             ops,
             serial
-                .baseline_ops(tpftl(serial.config()))
+                .baseline_ops(tpftl(&serial.config))
                 .expect("baseline"),
             "topology must not change the flash op sequence"
         );
-        for at in [ops / 4, ops / 2, 3 * ops / 4] {
-            let w = wide
-                .run_to_crash(tpftl(wide.config()), FaultPlan::at_op(at))
-                .expect("run");
-            w.assert_durable();
-            let s = serial
-                .run_to_crash(tpftl(serial.config()), FaultPlan::at_op(at))
-                .expect("run");
-            assert_eq!(w, s, "crash at op {at} must not depend on topology");
-        }
+        let points = [ops / 4, ops / 2, 3 * ops / 4];
+        let w = wide.sweep(|| tpftl(&wide.config), &points, None, None);
+        let s = serial.sweep(|| tpftl(&serial.config), &points, None, None);
+        assert_eq!(w, s, "a crash must not depend on topology");
+        w.expect("runs")
+            .iter()
+            .for_each(CrashOutcome::assert_durable);
     }
 
     #[test]
     fn same_plan_gives_bit_identical_outcome() {
         let h = harness();
-        let ops = h.baseline_ops(tpftl(h.config())).expect("baseline");
+        let ops = h.baseline_ops(tpftl(&h.config)).expect("baseline");
         let a = h
-            .run_to_crash(tpftl(h.config()), FaultPlan::at_op(ops / 3))
+            .run_to_crash(tpftl(&h.config), FaultPlan::at_op(ops / 3), None)
             .expect("run");
         let b = h
-            .run_to_crash(tpftl(h.config()), FaultPlan::at_op(ops / 3))
+            .run_to_crash(tpftl(&h.config), FaultPlan::at_op(ops / 3), None)
             .expect("run");
         assert_eq!(a, b, "crash recovery must be deterministic");
         assert_eq!(

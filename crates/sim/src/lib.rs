@@ -14,6 +14,7 @@
 mod buffer;
 mod crash;
 mod hist;
+mod parallel;
 pub mod queue;
 mod report;
 mod sampler;
@@ -23,6 +24,7 @@ mod ssd;
 pub use buffer::{BufferStats, WriteBuffer};
 pub use crash::{CrashHarness, CrashOutcome};
 pub use hist::LatencyHistogram;
+pub use parallel::run_parallel_with;
 pub use queue::{DoorbellRing, DoorbellStats, QueuePair};
 pub use report::{RunReport, SimTiming};
 pub use sampler::{CacheSample, CacheSampler, MAX_DIRTY_BUCKET};

@@ -13,26 +13,13 @@ use tpftl_core::ftl::{Ftl, LearnedFtl, TpFtl, TpftlConfig};
 use tpftl_core::SsdConfig;
 use tpftl_flash::FaultPlan;
 use tpftl_sim::CrashHarness;
-use tpftl_trace::SyntheticSpec;
 
-fn config() -> SsdConfig {
-    // Small device so the full sweep stays fast, cache starved enough to
-    // force translation-page traffic, prefill high enough to force GC.
-    let mut c = SsdConfig::paper_default(4 << 20);
-    c.cache_bytes = c.gtd_bytes() + 1024;
-    c.prefill_frac = 0.6;
-    c
-}
-
-fn trace() -> Vec<tpftl_trace::IoRequest> {
-    let spec = SyntheticSpec {
-        requests: 500,
-        address_bytes: 4 << 20,
-        write_ratio: 0.7,
-        mean_req_sectors: 8.0,
-        ..SyntheticSpec::default()
-    };
-    spec.iter(42).collect()
+/// The shared starved fixture at 500 requests, its cache cut further to
+/// GTD + 1 KB so nearly every access costs translation-page traffic.
+fn harness() -> CrashHarness {
+    let mut h = CrashHarness::starved(500, 42);
+    h.config.cache_bytes = h.config.gtd_bytes() + 1024;
+    h
 }
 
 fn ftl(c: &SsdConfig) -> TpFtl {
@@ -48,26 +35,20 @@ const STRIDE: usize = if cfg!(debug_assertions) { 5 } else { 1 };
 /// Crashes a fresh replay at each visited op index below the baseline
 /// horizon and asserts every outcome durable; returns the kinds of flash
 /// op the sweep interrupted.
-fn sweep<F: Ftl>(h: &CrashHarness, build: impl Fn() -> F) -> std::collections::BTreeSet<String> {
+fn sweep<F: Ftl>(
+    h: &CrashHarness,
+    build: impl Fn() -> F + Sync,
+) -> std::collections::BTreeSet<String> {
     let horizon = h.baseline_ops(build()).expect("baseline");
     assert!(
         horizon > 1_000,
         "trace too small to be interesting: {horizon}"
     );
+    let points: Vec<u64> = (0..horizon).step_by(STRIDE).collect();
+    let outcomes = h.sweep(build, &points, None, None).expect("harness");
     let mut interrupted_kinds = std::collections::BTreeSet::new();
-    for op in (0..horizon).step_by(STRIDE) {
-        let out = h
-            .run_to_crash(build(), FaultPlan::at_op(op))
-            .unwrap_or_else(|e| panic!("op {op}: harness error {e}"));
-        assert!(
-            out.is_durable(),
-            "op {op} ({:?}): {} violations, {} verify errors\n{}\n{}",
-            out.recovery.interrupted,
-            out.violations.len(),
-            out.verify.errors.len(),
-            out.violations.join("\n"),
-            out.verify.errors.join("\n")
-        );
+    for (&op, out) in points.iter().zip(&outcomes) {
+        out.assert_durable();
         let fired = out
             .recovery
             .interrupted
@@ -81,8 +62,8 @@ fn sweep<F: Ftl>(h: &CrashHarness, build: impl Fn() -> F) -> std::collections::B
 /// The tentpole acceptance test: every op index, zero violations.
 #[test]
 fn power_loss_at_every_op_index_is_recoverable() {
-    let h = CrashHarness::new(config(), trace());
-    let interrupted_kinds = sweep(&h, || ftl(h.config()));
+    let h = harness();
+    let interrupted_kinds = sweep(&h, || ftl(&h.config));
     // The sweep must have exercised interrupted reads, writes, and erases.
     assert!(
         interrupted_kinds.len() >= 3,
@@ -97,8 +78,8 @@ fn power_loss_at_every_op_index_is_recoverable() {
 /// remounted device depends only on persisted translation pages.
 #[test]
 fn learned_ftl_power_loss_at_every_op_index_is_recoverable() {
-    let h = CrashHarness::new(config(), trace());
-    sweep(&h, || LearnedFtl::new(h.config()).expect("budget"));
+    let h = harness();
+    sweep(&h, || LearnedFtl::new(&h.config).expect("budget"));
 }
 
 /// The exhaustive sweep under the multi-stream GC data plane: stream
@@ -109,11 +90,10 @@ fn learned_ftl_power_loss_at_every_op_index_is_recoverable() {
 /// OOB tags regardless of which stream's block they landed in.
 #[test]
 fn two_stream_power_loss_at_every_op_index_is_recoverable() {
-    let mut c = config();
-    c.streams = tpftl_core::config::StreamCount(2);
-    c.gc_policy = tpftl_core::config::GcPolicy::Windowed { window: 8 };
-    let h = CrashHarness::new(c, trace());
-    sweep(&h, || ftl(h.config()));
+    let mut h = harness();
+    h.config.streams = tpftl_core::config::StreamCount(2);
+    h.config.gc_policy = tpftl_core::config::GcPolicy::Windowed { window: 8 };
+    sweep(&h, || ftl(&h.config));
 }
 
 /// The other trigger modes — Kth translation-page write, Kth erase —
@@ -121,16 +101,12 @@ fn two_stream_power_loss_at_every_op_index_is_recoverable() {
 /// say they do.
 #[test]
 fn translation_write_and_erase_triggers_are_recoverable() {
-    let h = CrashHarness::new(config(), trace());
+    let h = harness();
     for k in [0, 1, 7, 40] {
-        let out = h
-            .run_to_crash(ftl(h.config()), FaultPlan::on_translation_write(k))
-            .expect("harness");
-        out.assert_durable();
-        let out = h
-            .run_to_crash(ftl(h.config()), FaultPlan::on_erase(k))
-            .expect("harness");
-        out.assert_durable();
+        for plan in [FaultPlan::on_translation_write(k), FaultPlan::on_erase(k)] {
+            let out = h.run_to_crash(ftl(&h.config), plan, None);
+            out.expect("harness").assert_durable();
+        }
     }
 }
 
@@ -139,13 +115,13 @@ fn translation_write_and_erase_triggers_are_recoverable() {
 /// pick different crash points.
 #[test]
 fn seeded_plans_are_deterministic() {
-    let h = CrashHarness::new(config(), trace());
-    let horizon = h.baseline_ops(ftl(h.config())).expect("baseline");
+    let h = harness();
+    let horizon = h.baseline_ops(ftl(&h.config)).expect("baseline");
     let a = h
-        .run_to_crash(ftl(h.config()), FaultPlan::seeded(9, horizon))
+        .run_to_crash(ftl(&h.config), FaultPlan::seeded(9, horizon), None)
         .expect("run");
     let b = h
-        .run_to_crash(ftl(h.config()), FaultPlan::seeded(9, horizon))
+        .run_to_crash(ftl(&h.config), FaultPlan::seeded(9, horizon), None)
         .expect("run");
     assert_eq!(a, b, "same seed must reproduce the same crash + recovery");
     a.assert_durable();

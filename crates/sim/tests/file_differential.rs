@@ -16,15 +16,11 @@ use std::path::PathBuf;
 
 use tpftl_core::ftl::{Ftl, FtlKind};
 use tpftl_core::{recovery, SsdConfig};
-use tpftl_flash::{FaultPlan, Flash, Lpn};
+use tpftl_flash::{Flash, Lpn};
 use tpftl_sim::{CrashHarness, Ssd};
-use tpftl_trace::{IoRequest, SyntheticSpec};
 
-fn config() -> SsdConfig {
-    let mut c = SsdConfig::paper_default(4 << 20);
-    c.cache_bytes = c.gtd_bytes() + 10 * 1024;
-    c.prefill_frac = 0.6;
-    c
+fn harness() -> CrashHarness {
+    CrashHarness::starved(300, 42)
 }
 
 fn ftls(c: &SsdConfig) -> Vec<Box<dyn Ftl>> {
@@ -33,17 +29,6 @@ fn ftls(c: &SsdConfig) -> Vec<Box<dyn Ftl>> {
         .chain([FtlKind::Optimal])
         .map(|kind| -> Box<dyn Ftl> { kind.build(c).expect("budget") })
         .collect()
-}
-
-fn trace() -> Vec<IoRequest> {
-    let spec = SyntheticSpec {
-        requests: 300,
-        address_bytes: 4 << 20,
-        write_ratio: 0.7,
-        mean_req_sectors: 8.0,
-        ..SyntheticSpec::default()
-    };
-    spec.iter(42).collect()
 }
 
 fn temp_path(name: &str) -> PathBuf {
@@ -58,8 +43,8 @@ fn temp_path(name: &str) -> PathBuf {
 /// mirrored data pages must still round-trip).
 #[test]
 fn file_backing_is_bit_identical_to_ram_for_all_ftls() {
-    let c = config();
-    let reqs = trace();
+    let h = harness();
+    let (c, reqs) = (h.config.clone(), &h.trace);
     for (ram_ftl, file_ftl) in ftls(&c).into_iter().zip(ftls(&c)) {
         let name = ram_ftl.name();
         let path = temp_path(&name.replace(['(', ')', '-'], "_"));
@@ -126,24 +111,20 @@ fn file_backing_is_bit_identical_to_ram_for_all_ftls() {
 /// `CrashOutcome` as its RAM path, across FTLs and crash points.
 #[test]
 fn crash_outcomes_match_between_ram_and_file_paths() {
-    let c = config();
-    let h = CrashHarness::new(c.clone(), trace());
+    let h = harness();
+    let dir = std::env::temp_dir();
     for kind in FtlKind::PERSISTING {
         let key = kind.label();
-        let mk = |c: &SsdConfig| kind.build(c).expect("budget");
-        let path = temp_path(&format!("crash_{key}"));
-        let ops = h.baseline_ops(mk(&c)).expect("baseline");
-        for at in [ops / 5, ops / 2, 4 * ops / 5, u64::MAX] {
-            let ram = h
-                .run_to_crash(mk(&c), FaultPlan::at_op(at))
-                .expect("ram run");
-            let file = h
-                .run_to_crash_backed(mk(&c), FaultPlan::at_op(at), &path)
-                .expect("file run");
+        let build = || kind.build(&h.config).expect("budget");
+        let ops = h.baseline_ops(build()).expect("baseline");
+        let points = [ops / 5, ops / 2, 4 * ops / 5, u64::MAX];
+        let ram = h.sweep(build, &points, None, None).expect("ram runs");
+        let file = h
+            .sweep(build, &points, Some(&dir), None)
+            .expect("file runs");
+        for ((at, ram), file) in points.iter().zip(&ram).zip(&file) {
             assert_eq!(ram, file, "{key}: outcomes diverge at op {at}");
             ram.assert_durable();
-            file.assert_durable();
         }
-        let _ = std::fs::remove_file(&path);
     }
 }
