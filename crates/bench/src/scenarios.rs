@@ -229,46 +229,47 @@ pub fn bench_write_gc(kind: FtlKind, warmup: usize, samples: usize, ops: u64) ->
     }
 }
 
-/// LearnedFTL's write-back refit in isolation: a cache too small to hold
-/// the 64 offsets the cursor cycles over (every 16th of translation region
-/// 0), so each write evicts one dirty entry into that region — a
-/// one-offset write-back and the refit it triggers — with no GC batch in
-/// the loop (the superseded copies of 64 hot pages leave fully invalid
-/// victims). `fragmented` first rewrites the whole region in a scattered
-/// order, so that no three entries share a line and the fit is ~512 raw
-/// segments; otherwise the region keeps its sequential prefill and the
-/// cursor's offsets are the only breaks in one long line.
-pub fn bench_learned_refit(fragmented: bool, warmup: usize, samples: usize, ops: u64) -> Record {
+/// LearnedFTL's fill in isolation: a budget of one segment and reads that
+/// alternate between translation regions 0 and 1, so each read finds the
+/// other region's view cached, misses, fits the run around its offset from
+/// the page it just read and installs it over the view it evicts — one read
+/// miss, one fit, one install per op, no write-back and no GC. Otherwise
+/// both regions keep their sequential prefill and every fill walks and fits
+/// one 1 024-offset line; `fragmented` first overwrites every 8th offset
+/// of both, so a fill fits a run of 7.
+pub fn bench_learned_fill(fragmented: bool, warmup: usize, samples: usize, ops: u64) -> Record {
     let mut config = micro_config();
-    config.cache_bytes = config.gtd_bytes() + 512;
+    config.cache_bytes = config.gtd_bytes() + 16;
     config.prefill_frac = 0.5;
     let region = config.entries_per_tp() as u32;
     let (mut ftl, mut env) = build(FtlKind::Learned, &config);
-    let ctx = AccessCtx::single(true);
     if fragmented {
-        // 389 is coprime to the region size: a permutation of its offsets.
-        for i in 0..region {
-            driver::serve_page_access(ftl.as_mut(), &mut env, i * 389 % region, ctx)
+        for lpn in (0..2 * region).step_by(8) {
+            driver::serve_page_access(ftl.as_mut(), &mut env, lpn, AccessCtx::single(true))
                 .expect("scatter write");
         }
     }
-    let evicted_before = env.stats.dirty_replacements;
+    let ctx = AccessCtx::single(false);
+    let misses_before = env.stats.lookups - env.stats.hits;
     let mut cursor: u32 = 0;
     let ns = time_samples(warmup, samples, ops, || {
         for _ in 0..ops {
-            driver::serve_page_access(ftl.as_mut(), &mut env, cursor, ctx).expect("write");
-            cursor = (cursor + 16) % region;
+            // Offsets 3, 43, 83, ... of the two regions in turn: never one
+            // of the overwritten ones.
+            let lpn = cursor % 2 * region + (cursor / 2 * 40 + 3) % region;
+            driver::serve_page_access(ftl.as_mut(), &mut env, lpn, ctx).expect("read");
+            cursor += 1;
         }
     });
-    let dirty_evictions = (env.stats.dirty_replacements - evicted_before) as f64
-        / ((warmup + samples) as u64 * ops) as f64;
+    let total = ((warmup + samples) as u64 * ops) as f64;
+    let misses = env.stats.lookups - env.stats.hits - misses_before;
     let shape = if fragmented { "fragmented" } else { "linear" };
     Record {
-        scenario: format!("learned_refit_{shape}"),
+        scenario: format!("learned_fill_{shape}"),
         ftl: ftl.name(),
         ops_per_iter: ops,
         samples: ns,
-        extra: vec![("dirty_evictions_per_op", Value::Float(dirty_evictions))],
+        extra: vec![("misses_per_op", Value::Float(misses as f64 / total))],
     }
 }
 
@@ -925,8 +926,8 @@ pub fn run_all(
     let learned = FtlKind::Learned.label();
     for fragmented in [true, false] {
         let shape = if fragmented { "fragmented" } else { "linear" };
-        if wanted(&format!("learned_refit_{shape}"), &learned) {
-            records.push(bench_learned_refit(fragmented, warmup, samples, write_ops));
+        if wanted(&format!("learned_fill_{shape}"), &learned) {
+            records.push(bench_learned_fill(fragmented, warmup, samples, write_ops));
         }
     }
     if wanted("gc_valid_scan", "flash") {

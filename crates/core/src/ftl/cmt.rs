@@ -3,8 +3,8 @@
 //! The paper's taxonomy (Sections 2.2 and 3.2) has one substrate — DFTL's
 //! cached mapping table, an LRU of `(LPN, PPN, dirty)` entries — that the
 //! other designs extend: CDFTL and ZFTL put a second tier behind it, S-FTL
-//! parks sparse dirty entries in one, LearnedFTL keeps it as the fallback
-//! of its learned index. This module holds that substrate once:
+//! parks sparse dirty entries in one, LearnedFTL orders its entries and its
+//! learned segments in one LRU. This module holds that substrate once:
 //!
 //! * [`EntryCache`] — the entry LRU with its LPN index;
 //! * [`VtpnTable`] — per-translation-page state (TPFTL's nodes, CDFTL's
@@ -77,9 +77,8 @@ impl Entry {
 
 /// An LRU of mapping entries indexed by LPN.
 ///
-/// Capacity is the caller's business (DFTL counts entries over two caches,
-/// LearnedFTL bytes shared with its segments), so nothing here evicts on
-/// its own.
+/// Capacity is the caller's business (CDFTL and ZFTL count entries of one
+/// tier, S-FTL bytes of a buffer), so nothing here evicts on its own.
 pub(crate) struct EntryCache {
     index: FxHashMap<Lpn, LruIdx>,
     list: LruList<Entry>,
@@ -300,8 +299,7 @@ pub(crate) enum PageStep<'a> {
 /// translation page touched, in ascending VTPN order, updates within a
 /// page in the order given. `hook` runs twice per page, around the write —
 /// TPFTL piggybacks its cached dirty entries in [`PageStep::Gather`],
-/// ZFTL patches its active page and LearnedFTL refits the region in
-/// [`PageStep::Persisted`].
+/// ZFTL patches its active page in [`PageStep::Persisted`].
 ///
 /// Grouping is a sort of one `u64` per update, `vtpn << 32 | arrival
 /// index`, in the environment's scratch and a walk over the runs, so a call

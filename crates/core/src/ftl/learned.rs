@@ -1,72 +1,45 @@
 //! LearnedFTL: a learned page-level mapping that kills the double read.
 //!
 //! DFTL-style demand paging pays a translation-page read on every mapping
-//! cache miss — the "double read" (one flash read to learn where the data
-//! is, one to fetch it). LearnedFTL observes that flash allocation is
-//! log-structured: sequentially (or semi-sequentially) written LPN ranges
-//! land on near-contiguous PPNs, so the LPN→PPN function is piecewise
-//! near-linear and can be *learned*. This FTL keeps, per translation-page
-//! region, a set of piecewise-linear segments with a fixed error bound ε,
-//! greedily fitted whenever a translation page is written back. A cache
-//! miss first consults the segments: a predicted PPN is validated against
-//! the out-of-band reverse map of the target page (free — the subsequent
-//! host data read returns the OOB tag anyway), and only a mispredict falls
-//! back to the demand-paged GTD path, charging one wasted speculative read
-//! when the mispredicted page was readable.
-//!
-//! Three invariants keep the design sound:
-//!
-//! * **No silent wrong PPN.** A prediction is served only if the target
-//!   page is valid, is a data page, and its OOB tag equals the looked-up
-//!   LPN. Because data is programmed before the superseded copy is
-//!   invalidated *within* one page access, at most one valid data page per
-//!   LPN exists whenever `translate` runs — a passing check identifies the
-//!   current mapping, bit-exactly.
-//! * **Segments are invalidated on overwrite and GC migration.** An
-//!   overwritten, migrated, or mispredicted offset splits its covering
-//!   segment around the stale point; the two remnants keep predicting the
-//!   same real-valued line, so their exactness is untouched.
-//! * **Learned state is volatile.** Segments live only in this struct:
-//!   a power cycle discards them, and [`LearnedFtl::warm_up`] (also run by
-//!   [`Ftl::after_bootstrap`]) rebuilds them from the persisted translation
-//!   pages with zero flash traffic, via the mount-scan peek path.
+//! cache miss. Flash allocation is log-structured, so sequentially written
+//! LPN ranges land on near-contiguous PPNs and LPN→PPN is piecewise
+//! near-linear: it can be *learned*. This FTL caches, beside DFTL-style
+//! entries, linear segments with a fixed error bound ε, as cache lines like
+//! any other: the miss that paid to read a translation page fits the run
+//! around the offset it asked for ([`LearnedFtl::fill`]), and one LRU over
+//! entries and per-region segment sets gives up the bytes. What keeps that
+//! sound (DESIGN.md §13): a prediction is served only after the OOB tag of
+//! its target page confirmed it (*no silent wrong PPN*); an overwritten,
+//! migrated, written-back or mispredicted offset is split out of its segment,
+//! never re-fitted; and segments are volatile — a power cycle discards them.
 
 use tpftl_flash::{Lpn, OpPurpose, PageState, Ppn, Vtpn, PPN_NONE};
 
 use crate::env::SsdEnv;
-use crate::ftl::cmt::{self, mapped, Entry, EntryCache, PageStep, TpTally, ENTRY_BYTES};
+use crate::ftl::cmt::{self, mapped, Entry, TpTally, ENTRY_BYTES};
 use crate::ftl::{AccessCtx, Ftl, TpDistEntry};
+use crate::hash::FxHashMap;
+use crate::lru::{LruIdx, LruList};
 use crate::{FtlError, Result, SsdConfig};
 
-/// Default prediction error bound ε (in pages). Small enough that a
-/// mispredicted speculative read stays rare on linear regions, large
-/// enough that the greedy fitter absorbs the small allocation jitter of
-/// semi-sequential writes into long segments.
+/// Default prediction error bound ε (in pages): mispredicts stay rare on
+/// linear regions, yet a segment absorbs semi-sequential allocation jitter.
 pub const DEFAULT_EPSILON: u32 = 4;
 
-/// Modeled bytes per learned segment (start/end offsets + fixed-point
-/// base and slope — the hardware encoding LearnedFTL assumes).
+/// Modeled bytes per segment: start/end offsets, fixed-point base and slope.
 const SEG_BYTES: usize = 16;
 
-/// Minimum offsets a segment must cover to be worth its footprint: below
-/// this, plain CMT entries are denser than the segment describing them.
+/// Fewest offsets a segment is worth its bytes for: entries are denser below.
 const MIN_COVERED: usize = 4;
 
-/// Per-region segment cap; a region too fragmented to fit under it keeps
-/// only its longest segments (the rest route to the fallback path).
-const MAX_SEGS_PER_REGION: usize = 32;
-
 /// One learned segment: over in-region offsets `start..=end`, predicts
-/// `round(base + slope * (off - start))`.
-///
-/// `base` is the real-valued line height at `start` (not a rounded PPN),
-/// so splitting a segment re-anchors the remnant on the *same* line and
-/// every surviving prediction is bit-identical to before the split.
+/// `round(base + slope * (off - start))`. `base` is the real-valued line
+/// height at `start` (not a rounded PPN), so a split re-anchors the remnant
+/// on the *same* line and its predictions are bit-identical to before.
 #[derive(Debug, Clone, Copy)]
 struct Segment {
     start: u16,
-    /// Inclusive.
-    end: u16,
+    end: u16, // inclusive
     base: f64,
     slope: f64,
 }
@@ -87,35 +60,15 @@ impl Segment {
     fn predict(&self, off: u16) -> Option<Ppn> {
         round_to_ppn(self.line(off))
     }
-
-    /// Everything a prediction depends on, comparable bit for bit.
-    fn bits(&self) -> (u16, u16, u64, u64) {
-        (
-            self.start,
-            self.end,
-            self.base.to_bits(),
-            self.slope.to_bits(),
-        )
-    }
-}
-
-/// Whether two segment lists predict the same everywhere, bit for bit.
-fn same_bits(a: &[Segment], b: &[Segment]) -> bool {
-    a.iter().map(Segment::bits).eq(b.iter().map(Segment::bits))
 }
 
 /// `x.round()` as a PPN, or `None` when that is negative, `PPN_NONE` or
-/// more, or NaN — in integer arithmetic, because `f64::round` is a library
-/// call on baseline x86-64 and this runs once per fitted offset.
-///
-/// `round` takes halves away from zero, so it lands in `0..PPN_NONE`
-/// exactly for `x` in `(-0.5, PPN_NONE - 0.5)`, an interval whose ends are
-/// representable; a NaN fails both comparisons. Inside it a negative `x`
-/// rounds to zero. Otherwise `t = x as u64` is `floor(x)` with nothing
-/// lost (`x < 2^32`), `x - t` is exact (`t <= x < t + 1` puts both within
-/// a factor of two of each other, or `t` is zero), and `round` adds one
-/// exactly when that fraction reaches a half — which `floor(x + 0.5)`
-/// would get wrong just below a half, where the sum rounds up.
+/// more, or NaN — in integer arithmetic (`f64::round` is a library call on
+/// baseline x86-64). `round` takes halves away from zero, so it lands in
+/// `0..PPN_NONE` exactly for `x` in `(-0.5, PPN_NONE - 0.5)`; there a negative
+/// `x` rounds to zero, else `t = x as u64` is `floor(x)`, `x - t` is exact and
+/// `round` adds one when it reaches a half — where `floor(x + 0.5)` errs just
+/// below a half, the sum rounding up (DESIGN.md §13).
 fn round_to_ppn(x: f64) -> Option<Ppn> {
     if !(x > -0.5 && x < f64::from(PPN_NONE) - 0.5) {
         return None;
@@ -131,17 +84,16 @@ fn round_to_ppn(x: f64) -> Option<Ppn> {
 }
 
 /// Whether `round_to_ppn(x)` is a PPN within ε of `stored`, decided on the
-/// line: `round` takes halves away from zero, so it is `m` or more from
-/// `m - 0.5` on and `m` or less below `m + 0.5` — all bounds representable.
+/// line: `round(x)` is `m` or more from `m - 0.5` on, `m` or less below `m + 0.5`.
 fn rounds_within(x: f64, stored: Ppn, eps_f: f64) -> bool {
     let s = f64::from(stored);
     x > -0.5 && x < f64::from(PPN_NONE) - 0.5 && x >= s - eps_f - 0.5 && x < s + eps_f + 0.5
 }
 
-/// The feasible-slope cone after `d` points whose PPNs ascend by exactly
-/// one, in closed form: point `j` bounds the slope by `fl((j ∓ ε) / j)` with
-/// an exact numerator, `fl` is monotone, `1 − ε/j` rises and `1 + ε/j` falls
-/// in `j`, so the running max/min are the last point's (and `lo <= 1 <= hi`).
+/// The feasible-slope cone after `d` points whose PPNs ascend by exactly one,
+/// in closed form: point `j` bounds the slope by `fl((j ∓ ε) / j)`, exact
+/// numerator, monotone `fl`; `1 − ε/j` rises and `1 + ε/j` falls in `j`, so
+/// the running max/min are the last point's (and `lo <= 1 <= hi`).
 fn unit_cone(d: usize, eps_f: f64) -> (f64, f64) {
     if d == 0 {
         return (f64::NEG_INFINITY, f64::INFINITY);
@@ -150,22 +102,13 @@ fn unit_cone(d: usize, eps_f: f64) -> (f64, f64) {
     ((d - eps_f) / d, (d + eps_f) / d)
 }
 
-/// One step of the greedy shrinking-cone fit (LearnedFTL §3): the raw
-/// segment that starts at the mapped offset `start`. Walk the run of
-/// mapped entries, intersecting the feasible-slope interval point by
-/// point from the end of its unit-stride prefix on ([`unit_cone`]); when
-/// the interval empties (or the run ends), close the segment at the
-/// previous point. A closing verification pass re-checks every covered
-/// offset under the *rounded* prediction (the cone guarantees only the
-/// real-valued bound) and truncates at the first violation, so the
-/// segment satisfies |predict(off) − payload[off]| ≤ ε exactly.
-///
-/// Also returns the offset the cone stopped at (`payload.len()` when it
-/// ran off the end): the step read `payload[start..=stop]` and nothing
-/// else, which is what makes the fit restartable (see [`FitMemo`]). The
-/// cone stops right after the segment's end unless the verification pass
-/// cut the segment short.
-fn fit_one(payload: &[Ppn], start: usize, eps: u32) -> (Segment, usize) {
+/// One step of the greedy shrinking-cone fit (LearnedFTL §3): the segment
+/// that starts at the mapped offset `start`. Walk the run of mapped entries,
+/// intersecting the feasible-slope interval point by point from the end of
+/// its unit-stride prefix on ([`unit_cone`]), and close the segment before the
+/// point that empties it (or at the run's end). The cone bounds the real-valued
+/// line; a last pass cuts where |predict(off) − payload[off]| ≤ ε fails rounded.
+fn fit_one(payload: &[Ppn], start: usize, eps: u32) -> Segment {
     let eps_f = f64::from(eps);
     let y0 = f64::from(payload[start]);
     // In `u64`: a run up to `PPN_NONE - 1` must not wrap, nor take a hole.
@@ -193,201 +136,20 @@ fn fit_one(payload: &[Ppn], start: usize, eps: u32) -> (Segment, usize) {
         base: y0,
         slope,
     };
-    // Rounding verification: shrink to the prefix where the integer
-    // prediction really is within ε of the stored mapping.
     let ok = |&k: &usize| rounds_within(seg.line(k as u16), payload[k], eps_f);
     let vend = (start..=end).take_while(ok).last().unwrap_or(start);
     seg.end = vend as u16;
-    (seg, stop)
+    seg
 }
 
-/// The first mapped offset at or after `from`, or `payload.len()`.
-fn next_mapped(payload: &[Ppn], from: usize) -> usize {
-    payload[from..]
-        .iter()
-        .position(|&p| p != PPN_NONE)
-        .map_or(payload.len(), |d| from + d)
-}
-
-/// Host-side memo of a region's last greedy fit — simulator state, not
-/// modelled device RAM: [`Ftl::cache_bytes_used`] does not charge it.
-///
-/// The fit is a pure left-to-right function of the payload: the raw
-/// (pre-trim) segment that starts at `s` depends only on the entries from
-/// `s` up to where the next one starts — `overreach` more at worst — and
-/// where the next one starts depends only on those too. So after a
-/// write-back changed an offset, every raw segment before the last one
-/// that starts (`overreach` or more) below it stands, and as soon as the
-/// re-run pass is about to start a segment where the old pass started
-/// one, beyond the changed offset, the rest of the old fit stands too.
-/// [`FitMemo::update`] re-fits only what lies between.
-#[derive(Debug)]
-struct FitMemo {
-    /// Bit `s` is set iff a raw segment starts at offset `s`. All clear,
-    /// the memo knows nothing and the next update fits from scratch.
-    starts: Box<[u64]>,
-    /// No fit read further than this many entries beyond the start of
-    /// the raw segment after it: the most by which a cone outran its
-    /// segment's verified end (which takes a line that leaves the PPN
-    /// range). Kept as a bound, so never lowered short of `clear`.
-    overreach: usize,
-    /// The raw segments covering at least [`MIN_COVERED`] offsets — what
-    /// `refit` trims to the segment budget — by ascending `start`.
-    fits: Vec<Segment>,
-    /// The region's live view is exactly the `view.len()` longest of `fits`
-    /// (set by the refit that installs one, cleared by `split_covering`'s
-    /// edits and by `clear`): [`keep_longest`]'s choices are nested in `room`.
-    view_is_top: bool,
-}
-
-impl FitMemo {
-    /// A memo that knows nothing, for a region of `entries` offsets.
-    fn new(entries: usize) -> Self {
-        Self {
-            starts: vec![0; entries.div_ceil(64)].into(),
-            overreach: 0,
-            fits: Vec::new(),
-            view_is_top: false,
-        }
-    }
-
-    fn clear(&mut self) {
-        self.starts.fill(0);
-        self.overreach = 0;
-        self.fits.clear();
-        self.view_is_top = false;
-    }
-
-    fn is_start(&self, off: usize) -> bool {
-        self.starts[off / 64] >> (off % 64) & 1 == 1
-    }
-
-    /// The last offset below `below` that starts a raw segment.
-    fn last_start_below(&self, below: usize) -> Option<usize> {
-        let top = |w: usize, bits: u64| w * 64 + 63 - bits.leading_zeros() as usize;
-        let (w, bit) = (below / 64, below % 64);
-        let partial = self.starts.get(w).map_or(0, |&x| x & ((1 << bit) - 1));
-        if partial != 0 {
-            return Some(top(w, partial));
-        }
-        let w = self.starts[..w].iter().rposition(|&x| x != 0)?;
-        Some(top(w, self.starts[w]))
-    }
-
-    /// Forgets the starts at the offsets `from..to`.
-    fn clear_starts(&mut self, from: usize, to: usize) {
-        if from == to {
-            return;
-        }
-        let (first, last) = (from / 64, (to - 1) / 64);
-        let head = !0u64 << (from % 64);
-        let tail = !0u64 >> (63 - (to - 1) % 64);
-        if first == last {
-            self.starts[first] &= !(head & tail);
-        } else {
-            self.starts[first] &= !head;
-            self.starts[first + 1..last].fill(0);
-            self.starts[last] &= !tail;
-        }
-    }
-
-    /// Brings the memo in line with `payload`, which differs from the
-    /// table it was last fitted on at most at the offsets `at` (ascending);
-    /// returns whether `fits` changed in any bit. `buf` is a buffer to reuse.
-    fn update(&mut self, payload: &[Ppn], eps: u32, at: &[u16], buf: &mut Vec<Segment>) -> bool {
-        let n = payload.len();
-        let (mut c, mut moved) = (0, false);
-        while let Some(&lo) = at.get(c) {
-            let lo = usize::from(lo);
-            // Restart at the last raw segment that starts so far below
-            // `lo` that no fit before it read `lo`; failing that, at 0.
-            let from = self
-                .last_start_below(lo.saturating_sub(self.overreach))
-                .unwrap_or(0);
-            buf.clear();
-            // The pass has re-fitted every offset below `done` and will
-            // start its next segment at `start`.
-            let mut done = from;
-            let mut start = next_mapped(payload, from);
-            loop {
-                // Old starts the new pass stepped over are gone.
-                self.clear_starts(done, start);
-                // Resynchronised: past `lo` and about to start where the
-                // old pass started one, on entries it saw the same.
-                if start == n || (start > lo && self.is_start(start)) {
-                    break;
-                }
-                let (seg, stop) = fit_one(payload, start, eps);
-                let end = usize::from(seg.end);
-                self.starts[start / 64] |= 1 << (start % 64);
-                self.overreach = self.overreach.max(stop - end - 1);
-                if seg.covered() >= MIN_COVERED {
-                    buf.push(seg);
-                }
-                done = start + 1;
-                start = next_mapped(payload, end + 1);
-            }
-            let a = self.fits.partition_point(|s| usize::from(s.start) < from);
-            let b = a + self.fits[a..].partition_point(|s| usize::from(s.start) < start);
-            if !same_bits(&self.fits[a..b], buf) {
-                self.fits.splice(a..b, buf.drain(..));
-                moved = true;
-            }
-            // The new fits read the changed offsets below `start`.
-            c = at.partition_point(|&o| usize::from(o) < start).max(c + 1);
-        }
-        moved
-    }
-
-    /// Whether `self` is the fit `fresh`, the from-scratch fit of the same
-    /// payload, bit for bit.
-    fn matches(&self, fresh: &FitMemo) -> bool {
-        self.starts == fresh.starts
-            && self.overreach >= fresh.overreach
-            && same_bits(&self.fits, &fresh.fits)
-    }
-}
-
-/// The from-scratch fit of `payload`: the incremental fit of a memo that
-/// knows nothing, so started at offset 0 and never resynchronising.
-fn fit_region(payload: &[Ppn], eps: u32) -> FitMemo {
-    let mut memo = FitMemo::new(payload.len());
-    memo.update(payload, eps, &[0], &mut Vec::new());
-    memo
-}
-
-/// Appends to `out` the `room` segments of `fits` (a region of `entries`
-/// offsets, ascending by `start`) that cover the most offsets, ties to the
-/// lower start — all of them if there are no more — still ascending.
-///
-/// That order is the ascending order of one `u32` per segment, its count
-/// of uncovered offsets above its start, and no two are equal. So only the
-/// keys are selected on, in the reused buffer `keys`, and the segments at
-/// or below the `room`-th key are copied across in the order they are in.
-fn keep_longest(
-    fits: &[Segment],
-    room: usize,
-    entries: usize,
-    keys: &mut Vec<u32>,
-    out: &mut Vec<Segment>,
-) {
-    if fits.len() <= room {
-        out.extend_from_slice(fits);
-    } else if room > 0 {
-        let key = |s: &Segment| ((entries - s.covered()) as u32) << 16 | u32::from(s.start);
-        keys.clear();
-        keys.extend(fits.iter().map(key));
-        let cut = *keys.select_nth_unstable(room - 1).1;
-        out.extend(fits.iter().filter(|s| key(s) <= cut));
-    }
-}
-
-/// What is learned about one translation-page region. Volatile, all of it.
-struct Region {
-    /// The live segments, sorted by `start`, disjoint; empty for none.
-    view: Vec<Segment>,
-    /// The last raw fit, and whether `view` still is what it installed.
-    memo: FitMemo,
+/// The segment a miss at the mapped offset `off` fills: [`fit_one`] from the
+/// start of the unit-stride run `off` sits in (so that the closed-form cone
+/// carries it to `off` at least), if that is worth its bytes.
+fn fit_around(payload: &[Ppn], off: usize, eps: u32) -> Option<Segment> {
+    let unit = |k: usize| payload[k - 1].checked_add(1) == Some(payload[k]);
+    let start = (1..=off).rev().find(|&k| !unit(k)).unwrap_or(0);
+    let seg = fit_one(payload, start, eps);
+    (usize::from(seg.end) >= off && seg.covered() >= MIN_COVERED).then_some(seg)
 }
 
 /// The index of the segment of `view` that covers `off`.
@@ -396,69 +158,60 @@ fn covering(view: &[Segment], off: u16) -> Option<usize> {
     (off <= view[i].end).then_some(i)
 }
 
+/// What is learned about one translation-page region.
+#[derive(Default)]
+struct Region {
+    /// The live segments, sorted by `start`, disjoint; empty for none.
+    view: Vec<Segment>,
+    /// The view's place in the LRU: `Some` exactly while `view` is not empty.
+    slot: Option<LruIdx>,
+}
+
+/// What the one LRU orders and the one budget is spent on.
+#[derive(Clone, Copy)]
+enum Slot {
+    /// A cached mapping entry, as in DFTL's CMT ([`ENTRY_BYTES`]).
+    Entry(Entry),
+    /// All segments of one region ([`SEG_BYTES`] each), as one object.
+    View(Vtpn),
+}
+
 /// The learned page-level FTL.
 pub struct LearnedFtl {
     epsilon: u32,
     budget_bytes: usize,
-    seg_budget_bytes: usize,
-    /// Learned index and fit memo per region, indexed by VTPN.
-    regions: Vec<Region>,
+    entries_per_tp: u32,
+    regions: Vec<Region>, // by VTPN
     /// Total bytes charged for segments (`Σ view.len() · SEG_BYTES`).
     seg_bytes: usize,
-    /// Fallback CMT: flat LRU of individual entries, as DFTL's cache but
-    /// unsegmented — the learned index already protects the sequential
-    /// ranges an SLRU would.
-    cmt: EntryCache,
-    /// Buffers `refit` reuses from call to call.
-    scratch: Scratch,
-}
-
-#[derive(Default)]
-struct Scratch {
-    /// The changed offsets of the refit in progress, ascending.
-    changed: Vec<u16>,
-    /// The segments [`FitMemo::update`] is about to splice in.
-    fits: Vec<Segment>,
-    /// One trim key per raw fit of the region being trimmed.
-    keys: Vec<u32>,
+    lru: LruList<Slot>,
+    entries: FxHashMap<Lpn, LruIdx>, // where each cached entry sits in `lru`
 }
 
 impl LearnedFtl {
-    /// Creates a LearnedFTL with the default ε whose learned index and
-    /// fallback CMT share the config's usable cache budget (segments
-    /// capped at half of it).
+    /// Creates a LearnedFTL with the default ε; learned segments and
+    /// mapping entries share the config's usable cache budget.
     ///
     /// # Errors
     ///
-    /// [`FtlError::CacheTooSmall`] if not even one CMT entry fits beside
-    /// a full segment budget.
+    /// [`FtlError::CacheTooSmall`] if not even one segment fits it.
     pub fn new(config: &SsdConfig) -> Result<Self> {
         Self::with_epsilon(config, DEFAULT_EPSILON)
     }
 
-    /// Creates a LearnedFTL with an explicit error bound `epsilon`.
-    ///
-    /// # Errors
-    ///
-    /// [`FtlError::CacheTooSmall`], as [`LearnedFtl::new`].
+    /// As [`LearnedFtl::new`], with an explicit error bound `epsilon`.
     pub fn with_epsilon(config: &SsdConfig, epsilon: u32) -> Result<Self> {
-        let budget_bytes = config.usable_cache_bytes();
-        if budget_bytes < 2 * ENTRY_BYTES {
+        if config.usable_cache_bytes() < SEG_BYTES {
             return Err(FtlError::CacheTooSmall);
         }
         Ok(Self {
             epsilon,
-            budget_bytes,
-            seg_budget_bytes: budget_bytes / 2,
-            regions: std::iter::repeat_with(|| Region {
-                view: Vec::new(),
-                memo: FitMemo::new(config.entries_per_tp()),
-            })
-            .take(config.num_vtpns() as usize)
-            .collect(),
+            budget_bytes: config.usable_cache_bytes(),
+            entries_per_tp: config.entries_per_tp() as u32,
+            regions: (0..config.num_vtpns()).map(|_| Region::default()).collect(),
             seg_bytes: 0,
-            cmt: EntryCache::new(config.entries_per_tp()),
-            scratch: Scratch::default(),
+            lru: LruList::new(),
+            entries: FxHashMap::default(),
         })
     }
 
@@ -472,133 +225,129 @@ impl LearnedFtl {
         self.seg_bytes / SEG_BYTES
     }
 
-    /// Rebuilds the whole learned index from the persisted translation
-    /// pages — the warm-up pass run at bootstrap and after a remount
-    /// (recovery discards all learned state; see `crate::recovery`).
-    /// Costs no flash reads: it uses the same free payload peek the
-    /// mount-time scan uses.
-    pub fn warm_up(&mut self, env: &SsdEnv) {
-        for vtpn in 0..env.gtd().len() as Vtpn {
-            // An empty memo makes this the from-scratch fit.
-            self.regions[vtpn as usize].memo.clear();
-            self.refit(env, vtpn, [0]);
+    /// The cached entry for `lpn`, moved to the MRU end if this is a use.
+    fn entry_mut(&mut self, lpn: Lpn, touch: bool) -> Option<&mut Entry> {
+        let idx = *self.entries.get(&lpn)?;
+        if touch {
+            self.lru.touch(idx);
+        }
+        match self.lru.get_mut(idx) {
+            Some(Slot::Entry(e)) => Some(e),
+            _ => unreachable!("LPN {lpn} is not indexed at its entry"),
         }
     }
 
-    /// The predicted PPN for `off` in region `vtpn`, if a segment covers
-    /// it and the line stays in range.
-    fn predict_at(&self, vtpn: Vtpn, off: u16) -> Option<Ppn> {
-        let view = &self.regions[vtpn as usize].view;
-        view[covering(view, off)?].predict(off)
-    }
-
-    /// Re-fits region `vtpn` from its persisted translation page, which
-    /// the caller just wrote back with new values at the offsets `changed`
-    /// — called on every translation-page writeback (dirty CMT eviction,
-    /// GC batch update) and from [`LearnedFtl::warm_up`]. Only the part of
-    /// the greedy fit that read a changed offset is redone (see
-    /// [`FitMemo`]); the result is the from-scratch fit all the same.
-    /// Keeps only segments covering at least [`MIN_COVERED`] offsets, caps
-    /// the region at [`MAX_SEGS_PER_REGION`], and trims (longest coverage
-    /// first, ties to the lower start) to the global segment budget —
-    /// unless that would reinstall the view it found, which it then leaves.
-    fn refit(&mut self, env: &SsdEnv, vtpn: Vtpn, changed: impl IntoIterator<Item = u16>) {
-        let Region { view, memo } = &mut self.regions[vtpn as usize];
-        // The budget with the region's own bytes given back.
-        let others = self.seg_bytes - view.len() * SEG_BYTES;
-        let tp = env.gtd().get(vtpn);
-        let Some(payload) = tp.and_then(|tp| env.flash().peek_translation_payload(tp)) else {
-            self.seg_bytes = others;
-            view.clear();
-            memo.clear();
-            return;
-        };
-        let scratch = &mut self.scratch;
-        scratch.changed.clear();
-        scratch.changed.extend(changed);
-        scratch.changed.sort_unstable();
-        let moved = memo.update(payload, self.epsilon, &scratch.changed, &mut scratch.fits);
-        debug_assert!(
-            memo.matches(&fit_region(payload, self.epsilon)),
-            "incremental refit of region {vtpn} after changes at {:?} left the from-scratch fit",
-            scratch.changed
-        );
-        let room = ((self.seg_budget_bytes - others) / SEG_BYTES).min(MAX_SEGS_PER_REGION);
-        if !moved && memo.view_is_top && room.min(memo.fits.len()) == view.len() {
-            debug_assert!({
-                let (mut keys, mut full) = (Vec::new(), Vec::new());
-                keep_longest(&memo.fits, room, payload.len(), &mut keys, &mut full);
-                same_bits(&full, view)
-            });
-            return;
+    /// Forgets everything learned about region `vtpn`.
+    fn drop_view(&mut self, vtpn: Vtpn) {
+        let region = &mut self.regions[vtpn as usize];
+        if let Some(idx) = region.slot.take() {
+            self.lru.remove(idx);
+            self.seg_bytes -= region.view.len() * SEG_BYTES;
+            region.view.clear();
         }
-        view.clear();
-        keep_longest(&memo.fits, room, payload.len(), &mut scratch.keys, view);
-        self.seg_bytes = others + view.len() * SEG_BYTES;
-        memo.view_is_top = true;
     }
 
-    /// Invalidates the prediction point `off` of region `vtpn` after an
-    /// overwrite or GC migration: the covering segment is split around
-    /// `off`, remnants re-anchored on the same real-valued line (their
-    /// predictions are bit-identical to before), and remnants too short
-    /// to pay for themselves are dropped.
+    /// Invalidates the prediction point `off` of region `vtpn`: the covering
+    /// segment is split around it, remnants re-anchored on the same line and
+    /// those too short to pay for themselves dropped. Two remnants cost one
+    /// more segment: without room for it only the longer one stays.
     fn split_covering(&mut self, vtpn: Vtpn, off: u16) {
-        let Region { view: segs, memo } = &mut self.regions[vtpn as usize];
+        let room = self.cache_bytes_used() + SEG_BYTES <= self.budget_bytes;
+        let segs = &mut self.regions[vtpn as usize].view;
         let Some(i) = covering(segs, off) else {
             return;
         };
         let s = segs[i];
-        memo.view_is_top = false;
-        let worth = |r: &Segment| r.covered() >= MIN_COVERED;
-        let left = (off > s.start)
-            .then(|| Segment { end: off - 1, ..s })
-            .filter(worth);
-        let right = (off < s.end)
-            .then(|| Segment {
-                start: off + 1,
-                base: s.base + s.slope * f64::from(off + 1 - s.start),
-                ..s
-            })
-            .filter(worth);
+        let worth = |covered: u16| usize::from(covered) >= MIN_COVERED;
+        let left = worth(off - s.start).then(|| Segment { end: off - 1, ..s });
+        let mut right = worth(s.end - off).then_some(s);
+        if let Some(r) = &mut right {
+            (r.start, r.base) = (off + 1, s.line(off + 1));
+        }
         match (left, right) {
-            (Some(l), Some(r)) if self.seg_bytes + SEG_BYTES > self.seg_budget_bytes => {
-                // A two-way split would net one extra segment over budget;
-                // keep the longer remnant (ties favour the left one).
-                segs[i] = if r.covered() > l.covered() { r } else { l };
-            }
-            (Some(l), Some(r)) => {
+            (Some(l), Some(r)) if room => {
                 segs[i] = l;
                 segs.insert(i + 1, r);
                 self.seg_bytes += SEG_BYTES;
             }
+            (Some(l), Some(r)) => segs[i] = if r.covered() > l.covered() { r } else { l },
             (Some(one), None) | (None, Some(one)) => segs[i] = one,
             (None, None) => {
                 segs.remove(i);
                 self.seg_bytes -= SEG_BYTES;
+                if segs.is_empty() {
+                    self.drop_view(vtpn);
+                }
             }
         }
     }
 
-    /// Evicts the CMT's LRU entry, writing it back alone if dirty (and
-    /// re-fitting its region from the freshly persisted page).
-    fn evict_one(&mut self, env: &mut SsdEnv) -> Result<()> {
-        let victim = self.cmt.pop_lru().ok_or(FtlError::CacheTooSmall)?;
-        env.note_replacement(victim.dirty);
-        if victim.dirty {
-            let (vtpn, off) = (env.vtpn_of(victim.lpn), env.offset_of(victim.lpn));
-            env.update_translation_page(vtpn, &[(off, victim.ppn)], OpPurpose::Translation)?;
-            self.refit(env, vtpn, [off]);
+    /// Evicts least recently used slots until `need` more bytes fit the
+    /// budget. A view is dropped whole. An entry is written back if dirty: a
+    /// segment filled meanwhile was fitted on the page's old value there. That
+    /// split finds no room to grow (the bytes just freed are still needed), so
+    /// a pass frees 8 B at least: a fill evicts two entries at most, an insert one.
+    fn make_room(&mut self, env: &mut SsdEnv, need: usize) -> Result<()> {
+        while self.cache_bytes_used() + need > self.budget_bytes {
+            match self.lru.peek_lru().map(|(_, &slot)| slot) {
+                None => return Err(FtlError::CacheTooSmall),
+                Some(Slot::View(vtpn)) => self.drop_view(vtpn),
+                Some(Slot::Entry(victim)) => {
+                    self.lru.pop_lru();
+                    self.entries.remove(&victim.lpn);
+                    env.note_replacement(victim.dirty);
+                    if victim.dirty {
+                        let (vtpn, off) = (env.vtpn_of(victim.lpn), env.offset_of(victim.lpn));
+                        let update = [(off, victim.ppn)];
+                        env.update_translation_page(vtpn, &update, OpPurpose::Translation)?;
+                        self.split_covering(vtpn, off);
+                    }
+                }
+            }
         }
         Ok(())
     }
 
     fn insert(&mut self, env: &mut SsdEnv, entry: Entry) -> Result<()> {
-        while (self.cmt.len() + 1) * ENTRY_BYTES + self.seg_bytes > self.budget_bytes {
-            self.evict_one(env)?;
-        }
-        self.cmt.insert_mru(entry);
+        self.make_room(env, ENTRY_BYTES)?;
+        let idx = self.lru.push_mru(Slot::Entry(entry));
+        let prev = self.entries.insert(entry.lpn, idx);
+        debug_assert!(prev.is_none(), "LPN {} cached twice", entry.lpn);
         Ok(())
+    }
+
+    /// Fills region `vtpn`'s view from its translation page, which the miss at
+    /// the mapped offset `off` just paid to read: the segment around `off`
+    /// replaces those it overlaps, the view becomes the hottest slot and the
+    /// LRU gives up the bytes. Returns whether the view answers for `off` now
+    /// (a fit that rounds wrong at `off` itself has the point split out).
+    fn fill(&mut self, env: &mut SsdEnv, vtpn: Vtpn, off: u16) -> Result<bool> {
+        let tp = env.gtd().get(vtpn).expect("the miss just read this page");
+        let payload = env.flash().peek_translation_payload(tp);
+        let payload = payload.expect("the GTD points at translation pages");
+        let Some(seg) = fit_around(payload, usize::from(off), self.epsilon) else {
+            return Ok(false);
+        };
+        // The fitter decides on the line; this is the same bound in integers.
+        debug_assert!((seg.start..=seg.end).all(|k| seg
+            .predict(k)
+            .is_some_and(|p| p.abs_diff(payload[usize::from(k)]) <= self.epsilon)));
+        let exact = seg.predict(off) == Some(payload[usize::from(off)]);
+        let region = &mut self.regions[vtpn as usize];
+        let a = region.view.partition_point(|s| s.end < seg.start);
+        let b = region.view.partition_point(|s| s.start <= seg.end);
+        region.view.splice(a..b, [seg]);
+        self.seg_bytes = self.seg_bytes + SEG_BYTES - (b - a) * SEG_BYTES;
+        match region.slot {
+            Some(idx) => self.lru.touch(idx),
+            None => region.slot = Some(self.lru.push_mru(Slot::View(vtpn))),
+        }
+        if !exact {
+            self.split_covering(vtpn, off);
+        }
+        self.make_room(env, 0)?;
+        debug_assert!(self.cache_bytes_used() <= self.budget_bytes);
+        Ok(covering(&self.regions[vtpn as usize].view, off).is_some())
     }
 }
 
@@ -608,48 +357,45 @@ impl Ftl for LearnedFtl {
     }
 
     fn translate(&mut self, env: &mut SsdEnv, lpn: Lpn, _ctx: &AccessCtx) -> Result<Option<Ppn>> {
-        if let Some(e) = self.cmt.touch(lpn) {
+        if let Some(e) = self.entry_mut(lpn, true) {
             env.note_lookup(true);
             return Ok(mapped(e.ppn));
         }
-        let vtpn = env.vtpn_of(lpn);
-        let off = env.offset_of(lpn);
-        if let Some(pred) = self.predict_at(vtpn, off) {
+        let (vtpn, off) = (env.vtpn_of(lpn), env.offset_of(lpn));
+        let Region { view, slot } = &self.regions[vtpn as usize];
+        if let Some(pred) = covering(view, off).and_then(|i| view[i].predict(off)) {
             let valid = matches!(env.flash.state(pred), Ok(PageState::Valid));
             if valid
                 && env.flash.peek_translation_payload(pred).is_none()
                 && env.flash.tag(pred) == Ok(lpn)
             {
-                // Validated against the OOB reverse map: `pred` is the one
-                // valid data page holding `lpn`, so it *is* the current
-                // mapping — served with zero translation reads (the host
-                // data read that follows doubles as the OOB fetch).
+                // The one valid data page holding `lpn` *is* its mapping.
                 env.note_lookup(true);
                 env.note_predict(true);
+                self.lru.touch(slot.expect("views have slots"));
                 return Ok(Some(pred));
             }
-            // Mispredict. A readable target cost one wasted speculative
-            // read; an unreadable one (freed, torn, out of range) was
-            // rejected by its OOB state for free.
+            // Mispredict. A readable target cost one wasted speculative read;
+            // an unreadable one (freed, torn, out of range) was rejected free.
             env.note_predict(false);
             if valid {
                 env.flash.read_page(pred, OpPurpose::Translation)?;
             }
-            // Excise only the lying point: on an ε-inexact fit the
-            // remnants still predict their own offsets exactly.
+            // Excise only the lying point: the remnants predict as before.
             self.split_covering(vtpn, off);
         }
         env.note_lookup(false);
         let ppn = env.read_translation_entry(vtpn, off, OpPurpose::Translation)?;
-        self.insert(env, Entry::clean(lpn, ppn))?;
+        if ppn == PPN_NONE || !self.fill(env, vtpn, off)? {
+            self.insert(env, Entry::clean(lpn, ppn))?;
+        }
         Ok(mapped(ppn))
     }
 
     fn update_mapping(&mut self, env: &mut SsdEnv, lpn: Lpn, new_ppn: Ppn) -> Result<()> {
         self.split_covering(env.vtpn_of(lpn), env.offset_of(lpn));
-        // Unlike DFTL, a translate served by the learned index leaves no
-        // CMT entry behind, so the write path must insert-if-absent.
-        if let Some(e) = self.cmt.touch(lpn) {
+        // A translate served by a segment left no entry behind.
+        if let Some(e) = self.entry_mut(lpn, true) {
             e.remap(new_ppn);
             return Ok(());
         }
@@ -657,54 +403,47 @@ impl Ftl for LearnedFtl {
     }
 
     fn on_gc_data_block(&mut self, env: &mut SsdEnv, moved: &[(Lpn, Ppn)]) -> Result<u64> {
-        cmt::absorb_gc_moves(
-            self,
-            env,
-            moved,
-            |ftl, env, lpn, new_ppn| {
-                ftl.split_covering(env.vtpn_of(lpn), env.offset_of(lpn));
-                Ok(ftl.cmt.get_mut(lpn).map(|e| e.remap(new_ppn)).is_some())
-            },
-            |ftl, env, vtpn, step| {
-                // The freshly persisted page is the fitting opportunity: GC
-                // lays migrated pages out near-contiguously, exactly the
-                // pattern the segments capture.
-                if let PageStep::Persisted(batch) = step {
-                    ftl.refit(env, vtpn, batch.iter().map(|&(off, _)| off));
-                }
-            },
-        )
-    }
-
-    fn after_bootstrap(&mut self, env: &mut SsdEnv) -> Result<()> {
-        self.warm_up(env);
-        Ok(())
+        let absorb = |ftl: &mut Self, env: &mut SsdEnv, lpn, new_ppn| {
+            ftl.split_covering(env.vtpn_of(lpn), env.offset_of(lpn));
+            let cached = ftl.entry_mut(lpn, false).map(|e| e.remap(new_ppn));
+            Ok(cached.is_some())
+        };
+        cmt::absorb_gc_moves(self, env, moved, absorb, |_, _, _, _| {})
     }
 
     fn cache_bytes_used(&self) -> usize {
-        self.cmt.len() * ENTRY_BYTES + self.seg_bytes
+        self.entries.len() * ENTRY_BYTES + self.seg_bytes
     }
 
     fn cached_entries(&self) -> usize {
-        self.cmt.len()
+        self.entries.len()
     }
 
     fn peek_cached(&self, _env: &SsdEnv, lpn: Lpn) -> Result<Option<Option<Ppn>>> {
-        Ok(self.cmt.get(lpn).map(|e| mapped(e.ppn)))
+        Ok(self.entries.get(&lpn).map(|&idx| match self.lru.get(idx) {
+            Some(Slot::Entry(e)) => mapped(e.ppn),
+            _ => unreachable!("LPN {lpn} is not indexed at its entry"),
+        }))
     }
 
     fn mark_clean(&mut self, vtpn: Vtpn) {
-        self.cmt.clean_vtpn(vtpn, |_| {});
-        // The flush rewrote the region's page without a refit: what the
-        // memo remembers is no longer a fit of what is persisted.
-        self.regions[vtpn as usize].memo.clear();
+        let per_tp = self.entries_per_tp;
+        self.lru.for_each_value_mut(|slot| match slot {
+            Slot::Entry(e) if e.lpn / per_tp == vtpn => e.dirty = false,
+            _ => {}
+        });
+        // No write-back is left to split out what was dirty when it was fitted.
+        self.drop_view(vtpn);
     }
 
     fn cached_tp_distribution(&self) -> Vec<TpDistEntry> {
-        // Learned segments are clean derived state; only CMT entries count
-        // as cached mapping entries (they are what a flush must persist).
+        // Segments are clean derived state: a flush persists entries only.
         let mut tally = TpTally::default();
-        self.cmt.tally(&mut tally);
+        for (_, slot) in self.lru.iter_lru() {
+            if let Slot::Entry(e) = slot {
+                tally.add(e.lpn / self.entries_per_tp, 1, e.dirty as u32);
+            }
+        }
         tally.finish()
     }
 }
@@ -712,7 +451,7 @@ impl Ftl for LearnedFtl {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::driver;
+    use crate::{driver, gc, recovery};
 
     /// 8 MB logical space (2048 pages, 2 translation pages) with a cache
     /// budget of `bytes` usable bytes, prefilling `prefill` of the space.
@@ -726,26 +465,38 @@ mod tests {
         (ftl, env)
     }
 
+    fn access(ftl: &mut LearnedFtl, env: &mut SsdEnv, lpn: Lpn, write: bool) {
+        driver::serve_page_access(ftl, env, lpn, AccessCtx::single(write)).unwrap();
+    }
+
+    /// Everything a prediction depends on, comparable bit for bit.
+    fn bits(s: &Segment) -> (u16, u16, u64, u64) {
+        (s.start, s.end, s.base.to_bits(), s.slope.to_bits())
+    }
+
     #[test]
     fn cache_too_small_rejected() {
         let mut config = SsdConfig::paper_default(8 << 20);
         config.cache_bytes = config.gtd_bytes() + ENTRY_BYTES;
-        assert!(matches!(
-            LearnedFtl::new(&config),
-            Err(FtlError::CacheTooSmall)
-        ));
+        let built = LearnedFtl::new(&config);
+        assert!(matches!(built, Err(FtlError::CacheTooSmall)));
     }
 
     #[test]
     fn sequential_prefill_translates_with_zero_flash_reads() {
         let (mut ftl, mut env) = setup(1024, 0.5);
-        assert!(ftl.segment_count() > 0, "warm-up fitted no segments");
-        for lpn in [0u32, 5, 511, 1000] {
-            driver::serve_page_access(&mut ftl, &mut env, lpn, AccessCtx::single(false)).unwrap();
+        assert_eq!(ftl.segment_count(), 0, "nothing is fitted before a miss");
+        // The miss that pays for the region's translation page fills its line.
+        access(&mut ftl, &mut env, 700, false);
+        assert_eq!(env.flash().stats().translation_reads(), 1);
+        assert_eq!((ftl.segment_count(), ftl.cached_entries()), (1, 0));
+        assert_eq!(ftl.regions[0].view[0].covered(), 1024);
+        env.reset_stats();
+        for lpn in [0u32, 5, 511, 700, 1000] {
+            access(&mut ftl, &mut env, lpn, false);
         }
-        assert_eq!(env.stats.predict_hits, 4);
-        assert_eq!(env.stats.mispredicts, 0);
-        assert_eq!(env.stats.hits, 4, "predict hits count as cache hits");
+        assert_eq!((env.stats.predict_hits, env.stats.mispredicts), (5, 0));
+        assert_eq!(env.stats.hits, 5, "predict hits count as cache hits");
         // The entire point: not a single translation-page read.
         assert_eq!(env.flash().stats().translation_reads(), 0);
     }
@@ -753,39 +504,34 @@ mod tests {
     #[test]
     fn overwrite_splits_segment_and_routes_to_fallback() {
         let (mut ftl, mut env) = setup(64, 0.5);
-        let segs_before = ftl.segment_count();
-        driver::serve_page_access(&mut ftl, &mut env, 10, AccessCtx::single(true)).unwrap();
-        assert!(
-            ftl.segment_count() > segs_before,
-            "overwrite must split the covering segment"
-        );
+        access(&mut ftl, &mut env, 500, false);
+        assert_eq!(ftl.segment_count(), 1);
+        access(&mut ftl, &mut env, 10, true);
+        assert_eq!(ftl.segment_count(), 2, "overwrite must split the segment");
         // Neighbours still predict exactly off the remnants.
         env.reset_stats();
-        driver::serve_page_access(&mut ftl, &mut env, 9, AccessCtx::single(false)).unwrap();
-        driver::serve_page_access(&mut ftl, &mut env, 11, AccessCtx::single(false)).unwrap();
+        access(&mut ftl, &mut env, 9, false);
+        access(&mut ftl, &mut env, 11, false);
         assert_eq!(env.stats.predict_hits, 2);
         // Evict the dirty entry for LPN 10, then re-read it: offset 10 is
-        // uncovered now, so the read must take the GTD fallback path and
-        // still resolve correctly (read_data_page panics otherwise).
-        for lpn in 600..610u32 {
-            driver::serve_page_access(&mut ftl, &mut env, lpn, AccessCtx::single(true)).unwrap();
+        // uncovered now, so the read must take the GTD fallback path.
+        for lpn in 1600..1610u32 {
+            access(&mut ftl, &mut env, lpn, true);
         }
-        assert!(ftl.cmt.get(10).is_none(), "entry 10 must be evicted");
+        assert!(!ftl.entries.contains_key(&10), "entry 10 must be evicted");
         env.reset_stats();
-        driver::serve_page_access(&mut ftl, &mut env, 10, AccessCtx::single(false)).unwrap();
-        assert_eq!(env.stats.predict_hits, 0);
-        assert_eq!(env.stats.mispredicts, 0, "split must not leave a liar");
-        // At least the fallback's translation read (a dirty eviction the
-        // insert forces may add an RMW read on top).
+        access(&mut ftl, &mut env, 10, false);
+        let s = &env.stats;
+        assert_eq!((s.predict_hits, s.mispredicts), (0, 0), "split left a liar");
+        // The fallback's read (a dirty eviction may add an RMW read on top).
         assert!(env.flash().stats().translation_reads() >= 1);
     }
 
     #[test]
     fn inexact_fit_mispredicts_are_validated_and_fall_back() {
-        // Manufacture a region whose mapping is linear with slope 1.5:
-        // within ε of a line everywhere, but the rounded prediction is
-        // wrong at every other point — the mispredict arm, exercised
-        // deterministically.
+        // Manufacture a region whose mapping is within ε of a line everywhere
+        // although the rounded prediction is wrong at many a point — the
+        // mispredict arm, exercised deterministically.
         let config = SsdConfig::paper_default(8 << 20);
         let mut env = SsdEnv::new(config.clone()).unwrap();
         let mut ftl = LearnedFtl::new(&config).unwrap();
@@ -793,9 +539,8 @@ mod tests {
         for off in 0..64u32 {
             // Stride the allocator: burn a page between mappings so PPNs
             // advance by 2, except at two bump offsets where the burn is
-            // skipped — the mapping is within ε of a single line of slope
-            // just under 2, but no rounded prediction can be right both
-            // before and after the bumps.
+            // skipped — a single line of slope just under 2, but no rounded
+            // prediction can be right both before and after the bumps.
             if off > 0 && off != 29 && off != 51 {
                 env.program_data_page(2000, OpPurpose::HostData).unwrap();
             }
@@ -805,19 +550,17 @@ mod tests {
         env.write_translation_page_full(0, &payload, OpPurpose::Translation)
             .unwrap();
         env.format().unwrap();
-        ftl.after_bootstrap(&mut env).unwrap();
         env.reset_stats();
-        assert!(ftl.segment_count() > 0, "the 1.5-line must fit within ε");
         for off in 0..64u32 {
-            driver::serve_page_access(&mut ftl, &mut env, off, AccessCtx::single(false)).unwrap();
+            access(&mut ftl, &mut env, off, false);
         }
+        assert!(ftl.segment_count() > 0, "the line must fit within ε");
         assert!(env.stats.predict_hits > 0, "some points round exactly");
         assert!(env.stats.mispredicts > 0, "some points round wrong");
-        // Every mispredict was caught by OOB validation and resolved via
-        // the fallback (read_data_page above would have panicked on any
-        // silent wrong PPN). Accounting: every non-predicted access costs
-        // one translation read, and every mispredict additionally charged
-        // one wasted speculative read.
+        // Every mispredict was caught by OOB validation and resolved via the
+        // fallback (read_data_page would have panicked on a wrong PPN). Every
+        // non-predicted access costs one translation read, and every
+        // mispredict additionally charged one wasted speculative read.
         assert_eq!(
             env.flash().stats().translation_reads(),
             64 - env.stats.predict_hits + env.stats.mispredicts
@@ -828,15 +571,8 @@ mod tests {
     fn budget_never_exceeded() {
         let (mut ftl, mut env) = setup(128, 0.5);
         for i in 0..400u32 {
-            driver::serve_page_access(
-                &mut ftl,
-                &mut env,
-                (i * 37) % 2048,
-                AccessCtx::single(i % 3 != 0),
-            )
-            .unwrap();
+            access(&mut ftl, &mut env, (i * 37) % 2048, i % 3 != 0);
             assert!(ftl.cache_bytes_used() <= 128);
-            assert!(ftl.seg_bytes <= ftl.seg_budget_bytes);
         }
     }
 
@@ -849,71 +585,56 @@ mod tests {
             } else {
                 100 + (i / 2) % 1800
             };
-            driver::serve_page_access(&mut ftl, &mut env, lpn, AccessCtx::single(true)).unwrap();
+            access(&mut ftl, &mut env, lpn, true);
         }
         assert!(env.stats.gc_updates > 0, "GC never migrated pages");
-        for lpn in 0..64u32 {
-            let ppn = ftl
-                .translate(&mut env, lpn, &AccessCtx::single(false))
-                .unwrap()
-                .unwrap();
-            env.read_data_page(ppn, lpn).unwrap();
-        }
+        // (`read_data_page` panics on a page that does not hold the LPN.)
+        (0..64).for_each(|lpn| access(&mut ftl, &mut env, lpn, false));
     }
 
     #[test]
-    fn learned_state_is_volatile_and_warm_up_rebuilds_it() {
-        let (ftl, env) = setup(1024, 0.5);
-        assert!(ftl.segment_count() > 0);
-        // A power cycle constructs a fresh FTL: no learned state survives.
+    fn learned_state_is_volatile_and_misses_refill_it() {
+        let (mut ftl, mut env) = setup(1024, 0.5);
+        access(&mut ftl, &mut env, 3, false);
+        let learned = bits(&ftl.regions[0].view[0]);
+        // A power cycle constructs a fresh FTL: no learned state survives,
+        // and mounting fits nothing.
         let config = env.config().clone();
         let flash = env.into_flash();
-        let (env2, _) = crate::recovery::crash_mount(flash, config.clone()).unwrap();
+        let (mut env2, _) = recovery::crash_mount(flash, config.clone()).unwrap();
         let mut fresh = LearnedFtl::new(&config).unwrap();
-        assert_eq!(fresh.segment_count(), 0);
-        assert_eq!(fresh.cached_entries(), 0);
-        fresh.warm_up(&env2);
-        assert_eq!(
-            fresh.segment_count(),
-            {
-                let mut reference = LearnedFtl::new(&config).unwrap();
-                reference.warm_up(&env2);
-                reference.segment_count()
-            },
-            "warm-up must be deterministic"
-        );
-        assert!(fresh.segment_count() > 0, "warm-up rebuilds the index");
-        // And the rebuild cost no flash traffic at all.
-        assert_eq!(env2.flash().stats().total_reads(), 0);
+        fresh.after_bootstrap(&mut env2).unwrap();
+        assert_eq!((fresh.segment_count(), fresh.cached_entries()), (0, 0));
+        // The first miss pays one translation read and learns the same line.
+        access(&mut fresh, &mut env2, 900, false);
+        assert_eq!(env2.flash().stats().translation_reads(), 1);
+        assert_eq!(bits(&fresh.regions[0].view[0]), learned);
     }
 
     /// Satellite property test: the fitter versus a brute-force oracle,
     /// over 500 seeded random mapping tables mixing sequential runs,
     /// semi-sequential (jittered) runs, holes, and pure noise.
     ///
-    /// Pinned properties:
-    /// 1. segments are sorted, disjoint, in-bounds, and never cover a
-    ///    hole;
+    /// Pinned properties, for the segment [`fit_one`] starts at every mapped
+    /// offset of each table:
+    /// 1. it is in-bounds and never covers a hole;
     /// 2. every prediction over a covered offset is within ε of the
     ///    stored mapping (brute-force check of every single offset);
     /// 3. under the OOB validation model, every offset is either
     ///    predicted *exactly* or routed to fallback — a wrong PPN is
     ///    never silently returned;
-    /// 4. across the corpus both arms actually occur (exact hits and
-    ///    within-ε mispredicts), so the dichotomy is not vacuous;
-    /// 5. after each of 70 seeded edits per table (see [`seeded_edit`]) the
-    ///    incrementally updated memo is the from-scratch fit of the edited
-    ///    table, bit for bit — and so it is on 500 small tables at the PPN
-    ///    floor, where fits get cut short;
-    /// 6. `update` says the kept fits changed exactly when they did, in any
-    ///    bit, and says no when run again on the table it just fitted — and
-    ///    the corpus has plenty of edits of either kind.
+    /// 4. what a miss there fills ([`fit_around`]) is the segment from the
+    ///    start of the unit-stride run around the offset, if and only if
+    ///    that covers the offset and at least [`MIN_COVERED`] offsets;
+    /// 5. across the corpus both arms actually occur (exact hits and
+    ///    within-ε mispredicts, fills and refusals), so neither dichotomy
+    ///    is vacuous.
     #[test]
     fn fitter_property_vs_brute_force_oracle_500_tables() {
         let mut rng = tpftl_rng::Rng64::seed_from_u64(0x5EED_1EA2);
         let n = 1024usize;
         let (mut exact_total, mut mispredict_total, mut covered_total) = (0u64, 0u64, 0u64);
-        let mut moved_total = 0u64;
+        let (mut filled, mut declined) = (0u64, 0u64);
         for table_i in 0..500 {
             let mut table = vec![PPN_NONE; n];
             let mut off = 0usize;
@@ -946,199 +667,47 @@ mod tests {
                 }
                 off = end;
             }
-            let mut memo = fit_region(&table, DEFAULT_EPSILON);
-            // Every raw segment, not only the ones long enough to keep.
-            let segs: Vec<Segment> = (0..n)
-                .filter(|&off| memo.is_start(off))
-                .map(|off| fit_one(&table, off, DEFAULT_EPSILON).0)
-                .collect();
-            assert!(
-                segs.iter()
-                    .filter(|s| s.covered() >= MIN_COVERED)
-                    .map(Segment::bits)
-                    .eq(memo.fits.iter().map(Segment::bits)),
-                "table {table_i}: kept segments are not the long raw segments"
-            );
-            let mut prev_end: i64 = -1;
-            for s in &segs {
-                assert!(
-                    i64::from(s.start) > prev_end,
-                    "table {table_i}: overlapping/unsorted segments"
-                );
-                assert!(s.start <= s.end && (s.end as usize) < n);
-                prev_end = i64::from(s.end);
-            }
-            // Brute force over *every* offset of the table.
-            for o in 0..n as u16 {
-                let covering = segs.iter().find(|s| s.start <= o && o <= s.end);
-                let actual = table[o as usize];
-                match covering {
-                    None => {} // fallback path, trivially safe
-                    Some(s) => {
-                        assert_ne!(actual, PPN_NONE, "table {table_i}: segment covers hole");
-                        covered_total += 1;
-                        let p = s
-                            .predict(o)
-                            .unwrap_or_else(|| panic!("table {table_i}: prediction out of range"));
-                        assert!(
-                            (i64::from(p) - i64::from(actual)).unsigned_abs()
-                                <= u64::from(DEFAULT_EPSILON),
-                            "table {table_i} off {o}: predicted {p}, actual {actual}"
-                        );
-                        // OOB validation model: the reverse map accepts the
-                        // prediction iff it is exactly the live mapping.
-                        if p == actual {
-                            exact_total += 1;
-                        } else {
-                            mispredict_total += 1; // routed to fallback
-                        }
+            let unit = |k: usize| table[k - 1] != PPN_NONE && table[k - 1] + 1 == table[k];
+            for off in (0..n).filter(|&off| table[off] != PPN_NONE) {
+                let s = fit_one(&table, off, DEFAULT_EPSILON);
+                assert!(usize::from(s.start) == off && (s.end as usize) < n);
+                covered_total += s.covered() as u64;
+                for o in s.start..=s.end {
+                    let actual = table[o as usize];
+                    assert_ne!(actual, PPN_NONE, "table {table_i}: segment covers hole");
+                    let p = s
+                        .predict(o)
+                        .unwrap_or_else(|| panic!("table {table_i}: prediction out of range"));
+                    assert!(
+                        p.abs_diff(actual) <= DEFAULT_EPSILON,
+                        "table {table_i} off {o}: predicted {p}, actual {actual}"
+                    );
+                    // OOB validation model: the reverse map accepts the
+                    // prediction iff it is exactly the live mapping.
+                    if p == actual {
+                        exact_total += 1;
+                    } else {
+                        mispredict_total += 1; // routed to fallback
                     }
                 }
-            }
-            let mut scratch = Vec::new();
-            for edit_i in 0..70u64 {
-                let changed = seeded_edit(&mut rng, &mut table, &memo, edit_i % 7);
-                let before = memo.fits.clone();
-                let moved = memo.update(&table, DEFAULT_EPSILON, &changed, &mut scratch);
-                assert!(
-                    memo.matches(&fit_region(&table, DEFAULT_EPSILON)),
-                    "table {table_i} edit {edit_i} at {changed:?}: incremental fit diverged"
-                );
-                assert_eq!(
-                    moved,
-                    !same_bits(&before, &memo.fits),
-                    "table {table_i} edit {edit_i} at {changed:?}: wrong about `fits` changing"
-                );
-                moved_total += u64::from(moved);
-                // What a refit with nothing new to say does: nothing.
-                assert!(!memo.update(&table, DEFAULT_EPSILON, &changed, &mut scratch));
+                let start = (1..=off).rev().find(|&k| !unit(k)).unwrap_or(0);
+                let run = fit_one(&table, start, DEFAULT_EPSILON);
+                let fills = usize::from(run.end) >= off && run.covered() >= MIN_COVERED;
+                let got = fit_around(&table, off, DEFAULT_EPSILON);
+                assert_eq!(got.as_ref().map(bits), fills.then(|| bits(&run)));
+                *if fills { &mut filled } else { &mut declined } += 1;
             }
         }
-        // A line that dips below PPN 0 has its segment cut short by the
-        // verification pass: the one way a fit reads beyond the start of
-        // the next segment (`overreach`). Tables at the PPN floor do that.
-        let mut overreaching = 0;
-        for table_i in 0..500 {
-            let mut table: Vec<Ppn> = (0..64).map(|_| rng.below(12) as Ppn).collect();
-            let mut memo = fit_region(&table, DEFAULT_EPSILON);
-            for _ in 0..16 {
-                let off = rng.below(64) as u16;
-                table[usize::from(off)] = rng.below(12) as Ppn;
-                memo.update(&table, DEFAULT_EPSILON, &[off], &mut Vec::new());
-                assert!(
-                    memo.matches(&fit_region(&table, DEFAULT_EPSILON)),
-                    "floor table {table_i} at {off}: incremental fit diverged"
-                );
-            }
-            overreaching += usize::from(memo.overreach > 0);
-        }
-        assert!(overreaching > 0, "no fit at the PPN floor was cut short");
-        let edits = 500 * 70;
-        assert!(
-            moved_total > edits / 10 && moved_total < edits * 9 / 10,
-            "{moved_total} of {edits} edits changed the kept fits: one arm is all but untested"
-        );
         assert_eq!(exact_total + mispredict_total, covered_total);
         assert!(exact_total > 0, "corpus produced no exact predictions");
         assert!(
             mispredict_total > 0,
-            "corpus produced no within-ε mispredicts; the validation arm is untested"
+            "corpus produced no within-ε mispredicts"
         );
-    }
-
-    /// One seeded edit of `table`, of the `kind`-th shape a write-back
-    /// gives a translation page, aimed with the help of the table's current
-    /// fit `memo`. Returns the changed offsets, ascending.
-    fn seeded_edit(
-        rng: &mut tpftl_rng::Rng64,
-        table: &mut [Ppn],
-        memo: &FitMemo,
-        kind: u64,
-    ) -> Vec<u16> {
-        let n = table.len();
-        let pick = |rng: &mut tpftl_rng::Rng64, len: usize| rng.below(len as u64) as usize;
-        let fresh = |rng: &mut tpftl_rng::Rng64| rng.below(1 << 22) as Ppn;
-        // Continues the run on the left, so that it may grow or merge.
-        let continuing = |table: &[Ppn], off: usize| match off.checked_sub(1).map(|p| table[p]) {
-            Some(left) if left != PPN_NONE => left + 1,
-            _ => 7,
-        };
-        let mut changed = Vec::new();
-        match kind {
-            // Overwrite strictly inside a long run.
-            0 if !memo.fits.is_empty() => {
-                let s = memo.fits[pick(rng, memo.fits.len())];
-                let off = usize::from(s.start) + 1 + pick(rng, s.covered() - 2);
-                table[off] = fresh(rng);
-                changed.push(off);
-            }
-            // Map a hole between two runs, merging them if the line allows.
-            1 => {
-                let bridges: Vec<usize> = (1..n - 1)
-                    .filter(|&o| {
-                        table[o] == PPN_NONE && table[o - 1] != PPN_NONE && table[o + 1] != PPN_NONE
-                    })
-                    .collect();
-                let off = match bridges.len() {
-                    0 => pick(rng, n),
-                    len => bridges[pick(rng, len)],
-                };
-                table[off] = continuing(table, off);
-                changed.push(off);
-            }
-            // Unmap a mapped offset.
-            2 => {
-                let from = pick(rng, n);
-                let off = (0..n)
-                    .map(|d| (from + d) % n)
-                    .find(|&o| table[o] != PPN_NONE);
-                let off = off.unwrap_or(from);
-                table[off] = PPN_NONE;
-                changed.push(off);
-            }
-            // The two ends of the table: map, remap or unmap.
-            3 | 4 => {
-                let off = if kind == 3 { 0 } else { n - 1 };
-                table[off] = match rng.below(3) {
-                    0 => PPN_NONE,
-                    1 => fresh(rng),
-                    _ => continuing(table, off),
-                };
-                changed.push(off);
-            }
-            // On either side of a raw segment boundary.
-            5 => {
-                let from = pick(rng, n);
-                let start = (from..n).find(|&o| memo.is_start(o)).unwrap_or(from);
-                let off = (start + pick(rng, 3)).saturating_sub(1).min(n - 1);
-                table[off] = if rng.below(2) == 0 {
-                    fresh(rng)
-                } else {
-                    continuing(table, off)
-                };
-                changed.push(off);
-            }
-            // A GC batch: a few runs of pages laid out contiguously at
-            // their new home, plus stragglers.
-            _ => {
-                for _ in 0..1 + rng.below(3) {
-                    let (start, base) = (pick(rng, n), fresh(rng));
-                    let len = 1 + pick(rng, 40);
-                    let run = &mut table[start..(start + len).min(n)];
-                    for (k, slot) in run.iter_mut().enumerate() {
-                        *slot = base + k as Ppn;
-                        changed.push(start + k);
-                    }
-                }
-                for _ in 0..rng.below(4) {
-                    let off = pick(rng, n);
-                    table[off] = fresh(rng);
-                    changed.push(off);
-                }
-            }
-        }
-        changed.sort_unstable();
-        changed.into_iter().map(|off| off as u16).collect()
+        assert!(
+            filled.min(declined) > 10_000,
+            "{filled} fills, {declined} refusals"
+        );
     }
 
     /// `round_to_ppn` is `f64::round` followed by the range check, on the
@@ -1243,7 +812,7 @@ mod tests {
     /// [`fit_one`] as it was before it knew about unit-stride runs and
     /// before it verified on the line: every point through the cone, every
     /// covered offset through `predict`. The reference for the test below.
-    fn fit_one_pointwise(payload: &[Ppn], start: usize, eps: u32) -> (Segment, usize) {
+    fn fit_one_pointwise(payload: &[Ppn], start: usize, eps: u32) -> Segment {
         let eps_f = f64::from(eps);
         let y0 = f64::from(payload[start]);
         let (mut lo, mut hi) = (f64::NEG_INFINITY, f64::INFINITY);
@@ -1268,18 +837,10 @@ mod tests {
             base: y0,
             slope,
         };
-        let mut vend = start;
-        for (k, &stored) in payload.iter().enumerate().take(end + 1).skip(start) {
-            let ok = seg
-                .predict(k as u16)
-                .is_some_and(|p| p.abs_diff(stored) <= eps);
-            if !ok {
-                break;
-            }
-            vend = k;
-        }
-        seg.end = vend as u16;
-        (seg, stop)
+        let near = |k: usize, p: Ppn| p.abs_diff(payload[k]) <= eps;
+        let ok = |&k: &usize| seg.predict(k as u16).is_some_and(|p| near(k, p));
+        seg.end = (start..=end).take_while(ok).last().unwrap_or(start) as u16;
+        seg
     }
 
     /// The closed-form cone is the point-by-point cone bit for bit, for every
@@ -1328,11 +889,9 @@ mod tests {
                 ];
                 for (t, tail) in tails.iter().enumerate() {
                     let table = [&run[..], &tail[..]].concat();
-                    let (got, got_stop) = fit_one(&table, 0, eps);
-                    let (want, want_stop) = fit_one_pointwise(&table, 0, eps);
                     assert_eq!(
-                        (got.bits(), got_stop),
-                        (want.bits(), want_stop),
+                        bits(&fit_one(&table, 0, eps)),
+                        bits(&fit_one_pointwise(&table, 0, eps)),
                         "eps {eps}, base {base}, run of {d}, tail {t}"
                     );
                 }
@@ -1340,245 +899,185 @@ mod tests {
         }
     }
 
-    /// The key-select trim keeps what sorting the segments themselves by
-    /// (coverage descending, start ascending) and re-sorting the survivors
-    /// by start kept, for every `room` from none to all of them.
-    #[test]
-    fn keep_longest_matches_sorting_the_segments() {
-        let mut rng = tpftl_rng::Rng64::seed_from_u64(0x7219);
-        let mut keys = Vec::new();
-        for _ in 0..200 {
-            // Disjoint segments with many coverage ties, up to offset 1023.
-            let mut fits = Vec::new();
-            let mut start = rng.below(8) as u16;
-            while start < 1000 {
-                let end = (start + MIN_COVERED as u16 - 1 + rng.below(6) as u16).min(1023);
-                fits.push(Segment {
-                    start,
-                    end,
-                    base: f64::from(start),
-                    slope: 1.0,
-                });
-                start = end + 1 + rng.below(30) as u16;
-            }
-            for room in [0, 1, 2, 3, MAX_SEGS_PER_REGION, fits.len() - 1, fits.len()] {
-                let mut want = fits.clone();
-                want.sort_by(|a, b| b.covered().cmp(&a.covered()).then(a.start.cmp(&b.start)));
-                want.truncate(room);
-                want.sort_by_key(|s| s.start);
-                let mut got = Vec::new();
-                keep_longest(&fits, room, 1024, &mut keys, &mut got);
-                assert!(same_bits(&got, &want), "room {room} of {}", fits.len());
-            }
-        }
-        // The largest region `u16` offsets allow: the keys still fit.
-        let long = Segment {
-            start: 0,
-            end: u16::MAX - 10,
-            base: 0.0,
-            slope: 1.0,
-        };
-        let short = Segment {
-            start: u16::MAX - 9,
-            end: u16::MAX,
-            ..long
-        };
-        let mut got = Vec::new();
-        keep_longest(&[long, short], 1, 1 << 16, &mut keys, &mut got);
-        assert_eq!(got.len(), 1);
-        assert_eq!(got[0].bits(), long.bits());
-    }
-
-    /// The word-wise start search and range clear against the bit-by-bit
-    /// forms they replaced, at every offset pair of a three-word memo.
-    #[test]
-    fn fit_memo_word_operations_match_bit_loops() {
-        let mut rng = tpftl_rng::Rng64::seed_from_u64(0xB175);
-        for round in 0..40 {
-            let mut memo = FitMemo::new(150);
-            for off in 0..150 {
-                // Sparse, dense and empty memos.
-                if rng.below(40) < round {
-                    memo.starts[off / 64] |= 1 << (off % 64);
-                }
-            }
-            for below in 0..=150 {
-                let want = (0..below).rev().find(|&off| memo.is_start(off));
-                assert_eq!(memo.last_start_below(below), want, "below {below}");
-            }
-            let (from, to) = (rng.below(151) as usize, rng.below(151) as usize);
-            let (from, to) = (from.min(to), from.max(to));
-            let mut want = memo.starts.clone();
-            for off in from..to {
-                want[off / 64] &= !(1 << (off % 64));
-            }
-            memo.clear_starts(from, to);
-            assert_eq!(memo.starts, want, "clearing {from}..{to}");
-        }
-    }
-
     #[test]
     fn fitter_handles_degenerate_tables() {
-        let starts = |payload: &[Ppn]| {
-            let memo = fit_region(payload, DEFAULT_EPSILON);
-            let starts = (0..payload.len()).filter(|&off| memo.is_start(off));
-            (starts.collect::<Vec<_>>(), memo.fits.len())
-        };
-        assert_eq!(starts(&[]), (vec![], 0));
-        assert_eq!(starts(&[PPN_NONE; 16]), (vec![], 0));
         // A single mapped point fits one singleton segment, too short to
-        // keep.
+        // fill a view with.
         let mut one = vec![PPN_NONE; 8];
         one[3] = 42;
-        assert_eq!(starts(&one), (vec![3], 0));
-        let (seg, stop) = fit_one(&one, 3, DEFAULT_EPSILON);
-        assert_eq!((seg.start, seg.end, stop), (3, 3, 4));
+        let seg = fit_one(&one, 3, DEFAULT_EPSILON);
+        assert_eq!((seg.start, seg.end), (3, 3));
         assert_eq!(seg.predict(3), Some(42));
+        assert!(fit_around(&one, 3, DEFAULT_EPSILON).is_none());
+        // A run up to the last PPN there is, then the hole a wrapping
+        // successor would be: the walk to the run's start stops at neither.
+        let top: Vec<Ppn> = [0, 4, 3, 2, 1].map(|below| PPN_NONE - below).into();
+        let seg = fit_around(&top, 4, DEFAULT_EPSILON).expect("four in a row");
+        assert_eq!((seg.start, seg.end), (1, 4));
     }
 
-    /// `flush_cache` rewrites a region's translation page and tells the FTL
-    /// only `mark_clean`: the next refit of that region must not trust a
-    /// memo fitted on the page as it was before the flush.
+    /// No `translate` or `update_mapping` writes back more than three dirty
+    /// entries (a fill frees two entries' bytes at most, the entry of a miss
+    /// it did not cover one more): the split a write-back makes never grows.
     #[test]
-    fn flush_between_refits_does_not_leave_a_stale_memo() {
-        let (mut ftl, mut env) = setup(1024, 0.5);
-        let write = |ftl: &mut LearnedFtl, env: &mut SsdEnv, lpn: Lpn| {
-            driver::serve_page_access(ftl, env, lpn, AccessCtx::single(true)).unwrap();
-        };
-        let drain = |ftl: &mut LearnedFtl, env: &mut SsdEnv| {
-            while ftl.cached_entries() > 0 {
-                ftl.evict_one(env).unwrap();
+    fn no_call_chains_more_than_three_dirty_evictions() {
+        for bytes in [16, 24, 64, 200, 1024] {
+            let (mut ftl, mut env) = setup(bytes, 1.0);
+            let mut rng = tpftl_rng::Rng64::seed_from_u64(0xD127 + bytes as u64);
+            let mut worst = 0;
+            for _ in 0..6000 {
+                // Mostly writes, clustered enough for fills to find runs.
+                let lpn = (rng.below(16) * 128 + rng.below(40)) as Lpn;
+                gc::ensure_free(&mut ftl, &mut env).unwrap();
+                let ctx = AccessCtx::single(rng.below(4) > 0);
+                let before = env.stats.dirty_replacements;
+                let old = ftl.translate(&mut env, lpn, &ctx).unwrap();
+                worst = worst.max(env.stats.dirty_replacements - before);
+                if ctx.is_write {
+                    let new = env.program_data_page(lpn, OpPurpose::HostData).unwrap();
+                    env.invalidate_page(old.expect("prefilled")).unwrap();
+                    let before = env.stats.dirty_replacements;
+                    ftl.update_mapping(&mut env, lpn, new).unwrap();
+                    worst = worst.max(env.stats.dirty_replacements - before);
+                }
+                assert!(worst <= 3, "budget {bytes}: {worst} in one call");
             }
-        };
-        // Break region 0's one line in the middle, so that a later refit
-        // near the end restarts beyond offset 100.
-        write(&mut ftl, &mut env, 500);
-        drain(&mut ftl, &mut env);
-        assert!(
-            ftl.regions[0].memo.is_start(502),
-            "the overwrite split the line"
-        );
-        // Offset 100 reaches flash through the flush, not through a refit.
-        write(&mut ftl, &mut env, 100);
-        crate::recovery::flush_cache(&mut ftl, &mut env).unwrap();
-        // A dirty eviction into the same region.
-        write(&mut ftl, &mut env, 900);
-        drain(&mut ftl, &mut env);
-        let mut scratch = LearnedFtl::new(env.config()).unwrap();
-        scratch.warm_up(&env);
-        assert!(ftl.regions[0].memo.matches(&scratch.regions[0].memo));
-        assert!(
-            same_bits(&ftl.regions[0].view, &scratch.regions[0].view),
-            "segments differ from the from-scratch fit: {:?} vs {:?}",
-            ftl.regions[0].view,
-            scratch.regions[0].view
-        );
-        assert!(
-            scratch.regions[0].view.iter().any(|s| s.end == 99),
-            "the flushed overwrite of offset 100 must show in the fit"
-        );
+            assert!(worst >= 1, "budget {bytes}: no call evicted a dirty entry");
+        }
     }
 
-    /// The early return of `refit` hangs on one flag. A refit that finds it
-    /// set, the kept fits unchanged and room for as many segments as the view
-    /// holds leaves the view alone; everything that edits the view or the
-    /// fit behind the other's back clears it, and the next refit rebuilds.
-    #[test]
-    fn refit_rebuilds_the_view_exactly_when_something_changed_it() {
-        const NOTHING: [u16; 0] = [];
-        // Region 0 is one line over all 1024 offsets, region 1 is unmapped.
-        let (mut ftl, env) = setup(1024, 0.5);
-        let whole = ftl.regions[0].view.clone();
-        assert_eq!((whole.len(), whole[0].covered()), (1, 1024));
-        assert!(ftl.regions[0].memo.view_is_top, "warm-up installs the view");
+    /// What a slot stands for: `(false, lpn)` an entry, `(true, vtpn)` a view.
+    type Key = (bool, u32);
 
-        // An overwrite inside the line splits it in two; the persisted page
-        // still holds the old mapping, so the refit puts the line back.
-        ftl.split_covering(0, 500);
-        assert_eq!(ftl.segment_count(), 2);
-        assert!(!ftl.regions[0].memo.view_is_top);
-        ftl.refit(&env, 0, NOTHING);
-        assert!(same_bits(&ftl.regions[0].view, &whole));
-        assert_eq!(ftl.segment_count(), 1);
-
-        // A split whose right remnant is too short to keep leaves the count
-        // at one: only the flag tells the refit that the view was edited.
-        ftl.split_covering(0, 1022);
-        assert_eq!(ftl.segment_count(), 1);
-        assert_eq!(ftl.regions[0].view[0].end, 1021);
-        ftl.refit(&env, 0, NOTHING);
-        assert!(same_bits(&ftl.regions[0].view, &whole));
-
-        // A point no segment covers edits nothing.
-        ftl.split_covering(1, 7);
-        assert!(ftl.regions[0].memo.view_is_top);
-
-        // Forgetting the fit forgets that the view came from it, whether a
-        // flush does it or the next warm-up.
-        ftl.mark_clean(0);
-        assert!(!ftl.regions[0].memo.view_is_top);
-        assert!(same_bits(&ftl.regions[0].view, &whole), "the view stands");
-        ftl.refit(&env, 0, [3]);
-        assert!(ftl.regions[0].memo.view_is_top);
-        ftl.regions[0].view[0].end = 9;
-        ftl.warm_up(&env);
-        assert!(same_bits(&ftl.regions[0].view, &whole));
-        assert_eq!(ftl.segment_count(), 1);
+    /// Checks everything that must hold between the LRU, the entry index,
+    /// the region views and the byte count; returns the LRU, coldest first.
+    fn audit(ftl: &LearnedFtl) -> Vec<Key> {
+        let mut order = Vec::new();
+        for (idx, slot) in ftl.lru.iter_lru() {
+            order.push(match *slot {
+                Slot::Entry(e) => (false, e.lpn),
+                Slot::View(vtpn) => (true, vtpn),
+            });
+            let indexed = match *slot {
+                Slot::Entry(e) => ftl.entries.get(&e.lpn).copied(),
+                Slot::View(vtpn) => ftl.regions[vtpn as usize].slot,
+            };
+            assert_eq!(indexed, Some(idx), "{:?}", order.last());
+        }
+        let views = order.iter().filter(|k| k.0).count();
+        assert_eq!(ftl.entries.len(), order.len() - views);
+        let slots = ftl.regions.iter().filter(|r| r.slot.is_some());
+        assert_eq!(views, slots.count());
+        let mut segments = 0;
+        for (vtpn, Region { view, slot }) in ftl.regions.iter().enumerate() {
+            assert_eq!(slot.is_some(), !view.is_empty(), "region {vtpn}");
+            segments += view.len();
+            let worth = |s: &Segment| s.start <= s.end && s.covered() >= MIN_COVERED;
+            assert!(view.iter().all(worth), "region {vtpn}: {view:?}");
+            assert!(view.iter().all(|s| u32::from(s.end) < ftl.entries_per_tp));
+            let disjoint = view.windows(2).all(|w| w[0].end < w[1].start);
+            assert!(disjoint, "region {vtpn}: {view:?}");
+        }
+        let bytes = ftl.entries.len() * ENTRY_BYTES + segments * SEG_BYTES;
+        assert_eq!(
+            (ftl.segment_count(), ftl.cache_bytes_used()),
+            (segments, bytes)
+        );
+        assert!(bytes <= ftl.budget_bytes, "{bytes} B cached");
+        order
     }
 
-    /// Room for one more segment extends a trimmed view although neither it
-    /// nor the fit behind it changed.
+    /// The one LRU against a brute-force reference, a `Vec<(stamp, Key)>`
+    /// kept from outside: 24 000 seeded reads, writes (GC moves whenever the
+    /// pool runs low, and some on demand) and flushes on a 2-region device,
+    /// at three budgets. After every step [`audit`] holds, and
+    /// * what an access used is the hottest slot: a write its entry, a read
+    ///   the entry it hit, else the view that predicted, else whichever of
+    ///   the two it brought in — and a flush or a GC pass stamps nothing;
+    /// * the slots that kept their stamp kept their order, and a slot that
+    ///   left is colder than all of them — the evicted slot is always the
+    ///   least recently used — unless it is a view that a split or a flush
+    ///   could have emptied in this step.
     #[test]
-    fn refit_extends_the_view_when_room_grows() {
-        // Room for three segments in all.
-        let mut config = SsdConfig::paper_default(8 << 20);
-        config.cache_bytes = config.gtd_bytes() + 6 * SEG_BYTES;
-        let mut env = SsdEnv::new(config.clone()).unwrap();
-        let mut ftl = LearnedFtl::new(&config).unwrap();
-        // Region 0: runs of 10, 9, 8, 7 and 6 offsets, a hole after each.
-        // Region 1: one run of 4.
-        let mut pages = [vec![PPN_NONE; 1024], vec![PPN_NONE; 1024]];
-        let mut off = 0;
-        for len in (6..=10).rev() {
-            for k in 0..len {
-                pages[0][off + k] = (100 * len + k) as Ppn;
+    fn one_lru_evicts_by_recency_against_a_brute_force_model() {
+        for bytes in [48, 160, 1024] {
+            let (mut ftl, mut env) = setup(bytes, 0.75);
+            let mut rng = tpftl_rng::Rng64::seed_from_u64(0x11C0 + bytes as u64);
+            let mut model: Vec<(u64, Key)> = Vec::new();
+            let (mut evicted_entries, mut evicted_views) = (0u64, 0u64);
+            for stamp in 1..=8000u64 {
+                let lpn = match rng.below(3) {
+                    0 => rng.below(2048),
+                    _ => rng.below(8) * 256 + rng.below(48),
+                } as Lpn;
+                let mine = [(false, lpn), (true, lpn / ftl.entries_per_tp)];
+                let kept: Vec<Key> = model.iter().map(|&(_, k)| k).collect();
+                // Whether the step is an access, and whether it may have
+                // emptied any view by splitting rather than by evicting.
+                let (accessed, any_view) = match rng.below(40) {
+                    0 => {
+                        recovery::flush_cache(&mut ftl, &mut env).unwrap();
+                        (false, true)
+                    }
+                    1 => {
+                        // Nothing to reclaim yet is fine.
+                        let done = gc::collect_one(&mut ftl, &mut env);
+                        assert!(matches!(done, Ok(()) | Err(FtlError::DeviceFull)));
+                        (false, true)
+                    }
+                    op => {
+                        let write = op % 2 == 0;
+                        let before = (env.gc_stats.data_victims, env.stats.dirty_replacements);
+                        let predicted = env.stats.predict_hits;
+                        access(&mut ftl, &mut env, lpn, write);
+                        let hottest = audit(&ftl).pop().expect("an access caches something");
+                        let hit = kept.contains(&mine[0]);
+                        let wanted = match (write || hit, env.stats.predict_hits > predicted) {
+                            (true, _) => &mine[..1],
+                            (false, true) => &mine[1..],
+                            (false, false) => &mine[..],
+                        };
+                        assert!(wanted.contains(&hottest), "step {stamp}: {hottest:?}");
+                        // A GC move splits where the page is mapped, a
+                        // write-back in the evicted entry's region.
+                        let after = (env.gc_stats.data_victims, env.stats.dirty_replacements);
+                        (true, after != before)
+                    }
+                };
+                let now = audit(&ftl);
+                // The coldest slots that are in the order they were in kept
+                // their stamp; the others are new or were used.
+                let mut at = 0;
+                let in_order = now.iter().take_while(|k| {
+                    let found = kept[at..].iter().position(|m| m == *k);
+                    at += found.map_or(0, |p| p + 1);
+                    found.is_some()
+                });
+                let unstamped = in_order.count();
+                let stamped = &now[unstamped..];
+                assert!(stamped.iter().all(|k| accessed && mine.contains(k)));
+                // (A used slot that was the hottest already is in order too.)
+                let quiet = now[..unstamped].iter().filter(|k| !mine.contains(k));
+                let coldest_kept = quiet.map(|k| kept.iter().position(|m| m == k)).min();
+                for (pos, k) in kept.iter().enumerate().filter(|(_, k)| !now.contains(k)) {
+                    let emptied = k.0 && (any_view || *k == mine[1]);
+                    assert!(
+                        emptied || coldest_kept.is_none_or(|c| Some(pos) < c),
+                        "step {stamp}: {k:?} left before a colder slot"
+                    );
+                    *if k.0 {
+                        &mut evicted_views
+                    } else {
+                        &mut evicted_entries
+                    } += u64::from(!emptied);
+                }
+                model.retain(|(_, k)| now[..unstamped].contains(k));
+                model.extend(stamped.iter().map(|&k| (stamp, k)));
+                assert!(model.windows(2).all(|w| w[0].0 <= w[1].0));
+                assert!(model.iter().map(|(_, k)| k).eq(&now));
             }
-            off += len + 1;
+            assert!(evicted_entries > 500, "budget {bytes}: {evicted_entries}");
+            assert!(evicted_views > 0 || bytes == 1024, "budget {bytes}");
         }
-        pages[1][..4].copy_from_slice(&[70, 71, 72, 73]);
-        for (vtpn, page) in pages.iter().enumerate() {
-            env.write_translation_page_full(vtpn as Vtpn, page, OpPurpose::Translation)
-                .unwrap();
-        }
-        ftl.refit(&env, 1, [0]);
-        ftl.refit(&env, 0, [0]);
-        let covered = |ftl: &LearnedFtl| -> Vec<usize> {
-            ftl.regions[0].view.iter().map(Segment::covered).collect()
-        };
-        assert_eq!(ftl.regions[0].memo.fits.len(), 5);
-        assert_eq!((covered(&ftl), ftl.segment_count()), (vec![10, 9], 3));
-        // Same room: the refit has nothing to do.
-        ftl.refit(&env, 0, [0]);
-        assert_eq!(covered(&ftl), [10, 9]);
-        // Region 1 loses its segment (neither remnant is worth keeping).
-        ftl.split_covering(1, 1);
-        assert_eq!(ftl.segment_count(), 2);
-        ftl.refit(&env, 0, [0]);
-        assert_eq!((covered(&ftl), ftl.segment_count()), (vec![10, 9, 8], 3));
-        assert!(ftl.seg_bytes <= ftl.seg_budget_bytes);
-    }
-
-    #[test]
-    fn dirty_eviction_persists_and_refits() {
-        let (mut ftl, mut env) = setup(64, 0.5);
-        driver::serve_page_access(&mut ftl, &mut env, 0, AccessCtx::single(true)).unwrap();
-        // Push the dirty entry out with colder traffic.
-        for lpn in 1200..1210u32 {
-            driver::serve_page_access(&mut ftl, &mut env, lpn, AccessCtx::single(false)).unwrap();
-        }
-        assert!(env.stats.dirty_replacements >= 1);
-        // The persisted table now holds the new mapping; a cold re-read
-        // resolves it (via segment or fallback, either way correctly).
-        driver::serve_page_access(&mut ftl, &mut env, 0, AccessCtx::single(false)).unwrap();
     }
 }

@@ -15,9 +15,9 @@
 //! the persisted table — in particular LearnedFTL's piecewise-linear
 //! segments (`crate::ftl::LearnedFtl`) — are discarded wholesale. The
 //! durable answer never depends on them (every prediction is validated
-//! against the OOB reverse map before use), and the learned index is
-//! rebuilt on demand after remount via `LearnedFtl::warm_up` or the
-//! normal writeback-triggered refits.
+//! against the OOB reverse map before use), and after a remount the
+//! learned index starts empty, like the mapping cache: the misses that
+//! read a translation page fill it again.
 //!
 //! [`crash_mount`] is the one mount path. It assumes the hard case: the
 //! power failed at an *arbitrary* instant (see `tpftl_flash::FaultPlan`),
