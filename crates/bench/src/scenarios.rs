@@ -9,7 +9,7 @@ use tpftl_core::config::{GcPolicy, StreamCount};
 use tpftl_core::driver;
 use tpftl_core::env::SsdEnv;
 use tpftl_core::ftl::{AccessCtx, Ftl};
-use tpftl_core::{gc, SsdConfig};
+use tpftl_core::{gc, recovery, SsdConfig};
 use tpftl_experiments::runner::{device_config, FtlKind, SEED};
 use tpftl_flash::{Flash, FlashGeometry, FlashTopology, OpPurpose};
 use tpftl_sim::{OpenLoopOpts, ShardedSsd, Ssd};
@@ -270,6 +270,44 @@ pub fn bench_learned_fill(fragmented: bool, warmup: usize, samples: usize, ops: 
         ops_per_iter: ops,
         samples: ns,
         extra: vec![("misses_per_op", Value::Float(misses as f64 / total))],
+    }
+}
+
+/// LearnedFTL's request-level prefetch in isolation: aligned 4-page reads
+/// over eight regions whose every 4th offset was overwritten, so that no
+/// run of four is left for a segment and the first page of a request misses,
+/// paying the translation read that answers the other three from the same
+/// page. The scatter is flushed (clean entries leave for free) and the
+/// cursor cycles through three times what the cache holds, so a request
+/// never finds a page of its own cached: `trans_reads_per_op` reads exactly
+/// 1 — it is 4 if the miss loads only the entry it was asked for.
+pub fn bench_learned_request_miss(warmup: usize, samples: usize, ops: u64) -> Record {
+    const PAGES: u32 = 4;
+    let mut config = micro_config();
+    config.prefill_frac = 0.5;
+    let span = 8 * config.entries_per_tp() as u32;
+    let (mut ftl, mut env) = build(FtlKind::Learned, &config);
+    for lpn in (0..span).step_by(PAGES as usize) {
+        driver::serve_page_access(ftl.as_mut(), &mut env, lpn, AccessCtx::single(true))
+            .expect("scatter write");
+    }
+    recovery::flush_cache(ftl.as_mut(), &mut env).expect("flush");
+    let reads_before = env.flash().stats().translation_reads();
+    let mut cursor: u32 = 0;
+    let ns = time_samples(warmup, samples, ops, || {
+        for _ in 0..ops {
+            driver::serve_request(ftl.as_mut(), &mut env, cursor, PAGES, false).expect("read");
+            cursor = (cursor + PAGES) % span;
+        }
+    });
+    let total = ((warmup + samples) as u64 * ops) as f64;
+    let reads = env.flash().stats().translation_reads() - reads_before;
+    Record {
+        scenario: "learned_request_miss".to_string(),
+        ftl: ftl.name(),
+        ops_per_iter: ops,
+        samples: ns,
+        extra: vec![("trans_reads_per_op", Value::Float(reads as f64 / total))],
     }
 }
 
@@ -929,6 +967,9 @@ pub fn run_all(
         if wanted(&format!("learned_fill_{shape}"), &learned) {
             records.push(bench_learned_fill(fragmented, warmup, samples, write_ops));
         }
+    }
+    if wanted("learned_request_miss", &learned) {
+        records.push(bench_learned_request_miss(warmup, samples, write_ops));
     }
     if wanted("gc_valid_scan", "flash") {
         records.push(bench_gc_valid_scan(warmup, samples));

@@ -9,6 +9,11 @@
 //! * [`EntryCache`] — the entry LRU with its LPN index;
 //! * [`VtpnTable`] — per-translation-page state (TPFTL's nodes, CDFTL's
 //!   and S-FTL's cached pages) indexed by VTPN;
+//! * [`OffsetTables`] and their [`TablePool`] — the inside of a TP node
+//!   (Section 4.1): where each cached entry of one translation page sits,
+//!   found by its offset, and which of them are dirty; TPFTL's nodes and
+//!   LearnedFTL's regions are built on it, at [`NODE_ENTRY_BYTES`] an entry
+//!   and [`NODE_BYTES`] a node;
 //! * [`write_back_by_tp`] — the per-translation-page batcher every FTL
 //!   uses for GC misses (and ZFTL for its reserve flush), with a per-page
 //!   hook for the designs that piggyback on or react to the write;
@@ -19,7 +24,7 @@
 //!
 //! TPFTL's two-level lists, S-FTL's compressed pages and CDFTL's CTP keep
 //! their own structures: they track dirtiness per node or per page, so an
-//! entry cache serving them would have to branch on its caller.
+//! [`EntryCache`] serving them would have to branch on its caller.
 
 use std::collections::BTreeMap;
 
@@ -33,6 +38,15 @@ use crate::Result;
 
 /// Bytes one cached entry is charged: 4 B LPN + 4 B PPN (Section 2.2/4.1).
 pub(crate) const ENTRY_BYTES: usize = 8;
+
+/// Bytes an entry cached inside a TP node is charged: its LPN is the node's
+/// VTPN plus a 10-bit offset, so offset, 4 B PPN and flags pack into 6 B
+/// (Section 4.1's compression argument).
+pub(crate) const NODE_ENTRY_BYTES: usize = 6;
+
+/// Bytes of overhead per TP node (VTPN + list heads), "only a small
+/// percentage" per Section 4.1.
+pub(crate) const NODE_BYTES: usize = 8;
 
 /// `Some(ppn)` unless `ppn` is the "not mapped yet" sentinel.
 #[inline]
@@ -258,6 +272,126 @@ impl<T> std::ops::IndexMut<Vtpn> for VtpnTable<T> {
     #[inline]
     fn index_mut(&mut self, vtpn: Vtpn) -> &mut T {
         self.get_mut(vtpn).expect("translation page has no state")
+    }
+}
+
+/// A TP node's two per-offset tables. Which list the handles point into is
+/// the owner's business (TPFTL: the node's own entry list; LearnedFTL: the one
+/// LRU it shares with its segments). Tables come from a [`TablePool`] and go
+/// back to it clear.
+pub(crate) struct OffsetTables {
+    /// Dense offset → handle table, one slot per entry of the translation
+    /// page ([`LruIdx::NONE`] = not cached). An offset lookup is a single
+    /// indexed load — the hottest operation of the whole FTL — instead of
+    /// a hash probe.
+    by_offset: Box<[LruIdx]>,
+    /// Bit `offset` is set iff the entry cached for `offset` is dirty, one
+    /// word per 64 offsets: collecting a node's dirty entries walks set
+    /// bits instead of every entry of the list.
+    dirty: Box<[u64]>,
+}
+
+impl OffsetTables {
+    fn new(entries_per_tp: usize) -> Self {
+        Self {
+            by_offset: vec![LruIdx::NONE; entries_per_tp].into(),
+            dirty: vec![0; entries_per_tp.div_ceil(64)].into(),
+        }
+    }
+
+    /// Whether no offset is cached and none is dirty.
+    pub fn is_clear(&self) -> bool {
+        self.by_offset.iter().all(|i| i.is_none()) && self.dirty.iter().all(|&w| w == 0)
+    }
+
+    /// Handle of the entry caching `offset`, if any.
+    #[inline]
+    pub fn get(&self, offset: u16) -> Option<LruIdx> {
+        let idx = self.by_offset[offset as usize];
+        (!idx.is_none()).then_some(idx)
+    }
+
+    /// Records that `offset`, which is not cached, is cached behind `idx`
+    /// (clean).
+    #[inline]
+    pub fn set(&mut self, offset: u16, idx: LruIdx) {
+        debug_assert!(self.get(offset).is_none(), "offset {offset} cached twice");
+        self.by_offset[offset as usize] = idx;
+    }
+
+    /// Forgets the entry cached for `offset`, and that it was dirty.
+    #[inline]
+    pub fn unset(&mut self, offset: u16) {
+        self.by_offset[offset as usize] = LruIdx::NONE;
+        self.dirty[offset as usize / 64] &= !(1 << (offset % 64));
+    }
+
+    #[inline]
+    pub fn is_dirty(&self, offset: u16) -> bool {
+        self.dirty[offset as usize / 64] & 1 << (offset % 64) != 0
+    }
+
+    #[inline]
+    pub fn mark_dirty(&mut self, offset: u16) {
+        self.dirty[offset as usize / 64] |= 1 << (offset % 64);
+    }
+
+    /// Number of dirty offsets.
+    pub fn dirty_count(&self) -> u32 {
+        self.dirty.iter().map(|w| w.count_ones()).sum()
+    }
+
+    /// Clears every dirty bit, handing each dirty offset and the handle
+    /// cached for it to `f`, by ascending offset.
+    pub fn drain_dirty(&mut self, mut f: impl FnMut(u16, LruIdx)) {
+        for (base, word) in (0..).step_by(64).zip(self.dirty.iter_mut()) {
+            let mut bits = std::mem::take(word);
+            while bits != 0 {
+                let offset = base + bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                f(offset as u16, self.by_offset[offset]);
+            }
+        }
+    }
+
+    /// Clears every dirty bit.
+    pub fn forget_dirty(&mut self) {
+        self.dirty.fill(0);
+    }
+}
+
+/// Recycled [`OffsetTables`] of dismantled nodes, so node churn stops
+/// allocating once the pool covers the working set.
+pub(crate) struct TablePool {
+    entries_per_tp: usize,
+    free: Vec<OffsetTables>,
+}
+
+impl TablePool {
+    pub fn new(entries_per_tp: usize) -> Self {
+        Self {
+            entries_per_tp,
+            free: Vec::new(),
+        }
+    }
+
+    /// Fresh or recycled clear tables.
+    pub fn alloc(&mut self) -> OffsetTables {
+        let pooled = self.free.pop();
+        pooled.unwrap_or_else(|| OffsetTables::new(self.entries_per_tp))
+    }
+
+    /// Takes back a dismantled node's tables: every entry removed, every one
+    /// of them clean, hence clear again.
+    pub fn recycle(&mut self, tables: OffsetTables) {
+        debug_assert!(tables.is_clear(), "tables not cleared");
+        self.free.push(tables);
+    }
+
+    /// Whether every pooled table is clear (what the tests audit).
+    #[cfg(test)]
+    pub fn is_clear(&self) -> bool {
+        self.free.iter().all(OffsetTables::is_clear)
     }
 }
 

@@ -3,24 +3,31 @@
 //! DFTL-style demand paging pays a translation-page read on every mapping
 //! cache miss. Flash allocation is log-structured, so sequentially written
 //! LPN ranges land on near-contiguous PPNs and LPN→PPN is piecewise
-//! near-linear: it can be *learned*. This FTL caches, beside DFTL-style
+//! near-linear: it can be *learned*. This FTL caches, beside mapping
 //! entries, linear segments with a fixed error bound ε, as cache lines like
 //! any other: the miss that paid to read a translation page fits the run
 //! around the offset it asked for ([`LearnedFtl::fill`]), and one LRU over
-//! entries and per-region segment sets gives up the bytes. What keeps that
-//! sound (DESIGN.md §13): a prediction is served only after the OOB tag of
-//! its target page confirmed it (*no silent wrong PPN*); an overwritten,
-//! migrated, written-back or mispredicted offset is split out of its segment,
-//! never re-fitted; and segments are volatile — a power cycle discards them.
+//! entries and per-region segment sets gives up the bytes. The entries are
+//! loaded and kept TPFTL's way: the same miss also caches, from the page in
+//! hand, what the rest of its request will ask for
+//! ([`LearnedFtl::prefetch`], the paper's §4.3), and a region's entries sit
+//! in a TP node, found by offset and charged 6 bytes each (§4.1). What keeps
+//! the segments sound (DESIGN.md §13): a prediction is served only after the
+//! OOB tag of its target page confirmed it (*no silent wrong PPN*); an
+//! overwritten, migrated, written-back or mispredicted offset is split out
+//! of its segment, never re-fitted; and segments are volatile — a power
+//! cycle discards them.
+
+use std::ops::RangeInclusive;
 
 use tpftl_flash::{Lpn, OpPurpose, PageState, Ppn, Vtpn, PPN_NONE};
 
 use crate::env::SsdEnv;
-use crate::ftl::cmt::{self, mapped, Entry, TpTally, ENTRY_BYTES};
+use crate::ftl::cmt::{self, mapped, OffsetTables, TablePool};
+use crate::ftl::cmt::{NODE_BYTES, NODE_ENTRY_BYTES as ENTRY_BYTES};
 use crate::ftl::{AccessCtx, Ftl, TpDistEntry};
-use crate::hash::FxHashMap;
 use crate::lru::{LruIdx, LruList};
-use crate::{FtlError, Result, SsdConfig};
+use crate::{recovery, FtlError, Result, SsdConfig};
 
 /// Default prediction error bound ε (in pages): mispredicts stay rare on
 /// linear regions, yet a segment absorbs semi-sequential allocation jitter.
@@ -158,22 +165,44 @@ fn covering(view: &[Segment], off: u16) -> Option<usize> {
     (off <= view[i].end).then_some(i)
 }
 
-/// What is learned about one translation-page region.
+/// The TP node of a region (TPFTL §4.1): its cached entries, found by offset.
+struct Node {
+    /// Where each cached offset sits in the one LRU, and which are dirty.
+    tables: OffsetTables,
+    /// Cached entries; the node is dismantled with its last one.
+    len: u32,
+}
+
+/// What is cached about one translation-page region.
 #[derive(Default)]
 struct Region {
     /// The live segments, sorted by `start`, disjoint; empty for none.
     view: Vec<Segment>,
     /// The view's place in the LRU: `Some` exactly while `view` is not empty.
     slot: Option<LruIdx>,
+    /// `Some` exactly while the region has cached entries. (Boxed: one
+    /// `Region` per VTPN is built at set-up, most of them never with a node.)
+    node: Option<Box<Node>>,
 }
 
 /// What the one LRU orders and the one budget is spent on.
 #[derive(Clone, Copy)]
 enum Slot {
-    /// A cached mapping entry, as in DFTL's CMT ([`ENTRY_BYTES`]).
-    Entry(Entry),
+    /// A cached mapping entry, held in region `vtpn`'s node ([`ENTRY_BYTES`],
+    /// and [`NODE_BYTES`] for the node); whether it is dirty is the node's bit.
+    Entry { vtpn: Vtpn, off: u16, ppn: Ppn },
     /// All segments of one region ([`SEG_BYTES`] each), as one object.
     View(Vtpn),
+}
+
+impl Slot {
+    /// The PPN an entry caches (`PPN_NONE` for "not mapped yet").
+    fn entry_ppn(&self) -> Option<Ppn> {
+        match *self {
+            Slot::Entry { ppn, .. } => Some(ppn),
+            Slot::View(_) => None,
+        }
+    }
 }
 
 /// The learned page-level FTL.
@@ -184,8 +213,11 @@ pub struct LearnedFtl {
     regions: Vec<Region>, // by VTPN
     /// Total bytes charged for segments (`Σ view.len() · SEG_BYTES`).
     seg_bytes: usize,
+    /// Cached entries, and the nodes that hold them, across all regions.
+    entries: usize,
+    nodes: usize,
     lru: LruList<Slot>,
-    entries: FxHashMap<Lpn, LruIdx>, // where each cached entry sits in `lru`
+    pool: TablePool,
 }
 
 impl LearnedFtl {
@@ -210,8 +242,10 @@ impl LearnedFtl {
             entries_per_tp: config.entries_per_tp() as u32,
             regions: (0..config.num_vtpns()).map(|_| Region::default()).collect(),
             seg_bytes: 0,
+            entries: 0,
+            nodes: 0,
             lru: LruList::new(),
-            entries: FxHashMap::default(),
+            pool: TablePool::new(config.entries_per_tp()),
         })
     }
 
@@ -225,15 +259,73 @@ impl LearnedFtl {
         self.seg_bytes / SEG_BYTES
     }
 
-    /// The cached entry for `lpn`, moved to the MRU end if this is a use.
-    fn entry_mut(&mut self, lpn: Lpn, touch: bool) -> Option<&mut Entry> {
-        let idx = *self.entries.get(&lpn)?;
+    /// Where the entry cached for `vtpn:off` sits in the LRU.
+    #[inline]
+    fn handle(&self, vtpn: Vtpn, off: u16) -> Option<LruIdx> {
+        self.regions[vtpn as usize].node.as_ref()?.tables.get(off)
+    }
+
+    fn is_dirty(&self, vtpn: Vtpn, off: u16) -> bool {
+        let node = self.regions[vtpn as usize].node.as_ref();
+        node.is_some_and(|n| n.tables.is_dirty(off))
+    }
+
+    /// Points the entry cached for `vtpn:off` at `new_ppn` and marks it
+    /// dirty, moving it to the MRU end if this is a use; `false` without one.
+    fn remap(&mut self, vtpn: Vtpn, off: u16, new_ppn: Ppn, touch: bool) -> bool {
+        let Some(node) = &mut self.regions[vtpn as usize].node else {
+            return false;
+        };
+        let Some(idx) = node.tables.get(off) else {
+            return false;
+        };
         if touch {
             self.lru.touch(idx);
         }
-        match self.lru.get_mut(idx) {
-            Some(Slot::Entry(e)) => Some(e),
-            _ => unreachable!("LPN {lpn} is not indexed at its entry"),
+        let Some(Slot::Entry { ppn, .. }) = self.lru.get_mut(idx) else {
+            return false;
+        };
+        *ppn = new_ppn;
+        node.tables.mark_dirty(off);
+        true
+    }
+
+    /// What one more entry of region `vtpn` costs: its node too, if it is
+    /// the first.
+    fn entry_cost(&self, vtpn: Vtpn) -> usize {
+        let first = self.regions[vtpn as usize].node.is_none();
+        ENTRY_BYTES + if first { NODE_BYTES } else { 0 }
+    }
+
+    /// Caches `ppn` for `vtpn:off`, which is not cached and has its room, as
+    /// the hottest slot.
+    fn push_entry(&mut self, vtpn: Vtpn, off: u16, ppn: Ppn, dirty: bool) {
+        let idx = self.lru.push_mru(Slot::Entry { vtpn, off, ppn });
+        let node = self.regions[vtpn as usize].node.get_or_insert_with(|| {
+            self.nodes += 1;
+            let tables = self.pool.alloc();
+            Box::new(Node { tables, len: 0 })
+        });
+        node.tables.set(off, idx);
+        if dirty {
+            node.tables.mark_dirty(off);
+        }
+        node.len += 1;
+        self.entries += 1;
+    }
+
+    /// Takes the entry behind `idx`, cached for `vtpn:off`, out of the LRU
+    /// and of its node, and the node out of the region with its last entry.
+    fn remove_entry(&mut self, idx: LruIdx, vtpn: Vtpn, off: u16) {
+        self.lru.remove(idx);
+        self.entries -= 1;
+        let region = &mut self.regions[vtpn as usize];
+        let node = region.node.as_mut().expect("cached entries have a node");
+        node.tables.unset(off);
+        node.len -= 1;
+        if let Some(empty) = region.node.take_if(|n| n.len == 0) {
+            self.pool.recycle(empty.tables);
+            self.nodes -= 1;
         }
     }
 
@@ -282,51 +374,82 @@ impl LearnedFtl {
         }
     }
 
-    /// Evicts least recently used slots until `need` more bytes fit the
-    /// budget. A view is dropped whole. An entry is written back if dirty: a
-    /// segment filled meanwhile was fitted on the page's old value there. That
-    /// split finds no room to grow (the bytes just freed are still needed), so
-    /// a pass frees 8 B at least: a fill evicts two entries at most, an insert one.
-    fn make_room(&mut self, env: &mut SsdEnv, need: usize) -> Result<()> {
-        while self.cache_bytes_used() + need > self.budget_bytes {
-            match self.lru.peek_lru().map(|(_, &slot)| slot) {
+    /// Evicts least recently used slots until `need(self)` more bytes — never
+    /// more than a segment's — fit the budget. A view is dropped whole. An
+    /// entry is written back if dirty: a segment filled meanwhile was fitted
+    /// on the page's old value there. That split is made while the victim's
+    /// bytes are still charged, so it finds no room to grow and a pass frees
+    /// 6 B at least (14 B with the node, which adds 8 B to what the next entry
+    /// of that region needs): a call writes back three entries at most.
+    fn make_room(&mut self, env: &mut SsdEnv, need: impl Fn(&Self) -> usize) -> Result<()> {
+        while self.cache_bytes_used() + need(self) > self.budget_bytes {
+            debug_assert!(need(self) <= SEG_BYTES);
+            match self.lru.peek_lru().map(|(idx, &slot)| (idx, slot)) {
                 None => return Err(FtlError::CacheTooSmall),
-                Some(Slot::View(vtpn)) => self.drop_view(vtpn),
-                Some(Slot::Entry(victim)) => {
-                    self.lru.pop_lru();
-                    self.entries.remove(&victim.lpn);
-                    env.note_replacement(victim.dirty);
-                    if victim.dirty {
-                        let (vtpn, off) = (env.vtpn_of(victim.lpn), env.offset_of(victim.lpn));
-                        let update = [(off, victim.ppn)];
+                Some((_, Slot::View(vtpn))) => self.drop_view(vtpn),
+                Some((idx, Slot::Entry { vtpn, off, ppn })) => {
+                    let before = self.cache_bytes_used();
+                    let dirty = self.is_dirty(vtpn, off);
+                    env.note_replacement(dirty);
+                    if dirty {
+                        let update = [(off, ppn)];
                         env.update_translation_page(vtpn, &update, OpPurpose::Translation)?;
                         self.split_covering(vtpn, off);
                     }
+                    self.remove_entry(idx, vtpn, off);
+                    debug_assert!(self.cache_bytes_used() + ENTRY_BYTES <= before);
                 }
             }
         }
         Ok(())
     }
 
-    fn insert(&mut self, env: &mut SsdEnv, entry: Entry) -> Result<()> {
-        self.make_room(env, ENTRY_BYTES)?;
-        let idx = self.lru.push_mru(Slot::Entry(entry));
-        let prev = self.entries.insert(entry.lpn, idx);
-        debug_assert!(prev.is_none(), "LPN {} cached twice", entry.lpn);
+    /// Room for one more entry of `vtpn:span`, a request in progress, out of
+    /// what costs nothing to give up. `false` if the next victim is a dirty
+    /// entry (*a prefetch never pays a write-back*) or something that request
+    /// is about to use: an entry of its span, the region's view.
+    fn free_room(&mut self, vtpn: Vtpn, span: &RangeInclusive<u16>, replaced: &mut u64) -> bool {
+        while self.cache_bytes_used() + self.entry_cost(vtpn) > self.budget_bytes {
+            match self.lru.peek_lru().map(|(idx, &slot)| (idx, slot)) {
+                Some((_, Slot::View(other))) if other != vtpn => self.drop_view(other),
+                Some((idx, Slot::Entry { vtpn: v, off, .. }))
+                    if !(self.is_dirty(v, off) || v == vtpn && span.contains(&off)) =>
+                {
+                    *replaced += 1;
+                    self.remove_entry(idx, v, off);
+                }
+                _ => return false,
+            }
+        }
+        true
+    }
+
+    fn insert(
+        &mut self,
+        env: &mut SsdEnv,
+        vtpn: Vtpn,
+        off: u16,
+        ppn: Ppn,
+        dirty: bool,
+    ) -> Result<()> {
+        self.make_room(env, |ftl| ftl.entry_cost(vtpn))?;
+        self.push_entry(vtpn, off, ppn, dirty);
         Ok(())
     }
 
     /// Fills region `vtpn`'s view from its translation page, which the miss at
     /// the mapped offset `off` just paid to read: the segment around `off`
     /// replaces those it overlaps, the view becomes the hottest slot and the
-    /// LRU gives up the bytes. Returns whether the view answers for `off` now
-    /// (a fit that rounds wrong at `off` itself has the point split out).
-    fn fill(&mut self, env: &mut SsdEnv, vtpn: Vtpn, off: u16) -> Result<bool> {
+    /// LRU gives up the bytes. `None` if nothing of it is cached afterwards (no
+    /// segment there is worth its bytes), else whether the view answers for
+    /// `off` now (a fit that rounds wrong at `off` itself has the point split
+    /// out).
+    fn fill(&mut self, env: &mut SsdEnv, vtpn: Vtpn, off: u16) -> Result<Option<bool>> {
         let tp = env.gtd().get(vtpn).expect("the miss just read this page");
         let payload = env.flash().peek_translation_payload(tp);
         let payload = payload.expect("the GTD points at translation pages");
         let Some(seg) = fit_around(payload, usize::from(off), self.epsilon) else {
-            return Ok(false);
+            return Ok(None);
         };
         // The fitter decides on the line; this is the same bound in integers.
         debug_assert!((seg.start..=seg.end).all(|k| seg
@@ -345,9 +468,45 @@ impl LearnedFtl {
         if !exact {
             self.split_covering(vtpn, off);
         }
-        self.make_room(env, 0)?;
+        self.make_room(env, |_| 0)?;
         debug_assert!(self.cache_bytes_used() <= self.budget_bytes);
-        Ok(covering(&self.regions[vtpn as usize].view, off).is_some())
+        let view = &self.regions[vtpn as usize].view;
+        let at = |k| covering(view, k).is_some();
+        Ok((at(seg.start) || at(seg.end)).then(|| at(off)))
+    }
+
+    /// Request-level prefetch (TPFTL §4.3): the translation page the miss at
+    /// `lpn` just read also holds the entries of the `ahead` pages its request
+    /// has still to come. Up to the page boundary, those that are neither
+    /// cached nor covered by a segment are cached clean from it — no flash
+    /// read, and ([`LearnedFtl::free_room`]) no write-back: the prefetch stops
+    /// where room would cost one. `with_own` starts at `lpn` itself.
+    fn prefetch(&mut self, env: &mut SsdEnv, lpn: Lpn, ahead: u32, with_own: bool) {
+        let (vtpn, off) = (env.vtpn_of(lpn), env.offset_of(lpn));
+        let last = (u32::from(off) + ahead).min(self.entries_per_tp - 1) as u16;
+        let span = off + u16::from(!with_own)..=last;
+        if span.is_empty() {
+            return;
+        }
+        let tp = env.gtd.get(vtpn);
+        let Some(payload) = tp.and_then(|tp| env.flash.peek_translation_payload(tp)) else {
+            return;
+        };
+        let mut replaced = 0;
+        for o in span {
+            let view = &self.regions[vtpn as usize].view;
+            if self.handle(vtpn, o).is_some() || covering(view, o).is_some() {
+                continue;
+            }
+            if !self.free_room(vtpn, &(off..=last), &mut replaced) {
+                break;
+            }
+            let ppn = payload[usize::from(o)];
+            // Nothing since the miss's read may have moved the page on.
+            debug_assert_eq!(mapped(ppn), recovery::lookup(env, lpn + u32::from(o - off)));
+            self.push_entry(vtpn, o, ppn, false);
+        }
+        env.stats.replacements += replaced;
     }
 }
 
@@ -356,13 +515,16 @@ impl Ftl for LearnedFtl {
         format!("LearnedFTL(e{})", self.epsilon)
     }
 
-    fn translate(&mut self, env: &mut SsdEnv, lpn: Lpn, _ctx: &AccessCtx) -> Result<Option<Ppn>> {
-        if let Some(e) = self.entry_mut(lpn, true) {
-            env.note_lookup(true);
-            return Ok(mapped(e.ppn));
-        }
+    fn translate(&mut self, env: &mut SsdEnv, lpn: Lpn, ctx: &AccessCtx) -> Result<Option<Ppn>> {
         let (vtpn, off) = (env.vtpn_of(lpn), env.offset_of(lpn));
-        let Region { view, slot } = &self.regions[vtpn as usize];
+        if let Some(idx) = self.handle(vtpn, off) {
+            self.lru.touch(idx);
+            if let Some(ppn) = self.lru.get(idx).and_then(Slot::entry_ppn) {
+                env.note_lookup(true);
+                return Ok(mapped(ppn));
+            }
+        }
+        let Region { view, slot, .. } = &self.regions[vtpn as usize];
         if let Some(pred) = covering(view, off).and_then(|i| view[i].predict(off)) {
             let valid = matches!(env.flash.state(pred), Ok(PageState::Valid));
             if valid
@@ -386,65 +548,73 @@ impl Ftl for LearnedFtl {
         }
         env.note_lookup(false);
         let ppn = env.read_translation_entry(vtpn, off, OpPurpose::Translation)?;
-        if ppn == PPN_NONE || !self.fill(env, vtpn, off)? {
-            self.insert(env, Entry::clean(lpn, ppn))?;
+        let filled = match ppn {
+            PPN_NONE => None,
+            _ => self.fill(env, vtpn, off)?,
+        };
+        if filled.is_none() {
+            self.insert(env, vtpn, off, ppn, false)?;
         }
+        // A fill that split `off` out may have paid its three write-backs:
+        // the miss's own entry rides with the prefetch, kept if it is free.
+        self.prefetch(env, lpn, ctx.remaining_in_request, filled == Some(false));
         Ok(mapped(ppn))
     }
 
     fn update_mapping(&mut self, env: &mut SsdEnv, lpn: Lpn, new_ppn: Ppn) -> Result<()> {
-        self.split_covering(env.vtpn_of(lpn), env.offset_of(lpn));
+        let (vtpn, off) = (env.vtpn_of(lpn), env.offset_of(lpn));
+        self.split_covering(vtpn, off);
         // A translate served by a segment left no entry behind.
-        if let Some(e) = self.entry_mut(lpn, true) {
-            e.remap(new_ppn);
+        if self.remap(vtpn, off, new_ppn, true) {
             return Ok(());
         }
-        self.insert(env, Entry::dirty(lpn, new_ppn))
+        self.insert(env, vtpn, off, new_ppn, true)
     }
 
     fn on_gc_data_block(&mut self, env: &mut SsdEnv, moved: &[(Lpn, Ppn)]) -> Result<u64> {
         let absorb = |ftl: &mut Self, env: &mut SsdEnv, lpn, new_ppn| {
-            ftl.split_covering(env.vtpn_of(lpn), env.offset_of(lpn));
-            let cached = ftl.entry_mut(lpn, false).map(|e| e.remap(new_ppn));
-            Ok(cached.is_some())
+            let (vtpn, off) = (env.vtpn_of(lpn), env.offset_of(lpn));
+            ftl.split_covering(vtpn, off);
+            Ok(ftl.remap(vtpn, off, new_ppn, false))
         };
         cmt::absorb_gc_moves(self, env, moved, absorb, |_, _, _, _| {})
     }
 
     fn cache_bytes_used(&self) -> usize {
-        self.entries.len() * ENTRY_BYTES + self.seg_bytes
+        self.entries * ENTRY_BYTES + self.nodes * NODE_BYTES + self.seg_bytes
     }
 
     fn cached_entries(&self) -> usize {
-        self.entries.len()
+        self.entries
     }
 
-    fn peek_cached(&self, _env: &SsdEnv, lpn: Lpn) -> Result<Option<Option<Ppn>>> {
-        Ok(self.entries.get(&lpn).map(|&idx| match self.lru.get(idx) {
-            Some(Slot::Entry(e)) => mapped(e.ppn),
-            _ => unreachable!("LPN {lpn} is not indexed at its entry"),
-        }))
+    fn peek_cached(&self, env: &SsdEnv, lpn: Lpn) -> Result<Option<Option<Ppn>>> {
+        let idx = self.handle(env.vtpn_of(lpn), env.offset_of(lpn));
+        let ppn = idx.and_then(|idx| self.lru.get(idx)?.entry_ppn());
+        Ok(ppn.map(mapped))
     }
 
     fn mark_clean(&mut self, vtpn: Vtpn) {
-        let per_tp = self.entries_per_tp;
-        self.lru.for_each_value_mut(|slot| match slot {
-            Slot::Entry(e) if e.lpn / per_tp == vtpn => e.dirty = false,
-            _ => {}
-        });
+        if let Some(node) = &mut self.regions[vtpn as usize].node {
+            node.tables.forget_dirty();
+        }
         // No write-back is left to split out what was dirty when it was fitted.
         self.drop_view(vtpn);
     }
 
     fn cached_tp_distribution(&self) -> Vec<TpDistEntry> {
         // Segments are clean derived state: a flush persists entries only.
-        let mut tally = TpTally::default();
-        for (_, slot) in self.lru.iter_lru() {
-            if let Slot::Entry(e) = slot {
-                tally.add(e.lpn / self.entries_per_tp, 1, e.dirty as u32);
-            }
-        }
-        tally.finish()
+        let nodes = self.regions.iter().zip(0..);
+        nodes
+            .filter_map(|(region, vtpn)| {
+                let node = region.node.as_ref()?;
+                Some(TpDistEntry {
+                    vtpn,
+                    entries: node.len,
+                    dirty: node.tables.dirty_count(),
+                })
+            })
+            .collect()
     }
 }
 
@@ -518,7 +688,7 @@ mod tests {
         for lpn in 1600..1610u32 {
             access(&mut ftl, &mut env, lpn, true);
         }
-        assert!(!ftl.entries.contains_key(&10), "entry 10 must be evicted");
+        assert!(ftl.handle(0, 10).is_none(), "entry 10 must be evicted");
         env.reset_stats();
         access(&mut ftl, &mut env, 10, false);
         let s = &env.stats;
@@ -916,60 +1086,191 @@ mod tests {
         assert_eq!((seg.start, seg.end), (1, 4));
     }
 
-    /// No `translate` or `update_mapping` writes back more than three dirty
-    /// entries (a fill frees two entries' bytes at most, the entry of a miss
-    /// it did not cover one more): the split a write-back makes never grows.
+    /// No `translate` or `update_mapping` of a request of 1 to 16 pages
+    /// writes back more than three dirty entries: a fill needs a segment's
+    /// 16 B, an entry 14 B with its node, each eviction frees 6 B at least,
+    /// the split a write-back makes never grows, and a prefetch pays none.
     #[test]
     fn no_call_chains_more_than_three_dirty_evictions() {
         for bytes in [16, 24, 64, 200, 1024] {
             let (mut ftl, mut env) = setup(bytes, 1.0);
             let mut rng = tpftl_rng::Rng64::seed_from_u64(0xD127 + bytes as u64);
-            let mut worst = 0;
-            for _ in 0..6000 {
+            let (mut worst, mut prefetched) = (0, 0);
+            for step in 0..3000 {
                 // Mostly writes, clustered enough for fills to find runs.
-                let lpn = (rng.below(16) * 128 + rng.below(40)) as Lpn;
-                gc::ensure_free(&mut ftl, &mut env).unwrap();
-                let ctx = AccessCtx::single(rng.below(4) > 0);
-                let before = env.stats.dirty_replacements;
-                let old = ftl.translate(&mut env, lpn, &ctx).unwrap();
-                worst = worst.max(env.stats.dirty_replacements - before);
-                if ctx.is_write {
-                    let new = env.program_data_page(lpn, OpPurpose::HostData).unwrap();
-                    env.invalidate_page(old.expect("prefilled")).unwrap();
-                    let before = env.stats.dirty_replacements;
-                    ftl.update_mapping(&mut env, lpn, new).unwrap();
-                    worst = worst.max(env.stats.dirty_replacements - before);
+                let start = (rng.below(16) * 128 + rng.below(40)) as Lpn;
+                let (pages, is_write) = (1 + rng.below(16) as u32, rng.below(4) > 0);
+                for (lpn, left) in (start..start + pages).zip((0..pages).rev()) {
+                    gc::ensure_free(&mut ftl, &mut env).unwrap();
+                    let ctx = AccessCtx {
+                        is_write,
+                        remaining_in_request: left,
+                    };
+                    let before = (env.stats.dirty_replacements, ftl.cached_entries());
+                    let old = ftl.translate(&mut env, lpn, &ctx).unwrap();
+                    worst = worst.max(env.stats.dirty_replacements - before.0);
+                    prefetched += ftl.cached_entries().saturating_sub(before.1 + 1);
+                    if is_write {
+                        let new = env.program_data_page(lpn, OpPurpose::HostData).unwrap();
+                        env.invalidate_page(old.expect("prefilled")).unwrap();
+                        let before = env.stats.dirty_replacements;
+                        ftl.update_mapping(&mut env, lpn, new).unwrap();
+                        worst = worst.max(env.stats.dirty_replacements - before);
+                    }
+                    assert!(worst <= 3, "budget {bytes}: {worst} in one call");
                 }
-                assert!(worst <= 3, "budget {bytes}: {worst} in one call");
+                if step % 16 == 0 {
+                    audit(&ftl);
+                }
             }
             assert!(worst >= 1, "budget {bytes}: no call evicted a dirty entry");
+            assert!(prefetched > 0 || bytes < 64, "budget {bytes}: no prefetch");
         }
+    }
+
+    /// A formatted 2-region device whose region 0 maps offsets 0..64 to pages
+    /// scattered so that no miss there finds a run worth a segment, and offsets
+    /// 64..128 to one sequential run; everything else is unmapped.
+    fn fragmented(bytes: usize) -> (LearnedFtl, SsdEnv) {
+        let mut config = SsdConfig::paper_default(8 << 20);
+        config.cache_bytes = config.gtd_bytes() + bytes;
+        let mut env = SsdEnv::new(config.clone()).unwrap();
+        let ftl = LearnedFtl::new(&config).unwrap();
+        let mut payload = vec![PPN_NONE; env.entries_per_tp()];
+        for lpn in (0..64).map(|k| k * 45 % 64).chain(64..128) {
+            payload[lpn as usize] = env.program_data_page(lpn, OpPurpose::HostData).unwrap();
+        }
+        assert!((0..64).all(|off| fit_around(&payload, off, DEFAULT_EPSILON).is_none()));
+        env.write_translation_page_full(0, &payload, OpPurpose::Translation)
+            .unwrap();
+        env.format().unwrap();
+        env.reset_stats();
+        (ftl, env)
+    }
+
+    /// One page access of a read request that has `left` more pages to come.
+    fn read_ahead(ftl: &mut LearnedFtl, env: &mut SsdEnv, lpn: Lpn, left: u32) {
+        let ctx = AccessCtx {
+            is_write: false,
+            remaining_in_request: left,
+        };
+        driver::serve_page_access(ftl, env, lpn, ctx).unwrap();
+    }
+
+    fn cached(ftl: &LearnedFtl, env: &SsdEnv, lpns: std::ops::Range<Lpn>) -> Vec<Lpn> {
+        let held = |lpn: &Lpn| ftl.peek_cached(env, *lpn).unwrap().is_some();
+        lpns.filter(held).collect()
+    }
+
+    #[test]
+    fn request_over_a_fragmented_region_costs_one_translation_read() {
+        let (mut ftl, mut env) = fragmented(1024);
+        driver::serve_request(&mut ftl, &mut env, 8, 4, false).unwrap();
+        assert_eq!((env.stats.lookups, env.stats.hits), (4, 3));
+        assert_eq!(env.flash().stats().translation_reads(), 1);
+        assert_eq!((ftl.segment_count(), ftl.cached_entries()), (0, 4));
+        assert_eq!(cached(&ftl, &env, 0..64), [8, 9, 10, 11]);
+        // Writes are loaded the same way, and dirtied one by one.
+        driver::serve_request(&mut ftl, &mut env, 20, 3, true).unwrap();
+        assert_eq!(env.flash().stats().translation_reads(), 2);
+        let dist = ftl.cached_tp_distribution();
+        assert_eq!((dist[0].entries, dist[0].dirty), (7, 3));
+        audit(&ftl);
+    }
+
+    #[test]
+    fn prefetch_stops_at_the_page_boundary_and_caches_unmapped_entries() {
+        let (mut ftl, mut env) = fragmented(1024);
+        // Four pages at the end of region 0, four at the start of region 1.
+        driver::serve_request(&mut ftl, &mut env, 1020, 8, false).unwrap();
+        assert_eq!((env.stats.lookups, env.stats.hits), (8, 6));
+        assert_eq!(env.flash().stats().translation_reads(), 2);
+        assert_eq!(
+            cached(&ftl, &env, 1000..1100),
+            (1020..1028).collect::<Vec<_>>()
+        );
+        // "Not mapped yet" is cached as a miss caches it.
+        assert_eq!(ftl.peek_cached(&env, 1023).unwrap(), Some(None));
+        audit(&ftl);
+    }
+
+    #[test]
+    fn prefetch_skips_what_is_cached_and_what_a_view_covers() {
+        let (mut ftl, mut env) = fragmented(1024);
+        access(&mut ftl, &mut env, 70, false);
+        assert_eq!((ftl.segment_count(), ftl.cached_entries()), (1, 0));
+        assert_eq!(ftl.regions[0].view[0].covered(), 64);
+        access(&mut ftl, &mut env, 61, false);
+        env.reset_stats();
+        // 60 misses; 61 is cached, 62 and 63 are loaded, 64..=68 predicted.
+        driver::serve_request(&mut ftl, &mut env, 60, 9, false).unwrap();
+        assert_eq!(env.flash().stats().translation_reads(), 1);
+        assert_eq!((env.stats.hits, env.stats.predict_hits), (8, 5));
+        assert_eq!(cached(&ftl, &env, 0..128), [60, 61, 62, 63]);
+        assert_eq!(ftl.segment_count(), 1);
+        audit(&ftl);
+    }
+
+    #[test]
+    fn prefetch_stops_where_room_would_cost_a_write_back_or_the_request_itself() {
+        // Room for one node of three entries.
+        let (mut ftl, mut env) = fragmented(NODE_BYTES + 3 * ENTRY_BYTES);
+        access(&mut ftl, &mut env, 11, false);
+        access(&mut ftl, &mut env, 0, true);
+        let reads = env.flash().stats().translation_reads();
+        // 8 is loaded; 9 would have to evict 11, which the request will use.
+        read_ahead(&mut ftl, &mut env, 8, 3);
+        assert_eq!(env.flash().stats().translation_reads(), reads + 1);
+        assert_eq!(env.stats.replacements, 0);
+        assert_eq!(cached(&ftl, &env, 0..64), [0, 8, 11]);
+        // The miss at 9 pays for its own room; 10 would have to evict entry 0,
+        // which is dirty.
+        read_ahead(&mut ftl, &mut env, 9, 2);
+        assert_eq!(
+            (env.stats.replacements, env.stats.dirty_replacements),
+            (1, 0)
+        );
+        assert_eq!(cached(&ftl, &env, 0..64), [0, 8, 9]);
+        assert_eq!(ftl.cached_tp_distribution()[0].dirty, 1);
+        // The miss at 10 writes entry 0 back; 8 is behind the request now, a
+        // victim like any other.
+        read_ahead(&mut ftl, &mut env, 10, 1);
+        assert_eq!(
+            (env.stats.replacements, env.stats.dirty_replacements),
+            (3, 1)
+        );
+        assert_eq!(cached(&ftl, &env, 0..64), [9, 10, 11]);
+        read_ahead(&mut ftl, &mut env, 11, 0);
+        assert_eq!(env.flash().stats().translation_reads(), reads + 4);
+        assert_eq!((env.stats.lookups, env.stats.hits), (6, 1));
+        audit(&ftl);
     }
 
     /// What a slot stands for: `(false, lpn)` an entry, `(true, vtpn)` a view.
     type Key = (bool, u32);
 
-    /// Checks everything that must hold between the LRU, the entry index,
-    /// the region views and the byte count; returns the LRU, coldest first.
+    /// Checks everything that must hold between the LRU, the region nodes
+    /// and views, the table pool and the byte count; returns the LRU, coldest
+    /// first.
     fn audit(ftl: &LearnedFtl) -> Vec<Key> {
         let mut order = Vec::new();
         for (idx, slot) in ftl.lru.iter_lru() {
-            order.push(match *slot {
-                Slot::Entry(e) => (false, e.lpn),
-                Slot::View(vtpn) => (true, vtpn),
-            });
-            let indexed = match *slot {
-                Slot::Entry(e) => ftl.entries.get(&e.lpn).copied(),
-                Slot::View(vtpn) => ftl.regions[vtpn as usize].slot,
+            let (key, indexed) = match *slot {
+                Slot::Entry { vtpn, off, .. } => {
+                    let lpn = vtpn * ftl.entries_per_tp + u32::from(off);
+                    ((false, lpn), ftl.handle(vtpn, off))
+                }
+                Slot::View(vtpn) => ((true, vtpn), ftl.regions[vtpn as usize].slot),
             };
-            assert_eq!(indexed, Some(idx), "{:?}", order.last());
+            assert_eq!(indexed, Some(idx), "{key:?}");
+            order.push(key);
         }
         let views = order.iter().filter(|k| k.0).count();
-        assert_eq!(ftl.entries.len(), order.len() - views);
+        assert_eq!(ftl.entries, order.len() - views);
         let slots = ftl.regions.iter().filter(|r| r.slot.is_some());
         assert_eq!(views, slots.count());
-        let mut segments = 0;
-        for (vtpn, Region { view, slot }) in ftl.regions.iter().enumerate() {
+        let (mut segments, mut entries, mut nodes) = (0, 0, 0);
+        for (vtpn, Region { view, slot, node }) in ftl.regions.iter().enumerate() {
             assert_eq!(slot.is_some(), !view.is_empty(), "region {vtpn}");
             segments += view.len();
             let worth = |s: &Segment| s.start <= s.end && s.covered() >= MIN_COVERED;
@@ -977,8 +1278,33 @@ mod tests {
             assert!(view.iter().all(|s| u32::from(s.end) < ftl.entries_per_tp));
             let disjoint = view.windows(2).all(|w| w[0].end < w[1].start);
             assert!(disjoint, "region {vtpn}: {view:?}");
+            // Every table slot names the LRU slot of that very entry (the
+            // loop above checked the other direction), only cached offsets
+            // are dirty, and a node holds something.
+            let Some(Node { tables, len }) = node.as_deref() else {
+                continue;
+            };
+            let mut cached = 0;
+            for off in 0..ftl.entries_per_tp as u16 {
+                let Some(idx) = tables.get(off) else {
+                    assert!(!tables.is_dirty(off), "region {vtpn}: {off} not cached");
+                    continue;
+                };
+                let at = matches!(ftl.lru.get(idx), Some(&Slot::Entry { vtpn: v, off: o, .. })
+                    if (v as usize, o) == (vtpn, off));
+                assert!(at, "region {vtpn}: the slot of {off} is not its entry");
+                cached += 1;
+            }
+            assert!(
+                cached > 0 && cached == *len,
+                "region {vtpn}: {cached} != {len}"
+            );
+            entries += cached as usize;
+            nodes += 1;
         }
-        let bytes = ftl.entries.len() * ENTRY_BYTES + segments * SEG_BYTES;
+        assert_eq!((ftl.entries, ftl.nodes), (entries, nodes));
+        assert!(ftl.pool.is_clear(), "a pooled table kept a slot or a bit");
+        let bytes = entries * ENTRY_BYTES + nodes * NODE_BYTES + segments * SEG_BYTES;
         assert_eq!(
             (ftl.segment_count(), ftl.cache_bytes_used()),
             (segments, bytes)

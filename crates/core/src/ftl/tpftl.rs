@@ -42,18 +42,11 @@
 use tpftl_flash::{Lpn, OpPurpose, Ppn, Vtpn};
 
 use crate::env::SsdEnv;
-use crate::ftl::cmt::{self, mapped, PageStep, TpTally, VtpnTable};
+use crate::ftl::cmt::{self, mapped, OffsetTables, PageStep, TablePool, TpTally, VtpnTable};
+use crate::ftl::cmt::{NODE_BYTES, NODE_ENTRY_BYTES as ENTRY_BYTES};
 use crate::ftl::{AccessCtx, Ftl, TpDistEntry};
 use crate::lru::{LruIdx, LruList};
 use crate::{FtlError, Result, SsdConfig};
-
-/// Bytes per cached entry node: 10-bit offset + 4 B PPN + flags, packed
-/// into 6 B (Section 4.1's compression argument).
-pub const ENTRY_BYTES: usize = 6;
-
-/// Bytes of overhead per TP node (VTPN + list heads), "only a small
-/// percentage" per Section 4.1.
-pub const NODE_BYTES: usize = 8;
 
 /// Which TPFTL techniques are enabled; the Figure 7/8 ablation knobs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -146,37 +139,10 @@ struct EntryNode {
     stamp: u64,
 }
 
-/// A TP node's two per-offset tables. They are pooled by [`TpFtl`] across
-/// node churn, so node creation allocates only until the pool has warmed
-/// up; a table in the pool is all-[`LruIdx::NONE`] / all-zero.
-struct OffsetTables {
-    /// Dense offset → handle table, one slot per entry of the translation
-    /// page ([`LruIdx::NONE`] = not cached). An offset lookup is a single
-    /// indexed load — the hottest operation of the whole FTL — instead of
-    /// a hash probe.
-    by_offset: Box<[LruIdx]>,
-    /// Bit `offset` is set iff the entry cached for `offset` is dirty, one
-    /// word per 64 offsets: collecting a node's dirty entries walks set
-    /// bits instead of every entry of the list.
-    dirty: Box<[u64]>,
-}
-
-impl OffsetTables {
-    fn new(entries_per_tp: usize) -> Self {
-        Self {
-            by_offset: vec![LruIdx::NONE; entries_per_tp].into(),
-            dirty: vec![0; entries_per_tp.div_ceil(64)].into(),
-        }
-    }
-
-    fn is_clear(&self) -> bool {
-        self.by_offset.iter().all(|i| i.is_none()) && self.dirty.iter().all(|&w| w == 0)
-    }
-}
-
 struct TpNode {
     /// Entry-level LRU list (MRU = hottest entry).
     entries: LruList<EntryNode>,
+    /// Where each cached offset sits in `entries`, and which are dirty.
     tables: OffsetTables,
     /// Sum of entry stamps; hotness = sum / len.
     stamp_sum: u64,
@@ -201,13 +167,6 @@ impl TpNode {
         }
     }
 
-    /// Handle of the entry caching `offset`, if any.
-    #[inline]
-    fn idx_of(&self, offset: u16) -> Option<LruIdx> {
-        let idx = self.tables.by_offset[offset as usize];
-        (!idx.is_none()).then_some(idx)
-    }
-
     /// Points the entry behind `idx`, cached for `offset`, at `ppn` and
     /// marks it dirty.
     #[inline]
@@ -216,7 +175,7 @@ impl TpNode {
         e.ppn = ppn;
         if !e.dirty {
             e.dirty = true;
-            self.tables.dirty[offset as usize / 64] |= 1 << (offset % 64);
+            self.tables.mark_dirty(offset);
             self.dirty_count += 1;
         }
     }
@@ -225,25 +184,20 @@ impl TpNode {
     /// `out` by ascending offset: the update list of the write-back that
     /// persists them.
     fn drain_dirty(&mut self, out: &mut Vec<(u16, Ppn)>) {
-        let OffsetTables { by_offset, dirty } = &mut self.tables;
-        for (base, word) in (0..).step_by(64).zip(dirty.iter_mut()) {
-            let mut bits = std::mem::take(word);
-            while bits != 0 {
-                let offset = base + bits.trailing_zeros() as usize;
-                bits &= bits - 1;
-                let e = self.entries.get_mut(by_offset[offset]);
-                let e = e.expect("dirty bit names a cached entry");
-                e.dirty = false;
-                out.push((offset as u16, e.ppn));
-            }
-        }
+        let entries = &mut self.entries;
+        self.tables.drain_dirty(|offset, idx| {
+            let e = entries.get_mut(idx);
+            let e = e.expect("dirty bit names a cached entry");
+            e.dirty = false;
+            out.push((offset, e.ppn));
+        });
         self.dirty_count = 0;
     }
 
     /// Marks every entry clean without writing anything back.
     fn forget_dirty(&mut self) {
         self.entries.for_each_value_mut(|e| e.dirty = false);
-        self.tables.dirty.fill(0);
+        self.tables.forget_dirty();
         self.dirty_count = 0;
     }
 
@@ -264,7 +218,6 @@ impl TpNode {
 pub struct TpFtl {
     cfg: TpftlConfig,
     budget_bytes: usize,
-    entries_per_tp: usize,
     nodes: VtpnTable<TpNode>,
     /// Page-level order: a binary min-heap over `(hotness, vtpn)`, coldest
     /// node at the root. Only two queries are ever needed — peek the
@@ -281,9 +234,8 @@ pub struct TpFtl {
     /// The Section 4.3 counter: +1 per TP-node load, −1 per eviction.
     counter: i32,
     selective_active: bool,
-    /// Recycled tables of dismantled nodes (all clear), so node churn
-    /// stops allocating once the pool covers the working set.
-    table_pool: Vec<OffsetTables>,
+    /// Recycled tables of dismantled nodes.
+    table_pool: TablePool,
     /// Reusable buffer for the request path's batch writebacks: taken,
     /// filled, returned — never reallocated once grown. Miss-path payloads
     /// are borrowed from the flash slab and need no buffer at all.
@@ -305,29 +257,15 @@ impl TpFtl {
         Ok(Self {
             cfg,
             budget_bytes,
-            entries_per_tp: config.entries_per_tp(),
             nodes: VtpnTable::new(config.num_vtpns() as usize),
             order: Vec::new(),
             bytes_used: 0,
             clock: 0,
             counter: 0,
             selective_active: false,
-            table_pool: Vec::new(),
+            table_pool: TablePool::new(config.entries_per_tp()),
             scratch_updates: Vec::new(),
         })
-    }
-
-    /// Fresh or recycled clear tables.
-    fn alloc_table(&mut self) -> OffsetTables {
-        let pooled = self.table_pool.pop();
-        pooled.unwrap_or_else(|| OffsetTables::new(self.entries_per_tp))
-    }
-
-    /// Returns a dismantled node's tables (all entries removed, every one
-    /// of them clean, hence clear again) to the pool.
-    fn recycle_table(&mut self, tables: OffsetTables) {
-        debug_assert!(tables.is_clear(), "tables not cleared");
-        self.table_pool.push(tables);
     }
 
     /// Whether selective prefetching is currently active (test hook).
@@ -456,7 +394,7 @@ impl TpFtl {
     /// probe and the touch combined.
     fn lookup_touch(&mut self, vtpn: Vtpn, offset: u16) -> Option<Ppn> {
         let node = self.nodes.get_mut(vtpn)?;
-        let idx = node.idx_of(offset)?;
+        let idx = node.tables.get(offset)?;
         node.entries.touch(idx);
         let e = node.entries.get_mut(idx).expect("valid handle");
         let ppn = e.ppn;
@@ -472,7 +410,7 @@ impl TpFtl {
 
     fn cached_ppn(&self, vtpn: Vtpn, offset: u16) -> Option<Ppn> {
         let node = self.nodes.get(vtpn)?;
-        let idx = node.idx_of(offset)?;
+        let idx = node.tables.get(offset)?;
         Some(node.entries.get(idx).expect("valid handle").ppn)
     }
 
@@ -484,7 +422,7 @@ impl TpFtl {
         };
         let mut n = 0;
         let mut off = offset;
-        while off > 0 && !node.tables.by_offset[off as usize - 1].is_none() {
+        while off > 0 && node.tables.get(off - 1).is_some() {
             n += 1;
             off -= 1;
         }
@@ -496,19 +434,18 @@ impl TpFtl {
         let created = !self.nodes.contains(vtpn);
         if created {
             self.bytes_used += NODE_BYTES;
-            let tables = self.alloc_table();
+            let tables = self.table_pool.alloc();
             self.nodes.insert(vtpn, TpNode::new(tables));
             self.heap_insert(vtpn);
         }
         let node = &mut self.nodes[vtpn];
-        debug_assert!(node.idx_of(offset).is_none(), "double insert");
         let idx = node.entries.push_mru(EntryNode {
             offset,
             ppn,
             dirty: false,
             stamp: self.clock,
         });
-        node.tables.by_offset[offset as usize] = idx;
+        node.tables.set(offset, idx);
         node.stamp_sum += self.clock;
         self.bytes_used += ENTRY_BYTES;
         self.reposition(vtpn);
@@ -560,24 +497,22 @@ impl TpFtl {
                     &[(victim.offset, victim.ppn)],
                     OpPurpose::Translation,
                 )?;
-                // The victim leaves the cache below, its entry with it.
-                let node = &mut self.nodes[vtpn];
-                node.tables.dirty[victim.offset as usize / 64] &= !(1 << (victim.offset % 64));
-                node.dirty_count -= 1;
+                // The victim leaves the cache below, its dirty bit with it.
+                self.nodes[vtpn].dirty_count -= 1;
             }
         }
 
         // Remove the (now persisted) victim.
         let node = &mut self.nodes[vtpn];
         let e = node.entries.remove(victim_idx);
-        node.tables.by_offset[e.offset as usize] = LruIdx::NONE;
+        node.tables.unset(e.offset);
         node.stamp_sum -= e.stamp;
         let mut freed = ENTRY_BYTES;
         if node.entries.is_empty() {
             let i = node.heap_pos as usize;
             self.heap_remove(i);
             let node = self.nodes.remove(vtpn).expect("present");
-            self.recycle_table(node.tables);
+            self.table_pool.recycle(node.tables);
             freed += NODE_BYTES;
             self.on_node_removed();
         } else {
@@ -679,7 +614,7 @@ impl Ftl for TpFtl {
             .nodes
             .get_mut(vtpn)
             .expect("update_mapping contract: entry was translated immediately before");
-        let idx = node.idx_of(offset).expect("entry cached");
+        let idx = node.tables.get(offset).expect("entry cached");
         node.remap(idx, offset, new_ppn);
         Ok(())
     }
@@ -694,7 +629,7 @@ impl Ftl for TpFtl {
                 let Some((node, idx)) = ftl
                     .nodes
                     .get_mut(env.vtpn_of(lpn))
-                    .and_then(|n| n.idx_of(offset).map(|idx| (n, idx)))
+                    .and_then(|n| n.tables.get(offset).map(|idx| (n, idx)))
                 else {
                     return Ok(false);
                 };
@@ -781,15 +716,15 @@ mod tests {
     /// `dirty_count` its population; every pooled table is clear.
     fn assert_dirty_bitmaps_in_sync(ftl: &TpFtl) {
         for (vtpn, node) in ftl.nodes.iter() {
-            let mut want = vec![0u64; node.tables.dirty.len()];
-            for (_, e) in node.entries.iter_lru().filter(|(_, e)| e.dirty) {
-                want[e.offset as usize / 64] |= 1 << (e.offset % 64);
+            for (idx, e) in node.entries.iter_lru() {
+                assert_eq!(node.tables.get(e.offset), Some(idx), "vtpn {vtpn}");
+                assert_eq!(node.tables.is_dirty(e.offset), e.dirty, "vtpn {vtpn}");
             }
-            assert_eq!(&node.tables.dirty[..], &want[..], "bitmap of vtpn {vtpn}");
-            let ones: u32 = want.iter().map(|w| w.count_ones()).sum();
-            assert_eq!(node.dirty_count, ones, "dirty count of vtpn {vtpn}");
+            let dirty = node.entries.iter_lru().filter(|(_, e)| e.dirty).count();
+            assert_eq!(node.tables.dirty_count() as usize, dirty, "vtpn {vtpn}");
+            assert_eq!(node.dirty_count as usize, dirty, "vtpn {vtpn}");
         }
-        assert!(ftl.table_pool.iter().all(OffsetTables::is_clear));
+        assert!(ftl.table_pool.is_clear());
     }
 
     #[test]

@@ -209,8 +209,9 @@ fn learned_ftl_overwrite_churn_mispredicts_safely() {
 }
 
 /// A 2-region device (region 0 prefilled, region 1 unmapped, so that reads
-/// there cache 8-byte "unmapped" entries and nothing else) whose LearnedFTL
-/// has room for `bytes` of entries and segments.
+/// there cache "unmapped" entries and nothing else) whose LearnedFTL has
+/// room for `bytes` of segments (16 B each), entries (6 B) and the nodes
+/// that hold a region's entries (8 B).
 fn tiny_learned(bytes: usize) -> Ssd<LearnedFtl> {
     let mut c = SsdConfig::paper_default(8 << 20);
     c.cache_bytes = c.gtd_bytes() + bytes;
@@ -243,48 +244,48 @@ fn learned_state(ssd: &Ssd<LearnedFtl>) -> (usize, usize, u64, u64, u64) {
 /// it splits that point out — no mispredict is ever paid for it.
 #[test]
 fn learned_ftl_dirty_write_back_splits_the_point_a_fill_fitted_stale() {
-    // Room for two segments, or one and two entries.
+    // Room for a segment and one single-entry node, or for two such nodes.
     let mut ssd = tiny_learned(32);
     // The write's miss fills region 0's line, its update splits offset 0
     // off and leaves the dirty entry: [view, entry 0].
     page(&mut ssd, 0, Dir::Write);
     assert_eq!(learned_state(&ssd), (1, 1, 0, 0, 0));
-    // Two unmapped reads: the second evicts the coldest slot, the view.
+    // An unmapped read: its entry and node evict the coldest slot, the view.
     page(&mut ssd, 1500, Dir::Read);
-    page(&mut ssd, 1501, Dir::Read);
-    assert_eq!(learned_state(&ssd), (0, 3, 0, 0, 0));
+    assert_eq!(learned_state(&ssd), (0, 2, 0, 0, 0));
     // A miss in region 0 fills the line again, from a page that has not
     // heard of the overwrite, and evicts the coldest slot to pay for it:
     // entry 0, dirty — its write-back must take offset 0 out of the fit.
     page(&mut ssd, 3, Dir::Read);
-    assert_eq!(learned_state(&ssd), (1, 2, 1, 0, 0));
+    assert_eq!(learned_state(&ssd), (1, 1, 1, 0, 0));
     // Offset 0 is nobody's now: a plain miss, resolved from the page the
-    // write-back persisted (`read_data_page` checks the tag). Offset 1
-    // predicts as ever.
+    // write-back persisted (`read_data_page` checks the tag); its entry
+    // and node take the place of region 1's. Offset 1 predicts as ever.
     page(&mut ssd, 0, Dir::Read);
     page(&mut ssd, 1, Dir::Read);
-    let (_, _, _, predict_hits, mispredicts) = learned_state(&ssd);
-    assert_eq!((predict_hits, mispredicts), (1, 0));
+    assert_eq!(learned_state(&ssd), (1, 1, 1, 1, 0));
 }
 
 /// Stale-point discipline (b). A flush cleans the entry, so no write-back
 /// is left to split the point: `Ssd::flush` → `mark_clean` drops the view.
 #[test]
 fn learned_ftl_flush_leaves_no_view_behind() {
-    // Room for one segment and three entries.
+    // Room for two nodes of one and three entries, or a segment more than
+    // one single-entry node.
     let mut ssd = tiny_learned(40);
     page(&mut ssd, 0, Dir::Write);
     for lpn in 1500..1503 {
         page(&mut ssd, lpn, Dir::Read);
     }
     assert_eq!(learned_state(&ssd), (0, 4, 0, 0, 0));
-    // Entry 0 becomes the hottest, so the fill evicts a clean entry and
-    // the view covers offset 0 next to the dirty entry that shadows it.
+    // Entry 0 becomes the hottest, so the fill evicts the clean entries (two
+    // do not pay for a segment, the third gives up the node as well) and the
+    // view covers offset 0 next to the dirty entry that shadows it.
     page(&mut ssd, 0, Dir::Read);
     page(&mut ssd, 3, Dir::Read);
-    assert_eq!(learned_state(&ssd), (1, 3, 0, 0, 0));
+    assert_eq!(learned_state(&ssd), (1, 1, 0, 0, 0));
     ssd.flush().expect("flush");
-    assert_eq!(learned_state(&ssd), (0, 3, 0, 0, 0));
+    assert_eq!(learned_state(&ssd), (0, 1, 0, 0, 0));
     let dirty: u32 = ssd
         .ftl()
         .cached_tp_distribution()
@@ -292,14 +293,16 @@ fn learned_ftl_flush_leaves_no_view_behind() {
         .map(|d| d.dirty)
         .sum();
     assert_eq!(dirty, 0);
-    // The clean entry leaves without a write-back; the read after that
-    // misses, fits the flushed page and finds the newer mapping.
+    // The clean entry leaves without a write-back (the fourth read finds
+    // the cache full again); the read after that misses, fits the flushed
+    // page and finds the newer mapping, at two entries for a node of its own.
     for lpn in 1503..1508 {
         page(&mut ssd, lpn, Dir::Read);
     }
     assert!(ssd.ftl().peek_cached(ssd.env(), 0).unwrap().is_none());
-    page(&mut ssd, 0, Dir::Read);
     assert_eq!(learned_state(&ssd), (0, 5, 0, 0, 0));
+    page(&mut ssd, 0, Dir::Read);
+    assert_eq!(learned_state(&ssd), (0, 4, 0, 0, 0));
 }
 
 /// Stale-point discipline (c). Whatever changes a mapping behind a
