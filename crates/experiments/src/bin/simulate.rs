@@ -460,8 +460,8 @@ fn print_report(report: &tpftl_sim::RunReport, config: &tpftl_core::SsdConfig) {
         sim.channels, sim.ways
     );
     println!(
-        "sim device time:     {:.1} us busy, makespan {:.1} us",
-        sim.device_us, sim.makespan_us
+        "sim device time:     {:.1} us busy, makespan {:.1} us, busiest unit {:.1} us",
+        sim.device_us, sim.makespan_us, sim.busiest_unit_us
     );
     println!(
         "sim response:        avg {:.1} / p50 {:.1} / p99 {:.1} / p999 {:.1} us",

@@ -21,11 +21,12 @@ const TPFTL_FIN1_GC_GOLDEN: &str = "TPFTL(rsbc) req=40000 lk=56827 hit=48099 rep
 
 /// Unit-clock sim-timing goldens for the TPFTL/Financial1 case: the
 /// 1-channel row pins the serial topology bit for bit; the 4x2 row pins
-/// the multi-unit overlap arithmetic.
+/// the multi-unit overlap arithmetic (re-recorded in PR 25, when blocks
+/// became superblocks striped page by page across the units).
 const SERIAL_SIM_GOLDEN: &str =
     "ch=1 way=1 dev=41424fd780000000 mk=4181eeb3f03e2cd0 ravg=406f722c24b700d2 p50=192 p99=832";
 const WIDE_SIM_GOLDEN: &str =
-    "ch=4 way=2 dev=4141dc2b00000000 mk=4181eeb3f03e2cd0 ravg=406ea171c76b31ff p50=192 p99=768";
+    "ch=4 way=2 dev=413a087400000000 mk=4181eeb3f03e2cd0 ravg=4065e50c53047ffb p50=192 p99=384";
 
 /// A compact, exact fingerprint of everything the paper's figures measure.
 /// Response time (the unit-clock mean) is an f64 accumulation; its bits

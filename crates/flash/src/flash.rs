@@ -266,13 +266,14 @@ impl Flash {
 
     // ---- Simulated-time clocks ----------------------------------------------
 
-    /// The unit this page's block is served by (0 on the serial topology).
+    /// The unit this page is served by (0 on the serial topology): each
+    /// block is a superblock striped page by page across the units.
     #[inline]
     fn unit_of(&self, ppn: Ppn) -> usize {
         if self.units == 1 {
             0
         } else {
-            (self.geom.block_of(ppn) as usize) % self.units
+            self.geom.topology.unit_of_page(ppn)
         }
     }
 
@@ -675,7 +676,8 @@ impl Flash {
         }
     }
 
-    /// Erases `block`, accounting one block-erase latency.
+    /// Erases `block`, accounting one block-erase latency (on every unit
+    /// the block spans; see [`crate::FlashTopology`]).
     ///
     /// All pages of the block must be `Free` or `Invalid`; the garbage
     /// collector must have migrated valid pages beforehand.
@@ -717,8 +719,13 @@ impl Flash {
         }
         self.stats
             .record(OpKind::Erase, purpose, self.geom.erase_us);
-        self.clocks
-            .erase(self.unit_of(first as Ppn), self.geom.erase_us);
+        // The block's pages span `min(pages_per_block, units)` consecutive
+        // units from its first page's; the erase occupies all of them.
+        self.clocks.erase_span(
+            self.unit_of(first as Ppn),
+            self.units.min(self.geom.pages_per_block),
+            self.geom.erase_us,
+        );
         Ok(())
     }
 
@@ -997,34 +1004,86 @@ mod tests {
         assert_eq!(f.sim_frontier_us(), f.stats().busy_us);
     }
 
-    #[test]
-    fn multi_unit_clock_overlaps_blocks_on_distinct_units() {
+    fn striped(pages_per_block: usize, channels: u32, ways: u32) -> Flash {
         let geom = FlashGeometry {
             page_bytes: 4096,
-            pages_per_block: 64,
+            pages_per_block,
             num_blocks: 4,
             read_us: 25.0,
             write_us: 200.0,
             erase_us: 1500.0,
             topology: crate::FlashTopology {
-                channels: 2,
-                ways: 1,
+                channels,
+                ways,
                 bus_us: 0.0,
             },
         };
         geom.validate().unwrap();
-        let mut f = Flash::new(geom).unwrap();
-        // Blocks 0 and 1 land on units 0 and 1.
+        Flash::new(geom).unwrap()
+    }
+
+    #[test]
+    fn multi_unit_clock_overlaps_consecutive_pages_of_one_block() {
+        let mut f = striped(64, 2, 1);
+        // Pages 0 and 1 of block 0 land on units 0 and 1.
         f.program_page(0, 1, OpPurpose::HostData).unwrap();
         f.sim_relax_to(0.0);
-        f.program_page(64, 2, OpPurpose::HostData).unwrap();
+        f.program_page(1, 2, OpPurpose::HostData).unwrap();
         // Both programs overlapped: makespan is one program, busy is two.
         assert_eq!(f.sim_device_done_us(), 200.0);
         assert!((f.stats().busy_us - 400.0).abs() < 1e-9);
+        assert_eq!(f.clocks().busiest_unit_us(), 200.0);
+        // Page 2 is back on unit 0 and queues behind page 0.
+        f.sim_relax_to(0.0);
+        f.program_page(2, 3, OpPurpose::HostData).unwrap();
+        assert_eq!(f.sim_device_done_us(), 400.0);
         // reset_stats rewinds the clocks with the counters.
         f.reset_stats();
         assert_eq!(f.sim_device_done_us(), 0.0);
         assert_eq!(f.sim_frontier_us(), 0.0);
+        assert_eq!(f.clocks().busiest_unit_us(), 0.0);
+    }
+
+    #[test]
+    fn erase_occupies_only_the_units_a_short_block_spans() {
+        // 2-page blocks on 4 units: block 0 is units 0-1, block 1 units 2-3.
+        let mut f = striped(2, 4, 1);
+        f.erase_block(0, OpPurpose::GcData).unwrap();
+        assert_eq!(f.sim_device_done_us(), 1500.0);
+        // Block 1's erase overlaps block 0's completely.
+        f.sim_relax_to(0.0);
+        f.erase_block(1, OpPurpose::GcData).unwrap();
+        assert_eq!(f.sim_device_done_us(), 1500.0);
+        // Block 2 wraps back onto units 0-1 and queues behind block 0.
+        f.sim_relax_to(0.0);
+        f.erase_block(2, OpPurpose::GcData).unwrap();
+        assert_eq!(f.sim_device_done_us(), 3000.0);
+        assert_eq!(f.clocks().busiest_unit_us(), 3000.0);
+        // A program on unit 2 (block 1's first page) waits for block 1 only.
+        f.sim_relax_to(0.0);
+        f.program_page(2, 7, OpPurpose::HostData).unwrap();
+        assert_eq!(f.sim_frontier_us(), 1700.0);
+    }
+
+    #[test]
+    fn one_busy_unit_delays_the_whole_erase() {
+        let mut f = striped(8, 4, 1);
+        // Page 0 of block 0 keeps unit 0 busy until 200 µs.
+        f.program_page(0, 1, OpPurpose::HostData).unwrap();
+        f.sim_relax_to(0.0);
+        // Block 1 spans every unit: units 1-3 erase 0..1500, unit 0
+        // 200..1700, and the erase completes with the last of them.
+        f.erase_block(1, OpPurpose::GcData).unwrap();
+        assert_eq!(f.sim_frontier_us(), 1700.0);
+        assert_eq!(f.sim_device_done_us(), 1700.0);
+        // Unit 0 is free at 1700; the idle units were freed at 1500, not
+        // at the op's completion.
+        f.sim_relax_to(0.0);
+        f.program_page(8, 2, OpPurpose::HostData).unwrap();
+        assert_eq!(f.sim_frontier_us(), 1900.0);
+        f.sim_relax_to(0.0);
+        f.program_page(9, 3, OpPurpose::HostData).unwrap();
+        assert_eq!(f.sim_frontier_us(), 1700.0);
     }
 
     #[test]

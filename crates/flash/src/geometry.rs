@@ -6,9 +6,12 @@ use crate::{BlockId, Ppn};
 
 /// Channel/way parallelism of a simulated flash device.
 ///
-/// The device exposes `channels * ways` independent flash units; erase
-/// blocks are striped across units (`block % units`), ops on distinct
-/// units overlap in simulated time, and ops on the same unit serialize.
+/// The device exposes `channels * ways` independent flash units and lays
+/// each erase block across them as a superblock: page `ppn` is served by
+/// unit `ppn % units`, so consecutive pages of a block go to consecutive
+/// channels first and then to the next way, and an erase occupies every
+/// unit its block's pages span. Ops on distinct units overlap in simulated
+/// time; ops on the same unit serialize.
 /// `bus_us` models the channel bus transfer of one page separately from
 /// the cell read/program time: reads occupy the bus *after* the cell
 /// sense, programs occupy it *before* the cell program, so a translation
@@ -44,10 +47,11 @@ impl FlashTopology {
         (self.channels as usize) * (self.ways as usize)
     }
 
-    /// The unit serving `block` (blocks are striped round-robin).
+    /// The unit serving page `ppn` (pages are striped round-robin, so a
+    /// block's pages spread over `min(pages_per_block, units)` units).
     #[inline]
-    pub fn unit_of_block(&self, block: BlockId) -> usize {
-        (block as usize) % self.units()
+    pub fn unit_of_page(&self, ppn: Ppn) -> usize {
+        (ppn as usize) % self.units()
     }
 
     /// The channel a unit's bus traffic goes through.
@@ -236,7 +240,7 @@ mod tests {
     fn topology_defaults_to_serial_unit() {
         let t = FlashTopology::default();
         assert_eq!(t.units(), 1);
-        assert_eq!(t.unit_of_block(17), 0);
+        assert_eq!(t.unit_of_page(17), 0);
         assert_eq!(t.bus_us, 0.0);
         t.validate().unwrap();
     }
@@ -249,13 +253,25 @@ mod tests {
             bus_us: 10.0,
         };
         assert_eq!(t.units(), 8);
-        // Blocks stripe round-robin over the 8 units.
-        assert_eq!(t.unit_of_block(0), 0);
-        assert_eq!(t.unit_of_block(7), 7);
-        assert_eq!(t.unit_of_block(8), 0);
+        // Pages stripe round-robin over the 8 units.
+        assert_eq!(t.unit_of_page(0), 0);
+        assert_eq!(t.unit_of_page(7), 7);
+        assert_eq!(t.unit_of_page(8), 0);
         // Units 0..4 sit on channels 0..4, units 4..8 wrap around.
         assert_eq!(t.channel_of_unit(3), 3);
         assert_eq!(t.channel_of_unit(5), 1);
+        // So consecutive pages of one 64-page block visit every channel
+        // before reusing one, then move on to the next way.
+        let g = FlashGeometry {
+            topology: t,
+            ..FlashGeometry::paper_default(512 << 20, 0.0)
+        };
+        let first = g.first_ppn(3);
+        let units: Vec<usize> = (first..first + 8).map(|p| t.unit_of_page(p)).collect();
+        assert_eq!(units, [0, 1, 2, 3, 4, 5, 6, 7]);
+        let chans: Vec<usize> = units.iter().map(|&u| t.channel_of_unit(u)).collect();
+        assert_eq!(chans, [0, 1, 2, 3, 0, 1, 2, 3]);
+        assert_eq!(t.unit_of_page(first + 64 - 1), 7);
         t.validate().unwrap();
     }
 

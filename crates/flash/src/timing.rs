@@ -1,13 +1,14 @@
 //! Channel/way unit-clock timing model.
 //!
 //! [`UnitClocks`] replaces the implicit "one serial unit" timing of
-//! `FlashStats::busy_us` with a per-unit next-free-time clock: every flash
-//! op is dispatched to the unit owning its block, starts no earlier than
-//! both (a) the dependency frontier of the command stream issuing it and
-//! (b) the instant its unit is free, and completes after its cell latency
-//! plus — for page transfers — a channel bus slot. The whole model is a
-//! fixed pair of `f64` arrays and pure arithmetic per op: no heap traffic,
-//! no event queue, nothing allocated on the hot path.
+//! `FlashStats::busy_us` with a per-unit next-free-time clock: every page
+//! op is dispatched to the unit owning its page (and an erase to every
+//! unit its block spans), starts no earlier than both (a) the dependency
+//! frontier of the command stream issuing it and (b) the instant its unit
+//! is free, and completes after its cell latency plus — for page
+//! transfers — a channel bus slot. The whole model is a few fixed `f64`
+//! arrays and pure arithmetic per op: no heap traffic, no event queue,
+//! nothing allocated on the hot path.
 //!
 //! Dependencies are expressed with a single *frontier* clock: ops issued
 //! back to back chain (each op leaves the frontier at its completion
@@ -33,6 +34,8 @@ use crate::geometry::FlashTopology;
 pub struct UnitClocks {
     /// When each (channel, way) unit finishes its last accepted op.
     unit_free_us: Box<[f64]>,
+    /// Cell + bus time each unit has been occupied by accepted ops.
+    unit_busy_us: Box<[f64]>,
     /// When each channel's bus finishes its last page transfer.
     chan_free_us: Box<[f64]>,
     /// Dependency frontier: earliest start time of the next issued op.
@@ -52,6 +55,7 @@ impl UnitClocks {
         let channels = (topology.channels as usize).max(1);
         UnitClocks {
             unit_free_us: vec![0.0; units].into_boxed_slice(),
+            unit_busy_us: vec![0.0; units].into_boxed_slice(),
             chan_free_us: vec![0.0; channels].into_boxed_slice(),
             frontier_us: 0.0,
             done_us: 0.0,
@@ -63,6 +67,7 @@ impl UnitClocks {
     /// Rewinds every clock to time zero (measurement restart).
     pub fn reset(&mut self) {
         self.unit_free_us.fill(0.0);
+        self.unit_busy_us.fill(0.0);
         self.chan_free_us.fill(0.0);
         self.frontier_us = 0.0;
         self.done_us = 0.0;
@@ -95,10 +100,17 @@ impl UnitClocks {
         self.done_us
     }
 
+    /// Cell + bus occupancy of the busiest unit so far: the critical-path
+    /// lower bound on the makespan. An erase counts on every unit it spans.
+    pub fn busiest_unit_us(&self) -> f64 {
+        self.unit_busy_us.iter().fold(0.0, |a, &b| a.max(b))
+    }
+
     /// Accounts a page read on `unit`: cell sense, then a bus transfer on
     /// the unit's channel. Returns the completion time.
     #[inline]
     pub fn read(&mut self, unit: usize, cell_us: f64) -> f64 {
+        self.unit_busy_us[unit] += cell_us + self.bus_us;
         let start = self.frontier_us.max(self.unit_free_us[unit]);
         let cell_done = start + cell_us;
         let done = if self.bus_us == 0.0 {
@@ -119,6 +131,7 @@ impl UnitClocks {
     /// channel, then the cell program. Returns the completion time.
     #[inline]
     pub fn write(&mut self, unit: usize, cell_us: f64) -> f64 {
+        self.unit_busy_us[unit] += self.bus_us + cell_us;
         let start = self.frontier_us.max(self.unit_free_us[unit]);
         let cell_start = if self.bus_us == 0.0 {
             start
@@ -134,17 +147,39 @@ impl UnitClocks {
         self.finish(unit, done)
     }
 
-    /// Accounts a block erase on `unit` (no bus traffic). Returns the
+    /// Accounts an erase on `unit` alone (no bus traffic). Returns the
     /// completion time.
     #[inline]
     pub fn erase(&mut self, unit: usize, cell_us: f64) -> f64 {
-        let start = self.frontier_us.max(self.unit_free_us[unit]);
-        self.finish(unit, start + cell_us)
+        self.erase_span(unit, 1, cell_us)
+    }
+
+    /// Accounts a block erase on the `span` units `first_unit`,
+    /// `first_unit + 1`, … (wrapping) that the block's pages live on; no
+    /// bus traffic. Each unit erases from `max(frontier, unit_free)`, and
+    /// the op completes when the last of them does. Returns that time.
+    #[inline]
+    pub fn erase_span(&mut self, first_unit: usize, span: usize, cell_us: f64) -> f64 {
+        let units = self.unit_free_us.len();
+        let mut done = 0.0f64;
+        for i in 0..span {
+            let unit = (first_unit + i) % units;
+            let end = self.frontier_us.max(self.unit_free_us[unit]) + cell_us;
+            self.unit_free_us[unit] = end;
+            self.unit_busy_us[unit] += cell_us;
+            done = done.max(end);
+        }
+        self.complete(done)
     }
 
     #[inline]
     fn finish(&mut self, unit: usize, done: f64) -> f64 {
         self.unit_free_us[unit] = done;
+        self.complete(done)
+    }
+
+    #[inline]
+    fn complete(&mut self, done: f64) -> f64 {
         self.frontier_us = done;
         if done > self.done_us {
             self.done_us = done;
@@ -173,6 +208,23 @@ mod tests {
         assert_eq!(c.erase(0, 1500.0), 1725.0);
         assert_eq!(c.done_us(), 1725.0);
         assert_eq!(c.frontier_us(), 1725.0);
+        assert_eq!(c.busiest_unit_us(), 1725.0);
+    }
+
+    #[test]
+    fn busiest_unit_counts_occupancy_not_waiting() {
+        let mut c = UnitClocks::new(&topo(2, 1, 10.0));
+        c.write(0, 200.0); // bus 0..10, cell 10..210
+        c.relax_to(0.0);
+        c.read(0, 25.0); // waits for the die until 210, then 25 + 10
+        c.relax_to(0.0);
+        c.read(1, 25.0);
+        assert_eq!(c.busiest_unit_us(), 210.0 + 35.0);
+        // An erase spanning both units charges each of them the full pulse.
+        c.erase_span(0, 2, 1500.0);
+        assert_eq!(c.busiest_unit_us(), 245.0 + 1500.0);
+        c.reset();
+        assert_eq!(c.busiest_unit_us(), 0.0);
     }
 
     #[test]

@@ -35,8 +35,10 @@ fn geom(channels: u32, ways: u32, bus_us: f64) -> FlashGeometry {
     }
 }
 
-/// Per-unit occupancy accumulated by the oracle: every op holds its unit
-/// for at least its cell time plus (for page ops with a bus) the transfer.
+/// Per-unit occupancy accumulated by the oracle: every page op holds its
+/// page's unit for at least its cell time plus (with a bus) the transfer;
+/// an erase holds every unit one of its block's pages lives on for the
+/// erase time.
 struct Oracle {
     topology: FlashTopology,
     unit_occupancy_us: Vec<f64>,
@@ -52,10 +54,23 @@ impl Oracle {
         }
     }
 
-    fn account(&mut self, block: u32, cell_us: f64, has_bus: bool) {
-        let bus = if has_bus { self.topology.bus_us } else { 0.0 };
-        self.unit_occupancy_us[self.topology.unit_of_block(block)] += cell_us + bus;
-        self.serial_us += cell_us + bus;
+    fn page_op(&mut self, ppn: Ppn, cell_us: f64) {
+        let us = cell_us + self.topology.bus_us;
+        self.unit_occupancy_us[self.topology.unit_of_page(ppn)] += us;
+        self.serial_us += us;
+    }
+
+    fn erase(&mut self, g: &FlashGeometry, block: u32) {
+        let first = g.first_ppn(block);
+        let mut spanned = vec![false; self.topology.units()];
+        for ppn in first..first + PAGES_PER_BLOCK as Ppn {
+            spanned[self.topology.unit_of_page(ppn)] = true;
+        }
+        for (unit, _) in spanned.iter().enumerate().filter(|(_, &s)| s) {
+            self.unit_occupancy_us[unit] += g.erase_us;
+        }
+        // Spanned units erase side by side: serially it is one pulse.
+        self.serial_us += g.erase_us;
     }
 
     /// Critical-path lower bound: the busiest unit can never be compressed.
@@ -78,7 +93,7 @@ fn drive(flash: &mut Flash, oracle: &mut Oracle, seed: u64, ops: usize) {
             0..=4 => {
                 if let Some(ppn) = flash.next_free_ppn(block) {
                     flash.program_page(ppn, ppn, OpPurpose::HostData).unwrap();
-                    oracle.account(block, g.write_us, true);
+                    oracle.page_op(ppn, g.write_us);
                 }
             }
             // Read a random valid page of the block, if any.
@@ -87,7 +102,7 @@ fn drive(flash: &mut Flash, oracle: &mut Oracle, seed: u64, ops: usize) {
                 if !valid.is_empty() {
                     let ppn = valid[rng.range_usize(0, valid.len())];
                     flash.read_page(ppn, OpPurpose::HostData).unwrap();
-                    oracle.account(block, g.read_us, true);
+                    oracle.page_op(ppn, g.read_us);
                 }
             }
             // Invalidate everything and erase (no bus traffic).
@@ -98,7 +113,7 @@ fn drive(flash: &mut Flash, oracle: &mut Oracle, seed: u64, ops: usize) {
                 }
                 if flash.next_free_ppn(block).is_none() || rng.range_usize(0, 2) == 0 {
                     flash.erase_block(block, OpPurpose::GcData).unwrap();
-                    oracle.account(block, g.erase_us, false);
+                    oracle.erase(&g, block);
                 }
             }
             // Start an independent chain at some past completion time.
@@ -132,13 +147,24 @@ fn serial_clock_is_bit_identical_to_busy_us() {
 
 #[test]
 fn parallel_clock_bounded_by_critical_path_and_serial_time() {
-    for (channels, ways, bus_us) in [(2, 1, 0.0), (4, 1, 0.0), (4, 2, 0.0), (2, 2, 10.0)] {
+    // (4, 4): 16 units, so each 8-page block spans only half of them.
+    for (channels, ways, bus_us) in [
+        (2, 1, 0.0),
+        (4, 1, 0.0),
+        (4, 2, 0.0),
+        (2, 2, 10.0),
+        (4, 4, 5.0),
+    ] {
         for seed in [3u64, 11, 2015] {
             let mut flash = Flash::new(geom(channels, ways, bus_us)).unwrap();
             let mut oracle = Oracle::new(flash.geometry().topology);
             drive(&mut flash, &mut oracle, seed, 4000);
             let makespan = flash.sim_device_done_us();
             let eps = 1e-6;
+            assert!(
+                (flash.clocks().busiest_unit_us() - oracle.critical_path_us()).abs() < eps,
+                "{channels}x{ways} seed {seed}: busiest_unit_us disagrees with the oracle"
+            );
             assert!(
                 makespan + eps >= oracle.critical_path_us(),
                 "{channels}x{ways} seed {seed}: makespan {makespan} below \
@@ -163,24 +189,28 @@ fn relaxation_never_breaks_per_unit_serialization() {
     // Aggressively relax to zero before every op: every op chain is
     // "independent", so the only serialization left is per-unit. The
     // makespan must then equal the busiest unit's occupancy exactly
-    // (every unit runs its ops back to back from t = 0).
-    let mut flash = Flash::new(geom(4, 2, 0.0)).unwrap();
-    let mut oracle = Oracle::new(flash.geometry().topology);
-    let mut rng = Rng64::seed_from_u64(99);
-    let g = flash.geometry().clone();
-    for _ in 0..2000 {
-        let block = rng.range_usize(0, BLOCKS) as u32;
-        flash.sim_relax_to(0.0);
-        if let Some(ppn) = flash.next_free_ppn(block) {
-            flash.program_page(ppn, ppn, OpPurpose::HostData).unwrap();
-            oracle.account(block, g.write_us, true);
-        } else {
-            for ppn in flash.valid_pages(block).map(|(p, _)| p).collect::<Vec<_>>() {
-                flash.invalidate(ppn).unwrap();
+    // (every unit runs its ops back to back from t = 0). On 4x4 an 8-page
+    // block spans half the units, so erases there overlap one another.
+    for (channels, ways) in [(4, 2), (4, 4)] {
+        let mut flash = Flash::new(geom(channels, ways, 0.0)).unwrap();
+        let mut oracle = Oracle::new(flash.geometry().topology);
+        let mut rng = Rng64::seed_from_u64(99);
+        let g = flash.geometry().clone();
+        for _ in 0..2000 {
+            let block = rng.range_usize(0, BLOCKS) as u32;
+            flash.sim_relax_to(0.0);
+            if let Some(ppn) = flash.next_free_ppn(block) {
+                flash.program_page(ppn, ppn, OpPurpose::HostData).unwrap();
+                oracle.page_op(ppn, g.write_us);
+            } else {
+                for ppn in flash.valid_pages(block).map(|(p, _)| p).collect::<Vec<_>>() {
+                    flash.invalidate(ppn).unwrap();
+                }
+                flash.erase_block(block, OpPurpose::GcData).unwrap();
+                oracle.erase(&g, block);
             }
-            flash.erase_block(block, OpPurpose::GcData).unwrap();
-            oracle.account(block, g.erase_us, false);
         }
+        assert_eq!(flash.sim_device_done_us(), oracle.critical_path_us());
+        assert_eq!(flash.clocks().busiest_unit_us(), oracle.critical_path_us());
     }
-    assert!((flash.sim_device_done_us() - oracle.critical_path_us()).abs() < 1e-6);
 }

@@ -39,6 +39,14 @@ pub struct SimTiming {
     /// reports recorded before PR 9 still deserialize.
     #[serde(default)]
     pub resp_p999_us: f64,
+    /// Cell + bus occupancy of the busiest channel/way unit in µs (the
+    /// makespan's critical-path bound; an erase counts on every unit its
+    /// block spans). Against the serial `FlashStats::busy_us` it shows
+    /// whether the topology was used: equal to it when one unit served
+    /// every op, near `busy_us / units` when page ops spread evenly.
+    /// Maximum across shards; 0 on reports recorded before it existed.
+    #[serde(default)]
+    pub busiest_unit_us: f64,
 }
 
 /// Everything the paper's figures plot, for one (FTL, workload) run.

@@ -128,11 +128,12 @@ fn merge_reports(per_shard: &[RunReport]) -> RunReport {
     let mut cache_bytes_used = 0usize;
     let mut cache_bytes_total = 0usize;
     // Simulated clocks: shards are parallel devices, so the merged
-    // makespan is the latest shard's (shard-order fold of `max`, still
-    // deterministic), while device time — occupied device-microseconds —
-    // sums like `busy_us`. Percentiles need the sample distribution, not
-    // per-shard percentiles; `ShardedSsd::report` fills them from the
-    // merged histograms.
+    // makespan is the latest shard's and the busiest unit the busiest of
+    // any shard's (shard-order folds of `max`, still deterministic), while
+    // device time — occupied device-microseconds — sums like `busy_us`.
+    // Percentiles need the sample distribution, not per-shard
+    // percentiles; `ShardedSsd::report` fills them from the merged
+    // histograms.
     let mut sim = SimTiming {
         channels: per_shard[0].sim.channels,
         ways: per_shard[0].sim.ways,
@@ -149,6 +150,7 @@ fn merge_reports(per_shard: &[RunReport]) -> RunReport {
         cache_bytes_total += r.cache_bytes_total;
         sim.device_us += r.sim.device_us;
         sim.makespan_us = sim.makespan_us.max(r.sim.makespan_us);
+        sim.busiest_unit_us = sim.busiest_unit_us.max(r.sim.busiest_unit_us);
         sim_resp_weighted += r.sim.resp_avg_us * r.ftl_stats.requests as f64;
     }
     if responses > 0 {
@@ -720,14 +722,19 @@ mod tests {
         let mut sharded = ShardedSsd::new(&config, 4, build_tp).unwrap();
         let report = sharded.run(trace).unwrap();
         let m = &report.merged.sim;
-        // Makespan is the latest shard; device time the sum of all shards.
-        let max_makespan = report
-            .per_shard
-            .iter()
-            .map(|r| r.sim.makespan_us)
-            .fold(0.0f64, f64::max);
+        // Makespan and busiest unit are the latest / busiest shard's;
+        // device time the sum of all shards.
+        let max_of = |f: fn(&RunReport) -> f64| report.per_shard.iter().map(f).fold(0.0, f64::max);
         let sum_device: f64 = report.per_shard.iter().map(|r| r.sim.device_us).sum();
-        assert_eq!(m.makespan_us.to_bits(), max_makespan.to_bits());
+        assert_eq!(
+            m.makespan_us.to_bits(),
+            max_of(|r| r.sim.makespan_us).to_bits()
+        );
+        assert_eq!(
+            m.busiest_unit_us.to_bits(),
+            max_of(|r| r.sim.busiest_unit_us).to_bits()
+        );
+        assert!(m.busiest_unit_us > 0.0);
         assert_eq!(m.device_us.to_bits(), sum_device.to_bits());
         // Percentiles come from the merged histogram, not a fold of
         // per-shard percentiles.

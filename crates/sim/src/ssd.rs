@@ -264,6 +264,7 @@ impl<F: Ftl> Ssd<F> {
                     resp_p50_us: self.sim_hist.p50(),
                     resp_p99_us: self.sim_hist.p99(),
                     resp_p999_us: self.sim_hist.p999(),
+                    busiest_unit_us: self.env.flash().clocks().busiest_unit_us(),
                 }
             },
         }
