@@ -15,7 +15,7 @@ use tpftl_flash::{BlockId, Lpn, OpPurpose, PageState, Ppn};
 
 use crate::env::SsdEnv;
 use crate::ftl::{AccessCtx, Ftl, TpDistEntry};
-use crate::{Result, SsdConfig};
+use crate::{gc, Result, SsdConfig};
 
 /// The block-level FTL.
 pub struct BlockLevelFtl {
@@ -64,29 +64,55 @@ impl BlockLevelFtl {
     /// Merge: rewrite the block with `lpn`'s new data at its fixed offset,
     /// carrying over every other valid page, then erase and free the old
     /// block.
+    ///
+    /// A block's pages are programmed in order, so the copies below `lpn`'s
+    /// offset precede its program in the host's request; the copies above
+    /// it and the erase only reclaim space, and run in the device's idle
+    /// time like page-level GC ([`gc::in_background`]).
     fn merge_write(&mut self, env: &mut SsdEnv, lpn: Lpn, old_pbn: BlockId) -> Result<()> {
         self.merges += 1;
         let (lbn, off) = self.split(lpn);
         let new_pbn = env.blocks.take_raw_block()?;
-        for i in 0..self.pages_per_block {
-            let src = self.ppn_at(env, old_pbn, i);
-            let dst = self.ppn_at(env, new_pbn, i);
-            if i == off {
-                env.flash.program_page_at(dst, lpn, OpPurpose::HostData)?;
-                if env.flash.state(src)? == PageState::Valid {
-                    env.flash.invalidate(src)?;
-                }
-            } else if env.flash.state(src)? == PageState::Valid {
-                let copied_lpn = (lbn * self.pages_per_block + i) as Lpn;
-                env.flash.read_page(src, OpPurpose::GcData)?;
-                env.flash
-                    .program_page_at(dst, copied_lpn, OpPurpose::GcData)?;
-                env.flash.invalidate(src)?;
-            }
+        for i in 0..off {
+            self.copy_page(env, lbn, old_pbn, new_pbn, i)?;
         }
-        env.flash.erase_block(old_pbn, OpPurpose::GcData)?;
+        let src = self.ppn_at(env, old_pbn, off);
+        let dst = self.ppn_at(env, new_pbn, off);
+        env.flash.program_page_at(dst, lpn, OpPurpose::HostData)?;
+        if env.flash.state(src)? == PageState::Valid {
+            env.flash.invalidate(src)?;
+        }
+        gc::in_background(env, |env| -> Result<()> {
+            for i in off + 1..self.pages_per_block {
+                self.copy_page(env, lbn, old_pbn, new_pbn, i)?;
+            }
+            env.flash.erase_block(old_pbn, OpPurpose::GcData)?;
+            Ok(())
+        })?;
         env.blocks.release_raw_block(old_pbn);
         self.map[lbn] = Some(new_pbn);
+        Ok(())
+    }
+
+    /// Copies offset `i` of logical block `lbn` from `old_pbn` to
+    /// `new_pbn`, if it holds a valid page.
+    fn copy_page(
+        &self,
+        env: &mut SsdEnv,
+        lbn: usize,
+        old_pbn: BlockId,
+        new_pbn: BlockId,
+        i: usize,
+    ) -> Result<()> {
+        let src = self.ppn_at(env, old_pbn, i);
+        if env.flash.state(src)? == PageState::Valid {
+            let copied_lpn = (lbn * self.pages_per_block + i) as Lpn;
+            let dst = self.ppn_at(env, new_pbn, i);
+            env.flash.read_page(src, OpPurpose::GcData)?;
+            env.flash
+                .program_page_at(dst, copied_lpn, OpPurpose::GcData)?;
+            env.flash.invalidate(src)?;
+        }
         Ok(())
     }
 }
@@ -204,11 +230,25 @@ mod tests {
             driver::serve_page_access(&mut ftl, &mut env, lpn, AccessCtx::single(true)).unwrap();
         }
         let writes = env.flash().stats().total_writes();
+        let (frontier, queued) = (
+            env.flash().sim_frontier_us(),
+            env.flash().clocks().lane_queued(),
+        );
         // Overwrite one page: merge copies the 63 others + the new page.
-        driver::serve_page_access(&mut ftl, &mut env, 0, AccessCtx::single(true)).unwrap();
+        driver::serve_page_access(&mut ftl, &mut env, 10, AccessCtx::single(true)).unwrap();
         assert_eq!(ftl.merges(), 1);
         assert_eq!(env.flash().stats().total_writes(), writes + 64);
         assert_eq!(env.flash().stats().total_erases(), 1);
+        // The ten copies below offset 10 and the host's page run in front
+        // of the request; the 53 copies above it and the erase wait in the
+        // background lane.
+        let geom = env.flash().geometry();
+        let copy_us = geom.read_us + geom.write_us;
+        assert_eq!(
+            env.flash().sim_frontier_us(),
+            frontier + 10.0 * copy_us + geom.write_us
+        );
+        assert_eq!(env.flash().clocks().lane_queued(), queued + 53 * 2 + 1);
         // All data still readable.
         for lpn in 0..64u32 {
             driver::serve_page_access(&mut ftl, &mut env, lpn, AccessCtx::single(false)).unwrap();

@@ -19,6 +19,10 @@
 //!   write intensive workloads" (Section 2.1), which this implementation
 //!   reproduces and the test suite demonstrates.
 //!
+//! Merges and log reclaims are this FTL's garbage collection: their ops
+//! run in the device's idle time, like the page-level collector's
+//! ([`gc::in_background`]).
+//!
 //! RAM cost: 4 B per logical block plus 8 B per live log page — far below
 //! a page-level table, which is the hybrid's selling point the paper
 //! acknowledges before rejecting hybrids on performance grounds.
@@ -29,7 +33,7 @@ use tpftl_flash::{BlockId, Lpn, OpPurpose, PageState, Ppn};
 
 use crate::env::SsdEnv;
 use crate::ftl::{AccessCtx, Ftl, TpDistEntry};
-use crate::{Result, SsdConfig};
+use crate::{gc, Result, SsdConfig};
 
 /// State of the sequential log block.
 #[derive(Debug, Clone, Copy)]
@@ -180,11 +184,14 @@ impl FastFtl {
                 self.close_sw_log(env)?;
             }
         }
-        for lbn in lbns {
-            self.merge_block(env, lbn)?;
-        }
-        debug_assert_eq!(env.flash().valid_pages_in(victim)?, 0);
-        env.flash.erase_block(victim, OpPurpose::GcData)?;
+        gc::in_background(env, |env| -> Result<()> {
+            for lbn in lbns {
+                self.merge_block(env, lbn)?;
+            }
+            debug_assert_eq!(env.flash().valid_pages_in(victim)?, 0);
+            env.flash.erase_block(victim, OpPurpose::GcData)?;
+            Ok(())
+        })?;
         env.blocks.release_raw_block(victim);
         Ok(())
     }
@@ -217,10 +224,13 @@ impl FastFtl {
             return Ok(());
         };
         let lbn = sw.lbn as usize;
+        let old = self.block_map[lbn];
         if sw.next_off == self.pages_per_block {
             self.merges.switch_merges += 1;
         } else {
             self.merges.partial_merges += 1;
+        }
+        gc::in_background(env, |env| -> Result<()> {
             for off in sw.next_off..self.pages_per_block {
                 let lpn = (lbn * self.pages_per_block + off) as Lpn;
                 if let Some(src) = self.locate(env, lpn)? {
@@ -231,13 +241,16 @@ impl FastFtl {
                     self.log_map.remove(&lpn);
                 }
             }
-        }
-        // Switch: the SW log becomes the data block. Every page of the old
-        // block was superseded by an SW write or copied by the partial
-        // merge above; the erase below fails loudly if that invariant is
-        // ever broken.
-        if let Some(old) = self.block_map[lbn] {
-            env.flash.erase_block(old, OpPurpose::GcData)?;
+            // Switch: the SW log becomes the data block. Every page of the
+            // old block was superseded by an SW write or copied by the
+            // partial merge above; the erase fails loudly if that
+            // invariant is ever broken.
+            if let Some(old) = old {
+                env.flash.erase_block(old, OpPurpose::GcData)?;
+            }
+            Ok(())
+        })?;
+        if let Some(old) = old {
             env.blocks.release_raw_block(old);
         }
         self.block_map[lbn] = Some(sw.pbn);
@@ -460,6 +473,8 @@ mod tests {
             write(&mut ftl, &mut env, (i * 37) % 128);
         }
         assert!(ftl.merge_stats().full_merges > 0);
+        // Merges are reclamation: their ops went to the background lane.
+        assert!(env.flash().clocks().lane_queued() > 0);
         // Everything still reads back correctly.
         for lpn in 0..128u32 {
             read(&mut ftl, &mut env, lpn);

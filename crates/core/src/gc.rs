@@ -9,6 +9,12 @@
 //! GTD; (3) erase the block. The collector is a free function generic over
 //! [`Ftl`] so that the FTL and the environment can be borrowed
 //! simultaneously without cycles.
+//!
+//! Every flash op of a collection — migration reads and programs, the
+//! FTL's GC-miss write-backs, the erase — goes to the unit clocks'
+//! background lane (`tpftl_flash::UnitClocks`): it happens now in device
+//! state and counters, but runs in simulated time in the device's idle
+//! gaps, and a host program waits for it only to reuse the erased block.
 
 use tpftl_flash::{Lpn, OpPurpose, Ppn, Vtpn};
 
@@ -43,10 +49,20 @@ pub fn ensure_free<F: Ftl + ?Sized>(ftl: &mut F, env: &mut SsdEnv) -> Result<()>
 pub fn collect_one<F: Ftl + ?Sized>(ftl: &mut F, env: &mut SsdEnv) -> Result<()> {
     let policy = env.config().gc_policy;
     let (victim, class) = env.blocks.pick_victim(policy).ok_or(FtlError::DeviceFull)?;
-    match class {
+    in_background(env, |env| match class {
         AllocClass::Data => collect_data_block(ftl, env, victim),
         AllocClass::Translation => collect_translation_block(env, victim),
-    }
+    })
+}
+
+/// Runs `reclaim` with every flash op it issues sent to the unit clocks'
+/// background lane (see the module doc). The page-level collector and the
+/// block-mapped FTLs' merges both reclaim space through it.
+pub fn in_background<R>(env: &mut SsdEnv, reclaim: impl FnOnce(&mut SsdEnv) -> R) -> R {
+    env.flash.sim_background(true);
+    let res = reclaim(env);
+    env.flash.sim_background(false);
+    res
 }
 
 fn collect_data_block<F: Ftl + ?Sized>(
@@ -78,22 +94,14 @@ fn migrate_data_pages<F: Ftl + ?Sized>(
     env.gc_stats.data_victims += 1;
     env.gc_stats.data_pages_migrated += valid.len() as u64;
 
-    // Each migration (read + program of one page) depends only on GC
-    // start, not on the previous migration: reads all queue on the victim's
-    // unit, but the programs land on other units and overlap. The erase
-    // must still wait for every migration to finish (no instant where a
-    // page's data exists nowhere), so the frontier is advanced to the
-    // latest migration before it issues.
+    // In the lane each program follows its read, and the erase follows
+    // every migration (no instant where a page's data exists nowhere).
     moved.clear();
-    let fence = env.flash.sim_frontier_us();
-    let mut gc_done = fence;
     for &(old_ppn, lpn) in valid.iter() {
-        env.flash.sim_relax_to(fence);
         env.flash.read_page(old_ppn, OpPurpose::GcData)?;
         let new_ppn = env.program_data_page(lpn, OpPurpose::GcData)?;
         env.invalidate_page(old_ppn)?;
         moved.push((lpn, new_ppn));
-        gc_done = gc_done.max(env.flash.sim_frontier_us());
     }
 
     // Mapping updates: cache hits are absorbed (and deferred as dirty
@@ -102,8 +110,6 @@ fn migrate_data_pages<F: Ftl + ?Sized>(
     env.stats.gc_updates += moved.len() as u64;
     env.stats.gc_hits += hits;
 
-    env.flash
-        .sim_relax_to(gc_done.max(env.flash.sim_frontier_us()));
     env.flash.erase_block(victim, OpPurpose::GcData)?;
     env.blocks.on_erased(victim);
     Ok(())
@@ -126,11 +132,7 @@ fn migrate_translation_pages(
     env.gc_stats.trans_victims += 1;
     env.gc_stats.trans_pages_migrated += valid.len() as u64;
 
-    // Migrations are mutually independent, like the data-page path above.
-    let fence = env.flash.sim_frontier_us();
-    let mut gc_done = fence;
     for &(old_ppn, vtpn) in valid.iter() {
-        env.flash.sim_relax_to(fence);
         // Accounts the migration read and validates the source page.
         env.flash.read_page(old_ppn, OpPurpose::GcTranslation)?;
         // The original is retired only by the program that replaces it, so
@@ -138,10 +140,8 @@ fn migrate_translation_pages(
         // copy of this translation page. The payload is not copied: its slab
         // slot moves to the new page inside the flash model.
         env.supersede_translation_page(vtpn, old_ppn, &[], OpPurpose::GcTranslation)?;
-        gc_done = gc_done.max(env.flash.sim_frontier_us());
     }
 
-    env.flash.sim_relax_to(gc_done);
     env.flash.erase_block(victim, OpPurpose::GcTranslation)?;
     env.blocks.on_erased(victim);
     Ok(())

@@ -467,4 +467,16 @@ fn print_report(report: &tpftl_sim::RunReport, config: &tpftl_core::SsdConfig) {
         "sim response:        avg {:.1} / p50 {:.1} / p99 {:.1} / p999 {:.1} us",
         sim.resp_avg_us, sim.resp_p50_us, sim.resp_p99_us, sim.resp_p999_us
     );
+    let responses = sim.resp_avg_us * report.ftl_stats.requests as f64;
+    println!(
+        "sim GC lane:         stall {:.1} us ({:.2}% of response), {} forced drains, {:.1} us pending",
+        sim.gc_stall_us,
+        if responses > 0.0 {
+            sim.gc_stall_us / responses * 100.0
+        } else {
+            0.0
+        },
+        sim.gc_forced_drains,
+        sim.gc_pending_us
+    );
 }

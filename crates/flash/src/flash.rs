@@ -90,6 +90,10 @@ pub struct Flash {
     /// Cached `geom.topology.units()` so the hot path can skip the unit
     /// computation entirely on the default serial topology.
     units: usize,
+    /// Per block: the lane ticket of its last background erase (0 = none).
+    /// A foreground program into a block whose erase the lane has not yet
+    /// placed forces the lane through it first.
+    erase_ticket: Vec<u64>,
     /// Optional file backing: every state transition is mirrored to a
     /// device file with the fixed on-device layout of [`crate::media`],
     /// so the device survives process death. `None` (the default) is the
@@ -117,6 +121,7 @@ impl Clone for Flash {
             stats: self.stats.clone(),
             clocks: self.clocks.clone(),
             units: self.units,
+            erase_ticket: self.erase_ticket.clone(),
             backing: None,
         }
     }
@@ -147,6 +152,7 @@ impl Flash {
             stats: FlashStats::default(),
             clocks: UnitClocks::new(&geom.topology),
             units: geom.topology.units(),
+            erase_ticket: vec![0; blocks],
             geom,
             backing: None,
         })
@@ -256,9 +262,10 @@ impl Flash {
     }
 
     /// Clears the operation statistics (op counts and busy time) and
-    /// rewinds the simulated unit clocks to zero, leaving device state and
-    /// per-block wear counters untouched. Used after formatting/pre-filling
-    /// so measurements cover only the workload.
+    /// rewinds the simulated unit clocks to zero, dropping any queued
+    /// background work, leaving device state and per-block wear counters
+    /// untouched. Used after formatting/pre-filling so measurements cover
+    /// only the workload.
     pub fn reset_stats(&mut self) {
         self.stats = FlashStats::default();
         self.clocks.reset();
@@ -303,6 +310,20 @@ impl Flash {
     #[inline]
     pub fn sim_device_done_us(&self) -> f64 {
         self.clocks.done_us()
+    }
+
+    /// Sends the ops that follow to the clocks' background lane (`true`)
+    /// or places them in the foreground again (`false`); see
+    /// [`UnitClocks`]. Garbage collection runs in the lane.
+    #[inline]
+    pub fn sim_background(&mut self, on: bool) {
+        self.clocks.set_background(on);
+    }
+
+    /// Starts recording where each background-lane op lands (see
+    /// [`UnitClocks::placements`]).
+    pub fn log_lane_placements(&mut self) {
+        self.clocks.log_placements();
     }
 
     // ---- Power-loss fault injection -----------------------------------------
@@ -563,7 +584,14 @@ impl Flash {
         }
         self.stats
             .record(OpKind::Write, purpose, self.geom.write_us);
-        self.clocks.write(self.unit_of(ppn), self.geom.write_us);
+        // No page is programmed before its block's erase completes: a
+        // foreground program waits for an erase still queued in the lane
+        // (a lane program is queued behind it anyway).
+        let tickets = &self.erase_ticket;
+        self.clocks
+            .program(self.unit_of(ppn), self.geom.write_us, || {
+                tickets[block as usize]
+            });
         self.mirror_program(ppn)?;
         if let TpContent::Supersede(src, _) = content {
             // Program record first, invalidate record second: a process
@@ -726,6 +754,9 @@ impl Flash {
             self.units.min(self.geom.pages_per_block),
             self.geom.erase_us,
         );
+        if self.clocks.background() {
+            self.erase_ticket[block as usize] = self.clocks.lane_queued();
+        }
         Ok(())
     }
 
@@ -1084,6 +1115,33 @@ mod tests {
         f.sim_relax_to(0.0);
         f.program_page(9, 3, OpPurpose::HostData).unwrap();
         assert_eq!(f.sim_frontier_us(), 1700.0);
+    }
+
+    #[test]
+    fn a_program_into_a_block_erased_in_the_lane_waits_for_the_erase() {
+        let mut f = small();
+        f.program_page(0, 1, OpPurpose::HostData).unwrap(); // 0..200
+        f.invalidate(0).unwrap();
+        f.sim_background(true);
+        f.erase_block(0, OpPurpose::GcData).unwrap();
+        f.sim_background(false);
+        // Queued: counted, not yet placed.
+        assert_eq!(f.stats().busy_us, 1700.0);
+        assert_eq!(f.sim_device_done_us(), 200.0);
+        // Another block's program overtakes it (the unit is busy until 200,
+        // so the erase cannot start before the program could).
+        f.program_page(64, 2, OpPurpose::HostData).unwrap();
+        assert_eq!(f.sim_frontier_us(), 400.0);
+        assert_eq!(f.clocks().gc_forced_drains(), 0);
+        // Reusing the erased block forces the erase first: 400..1900.
+        f.program_page(0, 3, OpPurpose::HostData).unwrap();
+        assert_eq!(f.sim_frontier_us(), 2100.0);
+        assert_eq!(f.clocks().gc_forced_drains(), 1);
+        assert_eq!(f.clocks().gc_stall_us(), 1500.0);
+        // Only the first program of the block waits.
+        f.program_page(1, 4, OpPurpose::HostData).unwrap();
+        assert_eq!(f.clocks().gc_forced_drains(), 1);
+        assert_eq!(f.sim_device_done_us(), f.stats().busy_us);
     }
 
     #[test]

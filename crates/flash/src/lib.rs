@@ -44,7 +44,7 @@ pub use flash::{Flash, PageInfo, PageState};
 pub use geometry::{FlashGeometry, FlashTopology};
 pub use media::MediaError;
 pub use stats::{FlashStats, OpKind, OpPurpose, PurposeCounts};
-pub use timing::UnitClocks;
+pub use timing::{LanePlacement, UnitClocks};
 
 /// Physical page number: a global index over every page of the device.
 pub type Ppn = u32;

@@ -12,6 +12,14 @@
 //! 3. **Never slower than serial** — parallelism (with zero bus cost) can
 //!    only ever help: the N-unit makespan never exceeds the serial sum of
 //!    latencies.
+//!
+//! One more covers the background lane that garbage collection runs in:
+//!
+//! 4. **Erase before program** — with collections queued in the lane and
+//!    host ops overtaking them, no page is programmed (in simulated time)
+//!    before its block's last erase has completed. On 1×1 the lane's
+//!    placements come from the duration-FIFO fast path; the unit tests in
+//!    `src/timing.rs` pin it to the general rules bit for bit.
 
 use tpftl_flash::{Flash, FlashGeometry, FlashTopology, OpPurpose, Ppn};
 use tpftl_rng::Rng64;
@@ -212,5 +220,138 @@ fn relaxation_never_breaks_per_unit_serialization() {
         }
         assert_eq!(flash.sim_device_done_us(), oracle.critical_path_us());
         assert_eq!(flash.clocks().busiest_unit_us(), oracle.critical_path_us());
+    }
+}
+
+/// The oracle's record of the lane: per block, the ticket of its last
+/// background erase (0: none yet), and every lane program as `(ticket, its
+/// block's erase ticket when it was queued)`.
+#[derive(Default)]
+struct LaneLedger {
+    erase_ticket: Vec<u64>,
+    programs: Vec<(u64, u64)>,
+}
+
+/// Keeps two blocks empty the way `gc::collect_one` does, in the
+/// background lane: the full block with the fewest valid pages has them
+/// read and programmed into the fullest block with room, then is erased.
+fn collect(flash: &mut Flash, ledger: &mut LaneLedger) {
+    let empty = |f: &Flash| {
+        (0..BLOCKS as u32)
+            .filter(|&b| f.free_pages_in(b).unwrap() == PAGES_PER_BLOCK)
+            .count()
+    };
+    while empty(flash) < 2 {
+        let victim = (0..BLOCKS as u32)
+            .filter(|&b| flash.next_free_ppn(b).is_none())
+            .min_by_key(|&b| flash.valid_pages_in(b).unwrap())
+            .expect("a full block");
+        let valid: Vec<Ppn> = flash.valid_pages(victim).map(|(p, _)| p).collect();
+        let dst = (0..BLOCKS as u32)
+            .filter(|&b| b != victim && flash.free_pages_in(b).unwrap() >= valid.len().max(1))
+            .min_by_key(|&b| flash.free_pages_in(b).unwrap())
+            .expect("room for the victim's valid pages");
+        flash.sim_background(true);
+        for ppn in valid {
+            flash.read_page(ppn, OpPurpose::GcData).unwrap();
+            let to = flash.next_free_ppn(dst).unwrap();
+            flash.program_page(to, ppn, OpPurpose::GcData).unwrap();
+            ledger.programs.push((
+                flash.clocks().lane_queued(),
+                ledger.erase_ticket[dst as usize],
+            ));
+            flash.invalidate(ppn).unwrap();
+        }
+        flash.erase_block(victim, OpPurpose::GcData).unwrap();
+        ledger.erase_ticket[victim as usize] = flash.clocks().lane_queued();
+        flash.sim_background(false);
+    }
+}
+
+/// When the lane op queued under `ticket` completed, if it has been placed
+/// (the log starts with ticket 1).
+fn lane_done(flash: &Flash, ticket: u64) -> Option<f64> {
+    let placed = flash.clocks().placements().get(ticket as usize - 1)?;
+    assert_eq!(placed.ticket, ticket);
+    Some(placed.done_us)
+}
+
+#[test]
+fn no_page_is_programmed_before_its_blocks_erase_completes() {
+    for (channels, ways, bus_us) in [(1, 1, 0.0), (2, 1, 0.0), (4, 2, 0.0), (2, 2, 10.0)] {
+        for seed in [5u64, 17, 2015] {
+            let case = format!("{channels}x{ways} seed {seed}");
+            let mut flash = Flash::new(geom(channels, ways, bus_us)).unwrap();
+            flash.log_lane_placements();
+            let write_us = flash.geometry().write_us;
+            let mut rng = Rng64::seed_from_u64(seed);
+            let mut ledger = LaneLedger {
+                erase_ticket: vec![0; BLOCKS],
+                ..LaneLedger::default()
+            };
+            let mut reused = 0;
+            for _ in 0..6000 {
+                match rng.range_usize(0, 10) {
+                    // A host write, into the partly written block first;
+                    // past half full it makes some other page stale.
+                    0..=4 => {
+                        collect(&mut flash, &mut ledger);
+                        let (block, ppn) = (0..BLOCKS as u32)
+                            .filter_map(|b| Some((b, flash.next_free_ppn(b)?)))
+                            .min_by_key(|&(b, _)| flash.free_pages_in(b).unwrap())
+                            .expect("GC keeps blocks empty");
+                        flash.program_page(ppn, ppn, OpPurpose::HostData).unwrap();
+                        let valid: Vec<Ppn> = flash.scan_valid().map(|(p, _, _)| p).collect();
+                        if valid.len() > BLOCKS * PAGES_PER_BLOCK / 2 {
+                            flash
+                                .invalidate(valid[rng.range_usize(0, valid.len())])
+                                .unwrap();
+                        }
+                        let ticket = ledger.erase_ticket[block as usize];
+                        if ticket == 0 {
+                            continue;
+                        }
+                        reused += 1;
+                        let erased = lane_done(&flash, ticket).unwrap_or_else(|| {
+                            panic!("{case}: block {block} programmed before its queued erase was placed")
+                        });
+                        // Recovered from its completion, so up to rounding.
+                        let cell_start = flash.sim_frontier_us() - write_us;
+                        assert!(
+                            cell_start + 1e-6 >= erased,
+                            "{case}: host program of block {block} at {cell_start}, its erase completed at {erased}"
+                        );
+                    }
+                    5..=7 => {
+                        let block = rng.range_usize(0, BLOCKS) as u32;
+                        let first = flash.valid_pages(block).next();
+                        if let Some((ppn, _)) = first {
+                            flash.read_page(ppn, OpPurpose::HostData).unwrap();
+                        }
+                    }
+                    // Idle time, or an independent chain from earlier.
+                    8 => flash.sim_relax_to(flash.sim_frontier_us() + rng.range_f64(0.0, 3000.0)),
+                    _ => flash.sim_relax_to(flash.sim_frontier_us() * rng.range_f64(0.5, 1.0)),
+                }
+            }
+            for &(ticket, erase) in &ledger.programs {
+                let placed = flash.clocks().placements().get(ticket as usize - 1);
+                let erased = (erase > 0).then(|| lane_done(&flash, erase)).flatten();
+                if let (Some(program), Some(erased)) = (placed, erased) {
+                    assert!(
+                        program.start_us >= erased,
+                        "{case}: migration program {ticket} at {}, its block's erase completed at {erased}",
+                        program.start_us
+                    );
+                }
+            }
+            // The run exercised what it claims to: host programs into
+            // blocks erased in the lane, some of which forced a drain.
+            let forced = flash.clocks().gc_forced_drains();
+            assert!(
+                reused > 1000 && forced > 0,
+                "{case}: {reused} reuses, {forced} forced"
+            );
+        }
     }
 }

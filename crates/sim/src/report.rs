@@ -10,8 +10,9 @@ use tpftl_flash::{FlashStats, OpPurpose};
 ///
 /// All zeros (including `channels`/`ways`) on reports recorded before the
 /// model existed. On a 1-channel/1-way device every flash op serializes on
-/// the one unit, so `makespan_us` tracks the serial `FlashStats::busy_us`
-/// bit for bit when the device never idles; response times can still be
+/// the one unit, so when the device never idles `makespan_us +
+/// gc_pending_us` equals the serial `FlashStats::busy_us`; response times
+/// can still be
 /// *shorter* than a serial sum of op latencies, because a translation
 /// write-back that ends a request is fire-and-forget: the request
 /// completes before it and only the next op on that unit queues behind
@@ -24,7 +25,8 @@ pub struct SimTiming {
     /// Ways (dies) per channel.
     pub ways: u32,
     /// Sum of per-request busy spans (completion − start) in µs: simulated
-    /// device time spent serving requests. Summed across shards.
+    /// device time spent serving requests. Garbage collection that ran in
+    /// idle time is not in it. Summed across shards.
     pub device_us: f64,
     /// Completion time of the last flash op (device makespan) in µs.
     /// Maximum across shards (they run in parallel).
@@ -47,6 +49,22 @@ pub struct SimTiming {
     /// Maximum across shards; 0 on reports recorded before it existed.
     #[serde(default)]
     pub busiest_unit_us: f64,
+    /// Total µs by which garbage collection delayed host flash ops: a GC
+    /// op already running when a host op became ready, or queued GC work
+    /// forced ahead of a program into the block it erases. Collections
+    /// run in the unit clocks' background lane, in the device's idle time;
+    /// this is what they still cost the host. Summed across shards.
+    #[serde(default)]
+    pub gc_stall_us: f64,
+    /// Host programs that had to wait for a queued GC erase of their block.
+    /// Summed across shards.
+    #[serde(default)]
+    pub gc_forced_drains: u64,
+    /// Serial µs of GC work still queued when the report was taken (it
+    /// is in the op counters and `FlashStats::busy_us`, not yet in
+    /// `makespan_us`). Summed across shards.
+    #[serde(default)]
+    pub gc_pending_us: f64,
 }
 
 /// Everything the paper's figures plot, for one (FTL, workload) run.

@@ -130,7 +130,8 @@ fn merge_reports(per_shard: &[RunReport]) -> RunReport {
     // Simulated clocks: shards are parallel devices, so the merged
     // makespan is the latest shard's and the busiest unit the busiest of
     // any shard's (shard-order folds of `max`, still deterministic), while
-    // device time — occupied device-microseconds — sums like `busy_us`.
+    // device time — occupied device-microseconds — sums like `busy_us`, and
+    // so do the GC lane's stall, forced drains and pending work.
     // Percentiles need the sample distribution, not per-shard
     // percentiles; `ShardedSsd::report` fills them from the merged
     // histograms.
@@ -151,6 +152,9 @@ fn merge_reports(per_shard: &[RunReport]) -> RunReport {
         sim.device_us += r.sim.device_us;
         sim.makespan_us = sim.makespan_us.max(r.sim.makespan_us);
         sim.busiest_unit_us = sim.busiest_unit_us.max(r.sim.busiest_unit_us);
+        sim.gc_stall_us += r.sim.gc_stall_us;
+        sim.gc_forced_drains += r.sim.gc_forced_drains;
+        sim.gc_pending_us += r.sim.gc_pending_us;
         sim_resp_weighted += r.sim.resp_avg_us * r.ftl_stats.requests as f64;
     }
     if responses > 0 {
@@ -736,6 +740,24 @@ mod tests {
         );
         assert!(m.busiest_unit_us > 0.0);
         assert_eq!(m.device_us.to_bits(), sum_device.to_bits());
+        // The GC lane's stall, forced drains and pending work sum too.
+        let sum_of = |f: fn(&RunReport) -> f64| report.per_shard.iter().map(f).sum::<f64>();
+        assert_eq!(
+            m.gc_stall_us.to_bits(),
+            sum_of(|r| r.sim.gc_stall_us).to_bits()
+        );
+        assert_eq!(
+            m.gc_pending_us.to_bits(),
+            sum_of(|r| r.sim.gc_pending_us).to_bits()
+        );
+        assert_eq!(
+            m.gc_forced_drains,
+            report
+                .per_shard
+                .iter()
+                .map(|r| r.sim.gc_forced_drains)
+                .sum::<u64>()
+        );
         // Percentiles come from the merged histogram, not a fold of
         // per-shard percentiles.
         let mut hist = LatencyHistogram::new();

@@ -161,6 +161,14 @@ impl<F: Ftl> Ssd<F> {
     /// a fire-and-forget persist (see `SsdEnv::update_translation_page`):
     /// a request whose last flash op is one completes *before* it, and the
     /// write-back delays only later ops on the same flash unit.
+    ///
+    /// Garbage collection is not part of any request. A collection that
+    /// an access triggers goes to the unit clocks' background lane
+    /// (`tpftl_flash::UnitClocks`) and runs in the device's idle time; a
+    /// request waits for it only behind the one lane op already running
+    /// when its own op is ready, or for a queued erase of a block it
+    /// programs (`SimTiming::gc_stall_us`). So `device_us`, the sum of
+    /// request spans, holds no idle-time GC.
     pub fn serve(&mut self, req: &IoRequest) -> Result<f64> {
         self.env.stats.requests += 1;
         let sim_start = req.arrival_us.max(self.sim_free_us);
@@ -251,6 +259,7 @@ impl<F: Ftl> Ssd<F> {
             cache_bytes_total: self.env.config().cache_bytes,
             sim: {
                 let topo = self.env.config().topology;
+                let clocks = self.env.flash().clocks();
                 SimTiming {
                     channels: topo.channels,
                     ways: topo.ways,
@@ -264,7 +273,10 @@ impl<F: Ftl> Ssd<F> {
                     resp_p50_us: self.sim_hist.p50(),
                     resp_p99_us: self.sim_hist.p99(),
                     resp_p999_us: self.sim_hist.p999(),
-                    busiest_unit_us: self.env.flash().clocks().busiest_unit_us(),
+                    busiest_unit_us: clocks.busiest_unit_us(),
+                    gc_stall_us: clocks.gc_stall_us(),
+                    gc_forced_drains: clocks.gc_forced_drains(),
+                    gc_pending_us: clocks.lane_pending_us(),
                 }
             },
         }
