@@ -364,17 +364,18 @@ impl SsdEnv {
     }
 
     /// Reads the data page at `ppn`, verifying it still belongs to `lpn` —
-    /// a mismatch means the FTL's mapping is corrupt and is surfaced as a
-    /// flash error rather than masked.
+    /// a mismatch means the FTL's mapping is corrupt and is surfaced as
+    /// [`FtlError::MappingCorruption`] rather than masked.
     pub fn read_data_page(&mut self, ppn: Ppn, lpn: Lpn) -> Result<()> {
         let info = self.flash.read_page(ppn, OpPurpose::HostData)?;
         if info.tag != lpn {
             // The strongest invariant the simulator checks: a resolved
             // mapping must point at the page that physically holds the LPN.
-            panic!(
-                "mapping corruption: LPN {lpn} resolved to PPN {ppn} which holds tag {}",
-                info.tag
-            );
+            return Err(FtlError::MappingCorruption {
+                lpn,
+                ppn,
+                tag: info.tag,
+            });
         }
         Ok(())
     }
@@ -731,11 +732,13 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "mapping corruption")]
-    fn wrong_lpn_read_panics() {
+    fn wrong_lpn_read_is_mapping_corruption() {
         let mut env = SsdEnv::new(tiny_config()).unwrap();
         let p = env.program_data_page(1, OpPurpose::HostData).unwrap();
-        let _ = env.read_data_page(p, 2);
+        let got = env.read_data_page(p, 2);
+        assert!(
+            matches!(got, Err(FtlError::MappingCorruption { lpn: 2, tag: 1, ppn }) if ppn == p)
+        );
     }
 
     #[test]

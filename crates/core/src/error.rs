@@ -19,6 +19,17 @@ pub enum FtlError {
         /// Number of logical pages the device exports.
         logical_pages: u64,
     },
+    /// A resolved mapping points at a data page that holds another LPN:
+    /// the FTL's mapping is corrupt. Surfaced, never masked, and returned
+    /// rather than panicked so that a test harness can shrink the case.
+    MappingCorruption {
+        /// The logical page that was read.
+        lpn: tpftl_flash::Lpn,
+        /// The physical page its mapping resolved to.
+        ppn: tpftl_flash::Ppn,
+        /// The LPN that page's out-of-band tag names.
+        tag: tpftl_flash::Lpn,
+    },
     /// The mapping cache budget is too small to hold even one entry plus
     /// the structures the FTL needs.
     CacheTooSmall,
@@ -34,6 +45,10 @@ impl core::fmt::Display for FtlError {
             Self::OutOfLogicalSpace { lpn, logical_pages } => {
                 write!(f, "LPN {lpn} beyond logical space of {logical_pages} pages")
             }
+            Self::MappingCorruption { lpn, ppn, tag } => write!(
+                f,
+                "mapping corruption: LPN {lpn} resolved to PPN {ppn} which holds tag {tag}"
+            ),
             Self::CacheTooSmall => write!(f, "mapping cache budget too small"),
             Self::WorkerSpawn(kind) => write!(f, "cannot spawn a shard worker thread: {kind}"),
         }
@@ -48,6 +63,10 @@ impl std::error::Error for FtlError {
         }
     }
 }
+
+// Every host read returns this type: a variant that widened it would tax
+// the hot path of every request.
+const _: () = assert!(std::mem::size_of::<FtlError>() <= 24);
 
 impl From<FlashError> for FtlError {
     fn from(e: FlashError) -> Self {

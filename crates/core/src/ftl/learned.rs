@@ -728,7 +728,7 @@ mod tests {
         assert!(env.stats.predict_hits > 0, "some points round exactly");
         assert!(env.stats.mispredicts > 0, "some points round wrong");
         // Every mispredict was caught by OOB validation and resolved via the
-        // fallback (read_data_page would have panicked on a wrong PPN). Every
+        // fallback (read_data_page would have failed on a wrong PPN). Every
         // non-predicted access costs one translation read, and every
         // mispredict additionally charged one wasted speculative read.
         assert_eq!(
@@ -758,7 +758,7 @@ mod tests {
             access(&mut ftl, &mut env, lpn, true);
         }
         assert!(env.stats.gc_updates > 0, "GC never migrated pages");
-        // (`read_data_page` panics on a page that does not hold the LPN.)
+        // (`read_data_page` fails on a page that does not hold the LPN.)
         (0..64).for_each(|lpn| access(&mut ftl, &mut env, lpn, false));
     }
 

@@ -32,7 +32,9 @@
 //! the translation-page boundary, and the replacement it forces stays
 //! within the single LRU TP node (the prefetch length is reduced
 //! otherwise), so one address translation performs at most one translation
-//! page read and at most one update.
+//! page read and at most one update. Without `b` each dirty victim is its
+//! own update, so there the prefetch is also reduced rather than pay a
+//! second one.
 //!
 //! Cached entries are stored compressed (Section 4.1): the LPN is implied
 //! by the node's VTPN plus a 10-bit in-page offset, so an entry costs 6
@@ -473,8 +475,8 @@ impl TpFtl {
     }
 
     /// Evicts one entry from the coldest TP node, handling writeback and
-    /// batch-update; returns the bytes freed.
-    fn evict_one(&mut self, env: &mut SsdEnv) -> Result<usize> {
+    /// batch-update; returns whether it wrote a translation page.
+    fn evict_one(&mut self, env: &mut SsdEnv) -> Result<bool> {
         let &(_, vtpn) = self.order.first().expect("eviction from empty cache");
         let (victim_idx, victim) = self.pick_victim_in(vtpn);
         env.note_replacement(victim.dirty);
@@ -507,26 +509,29 @@ impl TpFtl {
         let e = node.entries.remove(victim_idx);
         node.tables.unset(e.offset);
         node.stamp_sum -= e.stamp;
-        let mut freed = ENTRY_BYTES;
+        self.bytes_used -= ENTRY_BYTES;
         if node.entries.is_empty() {
             let i = node.heap_pos as usize;
             self.heap_remove(i);
             let node = self.nodes.remove(vtpn).expect("present");
             self.table_pool.recycle(node.tables);
-            freed += NODE_BYTES;
+            self.bytes_used -= NODE_BYTES;
             self.on_node_removed();
         } else {
             self.reposition(vtpn);
         }
-        self.bytes_used -= freed;
-        Ok(freed)
+        Ok(victim.dirty)
     }
 
     /// Makes room for loading `1 + prefetch` entries into `vtpn` (which may
     /// not exist yet), reducing `prefetch` so that the forced replacement
-    /// stays within the single LRU TP node (Section 4.5, rule 2). Returns
-    /// the final prefetch length.
+    /// stays within the single LRU TP node (Section 4.5, rule 2). Without
+    /// batch update every dirty victim is a translation write, so there a
+    /// prefetch pays for at most one: after it, a dirty victim shortens the
+    /// prefetch instead (else one long request writes back a page per entry
+    /// of the node, in one access). Returns the final prefetch length.
     fn make_room(&mut self, env: &mut SsdEnv, vtpn: Vtpn, mut prefetch: usize) -> Result<usize> {
+        let mut wrote = false;
         loop {
             // Re-evaluated every iteration: an eviction can dismantle the
             // target node itself, re-introducing its NODE_BYTES cost.
@@ -542,16 +547,14 @@ impl TpFtl {
             }
             let deficit = need - free;
             let evictions = deficit.div_ceil(ENTRY_BYTES);
-            let lru_len = self
-                .order
-                .first()
-                .map(|&(_, v)| self.nodes[v].len())
-                .unwrap_or(0);
-            if evictions <= lru_len || prefetch == 0 {
+            let lru = self.order.first().map(|&(_, v)| v);
+            let lru_len = lru.map_or(0, |v| self.nodes[v].len());
+            let second_write = wrote && lru.is_some_and(|v| self.pick_victim_in(v).1.dirty);
+            if prefetch == 0 || (evictions <= lru_len && !second_write) {
                 // Evict one entry and re-evaluate. When prefetch is already
                 // 0 the requested entry must be loaded regardless, even if
                 // that crosses into a second node.
-                self.evict_one(env)?;
+                wrote |= self.evict_one(env)? && !self.cfg.batch_update;
             } else {
                 prefetch -= 1;
             }

@@ -1,10 +1,9 @@
 //! Randomized model tests over the FTL framework.
 //!
 //! * `LruList` against a `VecDeque` reference model.
-//! * Every demand-paging FTL against a shadow mapping oracle under random
-//!   workloads with GC pressure: all resolved mappings must point at the
-//!   valid flash page holding that LPN, no LPN may own two valid pages, and
-//!   cache budgets must hold at every step.
+//! * Every FTL against the simulation tester's shadow (`tpftl_sim::tester`),
+//!   with the axes each test pins.
+//! * TPFTL's one-read-one-update bound per translation.
 //!
 //! The generators are driven by the in-tree seeded PRNG (`tpftl-rng`) —
 //! proptest is unavailable offline — so every case is identified by its
@@ -14,10 +13,12 @@ use std::collections::VecDeque;
 
 use tpftl_core::driver;
 use tpftl_core::env::SsdEnv;
-use tpftl_core::ftl::{AccessCtx, FastFtl, Ftl, FtlKind, TpFtl, TpftlConfig, Zftl};
+use tpftl_core::ftl::{AccessCtx, Ftl, TpFtl, TpftlConfig};
 use tpftl_core::lru::LruList;
 use tpftl_core::SsdConfig;
+use tpftl_flash::OpPurpose;
 use tpftl_rng::Rng64;
+use tpftl_sim::tester::{check, Case};
 
 // ---- LruList vs VecDeque model ----------------------------------------------
 
@@ -142,182 +143,33 @@ fn lru_free_list_reuses_slots_without_growth() {
 
 // ---- FTL mapping consistency under random workloads ---------------------------
 
-/// The registry's configurations, plus deliberately small ZFTL/FAST
-/// instances (4 zones, 3 log blocks) so zone switches and merges happen
-/// within a few hundred accesses.
-#[derive(Debug, Clone, Copy)]
-enum Kind {
-    Registry(FtlKind),
-    SmallZftl,
-    SmallFast,
-}
-
-fn all_kinds() -> [Kind; 10] {
-    [
-        Kind::Registry(FtlKind::Optimal),
-        Kind::Registry(FtlKind::Dftl),
-        Kind::Registry(FtlKind::Sftl),
-        Kind::Registry(FtlKind::Cdftl),
-        Kind::SmallZftl,
-        Kind::SmallFast,
-        Kind::Registry(FtlKind::Tpftl),
-        Kind::Registry(FtlKind::variant("")),
-        Kind::Registry(FtlKind::variant("b")),
-        Kind::Registry(FtlKind::variant("rs")),
-    ]
-}
-
-fn build(kind: Kind, config: &SsdConfig) -> Box<dyn Ftl> {
-    match kind {
-        Kind::Registry(kind) => kind.build(config).expect("budget fits"),
-        Kind::SmallZftl => Box::new(Zftl::new(config, 4).expect("budget fits")),
-        Kind::SmallFast => Box::new(FastFtl::new(config, 3)),
-    }
-}
-
-#[derive(Debug, Clone, Copy)]
-struct Access {
-    lpn_seed: u32,
-    len: u32,
-    write: bool,
-}
-
-fn access(rng: &mut Rng64) -> Access {
-    Access {
-        lpn_seed: rng.next_u64() as u32,
-        len: rng.range_u32(1, 6),
-        write: rng.gen_bool(0.5),
-    }
-}
-
-fn accesses(rng: &mut Rng64, lo: usize, hi: usize) -> Vec<Access> {
-    let n = rng.range_usize(lo, hi);
-    (0..n).map(|_| access(rng)).collect()
-}
-
+/// Every FTL, the small ZFTL and FAST among them, against the tester's
+/// shadow: resolved mappings point at the one valid page holding the LPN,
+/// unwritten LPNs own none, and the cache budget holds.
 #[test]
 fn ftl_mapping_matches_flash_oracle() {
-    // Each case runs a few hundred page accesses; keep the count moderate.
-    for case in 0..48u64 {
-        let mut rng = Rng64::seed_from_u64(0xF71 + case);
-        let kinds = all_kinds();
-        let kind = kinds[rng.range_usize(0, kinds.len())];
-        let prefill = if rng.gen_bool(0.5) { 0.6 } else { 0.0 };
-        let accesses = accesses(&mut rng, 50, 250);
-
-        // 8 MB logical space, hot region to force GC and evictions.
-        let mut config = SsdConfig::paper_default(8 << 20);
-        // Small cache: S-FTL/CDFTL need a whole page + slack.
-        config.cache_bytes = config.gtd_bytes() + 10 * 1024;
-        // The block-mapping FAST FTL does not support pre-fill.
-        config.prefill_frac = if matches!(kind, Kind::SmallFast) {
-            0.0
-        } else {
-            prefill
-        };
-        let logical_pages = config.logical_pages() as u32;
-        let mut env = SsdEnv::new(config.clone()).expect("env");
-        let mut ftl = build(kind, &config);
-        driver::bootstrap(ftl.as_mut(), &mut env).expect("bootstrap");
-
-        // Shadow oracle of what has been written.
-        let mut written = vec![false; logical_pages as usize];
-        if config.prefill_frac > 0.0 {
-            let n = (logical_pages as f64 * config.prefill_frac) as u32;
-            for lpn in 0..n {
-                written[lpn as usize] = true;
-            }
+    let ftls = "optimal dftl sftl cdftl zftl:4 fast:3 tpftl tpftl:- tpftl:b tpftl:rs";
+    for (ftl, prefill) in ftls.split(' ').flat_map(|f| [(f, 0.0), (f, 0.6)]) {
+        let mut case = Case::plain(0xF71);
+        (case.ftl, case.prefill) = (ftl, prefill);
+        if ftl != "fast:3" || prefill == 0.0 {
+            check(&case);
         }
-
-        for a in &accesses {
-            // Concentrate in a hot quarter of the space to trigger GC.
-            let start = a.lpn_seed % (logical_pages / 4);
-            let len = a.len.min(logical_pages - start);
-            driver::serve_request(ftl.as_mut(), &mut env, start, len, a.write).expect("serve");
-            if a.write {
-                for lpn in start..start + len {
-                    written[lpn as usize] = true;
-                }
-            }
-        }
-
-        // Oracle 1: no LPN owns two valid data pages.
-        let mut owner = std::collections::HashMap::new();
-        for (ppn, tag, is_tp) in env.flash().scan_valid() {
-            if !is_tp {
-                assert!(
-                    owner.insert(tag, ppn).is_none(),
-                    "case {case} ({kind:?}): LPN {tag} double-mapped"
-                );
-            }
-        }
-        // Oracle 2: every written LPN resolves through the FTL to the
-        // page that physically holds it; unwritten LPNs resolve to None.
-        for lpn in 0..logical_pages {
-            let got = ftl
-                .translate(&mut env, lpn, &AccessCtx::single(false))
-                .expect("translate");
-            match (written[lpn as usize], got) {
-                (true, Some(ppn)) => {
-                    assert_eq!(
-                        owner.get(&lpn).copied(),
-                        Some(ppn),
-                        "case {case} ({kind:?}): LPN {lpn}"
-                    );
-                }
-                (true, None) => {
-                    panic!("case {case} ({kind:?}): written LPN {lpn} lost its mapping")
-                }
-                (false, Some(_)) => panic!("case {case} ({kind:?}): unwritten LPN {lpn} is mapped"),
-                (false, None) => {}
-            }
-        }
-        // Oracle 3: lookup accounting is exact.
-        assert_eq!(
-            env.stats.lookups,
-            accesses
-                .iter()
-                .map(|a| {
-                    let start = a.lpn_seed % (logical_pages / 4);
-                    a.len.min(logical_pages - start) as u64
-                })
-                .sum::<u64>()
-                + logical_pages as u64,
-            "case {case} ({kind:?})"
-        );
     }
 }
 
 // ---- TPFTL-specific invariants ------------------------------------------------
 
-/// The cache budget holds after every single access, for arbitrary
-/// budgets and multi-page requests (this is the invariant a make-room /
-/// insert mismatch violates: the eviction pass can dismantle the target
-/// TP node, whose re-creation must be re-accounted).
+/// The cache budget holds at every probe, for small budgets and multi-page
+/// requests (the invariant a make-room / insert mismatch breaks: the
+/// eviction pass can dismantle the target TP node).
 #[test]
 fn tpftl_budget_invariant_under_prefetching() {
-    const FLAGS: [&str; 4] = ["rsbc", "rs", "r", ""];
-    for case in 0..32u64 {
-        let mut rng = Rng64::seed_from_u64(0xB4D6 + case);
-        let budget = rng.range_usize(64, 2048);
-        let flags = FLAGS[rng.range_usize(0, FLAGS.len())];
-        let accesses = accesses(&mut rng, 50, 300);
-
-        let mut config = SsdConfig::paper_default(8 << 20);
-        config.cache_bytes = config.gtd_bytes() + budget;
-        let logical_pages = config.logical_pages() as u32;
-        let mut env = SsdEnv::new(config.clone()).expect("env");
-        let mut ftl = TpFtl::new(&config, TpftlConfig::from_flags(flags)).expect("ftl");
-        driver::bootstrap(&mut ftl, &mut env).expect("bootstrap");
-        for a in &accesses {
-            let start = a.lpn_seed % logical_pages;
-            let len = a.len.min(logical_pages - start);
-            driver::serve_request(&mut ftl, &mut env, start, len, a.write).expect("serve");
-            assert!(
-                ftl.cache_bytes_used() <= budget,
-                "case {case}: budget {budget} exceeded: {} (flags {flags:?})",
-                ftl.cache_bytes_used()
-            );
+    let mut base = Case::plain(0xB4D6);
+    base.sectors = 32.0;
+    for ftl in ["tpftl", "tpftl:rs", "tpftl:r", "tpftl:-"] {
+        for cache in [64, 256, 2048] {
+            check(&Case { ftl, cache, ..base });
         }
     }
 }
@@ -328,7 +180,7 @@ fn tpftl_budget_invariant_under_prefetching() {
 fn tpftl_at_most_one_read_and_update_per_translation() {
     for case in 0..32u64 {
         let mut rng = Rng64::seed_from_u64(0xA7F0 + case);
-        let accesses = accesses(&mut rng, 30, 150);
+        let accesses = rng.range_usize(30, 150);
 
         let mut config = SsdConfig::paper_default(8 << 20);
         config.cache_bytes = config.gtd_bytes() + 256;
@@ -337,40 +189,20 @@ fn tpftl_at_most_one_read_and_update_per_translation() {
         let mut ftl = TpFtl::new(&config, TpftlConfig::full()).expect("ftl");
         driver::bootstrap(&mut ftl, &mut env).expect("bootstrap");
 
-        for a in &accesses {
-            let lpn = a.lpn_seed % logical_pages;
-            let before_r = env
-                .flash()
-                .stats()
-                .of(tpftl_flash::OpPurpose::Translation)
-                .reads;
-            let before_w = env
-                .flash()
-                .stats()
-                .of(tpftl_flash::OpPurpose::Translation)
-                .writes;
+        let io = |env: &SsdEnv| *env.flash().stats().of(OpPurpose::Translation);
+        for _ in 0..accesses {
+            let lpn_seed = rng.next_u64() as u32;
+            let (len, write) = (rng.range_u32(1, 6), rng.gen_bool(0.5));
+            let before = io(&env);
+            let ctx = AccessCtx {
+                is_write: write,
+                remaining_in_request: len,
+            };
             let _ = ftl
-                .translate(
-                    &mut env,
-                    lpn,
-                    &AccessCtx {
-                        is_write: a.write,
-                        remaining_in_request: a.len,
-                    },
-                )
+                .translate(&mut env, lpn_seed % logical_pages, &ctx)
                 .expect("translate");
-            let dr = env
-                .flash()
-                .stats()
-                .of(tpftl_flash::OpPurpose::Translation)
-                .reads
-                - before_r;
-            let dw = env
-                .flash()
-                .stats()
-                .of(tpftl_flash::OpPurpose::Translation)
-                .writes
-                - before_w;
+            let dr = io(&env).reads - before.reads;
+            let dw = io(&env).writes - before.writes;
             assert!(
                 dr <= 2,
                 "case {case}: one load plus at most one writeback read, got {dr}"

@@ -1,184 +1,58 @@
-//! Flush / unmount / remount integration tests: the full power-cycle story
-//! for every demand-paging FTL.
+//! Flush / unmount / remount: the full power-cycle story for every
+//! demand-paging FTL, told by the simulation tester's end-of-case checks.
 
-use tpftl_core::driver;
 use tpftl_core::env::SsdEnv;
-use tpftl_core::ftl::{AccessCtx, Dftl, Ftl, FtlKind, TpFtl, TpftlConfig};
-use tpftl_core::{gc, recovery, SsdConfig};
+use tpftl_core::{recovery, SsdConfig};
+use tpftl_sim::tester::{check, Case};
 
-fn config() -> SsdConfig {
-    let mut c = SsdConfig::paper_default(16 << 20);
-    c.cache_bytes = c.gtd_bytes() + 10 * 1024;
-    c
-}
+const PERSISTING: [&str; 6] = ["dftl", "tpftl", "tpftl:-", "sftl", "cdftl", "learned"];
 
-fn ftls(c: &SsdConfig) -> Vec<Box<dyn Ftl>> {
-    [
-        FtlKind::Dftl,
-        FtlKind::Tpftl,
-        FtlKind::variant(""),
-        FtlKind::Sftl,
-        FtlKind::Cdftl,
-    ]
-    .into_iter()
-    .map(|kind| -> Box<dyn Ftl> { kind.build(c).expect("budget") })
-    .collect()
-}
-
-fn workload(ftl: &mut dyn Ftl, env: &mut SsdEnv, n: u32) -> Vec<u32> {
-    let mut written = Vec::new();
-    for i in 0..n {
-        let lpn = (i.wrapping_mul(2654435761) >> 12) % 4096;
-        let write = i % 4 != 3;
-        driver::serve_page_access(ftl, env, lpn, AccessCtx::single(write)).expect("serve");
-        if write {
-            written.push(lpn);
-        }
-    }
-    written.sort_unstable();
-    written.dedup();
-    written
-}
-
-/// After `flush_cache`, the on-flash mapping table alone describes every
-/// valid data page (the `verify` oracle), for each FTL.
+/// After a flush the on-flash table alone describes every valid data page,
+/// and references exactly the written ones.
 #[test]
 fn flush_persists_every_dirty_mapping() {
-    let c = config();
-    for mut ftl in ftls(&c) {
-        let mut env = SsdEnv::new(c.clone()).expect("env");
-        driver::bootstrap(ftl.as_mut(), &mut env).expect("bootstrap");
-        let written = workload(ftl.as_mut(), &mut env, 8_000);
-        recovery::flush_cache(ftl.as_mut(), &mut env)
-            .unwrap_or_else(|e| panic!("{} flush failed: {e}", ftl.name()));
-        let report = recovery::verify(&env);
-        report.assert_clean();
-        assert_eq!(
-            report.mapped_entries,
-            written.len() as u64,
-            "{}: persisted table must reference exactly the written pages",
-            ftl.name()
-        );
+    let mut base = Case::plain(8);
+    (base.write_ratio, base.sectors) = (0.75, 8.0);
+    for ftl in PERSISTING {
+        check(&Case { ftl, ..base });
     }
 }
 
-/// Full power cycle: run, flush, drop all RAM state, remount, and serve
-/// the data back with a *different* FTL (the on-flash format is shared).
+/// Run, flush, drop all RAM state, remount, and serve the data back with a
+/// *different* FTL (the on-flash format is shared), which keeps writing.
 #[test]
 fn power_cycle_roundtrip_across_ftls() {
-    let c = config();
-    let mut env = SsdEnv::new(c.clone()).expect("env");
-    let mut tpftl = TpFtl::new(&c, TpftlConfig::full()).expect("budget");
-    driver::bootstrap(&mut tpftl, &mut env).expect("bootstrap");
-    let written = workload(&mut tpftl, &mut env, 10_000);
-    recovery::flush_cache(&mut tpftl, &mut env).expect("flush");
-
-    // Power cycle: only the flash array survives.
-    let flash = env.into_flash();
-    drop(tpftl);
-    let (mut env2, _) = recovery::crash_mount(flash, c.clone()).expect("mount");
-    recovery::verify(&env2).assert_clean();
-
-    // A cold DFTL mounts the same on-flash state.
-    let mut dftl = Dftl::new(&c).expect("budget");
-    for &lpn in &written {
-        gc::ensure_free(&mut dftl, &mut env2).expect("gc");
-        let ppn = dftl
-            .translate(&mut env2, lpn, &AccessCtx::single(false))
-            .expect("translate")
-            .unwrap_or_else(|| panic!("LPN {lpn} lost across the power cycle"));
-        env2.read_data_page(ppn, lpn).expect("consistent");
-    }
-    // And can keep writing.
-    for i in 0..2_000u32 {
-        driver::serve_page_access(&mut dftl, &mut env2, i % 4096, AccessCtx::single(true))
-            .expect("serve after remount");
-    }
+    let mut case = Case::plain(10);
+    case.prefill = 0.6;
+    check(&case);
 }
 
-/// The one mount path on a cleanly flushed device: `crash_mount` elects no
-/// duplicates, repairs nothing, rewrites nothing, visits each translation
-/// page exactly once and brings the GTD back entry for entry — for every
-/// mapping-persisting FTL. (This is what a separate clean-shutdown mount
-/// would have computed; it is why there is none.)
+/// `crash_mount` of a flushed device elects no duplicates, repairs
+/// nothing, visits each translation page once and brings the GTD back.
 #[test]
 fn crash_mount_of_a_flushed_device_repairs_nothing() {
-    let c = config();
-    for kind in FtlKind::PERSISTING {
-        let name = kind.label();
-        let mut ftl = kind.build(&c).expect("budget");
-        let mut env = SsdEnv::new(c.clone()).expect("env");
-        driver::bootstrap(ftl.as_mut(), &mut env).expect("bootstrap");
-        let _ = workload(ftl.as_mut(), &mut env, 8_000);
-        recovery::flush_cache(ftl.as_mut(), &mut env).expect("flush");
-        let gtd = |env: &SsdEnv| -> Vec<_> {
-            (0..c.num_vtpns() as u32)
-                .map(|v| env.gtd().get(v))
-                .collect()
-        };
-        let gtd_before = gtd(&env);
-
-        let flash = env.into_flash();
-        drop(ftl);
-        let (env2, report) = recovery::crash_mount(flash, c.clone()).expect("mount");
-        assert_eq!(report.duplicate_data_discarded, 0, "{name}");
-        assert_eq!(report.duplicate_translation_discarded, 0, "{name}");
-        assert_eq!(report.mappings_recovered, 0, "{name}");
-        assert_eq!(report.stale_cleared, 0, "{name}");
-        assert_eq!(report.translation_pages_rewritten, 0, "{name}");
-        assert_eq!(report.reconcile_visits, c.num_vtpns(), "{name}");
-        assert_eq!(gtd(&env2), gtd_before, "{name}: GTD must survive the cycle");
-        recovery::verify(&env2).assert_clean();
+    let mut base = Case::plain(80);
+    base.prefill = 0.6;
+    for ftl in PERSISTING {
+        check(&Case { ftl, ..base });
     }
 }
 
-/// Remount preserves wear counters (the manager re-seeds from the flash
-/// erase counts) and keeps GC operational.
+/// Remount keeps the erase counters, and GC keeps working after it.
 #[test]
 fn remount_preserves_wear_and_gc_works() {
-    let c = config();
-    let mut env = SsdEnv::new(c.clone()).expect("env");
-    let mut ftl = TpFtl::new(&c, TpftlConfig::full()).expect("budget");
-    driver::bootstrap(&mut ftl, &mut env).expect("bootstrap");
-    // Churn until GC has erased a fair number of blocks.
-    for i in 0..30_000u32 {
-        driver::serve_page_access(&mut ftl, &mut env, i % 1024, AccessCtx::single(true))
-            .expect("serve");
-    }
-    let erases_before = env.flash().total_erase_count();
-    assert!(erases_before > 0, "workload must have triggered GC");
-    recovery::flush_cache(&mut ftl, &mut env).expect("flush");
-
-    let flash = env.into_flash();
-    let (mut env2, _) = recovery::crash_mount(flash, c.clone()).expect("mount");
-    assert_eq!(env2.flash().total_erase_count(), erases_before);
-    // Keep writing through a fresh FTL: GC must keep functioning.
-    let mut ftl2 = TpFtl::new(&c, TpftlConfig::full()).expect("budget");
-    for i in 0..30_000u32 {
-        driver::serve_page_access(&mut ftl2, &mut env2, i % 1024, AccessCtx::single(true))
-            .expect("serve after remount");
-    }
-    assert!(env2.flash().total_erase_count() > erases_before);
-    recovery::flush_cache(&mut ftl2, &mut env2).expect("flush");
-    recovery::verify(&env2).assert_clean();
+    let mut base = Case::plain(30);
+    (base.write_ratio, base.prefill) = (0.9, 0.8);
+    check(&base);
 }
 
-/// Flushing twice is idempotent: the second flush writes nothing.
+/// A second flush writes no translation page, unless its own GC ran and
+/// dirtied cached entries.
 #[test]
 fn flush_is_idempotent() {
-    let c = config();
-    let mut env = SsdEnv::new(c.clone()).expect("env");
-    let mut ftl = TpFtl::new(&c, TpftlConfig::full()).expect("budget");
-    driver::bootstrap(&mut ftl, &mut env).expect("bootstrap");
-    let _ = workload(&mut ftl, &mut env, 5_000);
-    recovery::flush_cache(&mut ftl, &mut env).expect("first flush");
-    let writes = env.flash().stats().total_writes();
-    recovery::flush_cache(&mut ftl, &mut env).expect("second flush");
-    assert_eq!(
-        env.flash().stats().total_writes(),
-        writes,
-        "second flush is a no-op"
-    );
+    let mut case = Case::plain(5);
+    case.ftl = "tpftl:rs";
+    check(&case);
 }
 
 /// A supersede mirrors two records to the device file: the new page's

@@ -126,10 +126,18 @@ fn parse_args() -> Result<Options, String> {
                 )
             }
             "--cache-frac" => {
-                o.cache_frac = Some(value("--cache-frac")?.parse().map_err(|e| format!("{e}"))?)
+                let frac: f64 = value("--cache-frac")?.parse().map_err(|e| format!("{e}"))?;
+                if !(frac > 0.0 && frac <= 1.0) {
+                    return Err(format!("--cache-frac must be in (0, 1], got {frac}"));
+                }
+                o.cache_frac = Some(frac);
             }
             "--prefill" => {
-                o.prefill = Some(value("--prefill")?.parse().map_err(|e| format!("{e}"))?)
+                let frac: f64 = value("--prefill")?.parse().map_err(|e| format!("{e}"))?;
+                if !(0.0..=1.0).contains(&frac) {
+                    return Err(format!("--prefill must be in [0, 1], got {frac}"));
+                }
+                o.prefill = Some(frac);
             }
             "--gc" => {
                 let v = value("--gc")?;

@@ -1,5 +1,6 @@
-//! `simulate --ftl` accepts exactly the registry's command-line names, and
-//! `--gc` exactly the two spellings of the one victim pick.
+//! `simulate --ftl` accepts exactly the registry's command-line names,
+//! `--gc` exactly the two spellings of the one victim pick, and the two
+//! fraction flags only values in range.
 
 use std::process::Command;
 
@@ -45,5 +46,27 @@ fn gc_policy_spellings_run_and_removed_policies_name_their_replacement() {
         assert_eq!(out.status.code(), Some(1), "--gc {gc}: {out:?}");
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert!(stderr.contains("was removed") && stderr.contains(replacement));
+    }
+}
+
+#[test]
+fn out_of_range_fractions_are_rejected_at_parse_time() {
+    for (flag, values) in [
+        ("--cache-frac", "2 -1 0 nan"),
+        ("--prefill", "1.5 -0.1 nan"),
+    ] {
+        for v in values.split(' ') {
+            let out = simulate(&[flag, v]);
+            assert_eq!(out.status.code(), Some(1), "{flag} {v}: {out:?}");
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert!(stderr.contains(&format!("{flag} must be in")), "{stderr}");
+        }
+    }
+    for args in [
+        ["--cache-frac", "1"],
+        ["--prefill", "0"],
+        ["--prefill", "1"],
+    ] {
+        assert!(simulate(&args).status.success(), "{args:?}");
     }
 }

@@ -78,7 +78,8 @@ pub struct FaultPlan {
 }
 
 impl FaultPlan {
-    fn new(mode: FaultMode) -> Self {
+    /// Plan that fires at `mode`'s trigger.
+    pub fn new(mode: FaultMode) -> Self {
         Self {
             mode,
             ops: 0,

@@ -20,6 +20,7 @@ mod report;
 mod sampler;
 mod shard;
 mod ssd;
+pub mod tester;
 
 pub use buffer::{BufferStats, WriteBuffer};
 pub use crash::{CrashHarness, CrashOutcome};

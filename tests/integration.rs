@@ -7,22 +7,9 @@ use tpftl::core::ftl::{
     AccessCtx, BlockLevelFtl, Dftl, Ftl, FtlKind, OptimalFtl, TpFtl, TpftlConfig,
 };
 use tpftl::core::SsdConfig;
+use tpftl::sim::tester::{check, Case};
 use tpftl::sim::{CacheSampler, Ssd};
 use tpftl::trace::{Dir, IoRequest, Locality, SyntheticSpec};
-
-fn all_ftls(config: &SsdConfig) -> Vec<Box<dyn Ftl>> {
-    [
-        FtlKind::Optimal,
-        FtlKind::Dftl,
-        FtlKind::Sftl,
-        FtlKind::Cdftl,
-        FtlKind::Tpftl,
-        FtlKind::variant(""),
-    ]
-    .into_iter()
-    .map(|kind| -> Box<dyn Ftl> { kind.build(config).expect("budget") })
-    .collect()
-}
 
 fn mixed_spec(requests: usize) -> SyntheticSpec {
     SyntheticSpec {
@@ -43,55 +30,14 @@ fn mixed_spec(requests: usize) -> SyntheticSpec {
     }
 }
 
-/// Every FTL must serve the same workload without mapping corruption (the
-/// environment panics on any read resolving to the wrong page) and then
-/// resolve every written page correctly on a full read-back pass.
+/// Every FTL serves the same workload without mapping corruption and reads
+/// every written page back (the tester's host-path read sweep).
 #[test]
 fn all_ftls_preserve_host_data() {
-    let mut config = SsdConfig::paper_default(32 << 20);
-    // S-FTL/CDFTL need at least one whole translation page of cache.
-    config.cache_bytes = config.gtd_bytes() + 10 * 1024;
-    let trace: Vec<IoRequest> = mixed_spec(20_000).generate(99);
-    // Oracle of what was written.
-    let mut written = vec![false; config.logical_pages() as usize];
-    for r in &trace {
-        if r.is_write() {
-            for p in r.pages(4096) {
-                written[p as usize] = true;
-            }
-        }
-    }
-
-    for mut ftl in all_ftls(&config) {
-        let mut env = SsdEnv::new(config.clone()).expect("env");
-        driver::bootstrap(ftl.as_mut(), &mut env).expect("bootstrap");
-        for r in &trace {
-            let first = (r.offset / 4096) as u32;
-            driver::serve_request(
-                ftl.as_mut(),
-                &mut env,
-                first,
-                r.page_count(4096) as u32,
-                r.is_write(),
-            )
-            .unwrap_or_else(|e| panic!("{} failed: {e}", ftl.name()));
-        }
-        // Read-back: every written page resolves (and the env verifies the
-        // physical page actually holds that LPN). Run the GC check the
-        // driver normally performs: cold-miss writebacks consume pages.
-        for (lpn, &w) in written.iter().enumerate() {
-            tpftl::core::gc::ensure_free(ftl.as_mut(), &mut env).expect("gc");
-            let got = ftl
-                .translate(&mut env, lpn as u32, &AccessCtx::single(false))
-                .expect("translate");
-            if w {
-                let ppn = got.unwrap_or_else(|| panic!("{}: written LPN {lpn} lost", ftl.name()));
-                env.read_data_page(ppn, lpn as u32)
-                    .expect("consistent mapping");
-            } else {
-                assert!(got.is_none(), "{}: unwritten LPN {lpn} mapped", ftl.name());
-            }
-        }
+    let mut base = Case::plain(99);
+    (base.write_ratio, base.sectors) = (0.7, 10.0);
+    for ftl in ["optimal", "dftl", "sftl", "cdftl", "tpftl", "tpftl:-"] {
+        check(&Case { ftl, ..base });
     }
 }
 
