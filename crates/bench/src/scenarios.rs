@@ -437,8 +437,8 @@ pub fn bench_gc_pick_deep(
 pub fn bench_gc_migrate(kind: FtlKind, warmup: usize, samples: usize, victims: u64) -> Record {
     let config = device_config(Workload::Financial1);
     let pages = config.logical_pages() as u32;
-    let (low, high) = (config.gc_low_blocks, config.gc_high_blocks);
     let (mut ftl, mut env) = build(kind, &config);
+    let (low, high) = gc::watermarks(&env);
     let ctx = AccessCtx::single(true);
     let mut writes = 0u32;
     // Overwrites until `victims` blocks are collected; returns the time

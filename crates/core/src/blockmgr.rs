@@ -2,19 +2,25 @@
 //!
 //! The device is partitioned the way the paper's Figure 3 shows: *data
 //! blocks* hold user pages, *translation blocks* hold the mapping table.
-//! One active block per translation class — and one per *data stream* —
-//! absorbs programs; sealed blocks are indexed by valid-page count so the
-//! greedy garbage collector finds its victim ("the block with the fewest
-//! valid pages") in O(1).
+//! Programs go to *open* blocks, each written by one side only: the host
+//! has one per data stream and one for translation pages, and the
+//! background lane that garbage collection runs in has one for migrated
+//! data and one for translation pages. So a host program never lands in
+//! a block a queued collection is filling. Sealed blocks are indexed by
+//! valid-page count so the greedy garbage collector finds its victim
+//! ("the block with the fewest valid pages") in O(1).
+//!
+//! The free pool is a FIFO that erases append to. The host opens the
+//! oldest free block, the one whose erase is likeliest to have run
+//! already; the lane opens the newest, whose erase is queued ahead of the
+//! lane's own programs, so a lane allocation never makes a host op wait.
 //!
 //! Data streams are the hot/cold separation device: the environment
 //! classifies each host write by temperature and routes it to a stream, so
 //! pages with similar lifetimes share blocks and blocks die together
-//! instead of trapping one long-lived page each. GC migrations land in the
-//! coldest stream (stream 0). A single stream reproduces the original
-//! single-active allocator bit for bit. Stream assignment is volatile:
-//! [`BlockManager::rebuild`] seals every partially-written block and
-//! restarts all streams empty, so crash recovery never depends on it.
+//! instead of trapping one long-lived page each. Open blocks are
+//! volatile: [`BlockManager::rebuild`] seals every partially-written block
+//! and reopens nothing, so crash recovery never depends on them.
 //!
 //! The valid-count index is allocation-free and ordered by construction:
 //! bucket `v` — the sealed blocks with exactly `v` valid pages — is a
@@ -157,14 +163,22 @@ impl IdSet {
     }
 }
 
+/// Where each writer's open block sits in [`BlockManager::open`]: the
+/// host's translation block, the lane's translation and data blocks, then
+/// one data block per host stream, coldest first.
+const HOST_TRANS: usize = 0;
+const LANE_TRANS: usize = 1;
+const LANE_DATA: usize = 2;
+const STREAM_0: usize = 3;
+
 /// Allocator and GC victim index over the device's blocks.
 #[derive(Debug, Clone)]
 pub struct BlockManager {
     kind: Vec<BlockKind>,
+    /// Erased blocks, oldest erase first.
     free: VecDeque<BlockId>,
-    /// Active data block per stream (index 0 = coldest). Always non-empty.
-    active_data: Vec<Option<BlockId>>,
-    active_trans: Option<BlockId>,
+    /// The open block in each slot ([`HOST_TRANS`] and the rest).
+    open: Vec<Option<BlockId>>,
     /// Bucket `v` = the sealed blocks with exactly `v` valid pages.
     buckets: Vec<IdSet>,
     /// One bit per bucket: set iff the bucket is non-empty.
@@ -196,14 +210,13 @@ impl BlockManager {
         Self::with_streams(num_blocks, pages_per_block, 1)
     }
 
-    /// Creates a manager with `streams` independent active data blocks
-    /// (clamped to at least one). Stream 0 is the coldest.
+    /// Creates a manager with `streams` host data streams (clamped to at
+    /// least one), each with its own open block. Stream 0 is the coldest.
     pub fn with_streams(num_blocks: usize, pages_per_block: usize, streams: u32) -> Self {
         Self {
             kind: vec![BlockKind::Free; num_blocks],
             free: (0..num_blocks as BlockId).collect(),
-            active_data: vec![None; streams.max(1) as usize],
-            active_trans: None,
+            open: vec![None; STREAM_0 + streams.max(1) as usize],
             buckets: vec![IdSet::new(num_blocks); pages_per_block + 1],
             occupancy: vec![0; pages_per_block / 64 + 1],
             sealed_count: 0,
@@ -220,9 +233,8 @@ impl BlockManager {
 
     /// Reconstructs the manager from an existing flash device at mount
     /// time. Untouched blocks go to the free pool; any block with
-    /// programmed pages is conservatively sealed (there are no actives
-    /// after a restart — stream assignment is volatile and every stream
-    /// restarts empty), classified as a translation block if it holds a
+    /// programmed pages is conservatively sealed (no block is open after a
+    /// restart), classified as a translation block if it holds a
     /// valid translation page. Wear is seeded from the device's per-block
     /// erase counters.
     pub fn rebuild(flash: &Flash, streams: u32) -> Result<Self> {
@@ -294,56 +306,67 @@ impl BlockManager {
         self.kind[block as usize]
     }
 
-    /// Returns the PPN to program next for `class`, rotating in a fresh
-    /// free block (and sealing the exhausted one) when necessary. Data
-    /// allocations land in the coldest stream; temperature-routed callers
-    /// use [`BlockManager::alloc_data_page`] directly.
+    /// Returns the PPN to program next for `class`: from the lane's open
+    /// block of that class while `flash` is in background mode, else from
+    /// the host's (stream 0 for data; temperature-routed callers use
+    /// [`BlockManager::alloc_data_page`]).
     ///
     /// The caller must program the returned page before asking again.
     pub fn alloc_page(&mut self, class: AllocClass, flash: &Flash) -> Result<Ppn> {
         match class {
             AllocClass::Data => self.alloc_data_page(0, flash),
-            AllocClass::Translation => self.alloc_translation_page(flash),
+            AllocClass::Translation => self.alloc_in(HOST_TRANS, flash),
         }
     }
 
-    /// Number of data streams this manager partitions writes into.
+    /// Number of data streams this manager partitions host writes into.
     pub fn streams(&self) -> usize {
-        self.active_data.len()
+        self.open.len() - STREAM_0
     }
 
-    /// Returns the PPN to program next for a data page of `stream`
-    /// (clamped to the configured stream count). Each stream keeps its own
-    /// active block, so pages of different streams never share a block.
+    /// Returns the PPN to program next for a data page: from the lane's
+    /// open data block while `flash` is in background mode, else from
+    /// `stream`'s (clamped to the configured stream count). No two of
+    /// these share a block.
     pub fn alloc_data_page(&mut self, stream: usize, flash: &Flash) -> Result<Ppn> {
-        let stream = stream.min(self.active_data.len() - 1);
-        if let Some(b) = self.active_data[stream] {
+        self.alloc_in(STREAM_0 + stream.min(self.streams() - 1), flash)
+    }
+
+    /// The next page of the host's open block `slot`, or of the lane's
+    /// block of the same class while `flash` is in background mode. A
+    /// full block is sealed and a free one opened in its place: the newest
+    /// for the lane, the oldest for the host (see the module doc).
+    fn alloc_in(&mut self, slot: usize, flash: &Flash) -> Result<Ppn> {
+        let lane = flash.clocks().background();
+        let trans = slot == HOST_TRANS;
+        let slot = match (lane, trans) {
+            (false, _) => slot,
+            (true, true) => LANE_TRANS,
+            (true, false) => LANE_DATA,
+        };
+        let (active, sealed) = if trans {
+            (BlockKind::ActiveTranslation, BlockKind::SealedTranslation)
+        } else {
+            (BlockKind::ActiveData, BlockKind::SealedData)
+        };
+        if let Some(b) = self.open[slot] {
             if let Some(ppn) = flash.next_free_ppn(b) {
                 return Ok(ppn);
             }
             // Cleared first: with an empty pool this call fails below, and a
             // retry must not seal `b` a second time.
-            self.active_data[stream] = None;
-            self.seal_block(b, BlockKind::SealedData, flash)?;
+            self.open[slot] = None;
+            self.seal_block(b, sealed, flash)?;
         }
-        let b = self.free.pop_front().ok_or(FtlError::DeviceFull)?;
-        self.kind[b as usize] = BlockKind::ActiveData;
-        self.active_data[stream] = Some(b);
+        let b = if lane {
+            self.free.pop_back()
+        } else {
+            self.free.pop_front()
+        };
+        let b = b.ok_or(FtlError::DeviceFull)?;
+        self.kind[b as usize] = active;
+        self.open[slot] = Some(b);
         flash.next_free_ppn(b).ok_or(FtlError::DeviceFull) // A free-pool block is always erased.
-    }
-
-    fn alloc_translation_page(&mut self, flash: &Flash) -> Result<Ppn> {
-        if let Some(b) = self.active_trans {
-            if let Some(ppn) = flash.next_free_ppn(b) {
-                return Ok(ppn);
-            }
-            self.active_trans = None;
-            self.seal_block(b, BlockKind::SealedTranslation, flash)?;
-        }
-        let b = self.free.pop_front().ok_or(FtlError::DeviceFull)?;
-        self.kind[b as usize] = BlockKind::ActiveTranslation;
-        self.active_trans = Some(b);
-        flash.next_free_ppn(b).ok_or(FtlError::DeviceFull)
     }
 
     /// Seals an exhausted active block and indexes it for the collector.
@@ -499,15 +522,15 @@ impl BlockManager {
         self.max_wear as u64
     }
 
-    /// Seals the current cold-stream active block of `class` without
+    /// Seals the host's open block of `class` (stream 0 for data) without
     /// allocating a replacement (test hook for precise sealed states).
     #[cfg(test)]
     pub(crate) fn seal_active(&mut self, flash: &Flash, class: AllocClass) {
-        let (taken, sealed_kind) = match class {
-            AllocClass::Data => (self.active_data[0].take(), BlockKind::SealedData),
-            AllocClass::Translation => (self.active_trans.take(), BlockKind::SealedTranslation),
+        let (slot, sealed_kind) = match class {
+            AllocClass::Data => (STREAM_0, BlockKind::SealedData),
+            AllocClass::Translation => (HOST_TRANS, BlockKind::SealedTranslation),
         };
-        let b = taken.expect("an active block to seal");
+        let b = self.open[slot].take().expect("an open block to seal");
         self.seal_block(b, sealed_kind, flash)
             .expect("block in range");
     }
@@ -1101,6 +1124,56 @@ mod tests {
         mgr.wear[0] = 5;
         let (victim, _) = mgr.pick_victim(GcPolicy::Windowed { window: 8 }).unwrap();
         assert_eq!(victim, 1, "equal scores fall back to the wear tiebreak");
+    }
+
+    /// The lane opens the newest free block — the one erased last, whose
+    /// erase is queued ahead of the lane's own programs — and the host the
+    /// oldest; neither ever writes into the other's open block.
+    #[test]
+    fn lane_takes_the_newest_free_block_and_the_host_the_oldest() {
+        let mut flash = flash_of(8);
+        let mut mgr = BlockManager::new(8, 4);
+        let fill = |mgr: &mut BlockManager, flash: &mut Flash, lane: bool| {
+            flash.sim_background(lane);
+            let ppn = mgr.alloc_page(AllocClass::Data, flash).unwrap();
+            flash.program_page(ppn, ppn, OpPurpose::HostData).unwrap();
+            flash.sim_background(false);
+            flash.geometry().block_of(ppn)
+        };
+        assert_eq!(fill(&mut mgr, &mut flash, false), 0);
+        assert_eq!(fill(&mut mgr, &mut flash, true), 7);
+        flash.sim_background(true);
+        let lane_tp = mgr.alloc_page(AllocClass::Translation, &flash).unwrap();
+        flash.sim_background(false);
+        let host_tp = mgr.alloc_page(AllocClass::Translation, &flash).unwrap();
+        let block = |ppn| flash.geometry().block_of(ppn);
+        assert_eq!((block(lane_tp), block(host_tp)), (6, 1));
+        // Free pool 2..=5. The host fills block 0 and kills its pages; its
+        // next page seals 0 and opens the oldest free block, 2.
+        for _ in 0..3 {
+            assert_eq!(fill(&mut mgr, &mut flash, false), 0);
+        }
+        for ppn in 0..4 {
+            flash.invalidate(ppn).unwrap();
+            mgr.on_invalidated(0, flash.valid_pages_in(0).unwrap());
+        }
+        assert_eq!(fill(&mut mgr, &mut flash, false), 2);
+        assert_eq!(
+            mgr.pick_victim(GcPolicy::Greedy),
+            Some((0, AllocClass::Data))
+        );
+        flash.erase_block(0, OpPurpose::GcData).unwrap();
+        mgr.on_erased(0);
+        // Free pool 3, 4, 5, 0: the lane's next block is 0, just erased...
+        for _ in 0..3 {
+            assert_eq!(fill(&mut mgr, &mut flash, true), 7);
+        }
+        assert_eq!(fill(&mut mgr, &mut flash, true), 0);
+        // ...and the host's is 3, the oldest.
+        for _ in 0..3 {
+            assert_eq!(fill(&mut mgr, &mut flash, false), 2);
+        }
+        assert_eq!(fill(&mut mgr, &mut flash, false), 3);
     }
 
     #[test]

@@ -273,11 +273,6 @@ impl SsdEnv {
         self.blocks.free_blocks()
     }
 
-    /// Whether free space has dropped below the GC trigger.
-    pub fn needs_gc(&self) -> bool {
-        self.free_blocks() < self.config.gc_low_blocks
-    }
-
     /// Highest per-block erase count reached so far (lifetime limiter).
     pub fn max_wear(&self) -> u64 {
         self.blocks.max_wear()
@@ -347,12 +342,12 @@ impl SsdEnv {
 
     /// Allocates and programs a data page for `lpn`; returns its PPN.
     ///
-    /// Host writes are classified by the write-temperature estimator and
-    /// land in their stream's active block; everything else — GC
-    /// migrations above all — is demoted to the cold stream (stream 0), so
-    /// data that survived a collection stops recirculating through hot
-    /// blocks. With one stream (the default) both paths are the same
-    /// active block and the estimator is a no-op.
+    /// While the flash is in background mode (a collection's migrations)
+    /// the page goes to the lane's open data block, so data that survived
+    /// a collection never shares a block with host writes. Otherwise host
+    /// writes are classified by the write-temperature estimator and land
+    /// in their stream's open block, anything else in stream 0's. With one
+    /// stream (the default) the estimator is a no-op.
     pub fn program_data_page(&mut self, lpn: Lpn, purpose: OpPurpose) -> Result<Ppn> {
         let stream = match purpose {
             OpPurpose::HostData => self.heat.on_host_write(lpn),
@@ -840,10 +835,13 @@ mod tests {
         // land in a different active block.
         let hot = env.program_data_page(7, OpPurpose::HostData).unwrap();
         assert_ne!(geom.block_of(hot), geom.block_of(cold));
-        // A GC migration of the same hot LPN demotes back to the cold
-        // stream regardless of its heat.
-        let demoted = env.program_data_page(7, OpPurpose::GcData).unwrap();
-        assert_eq!(geom.block_of(demoted), geom.block_of(cold));
+        // A GC migration of the same hot LPN goes to the lane's own block,
+        // whatever its heat: into neither stream's.
+        let migrated = crate::gc::in_background(&mut env, |env| {
+            env.program_data_page(7, OpPurpose::GcData).unwrap()
+        });
+        let block = geom.block_of(migrated);
+        assert!(block != geom.block_of(cold) && block != geom.block_of(hot));
     }
 
     #[test]

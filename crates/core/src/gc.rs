@@ -6,9 +6,10 @@
 //! `window` fewest under [`GcPolicy::Windowed`](crate::config::GcPolicy);
 //! (2) migrate the remaining valid pages, updating their mapping entries
 //! (through the FTL, which decides GC hit vs. batched flash update) or the
-//! GTD; (3) erase the block. The collector is a free function generic over
-//! [`Ftl`] so that the FTL and the environment can be borrowed
-//! simultaneously without cycles.
+//! GTD; (3) erase the block — a data victim as soon as no page of it is
+//! valid, before its mapping entries are written back. The collector is a
+//! free function generic over [`Ftl`] so that the FTL and the environment
+//! can be borrowed simultaneously without cycles.
 //!
 //! Every flash op of a collection — migration reads and programs, the
 //! FTL's GC-miss write-backs, the erase — goes to the unit clocks'
@@ -23,20 +24,44 @@ use crate::env::SsdEnv;
 use crate::ftl::Ftl;
 use crate::{FtlError, Result};
 
-/// Runs GC until the free pool reaches the configured high watermark, if it
-/// has dropped below the low watermark. Call before serving each request.
+/// The fewest free blocks a page access may find without collecting
+/// first: the access may take two (its stream's open block and the host's
+/// translation block), the collection after it one before its erase
+/// returns one, and a collection that opens both of the lane's blocks
+/// takes one more than it returns, which the next one must still find
+/// (DESIGN.md §16, *The free-pool slack*).
+const MIN_LOW_BLOCKS: usize = 4;
+
+/// The free-pool watermarks GC keeps, `(start below, stop at)`: the
+/// configured pair, shifted up by as much as leaves the low one at four
+/// or more (`MIN_LOW_BLOCKS`; DESIGN.md §16).
+pub fn watermarks(env: &SsdEnv) -> (usize, usize) {
+    let config = env.config();
+    let slack = MIN_LOW_BLOCKS.saturating_sub(config.gc_low_blocks);
+    (config.gc_low_blocks + slack, config.gc_high_blocks + slack)
+}
+
+/// Runs GC until the free pool reaches the high watermark, if it has
+/// dropped below the low one (see [`watermarks`]). Call before serving
+/// each page access.
+///
+/// # Errors
+///
+/// [`FtlError::DeviceFull`] when the pool is empty and nothing sealed is
+/// reclaimable. With blocks left the loop just stops short: the device's
+/// spare pages then sit in the open blocks — four of them with one
+/// stream, a large share of a small device's over-provisioning — and
+/// collecting resumes once the host has made garbage.
 pub fn ensure_free<F: Ftl + ?Sized>(ftl: &mut F, env: &mut SsdEnv) -> Result<()> {
-    // Every open data stream beyond the first can swallow a free block on
-    // any single write (each stream seals and replaces its active block
-    // independently), so the watermarks shift up by streams−1 to preserve
-    // the configured headroom. With one stream this is exactly the
-    // configured pair, bit-identical to the single-stream behaviour.
-    let slack = env.blocks.streams() - 1;
-    if env.free_blocks() >= env.config().gc_low_blocks + slack {
+    let (low, high) = watermarks(env);
+    if env.free_blocks() >= low {
         return Ok(());
     }
-    while env.free_blocks() < env.config().gc_high_blocks + slack {
-        collect_one(ftl, env)?;
+    while env.free_blocks() < high {
+        match collect_one(ftl, env) {
+            Err(FtlError::DeviceFull) if env.free_blocks() > 0 => break,
+            res => res?,
+        }
     }
     Ok(())
 }
@@ -104,14 +129,18 @@ fn migrate_data_pages<F: Ftl + ?Sized>(
         moved.push((lpn, new_ppn));
     }
 
+    // The victim holds nothing valid now: erasing it before the mapping
+    // write-backs gives the pool its block back before they may open a
+    // lane translation block, so a collection never holds two fresh
+    // blocks at once.
+    env.flash.erase_block(victim, OpPurpose::GcData)?;
+    env.blocks.on_erased(victim);
+
     // Mapping updates: cache hits are absorbed (and deferred as dirty
     // entries); misses are written back to translation pages by the FTL.
     let hits = ftl.on_gc_data_block(env, moved)?;
     env.stats.gc_updates += moved.len() as u64;
     env.stats.gc_hits += hits;
-
-    env.flash.erase_block(victim, OpPurpose::GcData)?;
-    env.blocks.on_erased(victim);
     Ok(())
 }
 

@@ -76,8 +76,8 @@ fn allocations_per_victim(kind: FtlKind) -> (f64, u64) {
     // and go through the write-back batcher.
     config.cache_bytes = config.gtd_bytes() + 4 * 1024;
     let pages = config.logical_pages() as u32;
-    let (low, high) = (config.gc_low_blocks, config.gc_high_blocks);
     let mut env = SsdEnv::new(config.clone()).expect("env");
+    let (low, high) = gc::watermarks(&env);
     let mut ftl = kind.build(&config).expect("budget fits");
     driver::bootstrap(ftl.as_mut(), &mut env).expect("bootstrap");
 

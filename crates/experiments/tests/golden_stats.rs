@@ -18,8 +18,10 @@ const TPFTL_FIN1_GOLDEN: &str = "TPFTL(rsbc) req=10000 lk=14046 hit=11654 rep=21
 /// The GC-heavy TPFTL/Financial1 golden (scale large enough that writes
 /// exhaust the free pool). The `resp=` of this row and of the five other
 /// 40 k-request rows moved, and nothing else did, when collections went
-/// to the unit clocks' background lane.
-const TPFTL_FIN1_GC_GOLDEN: &str = "TPFTL(rsbc) req=40000 lk=56827 hit=48099 rep=11321 drep=762 gcu=3874 gch=424 upr=12056 upw=44771 tr=12534 tw=3806 er=522 gcd=465 gcm=3874 gct=57 gctm=422 ce=1213 cb=8190 resp=407028d71d46c95b";
+/// to the unit clocks' background lane; their GC counters moved when the
+/// lane got its own open blocks and each collection erased its victim
+/// before writing back the victim's mapping entries.
+const TPFTL_FIN1_GC_GOLDEN: &str = "TPFTL(rsbc) req=40000 lk=56827 hit=48069 rep=11384 drep=765 gcu=3496 gch=418 upr=12056 upw=44771 tr=12227 tw=3469 er=512 gcd=461 gcm=3496 gct=51 gctm=325 ce=1213 cb=8190 resp=40702c4f43633810";
 
 /// Unit-clock sim-timing goldens for the TPFTL/Financial1 case: the
 /// 1-channel row pins the serial topology bit for bit; the 4x2 row pins
@@ -97,13 +99,13 @@ fn cases() -> Vec<(FtlKind, Workload, f64, &'static str)> {
             FtlKind::Sftl,
             Workload::Financial1,
             0.02,
-            "S-FTL req=40000 lk=56827 hit=45879 rep=14549 drep=4558 gcu=3951 gch=473 upr=12056 upw=44771 tr=18060 tw=8059 er=589 gcd=465 gcm=3951 gct=124 gctm=858 ce=10338 cb=8104 resp=4071cbaa68c79b44",
+            "S-FTL req=40000 lk=56827 hit=45876 rep=14533 drep=4549 gcu=3496 gch=400 upr=12056 upw=44771 tr=17646 tw=7652 er=578 gcd=461 gcm=3496 gct=117 gctm=701 ce=10337 cb=8088 resp=4071b91a05611375",
         ),
         (
             FtlKind::Cdftl,
             Workload::Financial1,
             0.02,
-            "CDFTL req=40000 lk=56827 hit=42516 rep=33733 drep=27750 gcu=3988 gch=121 upr=12056 upw=44771 tr=18755 tw=16571 er=722 gcd=467 gcm=3988 gct=255 gctm=1482 ce=1535 cb=8192 resp=407476cd2af147cc",
+            "CDFTL req=40000 lk=56827 hit=42499 rep=33771 drep=27771 gcu=3501 gch=129 upr=12056 upw=44771 tr=18216 tw=16030 er=707 gcd=460 gcm=3501 gct=247 gctm=1259 ce=1535 cb=8192 resp=40746a5f7759d2c1",
         ),
         (FtlKind::Dftl, Workload::Financial1, 0.005, "DFTL req=10000 lk=14046 hit=10815 rep=2207 drep=1716 gcu=0 gch=0 upr=3012 upw=11034 tr=4947 tw=1716 er=0 gcd=0 gcm=0 gct=0 gctm=0 ce=1024 cb=8192 resp=407230cbccc6fd99"),
         // LearnedFTL on the prefilled Financial1 volume: misses fill
@@ -120,10 +122,10 @@ fn cases() -> Vec<(FtlKind, Workload, f64, &'static str)> {
         // only pins ZFTL has (zone switches, reserve flushes, GC patching of
         // the active page) — recorded before the five caches moved onto
         // `ftl/cmt.rs`.
-        (FtlKind::Dftl, Workload::Financial1, 0.02, "DFTL req=40000 lk=56827 hit=45126 rep=10677 drep=8595 gcu=3930 gch=304 upr=12056 upw=44771 tr=24233 tw=12532 er=658 gcd=465 gcm=3930 gct=193 gctm=1167 ce=1024 cb=8192 resp=40739121adbd81a7"),
-        (FtlKind::Learned, Workload::Financial1, 0.02, "LearnedFTL(e4) req=40000 lk=56827 hit=45688 rep=13073 drep=11923 gcu=4039 gch=119 upr=12056 upw=44771 tr=27534 tw=16388 er=721 gcd=468 gcm=4039 gct=253 gctm=1466 ce=690 cb=8188 resp=40744680a9e35dab"),
+        (FtlKind::Dftl, Workload::Financial1, 0.02, "DFTL req=40000 lk=56827 hit=45126 rep=10677 drep=8601 gcu=3478 gch=333 upr=12056 upw=44771 tr=23724 tw=12023 er=645 gcd=460 gcm=3478 gct=185 gctm=970 ce=1024 cb=8192 resp=407393151543a769"),
+        (FtlKind::Learned, Workload::Financial1, 0.02, "LearnedFTL(e4) req=40000 lk=56827 hit=45689 rep=13072 drep=11919 gcu=3502 gch=117 upr=12056 upw=44771 tr=26902 tw=15757 er=704 gcd=461 gcm=3502 gct=243 gctm=1203 ce=696 cb=8192 resp=40743bf83b095985"),
         (FtlKind::Zftl, Workload::Financial1, 0.005, "ZFTL(8) req=10000 lk=14046 hit=5352 rep=6926 drep=6926 gcu=0 gch=0 upr=3012 upw=11034 tr=15620 tw=6926 er=0 gcd=0 gcm=0 gct=0 gctm=0 ce=1025 cb=4112 resp=407b3badb1651193"),
-        (FtlKind::Zftl, Workload::Financial1, 0.02, "ZFTL(8) req=40000 lk=56827 hit=22482 rep=27467 drep=27467 gcu=4118 gch=0 upr=12056 upw=44771 tr=67789 tw=33444 er=989 gcd=470 gcm=4118 gct=519 gctm=2847 ce=1025 cb=4112 resp=407c0c03f45e4b6e"),
+        (FtlKind::Zftl, Workload::Financial1, 0.02, "ZFTL(8) req=40000 lk=56827 hit=22482 rep=27468 drep=27468 gcu=3499 gch=1 upr=12056 upw=44771 tr=66795 tw=32450 er=965 gcd=463 gcm=3499 gct=502 gctm=2258 ce=1025 cb=4112 resp=407bfe44c94c30fc"),
     ]
 }
 

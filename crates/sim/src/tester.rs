@@ -530,17 +530,24 @@ fn remount(case: &Case, flash: Flash, gtd0: &[Option<Ppn>], written: &[bool]) ->
     roomy.cache_bytes = config.gtd_bytes() + (16 << 10);
     let mut ftl = build(name, &roomy).at("build")?;
     let pages = config.logical_pages() as Lpn;
+    let mut sides = Sides::new(env.flash())?;
     for lpn in (0..pages).filter(|&l| written[l as usize]) {
         gc::ensure_free(&mut ftl, &mut env).at("reader")?;
+        sides.note(env.flash(), true)?;
         let ppn = ftl.translate(&mut env, lpn, &AccessCtx::single(false));
         let Some(ppn) = ppn.at("reader")? else {
             return fail("reader", format!("{name} lost LPN {lpn}"));
         };
         env.read_data_page(ppn, lpn).at("reader")?;
+        sides.note(env.flash(), false)?;
     }
     let write = AccessCtx::single(true);
     for lpn in (0..2 * pages).map(|i| i % (pages / 4)) {
+        // The access's own `ensure_free` then finds nothing to collect.
+        gc::ensure_free(&mut ftl, &mut env).at("reader")?;
+        sides.note(env.flash(), true)?;
         driver::serve_page_access(&mut ftl, &mut env, lpn, write).at("reader")?;
+        sides.note(env.flash(), false)?;
     }
     if env.flash().total_erase_count() == erases {
         return fail("reader", "GC erased nothing after the remount");
@@ -549,6 +556,59 @@ fn remount(case: &Case, flash: Flash, gtd0: &[Option<Ppn>], written: &[bool]) ->
     match recovery::verify(&env).errors.first() {
         Some(e) => fail("reader", e),
         None => Ok(seen),
+    }
+}
+
+/// Which side programmed each block since its last erase — the background
+/// lane that collections run in, or the host — read off the blocks' erase
+/// counts and write pointers between steps that only one side takes. No
+/// block may hold pages of both (check `lanes`).
+struct Sides {
+    /// Per block at the last step: (erase count, free pages), and the side
+    /// that has programmed it since its erase (`Some(true)`: the lane).
+    seen: Vec<((u64, usize), Option<bool>)>,
+}
+
+impl Sides {
+    fn new(flash: &Flash) -> Checked<Self> {
+        let blocks = 0..flash.geometry().num_blocks;
+        let seen = blocks.map(|b| Ok((Self::read(flash, b)?, None)));
+        Ok(Self {
+            seen: seen.collect::<Checked<_>>()?,
+        })
+    }
+
+    /// Block `b`'s erase count and free pages.
+    fn read(flash: &Flash, b: usize) -> Checked<(u64, usize)> {
+        let b = b as u32;
+        Ok((
+            flash.erase_count(b).at("lanes")?,
+            flash.free_pages_in(b).at("lanes")?,
+        ))
+    }
+
+    /// Attributes every page programmed since the last step to the lane
+    /// (`lane`) or to the host.
+    fn note(&mut self, flash: &Flash, lane: bool) -> Checked {
+        let pages = flash.geometry().pages_per_block;
+        for (b, (last, side)) in self.seen.iter_mut().enumerate() {
+            let (erases, free) = Self::read(flash, b)?;
+            if erases != last.0 {
+                (*last, *side) = ((erases, pages), None);
+            }
+            if free < last.1 {
+                if *side == Some(!lane) {
+                    let who = if lane { "the lane" } else { "the host" };
+                    return fail(
+                        "lanes",
+                        format!("{who} programmed block {b}, open to the other"),
+                    );
+                }
+                *side = Some(lane);
+            }
+            last.1 = free;
+        }
+        Ok(())
     }
 }
 
@@ -631,9 +691,12 @@ mod tests {
     /// Shrunk failures, pasted verbatim from `check`'s panic message: the
     /// cases that caught a program-before-invalidate swap, a skipped GC
     /// absorb, an off-by-one split, a missing GC slack, a torn record read
-    /// as valid, and a TPFTL without batch update whose prefetch for one
-    /// long request wrote back a page per evicted entry until the free pool
-    /// ran dry.
+    /// as valid, a TPFTL without batch update whose prefetch for one long
+    /// request wrote back a page per evicted entry until the free pool ran
+    /// dry, a `learned:e0` replay that emptied the pool when the slack had
+    /// no block for the lane's own open blocks (`streams − 1`), and a
+    /// LearnedFTL replay that emptied it when the slack was `streams`
+    /// without the floor that keeps the low watermark at four.
     #[rustfmt::skip]
     #[test]
     fn regressions() {
@@ -644,6 +707,8 @@ mod tests {
             Case { seed: 9, requests: 265, halvings: 0, write_ratio: 0.3, sectors: 32.0, ftl: "learned:e0", windowed: true, streams: 1, wide: false, shards: 1, file: false, fault: None, cache: 16384, prefill: 0.9, span: 0.9, long: None },
             Case { seed: 283, requests: 1537, halvings: 0, write_ratio: 0.9, sectors: 32.0, ftl: "tpftl:-", windowed: false, streams: 2, wide: false, shards: 2, file: false, fault: None, cache: 1024, prefill: 0.27, span: 0.54, long: None },
             Case { seed: 0, requests: 137, halvings: 0, write_ratio: 0.6, sectors: 8.0, ftl: "tpftl:bc", windowed: false, streams: 1, wide: false, shards: 1, file: true, fault: Some(Fault { mode: AtOp(375), tear: Some(4126) }), cache: 1024, prefill: 0.0, span: 0.66, long: None },
+            Case { seed: 9, requests: 222, halvings: 0, write_ratio: 0.3, sectors: 32.0, ftl: "learned:e0", windowed: false, streams: 1, wide: false, shards: 1, file: false, fault: None, cache: 16384, prefill: 0.9, span: 0.9, long: None },
+            Case { seed: 37472, requests: 84, halvings: 0, write_ratio: 0.6, sectors: 32.0, ftl: "learned", windowed: false, streams: 1, wide: false, shards: 1, file: false, fault: Some(Fault { mode: AtOp(598), tear: None }), cache: 10240, prefill: 0.9, span: 0.9, long: None },
             Case { seed: 2066, requests: 116, halvings: 0, write_ratio: 0.9, sectors: 8.0, ftl: "tpftl:rs", windowed: false, streams: 1, wide: false, shards: 1, file: false, fault: None, cache: 1024, prefill: 0.45, span: 0.9, long: Some(115) },
         ] {
             check(&case);

@@ -10,6 +10,13 @@
 //! seeds on 2 × 32 MB shards). An access now writes back three entries at
 //! most (`no_call_chains_more_than_three_dirty_evictions` in
 //! `tpftl_core::ftl::learned`), and every prefix here completes.
+//!
+//! These replays no longer reach that case. `gc::watermarks` raises a low
+//! watermark under four to four (DESIGN.md §16, *The free-pool slack*),
+//! so GC now starts with three free blocks or more, and even 35
+//! write-backs fit in the blocks left. The three-entry bound is pinned by
+//! `learned::no_call_chains_more_than_three_dirty_evictions` alone; this
+//! file is a smoke test of LearnedFTL's GC on the `semiseq` device.
 
 use tpftl_core::ftl::LearnedFtl;
 use tpftl_core::SsdConfig;
