@@ -78,9 +78,6 @@ pub enum BlockKind {
     /// Picked as a GC victim; its pages are being migrated and it is no
     /// longer indexed in the valid-count buckets.
     Collecting,
-    /// Managed directly by a block-mapping FTL; never indexed for the
-    /// page-level garbage collector.
-    Raw,
 }
 
 /// The two allocation classes.
@@ -539,21 +536,6 @@ impl BlockManager {
     pub fn sealed_blocks(&self) -> usize {
         self.sealed_count
     }
-
-    /// Claims a whole free block for direct management by a block-mapping
-    /// FTL; it is never indexed for the page-level collector.
-    pub fn take_raw_block(&mut self) -> Result<BlockId> {
-        let b = self.free.pop_front().ok_or(FtlError::DeviceFull)?;
-        self.kind[b as usize] = BlockKind::Raw;
-        Ok(b)
-    }
-
-    /// Returns an erased raw block to the free pool.
-    pub fn release_raw_block(&mut self, block: BlockId) {
-        debug_assert!(matches!(self.kind[block as usize], BlockKind::Raw));
-        self.kind[block as usize] = BlockKind::Free;
-        self.free.push_back(block);
-    }
 }
 
 #[cfg(test)]
@@ -718,15 +700,16 @@ mod tests {
 
     /// A 6-block device for the static wear-leveling arm: block 0 sealed
     /// cold with `cold_valid` valid pages at wear 0, blocks 1–3 held out of
-    /// the pool, blocks 4 and 5 churned to wear `hot_wear` each. One block
-    /// is free at every pick of the churn, so the arm stays deferred and
-    /// never touches block 0; it ends with both hot blocks free.
+    /// the free queue (still `Free`, but never handed out), blocks 4 and 5
+    /// churned to wear `hot_wear` each. One block is free at every pick of
+    /// the churn, so the arm stays deferred and never touches block 0; it
+    /// ends with both hot blocks free.
     fn cold_block_setup(streams: u32, cold_valid: usize, hot_wear: u32) -> (Flash, BlockManager) {
         let mut flash = flash_of(6);
         let mut mgr = BlockManager::with_streams(6, 4, streams);
         assert_eq!(seal_with(&mut mgr, &mut flash, cold_valid), 0);
         for held in 1..=3 {
-            assert_eq!(mgr.take_raw_block(), Ok(held));
+            assert_eq!(mgr.free.pop_front(), Some(held));
         }
         for _ in 0..2 * hot_wear {
             let hot = seal_with(&mut mgr, &mut flash, 1);
@@ -750,7 +733,7 @@ mod tests {
         for spread in [WINDOWED_WEAR_DELTA, WINDOWED_WEAR_DELTA + 1] {
             let (mut flash, mut mgr) = cold_block_setup(2, 3, spread);
             let hot = seal_with(&mut mgr, &mut flash, 0);
-            mgr.release_raw_block(1); // two free blocks again
+            mgr.free.push_back(1); // two free blocks again
             let (victim, _) = mgr.pick_victim(GcPolicy::Windowed { window: 8 }).unwrap();
             let expect = if spread > WINDOWED_WEAR_DELTA { 0 } else { hot };
             assert_eq!(victim, expect, "spread {spread}");
@@ -779,11 +762,11 @@ mod tests {
     fn static_leveling_waits_for_two_free_blocks() {
         let policy = GcPolicy::Windowed { window: 8 };
         let (_flash, mut mgr) = cold_block_setup(2, 4, WINDOWED_WEAR_DELTA + 1);
-        let held = mgr.take_raw_block().unwrap();
+        let held = mgr.free.pop_front().unwrap();
         for _ in 0..2 * WINDOWED_TURNOVER_RATE {
             assert!(mgr.pick_victim(policy).is_none(), "one free block");
         }
-        mgr.release_raw_block(held);
+        mgr.free.push_back(held);
         assert_eq!(mgr.pick_victim(policy).unwrap().0, 0, "two free blocks");
 
         let (_flash, mut mgr) = cold_block_setup(1, 4, WINDOWED_WEAR_DELTA + 1);
@@ -1258,7 +1241,6 @@ mod tests {
             for class in [AllocClass::Data, AllocClass::Translation] {
                 assert_eq!(mgr.alloc_page(class, &flash), Err(FtlError::DeviceFull));
             }
-            assert_eq!(mgr.take_raw_block(), Err(FtlError::DeviceFull));
             assert_eq!(mgr.sealed_blocks(), 4);
         }
         // All four sealed blocks are fully valid: nothing to collect.

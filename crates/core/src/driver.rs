@@ -21,9 +21,7 @@ pub fn serve_page_access<F: Ftl + ?Sized>(
     ctx: AccessCtx,
 ) -> Result<()> {
     env.check_lpn(lpn)?;
-    if ftl.uses_page_level_gc() {
-        gc::ensure_free(ftl, env)?;
-    }
+    gc::ensure_free(ftl, env)?;
     if ctx.is_write {
         ftl.write_page(env, lpn, &ctx)?;
     } else {

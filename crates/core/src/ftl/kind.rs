@@ -3,10 +3,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use super::{
-    BlockLevelFtl, Cdftl, Dftl, FastFtl, Ftl, LearnedFtl, OptimalFtl, Sftl, TpFtl, TpftlConfig,
-    Zftl,
-};
+use super::{Cdftl, Dftl, Ftl, LearnedFtl, OptimalFtl, Sftl, TpFtl, TpftlConfig, Zftl};
 use crate::{Result, SsdConfig};
 
 /// Which FTL to construct.
@@ -33,28 +30,22 @@ pub enum FtlKind {
     Cdftl,
     /// Optimal page-level FTL (full table in RAM).
     Optimal,
-    /// Block-level FTL (extension; not in the paper's plots).
-    BlockLevel,
     /// LearnedFTL (extension): piecewise-linear learned mapping with
     /// OOB-validated predictions and a demand-paged fallback.
     Learned,
-    /// FAST-style hybrid log-block FTL with 8 RW log blocks (extension).
-    Fast,
     /// ZFTL with 8 zones (extension).
     Zftl,
 }
 
 /// Every fixed-configuration kind with its command-line name and its
 /// display label (what the built FTL's [`Ftl::name`] returns).
-const NAMED: [(FtlKind, &str, &str); 9] = [
+const NAMED: [(FtlKind, &str, &str); 7] = [
     (FtlKind::Dftl, "dftl", "DFTL"),
     (FtlKind::Tpftl, "tpftl", "TPFTL(rsbc)"),
     (FtlKind::Sftl, "sftl", "S-FTL"),
     (FtlKind::Cdftl, "cdftl", "CDFTL"),
     (FtlKind::Optimal, "optimal", "Optimal"),
-    (FtlKind::BlockLevel, "blocklevel", "BlockLevel"),
     (FtlKind::Learned, "learned", "LearnedFTL(e4)"),
-    (FtlKind::Fast, "fast", "FAST(8)"),
     (FtlKind::Zftl, "zftl", "ZFTL(8)"),
 ];
 
@@ -69,8 +60,7 @@ impl FtlKind {
 
     /// The FTLs that persist their mapping table in translation pages —
     /// the ones crash recovery, the durability sweeps and the cached-mapping
-    /// benchmarks apply to (Optimal and the block-mapping FTLs keep their
-    /// table in RAM only).
+    /// benchmarks apply to (Optimal keeps its table in RAM only).
     pub const PERSISTING: [FtlKind; 5] = [
         FtlKind::Dftl,
         FtlKind::Cdftl,
@@ -78,6 +68,12 @@ impl FtlKind {
         FtlKind::Tpftl,
         FtlKind::Learned,
     ];
+
+    /// The command-line names of the fixed-configuration kinds, in
+    /// registry order (`tpftl:FLAGS` names the ablation variants).
+    pub fn cli_names() -> impl Iterator<Item = &'static str> {
+        NAMED.iter().map(|&(_, cli, _)| cli)
+    }
 
     /// TPFTL ablation variant from a flag monogram.
     pub fn variant(flags: &str) -> Self {
@@ -106,8 +102,8 @@ impl FtlKind {
 
     /// Parses a command-line FTL name (`dftl`, `tpftl`, `tpftl:FLAGS` with
     /// FLAGS a subset of `rsbc` or `-` for the bare variant, `sftl`,
-    /// `cdftl`, `zftl`, `fast`, `blocklevel`, `optimal`, `learned`) or a
-    /// display [`label`](Self::label); `None` for anything else.
+    /// `cdftl`, `zftl`, `optimal`, `learned`) or a display
+    /// [`label`](Self::label); `None` for anything else.
     pub fn parse(name: &str) -> Option<Self> {
         if let Some(&(kind, ..)) = NAMED
             .iter()
@@ -139,9 +135,7 @@ impl FtlKind {
             FtlKind::Sftl => Box::new(Sftl::new(config)?),
             FtlKind::Cdftl => Box::new(Cdftl::new(config)?),
             FtlKind::Optimal => Box::new(OptimalFtl::new(config)),
-            FtlKind::BlockLevel => Box::new(BlockLevelFtl::new(config)),
             FtlKind::Learned => Box::new(LearnedFtl::new(config)?),
-            FtlKind::Fast => Box::new(FastFtl::with_defaults(config)),
             FtlKind::Zftl => Box::new(Zftl::with_defaults(config)?),
         })
     }
@@ -186,8 +180,6 @@ mod tests {
             ("sftl", FtlKind::Sftl),
             ("cdftl", FtlKind::Cdftl),
             ("zftl", FtlKind::Zftl),
-            ("fast", FtlKind::Fast),
-            ("blocklevel", FtlKind::BlockLevel),
             ("optimal", FtlKind::Optimal),
             ("learned", FtlKind::Learned),
         ] {
@@ -201,6 +193,8 @@ mod tests {
             "tpftl:x",
             "tpftl:rsbcz",
             "TPFTL(q)",
+            "fast",
+            "blocklevel",
         ] {
             assert_eq!(FtlKind::parse(bad), None, "{bad:?}");
         }

@@ -5,11 +5,9 @@ use tpftl_flash::{Lpn, Ppn, Vtpn};
 use crate::env::SsdEnv;
 use crate::Result;
 
-mod blocklevel;
 mod cdftl;
 mod cmt;
 mod dftl;
-mod fast;
 mod kind;
 mod learned;
 mod optimal;
@@ -17,10 +15,8 @@ mod sftl;
 mod tpftl;
 mod zftl;
 
-pub use blocklevel::BlockLevelFtl;
 pub use cdftl::Cdftl;
 pub use dftl::Dftl;
-pub use fast::{FastFtl, MergeStats};
 pub use kind::FtlKind;
 pub use learned::{LearnedFtl, DEFAULT_EPSILON};
 pub use optimal::OptimalFtl;
@@ -153,9 +149,11 @@ pub trait Ftl {
     /// returns how many were absorbed by the cache (GC hits).
     fn on_gc_data_block(&mut self, env: &mut SsdEnv, moved: &[(Lpn, Ppn)]) -> Result<u64>;
 
-    /// Serves a host page write. The default implements the demand-paging
-    /// protocol (translate, program, invalidate, update); block-mapping
-    /// FTLs override it with their merge-based write path.
+    /// Serves a host page write: the demand-paging protocol (translate,
+    /// program, invalidate, update). No FTL overrides it. It stays on the
+    /// trait only because the benchmark package's tracing wrapper calls
+    /// it; the benchmark re-baseline (ROADMAP, *benchmark-archetype*)
+    /// drops it.
     fn write_page(&mut self, env: &mut SsdEnv, lpn: Lpn, ctx: &AccessCtx) -> Result<()> {
         let old = self.translate(env, lpn, ctx)?;
         env.stats.user_page_writes += 1;
@@ -167,13 +165,15 @@ pub trait Ftl {
     }
 
     /// Whether the FTL persists its mapping table in translation pages
-    /// (false for the optimal and block-level FTLs, which keep it in RAM).
+    /// (false for the optimal FTL, which keeps it in RAM).
     fn uses_translation_pages(&self) -> bool {
         true
     }
 
     /// Whether the shared page-level garbage collector manages this FTL's
-    /// space (false for block-mapping FTLs, which reclaim via merges).
+    /// space: always, as no FTL overrides it. It stays on the trait only
+    /// because the benchmark package's tracing wrapper forwards it; the
+    /// benchmark re-baseline (ROADMAP, *benchmark-archetype*) drops it.
     fn uses_page_level_gc(&self) -> bool {
         true
     }
@@ -272,8 +272,6 @@ const _: () = {
     assert_send::<Cdftl>();
     assert_send::<LearnedFtl>();
     assert_send::<OptimalFtl>();
-    assert_send::<BlockLevelFtl>();
-    assert_send::<FastFtl>();
     assert_send::<Zftl>();
     assert_send::<Box<dyn Ftl + Send>>();
 };

@@ -81,9 +81,9 @@ pub fn collect_one<F: Ftl + ?Sized>(ftl: &mut F, env: &mut SsdEnv) -> Result<()>
 }
 
 /// Runs `reclaim` with every flash op it issues sent to the unit clocks'
-/// background lane (see the module doc). The page-level collector and the
-/// block-mapped FTLs' merges both reclaim space through it.
-pub fn in_background<R>(env: &mut SsdEnv, reclaim: impl FnOnce(&mut SsdEnv) -> R) -> R {
+/// background lane (see the module doc): how the page-level collector
+/// runs each collection.
+pub(crate) fn in_background<R>(env: &mut SsdEnv, reclaim: impl FnOnce(&mut SsdEnv) -> R) -> R {
     env.flash.sim_background(true);
     let res = reclaim(env);
     env.flash.sim_background(false);

@@ -19,8 +19,12 @@
 //!   caching.
 //! * [`ftl::OptimalFtl`] — a page-level FTL with the entire mapping table in
 //!   RAM; the paper's upper bound.
-//! * [`ftl::BlockLevelFtl`] — a coarse block-level FTL (Section 2.1); the
-//!   paper uses its mapping-table size to dimension the cache.
+//! * [`ftl::LearnedFtl`] — LearnedFTL (extension): piecewise-linear learned
+//!   mappings over demand-paged translation pages.
+//! * [`ftl::Zftl`] — ZFTL (extension): a zone-based two-tier mapping cache.
+//!
+//! Every FTL is page-mapped, with one write path and one page-level
+//! garbage collector that owns the whole free pool.
 //!
 //! The shared framework lives in:
 //!

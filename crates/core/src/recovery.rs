@@ -57,9 +57,7 @@ pub fn flush_cache<F: Ftl + ?Sized>(ftl: &mut F, env: &mut SsdEnv) -> Result<()>
         return Ok(()); // RAM-table FTLs have nothing to persist here.
     }
     // The flush itself writes translation pages, which may need GC room.
-    if ftl.uses_page_level_gc() {
-        gc::ensure_free(ftl, env)?;
-    }
+    gc::ensure_free(ftl, env)?;
     for d in ftl.cached_tp_distribution() {
         if d.dirty > 0 {
             flush_one_page(ftl, env, d.vtpn)?;

@@ -1,41 +1,6 @@
 //! `simulate` — run one ad-hoc SSD simulation and print its report.
 //!
-//! ```text
-//! simulate [options]
-//!   --ftl NAME          dftl | tpftl | tpftl:FLAGS | sftl | cdftl | zftl |
-//!                       fast | blocklevel | optimal | learned (default tpftl)
-//!   --workload NAME     financial1|financial2|msr-ts|msr-src (default financial1)
-//!   --trace FILE        replay an SPC/MSR trace file instead of a preset
-//!   --requests N        synthetic request count              (default 200000)
-//!   --seed N            generator seed                       (default 2015)
-//!   --cache-bytes N     total mapping-cache budget incl. GTD
-//!   --cache-frac F      budget as a fraction of the full table
-//!   --prefill F         pre-written fraction of the logical space
-//!   --gc POLICY         greedy | windowed:N — score the N least-valid blocks
-//!                       by cost-benefit; greedy is windowed:1 (default greedy)
-//!   --streams N         hot/cold data streams for GC data separation
-//!                       (default 1 = no separation)
-//!   --buffer PAGES      host write buffer size (default none)
-//!   --shards N          replay on the sharded multi-queue engine with N
-//!                       LPN-striped shards (power of two, default 1)
-//!   --channels N        flash channels for the unit-clock timing model
-//!                       (default 1; ops on distinct channels overlap)
-//!   --ways N            ways (dies) per channel                (default 1)
-//!   --bus-us F          channel bus transfer time per page in µs
-//!                       (default 0 = bus not modeled)
-//!   --backing PATH      mirror the flash array to a persistent device
-//!                       file at PATH (created/truncated; fsynced after
-//!                       the run). Single-queue engine only.
-//!   --open-loop RATE    drive the trace open-loop at RATE requests per
-//!                       second of wall-clock time through the sharded
-//!                       engine's NVMe-style queue pairs and report
-//!                       offered vs achieved throughput with response
-//!                       percentiles measured against the arrival
-//!                       schedule (no coordinated omission)
-//!   --qd N              per-shard submission-queue depth for --open-loop
-//!                       (power of two, default 64)
-//!   --json              emit the full RunReport as JSON
-//! ```
+//! `simulate --help` prints the options (`USAGE`).
 
 use std::process::ExitCode;
 
@@ -45,12 +10,46 @@ use tpftl_sim::{OpenLoopOpts, ShardedSsd, Ssd};
 use tpftl_trace::presets::Workload;
 use tpftl_trace::{parse, IoRequest};
 
-const USAGE: &str = "usage: simulate [--ftl NAME] [--workload NAME | --trace FILE]
-                [--requests N] [--seed N] [--cache-bytes N | --cache-frac F]
-                [--prefill F] [--gc POLICY] [--streams N] [--buffer PAGES] [--shards N]
-                [--channels N] [--ways N] [--bus-us F] [--backing PATH]
-                [--open-loop RATE] [--qd N] [--json]
-run `simulate --help` for details";
+/// The options, printed by `--help`; the `--ftl` names are the
+/// registry's command-line names (`FtlKind::cli_names`).
+const USAGE: &str = "\
+usage: simulate [options]
+  --ftl NAME          dftl | tpftl | tpftl:FLAGS | sftl | cdftl | optimal |
+                      learned | zftl (default tpftl); FLAGS is a subset
+                      of rsbc, or - for the bare two-level TPFTL
+  --workload NAME     financial1|financial2|msr-ts|msr-src (default financial1)
+  --trace FILE        replay an SPC/MSR trace file instead of a preset
+  --requests N        synthetic request count              (default 200000)
+  --seed N            generator seed                       (default 2015)
+  --cache-bytes N     total mapping-cache budget incl. GTD
+  --cache-frac F      budget as a fraction of the full table
+  --prefill F         pre-written fraction of the logical space (default 1
+                      for the Financial presets, else 0)
+  --gc POLICY         greedy | windowed:N — score the N least-valid blocks
+                      by cost-benefit; greedy is windowed:1 (default greedy)
+  --streams N         hot/cold data streams for GC data separation
+                      (default 1 = no separation)
+  --buffer PAGES      host write buffer size (default none)
+  --shards N          replay on the sharded multi-queue engine with N
+                      LPN-striped shards (power of two, default 1)
+  --channels N        flash channels for the unit-clock timing model
+                      (default 1; ops on distinct channels overlap)
+  --ways N            ways (dies) per channel                (default 1)
+  --bus-us F          channel bus transfer time per page in µs
+                      (default 0 = bus not modeled)
+  --backing PATH      mirror the flash array to a persistent device
+                      file at PATH (created/truncated; fsynced after
+                      the run). Single-queue engine only.
+  --open-loop RATE    drive the trace open-loop at RATE requests per
+                      second of wall-clock time through the sharded
+                      engine's NVMe-style queue pairs and report
+                      offered vs achieved throughput with response
+                      percentiles measured against the arrival
+                      schedule (no coordinated omission)
+  --qd N              per-shard submission-queue depth for --open-loop
+                      (power of two, default 64)
+  --json              emit the full RunReport as JSON
+  --help, -h          print this and exit";
 
 struct Options {
     ftl: FtlKind,
@@ -74,7 +73,8 @@ struct Options {
     json: bool,
 }
 
-fn parse_args() -> Result<Options, String> {
+/// The options, or `None` for `--help`.
+fn parse_args() -> Result<Option<Options>, String> {
     let mut o = Options {
         ftl: FtlKind::Tpftl,
         workload: Workload::Financial1,
@@ -192,21 +192,22 @@ fn parse_args() -> Result<Options, String> {
                 }
             }
             "--json" => o.json = true,
-            "--help" | "-h" => return Err(String::new()),
+            "--help" | "-h" => return Ok(None),
             other => return Err(format!("unknown flag {other}")),
         }
     }
-    Ok(o)
+    Ok(Some(o))
 }
 
 fn main() -> ExitCode {
     let o = match parse_args() {
-        Ok(o) => o,
+        Ok(Some(o)) => o,
+        Ok(None) => {
+            println!("{USAGE}");
+            return ExitCode::SUCCESS;
+        }
         Err(msg) => {
-            if !msg.is_empty() {
-                eprintln!("{msg}");
-            }
-            eprintln!("{USAGE}");
+            eprintln!("{msg}\nrun `simulate --help` for the options");
             return ExitCode::FAILURE;
         }
     };
@@ -246,9 +247,8 @@ fn main() -> ExitCode {
     if let Some(b) = o.cache_bytes {
         config.cache_bytes = b;
     }
-    config.prefill_frac = o.prefill.unwrap_or(match (o.ftl, o.workload) {
-        (FtlKind::BlockLevel | FtlKind::Fast, _) => 0.0,
-        (_, Workload::Financial1 | Workload::Financial2) if o.trace.is_none() => 1.0,
+    config.prefill_frac = o.prefill.unwrap_or(match o.workload {
+        Workload::Financial1 | Workload::Financial2 if o.trace.is_none() => 1.0,
         _ => 0.0,
     });
     config.gc_policy = o.gc;

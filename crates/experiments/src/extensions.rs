@@ -3,11 +3,10 @@
 //! Three studies that exercise the substrates this reproduction had to
 //! build anyway:
 //!
-//! 1. **Related-work FTL comparison** — every FTL the paper's Sections
-//!    2.1/2.2 discuss (block-level, FAST-style hybrid, ZFTL, CDFTL) next
-//!    to the evaluated ones, quantifying the claims the paper makes only
-//!    qualitatively ("hybrids suffer under random writes", "zone switches
-//!    are cumbersome", "CDFTL performs worse than S-FTL").
+//! 1. **Related-work FTL comparison** — the page-level FTLs the paper's
+//!    Section 2.2 discusses (ZFTL, CDFTL) next to the evaluated ones,
+//!    quantifying claims the paper makes only qualitatively ("zone
+//!    switches are cumbersome", "CDFTL performs worse than S-FTL").
 //! 2. **GC policy study** — greedy (the paper's) vs wider cost-benefit
 //!    windows, alone and with hot/cold data streams, under TPFTL,
 //!    reporting lifetime spread.
@@ -73,14 +72,10 @@ pub struct BufferRow {
 }
 
 fn related(scale: Scale) -> Vec<RelatedRow> {
-    // The block-mapping FTLs pay a full merge per random write; run them
-    // at a tenth of the requested scale so the table completes quickly.
     let jobs: Vec<(Workload, FtlKind)> = [Workload::Financial1, Workload::MsrTs]
         .iter()
         .flat_map(|&w| {
             [
-                FtlKind::BlockLevel,
-                FtlKind::Fast,
                 FtlKind::Zftl,
                 FtlKind::Cdftl,
                 FtlKind::Dftl,
@@ -93,12 +88,7 @@ fn related(scale: Scale) -> Vec<RelatedRow> {
         })
         .collect();
     runner::run_parallel(jobs, |&(w, kind)| {
-        let mut config = runner::device_config(w);
-        let mut scale = Scale(scale.0);
-        if matches!(kind, FtlKind::BlockLevel | FtlKind::Fast) {
-            config.prefill_frac = 0.0; // merge-based FTLs manage whole blocks
-            scale = Scale(scale.0 * 0.1);
-        }
+        let config = runner::device_config(w);
         let report = runner::run_one(kind, w, scale, &config).expect("simulation failed");
         RelatedRow {
             workload: w.name().to_string(),
@@ -185,10 +175,7 @@ pub fn run(scale: Scale) -> ExperimentOutput {
     let gc_rows = gc_policies(scale);
     let buf_rows = write_buffer(scale);
 
-    let mut text = String::from(
-        "Extension 1: every related-work FTL on Financial1 and MSR-ts\n\
-         (block-mapping FTLs run at 1/10 scale; their merges dominate)\n",
-    );
+    let mut text = String::from("Extension 1: every related-work FTL on Financial1 and MSR-ts\n");
     text.push_str(&format!(
         "{:<11} {:<12} {:>10} {:>7} {:>11} {:>6} {:>8}\n",
         "workload", "FTL", "RAM (B)", "hit", "resp (us)", "WA", "erases"
@@ -254,23 +241,7 @@ mod tests {
     fn tiny_extensions_run() {
         let out = run(Scale(0.00002));
         assert!(out.text.contains("Extension 1"));
-        assert!(out.text.contains("FAST"));
-        assert!(out.text.contains("ZFTL"));
+        assert!(out.text.contains("ZFTL") && out.text.contains("CDFTL"));
         assert!(out.json.get("gc_policies").is_some());
-    }
-
-    /// The paper's qualitative Section 2.1 claims, quantified: hybrids and
-    /// block-mapping lose badly to page-level FTLs under random writes.
-    #[test]
-    fn hybrids_lose_on_random_writes() {
-        let rows = related(Scale(0.002));
-        let wa = |workload: &str, ftl: &str| {
-            rows.iter()
-                .find(|r| r.workload == workload && r.ftl.starts_with(ftl))
-                .map(|r| r.write_amplification)
-                .expect("row present")
-        };
-        assert!(wa("Financial1", "BlockLevel") > 3.0 * wa("Financial1", "TPFTL"));
-        assert!(wa("MSR-ts", "FAST") > 1.5 * wa("MSR-ts", "TPFTL"));
     }
 }

@@ -1,6 +1,6 @@
 //! `simulate --ftl` accepts exactly the registry's command-line names,
-//! `--gc` exactly the two spellings of the one victim pick, and the two
-//! fraction flags only values in range.
+//! `--help` lists them, `--gc` accepts exactly the two spellings of the one
+//! victim pick, and the two fraction flags only values in range.
 
 use std::process::Command;
 
@@ -16,18 +16,37 @@ fn simulate(args: &[&str]) -> std::process::Output {
 
 #[test]
 fn documented_ftl_names_run_and_others_are_rejected_without_a_panic() {
-    let names = "dftl tpftl tpftl:rs tpftl:- sftl cdftl zftl fast blocklevel optimal learned";
-    for name in names.split(' ') {
+    let names = FtlKind::cli_names().chain(["tpftl:rs", "tpftl:-"]);
+    for name in names {
         let out = simulate(&["--ftl", name, "--prefill", "0"]);
         assert!(out.status.success(), "--ftl {name} failed: {out:?}");
         let label = FtlKind::parse(name).expect("registry name").label();
         let stdout = String::from_utf8(out.stdout).expect("utf-8");
         assert!(stdout.starts_with(&format!("ftl:                 {label}\n")));
     }
-    for name in ["nvme", "tpftl:xyz", "DFTL ", ""] {
+    for name in ["nvme", "tpftl:xyz", "DFTL ", "", "fast", "blocklevel"] {
         let out = simulate(&["--ftl", name, "--prefill", "0"]);
         assert_eq!(out.status.code(), Some(1), "--ftl {name:?}: {out:?}");
-        assert!(String::from_utf8_lossy(&out.stderr).contains("unknown FTL"));
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains("unknown FTL") && !stderr.contains("panicked"));
+    }
+}
+
+#[test]
+fn help_exits_zero_and_lists_exactly_the_registry_names() {
+    for flag in ["--help", "-h"] {
+        let out = simulate(&[flag]);
+        assert!(out.status.success(), "{flag}: {out:?}");
+        let stdout = String::from_utf8(out.stdout).expect("utf-8");
+        // The `--ftl` entry: its names run up to the "(default" note.
+        let entry = stdout.split("--ftl NAME").nth(1).expect("an --ftl entry");
+        let entry = entry.split("(default").next().expect("a default note");
+        let listed: Vec<&str> = entry
+            .split('|')
+            .map(str::trim)
+            .filter(|&n| n != "tpftl:FLAGS")
+            .collect();
+        assert_eq!(listed, FtlKind::cli_names().collect::<Vec<_>>(), "{stdout}");
     }
 }
 

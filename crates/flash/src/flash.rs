@@ -613,8 +613,8 @@ impl Flash {
     /// Programs a page at an offset at or beyond the block's write pointer,
     /// skipping intermediate pages. NAND permits programming pages of a
     /// block in ascending order with gaps; skipped pages stay unprogrammed
-    /// until the next erase. Needed by block-mapping FTLs, whose page
-    /// position within a block is fixed by the logical offset.
+    /// until the next erase. For an FTL that places a page by its logical
+    /// offset within a block; no FTL in this workspace does.
     pub fn program_page_at(&mut self, ppn: Ppn, tag: u32, purpose: OpPurpose) -> Result<()> {
         self.program_common(ppn, tag, purpose, TpContent::Data, true)
     }

@@ -15,7 +15,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use tpftl_core::blockmgr::BlockManager;
 use tpftl_core::config::{GcPolicy, StreamCount};
 use tpftl_core::env::SsdEnv;
-use tpftl_core::ftl::{AccessCtx, FastFtl, Ftl, FtlKind, LearnedFtl, Zftl};
+use tpftl_core::ftl::{AccessCtx, Ftl, FtlKind, LearnedFtl, Zftl};
 use tpftl_core::{driver, gc, recovery, FtlError, SsdConfig};
 use tpftl_flash::{FaultMode, FaultPlan, Flash, Lpn, OpPurpose, Ppn, Vtpn};
 use tpftl_rng::Rng64;
@@ -33,11 +33,11 @@ const MAX_REQUESTS: usize = 2_000;
 /// Requests between two side-effect-free probes.
 const PROBE_EVERY: usize = 64;
 
-/// Every registry kind (a few TPFTL ablations among them), the small ZFTL
-/// and FAST that switch zones and merge within a few hundred accesses, and
-/// a LearnedFTL fitted exactly (ε = 0), which must then never mispredict.
+/// Every registry kind (a few TPFTL ablations among them), a small ZFTL
+/// that switches zones within a few hundred accesses, and a LearnedFTL
+/// fitted exactly (ε = 0), which must then never mispredict.
 const FTLS: &str = "dftl tpftl tpftl:- tpftl:b tpftl:rs tpftl:bc sftl cdftl learned \
-                    learned:e0 optimal blocklevel fast fast:3 zftl zftl:4";
+                    learned:e0 optimal zftl zftl:4";
 
 /// A power loss, and how many bytes of the fatal program's `[data][OOB]`
 /// record reach a device file ([`FaultPlan::with_tear`]).
@@ -63,7 +63,7 @@ pub struct Case {
     pub write_ratio: f64,
     /// Mean request length, in 512 B sectors.
     pub sectors: f64,
-    /// A `simulate --ftl` name, or `zftl:4`, `fast:3`, `learned:e0`.
+    /// A `simulate --ftl` name, or `zftl:4`, `learned:e0`.
     pub ftl: &'static str,
     /// `GcPolicy::Windowed { window: 8 }` instead of greedy.
     pub windowed: bool,
@@ -106,15 +106,14 @@ impl Case {
     }
 
     /// The case `seed` picks. Invalid combinations are never generated:
-    /// only persisting FTLs lose power; the block-mapped FTLs start empty;
-    /// the FTLs that cache whole translation pages get 6 KB at least;
-    /// BlockLevel is never file-backed (its block rewrites make a file twin
-    /// a hundred times slower); the span leaves each shard the blocks its
-    /// axes need.
+    /// only persisting FTLs lose power; the FTLs that cache whole
+    /// translation pages get 6 KB at least; the span leaves each shard the
+    /// blocks its axes need.
     pub fn from_seed(seed: u64) -> Self {
         let mut rng = Rng64::seed_from_u64(seed);
         let mut pick = |n: usize| rng.range_usize(0, n);
-        let ftl = FTLS.split_whitespace().nth(pick(16)).expect("16 FTLs");
+        let ftls: Vec<_> = FTLS.split_whitespace().collect();
+        let ftl = ftls[pick(ftls.len())];
         let caches: &[usize] = match ["sftl", "cdftl", "zftl", "zftl:4"].contains(&ftl) {
             true => &[6 << 10, 10 << 10],
             false => &[256, 1 << 10, 4 << 10, 10 << 10, 16 << 10],
@@ -131,23 +130,16 @@ impl Case {
             cache: caches[pick(caches.len())],
             ..Self::plain(seed)
         };
-        // Blocks the data cannot have: log and merge blocks; else actives,
-        // translation pages, the GC watermark and slack, and two blocks of
-        // garbage that keep a victim reclaimable.
-        let reserve = match ftl {
-            "fast" => 10,
-            "fast:3" => 5,
-            "blocklevel" => 2,
-            _ => 2 * case.streams as usize + 6,
-        };
+        // Blocks the data cannot have: actives, translation pages, the GC
+        // watermark and slack, and two blocks of garbage that keep a victim
+        // reclaimable.
+        let reserve = 2.0 * case.streams as f64 + 6.0;
         let shard = case.config().shard_config(case.shards);
         let blocks = shard.geometry().num_blocks as f64;
-        let span = (blocks - reserve as f64) / (blocks / (1.0 + shard.over_provision));
+        let span = (blocks - reserve) / (blocks / (1.0 + shard.over_provision));
         case.span = (span * 100.0).floor().min(100.0) / 100.0;
-        if !ftl.starts_with("fast") && ftl != "blocklevel" {
-            case.prefill = case.span * [0.0, 0.5, 1.0][pick(3)];
-        }
-        case.file = ftl != "blocklevel" && pick(3) == 0;
+        case.prefill = case.span * [0.0, 0.5, 1.0][pick(3)];
+        case.file = pick(3) == 0;
         if case.file {
             // Every flash op of a file-backed device is a system call.
             case.requests = case.requests.min(500);
@@ -246,14 +238,14 @@ fn build(name: &str, c: &SsdConfig) -> tpftl_core::Result<Dyn> {
     Ok(match name {
         "learned:e0" => Box::new(LearnedFtl::with_epsilon(c, 0)?),
         "zftl:4" => Box::new(Zftl::new(c, 4)?),
-        "fast:3" => Box::new(FastFtl::new(c, 3)),
         _ => FtlKind::parse(name).expect("an FTL name").build(c)?,
     })
 }
 
-/// Whether `name` keeps its mapping table in translation pages.
+/// Whether `name` keeps its mapping table in translation pages: all but
+/// Optimal.
 fn persists(name: &str) -> bool {
-    !["optimal", "blocklevel", "fast", "fast:3"].contains(&name)
+    name != "optimal"
 }
 
 /// A device file, deleted on drop.
@@ -452,7 +444,7 @@ fn probe(case: &Case, ssd: &Ssd<Dyn>, written: &[bool], round: Option<usize>) ->
         }
     }
     let rebuilt = BlockManager::rebuild(flash, case.streams).at("blocks")?;
-    if ftl.uses_page_level_gc() && rebuilt.free_blocks() != env.free_blocks() {
+    if rebuilt.free_blocks() != env.free_blocks() {
         return fail("blocks", (env.free_blocks(), rebuilt.free_blocks()));
     }
     for (b, &n) in valid.iter().enumerate() {

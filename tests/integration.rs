@@ -3,9 +3,7 @@
 
 use tpftl::core::driver;
 use tpftl::core::env::SsdEnv;
-use tpftl::core::ftl::{
-    AccessCtx, BlockLevelFtl, Dftl, Ftl, FtlKind, OptimalFtl, TpFtl, TpftlConfig,
-};
+use tpftl::core::ftl::{AccessCtx, Dftl, Ftl, FtlKind, OptimalFtl, TpFtl, TpftlConfig};
 use tpftl::core::SsdConfig;
 use tpftl::sim::tester::{check, Case};
 use tpftl::sim::{CacheSampler, Ssd};
@@ -38,47 +36,6 @@ fn all_ftls_preserve_host_data() {
     (base.write_ratio, base.sectors) = (0.7, 10.0);
     for ftl in ["optimal", "dftl", "sftl", "cdftl", "tpftl", "tpftl:-"] {
         check(&Case { ftl, ..base });
-    }
-}
-
-/// The block-level FTL preserves data too (it uses a different write path).
-#[test]
-fn block_level_ftl_preserves_host_data() {
-    let config = SsdConfig::paper_default(16 << 20);
-    let mut ftl = BlockLevelFtl::new(&config);
-    let mut env = SsdEnv::new(config.clone()).expect("env");
-    driver::bootstrap(&mut ftl, &mut env).expect("bootstrap");
-    let trace = SyntheticSpec {
-        requests: 3_000,
-        address_bytes: 16 << 20,
-        ..mixed_spec(3_000)
-    }
-    .generate(5);
-    let mut written = vec![false; config.logical_pages() as usize];
-    for r in &trace {
-        let first = (r.offset / 4096) as u32;
-        driver::serve_request(
-            &mut ftl,
-            &mut env,
-            first,
-            r.page_count(4096) as u32,
-            r.is_write(),
-        )
-        .expect("serve");
-        if r.is_write() {
-            for p in r.pages(4096) {
-                written[p as usize] = true;
-            }
-        }
-    }
-    for (lpn, &w) in written.iter().enumerate() {
-        let got = ftl
-            .translate(&mut env, lpn as u32, &AccessCtx::single(false))
-            .unwrap();
-        if w {
-            env.read_data_page(got.expect("mapped"), lpn as u32)
-                .expect("consistent");
-        }
     }
 }
 
