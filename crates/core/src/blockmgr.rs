@@ -7,8 +7,7 @@
 //! background lane that garbage collection runs in has one for migrated
 //! data and one for translation pages. So a host program never lands in
 //! a block a queued collection is filling. Sealed blocks are indexed by
-//! valid-page count so the greedy garbage collector finds its victim
-//! ("the block with the fewest valid pages") in O(1).
+//! class and valid-page count so the collector finds its victim in O(1).
 //!
 //! The free pool is a FIFO that erases append to. The host opens the
 //! oldest free block, the one whose erase is likeliest to have run
@@ -22,16 +21,24 @@
 //! volatile: [`BlockManager::rebuild`] seals every partially-written block
 //! and reopens nothing, so crash recovery never depends on them.
 //!
-//! The valid-count index is allocation-free and ordered by construction:
-//! bucket `v` — the sealed blocks with exactly `v` valid pages — is a
-//! two-level bitset over block ids (`IdSet`: a bit per block, a summary
-//! bit per 64-block word), and a bucket-occupancy bitmap on top locates the
-//! lowest non-empty bucket. Insert and remove flip a bit at each level;
-//! "smallest id in bucket `v`" and "next id after `x`" are a
-//! `trailing_zeros` per level, whatever the bucket holds. Victim order is
-//! therefore (valid count asc, block id asc) — bit order — which is what
-//! the original per-bucket `BTreeSet` index yielded and what the golden
-//! fixed-seed fingerprints depend on.
+//! The victim is picked class first. Each class, data and translation,
+//! has its own valid-count index, and the class whose head (fewest valid
+//! pages, then smallest id) is collected is chosen by
+//! `BlockManager::victim_class`: a zero-valid head wins, else the
+//! translation head only if it holds at most a third of the data head's
+//! valid pages (`TRANS_VICTIM_RATIO`). A translation page is rewritten
+//! far more often than a data page, so a translation block left alone
+//! empties soon, and copying its pages at the data pool's utilisation is
+//! waste (DESIGN.md §15, *Class-first victims*).
+//!
+//! Each index is allocation-free and ordered by construction: bucket `v` —
+//! the class's sealed blocks with exactly `v` valid pages — is a two-level
+//! bitset over block ids (`IdSet`: a bit per block, a summary bit per
+//! 64-block word), and a bucket-occupancy bitmap on top locates the lowest
+//! non-empty bucket. Insert and remove flip a bit at each level; "smallest
+//! id in bucket `v`" and "next id after `x`" are a `trailing_zeros` per
+//! level, whatever the bucket holds. Within a class, victim order is
+//! therefore (valid count asc, block id asc) — bit order.
 
 use std::collections::{BTreeSet, VecDeque};
 use std::iter::successors;
@@ -44,6 +51,12 @@ use crate::{FtlError, Result};
 /// Most candidates a pick examines, whatever window the policy asks for —
 /// a bounded candidate set, as sampling-based GC schemes use on real devices.
 const CANDIDATE_CAP: usize = 64;
+
+/// A translation head with `v_t` valid pages is collected before a data
+/// head with `v_d` only if `TRANS_VICTIM_RATIO · v_t ≤ v_d`. Swept over
+/// 2, 3 and 4 on Financial1 and `semiseq` (DESIGN.md §15): 2 gains less
+/// write amplification, 4 pushes LearnedFTL's p99.9 response up by 9–12 %.
+const TRANS_VICTIM_RATIO: usize = 3;
 
 /// Wear spread a multi-stream manager tolerates before its static
 /// wear-leveling arm turns over the least-worn sealed block, and the rate
@@ -87,6 +100,15 @@ pub enum AllocClass {
     Data,
     /// Translation pages.
     Translation,
+}
+
+/// The class of a sealed block; `None` for any other kind.
+fn sealed_class(kind: BlockKind) -> Option<AllocClass> {
+    match kind {
+        BlockKind::SealedData => Some(AllocClass::Data),
+        BlockKind::SealedTranslation => Some(AllocClass::Translation),
+        _ => None,
+    }
 }
 
 /// Index of the lowest set bit at or after bit `from` of `words`.
@@ -160,6 +182,63 @@ impl IdSet {
     }
 }
 
+/// One class's sealed blocks by valid count: bucket `v` holds the blocks
+/// with exactly `v` valid pages, and `occupancy` has one bit per bucket,
+/// set iff the bucket is non-empty.
+#[derive(Debug, Clone)]
+struct ValidIndex {
+    buckets: Vec<IdSet>,
+    occupancy: Vec<u64>,
+    len: usize,
+}
+
+impl ValidIndex {
+    fn new(num_blocks: usize, pages_per_block: usize) -> Self {
+        Self {
+            buckets: vec![IdSet::new(num_blocks); pages_per_block + 1],
+            occupancy: vec![0; pages_per_block / 64 + 1],
+            len: 0,
+        }
+    }
+
+    fn insert(&mut self, block: BlockId, v: usize) {
+        self.buckets[v].insert(block);
+        self.occupancy[v / 64] |= 1 << (v % 64);
+        self.len += 1;
+    }
+
+    fn remove(&mut self, block: BlockId, v: usize) {
+        self.buckets[v].remove(block);
+        if self.buckets[v].len == 0 {
+            self.occupancy[v / 64] &= !(1 << (v % 64));
+        }
+        self.len -= 1;
+    }
+
+    /// The first of [`ValidIndex::candidates`] with its valid count: the
+    /// smallest id in the lowest occupied bucket below `pages_per_block`.
+    fn head(&self, pages_per_block: usize) -> Option<(usize, BlockId)> {
+        let v = next_set(&self.occupancy, 0).filter(|&v| v < pages_per_block)?;
+        Some((v, self.buckets[v].next(0)?))
+    }
+
+    /// The reclaimable blocks (fewer than `pages_per_block` valid pages) in
+    /// (valid count asc, block id asc) order, capped at [`CANDIDATE_CAP`].
+    /// Lazy: each step is a couple of `trailing_zeros`, and nothing is
+    /// allocated.
+    fn candidates(&self, pages_per_block: usize) -> impl Iterator<Item = BlockId> + '_ {
+        successors(next_set(&self.occupancy, 0), |&v| {
+            next_set(&self.occupancy, v + 1)
+        })
+        .take_while(move |&v| v < pages_per_block)
+        .flat_map(|v| {
+            let bucket = &self.buckets[v];
+            successors(bucket.next(0), |&b| bucket.next(b as usize + 1))
+        })
+        .take(CANDIDATE_CAP)
+    }
+}
+
 /// Where each writer's open block sits in [`BlockManager::open`]: the
 /// host's translation block, the lane's translation and data blocks, then
 /// one data block per host stream, coldest first.
@@ -176,12 +255,9 @@ pub struct BlockManager {
     free: VecDeque<BlockId>,
     /// The open block in each slot ([`HOST_TRANS`] and the rest).
     open: Vec<Option<BlockId>>,
-    /// Bucket `v` = the sealed blocks with exactly `v` valid pages.
-    buckets: Vec<IdSet>,
-    /// One bit per bucket: set iff the bucket is non-empty.
-    occupancy: Vec<u64>,
-    /// Blocks currently indexed in a bucket.
-    sealed_count: usize,
+    /// The sealed blocks of each class by valid count, indexed by
+    /// `AllocClass as usize`.
+    index: [ValidIndex; 2],
     pages_per_block: usize,
     /// Monotonic event counter; stamps seals for cost-benefit aging.
     seq: u64,
@@ -214,9 +290,7 @@ impl BlockManager {
             kind: vec![BlockKind::Free; num_blocks],
             free: (0..num_blocks as BlockId).collect(),
             open: vec![None; STREAM_0 + streams.max(1) as usize],
-            buckets: vec![IdSet::new(num_blocks); pages_per_block + 1],
-            occupancy: vec![0; pages_per_block / 64 + 1],
-            sealed_count: 0,
+            index: [0; 2].map(|_| ValidIndex::new(num_blocks, pages_per_block)),
             pages_per_block,
             seq: 0,
             seal_seq: vec![0; num_blocks],
@@ -259,38 +333,6 @@ impl BlockManager {
             mgr.seal_block(b, sealed_kind, flash)?;
         }
         Ok(mgr)
-    }
-
-    // ---- Valid-count buckets -------------------------------------------------
-
-    fn bucket_insert(&mut self, block: BlockId, v: usize) {
-        self.buckets[v].insert(block);
-        self.occupancy[v / 64] |= 1 << (v % 64);
-        self.sealed_count += 1;
-    }
-
-    fn bucket_remove(&mut self, block: BlockId, v: usize) {
-        self.buckets[v].remove(block);
-        if self.buckets[v].len == 0 {
-            self.occupancy[v / 64] &= !(1 << (v % 64));
-        }
-        self.sealed_count -= 1;
-    }
-
-    /// The reclaimable blocks (fewer than `pages_per_block` valid pages) in
-    /// (valid count asc, block id asc) order — the order the per-bucket
-    /// `BTreeSet` index yielded — capped at [`CANDIDATE_CAP`]. Lazy: each
-    /// step is a couple of `trailing_zeros`, and nothing is allocated.
-    fn candidates(&self) -> impl Iterator<Item = BlockId> + '_ {
-        successors(next_set(&self.occupancy, 0), |&v| {
-            next_set(&self.occupancy, v + 1)
-        })
-        .take_while(|&v| v < self.pages_per_block)
-        .flat_map(|v| {
-            let bucket = &self.buckets[v];
-            successors(bucket.next(0), |&b| bucket.next(b as usize + 1))
-        })
-        .take(CANDIDATE_CAP)
     }
 
     /// Number of blocks in the free pool.
@@ -368,9 +410,10 @@ impl BlockManager {
 
     /// Seals an exhausted active block and indexes it for the collector.
     fn seal_block(&mut self, b: BlockId, sealed_kind: BlockKind, flash: &Flash) -> Result<()> {
+        let class = sealed_class(sealed_kind).expect("a sealed kind");
         self.kind[b as usize] = sealed_kind;
         let valid = flash.valid_pages_in(b).map_err(FtlError::Flash)?;
-        self.bucket_insert(b, valid);
+        self.index[class as usize].insert(b, valid);
         self.seq += 1;
         self.seal_seq[b as usize] = self.seq;
         self.sealed_valid[b as usize] = valid as u32;
@@ -383,17 +426,15 @@ impl BlockManager {
     /// Re-indexes a sealed block after one of its pages was invalidated.
     /// `new_valid` is the block's valid count *after* the invalidation.
     pub fn on_invalidated(&mut self, block: BlockId, new_valid: usize) {
-        match self.kind[block as usize] {
-            BlockKind::SealedData | BlockKind::SealedTranslation => {
-                // The page was valid before, so the block was in bucket
-                // `new_valid + 1`.
-                self.bucket_remove(block, new_valid + 1);
-                self.bucket_insert(block, new_valid);
-                self.sealed_valid[block as usize] = new_valid as u32;
-            }
-            // Active blocks are indexed when sealed; free blocks have no
-            // valid pages to invalidate.
-            _ => {}
+        // Active blocks are indexed when sealed; free blocks have no valid
+        // pages to invalidate.
+        if let Some(class) = sealed_class(self.kind[block as usize]) {
+            // The page was valid before, so the block was in bucket
+            // `new_valid + 1`.
+            let index = &mut self.index[class as usize];
+            index.remove(block, new_valid + 1);
+            index.insert(block, new_valid);
+            self.sealed_valid[block as usize] = new_valid as u32;
         }
     }
 
@@ -401,27 +442,74 @@ impl BlockManager {
     /// only ever returned by the static wear-leveling arm; otherwise `None`
     /// means the device is genuinely full.
     pub fn pick_victim(&mut self, policy: GcPolicy) -> Option<(BlockId, AllocClass)> {
-        let b = self.pick_windowed(window(policy))?;
-        self.claim(b)
+        let (b, class) = self.pick(window(policy))?;
+        self.claim(b, class);
+        Some((b, class))
     }
 
-    fn claim(&mut self, b: BlockId) -> Option<(BlockId, AllocClass)> {
-        self.bucket_remove(b, self.sealed_valid[b as usize] as usize);
+    /// Takes `b` out of `class`'s valid-count index and the wear index.
+    fn claim(&mut self, b: BlockId, class: AllocClass) {
+        self.index[class as usize].remove(b, self.sealed_valid[b as usize] as usize);
         if let Some(index) = &mut self.wear_index {
             index.remove(&(self.wear[b as usize], b));
         }
-        // Only `seal_block` fills the buckets and the wear index, every pick
-        // reads one of the two, and claiming takes the block out of both.
+        // Only `seal_block` fills the indexes, every pick reads one of
+        // them, and claiming takes the block out of its class's index and
+        // the wear index.
         let kind = std::mem::replace(&mut self.kind[b as usize], BlockKind::Collecting);
-        debug_assert!(
-            matches!(kind, BlockKind::SealedData | BlockKind::SealedTranslation),
-            "claimed block has kind {kind:?}"
-        );
-        let class = match kind {
-            BlockKind::SealedTranslation => AllocClass::Translation,
-            _ => AllocClass::Data,
-        };
-        Some((b, class))
+        debug_assert_eq!(sealed_class(kind), Some(class), "claimed a {kind:?} block");
+    }
+
+    /// The one victim pick. With more than one stream the static
+    /// wear-leveling arm engages first: stream separation freezes cold
+    /// blocks at low wear forever (they stay nearly fully valid, so no
+    /// valid-count policy ever collects them), and without the turn-over
+    /// the erase spread grows without bound. A single-stream manager has
+    /// no frozen-block problem — every write shares one active block — so
+    /// the pick stays a pure victim choice there and never builds the wear
+    /// index. Then [`BlockManager::victim_class`] chooses the class, and
+    /// [`BlockManager::pick_windowed`] the victim within it — unless the
+    /// class's head has no valid page: a free reclaim, which no score can
+    /// beat.
+    fn pick(&mut self, window: usize) -> Option<(BlockId, AllocClass)> {
+        if self.streams() > 1 {
+            if let Some(b) = self.static_turnover() {
+                let class = sealed_class(self.kind[b as usize]);
+                return Some((b, class.expect("the wear index holds sealed blocks only")));
+            }
+        }
+        let (class, (valid, head)) = self.victim_class()?;
+        if valid == 0 {
+            return Some((head, class));
+        }
+        Some((self.pick_windowed(class, window)?, class))
+    }
+
+    /// The class to collect and its head — its reclaimable block with the
+    /// fewest valid pages, then the smallest id — as `(valid, id)`. A head
+    /// with no valid page wins outright (if both have none, the smaller
+    /// id); otherwise the translation head wins only if
+    /// `TRANS_VICTIM_RATIO · v_t ≤ v_d`. A class with no reclaimable block
+    /// leaves the pick to the other; `None` if neither has one.
+    fn victim_class(&self) -> Option<(AllocClass, (usize, BlockId))> {
+        let head = |class: AllocClass| self.index[class as usize].head(self.pages_per_block);
+        match (head(AllocClass::Data), head(AllocClass::Translation)) {
+            (None, None) => None,
+            (Some(d), None) => Some((AllocClass::Data, d)),
+            (None, Some(t)) => Some((AllocClass::Translation, t)),
+            (Some(d @ (vd, bd)), Some(t @ (vt, bt))) => {
+                let trans = if vd == 0 && vt == 0 {
+                    bt < bd
+                } else {
+                    TRANS_VICTIM_RATIO * vt <= vd
+                };
+                Some(if trans {
+                    (AllocClass::Translation, t)
+                } else {
+                    (AllocClass::Data, d)
+                })
+            }
+        }
     }
 
     /// Static wear leveling, the multi-stream arm of the pick: when the
@@ -466,34 +554,20 @@ impl BlockManager {
         None
     }
 
-    /// The one victim pick, windowed cost-benefit: scores only the first
-    /// `window` entries of the candidate order (valid asc, id asc) — i.e. a
-    /// bounded window of the min-valid buckets — by `(1 − u) / 2u · age`,
-    /// breaking exact score ties toward the least-worn block (then the
-    /// smaller id). A zero-valid candidate is a free reclaim and wins
-    /// outright. With `window == 1` the single candidate is the paper's
-    /// greedy victim. With more than one stream the static wear-leveling
-    /// arm engages first: stream separation freezes cold blocks at low
-    /// wear forever (they stay nearly fully valid, so no valid-count
-    /// policy ever collects them), and without the turn-over the erase
-    /// spread grows without bound. A single-stream manager has no
-    /// frozen-block problem — every write shares one active block — so the
-    /// pick stays a pure victim choice there and never builds the wear
-    /// index.
-    fn pick_windowed(&mut self, window: usize) -> Option<BlockId> {
-        if self.streams() > 1 {
-            if let Some(b) = self.static_turnover() {
-                return Some(b);
-            }
-        }
+    /// The victim within `class`, windowed cost-benefit: scores only the
+    /// first `window` entries of the class's candidate order (valid asc,
+    /// id asc) — i.e. a bounded window of its min-valid buckets — by
+    /// `(1 − u) / 2u · age`, breaking exact score ties toward the
+    /// least-worn block (then the smaller id). With `window == 1` the
+    /// single candidate is the class's greedy victim. The class's head has
+    /// a valid page ([`BlockManager::pick`] takes a free reclaim before
+    /// calling this), so every candidate does.
+    fn pick_windowed(&self, class: AllocClass, window: usize) -> Option<BlockId> {
         let np = self.pages_per_block as f64;
         let mut best: Option<(f64, u32, BlockId)> = None;
-        for b in self.candidates().take(window) {
-            let valid = self.sealed_valid[b as usize] as f64;
-            if valid == 0.0 {
-                return Some(b); // free reclaim, nothing can beat it
-            }
-            let u = valid / np;
+        let candidates = self.index[class as usize].candidates(self.pages_per_block);
+        for b in candidates.take(window) {
+            let u = self.sealed_valid[b as usize] as f64 / np;
             let age = (self.seq - self.seal_seq[b as usize]) as f64 + 1.0;
             let score = (1.0 - u) / (2.0 * u) * age;
             let wear = self.wear[b as usize];
@@ -534,7 +608,7 @@ impl BlockManager {
 
     /// Number of sealed blocks currently indexed for collection.
     pub fn sealed_blocks(&self) -> usize {
-        self.sealed_count
+        self.index.iter().map(|index| index.len).sum()
     }
 }
 
@@ -545,9 +619,14 @@ mod tests {
 
     /// A device of `num_blocks` four-page blocks.
     fn flash_of(num_blocks: usize) -> Flash {
+        flash_with(num_blocks, 4)
+    }
+
+    /// A device of `num_blocks` blocks of `pages_per_block` pages.
+    fn flash_with(num_blocks: usize, pages_per_block: usize) -> Flash {
         Flash::new(FlashGeometry {
             page_bytes: 4096,
-            pages_per_block: 4,
+            pages_per_block,
             num_blocks,
             read_us: 25.0,
             write_us: 200.0,
@@ -662,24 +741,103 @@ mod tests {
         (flash, mgr)
     }
 
-    /// Fills the next block the allocator hands out, leaves `valid` pages
-    /// valid, seals it, and returns its id.
+    /// Fills the next data block the allocator hands out, leaves `valid`
+    /// pages valid, seals it, and returns its id.
     fn seal_with(mgr: &mut BlockManager, flash: &mut Flash, valid: usize) -> BlockId {
+        seal_in(mgr, flash, AllocClass::Data, valid)
+    }
+
+    /// [`seal_with`] for a block of `class`.
+    fn seal_in(
+        mgr: &mut BlockManager,
+        flash: &mut Flash,
+        class: AllocClass,
+        valid: usize,
+    ) -> BlockId {
+        let ppb = flash.geometry().pages_per_block;
         let mut first = 0;
-        for p in 0..4u32 {
-            let ppn = mgr.alloc_page(AllocClass::Data, flash).unwrap();
+        for p in 0..ppb {
+            let ppn = mgr.alloc_page(class, flash).unwrap();
             if p == 0 {
                 first = ppn;
             }
             flash.program_page(ppn, ppn, OpPurpose::HostData).unwrap();
         }
         let block = flash.geometry().block_of(first);
-        for p in 0..(4 - valid) as u32 {
+        for p in 0..(ppb - valid) as u32 {
             flash.invalidate(first + p).unwrap();
             mgr.on_invalidated(block, flash.valid_pages_in(block).unwrap());
         }
-        mgr.seal_active(flash, AllocClass::Data);
+        mgr.seal_active(flash, class);
         block
+    }
+
+    /// An eight-page-block manager with one sealed block per `(class,
+    /// valid)`, sealed in order (block `i` is the `i`-th).
+    fn classes_setup(blocks: &[(AllocClass, usize)]) -> BlockManager {
+        let n = blocks.len();
+        let mut flash = flash_with(n + 2, 8);
+        let mut mgr = BlockManager::new(n + 2, 8);
+        for (i, &(class, valid)) in blocks.iter().enumerate() {
+            assert_eq!(seal_in(&mut mgr, &mut flash, class, valid), i as BlockId);
+        }
+        mgr
+    }
+
+    /// With no valid page in either head the smaller id wins, whatever its
+    /// class — and it wins over any ratio.
+    #[test]
+    fn class_pick_breaks_a_zero_valid_tie_by_id_across_classes() {
+        use AllocClass::{Data, Translation};
+        for (first, second) in [(Data, Translation), (Translation, Data)] {
+            let mut mgr = classes_setup(&[(first, 0), (second, 0)]);
+            assert_eq!(mgr.pick_victim(GcPolicy::Greedy), Some((0, first)));
+            assert_eq!(mgr.pick_victim(GcPolicy::Greedy), Some((1, second)));
+        }
+        let mut mgr = classes_setup(&[(Translation, 1), (Data, 0)]);
+        assert_eq!(mgr.pick_victim(GcPolicy::Greedy), Some((1, Data)));
+    }
+
+    /// `3 · v_t ≤ v_d`: a translation head holding a third of the data
+    /// head's valid pages is collected first, under every window.
+    #[test]
+    fn class_pick_takes_a_translation_head_at_a_third_of_the_data_head() {
+        use AllocClass::{Data, Translation};
+        for policy in [GcPolicy::Greedy, GcPolicy::Windowed { window: 64 }] {
+            let mut mgr = classes_setup(&[(Data, 6), (Translation, 2)]);
+            assert_eq!(mgr.pick_victim(policy), Some((1, Translation)));
+            let mut mgr = classes_setup(&[(Data, 3), (Translation, 1), (Data, 7)]);
+            assert_eq!(mgr.pick_victim(policy), Some((1, Translation)));
+        }
+    }
+
+    /// One valid page more than a third of the data head's, and the data
+    /// head is collected although the translation head has fewer.
+    #[test]
+    fn class_pick_leaves_a_translation_head_just_above_a_third() {
+        use AllocClass::{Data, Translation};
+        for (vd, vt) in [(5, 2), (6, 3), (2, 1), (7, 3)] {
+            let mut mgr = classes_setup(&[(Data, vd), (Translation, vt)]);
+            assert_eq!(
+                mgr.pick_victim(GcPolicy::Greedy),
+                Some((0, Data)),
+                "v_d {vd}, v_t {vt}"
+            );
+        }
+    }
+
+    /// A class with nothing reclaimable — no sealed block, or only fully
+    /// valid ones — leaves the pick to the other, whatever its valid count.
+    #[test]
+    fn class_pick_collects_the_other_class_when_one_has_nothing() {
+        use AllocClass::{Data, Translation};
+        let mut mgr = classes_setup(&[(Translation, 7), (Translation, 5)]);
+        assert_eq!(mgr.pick_victim(GcPolicy::Greedy), Some((1, Translation)));
+        let mut mgr = classes_setup(&[(Data, 8), (Translation, 7)]);
+        assert_eq!(mgr.pick_victim(GcPolicy::Greedy), Some((1, Translation)));
+        let mut mgr = classes_setup(&[(Data, 1), (Translation, 8)]);
+        assert_eq!(mgr.pick_victim(GcPolicy::Greedy), Some((0, Data)));
+        assert_eq!(mgr.pick_victim(GcPolicy::Greedy), None);
     }
 
     #[test]
@@ -776,11 +934,14 @@ mod tests {
         assert!(mgr.wear_index.is_none());
     }
 
-    /// The original per-bucket `BTreeSet` victim index, kept verbatim as an
-    /// oracle: the bitset index must produce the *identical*
-    /// victim sequence for every policy, or fixed-seed replays diverge.
+    /// The per-bucket `BTreeSet` victim index, one per class, and a
+    /// brute-force class-first pick as an oracle: the bitset indexes must
+    /// produce the *identical* victim sequence for every policy, or
+    /// fixed-seed replays diverge.
     struct BucketOracle {
-        buckets: Vec<BTreeSet<BlockId>>,
+        /// `buckets[class][v]`: the class's sealed blocks with `v` valid.
+        buckets: [Vec<BTreeSet<BlockId>>; 2],
+        class: Vec<AllocClass>,
         pages_per_block: usize,
         seq: u64,
         seal_seq: Vec<u64>,
@@ -794,7 +955,8 @@ mod tests {
     impl BucketOracle {
         fn new(num_blocks: usize, pages_per_block: usize) -> Self {
             Self {
-                buckets: (0..=pages_per_block).map(|_| BTreeSet::new()).collect(),
+                buckets: [0; 2].map(|_| vec![BTreeSet::new(); pages_per_block + 1]),
+                class: vec![AllocClass::Data; num_blocks],
                 pages_per_block,
                 seq: 0,
                 seal_seq: vec![0; num_blocks],
@@ -806,8 +968,13 @@ mod tests {
             }
         }
 
-        fn on_seal(&mut self, b: BlockId, valid: usize) {
-            self.buckets[valid].insert(b);
+        fn bucket(&mut self, b: BlockId, valid: usize) -> &mut BTreeSet<BlockId> {
+            &mut self.buckets[self.class[b as usize] as usize][valid]
+        }
+
+        fn on_seal(&mut self, b: BlockId, class: AllocClass, valid: usize) {
+            self.class[b as usize] = class;
+            self.bucket(b, valid).insert(b);
             self.seq += 1;
             self.seal_seq[b as usize] = self.seq;
             self.sealed_valid[b as usize] = valid as u32;
@@ -815,13 +982,14 @@ mod tests {
         }
 
         fn on_invalidated(&mut self, b: BlockId, new_valid: usize) {
-            assert!(self.buckets[new_valid + 1].remove(&b));
-            self.buckets[new_valid].insert(b);
+            assert!(self.bucket(b, new_valid + 1).remove(&b));
+            self.bucket(b, new_valid).insert(b);
             self.sealed_valid[b as usize] = new_valid as u32;
         }
 
         fn on_claim(&mut self, b: BlockId) {
-            self.buckets[self.sealed_valid[b as usize] as usize].remove(&b);
+            let valid = self.sealed_valid[b as usize] as usize;
+            assert!(self.bucket(b, valid).remove(&b));
             self.wear_index.remove(&(self.wear[b as usize], b));
         }
 
@@ -846,34 +1014,50 @@ mod tests {
             None
         }
 
-        fn candidates(&self) -> impl Iterator<Item = BlockId> + '_ {
-            self.buckets[..self.pages_per_block]
+        /// `class`'s reclaimable blocks in `BTreeSet` order, capped.
+        fn candidates(&self, class: AllocClass) -> impl Iterator<Item = BlockId> + '_ {
+            self.buckets[class as usize][..self.pages_per_block]
                 .iter()
                 .flat_map(|bucket| bucket.iter().copied())
                 .take(CANDIDATE_CAP)
         }
 
-        /// Brute-force pick: take the first `window(policy)` candidates of
-        /// the `BTreeSet` order and score them the same way.
+        /// Brute-force pick: the smallest zero-valid id of either class if
+        /// there is one; else the class whose head the ratio rule (or the
+        /// other class's emptiness) names, and in it the best-scored of the
+        /// first `window(policy)` candidates.
         fn pick(
             &mut self,
             policy: GcPolicy,
             free_now: usize,
             multi_stream: bool,
-        ) -> Option<BlockId> {
+        ) -> Option<(BlockId, AllocClass)> {
             if multi_stream {
                 if let Some(b) = self.static_turnover(free_now) {
-                    return Some(b);
+                    return Some((b, self.class[b as usize]));
                 }
             }
+            let [data, trans] = &self.buckets;
+            if let Some(&b) = data[0].union(&trans[0]).next() {
+                return Some((b, self.class[b as usize]));
+            }
+            let head_valid = |class| {
+                let b = self.candidates(class).next()?;
+                Some(self.sealed_valid[b as usize] as usize)
+            };
+            let class = match (
+                head_valid(AllocClass::Data),
+                head_valid(AllocClass::Translation),
+            ) {
+                (Some(vd), Some(vt)) if vt * TRANS_VICTIM_RATIO > vd => AllocClass::Data,
+                (_, Some(_)) => AllocClass::Translation,
+                (Some(_), None) => AllocClass::Data,
+                (None, None) => return None,
+            };
             let np = self.pages_per_block as f64;
             let mut best: Option<(f64, u32, BlockId)> = None;
-            for b in self.candidates().take(window(policy)) {
-                let valid = self.sealed_valid[b as usize] as f64;
-                if valid == 0.0 {
-                    return Some(b);
-                }
-                let u = valid / np;
+            for b in self.candidates(class).take(window(policy)) {
+                let u = self.sealed_valid[b as usize] as f64 / np;
                 let age = (self.seq - self.seal_seq[b as usize]) as f64 + 1.0;
                 let score = (1.0 - u) / (2.0 * u) * age;
                 let wear = self.wear[b as usize];
@@ -881,24 +1065,26 @@ mod tests {
                     best = Some((score, wear, b));
                 }
             }
-            best.map(|(_, _, b)| b)
+            best.map(|(_, _, b)| (b, class))
         }
     }
 
-    /// Seeded seal/invalidate/pick/erase fuzz on an `n_blocks` device: the
-    /// bucket bitsets must yield the same victim sequence as the `BTreeSet`
-    /// oracle for every policy. Three phases per (policy, seed):
+    /// Seeded seal/invalidate/pick/erase fuzz on an `n_blocks` device of
+    /// eight-page blocks, each sealed as data or translation at random: the
+    /// per-class bucket bitsets must yield the same victim sequence, class
+    /// included, as the `BTreeSet` oracle for every policy. Three phases
+    /// per (policy, seed):
     ///
     /// 1. all but 12 blocks are sealed up front — on even seeds at one
     ///    valid count (a bucket as deep as the device, the MSR shape), on
     ///    odd seeds at random counts — so ids span every leaf and summary
     ///    word the size has;
     /// 2. 400 random seal / invalidate / pick-and-erase steps;
-    /// 3. the index is picked dry, one compared victim at a time.
+    /// 3. the indexes are picked dry, one compared victim at a time.
     fn fuzz_against_oracle(n_blocks: usize, seeds: u64) {
         use tpftl_rng::Rng64;
 
-        const PPB: usize = 4;
+        const PPB: usize = 8;
         // Every policy the fuzz covers, as (first 200 random steps, from
         // then on): the last column widens the window midway — the pick
         // takes its policy per call and keeps no state that depends on it.
@@ -913,7 +1099,7 @@ mod tests {
         for (pi, (early, late)) in columns.into_iter().enumerate() {
             for seed in 0..seeds {
                 let mut rng = Rng64::seed_from_u64(0xB10C + seed * 7 + pi as u64);
-                let mut flash = flash_of(n_blocks);
+                let mut flash = flash_with(n_blocks, PPB);
                 // Odd seeds run a two-stream manager so the static
                 // wear-leveling arm (multi-stream only) is part of the
                 // fuzzed surface; the extra stream is never written, so
@@ -921,6 +1107,21 @@ mod tests {
                 let mut mgr = BlockManager::with_streams(n_blocks, PPB, 1 + (seed % 2) as u32);
                 let mut oracle = BucketOracle::new(n_blocks, PPB);
                 let mut sealed: Vec<BlockId> = Vec::new();
+                // Seals a block of a random class in both indexes.
+                let seal = |mgr: &mut BlockManager,
+                            oracle: &mut BucketOracle,
+                            flash: &mut Flash,
+                            rng: &mut Rng64,
+                            valid: usize| {
+                    let class = if rng.range_u32(0, 2) == 0 {
+                        AllocClass::Data
+                    } else {
+                        AllocClass::Translation
+                    };
+                    let b = seal_in(mgr, flash, class, valid);
+                    oracle.on_seal(b, class, valid);
+                    b
+                };
 
                 let deep_valid = rng.range_usize(0, PPB);
                 for _ in 12..n_blocks {
@@ -929,9 +1130,7 @@ mod tests {
                     } else {
                         rng.range_usize(0, PPB + 1)
                     };
-                    let b = seal_with(&mut mgr, &mut flash, valid);
-                    oracle.on_seal(b, valid);
-                    sealed.push(b);
+                    sealed.push(seal(&mut mgr, &mut oracle, &mut flash, &mut rng, valid));
                 }
 
                 // Picks through both indexes, compares, and erases the
@@ -941,12 +1140,12 @@ mod tests {
                                       flash: &mut Flash,
                                       policy: GcPolicy| {
                     let expect = oracle.pick(policy, mgr.free_blocks(), mgr.streams() > 1);
-                    let got = mgr.pick_victim(policy).map(|(b, _)| b);
+                    let got = mgr.pick_victim(policy);
                     assert_eq!(
                         got, expect,
                         "victim mismatch, policy {policy:?}, {n_blocks} blocks, seed {seed}"
                     );
-                    let b = got?;
+                    let (b, _) = got?;
                     oracle.on_claim(b);
                     for (ppn, _) in flash.valid_pages(b).collect::<Vec<_>>() {
                         flash.invalidate(ppn).unwrap();
@@ -966,16 +1165,14 @@ mod tests {
                                 continue;
                             }
                             let valid = rng.range_usize(0, PPB + 1);
-                            let b = seal_with(&mut mgr, &mut flash, valid);
-                            oracle.on_seal(b, valid);
-                            sealed.push(b);
+                            sealed.push(seal(&mut mgr, &mut oracle, &mut flash, &mut rng, valid));
                         }
                         // Invalidate one valid page of a random sealed block.
                         2 => {
-                            if sealed.is_empty() {
+                            let Some(&b) = sealed.get(rng.range_usize(0, sealed.len().max(1)))
+                            else {
                                 continue;
-                            }
-                            let b = sealed[rng.range_usize(0, sealed.len())];
+                            };
                             let pages: Vec<_> = flash.valid_pages(b).collect();
                             if pages.is_empty() {
                                 continue;
@@ -998,14 +1195,20 @@ mod tests {
                 }
 
                 // A pick fails only once nothing reclaimable is left (the
-                // static arm runs before the candidate order, never in its
+                // static arm runs before the class pick, never in its
                 // place), so the first `None` means dry.
                 let mut picked = 0;
                 while pick_and_erase(&mut mgr, &mut oracle, &mut flash, late).is_some() {
                     picked += 1;
                 }
-                assert!(oracle.buckets[..PPB].iter().all(BTreeSet::is_empty));
-                assert!(mgr.candidates().next().is_none());
+                for (class, buckets) in [AllocClass::Data, AllocClass::Translation]
+                    .into_iter()
+                    .zip(&oracle.buckets)
+                {
+                    assert!(buckets[..PPB].iter().all(BTreeSet::is_empty));
+                    let index = &mgr.index[class as usize];
+                    assert!(index.candidates(PPB).next().is_none());
+                }
                 // The wear index exists iff some pick went to read it: the
                 // oracle keeps its own from the first seal, the manager
                 // builds one at its first overdue multi-stream pick, after

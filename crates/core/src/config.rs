@@ -12,18 +12,19 @@ use tpftl_flash::{FlashGeometry, FlashTopology};
 /// Garbage-collection victim-selection policy (Section 2.3 of the paper
 /// surveys GC-policy and wear-leveling work; the paper itself uses greedy).
 /// Both variants name one routine — a scored window over the min-valid
-/// candidate order — at different widths.
+/// candidate order of the block class the pick chose first (translation
+/// or data; see `blockmgr`) — at different widths.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize, Default)]
 pub enum GcPolicy {
-    /// The paper's policy: the sealed block with the fewest valid pages —
-    /// a name for `Windowed { window: 1 }`. As such, with more than one
+    /// The paper's policy: the sealed block of the chosen class with the
+    /// fewest valid pages — a name for `Windowed { window: 1 }`. As such, with more than one
     /// data stream it runs the static wear-leveling turn-over like every
     /// other width (no recorded result pairs greedy with `streams > 1`).
     #[default]
     Greedy,
     /// Windowed cost-benefit (Dayan & Bonnet's bounded-window cleaning):
-    /// examine only the first `window` blocks of the victim index's
-    /// `(valid asc, id asc)` order — the min-valid buckets — and
+    /// examine only the first `window` blocks of the chosen class's
+    /// `(valid asc, id asc)` order — its min-valid buckets — and
     /// pick the best `(1 − u) / 2u · age` score inside that window, exact
     /// score ties broken toward the block with the fewest erase cycles
     /// (cache-level wear mitigation, no separate leveling pass). The

@@ -1,9 +1,11 @@
 //! Garbage collection (Section 2/3.1 of the paper).
 //!
 //! A GC operation performs the paper's three steps: (1) pick a sealed
-//! victim block, data or translation — the one with the fewest valid pages
-//! under the paper's greedy policy, the best cost-benefit score among the
-//! `window` fewest under [`GcPolicy::Windowed`](crate::config::GcPolicy);
+//! victim block — its class first, data or translation (a translation
+//! block only at a third of the data head's valid pages), then within the
+//! class the one with the fewest valid pages under the paper's greedy
+//! policy, the best cost-benefit score among the `window` fewest under
+//! [`GcPolicy::Windowed`](crate::config::GcPolicy);
 //! (2) migrate the remaining valid pages, updating their mapping entries
 //! (through the FTL, which decides GC hit vs. batched flash update) or the
 //! GTD; (3) erase the block — a data victim as soon as no page of it is

@@ -331,7 +331,7 @@ fn main() -> ExitCode {
             );
             return ExitCode::SUCCESS;
         }
-        print_report(&report.merged, &config);
+        print_report(&report.merged, &config, report.merged.write_amplification());
         println!(
             "shards:              {} (per-shard requests {:?}, imbalance {:.3})",
             o.shards, report.load.requests, report.load.imbalance
@@ -403,6 +403,13 @@ fn main() -> ExitCode {
         eprintln!("warning: buffer flush failed");
     }
     let buffer_stats = ssd.buffer_stats();
+    // Over every page the host wrote, buffered ones included, and every
+    // flash write, the flush's included.
+    let write_amplification = ssd
+        .report()
+        .flash
+        .write_amplification(ssd.host_page_writes())
+        .unwrap_or(0.0);
     if o.backing.is_some() {
         // Make the finished image durable on real media before reporting.
         let mut flash = ssd.into_env().into_flash();
@@ -418,7 +425,7 @@ fn main() -> ExitCode {
         );
         return ExitCode::SUCCESS;
     }
-    print_report(&report, &config);
+    print_report(&report, &config, write_amplification);
     if let Some(b) = buffer_stats {
         println!(
             "write buffer:        {} absorbed, {} inserted, {} read hits",
@@ -432,7 +439,11 @@ fn main() -> ExitCode {
     ExitCode::SUCCESS
 }
 
-fn print_report(report: &tpftl_sim::RunReport, config: &tpftl_core::SsdConfig) {
+fn print_report(
+    report: &tpftl_sim::RunReport,
+    config: &tpftl_core::SsdConfig,
+    write_amplification: f64,
+) {
     println!("ftl:                 {}", report.ftl);
     println!(
         "device:              {} MB, cache {} B",
@@ -454,7 +465,7 @@ fn print_report(report: &tpftl_sim::RunReport, config: &tpftl_core::SsdConfig) {
         report.translation_reads(),
         report.translation_writes()
     );
-    println!("write amplification: {:.3}", report.write_amplification());
+    println!("write amplification: {write_amplification:.3}");
     println!(
         "gc copy amp:         {:.3} (erase-count CV {:.3})",
         report.write_amp(),

@@ -149,21 +149,13 @@ fn write_buffer(scale: Scale) -> Vec<BufferRow> {
         }
         let report = ssd.run(w.spec(scale.requests(w)).iter(SEED)).expect("run");
         ssd.flush_buffer().expect("flush");
-        let report_after = ssd.report();
-        // Host-issued page writes: with a buffer, every host write lands
-        // in it first (the FTL's counter only sees evictions + flush).
-        let user_writes = match ssd.buffer_stats() {
-            Some(b) => b.write_absorbed + b.write_inserted,
-            None => report.ftl_stats.user_page_writes,
-        };
+        let flash = ssd.report().flash;
         BufferRow {
             buffer_pages: pages,
-            flash_writes: report_after.flash.total_writes(),
-            write_amplification: if pages == 0 {
-                report.write_amplification()
-            } else {
-                report_after.flash.total_writes() as f64 / user_writes.max(1) as f64
-            },
+            flash_writes: flash.total_writes(),
+            write_amplification: flash
+                .write_amplification(ssd.host_page_writes())
+                .unwrap_or(0.0),
             avg_response_us: report.sim.resp_avg_us,
         }
     })

@@ -20,8 +20,10 @@ const TPFTL_FIN1_GOLDEN: &str = "TPFTL(rsbc) req=10000 lk=14046 hit=11654 rep=21
 /// 40 k-request rows moved, and nothing else did, when collections went
 /// to the unit clocks' background lane; their GC counters moved when the
 /// lane got its own open blocks and each collection erased its victim
-/// before writing back the victim's mapping entries.
-const TPFTL_FIN1_GC_GOLDEN: &str = "TPFTL(rsbc) req=40000 lk=56827 hit=48069 rep=11384 drep=765 gcu=3496 gch=418 upr=12056 upw=44771 tr=12227 tw=3469 er=512 gcd=461 gcm=3496 gct=51 gctm=325 ce=1213 cb=8190 resp=40702c4f43633810";
+/// before writing back the victim's mapping entries, and again when the
+/// victim pick chose its class first (translation pages migrated per
+/// translation victim fell from ~6 to ~2).
+const TPFTL_FIN1_GC_GOLDEN: &str = "TPFTL(rsbc) req=40000 lk=56827 hit=48065 rep=11417 drep=764 gcu=3509 gch=436 upr=12056 upw=44771 tr=12011 tw=3249 er=508 gcd=461 gcm=3509 gct=47 gctm=104 ce=1213 cb=8190 resp=407027b4be68ec36";
 
 /// Unit-clock sim-timing goldens for the TPFTL/Financial1 case: the
 /// 1-channel row pins the serial topology bit for bit; the 4x2 row pins
@@ -99,13 +101,13 @@ fn cases() -> Vec<(FtlKind, Workload, f64, &'static str)> {
             FtlKind::Sftl,
             Workload::Financial1,
             0.02,
-            "S-FTL req=40000 lk=56827 hit=45876 rep=14533 drep=4549 gcu=3496 gch=400 upr=12056 upw=44771 tr=17646 tw=7652 er=578 gcd=461 gcm=3496 gct=117 gctm=701 ce=10337 cb=8088 resp=4071b91a05611375",
+            "S-FTL req=40000 lk=56827 hit=45870 rep=14547 drep=4553 gcu=3510 gch=411 upr=12056 upw=44771 tr=17175 tw=7171 er=570 gcd=462 gcm=3510 gct=108 gctm=222 ce=10336 cb=8080 resp=4071c6838b77fa30",
         ),
         (
             FtlKind::Cdftl,
             Workload::Financial1,
             0.02,
-            "CDFTL req=40000 lk=56827 hit=42499 rep=33771 drep=27771 gcu=3501 gch=129 upr=12056 upw=44771 tr=18216 tw=16030 er=707 gcd=460 gcm=3501 gct=247 gctm=1259 ce=1535 cb=8192 resp=40746a5f7759d2c1",
+            "CDFTL req=40000 lk=56827 hit=42528 rep=33703 drep=27709 gcu=3531 gch=117 upr=12056 upw=44771 tr=17339 tw=15150 er=695 gcd=463 gcm=3531 gct=232 gctm=381 ce=1535 cb=8192 resp=40745b9ed14bf86a",
         ),
         (FtlKind::Dftl, Workload::Financial1, 0.005, "DFTL req=10000 lk=14046 hit=10815 rep=2207 drep=1716 gcu=0 gch=0 upr=3012 upw=11034 tr=4947 tw=1716 er=0 gcd=0 gcm=0 gct=0 gctm=0 ce=1024 cb=8192 resp=407230cbccc6fd99"),
         // LearnedFTL on the prefilled Financial1 volume: misses fill
@@ -122,10 +124,10 @@ fn cases() -> Vec<(FtlKind, Workload, f64, &'static str)> {
         // only pins ZFTL has (zone switches, reserve flushes, GC patching of
         // the active page) — recorded before the five caches moved onto
         // `ftl/cmt.rs`.
-        (FtlKind::Dftl, Workload::Financial1, 0.02, "DFTL req=40000 lk=56827 hit=45126 rep=10677 drep=8601 gcu=3478 gch=333 upr=12056 upw=44771 tr=23724 tw=12023 er=645 gcd=460 gcm=3478 gct=185 gctm=970 ce=1024 cb=8192 resp=407393151543a769"),
-        (FtlKind::Learned, Workload::Financial1, 0.02, "LearnedFTL(e4) req=40000 lk=56827 hit=45689 rep=13072 drep=11919 gcu=3502 gch=117 upr=12056 upw=44771 tr=26902 tw=15757 er=704 gcd=461 gcm=3502 gct=243 gctm=1203 ce=696 cb=8192 resp=40743bf83b095985"),
+        (FtlKind::Dftl, Workload::Financial1, 0.02, "DFTL req=40000 lk=56827 hit=45126 rep=10677 drep=8601 gcu=3534 gch=359 upr=12056 upw=44771 tr=23065 tw=11364 er=636 gcd=464 gcm=3534 gct=172 gctm=299 ce=1024 cb=8192 resp=407390814121c7ab"),
+        (FtlKind::Learned, Workload::Financial1, 0.02, "LearnedFTL(e4) req=40000 lk=56827 hit=45687 rep=13084 drep=11931 gcu=3548 gch=114 upr=12056 upw=44771 tr=26109 tw=14962 er=692 gcd=464 gcm=3548 gct=228 gctm=368 ce=685 cb=8166 resp=407435e4796da8db"),
         (FtlKind::Zftl, Workload::Financial1, 0.005, "ZFTL(8) req=10000 lk=14046 hit=5352 rep=6926 drep=6926 gcu=0 gch=0 upr=3012 upw=11034 tr=15620 tw=6926 er=0 gcd=0 gcm=0 gct=0 gctm=0 ce=1025 cb=4112 resp=407b3badb1651193"),
-        (FtlKind::Zftl, Workload::Financial1, 0.02, "ZFTL(8) req=40000 lk=56827 hit=22482 rep=27468 drep=27468 gcu=3499 gch=1 upr=12056 upw=44771 tr=66795 tw=32450 er=965 gcd=463 gcm=3499 gct=502 gctm=2258 ce=1025 cb=4112 resp=407bfe44c94c30fc"),
+        (FtlKind::Zftl, Workload::Financial1, 0.02, "ZFTL(8) req=40000 lk=56827 hit=22482 rep=27468 drep=27468 gcu=3628 gch=1 upr=12056 upw=44771 tr=65358 tw=31013 er=945 gcd=470 gcm=3628 gct=475 gctm=727 ce=1025 cb=4112 resp=407c04cdd2098309"),
     ]
 }
 

@@ -1,6 +1,7 @@
 //! `simulate --ftl` accepts exactly the registry's command-line names,
 //! `--help` lists them, `--gc` accepts exactly the two spellings of the one
-//! victim pick, and the two fraction flags only values in range.
+//! victim pick, the two fraction flags only values in range, and with
+//! `--buffer` write amplification counts every page the host wrote.
 
 use std::process::Command;
 
@@ -87,5 +88,46 @@ fn out_of_range_fractions_are_rejected_at_parse_time() {
         ["--prefill", "1"],
     ] {
         assert!(simulate(&args).status.success(), "{args:?}");
+    }
+}
+
+/// The numbers after `label` on `stdout`'s line that starts with it.
+fn numbers_after(stdout: &str, label: &str) -> Vec<f64> {
+    let line = stdout
+        .lines()
+        .find_map(|l| l.strip_prefix(label))
+        .unwrap_or_else(|| panic!("no {label:?} line in {stdout}"));
+    line.split(|c: char| !c.is_ascii_digit() && c != '.')
+        .filter_map(|w| w.parse().ok())
+        .collect()
+}
+
+/// With a write buffer the host's page writes are the buffer's absorbed
+/// plus inserted pages, not the evictions the FTL sees: every inserted
+/// page reaches flash once (evicted or flushed), so write amplification is
+/// at least inserted ÷ host writes, and absorbed rewrites keep it below
+/// the unbuffered figure.
+#[test]
+fn buffered_write_amplification_is_over_host_page_writes() {
+    let run = |buffer: &str| {
+        let out = simulate(&["--requests", "20000", "--buffer", buffer]);
+        assert!(out.status.success(), "--buffer {buffer}: {out:?}");
+        String::from_utf8(out.stdout).expect("utf-8")
+    };
+    let unbuffered = numbers_after(&run("0"), "write amplification:")[0];
+    for buffer in ["256", "4096"] {
+        let stdout = run(buffer);
+        let wa = numbers_after(&stdout, "write amplification:")[0];
+        let counts = numbers_after(&stdout, "write buffer:");
+        let (absorbed, inserted) = (counts[0], counts[1]);
+        let floor = inserted / (absorbed + inserted);
+        assert!(
+            wa >= floor - 5e-4,
+            "--buffer {buffer}: {wa} < {floor}\n{stdout}"
+        );
+        assert!(
+            wa < unbuffered,
+            "--buffer {buffer}: {wa} >= {unbuffered}\n{stdout}"
+        );
     }
 }

@@ -529,14 +529,13 @@ impl Flash {
     }
 
     /// Programs `ppn`. The page must sit exactly at its block's write
-    /// pointer unless `may_skip`, which also admits any page beyond it.
+    /// pointer.
     fn program_common(
         &mut self,
         ppn: Ppn,
         tag: u32,
         purpose: OpPurpose,
         content: TpContent<'_>,
-        may_skip: bool,
     ) -> Result<()> {
         if self.dark() {
             return Err(FlashError::PowerLoss);
@@ -548,7 +547,7 @@ impl Flash {
         let block = self.geom.block_of(ppn);
         let first = self.geom.first_ppn(block);
         let expected = first + self.write_ptr[block as usize];
-        if ppn < expected || (ppn != expected && !may_skip) {
+        if ppn != expected {
             return Err(FlashError::NonSequentialProgram {
                 requested: ppn,
                 expected,
@@ -607,16 +606,7 @@ impl Flash {
     /// Programs a data page carrying `tag` (its LPN), accounting one
     /// page-program latency.
     pub fn program_page(&mut self, ppn: Ppn, tag: u32, purpose: OpPurpose) -> Result<()> {
-        self.program_common(ppn, tag, purpose, TpContent::Data, false)
-    }
-
-    /// Programs a page at an offset at or beyond the block's write pointer,
-    /// skipping intermediate pages. NAND permits programming pages of a
-    /// block in ascending order with gaps; skipped pages stay unprogrammed
-    /// until the next erase. For an FTL that places a page by its logical
-    /// offset within a block; no FTL in this workspace does.
-    pub fn program_page_at(&mut self, ppn: Ppn, tag: u32, purpose: OpPurpose) -> Result<()> {
-        self.program_common(ppn, tag, purpose, TpContent::Data, true)
+        self.program_common(ppn, tag, purpose, TpContent::Data)
     }
 
     /// Programs a translation page for `vtpn` with `payload` (one PPN per
@@ -634,7 +624,7 @@ impl Flash {
                 expected: self.entries_per_tp,
             });
         }
-        self.program_common(ppn, vtpn, purpose, TpContent::Tp(payload), false)
+        self.program_common(ppn, vtpn, purpose, TpContent::Tp(payload))
     }
 
     /// Programs `dst` as translation page `vtpn` holding `src`'s payload
@@ -667,13 +657,7 @@ impl Flash {
         if !self.tp.contains(src) {
             return Err(FlashError::NotATranslationPage(src));
         }
-        self.program_common(
-            dst,
-            vtpn,
-            purpose,
-            TpContent::Supersede(src, updates),
-            false,
-        )
+        self.program_common(dst, vtpn, purpose, TpContent::Supersede(src, updates))
     }
 
     /// Marks a valid page as invalid (superseded). This is a metadata-only
@@ -852,29 +836,6 @@ mod tests {
         // Other blocks have independent write pointers.
         f.program_page(f.geometry().first_ppn(2), 9, OpPurpose::HostData)
             .unwrap();
-    }
-
-    #[test]
-    fn program_at_allows_skipping_forward_only() {
-        let mut f = small();
-        f.program_page_at(5, 50, OpPurpose::HostData).unwrap();
-        assert_eq!(f.state(5).unwrap(), PageState::Valid);
-        // Skipped pages remain free but are behind the write pointer now.
-        assert_eq!(f.state(3).unwrap(), PageState::Free);
-        assert_eq!(
-            f.program_page_at(3, 30, OpPurpose::HostData),
-            Err(FlashError::NonSequentialProgram {
-                requested: 3,
-                expected: 6
-            })
-        );
-        f.program_page_at(6, 60, OpPurpose::HostData).unwrap();
-        assert_eq!(f.next_free_ppn(0), Some(7));
-        // Erase recovers the skipped pages.
-        f.invalidate(5).unwrap();
-        f.invalidate(6).unwrap();
-        f.erase_block(0, OpPurpose::GcData).unwrap();
-        f.program_page(0, 1, OpPurpose::HostData).unwrap();
     }
 
     #[test]

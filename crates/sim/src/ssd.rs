@@ -97,6 +97,16 @@ impl<F: Ftl> Ssd<F> {
         self.buffer.as_ref().map(|b| b.stats)
     }
 
+    /// Page writes the host issued. With a write buffer every one lands in
+    /// the buffer first, and the FTL's counter sees only its evictions and
+    /// flushes; without one the FTL's counter is the host's.
+    pub fn host_page_writes(&self) -> u64 {
+        match &self.buffer {
+            Some(b) => b.stats.write_absorbed + b.stats.write_inserted,
+            None => self.env.stats.user_page_writes,
+        }
+    }
+
     /// Flushes every buffered dirty page to the FTL (unmount barrier).
     pub fn flush_buffer(&mut self) -> Result<()> {
         let Some(mut buffer) = self.buffer.take() else {

@@ -15,6 +15,11 @@
 //!    into a block whose erase the lane has not placed forces the lane
 //!    through it. Before collections got their own open blocks and took
 //!    the newest free block, that happened on every few dozen requests.
+//! 4. **Translation blocks are left to empty.** The collector takes a
+//!    translation victim only at a third of the data head's valid pages,
+//!    so on the same GC-bound Financial1 prefix a translation victim
+//!    carries at most a third of a data victim's pages, and the lane still
+//!    never makes a host program wait.
 
 use tpftl_core::ftl::{Dftl, Ftl, TpFtl, TpftlConfig};
 use tpftl_core::SsdConfig;
@@ -64,6 +69,25 @@ fn a_device_that_never_idles_places_or_queues_all_its_work() {
     );
     // Saturated, the lane ran only when the host reused an erased block.
     assert!(sim.gc_forced_drains > 0);
+}
+
+#[test]
+fn translation_victims_carry_at_most_a_third_of_a_data_victims_pages() {
+    let report = replay(false);
+    let gc = &report.gc;
+    assert!(
+        gc.trans_victims > 0,
+        "the replay must collect translation blocks"
+    );
+    // With one valid-count order over both classes this replay read 6.37
+    // pages per translation victim and 7.58 per data victim.
+    assert!(
+        3.0 * gc.vt_mean() <= gc.vd_mean(),
+        "{:.2} pages per translation victim against {:.2} per data victim",
+        gc.vt_mean(),
+        gc.vd_mean()
+    );
+    assert_eq!(report.sim.gc_forced_drains, 0);
 }
 
 /// `ftl` on a fully pre-filled 32 MB device replaying 60 000 requests of
