@@ -122,10 +122,11 @@ impl SsdConfig {
         cfg.cache_bytes = cfg.paper_cache_bytes();
         // Watermarks scale with the device so that small test devices do
         // not reserve more free space than their over-provisioning allows.
-        // The gap is one block: GC reclaims incrementally (one victim per
-        // trigger), spreading its cost over requests the way the paper's
-        // per-request GC accounting assumes, instead of stalling one
-        // unlucky request behind a multi-block collection cascade.
+        // The gap is one block: a trigger collects until the pool is one
+        // block above where it triggered (a few victims when they are
+        // nearly full), spreading GC's cost over requests the way the
+        // paper's per-request GC accounting assumes, instead of one long
+        // collection cascade.
         let blocks = cfg.geometry().num_blocks;
         cfg.gc_low_blocks = (blocks / 300).clamp(2, 8);
         cfg.gc_high_blocks = cfg.gc_low_blocks + 1;

@@ -431,7 +431,9 @@ pub(crate) enum PageStep<'a> {
 
 /// Writes mapping updates back in batches: one read-modify-write per
 /// translation page touched, in ascending VTPN order, updates within a
-/// page in the order given. `hook` runs twice per page, around the write —
+/// page in the order given, so a later update of an entry supersedes an
+/// earlier one (a hook may append to a batch, never reorder it). `hook`
+/// runs twice per page, around the write —
 /// TPFTL piggybacks its cached dirty entries in [`PageStep::Gather`],
 /// ZFTL patches its active page in [`PageStep::Persisted`].
 ///

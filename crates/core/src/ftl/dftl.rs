@@ -158,8 +158,8 @@ impl Ftl for Dftl {
     }
 
     fn on_gc_data_block(&mut self, env: &mut SsdEnv, moved: &[(Lpn, Ppn)]) -> Result<u64> {
-        // DFTL's batch update: one translation-page update per victim block
-        // and translation page.
+        // DFTL's batch update: one translation-page update per collection
+        // pass and translation page.
         cmt::absorb_gc_moves(
             self,
             env,

@@ -145,8 +145,10 @@ pub trait Ftl {
     /// guaranteed to have been translated immediately before.
     fn update_mapping(&mut self, env: &mut SsdEnv, lpn: Lpn, new_ppn: Ppn) -> Result<()>;
 
-    /// Handles the mapping updates for one GC victim's migrated data pages;
-    /// returns how many were absorbed by the cache (GC hits).
+    /// Handles the mapping updates of one collection pass: `moved` holds
+    /// the `(lpn, new_ppn)` of every data page the pass migrated, in the
+    /// order it migrated them; a later move of an LPN supersedes an earlier
+    /// one. Returns how many were absorbed by the cache (GC hits).
     fn on_gc_data_block(&mut self, env: &mut SsdEnv, moved: &[(Lpn, Ppn)]) -> Result<u64>;
 
     /// Serves a host page write: the demand-paging protocol (translate,

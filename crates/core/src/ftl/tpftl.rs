@@ -652,7 +652,10 @@ impl Ftl for TpFtl {
                         }
                     }
                 }
-                updates.sort_unstable_by_key(|u| u.0);
+                // Stable: an LPN a pass moved twice is in the batch twice,
+                // uncached, and the write applies updates in order, so the
+                // later move must stay behind the earlier one.
+                updates.sort_by_key(|u| u.0);
             },
         )
     }
@@ -1094,6 +1097,37 @@ mod tests {
                 ftl.order[parent] <= ftl.order[i],
                 "heap property violated at slot {i}"
             );
+        }
+    }
+
+    /// A collection pass can move one LPN twice (its first new page sits
+    /// in a lane block that the same pass collects). Uncached, both moves
+    /// are in one page's write-back batch, behind the cached dirty entries
+    /// that ride along; the later PPN must be what the translation page
+    /// holds.
+    #[test]
+    fn a_later_gc_move_of_an_lpn_wins_its_write_back() {
+        let (mut ftl, mut env) = setup(4 << 10, "rsbc");
+        for lpn in 0..300 {
+            write(&mut ftl, &mut env, lpn);
+        }
+        let dirty = ftl.nodes.get(0).map_or(0, |n| n.dirty_count);
+        assert!(dirty > 100, "too few dirty entries ride along: {dirty}");
+        // PPNs on the device (2 368 pages), the later ones 500 higher.
+        let moved: Vec<(Lpn, Ppn)> = [1_000, 1_500]
+            .iter()
+            .flat_map(|&base| (500..700).map(move |lpn| (lpn, base + lpn)))
+            .collect();
+        assert_eq!(ftl.on_gc_data_block(&mut env, &moved).unwrap(), 0);
+        let tp = env
+            .read_translation_entries(0, OpPurpose::Translation)
+            .unwrap();
+        for lpn in 500..700 {
+            assert_eq!(tp[lpn as usize], 1_500 + lpn, "LPN {lpn} in the page");
+        }
+        for lpn in 500..700 {
+            let got = crate::recovery::lookup(&env, lpn);
+            assert_eq!(got, Some(1_500 + lpn), "LPN {lpn} by lookup");
         }
     }
 }

@@ -6,18 +6,26 @@
 //! class the one with the fewest valid pages under the paper's greedy
 //! policy, the best cost-benefit score among the `window` fewest under
 //! [`GcPolicy::Windowed`](crate::config::GcPolicy);
-//! (2) migrate the remaining valid pages, updating their mapping entries
-//! (through the FTL, which decides GC hit vs. batched flash update) or the
-//! GTD; (3) erase the block — a data victim as soon as no page of it is
-//! valid, before its mapping entries are written back. The collector is a
-//! free function generic over [`Ftl`] so that the FTL and the environment
-//! can be borrowed simultaneously without cycles.
+//! (2) migrate the remaining valid pages; (3) erase the block as soon as
+//! no page of it is valid. The collector is a free function generic over
+//! [`Ftl`] so that the FTL and the environment can be borrowed
+//! simultaneously without cycles.
 //!
-//! Every flash op of a collection — migration reads and programs, the
-//! FTL's GC-miss write-backs, the erase — goes to the unit clocks'
-//! background lane (`tpftl_flash::UnitClocks`): it happens now in device
-//! state and counters, but runs in simulated time in the device's idle
-//! gaps, and a host program waits for it only to reuse the erased block.
+//! The unit of mapping write-back is the *pass*: every victim one
+//! [`ensure_free`] call collects (one for [`collect_one`]). A migrated
+//! translation page updates the GTD at once; a migrated data page's new
+//! location joins the pass's list of moves, and after the pass's last
+//! erase the FTL takes the whole list in one [`Ftl::on_gc_data_block`]
+//! call, which absorbs the entries its cache holds and writes the rest
+//! back once per translation page the pass touched. The victims of one
+//! pass keep hitting the same translation pages, so one write carries
+//! what per-victim write-backs spread over several (DESIGN.md §9).
+//!
+//! Every flash op of a pass — migration reads and programs, the erases,
+//! the FTL's GC-miss write-backs — goes to the unit clocks' background
+//! lane (`tpftl_flash::UnitClocks`): it happens now in device state and
+//! counters, but runs in simulated time in the device's idle gaps, and a
+//! host program waits for it only to reuse an erased block.
 
 use tpftl_flash::{Lpn, OpPurpose, Ppn, Vtpn};
 
@@ -28,10 +36,10 @@ use crate::{FtlError, Result};
 
 /// The fewest free blocks a page access may find without collecting
 /// first: the access may take two (its stream's open block and the host's
-/// translation block), the collection after it one before its erase
-/// returns one, and a collection that opens both of the lane's blocks
-/// takes one more than it returns, which the next one must still find
-/// (DESIGN.md §16, *The free-pool slack*).
+/// translation block), and a collection pass that makes progress dips the
+/// pool at most two below where it began, since the lane's data and
+/// translation blocks are the only ones it opens (DESIGN.md §16, *The
+/// free-pool slack*).
 const MIN_LOW_BLOCKS: usize = 4;
 
 /// The free-pool watermarks GC keeps, `(start below, stop at)`: the
@@ -44,8 +52,8 @@ pub fn watermarks(env: &SsdEnv) -> (usize, usize) {
 }
 
 /// Runs GC until the free pool reaches the high watermark, if it has
-/// dropped below the low one (see [`watermarks`]). Call before serving
-/// each page access.
+/// dropped below the low one (see [`watermarks`]), as one collection pass.
+/// Call before serving each page access.
 ///
 /// # Errors
 ///
@@ -59,32 +67,29 @@ pub fn ensure_free<F: Ftl + ?Sized>(ftl: &mut F, env: &mut SsdEnv) -> Result<()>
     if env.free_blocks() >= low {
         return Ok(());
     }
-    while env.free_blocks() < high {
-        match collect_one(ftl, env) {
-            Err(FtlError::DeviceFull) if env.free_blocks() > 0 => break,
-            res => res?,
+    collect_pass(ftl, env, |env, moved| {
+        while env.free_blocks() < high {
+            match collect_victim(env, moved) {
+                Err(FtlError::DeviceFull) if env.free_blocks() > 0 => break,
+                res => res?,
+            }
         }
-    }
-    Ok(())
+        Ok(())
+    })
 }
 
-/// Collects exactly one victim block.
+/// Collects exactly one victim block: a pass of one.
 ///
 /// # Errors
 ///
 /// [`FtlError::DeviceFull`] when no sealed block has a reclaimable page.
 pub fn collect_one<F: Ftl + ?Sized>(ftl: &mut F, env: &mut SsdEnv) -> Result<()> {
-    let policy = env.config().gc_policy;
-    let (victim, class) = env.blocks.pick_victim(policy).ok_or(FtlError::DeviceFull)?;
-    in_background(env, |env| match class {
-        AllocClass::Data => collect_data_block(ftl, env, victim),
-        AllocClass::Translation => collect_translation_block(env, victim),
-    })
+    collect_pass(ftl, env, collect_victim)
 }
 
 /// Runs `reclaim` with every flash op it issues sent to the unit clocks'
 /// background lane (see the module doc): how the page-level collector
-/// runs each collection.
+/// runs each collection pass.
 pub(crate) fn in_background<R>(env: &mut SsdEnv, reclaim: impl FnOnce(&mut SsdEnv) -> R) -> R {
     env.flash.sim_background(true);
     let res = reclaim(env);
@@ -92,25 +97,62 @@ pub(crate) fn in_background<R>(env: &mut SsdEnv, reclaim: impl FnOnce(&mut SsdEn
     res
 }
 
-fn collect_data_block<F: Ftl + ?Sized>(
+/// One collection pass: `collect` migrates and erases victims, appending
+/// every data page it moves to the pass's `(lpn, new_ppn)` list, and then
+/// the FTL takes the whole list in one [`Ftl::on_gc_data_block`] call —
+/// also when `collect` stopped on an error, since the moved pages' old
+/// copies are gone either way. The first error is returned.
+fn collect_pass<F: Ftl + ?Sized>(
     ftl: &mut F,
     env: &mut SsdEnv,
-    victim: tpftl_flash::BlockId,
+    collect: impl FnOnce(&mut SsdEnv, &mut Vec<(Lpn, Ppn)>) -> Result<()>,
 ) -> Result<()> {
-    // Victim scans reuse the environment's scratch buffers (taken here, put
-    // back below), as do the FTL's miss buffer and write-back batcher, so a
-    // steady-state GC pass performs no heap allocation
+    // The list is the environment's scratch (taken here, put back below),
+    // as are the victim scans and the FTL's miss buffer and write-back
+    // batcher, so a steady-state pass performs no heap allocation
     // (`tests/gc_alloc.rs` counts them).
-    let mut valid = std::mem::take(&mut env.gc_page_scratch);
     let mut moved = std::mem::take(&mut env.gc_moved_scratch);
-    let res = migrate_data_pages(ftl, env, victim, &mut valid, &mut moved);
-    env.gc_page_scratch = valid;
+    moved.clear();
+    let res = in_background(env, |env| {
+        let collected = collect(env, &mut moved);
+        if moved.is_empty() {
+            return collected;
+        }
+        // Cache hits are absorbed (and deferred as dirty entries); misses
+        // are written back, once per translation page the pass touched.
+        let absorbed = ftl.on_gc_data_block(env, &moved).map(|hits| {
+            env.stats.gc_updates += moved.len() as u64;
+            env.stats.gc_hits += hits;
+        });
+        collected.and(absorbed)
+    });
     env.gc_moved_scratch = moved;
     res
 }
 
-fn migrate_data_pages<F: Ftl + ?Sized>(
-    ftl: &mut F,
+/// Picks one victim and reclaims it, appending a data victim's moves to
+/// `moved`.
+fn collect_victim(env: &mut SsdEnv, moved: &mut Vec<(Lpn, Ppn)>) -> Result<()> {
+    let policy = env.config().gc_policy;
+    let (victim, class) = env.blocks.pick_victim(policy).ok_or(FtlError::DeviceFull)?;
+    match class {
+        AllocClass::Data => collect_data_block(env, victim, moved),
+        AllocClass::Translation => collect_translation_block(env, victim),
+    }
+}
+
+fn collect_data_block(
+    env: &mut SsdEnv,
+    victim: tpftl_flash::BlockId,
+    moved: &mut Vec<(Lpn, Ppn)>,
+) -> Result<()> {
+    let mut valid = std::mem::take(&mut env.gc_page_scratch);
+    let res = migrate_data_pages(env, victim, &mut valid, moved);
+    env.gc_page_scratch = valid;
+    res
+}
+
+fn migrate_data_pages(
     env: &mut SsdEnv,
     victim: tpftl_flash::BlockId,
     valid: &mut Vec<(Ppn, Lpn)>,
@@ -123,7 +165,6 @@ fn migrate_data_pages<F: Ftl + ?Sized>(
 
     // In the lane each program follows its read, and the erase follows
     // every migration (no instant where a page's data exists nowhere).
-    moved.clear();
     for &(old_ppn, lpn) in valid.iter() {
         env.flash.read_page(old_ppn, OpPurpose::GcData)?;
         let new_ppn = env.program_data_page(lpn, OpPurpose::GcData)?;
@@ -131,18 +172,11 @@ fn migrate_data_pages<F: Ftl + ?Sized>(
         moved.push((lpn, new_ppn));
     }
 
-    // The victim holds nothing valid now: erasing it before the mapping
-    // write-backs gives the pool its block back before they may open a
-    // lane translation block, so a collection never holds two fresh
-    // blocks at once.
+    // The victim holds nothing valid now. Its mapping updates wait for the
+    // end of the pass, so the pass's erases give the pool their blocks
+    // back before the write-backs may open a lane translation block.
     env.flash.erase_block(victim, OpPurpose::GcData)?;
     env.blocks.on_erased(victim);
-
-    // Mapping updates: cache hits are absorbed (and deferred as dirty
-    // entries); misses are written back to translation pages by the FTL.
-    let hits = ftl.on_gc_data_block(env, moved)?;
-    env.stats.gc_updates += moved.len() as u64;
-    env.stats.gc_hits += hits;
     Ok(())
 }
 

@@ -2,9 +2,10 @@
 //!
 //! This binary installs a counting global allocator. A small, fully
 //! pre-filled device is aged with random overwrites until garbage
-//! collection is steady; from then on every `gc::collect_one` runs with the
-//! counter armed (for the calling thread only, so the harness's other
-//! threads cannot leak in) and not one of them may allocate.
+//! collection is steady; from then on every collection pass
+//! (`gc::ensure_free`) runs with the counter armed (for the calling thread
+//! only, so the harness's other threads cannot leak in) and not one of
+//! them may allocate.
 //!
 //! Why none: a collection's buffers are the environment's scratch vectors,
 //! which stop growing during the warm-up; translation payloads move by
@@ -77,7 +78,6 @@ fn allocations_per_victim(kind: FtlKind) -> (f64, u64) {
     config.cache_bytes = config.gtd_bytes() + 4 * 1024;
     let pages = config.logical_pages() as u32;
     let mut env = SsdEnv::new(config.clone()).expect("env");
-    let (low, high) = gc::watermarks(&env);
     let mut ftl = kind.build(&config).expect("budget fits");
     driver::bootstrap(ftl.as_mut(), &mut env).expect("bootstrap");
 
@@ -85,17 +85,17 @@ fn allocations_per_victim(kind: FtlKind) -> (f64, u64) {
     let mut victims = 0u64;
     let mut writes = 0u32;
     while victims < MEASURED_VICTIMS {
-        // `gc::ensure_free`'s loop, run here so the counter brackets each
-        // collection; the driver's own call then finds nothing to do.
-        if env.free_blocks() < low {
-            while env.free_blocks() < high {
-                let measured = writes >= WARM_UP_WRITES;
-                ARMED.set(measured);
-                let res = gc::collect_one(ftl.as_mut(), &mut env);
-                ARMED.set(false);
-                res.expect("collect");
-                victims += u64::from(measured);
-            }
+        // `gc::ensure_free`, run here so the counter brackets each
+        // collection pass; the driver's own call then finds nothing to do.
+        let measured = writes > WARM_UP_WRITES;
+        let collected = |env: &SsdEnv| env.gc_stats.data_victims + env.gc_stats.trans_victims;
+        let before = collected(&env);
+        ARMED.set(measured);
+        let res = gc::ensure_free(ftl.as_mut(), &mut env);
+        ARMED.set(false);
+        res.expect("collect");
+        if measured {
+            victims += collected(&env) - before;
         }
         if writes == WARM_UP_WRITES {
             env.reset_stats();

@@ -465,6 +465,11 @@ fn print_report(
         report.translation_reads(),
         report.translation_writes()
     );
+    let write_backs = report.gc_miss_write_backs();
+    println!(
+        "GC-miss write-backs: {write_backs} ({:.2} per data victim)",
+        write_backs as f64 / report.gc.data_victims.max(1) as f64
+    );
     println!("write amplification: {write_amplification:.3}");
     println!(
         "gc copy amp:         {:.3} (erase-count CV {:.3})",

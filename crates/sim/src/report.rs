@@ -115,6 +115,14 @@ impl RunReport {
         self.flash.of(OpPurpose::Translation).writes
     }
 
+    /// Translation pages GC wrote back for the mapping entries of the data
+    /// pages it moved that the cache did not hold: its translation writes
+    /// less the translation pages it migrated.
+    pub fn gc_miss_write_backs(&self) -> u64 {
+        let gc_writes = self.flash.of(OpPurpose::GcTranslation).writes;
+        gc_writes.saturating_sub(self.gc.trans_pages_migrated)
+    }
+
     /// Overall write amplification (Figure 6f); 0 for read-only runs.
     pub fn write_amplification(&self) -> f64 {
         self.flash

@@ -1,11 +1,11 @@
 //! One seeded simulation tester: every FTL under every axis at once.
 //!
 //! A [`Case`] picks FTL, GC policy, streams, topology, shards, backing,
-//! power loss, cache and pre-fill for an 8 MB device replaying at most
-//! 2 000 synthetic requests. [`run`] checks it against a host shadow of the
-//! written LPNs (DESIGN.md §16 lists the checks), [`shrink`] cuts a failing
-//! case down, and [`check`] panics with it as one line that the
-//! `regressions` test below takes verbatim.
+//! power loss, cache and pre-fill for an 8 MB device (rarely a 260 MB one)
+//! replaying at most 2 000 synthetic requests. [`run`] checks it against a
+//! host shadow of the written LPNs (DESIGN.md §16 lists the checks),
+//! [`shrink`] cuts a failing case down, and [`check`] panics with it as one
+//! line that the `regressions` test below takes verbatim.
 
 use std::fmt::Debug;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -28,6 +28,15 @@ type Checked<T = ()> = Result<T, Failure>;
 
 const PAGE: u64 = 4096;
 const DEVICE_BYTES: u64 = 8 << 20;
+/// The big device: 65 translation pages, one more than a block's 64
+/// pages, so one collection pass may write back more than a block holds.
+const BIG_DEVICE_BYTES: u64 = 260 << 20;
+/// The big device's over-provisioning: 11 spare blocks, a few more than
+/// the blocks the span leaves (`Case::from_seed`), so that a full
+/// pre-fill puts the first replayed writes within reach of GC.
+const BIG_OVER_PROVISION: f64 = 0.01;
+/// Requests a big case replays at most: its checks walk 66 560 LPNs.
+const BIG_REQUESTS: usize = 500;
 /// The trace every case replays a prefix of.
 const MAX_REQUESTS: usize = 2_000;
 /// Requests between two side-effect-free probes.
@@ -85,6 +94,8 @@ pub struct Case {
     pub span: f64,
     /// The request at this index reads or writes the whole span.
     pub long: Option<usize>,
+    /// The 260 MB device, fully pre-filled, in place of the 8 MB one.
+    pub big: bool,
 }
 
 impl Case {
@@ -130,14 +141,7 @@ impl Case {
             cache: caches[pick(caches.len())],
             ..Self::plain(seed)
         };
-        // Blocks the data cannot have: actives, translation pages, the GC
-        // watermark and slack, and two blocks of garbage that keep a victim
-        // reclaimable.
-        let reserve = 2.0 * case.streams as f64 + 6.0;
-        let shard = case.config().shard_config(case.shards);
-        let blocks = shard.geometry().num_blocks as f64;
-        let span = (blocks - reserve) / (blocks / (1.0 + shard.over_provision));
-        case.span = (span * 100.0).floor().min(100.0) / 100.0;
+        case.fit_span();
         case.prefill = case.span * [0.0, 0.5, 1.0][pick(3)];
         case.file = pick(3) == 0;
         if case.file {
@@ -163,12 +167,39 @@ impl Case {
         if rng.gen_bool(0.125) {
             case.long = Some(rng.range_usize(0, case.requests));
         }
+        // Rarely, the big device: more translation pages than pages per
+        // block. Fully pre-filled, one shard, in RAM and without a
+        // whole-span request, it stays within the seed budget.
+        if rng.gen_bool(1.0 / 32.0) {
+            case.big = true;
+            (case.shards, case.file, case.long) = (1, false, None);
+            case.requests = case.requests.min(BIG_REQUESTS);
+            case.fit_span();
+            case.prefill = case.span;
+        }
         case
+    }
+
+    /// Sets the span to what leaves each shard the blocks the data cannot
+    /// have: actives, translation pages, the GC watermark and slack, and
+    /// two blocks of garbage that keep a victim reclaimable.
+    fn fit_span(&mut self) {
+        let reserve = 2.0 * self.streams as f64 + 6.0;
+        let shard = self.config().shard_config(self.shards);
+        let blocks = shard.geometry().num_blocks as f64;
+        let span = (blocks - reserve) / (blocks / (1.0 + shard.over_provision));
+        self.span = (span * 100.0).floor().min(100.0) / 100.0;
     }
 
     /// The whole device's configuration; a shard's is its `shard_config`.
     pub fn config(&self) -> SsdConfig {
-        let mut c = SsdConfig::paper_default(DEVICE_BYTES);
+        let mut c = match self.big {
+            false => SsdConfig::paper_default(DEVICE_BYTES),
+            true => SsdConfig {
+                over_provision: BIG_OVER_PROVISION,
+                ..SsdConfig::paper_default(BIG_DEVICE_BYTES)
+            },
+        };
         c.cache_bytes = c.gtd_bytes() + self.cache * self.shards as usize;
         c.prefill_frac = self.prefill;
         c.streams = StreamCount(self.streams);
@@ -186,7 +217,7 @@ impl Case {
     pub fn shares(&self) -> Vec<Vec<IoRequest>> {
         let spec = SyntheticSpec {
             requests: MAX_REQUESTS,
-            address_bytes: (DEVICE_BYTES as f64 * self.span) as u64 / PAGE * PAGE,
+            address_bytes: (self.config().logical_bytes as f64 * self.span) as u64 / PAGE * PAGE,
             write_ratio: self.write_ratio,
             mean_req_sectors: self.sectors,
             locality: Locality {
@@ -513,6 +544,10 @@ fn remount(case: &Case, flash: Flash, gtd0: &[Option<Ppn>], written: &[bool]) ->
     let table = (0..written.len() as Lpn).map(|l| recovery::lookup(&env, l));
     let seen = format!("{r:?} {:?}", table.collect::<Vec<_>>());
 
+    if case.big {
+        // The reader's `lanes` check reads every block after each access.
+        return Ok(seen);
+    }
     let readers = ["dftl", "tpftl", "learned"];
     let mut name = readers[case.seed as usize % 3];
     if name == case.ftl {
@@ -686,22 +721,25 @@ mod tests {
     /// as valid, a TPFTL without batch update whose prefetch for one long
     /// request wrote back a page per evicted entry until the free pool ran
     /// dry, a `learned:e0` replay that emptied the pool when the slack had
-    /// no block for the lane's own open blocks (`streams − 1`), and a
+    /// no block for the lane's own open blocks (`streams − 1`), a
     /// LearnedFTL replay that emptied it when the slack was `streams`
-    /// without the floor that keeps the low watermark at four.
+    /// without the floor that keeps the low watermark at four, and a
+    /// power cut on the big device after a collection pass had handed the
+    /// FTL only its last victim's moves.
     #[rustfmt::skip]
     #[test]
     fn regressions() {
         use FaultMode::{AtOp, OnErase, OnTranslationWrite};
         for case in [
-            Case { seed: 630, requests: 358, halvings: 0, write_ratio: 0.9, sectors: 32.0, ftl: "cdftl", windowed: false, streams: 1, wide: false, shards: 1, file: false, fault: Some(Fault { mode: OnTranslationWrite(4), tear: Some(4123) }), cache: 10240, prefill: 0.0, span: 0.77, long: None },
-            Case { seed: 3, requests: 528, halvings: 0, write_ratio: 0.9, sectors: 32.0, ftl: "dftl", windowed: false, streams: 1, wide: false, shards: 2, file: false, fault: Some(Fault { mode: OnErase(5), tear: Some(4131) }), cache: 4096, prefill: 0.0, span: 0.66, long: None },
-            Case { seed: 9, requests: 265, halvings: 0, write_ratio: 0.3, sectors: 32.0, ftl: "learned:e0", windowed: true, streams: 1, wide: false, shards: 1, file: false, fault: None, cache: 16384, prefill: 0.9, span: 0.9, long: None },
-            Case { seed: 283, requests: 1537, halvings: 0, write_ratio: 0.9, sectors: 32.0, ftl: "tpftl:-", windowed: false, streams: 2, wide: false, shards: 2, file: false, fault: None, cache: 1024, prefill: 0.27, span: 0.54, long: None },
-            Case { seed: 0, requests: 137, halvings: 0, write_ratio: 0.6, sectors: 8.0, ftl: "tpftl:bc", windowed: false, streams: 1, wide: false, shards: 1, file: true, fault: Some(Fault { mode: AtOp(375), tear: Some(4126) }), cache: 1024, prefill: 0.0, span: 0.66, long: None },
-            Case { seed: 9, requests: 222, halvings: 0, write_ratio: 0.3, sectors: 32.0, ftl: "learned:e0", windowed: false, streams: 1, wide: false, shards: 1, file: false, fault: None, cache: 16384, prefill: 0.9, span: 0.9, long: None },
-            Case { seed: 37472, requests: 84, halvings: 0, write_ratio: 0.6, sectors: 32.0, ftl: "learned", windowed: false, streams: 1, wide: false, shards: 1, file: false, fault: Some(Fault { mode: AtOp(598), tear: None }), cache: 10240, prefill: 0.9, span: 0.9, long: None },
-            Case { seed: 2066, requests: 116, halvings: 0, write_ratio: 0.9, sectors: 8.0, ftl: "tpftl:rs", windowed: false, streams: 1, wide: false, shards: 1, file: false, fault: None, cache: 1024, prefill: 0.45, span: 0.9, long: Some(115) },
+            Case { seed: 630, requests: 358, halvings: 0, write_ratio: 0.9, sectors: 32.0, ftl: "cdftl", windowed: false, streams: 1, wide: false, shards: 1, file: false, fault: Some(Fault { mode: OnTranslationWrite(4), tear: Some(4123) }), cache: 10240, prefill: 0.0, span: 0.77, long: None, big: false },
+            Case { seed: 3, requests: 528, halvings: 0, write_ratio: 0.9, sectors: 32.0, ftl: "dftl", windowed: false, streams: 1, wide: false, shards: 2, file: false, fault: Some(Fault { mode: OnErase(5), tear: Some(4131) }), cache: 4096, prefill: 0.0, span: 0.66, long: None, big: false },
+            Case { seed: 9, requests: 265, halvings: 0, write_ratio: 0.3, sectors: 32.0, ftl: "learned:e0", windowed: true, streams: 1, wide: false, shards: 1, file: false, fault: None, cache: 16384, prefill: 0.9, span: 0.9, long: None, big: false },
+            Case { seed: 283, requests: 1537, halvings: 0, write_ratio: 0.9, sectors: 32.0, ftl: "tpftl:-", windowed: false, streams: 2, wide: false, shards: 2, file: false, fault: None, cache: 1024, prefill: 0.27, span: 0.54, long: None, big: false },
+            Case { seed: 0, requests: 137, halvings: 0, write_ratio: 0.6, sectors: 8.0, ftl: "tpftl:bc", windowed: false, streams: 1, wide: false, shards: 1, file: true, fault: Some(Fault { mode: AtOp(375), tear: Some(4126) }), cache: 1024, prefill: 0.0, span: 0.66, long: None, big: false },
+            Case { seed: 9, requests: 222, halvings: 0, write_ratio: 0.3, sectors: 32.0, ftl: "learned:e0", windowed: false, streams: 1, wide: false, shards: 1, file: false, fault: None, cache: 16384, prefill: 0.9, span: 0.9, long: None, big: false },
+            Case { seed: 37472, requests: 84, halvings: 0, write_ratio: 0.6, sectors: 32.0, ftl: "learned", windowed: false, streams: 1, wide: false, shards: 1, file: false, fault: Some(Fault { mode: AtOp(598), tear: None }), cache: 10240, prefill: 0.9, span: 0.9, long: None, big: false },
+            Case { seed: 2066, requests: 116, halvings: 0, write_ratio: 0.9, sectors: 8.0, ftl: "tpftl:rs", windowed: false, streams: 1, wide: false, shards: 1, file: false, fault: None, cache: 1024, prefill: 0.45, span: 0.9, long: Some(115), big: false },
+            Case { seed: 40, requests: 266, halvings: 0, write_ratio: 0.6, sectors: 8.0, ftl: "tpftl:bc", windowed: false, streams: 1, wide: false, shards: 1, file: false, fault: Some(Fault { mode: OnErase(4), tear: None }), cache: 1024, prefill: 1.0, span: 1.0, long: None, big: true },
         ] {
             check(&case);
         }
