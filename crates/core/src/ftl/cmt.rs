@@ -434,8 +434,9 @@ pub(crate) enum PageStep<'a> {
 /// page in the order given, so a later update of an entry supersedes an
 /// earlier one (a hook may append to a batch, never reorder it). `hook`
 /// runs twice per page, around the write —
-/// TPFTL piggybacks its cached dirty entries in [`PageStep::Gather`],
-/// ZFTL patches its active page in [`PageStep::Persisted`].
+/// TPFTL and LearnedFTL piggyback their cached dirty entries in
+/// [`PageStep::Gather`], ZFTL patches its active page in
+/// [`PageStep::Persisted`].
 ///
 /// Grouping is a sort of one `u64` per update, `vtpn << 32 | arrival
 /// index`, in the environment's scratch and a walk over the runs, so a call

@@ -10,8 +10,12 @@
 //! entries and per-region segment sets gives up the bytes. The entries are
 //! loaded and kept TPFTL's way: the same miss also caches, from the page in
 //! hand, what the rest of its request will ask for
-//! ([`LearnedFtl::prefetch`], the paper's §4.3), and a region's entries sit
-//! in a TP node, found by offset and charged 6 bytes each (§4.1). What keeps
+//! ([`LearnedFtl::prefetch`], the paper's §4.3), a region's entries sit
+//! in a TP node, found by offset and charged 6 bytes each (§4.1), and they
+//! go back to flash together: a dirty eviction, like a GC write-back of
+//! the region's page, persists every dirty entry of the region in that one
+//! write and leaves the others cached clean (batch update, §4.4;
+//! [`LearnedFtl::make_room`]). What keeps
 //! the segments sound (DESIGN.md §13): a prediction is served only after the
 //! OOB tag of its target page confirmed it (*no silent wrong PPN*); an
 //! overwritten, migrated, written-back or mispredicted offset is split out
@@ -23,7 +27,7 @@ use std::ops::RangeInclusive;
 use tpftl_flash::{Lpn, OpPurpose, PageState, Ppn, Vtpn, PPN_NONE};
 
 use crate::env::SsdEnv;
-use crate::ftl::cmt::{self, mapped, OffsetTables, TablePool};
+use crate::ftl::cmt::{self, mapped, OffsetTables, PageStep, TablePool};
 use crate::ftl::cmt::{NODE_BYTES, NODE_ENTRY_BYTES as ENTRY_BYTES};
 use crate::ftl::{AccessCtx, Ftl, TpDistEntry};
 use crate::lru::{LruIdx, LruList};
@@ -218,6 +222,8 @@ pub struct LearnedFtl {
     nodes: usize,
     lru: LruList<Slot>,
     pool: TablePool,
+    /// The update list of an eviction's write-back, reused.
+    updates: Vec<(u16, Ppn)>,
 }
 
 impl LearnedFtl {
@@ -246,6 +252,7 @@ impl LearnedFtl {
             nodes: 0,
             lru: LruList::new(),
             pool: TablePool::new(config.entries_per_tp()),
+            updates: Vec::new(),
         })
     }
 
@@ -374,27 +381,56 @@ impl LearnedFtl {
         }
     }
 
+    /// Marks every dirty entry of region `vtpn` clean, appending its
+    /// `(off, ppn)` to `out` by ascending offset.
+    fn drain_dirty(&mut self, vtpn: Vtpn, out: &mut Vec<(u16, Ppn)>) {
+        let Some(node) = &mut self.regions[vtpn as usize].node else {
+            return;
+        };
+        let lru = &self.lru;
+        node.tables.drain_dirty(|off, idx| {
+            let ppn = lru.get(idx).and_then(Slot::entry_ppn);
+            out.push((off, ppn.expect("dirty bits name cached entries")));
+        });
+    }
+
+    /// Splits every offset of `written` out of region `vtpn`'s view: a
+    /// segment filled while they were dirty was fitted on the page's old
+    /// values there.
+    fn split_written(&mut self, vtpn: Vtpn, written: &[(u16, Ppn)]) {
+        for &(off, _) in written {
+            self.split_covering(vtpn, off);
+        }
+    }
+
     /// Evicts least recently used slots until `need(self)` more bytes — never
-    /// more than a segment's — fit the budget. A view is dropped whole. An
-    /// entry is written back if dirty: a segment filled meanwhile was fitted
-    /// on the page's old value there. That split is made while the victim's
-    /// bytes are still charged, so it finds no room to grow and a pass frees
-    /// 6 B at least (14 B with the node, which adds 8 B to what the next entry
-    /// of that region needs): a call writes back three entries at most.
+    /// more than a segment's — fit the budget. A view is dropped whole. A
+    /// dirty entry takes every dirty entry of its region back with it in one
+    /// translation-page write (batch update, TPFTL §4.4): the others stay
+    /// cached, now clean, and all of them are split out of the view. Those
+    /// splits are made while the victim's bytes are still charged, so they
+    /// find no room to grow and a pass frees 6 B at least (14 B with the
+    /// node, which adds 8 B to what the next entry of that region needs): a
+    /// call writes back three translation pages at most.
     fn make_room(&mut self, env: &mut SsdEnv, need: impl Fn(&Self) -> usize) -> Result<()> {
         while self.cache_bytes_used() + need(self) > self.budget_bytes {
             debug_assert!(need(self) <= SEG_BYTES);
             match self.lru.peek_lru().map(|(idx, &slot)| (idx, slot)) {
                 None => return Err(FtlError::CacheTooSmall),
                 Some((_, Slot::View(vtpn))) => self.drop_view(vtpn),
-                Some((idx, Slot::Entry { vtpn, off, ppn })) => {
+                Some((idx, Slot::Entry { vtpn, off, .. })) => {
                     let before = self.cache_bytes_used();
                     let dirty = self.is_dirty(vtpn, off);
                     env.note_replacement(dirty);
                     if dirty {
-                        let update = [(off, ppn)];
-                        env.update_translation_page(vtpn, &update, OpPurpose::Translation)?;
-                        self.split_covering(vtpn, off);
+                        let mut updates = std::mem::take(&mut self.updates);
+                        updates.clear();
+                        self.drain_dirty(vtpn, &mut updates);
+                        let res =
+                            env.update_translation_page(vtpn, &updates, OpPurpose::Translation);
+                        self.split_written(vtpn, &updates);
+                        self.updates = updates;
+                        res?;
                     }
                     self.remove_entry(idx, vtpn, off);
                     debug_assert!(self.cache_bytes_used() + ENTRY_BYTES <= before);
@@ -577,7 +613,16 @@ impl Ftl for LearnedFtl {
             ftl.split_covering(vtpn, off);
             Ok(ftl.remap(vtpn, off, new_ppn, false))
         };
-        cmt::absorb_gc_moves(self, env, moved, absorb, |_, _, _, _| {})
+        // The write-back of a page the pass moved uncached entries of also
+        // takes the region's cached dirty entries along (TPFTL §4.4).
+        let piggyback = |ftl: &mut Self, _: &mut SsdEnv, vtpn, step: PageStep<'_>| {
+            if let PageStep::Gather(updates) = step {
+                let from = updates.len();
+                ftl.drain_dirty(vtpn, updates);
+                ftl.split_written(vtpn, &updates[from..]);
+            }
+        };
+        cmt::absorb_gc_moves(self, env, moved, absorb, piggyback)
     }
 
     fn cache_bytes_used(&self) -> usize {
@@ -1244,6 +1289,123 @@ mod tests {
         assert_eq!(env.flash().stats().translation_reads(), reads + 4);
         assert_eq!((env.stats.lookups, env.stats.hits), (6, 1));
         audit(&ftl);
+    }
+
+    /// The translation-page writes made so far, GC's included.
+    fn translation_writes(env: &SsdEnv) -> u64 {
+        env.flash().stats().translation_writes()
+    }
+
+    /// Region 0's cached `(entries, dirty)`.
+    fn region0(ftl: &LearnedFtl) -> (u32, u32) {
+        let dist = ftl.cached_tp_distribution();
+        let node = dist.iter().find(|d| d.vtpn == 0);
+        node.map_or((0, 0), |d| (d.entries, d.dirty))
+    }
+
+    /// What the cache holds for each of `lpns`, all of them cached.
+    fn cached_ppns(ftl: &LearnedFtl, env: &SsdEnv, lpns: &[Lpn]) -> Vec<Option<Ppn>> {
+        let held = |&lpn: &Lpn| ftl.peek_cached(env, lpn).unwrap().expect("cached");
+        lpns.iter().map(held).collect()
+    }
+
+    /// What the translation pages hold for each of `lpns`.
+    fn persisted_ppns(env: &SsdEnv, lpns: &[Lpn]) -> Vec<Option<Ppn>> {
+        lpns.iter().map(|&lpn| recovery::lookup(env, lpn)).collect()
+    }
+
+    #[test]
+    fn a_dirty_eviction_writes_back_its_whole_region_once() {
+        // Room for two nodes of two entries each.
+        let (mut ftl, mut env) = fragmented(2 * NODE_BYTES + 4 * ENTRY_BYTES);
+        for lpn in 0..3 {
+            access(&mut ftl, &mut env, lpn, true);
+        }
+        assert_eq!(region0(&ftl), (3, 3));
+        let dirty = cached_ppns(&ftl, &env, &[0, 1, 2]);
+        let writes = translation_writes(&env);
+        // Region 1 is unmapped: its entries cost no read and evict by recency.
+        access(&mut ftl, &mut env, 1024, false);
+        access(&mut ftl, &mut env, 1025, false);
+        assert_eq!(translation_writes(&env), writes + 1, "one write for three");
+        assert_eq!(persisted_ppns(&env, &[0, 1, 2]), dirty);
+        assert_eq!(cached(&ftl, &env, 0..64), [1, 2]);
+        assert_eq!(region0(&ftl), (2, 0));
+        // The survivors are clean now: evicting them writes nothing.
+        access(&mut ftl, &mut env, 1026, false);
+        access(&mut ftl, &mut env, 1027, false);
+        assert_eq!(cached(&ftl, &env, 0..64), []);
+        assert_eq!(translation_writes(&env), writes + 1);
+        let s = &env.stats;
+        assert_eq!((s.replacements, s.dirty_replacements), (3, 1));
+        audit(&ftl);
+    }
+
+    /// Moves the data page of `lpn` as a collection would, and hands the
+    /// move to `ftl`.
+    fn gc_move(ftl: &mut LearnedFtl, env: &mut SsdEnv, lpn: Lpn) -> Ppn {
+        let old = recovery::lookup(env, lpn).expect("mapped");
+        let new = env.program_data_page(lpn, OpPurpose::GcData).unwrap();
+        env.invalidate_page(old).unwrap();
+        ftl.on_gc_data_block(env, &[(lpn, new)]).unwrap();
+        new
+    }
+
+    #[test]
+    fn a_gc_write_back_takes_the_regions_dirty_entries_along() {
+        let (mut ftl, mut env) = fragmented(1024);
+        access(&mut ftl, &mut env, 0, true);
+        access(&mut ftl, &mut env, 1, true);
+        assert_eq!(region0(&ftl), (2, 2));
+        let dirty = cached_ppns(&ftl, &env, &[0, 1]);
+        // GC moves LPN 5, which is not cached: its page is written back.
+        let writes = translation_writes(&env);
+        let new = gc_move(&mut ftl, &mut env, 5);
+        assert_eq!(translation_writes(&env), writes + 1);
+        assert_eq!(recovery::lookup(&env, 5), Some(new));
+        assert_eq!(persisted_ppns(&env, &[0, 1]), dirty);
+        assert_eq!(region0(&ftl), (2, 0));
+        audit(&ftl);
+    }
+
+    /// A fill over two dirty offsets, one write-back of both — by a dirty
+    /// eviction or by GC — and the eviction of what is left clean: a re-read
+    /// at ε = 0, where a mispredict can only be a stale point, mispredicts
+    /// nothing.
+    #[test]
+    fn a_batched_write_back_splits_every_point_a_fill_fitted_stale() {
+        for by_gc in [false, true] {
+            // Room for a segment and one node of three entries.
+            let (_, mut env) = fragmented(SEG_BYTES + NODE_BYTES + 3 * ENTRY_BYTES);
+            let mut ftl = LearnedFtl::with_epsilon(env.config(), 0).unwrap();
+            // The write of 66 fills 64..=127 and splits 66 out, dropping
+            // 64..=65; that of 70 drops 67..=69.
+            access(&mut ftl, &mut env, 66, true);
+            access(&mut ftl, &mut env, 70, true);
+            assert_eq!(region0(&ftl), (2, 2));
+            // A miss at 64 fills 64..=127 again from the page, which still
+            // holds the old mappings of the two dirty offsets.
+            access(&mut ftl, &mut env, 64, false);
+            let view = &ftl.regions[0].view;
+            assert_eq!((view.len(), view[0].start, view[0].end), (1, 64, 127));
+            let writes = translation_writes(&env);
+            if by_gc {
+                gc_move(&mut ftl, &mut env, 5);
+                assert_eq!(region0(&ftl), (2, 0));
+            }
+            // Region 1's node takes the room: 66 is evicted, taking 70 back
+            // with it if GC has not, then 70, clean now, goes for nothing.
+            access(&mut ftl, &mut env, 1024, false);
+            assert_eq!(translation_writes(&env), writes + 1, "by GC: {by_gc}");
+            assert_eq!(cached(&ftl, &env, 0..128), []);
+            env.reset_stats();
+            for lpn in [70, 66, 72] {
+                access(&mut ftl, &mut env, lpn, false);
+            }
+            let stale = env.stats.mispredicts;
+            assert_eq!(stale, 0, "by GC: {by_gc}: a written-back point stayed");
+            audit(&ftl);
+        }
     }
 
     /// What a slot stands for: `(false, lpn)` an entry, `(true, vtpn)` a view.

@@ -211,3 +211,53 @@ fn migrate_translation_pages(
     env.blocks.on_erased(victim);
     Ok(())
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::ftl::{AccessCtx, Dftl};
+    use crate::{driver, recovery, SsdConfig};
+    use tpftl_flash::PageState;
+
+    /// A pass that collects one victim and then finds every other sealed
+    /// block fully valid stops on `DeviceFull` with free blocks left, below
+    /// its high watermark; the moves it made before it stopped still reach
+    /// the mapping.
+    #[test]
+    fn a_pass_stopped_by_device_full_keeps_its_moves() {
+        let mut config = SsdConfig::paper_default(8 << 20);
+        config.prefill_frac = 1.0;
+        // Watermarks no pass on this device reaches.
+        let blocks = config.geometry().num_blocks;
+        (config.gc_low_blocks, config.gc_high_blocks) = (blocks, blocks + 1);
+        let mut env = SsdEnv::new(config.clone()).unwrap();
+        let mut ftl = Dftl::new(&config).unwrap();
+        driver::bootstrap(&mut ftl, &mut env).unwrap();
+        // Overwrite the first 16 LPNs without collecting: the block the
+        // prefill put them in is the only one with garbage.
+        for lpn in 0..16 {
+            let ctx = AccessCtx::single(true);
+            let old = ftl
+                .translate(&mut env, lpn, &ctx)
+                .unwrap()
+                .expect("prefilled");
+            let new = env.program_data_page(lpn, OpPurpose::HostData).unwrap();
+            env.invalidate_page(old).unwrap();
+            ftl.update_mapping(&mut env, lpn, new).unwrap();
+        }
+        ensure_free(&mut ftl, &mut env).unwrap();
+        let free = env.free_blocks();
+        assert!(0 < free && free < watermarks(&env).1, "{free} free blocks");
+        // Every LPN resolves, cached or persisted, to the page holding it.
+        for lpn in 0..config.logical_pages() as Lpn {
+            let cached = ftl.peek_cached(&env, lpn).unwrap();
+            let ppn = cached
+                .unwrap_or_else(|| recovery::lookup(&env, lpn))
+                .expect("mapped");
+            let at = (env.flash().state(ppn), env.flash().tag(ppn));
+            assert_eq!(at, (Ok(PageState::Valid), Ok(lpn)), "LPN {lpn} at {ppn}");
+        }
+        assert_eq!(env.gc_stats.data_victims, 1);
+        assert_eq!(env.stats.gc_updates, 64 - 16);
+    }
+}

@@ -740,6 +740,8 @@ mod tests {
             Case { seed: 37472, requests: 84, halvings: 0, write_ratio: 0.6, sectors: 32.0, ftl: "learned", windowed: false, streams: 1, wide: false, shards: 1, file: false, fault: Some(Fault { mode: AtOp(598), tear: None }), cache: 10240, prefill: 0.9, span: 0.9, long: None, big: false },
             Case { seed: 2066, requests: 116, halvings: 0, write_ratio: 0.9, sectors: 8.0, ftl: "tpftl:rs", windowed: false, streams: 1, wide: false, shards: 1, file: false, fault: None, cache: 1024, prefill: 0.45, span: 0.9, long: Some(115), big: false },
             Case { seed: 40, requests: 266, halvings: 0, write_ratio: 0.6, sectors: 8.0, ftl: "tpftl:bc", windowed: false, streams: 1, wide: false, shards: 1, file: false, fault: Some(Fault { mode: OnErase(4), tear: None }), cache: 1024, prefill: 1.0, span: 1.0, long: None, big: true },
+            Case { seed: 406, requests: 417, halvings: 0, write_ratio: 0.9, sectors: 32.0, ftl: "learned:e0", windowed: false, streams: 1, wide: false, shards: 1, file: false, fault: None, cache: 1024, prefill: 0.45, span: 0.9, long: None, big: false },
+            Case { seed: 178, requests: 78, halvings: 0, write_ratio: 0.9, sectors: 16.0, ftl: "learned:e0", windowed: false, streams: 1, wide: false, shards: 1, file: false, fault: None, cache: 256, prefill: 0.0, span: 0.42, long: None, big: false },
         ] {
             check(&case);
         }

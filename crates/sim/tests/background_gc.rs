@@ -24,8 +24,11 @@
 //!    same aged small device, the mapping updates of every data victim of
 //!    one `gc::ensure_free` pass go out together, so the pages that miss
 //!    the cache cost fewer than three translation writes per data victim.
+//! 6. **LearnedFTL updates in batches.** On the same device, a dirty
+//!    eviction or a GC write-back takes every dirty entry of its region
+//!    along, so most of LearnedFTL's replacements find a clean victim.
 
-use tpftl_core::ftl::{Dftl, Ftl, TpFtl, TpftlConfig};
+use tpftl_core::ftl::{Dftl, Ftl, LearnedFtl, TpFtl, TpftlConfig};
 use tpftl_core::SsdConfig;
 use tpftl_sim::{RunReport, Ssd};
 use tpftl_trace::presets::Workload;
@@ -145,4 +148,14 @@ fn a_pass_writes_back_each_translation_page_once() {
             "{name}: {per_victim:.2} GC-miss write-backs per data victim"
         );
     }
+}
+
+#[test]
+fn learned_ftl_writes_a_dirty_victims_region_back_with_it() {
+    let report = aged_small_device(|c| LearnedFtl::new(c).unwrap());
+    // With each dirty victim written back alone, 22 892 of this replay's
+    // 26 142 replacements (0.876) were dirty; with its region's dirty
+    // entries going back in the same write, 1 224 of 26 082 (0.047).
+    let p = report.dirty_replacement_prob();
+    assert!(p < 0.46, "{p:.3} of LearnedFTL's replacements were dirty");
 }
