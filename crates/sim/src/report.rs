@@ -84,6 +84,11 @@ pub struct RunReport {
     pub cache_bytes_used: usize,
     /// Total configured cache budget in bytes (including the GTD).
     pub cache_bytes_total: usize,
+    /// Highest erase count any block has reached (the most worn block of
+    /// any shard); beside [`RunReport::erase_cv`] it says whether uneven
+    /// wear ages one block early. 0 on reports recorded before it existed.
+    #[serde(default)]
+    pub erase_max: u64,
     /// Unit-clock simulated timing (absent in pre-topology reports).
     #[serde(default)]
     pub sim: SimTiming,
@@ -170,6 +175,7 @@ mod tests {
             cached_entries: 0,
             cache_bytes_used: 0,
             cache_bytes_total: 0,
+            erase_max: 0,
             sim: SimTiming::default(),
         };
         r.ftl_stats.lookups = 10;

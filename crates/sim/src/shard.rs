@@ -127,6 +127,7 @@ fn merge_reports(per_shard: &[RunReport]) -> RunReport {
     let mut cached_entries = 0usize;
     let mut cache_bytes_used = 0usize;
     let mut cache_bytes_total = 0usize;
+    let mut erase_max = 0u64;
     // Simulated clocks: shards are parallel devices, so the merged
     // makespan is the latest shard's and the busiest unit the busiest of
     // any shard's (shard-order folds of `max`, still deterministic), while
@@ -149,6 +150,7 @@ fn merge_reports(per_shard: &[RunReport]) -> RunReport {
         cached_entries += r.cached_entries;
         cache_bytes_used += r.cache_bytes_used;
         cache_bytes_total += r.cache_bytes_total;
+        erase_max = erase_max.max(r.erase_max);
         sim.device_us += r.sim.device_us;
         sim.makespan_us = sim.makespan_us.max(r.sim.makespan_us);
         sim.busiest_unit_us = sim.busiest_unit_us.max(r.sim.busiest_unit_us);
@@ -168,6 +170,7 @@ fn merge_reports(per_shard: &[RunReport]) -> RunReport {
         cached_entries,
         cache_bytes_used,
         cache_bytes_total,
+        erase_max,
         sim,
     }
 }

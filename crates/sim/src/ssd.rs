@@ -267,6 +267,7 @@ impl<F: Ftl> Ssd<F> {
             cached_entries: self.ftl.cached_entries(),
             cache_bytes_used: self.ftl.cache_bytes_used(),
             cache_bytes_total: self.env.config().cache_bytes,
+            erase_max: self.env.max_wear(),
             sim: {
                 let topo = self.env.config().topology;
                 let clocks = self.env.flash().clocks();
