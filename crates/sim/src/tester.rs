@@ -182,10 +182,12 @@ impl Case {
 
     /// Sets the span to what leaves each shard the blocks the data cannot
     /// have: actives, translation pages, the GC watermark and slack, and
-    /// two blocks of garbage that keep a victim reclaimable.
+    /// two blocks of garbage that keep a victim reclaimable. The watermark
+    /// part grows with the shard's gap (one block but on the big device).
     fn fit_span(&mut self) {
-        let reserve = 2.0 * self.streams as f64 + 6.0;
         let shard = self.config().shard_config(self.shards);
+        let gap = shard.gc_high_blocks - shard.gc_low_blocks;
+        let reserve = 2.0 * self.streams as f64 + 5.0 + gap as f64;
         let blocks = shard.geometry().num_blocks as f64;
         let span = (blocks - reserve) / (blocks / (1.0 + shard.over_provision));
         self.span = (span * 100.0).floor().min(100.0) / 100.0;
@@ -195,10 +197,15 @@ impl Case {
     pub fn config(&self) -> SsdConfig {
         let mut c = match self.big {
             false => SsdConfig::paper_default(DEVICE_BYTES),
-            true => SsdConfig {
-                over_provision: BIG_OVER_PROVISION,
-                ..SsdConfig::paper_default(BIG_DEVICE_BYTES)
-            },
+            true => {
+                let mut c = SsdConfig {
+                    over_provision: BIG_OVER_PROVISION,
+                    ..SsdConfig::paper_default(BIG_DEVICE_BYTES)
+                };
+                // Derived from the 11 spare blocks, not the default's 156.
+                (c.gc_low_blocks, c.gc_high_blocks) = c.default_watermarks();
+                c
+            }
         };
         c.cache_bytes = c.gtd_bytes() + self.cache * self.shards as usize;
         c.prefill_frac = self.prefill;
