@@ -427,34 +427,33 @@ pub fn bench_gc_pick_deep(
 
 /// GC's data path on an aged device: the 512 MB Financial1 device, fully
 /// pre-filled, is overwritten at scattered LPNs until every collection
-/// migrates a steady ~42 valid pages, then only `gc::collect_one` is timed —
+/// migrates a steady number of valid pages, then only collection passes
+/// (`gc::ensure_free` calls that collect, 32 blocks each here) are timed —
 /// data and translation victims as the policy picks them, each with its
-/// valid scan, page migrations, `Ftl::on_gc_data_block` (almost every moved
-/// page misses the 8.5 KB cache, so the write-back batcher and the
-/// translation read-modify-writes carry the row) and erase. ns per migrated
-/// page, so the row is the same quantity at any `victims` per sample; it
-/// moves if migrating a page copies a payload or allocates again.
+/// valid scan, page migrations and erase, then the pass's one
+/// `Ftl::on_gc_data_block` (almost every moved page misses the 8.5 KB
+/// cache, so the batcher and the translation read-modify-writes carry the
+/// row). ns per migrated page, so the row is the same quantity at any
+/// `victims` per sample; it moves if migrating a page copies a payload or
+/// allocates again.
 pub fn bench_gc_migrate(kind: FtlKind, warmup: usize, samples: usize, victims: u64) -> Record {
     let config = device_config(Workload::Financial1);
     let pages = config.logical_pages() as u32;
     let (mut ftl, mut env) = build(kind, &config);
-    let (low, high) = gc::watermarks(&env);
     let ctx = AccessCtx::single(true);
     let mut writes = 0u32;
+    let collected = |env: &SsdEnv| env.gc_stats.data_victims + env.gc_stats.trans_victims;
     // Overwrites until `victims` blocks are collected; returns the time
-    // spent inside `collect_one`. Runs `gc::ensure_free`'s loop itself so
-    // that the driver's call finds the pool already topped up.
+    // spent in passes. A pass runs here, before the write's own
+    // `ensure_free` call would run it; only calls that collect are timed.
     let mut collect = |env: &mut SsdEnv, victims: u64| {
         let mut spent = std::time::Duration::ZERO;
-        let mut done = 0;
-        while done < victims {
-            if env.free_blocks() < low {
-                while env.free_blocks() < high {
-                    let t = Instant::now();
-                    gc::collect_one(ftl.as_mut(), env).expect("collect");
-                    spent += t.elapsed();
-                    done += 1;
-                }
+        let target = collected(env) + victims;
+        while collected(env) < target {
+            if env.free_blocks() < config.gc_low_blocks {
+                let t = Instant::now();
+                gc::ensure_free(ftl.as_mut(), env).expect("collect");
+                spent += t.elapsed();
             }
             // Knuth's multiplicative hash scatters the overwrites uniformly.
             let lpn = (writes.wrapping_mul(2_654_435_761) >> 8) % pages;

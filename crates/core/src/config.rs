@@ -9,6 +9,8 @@
 use serde::{Deserialize, Serialize};
 use tpftl_flash::{FlashGeometry, FlashTopology};
 
+use crate::{FtlError, Result};
+
 /// Garbage-collection victim-selection policy (Section 2.3 of the paper
 /// surveys GC-policy and wear-leveling work; the paper itself uses greedy).
 /// Both variants name one routine — a scored window over the min-valid
@@ -67,6 +69,14 @@ impl StreamCount {
 /// sweep.
 const MAX_PASS_GAP: usize = 32;
 
+/// The fewest free blocks GC may start collecting with, and so the least
+/// low watermark an environment accepts: a page access may take two
+/// blocks (its stream's open block and the host's translation block),
+/// and a collection pass that makes progress dips the pool at most two
+/// below where it began, since the lane's data and translation blocks are
+/// the only ones it opens (DESIGN.md §16, *The free-pool slack*).
+const MIN_LOW_BLOCKS: usize = 4;
+
 /// Full configuration of a simulated SSD.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SsdConfig {
@@ -76,7 +86,7 @@ pub struct SsdConfig {
     pub over_provision: f64,
     /// Total mapping-cache budget in bytes, *including* the GTD.
     pub cache_bytes: usize,
-    /// GC trigger: collect when free blocks drop below this.
+    /// GC trigger: collect when free blocks drop below this (four or more).
     pub gc_low_blocks: usize,
     /// GC target: collect until free blocks reach this.
     pub gc_high_blocks: usize,
@@ -136,13 +146,13 @@ impl SsdConfig {
     /// The GC watermarks `paper_default` and `shard_config` derive from
     /// the geometry, `(low, high)`.
     ///
-    /// `low` scales with the device, so that small test devices do not
-    /// reserve more free space than their over-provisioning allows. The
-    /// gap `high − low` sizes a collection pass (one `gc::ensure_free`
-    /// call), the unit of mapping write-back: a pass writes each
-    /// translation page its cache misses touch once, after its last
-    /// erase. With `V` translation pages, `P` pages per block and `S`
-    /// spare blocks:
+    /// `low` scales with the device from `MIN_LOW_BLOCKS` to eight, so
+    /// that small test devices do not reserve more free space than their
+    /// over-provisioning allows. The gap `high − low` sizes a collection
+    /// pass (one `gc::ensure_free` call), the unit of mapping write-back:
+    /// a pass writes each translation page its cache misses touch once,
+    /// after its last erase. With `V` translation pages, `P` pages per
+    /// block and `S` spare blocks:
     ///
     /// - `V < P`: one block, as measured rather than derived. On the
     ///   64 MB device (`V = 16`) the rule below gives 4 blocks, and it
@@ -154,13 +164,13 @@ impl SsdConfig {
     ///   more than an eighth of the spare blocks unless the floor
     ///   `⌈V / P⌉` needs it. The floor is what DESIGN.md §16's slack
     ///   proof asks of the pool a pass ends with (`high ≥ 4 + ⌈W / P⌉`
-    ///   for `W ≤ V` write-backs, after `gc::watermarks`' shift).
+    ///   for `W ≤ V` write-backs).
     ///
     /// A configuration that changes the geometry after `paper_default`
     /// (say, its over-provisioning) re-derives its watermarks here.
     pub fn default_watermarks(&self) -> (usize, usize) {
         let geom = self.geometry();
-        let low = (geom.num_blocks / 300).clamp(2, 8);
+        let low = (geom.num_blocks / 300).clamp(MIN_LOW_BLOCKS, 8);
         let pages_per_block = geom.pages_per_block as u64;
         let vtpns = self.num_vtpns();
         let gap = if vtpns < pages_per_block {
@@ -172,6 +182,16 @@ impl SsdConfig {
             floor.max((spare / 8).min(MAX_PASS_GAP))
         };
         (low, low + gap)
+    }
+
+    /// Refuses GC watermarks a pass cannot run with: `low` under
+    /// `MIN_LOW_BLOCKS`, or `high` not above `low`.
+    pub(crate) fn check_watermarks(&self) -> Result<()> {
+        let (low, high) = (self.gc_low_blocks, self.gc_high_blocks);
+        if low < MIN_LOW_BLOCKS || high <= low {
+            return Err(FtlError::BadWatermarks { low, high });
+        }
+        Ok(())
     }
 
     /// Flash geometry per Table 3, with this config's channel/way topology.
@@ -301,6 +321,8 @@ impl SsdConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::env::SsdEnv;
+    use crate::gtd::Gtd;
 
     #[test]
     fn paper_cache_sizes_match_section_5_1() {
@@ -356,45 +378,33 @@ mod tests {
         let marks = (part.gc_low_blocks, part.gc_high_blocks);
         assert_eq!(marks, part.default_watermarks());
         // 128 MB, 32 translation pages: fewer than a block's 64.
-        assert_eq!(marks, (2, 3));
+        assert_eq!(marks, (4, 5));
     }
 
     #[test]
     fn default_watermarks_size_a_pass_to_the_geometry() {
         let marks = |bytes: u64| SsdConfig::paper_default(bytes).default_watermarks();
-        // V = 16 < P: a one-block pass.
-        assert_eq!(marks(64 << 20), (2, 3));
+        // V = 16 < P: a one-block pass, from the four-block floor.
+        assert_eq!(marks(64 << 20), (4, 5));
         // V = 128, 308 spare blocks: the cap.
         assert_eq!(marks(512 << 20), (7, 39));
         // V = 4096: the ⌈V / P⌉ = 64 floor beats the cap.
         assert_eq!(marks(16 << 30), (8, 72));
         // A 256 MB shard (V = P = 64, 154 spare blocks): an eighth of them.
         let shard = SsdConfig::paper_default(512 << 20).shard_config(2);
-        assert_eq!(shard.default_watermarks(), (3, 22));
+        assert_eq!(shard.default_watermarks(), (4, 23));
         // 260 MB at 1 % over-provisioning (11 spare blocks, V = 65): the
         // ⌈V / P⌉ = 2 floor, where the 15 % default's 156 give 19.
         let lean = SsdConfig {
             over_provision: 0.01,
             ..SsdConfig::paper_default(260 << 20)
         };
-        assert_eq!(lean.default_watermarks(), (3, 5));
+        assert_eq!(lean.default_watermarks(), (4, 6));
     }
 
-    /// DESIGN.md §16: a pass ends with `high − ⌈W / P⌉` free blocks or
-    /// more, and the next one needs four, so `high ≥ 4 + ⌈V / P⌉` (with
-    /// `W ≤ V`) after `gc::watermarks`' shift, on every device from 1 MB
-    /// to 64 GB, on every shard split of it, and at 1 % over-provisioning
-    /// with the watermarks re-derived.
-    #[test]
-    fn every_default_pass_leaves_the_next_its_slack() {
-        let check = |cfg: &SsdConfig| {
-            let (low, high) = crate::gc::watermarks_of(cfg);
-            let pages_per_block = cfg.geometry().pages_per_block as u64;
-            let need = 4 + cfg.num_vtpns().div_ceil(pages_per_block) as usize;
-            let bytes = cfg.logical_bytes;
-            assert!(low >= 4 && high > low, "{bytes} B: ({low}, {high})");
-            assert!(high >= need, "{bytes} B: high {high} < {need}");
-        };
+    /// Every `(whole device, 1 % over-provisioning, shard split)` config
+    /// of the slack sweep below, from 1 MB to 64 GB.
+    fn sweep(mut check: impl FnMut(&SsdConfig)) {
         for mb in 1..=64u64 << 10 {
             let whole = SsdConfig::paper_default(mb << 20);
             check(&whole);
@@ -410,6 +420,66 @@ mod tests {
                 shards *= 2;
             }
         }
+    }
+
+    /// The four-block floor used to be a shift GC added to a stored pair
+    /// whose low end was clamped to two; folding it into the stored pair
+    /// changed no pair GC runs, on any device of the sweep.
+    #[test]
+    fn stored_pairs_are_the_pairs_the_shifted_defaults_ran() {
+        sweep(|cfg| {
+            let geom = cfg.geometry();
+            let (vtpns, ppb) = (cfg.num_vtpns(), geom.pages_per_block as u64);
+            let gap = if vtpns < ppb {
+                1
+            } else {
+                let logical_blocks = (cfg.logical_bytes / geom.block_bytes() as u64) as usize;
+                let spare = geom.num_blocks - logical_blocks;
+                (vtpns.div_ceil(ppb) as usize).max((spare / 8).min(32))
+            };
+            let stored = (geom.num_blocks / 300).clamp(2, 8);
+            let shift = 4usize.saturating_sub(stored);
+            let ran = (stored + shift, stored + gap + shift);
+            let now = (cfg.gc_low_blocks, cfg.gc_high_blocks);
+            assert_eq!(now, ran, "{} B", cfg.logical_bytes);
+        });
+    }
+
+    /// DESIGN.md §16: a pass ends with `high − ⌈W / P⌉` free blocks or
+    /// more, and the next one needs four, so `high ≥ 4 + ⌈V / P⌉` (with
+    /// `W ≤ V`), on every device from 1 MB to 64 GB, on every shard split
+    /// of it, and at 1 % over-provisioning with the watermarks re-derived.
+    #[test]
+    fn every_default_pass_leaves_the_next_its_slack() {
+        sweep(|cfg| {
+            let (low, high) = (cfg.gc_low_blocks, cfg.gc_high_blocks);
+            let pages_per_block = cfg.geometry().pages_per_block as u64;
+            let need = 4 + cfg.num_vtpns().div_ceil(pages_per_block) as usize;
+            let bytes = cfg.logical_bytes;
+            assert!(low >= 4 && high > low, "{bytes} B: ({low}, {high})");
+            assert!(high >= need, "{bytes} B: high {high} < {need}");
+            assert_eq!(cfg.check_watermarks(), Ok(()), "{bytes} B");
+        });
+    }
+
+    /// An explicit pair GC cannot run with is refused when the environment
+    /// is built, fresh or remounted, not moved to one it can.
+    #[test]
+    fn an_environment_refuses_watermarks_gc_cannot_run_with() {
+        let fine = SsdConfig::paper_default(64 << 20);
+        for (low, high) in [(2, 3), (3, 9), (6, 6), (7, 5)] {
+            let cfg = SsdConfig {
+                gc_low_blocks: low,
+                gc_high_blocks: high,
+                ..fine.clone()
+            };
+            let refused = Some(FtlError::BadWatermarks { low, high });
+            assert_eq!(SsdEnv::new(cfg.clone()).err(), refused);
+            let flash = tpftl_flash::Flash::new(cfg.geometry()).unwrap();
+            let gtd = Gtd::new(cfg.num_vtpns() as usize);
+            assert_eq!(SsdEnv::remount(cfg, flash, gtd).err(), refused);
+        }
+        assert!(SsdEnv::new(fine).is_ok());
     }
 
     #[test]

@@ -28,9 +28,8 @@ pub struct GcStats {
     /// Valid translation pages migrated (`N_mt`).
     pub trans_pages_migrated: u64,
     /// Collection passes run: `gc::ensure_free` calls that found the pool
-    /// below the low watermark, and `gc::collect_one` calls. Each writes
-    /// its moves' mapping back once. 0 on reports recorded before it
-    /// existed.
+    /// below the low watermark. Each writes its moves' mapping back once.
+    /// 0 on reports recorded before it existed.
     #[serde(default)]
     pub passes: u64,
     /// The most data-page moves one pass held before its write-back
@@ -179,26 +178,29 @@ pub struct SsdEnv {
 }
 
 impl SsdEnv {
-    /// Creates a fully erased SSD per `config`.
+    /// Creates a fully erased SSD per `config`; refuses its GC watermarks
+    /// with [`FtlError::BadWatermarks`] if a pass cannot run with them.
     pub fn new(config: SsdConfig) -> Result<Self> {
         let geom = config.geometry();
         let flash = Flash::new(geom.clone())?;
         let blocks =
             BlockManager::with_streams(geom.num_blocks, geom.pages_per_block, config.streams.get());
         let gtd = Gtd::new(config.num_vtpns() as usize);
-        Ok(Self::assemble(config, flash, blocks, gtd))
+        Self::assemble(config, flash, blocks, gtd)
     }
 
     /// The one place the fields are listed: an environment around the
     /// given device state with empty scratch, a cold temperature estimator
-    /// (volatile by design, so a remount re-learns) and zeroed statistics.
-    fn assemble(config: SsdConfig, flash: Flash, blocks: BlockManager, gtd: Gtd) -> Self {
+    /// (volatile by design, so a remount re-learns) and zeroed statistics,
+    /// if the configuration's GC watermarks are ones a pass can run with.
+    fn assemble(config: SsdConfig, flash: Flash, blocks: BlockManager, gtd: Gtd) -> Result<Self> {
+        config.check_watermarks()?;
         let entries_per_tp = config.entries_per_tp();
         assert!(
             entries_per_tp.is_power_of_two(),
             "entries_per_tp must be a power of two"
         );
-        Self {
+        Ok(Self {
             entries_per_tp,
             tp_shift: entries_per_tp.trailing_zeros(),
             tp_mask: (entries_per_tp - 1) as u32,
@@ -216,7 +218,7 @@ impl SsdEnv {
             gtd,
             stats: FtlStats::default(),
             gc_stats: GcStats::default(),
-        }
+        })
     }
 
     /// Creates an SSD per `config` on a prebuilt flash device — typically
@@ -566,7 +568,7 @@ impl SsdEnv {
     /// rebuilt by scanning the device, statistics start from zero.
     pub fn remount(config: SsdConfig, flash: Flash, gtd: Gtd) -> Result<Self> {
         let blocks = BlockManager::rebuild(&flash, config.streams.get())?;
-        Ok(Self::assemble(config, flash, blocks, gtd))
+        Self::assemble(config, flash, blocks, gtd)
     }
 
     /// Consumes the environment and returns the flash device, as a power

@@ -33,6 +33,14 @@ pub enum FtlError {
     /// The mapping cache budget is too small to hold even one entry plus
     /// the structures the FTL needs.
     CacheTooSmall,
+    /// The configured GC watermarks leave a collection pass no room: the
+    /// low one is under four blocks, or the high one is not above it.
+    BadWatermarks {
+        /// The configured low watermark.
+        low: usize,
+        /// The configured high watermark.
+        high: usize,
+    },
     /// The operating system refused to start a shard worker thread.
     WorkerSpawn(std::io::ErrorKind),
 }
@@ -50,6 +58,7 @@ impl core::fmt::Display for FtlError {
                 "mapping corruption: LPN {lpn} resolved to PPN {ppn} which holds tag {tag}"
             ),
             Self::CacheTooSmall => write!(f, "mapping cache budget too small"),
+            Self::BadWatermarks { low, high } => write!(f, "bad GC watermarks ({low}, {high})"),
             Self::WorkerSpawn(kind) => write!(f, "cannot spawn a shard worker thread: {kind}"),
         }
     }

@@ -11,28 +11,29 @@
 //! [`Ftl`] so that the FTL and the environment can be borrowed
 //! simultaneously without cycles.
 //!
-//! The unit of mapping write-back is the *pass*: every victim one
-//! [`ensure_free`] call collects (one for [`collect_one`]). A migrated
-//! translation page updates the GTD at once; a migrated data page's new
-//! location joins the pass's list of moves, and after the pass's last
-//! erase the FTL takes the whole list in one [`Ftl::on_gc_data_block`]
-//! call, which absorbs the entries its cache holds and writes the rest
-//! back once per translation page the pass touched. The victims of one
-//! pass keep hitting the same translation pages, so one write carries
-//! what per-victim write-backs spread over several (DESIGN.md §9).
+//! [`ensure_free`] is the collector's one entry point, and the unit of
+//! mapping write-back is its *pass*: every victim one call collects. A
+//! migrated translation page updates the GTD at once; a migrated data
+//! page's new location joins the pass's list of moves, and after the
+//! pass's last erase the FTL takes the whole list in one
+//! [`Ftl::on_gc_data_block`] call, which absorbs the entries its cache
+//! holds and writes the rest back once per translation page the pass
+//! touched. The victims of one pass keep hitting the same translation
+//! pages, so one write carries what per-victim write-backs spread over
+//! several (DESIGN.md §9).
 //!
-//! A pass runs from below the low watermark up to the high one, so the
-//! gap between them sets its length. `SsdConfig::default_watermarks`
-//! derives it from the geometry: one block where the device has fewer
-//! translation pages than a block has pages, else up to 32 blocks, and
-//! never fewer than the translation pages fill, so each write-back
-//! carries the moves of several victims and the pool a pass ends with
-//! leaves the next one its slack. On Financial1 a long pass also finds
-//! emptier data victims, hot blocks that had time to decay since the
-//! last pass (DESIGN.md §16). A long pass does not hold the host up: it
-//! runs in the idle lane described below, and host ops overtake it. Its
-//! moves wait in memory the mapping cache's budget does not count
-//! (`GcStats::moves_peak`).
+//! A pass runs from below the low watermark up to the high one, as the
+//! configuration stores them, so the gap between them sets its length.
+//! `SsdConfig::default_watermarks` derives it from the geometry: one
+//! block where the device has fewer translation pages than a block has
+//! pages, else up to 32 blocks, and never fewer than the translation
+//! pages fill, so each write-back carries the moves of several victims
+//! and the pool a pass ends with leaves the next one its slack. On
+//! Financial1 a long pass also finds emptier data victims, hot blocks
+//! that had time to decay since the last pass (DESIGN.md §16). A long
+//! pass does not hold the host up: it runs in the idle lane described
+//! below, and host ops overtake it. Its moves wait in memory the mapping
+//! cache's budget does not count (`GcStats::moves_peak`).
 //!
 //! Every flash op of a pass — migration reads and programs, the erases,
 //! the FTL's GC-miss write-backs — goes to the unit clocks' background
@@ -45,31 +46,11 @@ use tpftl_flash::{Lpn, OpPurpose, Ppn, Vtpn};
 use crate::blockmgr::AllocClass;
 use crate::env::SsdEnv;
 use crate::ftl::Ftl;
-use crate::{FtlError, Result, SsdConfig};
-
-/// The fewest free blocks a page access may find without collecting
-/// first: the access may take two (its stream's open block and the host's
-/// translation block), and a collection pass that makes progress dips the
-/// pool at most two below where it began, since the lane's data and
-/// translation blocks are the only ones it opens (DESIGN.md §16, *The
-/// free-pool slack*).
-const MIN_LOW_BLOCKS: usize = 4;
-
-/// The free-pool watermarks GC keeps, `(start below, stop at)`: the
-/// configured pair, shifted up by as much as leaves the low one at four
-/// or more (`MIN_LOW_BLOCKS`; DESIGN.md §16).
-pub fn watermarks(env: &SsdEnv) -> (usize, usize) {
-    watermarks_of(env.config())
-}
-
-/// [`watermarks`] of a device configured as `config`.
-pub(crate) fn watermarks_of(config: &SsdConfig) -> (usize, usize) {
-    let slack = MIN_LOW_BLOCKS.saturating_sub(config.gc_low_blocks);
-    (config.gc_low_blocks + slack, config.gc_high_blocks + slack)
-}
+use crate::{FtlError, Result};
 
 /// Runs GC until the free pool reaches the high watermark, if it has
-/// dropped below the low one (see [`watermarks`]), as one collection pass.
+/// dropped below the low one, as one collection pass; the watermarks are
+/// the configuration's `gc_low_blocks` and `gc_high_blocks`, as stored.
 /// Call before serving each page access.
 ///
 /// # Errors
@@ -80,7 +61,7 @@ pub(crate) fn watermarks_of(config: &SsdConfig) -> (usize, usize) {
 /// stream, a large share of a small device's over-provisioning — and
 /// collecting resumes once the host has made garbage.
 pub fn ensure_free<F: Ftl + ?Sized>(ftl: &mut F, env: &mut SsdEnv) -> Result<()> {
-    let (low, high) = watermarks(env);
+    let (low, high) = (env.config().gc_low_blocks, env.config().gc_high_blocks);
     if env.free_blocks() >= low {
         return Ok(());
     }
@@ -95,12 +76,14 @@ pub fn ensure_free<F: Ftl + ?Sized>(ftl: &mut F, env: &mut SsdEnv) -> Result<()>
     })
 }
 
-/// Collects exactly one victim block: a pass of one.
+/// Collects exactly one victim block, a pass of one: for unit tests that
+/// need one victim whatever the watermarks.
 ///
 /// # Errors
 ///
 /// [`FtlError::DeviceFull`] when no sealed block has a reclaimable page.
-pub fn collect_one<F: Ftl + ?Sized>(ftl: &mut F, env: &mut SsdEnv) -> Result<()> {
+#[cfg(test)]
+pub(crate) fn collect_one<F: Ftl + ?Sized>(ftl: &mut F, env: &mut SsdEnv) -> Result<()> {
     collect_pass(ftl, env, collect_victim)
 }
 
@@ -155,19 +138,13 @@ fn collect_pass<F: Ftl + ?Sized>(
 fn collect_victim(env: &mut SsdEnv, moved: &mut Vec<(Lpn, Ppn)>) -> Result<()> {
     let policy = env.config().gc_policy;
     let (victim, class) = env.blocks.pick_victim(policy).ok_or(FtlError::DeviceFull)?;
-    match class {
-        AllocClass::Data => collect_data_block(env, victim, moved),
-        AllocClass::Translation => collect_translation_block(env, victim),
-    }
-}
-
-fn collect_data_block(
-    env: &mut SsdEnv,
-    victim: tpftl_flash::BlockId,
-    moved: &mut Vec<(Lpn, Ppn)>,
-) -> Result<()> {
+    // Both classes tag their pages with a `u32` (an LPN or a VTPN), so
+    // they share the one scratch list.
     let mut valid = std::mem::take(&mut env.gc_page_scratch);
-    let res = migrate_data_pages(env, victim, &mut valid, moved);
+    let res = match class {
+        AllocClass::Data => migrate_data_pages(env, victim, &mut valid, moved),
+        AllocClass::Translation => migrate_translation_pages(env, victim, &mut valid),
+    };
     env.gc_page_scratch = valid;
     res
 }
@@ -200,13 +177,6 @@ fn migrate_data_pages(
     Ok(())
 }
 
-fn collect_translation_block(env: &mut SsdEnv, victim: tpftl_flash::BlockId) -> Result<()> {
-    let mut valid = std::mem::take(&mut env.gc_page_scratch);
-    let res = migrate_translation_pages(env, victim, &mut valid);
-    env.gc_page_scratch = valid;
-    res
-}
-
 fn migrate_translation_pages(
     env: &mut SsdEnv,
     victim: tpftl_flash::BlockId,
@@ -236,7 +206,7 @@ fn migrate_translation_pages(
 mod tests {
     use super::*;
     use crate::ftl::{AccessCtx, Dftl};
-    use crate::{driver, recovery};
+    use crate::{driver, recovery, SsdConfig};
     use tpftl_flash::PageState;
 
     /// A pass that collects one victim and then finds every other sealed
@@ -267,7 +237,10 @@ mod tests {
         }
         ensure_free(&mut ftl, &mut env).unwrap();
         let free = env.free_blocks();
-        assert!(0 < free && free < watermarks(&env).1, "{free} free blocks");
+        assert!(
+            0 < free && free < config.gc_high_blocks,
+            "{free} free blocks"
+        );
         // Every LPN resolves, cached or persisted, to the page holding it.
         for lpn in 0..config.logical_pages() as Lpn {
             let cached = ftl.peek_cached(&env, lpn).unwrap();

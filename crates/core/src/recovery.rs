@@ -74,29 +74,42 @@ pub fn flush_cache<F: Ftl + ?Sized>(ftl: &mut F, env: &mut SsdEnv) -> Result<()>
 /// side-effect-free [`Ftl::peek_cached`]) onto the persisted page and
 /// writes it back if anything changed, then marks the page's entries clean.
 fn flush_one_page<F: Ftl + ?Sized>(ftl: &mut F, env: &mut SsdEnv, vtpn: Vtpn) -> Result<()> {
-    let entries = env.entries_per_tp() as u32;
-    let base = vtpn * entries;
-    let persisted = env
-        .read_translation_entries(vtpn, OpPurpose::Translation)?
-        .to_vec();
-    let mut updates: Vec<(u16, Ppn)> = Vec::new();
-    for off in 0..entries {
-        let lpn = base + off;
-        if (lpn as u64) >= env.config().logical_pages() {
-            break;
-        }
-        if let Some(cached) = ftl.peek_cached(env, lpn)? {
-            let cached = cached.unwrap_or(PPN_NONE);
-            if persisted[off as usize] != cached {
-                updates.push((off as u16, cached));
-            }
-        }
-    }
+    let updates = diff_page(env, vtpn, |env, lpn| {
+        Ok(ftl.peek_cached(env, lpn)?.map(|p| p.unwrap_or(PPN_NONE)))
+    })?;
     if !updates.is_empty() {
         env.update_translation_page(vtpn, &updates, OpPurpose::Translation)?;
     }
     ftl.mark_clean(vtpn);
     Ok(())
+}
+
+/// Differences between the persisted payload of `vtpn` and what `want`
+/// says each of its LPNs should map to (`None`: whatever is persisted),
+/// as `update_translation_page` updates.
+fn diff_page(
+    env: &mut SsdEnv,
+    vtpn: Vtpn,
+    mut want: impl FnMut(&SsdEnv, Lpn) -> Result<Option<Ppn>>,
+) -> Result<Vec<(u16, Ppn)>> {
+    let entries = env.entries_per_tp() as u32;
+    let base = vtpn * entries;
+    let persisted = env
+        .read_translation_entries(vtpn, OpPurpose::Translation)?
+        .to_vec();
+    let mut updates = Vec::new();
+    for off in 0..entries {
+        let lpn = base + off;
+        if (lpn as u64) >= env.config().logical_pages() {
+            break;
+        }
+        if let Some(want) = want(env, lpn)? {
+            if persisted[off as usize] != want {
+                updates.push((off as u16, want));
+            }
+        }
+    }
+    Ok(updates)
 }
 
 /// The flash operation an injected power loss interrupted.
@@ -191,28 +204,6 @@ impl Ftl for RecoveryFtl {
     fn cached_tp_distribution(&self) -> Vec<TpDistEntry> {
         Vec::new()
     }
-}
-
-/// Differences between the persisted payload of `vtpn` and the elected
-/// mapping table, as `update_translation_page` updates.
-fn diff_page(env: &mut SsdEnv, truth: &[Ppn], vtpn: Vtpn) -> Result<Vec<(u16, Ppn)>> {
-    let entries = env.entries_per_tp() as u32;
-    let base = vtpn * entries;
-    let persisted = env
-        .read_translation_entries(vtpn, OpPurpose::Translation)?
-        .to_vec();
-    let mut updates = Vec::new();
-    for off in 0..entries {
-        let lpn = base + off;
-        if (lpn as u64) >= env.config().logical_pages() {
-            break;
-        }
-        let want = truth[lpn as usize];
-        if persisted[off as usize] != want {
-            updates.push((off as u16, want));
-        }
-    }
-    Ok(updates)
 }
 
 /// Mounts a device that lost power at an arbitrary instant, repairing the
@@ -310,7 +301,10 @@ pub fn crash_mount(mut flash: Flash, config: SsdConfig) -> Result<(SsdEnv, Recov
     let mut pending: BTreeSet<Vtpn> = (0..env.gtd().len() as Vtpn).collect();
     while let Some(vtpn) = pending.pop_first() {
         report.reconcile_visits += 1;
-        if diff_page(&mut env, &rftl.truth, vtpn)?.is_empty() {
+        let diff = |env: &mut SsdEnv, truth: &[Ppn]| {
+            diff_page(env, vtpn, |_, lpn| Ok(Some(truth[lpn as usize])))
+        };
+        if diff(&mut env, &rftl.truth)?.is_empty() {
             continue;
         }
         // The rewrite needs an allocatable translation page; GC for room
@@ -318,7 +312,7 @@ pub fn crash_mount(mut flash: Flash, config: SsdConfig) -> Result<(SsdEnv, Recov
         // page's data).
         gc::ensure_free(&mut rftl, &mut env)?;
         pending.append(&mut rftl.dirtied);
-        let updates = diff_page(&mut env, &rftl.truth, vtpn)?;
+        let updates = diff(&mut env, &rftl.truth)?;
         if !updates.is_empty() {
             for &(_, want) in &updates {
                 if want == PPN_NONE {

@@ -232,7 +232,7 @@ struct LaneLedger {
     programs: Vec<(u64, u64)>,
 }
 
-/// Keeps two blocks empty the way `gc::collect_one` does, in the
+/// Keeps two blocks empty the way a collection pass does, in the
 /// background lane: the full block with the fewest valid pages has them
 /// read and programmed into the fullest block with room, then is erased.
 fn collect(flash: &mut Flash, ledger: &mut LaneLedger) {

@@ -1,6 +1,6 @@
 //! LearnedFTL at the library's default GC watermarks.
 //!
-//! A 64 MB device gets the minimum pair, 2/3: collection starts with one
+//! A 64 MB device used to store the pair 2/3: collection started with one
 //! free block left. While LearnedFTL paid for a grown segment set by
 //! evicting mapping entries until the bytes fit — up to 35 dirty entries,
 //! 35 translation-page programs, inside one page access, with the free pool
@@ -11,10 +11,10 @@
 //! most (`no_call_chains_more_than_three_dirty_evictions` in
 //! `tpftl_core::ftl::learned`), and every prefix here completes.
 //!
-//! These replays no longer reach that case. `gc::watermarks` raises a low
-//! watermark under four to four (DESIGN.md §16, *The free-pool slack*),
-//! so GC now starts with three free blocks or more, and even 35
-//! write-backs fit in the blocks left. The three-entry bound is pinned by
+//! These replays no longer reach that case. No low watermark is under
+//! four (DESIGN.md §16, *The free-pool slack*): the 64 MB default is 4/5,
+//! so GC starts with three free blocks or more, and even 35 write-backs
+//! fit in the blocks left. The three-entry bound is pinned by
 //! `learned::no_call_chains_more_than_three_dirty_evictions` alone; this
 //! file is a smoke test of LearnedFTL's GC on the `semiseq` device.
 
@@ -29,7 +29,7 @@ fn device() -> SsdConfig {
     let mut c = SsdConfig::paper_default(64 << 20);
     c.cache_bytes = c.gtd_bytes() + 16 * 1024;
     c.prefill_frac = 1.0;
-    assert_eq!((c.gc_low_blocks, c.gc_high_blocks), (2, 3));
+    assert_eq!((c.gc_low_blocks, c.gc_high_blocks), (4, 5));
     c
 }
 
