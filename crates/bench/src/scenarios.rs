@@ -426,11 +426,12 @@ pub fn bench_gc_pick_deep(
 }
 
 /// GC's data path on an aged device: the 512 MB Financial1 device, fully
-/// pre-filled, is overwritten at scattered LPNs until every collection
-/// migrates a steady number of valid pages, then only collection passes
-/// (`gc::ensure_free` calls that collect, 32 blocks each here) are timed —
-/// data and translation victims as the policy picks them, each with its
-/// valid scan, page migrations and erase, then the pass's one
+/// pre-filled, is overwritten at LPNs scattered over a sliding quarter of
+/// it until every collection migrates a steady number of valid pages, then
+/// only collection passes (`gc::ensure_free` calls that collect, 32 blocks
+/// each here) are timed — data and translation victims as the device's
+/// default pick chooses them (the 64-wide window), each with its valid
+/// scan, page migrations and erase, then the pass's one
 /// `Ftl::on_gc_data_block` (almost every moved page misses the 8.5 KB
 /// cache, so the batcher and the translation read-modify-writes carry the
 /// row). ns per migrated page, so the row is the same quantity at any
@@ -455,8 +456,14 @@ pub fn bench_gc_migrate(kind: FtlKind, warmup: usize, samples: usize, victims: u
                 gc::ensure_free(ftl.as_mut(), env).expect("collect");
                 spent += t.elapsed();
             }
-            // Knuth's multiplicative hash scatters the overwrites uniformly.
-            let lpn = (writes.wrapping_mul(2_654_435_761) >> 8) % pages;
+            // Knuth's multiplicative hash scatters the overwrites over a
+            // quarter of the device that slides one LPN every 16 writes.
+            // The translation pages it leaves stay valid where they were
+            // last written, so translation blocks reach GC part valid; a
+            // stream over the whole device rewrote all 128 in every pass
+            // and left their blocks to free reclaims.
+            let scattered = (writes.wrapping_mul(2_654_435_761) >> 8) % (pages / 4);
+            let lpn = (writes / 16 + scattered) % pages;
             driver::serve_page_access(ftl.as_mut(), env, lpn, ctx).expect("write");
             writes += 1;
         }
@@ -983,6 +990,7 @@ pub fn run_all(
     for (policy, label) in [
         (GcPolicy::Greedy, "Greedy"),
         (GcPolicy::Windowed { window: 8 }, "Windowed8"),
+        (GcPolicy::Windowed { window: 64 }, "Windowed64"),
     ] {
         if wanted("gc_pick_deep", label) {
             records.push(bench_gc_pick_deep(

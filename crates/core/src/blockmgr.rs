@@ -41,7 +41,6 @@
 //! therefore (valid count asc, block id asc) — bit order.
 
 use std::collections::{BTreeSet, VecDeque};
-use std::iter::successors;
 
 use tpftl_flash::{BlockId, Flash, Ppn};
 
@@ -50,7 +49,7 @@ use crate::{FtlError, Result};
 
 /// Most candidates a pick examines, whatever window the policy asks for —
 /// a bounded candidate set, as sampling-based GC schemes use on real devices.
-const CANDIDATE_CAP: usize = 64;
+pub(crate) const CANDIDATE_CAP: usize = 64;
 
 /// A translation head with `v_t` valid pages is collected before a data
 /// head with `v_d` only if `TRANS_VICTIM_RATIO · v_t ≤ v_d`. Swept over
@@ -167,6 +166,17 @@ impl IdSet {
         self.len -= 1;
     }
 
+    /// The members in ascending order: one `trailing_zeros` per member,
+    /// one per non-empty word the summary names.
+    fn iter(&self) -> Ids<'_> {
+        Ids {
+            set: self,
+            from: 0,
+            word: 0,
+            bits: 0,
+        }
+    }
+
     /// Smallest member `>= from`: the rest of `from`'s own word, else the
     /// first later non-empty word the summary names.
     fn next(&self, from: usize) -> Option<BlockId> {
@@ -179,6 +189,31 @@ impl IdSet {
             }
         };
         Some(id as BlockId)
+    }
+}
+
+/// [`IdSet::iter`]: the members of `set` from leaf word `word` on, the
+/// rest of that word in `bits` and the summary bits still to visit from
+/// `from`.
+struct Ids<'a> {
+    set: &'a IdSet,
+    from: usize,
+    word: usize,
+    bits: u64,
+}
+
+impl Iterator for Ids<'_> {
+    type Item = BlockId;
+
+    fn next(&mut self) -> Option<BlockId> {
+        while self.bits == 0 {
+            self.word = next_set(&self.set.summary, self.from)?;
+            self.from = self.word + 1;
+            self.bits = self.set.leaf[self.word];
+        }
+        let bit = self.bits.trailing_zeros() as usize;
+        self.bits &= self.bits - 1;
+        Some((self.word * 64 + bit) as BlockId)
     }
 }
 
@@ -215,27 +250,13 @@ impl ValidIndex {
         self.len -= 1;
     }
 
-    /// The first of [`ValidIndex::candidates`] with its valid count: the
-    /// smallest id in the lowest occupied bucket below `pages_per_block`.
+    /// The first reclaimable block (fewer than `pages_per_block` valid
+    /// pages) in (valid count asc, block id asc) order, with its valid
+    /// count: the smallest id in the lowest occupied bucket below
+    /// `pages_per_block`.
     fn head(&self, pages_per_block: usize) -> Option<(usize, BlockId)> {
         let v = next_set(&self.occupancy, 0).filter(|&v| v < pages_per_block)?;
         Some((v, self.buckets[v].next(0)?))
-    }
-
-    /// The reclaimable blocks (fewer than `pages_per_block` valid pages) in
-    /// (valid count asc, block id asc) order, capped at [`CANDIDATE_CAP`].
-    /// Lazy: each step is a couple of `trailing_zeros`, and nothing is
-    /// allocated.
-    fn candidates(&self, pages_per_block: usize) -> impl Iterator<Item = BlockId> + '_ {
-        successors(next_set(&self.occupancy, 0), |&v| {
-            next_set(&self.occupancy, v + 1)
-        })
-        .take_while(move |&v| v < pages_per_block)
-        .flat_map(|v| {
-            let bucket = &self.buckets[v];
-            successors(bucket.next(0), |&b| bucket.next(b as usize + 1))
-        })
-        .take(CANDIDATE_CAP)
     }
 }
 
@@ -563,17 +584,28 @@ impl BlockManager {
     /// a valid page ([`BlockManager::pick`] takes a free reclaim before
     /// calling this), so every candidate does.
     fn pick_windowed(&self, class: AllocClass, window: usize) -> Option<BlockId> {
+        let index = &self.index[class as usize];
         let np = self.pages_per_block as f64;
+        let mut left = window.min(CANDIDATE_CAP);
         let mut best: Option<(f64, u32, BlockId)> = None;
-        let candidates = self.index[class as usize].candidates(self.pages_per_block);
-        for b in candidates.take(window) {
-            let u = self.sealed_valid[b as usize] as f64 / np;
-            let age = (self.seq - self.seal_seq[b as usize]) as f64 + 1.0;
-            let score = (1.0 - u) / (2.0 * u) * age;
-            let wear = self.wear[b as usize];
-            if best.is_none_or(|(s, w, i)| score > s || (score == s && (wear, b) < (w, i))) {
-                best = Some((score, wear, b));
+        let mut bucket = next_set(&index.occupancy, 0);
+        'walk: while let Some(valid) = bucket.filter(|&v| v < self.pages_per_block) {
+            // A bucket's blocks share `(1 − u) / 2u`: one division each.
+            let u = valid as f64 / np;
+            let gain = (1.0 - u) / (2.0 * u);
+            for b in index.buckets[valid].iter() {
+                let age = (self.seq - self.seal_seq[b as usize]) as f64 + 1.0;
+                let score = gain * age;
+                let wear = self.wear[b as usize];
+                if best.is_none_or(|(s, w, i)| score > s || (score == s && (wear, b) < (w, i))) {
+                    best = Some((score, wear, b));
+                }
+                left -= 1;
+                if left == 0 {
+                    break 'walk;
+                }
             }
+            bucket = next_set(&index.occupancy, valid + 1);
         }
         best.map(|(_, _, b)| b)
     }
@@ -615,6 +647,7 @@ impl BlockManager {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::iter::successors;
     use tpftl_flash::{FlashGeometry, FlashTopology, OpPurpose};
 
     /// A device of `num_blocks` four-page blocks.
@@ -1207,7 +1240,7 @@ mod tests {
                 {
                     assert!(buckets[..PPB].iter().all(BTreeSet::is_empty));
                     let index = &mgr.index[class as usize];
-                    assert!(index.candidates(PPB).next().is_none());
+                    assert!(index.head(PPB).is_none());
                 }
                 // The wear index exists iff some pick went to read it: the
                 // oracle keeps its own from the first seal, the manager

@@ -9,6 +9,7 @@
 use serde::{Deserialize, Serialize};
 use tpftl_flash::{FlashGeometry, FlashTopology};
 
+use crate::blockmgr::CANDIDATE_CAP;
 use crate::{FtlError, Result};
 
 /// Garbage-collection victim-selection policy (Section 2.3 of the paper
@@ -16,12 +17,16 @@ use crate::{FtlError, Result};
 /// Both variants name one routine — a scored window over the min-valid
 /// candidate order of the block class the pick chose first (translation
 /// or data; see `blockmgr`) — at different widths.
+/// [`SsdConfig::default_gc`] derives which one a device runs.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize, Default)]
 pub enum GcPolicy {
     /// The paper's policy: the sealed block of the chosen class with the
     /// fewest valid pages — a name for `Windowed { window: 1 }`. As such, with more than one
     /// data stream it runs the static wear-leveling turn-over like every
     /// other width (no recorded result pairs greedy with `streams > 1`).
+    /// The derived default where a collection pass is one block long (the
+    /// 64 MB device), and what a serialized config without the key loads
+    /// as; `--gc greedy` runs it anywhere.
     #[default]
     Greedy,
     /// Windowed cost-benefit (Dayan & Bonnet's bounded-window cleaning):
@@ -32,7 +37,9 @@ pub enum GcPolicy {
     /// (cache-level wear mitigation, no separate leveling pass). The
     /// window bounds the scan to a handful of cache lines per pick while
     /// keeping greedy's reclaim efficiency; at most 64 candidates are
-    /// examined however wide it is set.
+    /// examined however wide it is set. `Windowed { window: 64 }` is the
+    /// derived default where a collection pass spans more than one block
+    /// (the 512 MB and 16 GB devices).
     Windowed {
         /// Number of least-valid candidates scored per victim pick
         /// (clamped to at least 1).
@@ -62,7 +69,7 @@ impl StreamCount {
 
 /// The most blocks a default collection pass runs past its trigger,
 /// unless the device's translation pages need more
-/// (`SsdConfig::default_watermarks`). On Financial1's 512 MB device
+/// (`SsdConfig::default_gc`). On Financial1's 512 MB device
 /// (TPFTL, 2 M requests) a cap of 16 / 32 read write amplification
 /// 2.600 / 2.300 and mean response 270.2 / 266.7 µs; no cap (an eighth of
 /// the spare blocks, 38) read 2.245 / 266.8 µs. DESIGN.md §16 has the
@@ -95,7 +102,8 @@ pub struct SsdConfig {
     /// the SSD "is in full use" for the Financial volumes; the MSR volumes
     /// are mostly empty.
     pub prefill_frac: f64,
-    /// GC victim-selection policy (the paper uses greedy).
+    /// GC victim-selection policy (the paper uses greedy;
+    /// [`SsdConfig::default_gc`] derives the default).
     #[serde(default)]
     pub gc_policy: GcPolicy,
     /// Hot/cold data-stream count. `1` (the default, and what absent keys
@@ -139,12 +147,13 @@ impl SsdConfig {
             topology: FlashTopology::default(),
         };
         cfg.cache_bytes = cfg.paper_cache_bytes();
-        (cfg.gc_low_blocks, cfg.gc_high_blocks) = cfg.default_watermarks();
+        (cfg.gc_low_blocks, cfg.gc_high_blocks, cfg.gc_policy) = cfg.default_gc();
         cfg
     }
 
-    /// The GC watermarks `paper_default` and `shard_config` derive from
-    /// the geometry, `(low, high)`.
+    /// The GC settings `paper_default` and `shard_config` derive from the
+    /// geometry: the watermarks and the victim policy,
+    /// `(low, high, policy)`.
     ///
     /// `low` scales with the device from `MIN_LOW_BLOCKS` to eight, so
     /// that small test devices do not reserve more free space than their
@@ -166,9 +175,21 @@ impl SsdConfig {
     ///   proof asks of the pool a pass ends with (`high ≥ 4 + ⌈W / P⌉`
     ///   for `W ≤ V` write-backs).
     ///
+    /// A pass longer than one block picks by age as well as by valid
+    /// pages: windowed cost-benefit over the whole candidate walk
+    /// (`Windowed { window: 64 }`, the walk's cap), which reaches past the
+    /// hot blocks greedy takes while they are still losing pages. On
+    /// Financial1's 512 MB device (TPFTL, 2 M requests) write amplification
+    /// reads 2.300 greedy and 2.142 / 2.049 / 1.947 at windows of
+    /// 16 / 32 / 64; with the cap raised, 1.878 at 256 and 1.894 over every
+    /// sealed block, so a wider walk buys little. A one-block pass stays
+    /// greedy: on a 64 MB semi-sequential LearnedFTL replay, windows of
+    /// 2 / 4 / 8 / 64 raised write amplification by +0.6 / +1.2 / +2.2 /
+    /// +9.8 %.
+    ///
     /// A configuration that changes the geometry after `paper_default`
-    /// (say, its over-provisioning) re-derives its watermarks here.
-    pub fn default_watermarks(&self) -> (usize, usize) {
+    /// (say, its over-provisioning) re-derives its GC settings here.
+    pub fn default_gc(&self) -> (usize, usize, GcPolicy) {
         let geom = self.geometry();
         let low = (geom.num_blocks / 300).clamp(MIN_LOW_BLOCKS, 8);
         let pages_per_block = geom.pages_per_block as u64;
@@ -181,7 +202,14 @@ impl SsdConfig {
             let floor = vtpns.div_ceil(pages_per_block) as usize;
             floor.max((spare / 8).min(MAX_PASS_GAP))
         };
-        (low, low + gap)
+        let policy = if gap > 1 {
+            GcPolicy::Windowed {
+                window: CANDIDATE_CAP as u32,
+            }
+        } else {
+            GcPolicy::Greedy
+        };
+        (low, low + gap, policy)
     }
 
     /// Refuses GC watermarks a pass cannot run with: `low` under
@@ -271,7 +299,8 @@ impl SsdConfig {
     /// over-provisioned pool — divides by the shard count; ratios
     /// (over-provisioning, prefill fraction) and the GC policy carry over,
     /// and the GC watermarks are re-derived from the shard-sized geometry
-    /// with the same rule [`SsdConfig::paper_default`] uses.
+    /// with the same rule [`SsdConfig::paper_default`] uses
+    /// ([`SsdConfig::default_gc`]).
     ///
     /// `num_shards == 1` returns the configuration unchanged (bit-identical
     /// single-queue behaviour, whatever the caller customized).
@@ -313,7 +342,7 @@ impl SsdConfig {
             streams: self.streams,
             topology: self.topology,
         };
-        (cfg.gc_low_blocks, cfg.gc_high_blocks) = cfg.default_watermarks();
+        (cfg.gc_low_blocks, cfg.gc_high_blocks, _) = cfg.default_gc();
         cfg
     }
 }
@@ -376,30 +405,45 @@ mod tests {
         assert_eq!(part.topology, whole.topology);
         // Watermarks follow the paper_default rule on the shard geometry.
         let marks = (part.gc_low_blocks, part.gc_high_blocks);
-        assert_eq!(marks, part.default_watermarks());
+        let (low, high, derived) = part.default_gc();
+        assert_eq!(marks, (low, high));
         // 128 MB, 32 translation pages: fewer than a block's 64.
         assert_eq!(marks, (4, 5));
+        // The policy is the whole device's, not the shard's own.
+        assert_eq!(part.gc_policy, WINDOWED_64);
+        assert_eq!(derived, GcPolicy::Greedy);
     }
 
+    const WINDOWED_64: GcPolicy = GcPolicy::Windowed { window: 64 };
+
+    /// What `paper_default` stores is what `default_gc` derives: the
+    /// pass's watermarks and the pick, the 64-wide window wherever the
+    /// pass spans more than one block.
     #[test]
     fn default_watermarks_size_a_pass_to_the_geometry() {
-        let marks = |bytes: u64| SsdConfig::paper_default(bytes).default_watermarks();
-        // V = 16 < P: a one-block pass, from the four-block floor.
-        assert_eq!(marks(64 << 20), (4, 5));
+        let gc = |bytes: u64| {
+            let cfg = SsdConfig::paper_default(bytes);
+            let stored = (cfg.gc_low_blocks, cfg.gc_high_blocks, cfg.gc_policy);
+            assert_eq!(stored, cfg.default_gc(), "{bytes} B");
+            stored
+        };
+        // V = 16 < P: a one-block pass, from the four-block floor, greedy.
+        assert_eq!(gc(64 << 20), (4, 5, GcPolicy::Greedy));
         // V = 128, 308 spare blocks: the cap.
-        assert_eq!(marks(512 << 20), (7, 39));
+        assert_eq!(gc(512 << 20), (7, 39, WINDOWED_64));
         // V = 4096: the ⌈V / P⌉ = 64 floor beats the cap.
-        assert_eq!(marks(16 << 30), (8, 72));
+        assert_eq!(gc(16 << 30), (8, 72, WINDOWED_64));
         // A 256 MB shard (V = P = 64, 154 spare blocks): an eighth of them.
         let shard = SsdConfig::paper_default(512 << 20).shard_config(2);
-        assert_eq!(shard.default_watermarks(), (4, 23));
+        assert_eq!(shard.default_gc(), (4, 23, WINDOWED_64));
+        assert_eq!(shard.gc_policy, WINDOWED_64);
         // 260 MB at 1 % over-provisioning (11 spare blocks, V = 65): the
         // ⌈V / P⌉ = 2 floor, where the 15 % default's 156 give 19.
         let lean = SsdConfig {
             over_provision: 0.01,
             ..SsdConfig::paper_default(260 << 20)
         };
-        assert_eq!(lean.default_watermarks(), (4, 6));
+        assert_eq!(lean.default_gc(), (4, 6, WINDOWED_64));
     }
 
     /// Every `(whole device, 1 % over-provisioning, shard split)` config
@@ -412,7 +456,7 @@ mod tests {
                 over_provision: 0.01,
                 ..whole.clone()
             };
-            (lean.gc_low_blocks, lean.gc_high_blocks) = lean.default_watermarks();
+            (lean.gc_low_blocks, lean.gc_high_blocks, lean.gc_policy) = lean.default_gc();
             check(&lean);
             let mut shards = 2;
             while whole.supports_shards(shards) {
@@ -459,6 +503,21 @@ mod tests {
             assert!(low >= 4 && high > low, "{bytes} B: ({low}, {high})");
             assert!(high >= need, "{bytes} B: high {high} < {need}");
             assert_eq!(cfg.check_watermarks(), Ok(()), "{bytes} B");
+        });
+    }
+
+    /// A device's derived pick is the 64-wide window exactly when its
+    /// derived pass is longer than one block, on every device of the
+    /// sweep.
+    #[test]
+    fn the_derived_pick_is_windowed_exactly_where_a_pass_spans_blocks() {
+        sweep(|cfg| {
+            let (low, high, policy) = cfg.default_gc();
+            let windowed = policy == WINDOWED_64;
+            assert!(windowed || policy == GcPolicy::Greedy, "{policy:?}");
+            assert_eq!(windowed, high - low > 1, "{} B", cfg.logical_bytes);
+            let stored = (cfg.gc_low_blocks, cfg.gc_high_blocks);
+            assert_eq!(stored, (low, high), "{} B", cfg.logical_bytes);
         });
     }
 

@@ -5,7 +5,8 @@
 //! block only at a third of the data head's valid pages), then within the
 //! class the one with the fewest valid pages under the paper's greedy
 //! policy, the best cost-benefit score among the `window` fewest under
-//! [`GcPolicy::Windowed`](crate::config::GcPolicy);
+//! [`GcPolicy::Windowed`](crate::config::GcPolicy), the default wherever
+//! a pass spans more than one block;
 //! (2) migrate the remaining valid pages; (3) erase the block as soon as
 //! no page of it is valid. The collector is a free function generic over
 //! [`Ftl`] so that the FTL and the environment can be borrowed
@@ -24,13 +25,14 @@
 //!
 //! A pass runs from below the low watermark up to the high one, as the
 //! configuration stores them, so the gap between them sets its length.
-//! `SsdConfig::default_watermarks` derives it from the geometry: one
+//! `SsdConfig::default_gc` derives it from the geometry: one
 //! block where the device has fewer translation pages than a block has
 //! pages, else up to 32 blocks, and never fewer than the translation
 //! pages fill, so each write-back carries the moves of several victims
 //! and the pool a pass ends with leaves the next one its slack. On
 //! Financial1 a long pass also finds emptier data victims, hot blocks
-//! that had time to decay since the last pass (DESIGN.md §16). A long
+//! that had time to decay since the last pass (DESIGN.md §16), and its
+//! derived pick weighs their age (DESIGN.md §15). A long
 //! pass does not hold the host up: it runs in the idle lane described
 //! below, and host ops overtake it. Its moves wait in memory the mapping
 //! cache's budget does not count (`GcStats::moves_peak`).

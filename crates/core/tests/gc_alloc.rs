@@ -14,8 +14,10 @@
 //! re-binding their slab slot; the victim index is bitsets; and the block
 //! manager's `wear_index` — a `BTreeSet`, which allocates a node on some
 //! inserts (0.06 allocations per victim under TPFTL, 0.03 under DFTL, when
-//! every policy kept one) — is not built under the greedy policy this
-//! device runs, which never reads it. Before the write-back batcher sorted
+//! every policy kept one) — is not built by a single-stream manager, whose
+//! pick never reads it. Each FTL runs twice: under the greedy pick this
+//! device derives and under the 64-wide window the devices with longer
+//! passes derive. Before the write-back batcher sorted
 //! into scratch it built a `BTreeMap` of `Vec`s per data victim: 13 or more
 //! allocations each on the 512 MB Financial1 cell, and a mean of 20.0 per
 //! victim (data and translation) on this device.
@@ -24,6 +26,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 
+use tpftl_core::config::GcPolicy;
 use tpftl_core::env::SsdEnv;
 use tpftl_core::ftl::FtlKind;
 use tpftl_core::{driver, gc, SsdConfig};
@@ -72,9 +75,10 @@ const MEASURED_VICTIMS: u64 = 1_500;
 
 /// Mean allocations per collected victim (data and translation victims as
 /// they come) once GC is steady, and the number of data victims among them.
-fn allocations_per_victim(kind: FtlKind) -> (f64, u64) {
+fn allocations_per_victim(kind: FtlKind, policy: GcPolicy) -> (f64, u64) {
     let mut config = SsdConfig::paper_default(64 << 20);
     config.prefill_frac = 1.0;
+    config.gc_policy = policy;
     // Room for a few hundred entries: most migrated pages miss the cache
     // and go through the write-back batcher.
     config.cache_bytes = config.gtd_bytes() + 4 * 1024;
@@ -122,17 +126,20 @@ fn allocations_per_victim(kind: FtlKind) -> (f64, u64) {
 #[test]
 fn steady_state_gc_allocates_less_than_once_per_victim() {
     // One test function: the counter is global, the arming per thread.
-    for kind in [FtlKind::Tpftl, FtlKind::Dftl, FtlKind::Learned] {
-        let (mean, data_victims) = allocations_per_victim(kind);
+    let policies = [GcPolicy::Greedy, GcPolicy::Windowed { window: 64 }];
+    for (kind, policy) in [FtlKind::Tpftl, FtlKind::Dftl, FtlKind::Learned]
+        .into_iter()
+        .flat_map(|kind| policies.map(|policy| (kind, policy)))
+    {
+        let (mean, data_victims) = allocations_per_victim(kind, policy);
+        let label = kind.label();
         println!(
-            "{}: {mean:.3} allocations per victim ({data_victims} data victims)",
-            kind.label()
+            "{label}, {policy:?}: {mean:.3} allocations per victim ({data_victims} data victims)"
         );
-        assert!(data_victims >= MEASURED_VICTIMS / 4, "{}", kind.label());
+        assert!(data_victims >= MEASURED_VICTIMS / 4, "{label}, {policy:?}");
         assert!(
             mean == 0.0,
-            "{}: {mean:.3} allocations per GC victim",
-            kind.label()
+            "{label}, {policy:?}: {mean:.3} allocations per GC victim"
         );
     }
 }

@@ -26,7 +26,10 @@ usage: simulate [options]
   --prefill F         pre-written fraction of the logical space (default 1
                       for the Financial presets, else 0)
   --gc POLICY         greedy | windowed:N — score the N least-valid blocks
-                      by cost-benefit; greedy is windowed:1 (default greedy)
+                      by cost-benefit; greedy is windowed:1 (default:
+                      windowed:64 where a collection pass spans more than
+                      one block, as on the Financial and MSR devices,
+                      else greedy)
   --streams N         hot/cold data streams for GC data separation
                       (default 1 = no separation)
   --buffer PAGES      host write buffer size (default none)
@@ -60,7 +63,7 @@ struct Options {
     cache_bytes: Option<usize>,
     cache_frac: Option<f64>,
     prefill: Option<f64>,
-    gc: GcPolicy,
+    gc: Option<GcPolicy>,
     streams: u32,
     buffer: usize,
     shards: u32,
@@ -84,7 +87,7 @@ fn parse_args() -> Result<Option<Options>, String> {
         cache_bytes: None,
         cache_frac: None,
         prefill: None,
-        gc: GcPolicy::Greedy,
+        gc: None,
         streams: 1,
         buffer: 0,
         shards: 1,
@@ -141,7 +144,7 @@ fn parse_args() -> Result<Option<Options>, String> {
             }
             "--gc" => {
                 let v = value("--gc")?;
-                o.gc = match v.as_str() {
+                o.gc = Some(match v.as_str() {
                     "greedy" => GcPolicy::Greedy,
                     s if s.starts_with("windowed:") => GcPolicy::Windowed {
                         window: s["windowed:".len()..].parse().map_err(|e| format!("{e}"))?,
@@ -157,7 +160,7 @@ fn parse_args() -> Result<Option<Options>, String> {
                         ))
                     }
                     other => return Err(format!("unknown GC policy {other}")),
-                }
+                })
             }
             "--streams" => {
                 o.streams = value("--streams")?.parse().map_err(|e| format!("{e}"))?;
@@ -251,7 +254,9 @@ fn main() -> ExitCode {
         Workload::Financial1 | Workload::Financial2 if o.trace.is_none() => 1.0,
         _ => 0.0,
     });
-    config.gc_policy = o.gc;
+    if let Some(gc) = o.gc {
+        config.gc_policy = gc;
+    }
     config.streams = tpftl_core::config::StreamCount(o.streams);
     config.topology.channels = o.channels;
     config.topology.ways = o.ways;
@@ -450,6 +455,11 @@ fn print_report(
         config.logical_bytes >> 20,
         config.cache_bytes
     );
+    let policy = match config.gc_policy {
+        GcPolicy::Greedy => "greedy".to_string(),
+        GcPolicy::Windowed { window } => format!("windowed:{window}"),
+    };
+    println!("gc policy:           {policy}");
     println!("requests:            {}", report.ftl_stats.requests);
     println!(
         "page accesses:       {}",

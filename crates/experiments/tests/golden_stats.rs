@@ -28,8 +28,9 @@ const TPFTL_FIN1_GOLDEN: &str = "TPFTL(rsbc) req=10000 lk=14046 hit=11654 rep=21
 /// the default pass ran up to 32 blocks past its trigger on devices with
 /// more translation pages than a block holds (translation writes −4 to
 /// −34 %; this row's erases 509 → 526, a short run erasing blocks ahead
-/// of use).
-const TPFTL_FIN1_GC_GOLDEN: &str = "TPFTL(rsbc) req=40000 lk=56827 hit=48067 rep=11400 drep=742 gcu=3878 gch=382 upr=12056 upw=44771 tr=10878 tw=2118 er=526 gcd=496 gcm=3878 gct=30 gctm=40 ce=1213 cb=8190 resp=407026b764f06ea8";
+/// of use), and when such devices' passes began to pick by age with a
+/// 64-wide window (GC hits 382 → 111: older victims hold colder pages).
+const TPFTL_FIN1_GC_GOLDEN: &str = "TPFTL(rsbc) req=40000 lk=56827 hit=48066 rep=11384 drep=726 gcu=3840 gch=111 upr=12056 upw=44771 tr=10849 tw=2088 er=523 gcd=495 gcm=3840 gct=28 gctm=9 ce=1213 cb=8190 resp=40702505d47ab536";
 
 /// Unit-clock sim-timing goldens for the TPFTL/Financial1 case: the
 /// 1-channel row pins the serial topology bit for bit; the 4x2 row pins
@@ -107,13 +108,13 @@ fn cases() -> Vec<(FtlKind, Workload, f64, &'static str)> {
             FtlKind::Sftl,
             Workload::Financial1,
             0.02,
-            "S-FTL req=40000 lk=56827 hit=45896 rep=14510 drep=4539 gcu=3697 gch=450 upr=12056 upw=44771 tr=15849 tw=5868 er=554 gcd=471 gcm=3697 gct=83 gctm=77 ce=10338 cb=8088 resp=4071b37d7505777a",
+            "S-FTL req=40000 lk=56827 hit=45893 rep=14529 drep=4547 gcu=3670 gch=431 upr=12056 upw=44771 tr=15810 tw=5818 er=554 gcd=473 gcm=3670 gct=81 gctm=41 ce=10337 cb=8080 resp=4071c14340192900",
         ),
         (
             FtlKind::Cdftl,
             Workload::Financial1,
             0.02,
-            "CDFTL req=40000 lk=56827 hit=42498 rep=33776 drep=27797 gcu=3891 gch=129 upr=12056 upw=44771 tr=16025 tw=13851 er=691 gcd=487 gcm=3891 gct=204 gctm=153 ce=1535 cb=8192 resp=40745f62ada04135",
+            "CDFTL req=40000 lk=56827 hit=42531 rep=33700 drep=27701 gcu=3855 gch=52 upr=12056 upw=44771 tr=15914 tw=13724 er=690 gcd=490 gcm=3855 gct=200 gctm=89 ce=1535 cb=8192 resp=407464cc43217d51",
         ),
         (FtlKind::Dftl, Workload::Financial1, 0.005, "DFTL req=10000 lk=14046 hit=10815 rep=2207 drep=1716 gcu=0 gch=0 upr=3012 upw=11034 tr=4947 tw=1716 er=0 gcd=0 gcm=0 gct=0 gctm=0 ce=1024 cb=8192 resp=407230cbccc6fd99"),
         // LearnedFTL on the prefilled Financial1 volume: misses fill
@@ -133,10 +134,10 @@ fn cases() -> Vec<(FtlKind, Workload, f64, &'static str)> {
         // only pins ZFTL has (zone switches, reserve flushes, GC patching of
         // the active page) — recorded before the five caches moved onto
         // `ftl/cmt.rs`.
-        (FtlKind::Dftl, Workload::Financial1, 0.02, "DFTL req=40000 lk=56827 hit=45126 rep=10677 drep=8606 gcu=3774 gch=322 upr=12056 upw=44771 tr=21851 tw=10150 er=623 gcd=477 gcm=3774 gct=146 gctm=108 ce=1024 cb=8192 resp=407392edc074ecca"),
-        (FtlKind::Learned, Workload::Financial1, 0.02, "LearnedFTL(e4) req=40000 lk=56827 hit=46564 rep=13087 drep=1837 gcu=3694 gch=77 upr=12056 upw=44771 tr=13489 tw=3210 er=522 gcd=474 gcm=3694 gct=48 gctm=54 ce=685 cb=8166 resp=40708b4bdaa56284"),
+        (FtlKind::Dftl, Workload::Financial1, 0.02, "DFTL req=40000 lk=56827 hit=45126 rep=10677 drep=8596 gcu=3725 gch=63 upr=12056 upw=44771 tr=21805 tw=10104 er=622 gcd=478 gcm=3725 gct=144 gctm=67 ce=1024 cb=8192 resp=40737de7d5c9a7ec"),
+        (FtlKind::Learned, Workload::Financial1, 0.02, "LearnedFTL(e4) req=40000 lk=56827 hit=46575 rep=13054 drep=1808 gcu=3664 gch=34 upr=12056 upw=44771 tr=13437 tw=3169 er=521 gcd=475 gcm=3664 gct=46 gctm=17 ce=700 cb=8192 resp=407088021671042e"),
         (FtlKind::Zftl, Workload::Financial1, 0.005, "ZFTL(8) req=10000 lk=14046 hit=5352 rep=6926 drep=6926 gcu=0 gch=0 upr=3012 upw=11034 tr=15620 tw=6926 er=0 gcd=0 gcm=0 gct=0 gctm=0 ce=1025 cb=4112 resp=407b3badb1651193"),
-        (FtlKind::Zftl, Workload::Financial1, 0.02, "ZFTL(8) req=40000 lk=56827 hit=22482 rep=27467 drep=27467 gcu=4146 gch=0 upr=12056 upw=44771 tr=63999 tw=29654 er=961 gcd=508 gcm=4146 gct=453 gctm=341 ce=1025 cb=4112 resp=407bf94420aeab82"),
+        (FtlKind::Zftl, Workload::Financial1, 0.02, "ZFTL(8) req=40000 lk=56827 hit=22482 rep=27467 drep=27467 gcu=4091 gch=0 upr=12056 upw=44771 tr=63784 tw=29439 er=957 gcd=509 gcm=4091 gct=448 gctm=178 ce=1025 cb=4112 resp=407c0931708f5d67"),
     ]
 }
 

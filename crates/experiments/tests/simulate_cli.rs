@@ -1,6 +1,7 @@
 //! `simulate --ftl` accepts exactly the registry's command-line names,
 //! `--help` lists them, `--gc` accepts exactly the two spellings of the one
-//! victim pick, the two fraction flags only values in range, and with
+//! victim pick and without it the device runs its derived pick, the two
+//! fraction flags only values in range, and with
 //! `--buffer` write amplification counts every page the host wrote.
 
 use std::process::Command;
@@ -67,6 +68,43 @@ fn gc_policy_spellings_run_and_removed_policies_name_their_replacement() {
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert!(stderr.contains("was removed") && stderr.contains(replacement));
     }
+}
+
+/// Without `--gc` the device runs the pick its geometry derives, and the
+/// report says which: the 512 MB Financial1 device's passes span many
+/// blocks (the 64-wide window), a 64 MB trace device's one (greedy).
+#[test]
+fn without_gc_the_device_runs_its_derived_pick() {
+    let policy = |stdout: &str| {
+        let line = stdout.lines().find_map(|l| l.strip_prefix("gc policy:"));
+        line.unwrap_or_else(|| panic!("no gc policy line in {stdout}"))
+            .trim()
+            .to_string()
+    };
+    let run = |args: &[&str]| {
+        let out = simulate(args);
+        assert!(out.status.success(), "{args:?}: {out:?}");
+        String::from_utf8(out.stdout).expect("utf-8")
+    };
+    let financial = run(&[]);
+    assert!(
+        financial.contains("device:              512 MB"),
+        "{financial}"
+    );
+    assert_eq!(policy(&financial), "windowed:64");
+    assert_eq!(policy(&run(&["--gc", "greedy"])), "greedy");
+
+    // One 4 KB write ending at 64 MB sizes a 64 MB device.
+    let path = std::env::temp_dir().join(format!("tpftl_gc_default_{}.spc", std::process::id()));
+    std::fs::write(
+        &path,
+        format!("0,{},4096,W,0.0\n", ((64 << 20) - 4096) / 512),
+    )
+    .unwrap();
+    let small = run(&["--trace", path.to_str().expect("utf-8 path")]);
+    std::fs::remove_file(&path).unwrap();
+    assert!(small.contains("device:              64 MB"), "{small}");
+    assert_eq!(policy(&small), "greedy");
 }
 
 #[test]

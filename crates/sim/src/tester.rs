@@ -74,7 +74,9 @@ pub struct Case {
     pub sectors: f64,
     /// A `simulate --ftl` name, or `zftl:4`, `learned:e0`.
     pub ftl: &'static str,
-    /// `GcPolicy::Windowed { window: 8 }` instead of greedy.
+    /// `GcPolicy::Windowed { window: 8 }` instead of the device's derived
+    /// pick (greedy on the 8 MB device, `Windowed { window: 64 }` on the
+    /// big one).
     pub windowed: bool,
     /// Data streams.
     pub streams: u32,
@@ -99,8 +101,9 @@ pub struct Case {
 }
 
 impl Case {
-    /// The simplest case: TPFTL, greedy, one stream, 1×1, one shard, RAM,
-    /// no fault, GTD + 10 KB, no pre-fill, 2 000 requests of 8 KB mean.
+    /// The simplest case: TPFTL, the derived (greedy) pick, one stream,
+    /// 1×1, one shard, RAM, no fault, GTD + 10 KB, no pre-fill, 2 000
+    /// requests of 8 KB mean.
     pub fn plain(seed: u64) -> Self {
         Self {
             seed,
@@ -202,8 +205,9 @@ impl Case {
                     over_provision: BIG_OVER_PROVISION,
                     ..SsdConfig::paper_default(BIG_DEVICE_BYTES)
                 };
-                // Derived from the 11 spare blocks, not the default's 156.
-                (c.gc_low_blocks, c.gc_high_blocks) = c.default_watermarks();
+                // Derived from the 11 spare blocks, not the default's 156:
+                // a two-block pass, so the 64-wide windowed pick.
+                (c.gc_low_blocks, c.gc_high_blocks, c.gc_policy) = c.default_gc();
                 c
             }
         };
@@ -659,8 +663,8 @@ fn keep(best: &mut (Case, Failure), case: Case) -> bool {
 
 /// Shrinks a failing `case` while the same check keeps failing: drops
 /// trace suffixes, halves request sizes, then simplifies the axes (one
-/// shard, RAM, 1×1, one stream, greedy, no fault), and again until nothing
-/// shrinks. Returns the smallest case and its failure.
+/// shard, RAM, 1×1, one stream, the derived pick, no fault), and again
+/// until nothing shrinks. Returns the smallest case and its failure.
 pub fn shrink(case: &Case, failure: &Failure) -> (Case, Failure) {
     let mut best = (*case, failure.clone());
     let simpler: [fn(&mut Case); 8] = [
@@ -719,6 +723,27 @@ mod tests {
         let failed = run_parallel_with(seeds, None, |&s| run(&Case::from_seed(s)).is_err());
         if let Some(seed) = failed.iter().position(|&f| f) {
             check(&Case::from_seed(seed as u64));
+        }
+    }
+
+    /// The big device's passes span two blocks, so it runs the derived
+    /// 64-wide windowed pick; the 8 MB device's are one block long and
+    /// greedy, and the `windowed` axis sets a window of 8 on either.
+    #[test]
+    fn the_big_device_runs_the_derived_windowed_pick() {
+        let policy = |big, windowed| {
+            Case {
+                big,
+                windowed,
+                ..Case::plain(0)
+            }
+            .config()
+            .gc_policy
+        };
+        assert_eq!(policy(true, false), GcPolicy::Windowed { window: 64 });
+        assert_eq!(policy(false, false), GcPolicy::Greedy);
+        for big in [false, true] {
+            assert_eq!(policy(big, true), GcPolicy::Windowed { window: 8 });
         }
     }
 
