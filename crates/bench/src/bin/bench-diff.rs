@@ -1,316 +1,172 @@
 //! `bench-diff` — the perf-regression gate.
 //!
-//! Runs the benchmark matrix (or loads a previously written report via
-//! `--fresh`) and compares it against the committed `BENCH_ftl.json`
-//! baseline. Exits nonzero when any `(scenario, ftl)` median regresses
-//! by more than the threshold, or when a baseline scenario is missing
-//! from the fresh run — so a perf regression, or a scenario silently
-//! dropped from the harness, fails CI instead of landing unnoticed.
+//! Compares a report `ftlbench --out` wrote against the committed
+//! `BENCH_ftl.json` baseline, one gated column at a time (`ns_per_op`, and
+//! `write_amp` where both reports were sized alike). Exits nonzero when
+//! any `(scenario, ftl)` value regresses by more than its column's
+//! threshold, or when a baseline scenario is missing from the fresh report
+//! — so a perf regression, or a scenario silently dropped from the
+//! harness, fails CI instead of landing unnoticed.
 //!
 //! Usage:
 //!
 //! ```text
-//! bench-diff [--quick] [--baseline PATH] [--fresh PATH]
-//!            [--threshold PCT] [--wa-threshold PCT] [--filter SUBSTR]
-//!            [--exclude LIST] [--shards LIST] [--channels LIST]
+//! bench-diff --fresh PATH [--baseline PATH] [--threshold PCT]
+//!            [--wa-threshold PCT] [--filter SUBSTR] [--exclude LIST]
 //!            [--update] [--out PATH]
 //! ```
 //!
-//! * `--quick`     — CI smoke sizing for the fresh run (fewer samples/ops).
+//! * `--fresh`     — the `ftlbench-v1` report to compare (required).
 //! * `--baseline`  — baseline report path (default `BENCH_ftl.json`).
-//! * `--fresh`     — compare an existing `ftlbench-v1` report instead of
-//!   running the benchmarks.
-//! * `--threshold` — regression threshold in percent (default 15).
-//! * `--wa-threshold` — write-amp regression threshold in percent
+//! * `--threshold` — `ns_per_op` regression threshold in percent
+//!   (default 15).
+//! * `--wa-threshold` — `write_amp` regression threshold in percent
 //!   (default 5; the GC-quality rows are deterministic, so this gate is
-//!   much tighter than the wall-clock one). Write-amp rows are only
-//!   compared when both reports were produced at the same sizing (their
-//!   `quick` flags match): GC copy amplification depends on how long the
-//!   device has aged, so quick-vs-full comparisons are meaningless.
+//!   much tighter than the wall-clock one). The column is only compared
+//!   when both reports were produced at the same sizing (their `quick`
+//!   flags match): GC copy amplification depends on how long the device
+//!   has aged, so quick-vs-full comparisons are meaningless.
 //! * `--filter`    — restrict both sides to `scenario/ftl` ids containing
 //!   SUBSTR.
 //! * `--exclude`   — drop `scenario/ftl` ids containing any of the
 //!   comma-separated patterns from both sides (for scenarios gated
 //!   separately at a different threshold, e.g. `shard,chans`).
-//! * `--shards`    — shard counts for the fresh run's sharded-replay rows
-//!   (comma-separated powers of two; default `2,4`; `none` skips them).
-//! * `--channels`  — channel counts for the fresh run's channel-sweep
-//!   replay rows (`sweep` = `1,2,4,8`; default none).
-//! * `--update`    — instead of failing, rewrite the regressed and new
-//!   rows of the baseline file in place with their fresh measurements
-//!   (all other rows keep their committed bytes) and exit 0. Combine with
-//!   `--filter`/`--threshold` to refresh one stale row at a time.
+//! * `--update`    — instead of failing, rewrite the stale records of the
+//!   baseline file in place with their fresh measurements — those with a
+//!   column that regressed, is new, or fell by more than its threshold;
+//!   all other records keep their committed bytes — and exit 0. To
+//!   refresh one row: `ftlbench --filter X --out f.json`, then
+//!   `bench-diff --fresh f.json --filter X --update`.
 //! * `--out`       — diff report JSON path (default `bench_diff.json`).
 
 use serde_json::Value;
+use tpftl_bench::diff::{apply_update, DiffReport, Report, Select};
+
+const USAGE: &str = "usage: bench-diff --fresh PATH [--baseline PATH] [--threshold PCT] \
+                     [--wa-threshold PCT] [--filter SUBSTR] [--exclude LIST] [--update] \
+                     [--out PATH]\n  (write the fresh report with `ftlbench --out PATH` first)";
 
 struct Opts {
-    quick: bool,
     baseline: String,
     fresh: Option<String>,
     threshold: f64,
     wa_threshold: f64,
     filter: Option<String>,
     exclude: Option<String>,
-    shards: Vec<u32>,
-    channels: Vec<u32>,
     update: bool,
     out: String,
 }
 
-fn parse_channels(raw: &str) -> Vec<u32> {
-    if raw == "none" {
-        return Vec::new();
-    }
-    if raw == "sweep" {
-        return tpftl_bench::SWEEP_CHANNEL_COUNTS.to_vec();
-    }
-    raw.split(',')
-        .map(|part| {
-            let n: u32 = part.trim().parse().unwrap_or_else(|_| {
-                eprintln!("--channels needs comma-separated numbers, got {part:?}");
-                std::process::exit(2);
-            });
-            if n == 0 {
-                eprintln!("--channels entries must be positive");
-                std::process::exit(2);
-            }
-            n
-        })
-        .collect()
-}
-
-fn parse_shards(raw: &str) -> Vec<u32> {
-    if raw == "none" {
-        return Vec::new();
-    }
-    raw.split(',')
-        .map(|part| {
-            let n: u32 = part.trim().parse().unwrap_or_else(|_| {
-                eprintln!("--shards needs comma-separated numbers, got {part:?}");
-                std::process::exit(2);
-            });
-            if !n.is_power_of_two() {
-                eprintln!("--shards entries must be powers of two, got {n}");
-                std::process::exit(2);
-            }
-            n
-        })
-        .collect()
+fn usage_error(msg: &str) -> ! {
+    eprintln!("{msg}");
+    eprintln!("{USAGE}");
+    std::process::exit(2);
 }
 
 fn parse_opts() -> Opts {
     let mut opts = Opts {
-        quick: false,
         baseline: "BENCH_ftl.json".to_string(),
         fresh: None,
         threshold: 15.0,
         wa_threshold: 5.0,
         filter: None,
         exclude: None,
-        shards: tpftl_bench::DEFAULT_SHARD_COUNTS.to_vec(),
-        channels: Vec::new(),
         update: false,
         out: "bench_diff.json".to_string(),
     };
     let mut args = std::env::args().skip(1);
     let need = |args: &mut dyn Iterator<Item = String>, flag: &str| {
-        args.next().unwrap_or_else(|| {
-            eprintln!("{flag} needs a value");
-            std::process::exit(2);
-        })
+        args.next()
+            .unwrap_or_else(|| usage_error(&format!("{flag} needs a value")))
+    };
+    let pct = |raw: String, flag: &str| {
+        raw.parse()
+            .unwrap_or_else(|_| usage_error(&format!("{flag} needs a number, got {raw:?}")))
     };
     while let Some(a) = args.next() {
         match a.as_str() {
-            "--quick" => opts.quick = true,
             "--baseline" => opts.baseline = need(&mut args, "--baseline"),
             "--fresh" => opts.fresh = Some(need(&mut args, "--fresh")),
-            "--threshold" => {
-                let raw = need(&mut args, "--threshold");
-                opts.threshold = raw.parse().unwrap_or_else(|_| {
-                    eprintln!("--threshold needs a number, got {raw:?}");
-                    std::process::exit(2);
-                });
-            }
-            "--wa-threshold" => {
-                let raw = need(&mut args, "--wa-threshold");
-                opts.wa_threshold = raw.parse().unwrap_or_else(|_| {
-                    eprintln!("--wa-threshold needs a number, got {raw:?}");
-                    std::process::exit(2);
-                });
-            }
+            "--threshold" => opts.threshold = pct(need(&mut args, &a), &a),
+            "--wa-threshold" => opts.wa_threshold = pct(need(&mut args, &a), &a),
             "--filter" => opts.filter = Some(need(&mut args, "--filter")),
             "--exclude" => opts.exclude = Some(need(&mut args, "--exclude")),
-            "--shards" => opts.shards = parse_shards(&need(&mut args, "--shards")),
-            "--channels" => opts.channels = parse_channels(&need(&mut args, "--channels")),
             "--update" => opts.update = true,
             "--out" => opts.out = need(&mut args, "--out"),
-            other => {
-                eprintln!("unknown argument {other:?}");
-                eprintln!(
-                    "usage: bench-diff [--quick] [--baseline PATH] [--fresh PATH] \
-                     [--threshold PCT] [--wa-threshold PCT] [--filter SUBSTR] \
-                     [--exclude LIST] [--shards LIST] [--channels LIST] \
-                     [--update] [--out PATH]"
-                );
-                std::process::exit(2);
-            }
+            other => usage_error(&format!("unknown argument {other:?}")),
         }
     }
     opts
 }
 
+fn fail<T>(e: String) -> T {
+    eprintln!("error: {e}");
+    std::process::exit(2);
+}
+
 fn load_report(path: &str) -> Value {
-    let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
-        eprintln!("error: cannot read {path}: {e}");
-        std::process::exit(2);
-    });
-    serde_json::from_str(&text).unwrap_or_else(|e| {
-        eprintln!("error: cannot parse {path}: {e:?}");
-        std::process::exit(2);
-    })
+    let text =
+        std::fs::read_to_string(path).unwrap_or_else(|e| fail(format!("cannot read {path}: {e}")));
+    serde_json::from_str(&text).unwrap_or_else(|e| fail(format!("cannot parse {path}: {e:?}")))
+}
+
+fn write(path: &str, doc: &Value) {
+    let text = serde_json::to_string_pretty(doc).expect("render JSON");
+    if let Err(e) = std::fs::write(path, text + "\n") {
+        eprintln!("error: cannot write {path}: {e}");
+        std::process::exit(1);
+    }
 }
 
 fn main() {
     let opts = parse_opts();
-    let baseline = load_report(&opts.baseline);
-    let fresh_name = opts.fresh.clone().unwrap_or_else(|| "live run".to_string());
-    let fresh = match &opts.fresh {
-        Some(path) => load_report(path),
-        None => {
-            eprintln!(
-                "running fresh benchmarks ({} mode)...",
-                if opts.quick { "quick" } else { "full" }
-            );
-            // No open-loop rows in a live gate run: their wall-clock
-            // numbers are machine-load-dependent by design and are
-            // excluded from the strict gate anyway (CI runs the
-            // saturation sweep as a separate artifact job).
-            let records = tpftl_bench::run_all(
-                opts.quick,
-                opts.filter.as_deref(),
-                &opts.shards,
-                &opts.channels,
-                &[],
-                &[],
-            );
-            tpftl_bench::render_json(&records, opts.quick)
-        }
+    let Some(fresh_path) = &opts.fresh else {
+        usage_error("--fresh PATH is required")
     };
+    let (baseline_doc, fresh_doc) = (load_report(&opts.baseline), load_report(fresh_path));
+    let select = Select::new(opts.filter.as_deref(), opts.exclude.as_deref()).unwrap_or_else(fail);
+    let baseline =
+        Report::new(&baseline_doc, &format!("baseline {}", opts.baseline)).unwrap_or_else(fail);
+    let fresh = Report::new(&fresh_doc, &format!("fresh {fresh_path}")).unwrap_or_else(fail);
 
-    let report = tpftl_bench::diff::diff_reports_named(
-        &baseline,
-        &fresh,
-        opts.threshold,
-        opts.filter.as_deref(),
-        opts.exclude.as_deref(),
-        &format!("baseline {}", opts.baseline),
-        &format!("fresh {fresh_name}"),
-    )
-    .unwrap_or_else(|e| {
-        eprintln!("error: {e}");
-        std::process::exit(2);
-    });
-
-    print!("{}", report.render_table());
-
-    // GC-quality gate: only meaningful when both sides aged the device
-    // equally long (same `quick` sizing); the live-run side's sizing is
-    // opts.quick itself.
-    let quick_of = |doc: &Value| doc.get("quick").and_then(Value::as_bool).unwrap_or(false);
-    let same_sizing = quick_of(&baseline) == quick_of(&fresh);
-    let wa_report = if same_sizing {
-        let r = tpftl_bench::diff::diff_write_amp(
-            &baseline,
-            &fresh,
-            opts.wa_threshold,
-            opts.filter.as_deref(),
-            &format!("baseline {}", opts.baseline),
-            &format!("fresh {fresh_name}"),
-        )
-        .unwrap_or_else(|e| {
-            eprintln!("error: {e}");
-            std::process::exit(2);
-        });
-        if !r.rows.is_empty() {
-            print!("{}", r.render_table());
-        }
-        Some(r)
+    let mut report = DiffReport::default();
+    report.diff_column(&baseline, &fresh, "ns_per_op", opts.threshold, &select);
+    // GC copy amplification depends on how long the device aged: compare
+    // it only between reports of the same sizing.
+    if baseline.quick == fresh.quick {
+        report.diff_column(&baseline, &fresh, "write_amp", opts.wa_threshold, &select);
     } else {
-        eprintln!("note: write-amp gate skipped (baseline and fresh sizing differ)");
-        None
-    };
-
-    let text = serde_json::to_string_pretty(&report.to_json()).expect("render JSON");
-    if let Err(e) = std::fs::write(&opts.out, text + "\n") {
-        eprintln!("error: cannot write {}: {e}", opts.out);
-        std::process::exit(1);
+        report.skip_column("write_amp", opts.wa_threshold);
+        eprintln!("note: write_amp column skipped (baseline and fresh sizing differ)");
     }
+    print!("{}", report.render_table());
+    write(&opts.out, &report.to_json());
     eprintln!("wrote {}", opts.out);
 
     if opts.update {
-        // Rows only the write-amp gate flagged must be refreshed too, or a
-        // deliberate workload retune could never be committed; fold them
-        // into the ns-gate report as synthetic regressions before applying.
-        let mut gate = report;
-        if let Some(wa) = &wa_report {
-            for r in wa.rows.iter().filter(|r| r.regressed && r.fresh.is_some()) {
-                if !gate
-                    .rows
-                    .iter()
-                    .any(|g| g.scenario == r.scenario && g.ftl == r.ftl)
-                {
-                    gate.rows.push(tpftl_bench::diff::DiffRow {
-                        scenario: r.scenario.clone(),
-                        ftl: r.ftl.clone(),
-                        baseline_ns: None,
-                        fresh_ns: None,
-                        delta_pct: None,
-                        status: tpftl_bench::diff::RowStatus::Regression,
-                    });
-                }
-            }
-        }
-        let rewritten = gate
-            .rows
-            .iter()
-            .filter(|r| {
-                matches!(
-                    r.status,
-                    tpftl_bench::diff::RowStatus::Regression | tpftl_bench::diff::RowStatus::New
-                )
-            })
-            .count();
-        let updated =
-            tpftl_bench::diff::apply_update(&baseline, &fresh, &gate).unwrap_or_else(|e| {
-                eprintln!("error: {e}");
-                std::process::exit(2);
-            });
-        let text = serde_json::to_string_pretty(&updated).expect("render JSON");
-        if let Err(e) = std::fs::write(&opts.baseline, text + "\n") {
-            eprintln!("error: cannot write {}: {e}", opts.baseline);
-            std::process::exit(1);
-        }
+        let stale = report.stale();
+        let updated = apply_update(&baseline_doc, &fresh_doc, &stale).unwrap_or_else(fail);
+        write(&opts.baseline, &updated);
         eprintln!(
-            "updated {} ({rewritten} row(s) rewritten from the fresh run)",
-            opts.baseline
+            "updated {} ({} row(s) rewritten from the fresh run)",
+            opts.baseline,
+            stale.len()
         );
         return;
     }
 
-    let wa_failed = wa_report.as_ref().is_some_and(|r| r.has_failure());
-    if report.has_failure() || wa_failed {
-        if wa_failed {
-            eprintln!(
-                "FAIL: GC copy amplification regressed over {}% vs {}",
-                opts.wa_threshold, opts.baseline
-            );
-        }
-        if report.has_failure() {
-            eprintln!(
-                "FAIL: regression over {}% (or missing scenario) vs {}",
-                opts.threshold, opts.baseline
-            );
+    if report.has_failure() {
+        for gate in &report.gates {
+            if report
+                .rows
+                .iter()
+                .any(|r| r.column == gate.column && r.fails())
+            {
+                eprintln!(
+                    "FAIL: {} regression over {}% (or missing scenario) vs {}",
+                    gate.column, gate.threshold_pct, opts.baseline
+                );
+            }
         }
         std::process::exit(1);
     }

@@ -3,8 +3,11 @@
 //! Std-only timing (no criterion, so the workspace builds offline): plain
 //! `Instant` with warmup iterations and median-of-k samples. The scenario
 //! functions in [`scenarios`] cover the translation hot paths of every
-//! cached-mapping FTL, the GC valid-page scan, and a macro trace replay;
-//! [`diff`] compares two `ftlbench-v1` reports for the CI regression gate.
+//! cached-mapping FTL, the GC valid-page scan and victim pick, and macro
+//! trace replays; `ftlbench` runs them and writes an `ftlbench-v1` report.
+//! [`diff`] compares two such reports for the CI regression gate, one
+//! gated column (`ns_per_op`, `write_amp`) at a time; `bench-diff` runs
+//! nothing itself.
 
 pub mod diff;
 pub mod scenarios;

@@ -357,15 +357,17 @@ pub fn bench_gc_valid_scan(warmup: usize, samples: usize) -> Record {
 }
 
 /// GC victim pick on a deep bucket: half of a `num_blocks` device sits
-/// sealed with no valid page — one valid-count bucket `num_blocks / 2`
-/// deep, the shape a sequential overwrite stream leaves on a large device
-/// (the MSR replay holds ~33 000 blocks there) — and each op collects one
-/// victim: pick, erase, then fill, kill and seal a fresh block so the
-/// bucket keeps its depth. Flash and `BlockManager` only, no FTL, and one
-/// page per block — the least flash work a collection can do, so the pick
-/// is as much of the row as it can be. That work is constant: the row
-/// moves only if the pick's cost depends on how many blocks share the
-/// victim's bucket. `label` names the policy in the row's `ftl` column.
+/// sealed with one valid page of two per block — one valid-count bucket
+/// `num_blocks / 2` deep, the shape a sequential overwrite stream leaves on
+/// a large device (the MSR replay holds ~33 000 blocks in one bucket) —
+/// and each op collects one victim: pick, invalidate its valid page (the
+/// stand-in for a migration), erase, then fill and seal a fresh block so
+/// the bucket keeps its depth. Flash and `BlockManager` only, no FTL. No
+/// victim is a free reclaim, so every pick runs the windowed walk, over
+/// `policy`'s window of candidates (greedy is the window of 1). The flash
+/// work is constant: the row moves with the candidates a pick scores, and
+/// with any cost that grows with how many blocks share the victim's
+/// bucket. `label` names the policy in the row's `ftl` column.
 pub fn bench_gc_pick_deep(
     policy: GcPolicy,
     label: &str,
@@ -376,7 +378,7 @@ pub fn bench_gc_pick_deep(
 ) -> Record {
     let geom = FlashGeometry {
         page_bytes: 4096,
-        pages_per_block: 1,
+        pages_per_block: 2,
         num_blocks,
         read_us: 25.0,
         write_us: 200.0,
@@ -385,25 +387,38 @@ pub fn bench_gc_pick_deep(
     };
     let mut flash = Flash::new(geom.clone()).expect("flash builds");
     let mut mgr = BlockManager::new(geom.num_blocks, geom.pages_per_block);
-    // Fills the next (one-page) block the allocator hands out and kills its
-    // page. Still active, the block is in no bucket yet: the allocator seals
-    // it, at the zero valid pages it finds, when asked for the page after.
-    let fill_dead_block = |mgr: &mut BlockManager, flash: &mut Flash| {
-        let ppn = mgr.alloc_page(AllocClass::Data, flash).expect("free block");
-        flash
-            .program_page(ppn, ppn, OpPurpose::HostData)
-            .expect("program");
-        flash.invalidate(ppn).expect("invalidate");
+    // Fills the next block the allocator hands out and kills its first
+    // page. Still active, the block is in no bucket yet: the allocator
+    // seals it, at the one valid page it finds, when asked for the page
+    // after.
+    let fill_block = |mgr: &mut BlockManager, flash: &mut Flash| {
+        for page in 0..2 {
+            let ppn = mgr.alloc_page(AllocClass::Data, flash).expect("free block");
+            flash
+                .program_page(ppn, ppn, OpPurpose::HostData)
+                .expect("program");
+            if page == 0 {
+                flash.invalidate(ppn).expect("invalidate");
+            }
+        }
     };
     for _ in 0..=num_blocks / 2 {
-        fill_dead_block(&mut mgr, &mut flash);
+        fill_block(&mut mgr, &mut flash);
     }
     let depth = mgr.sealed_blocks();
     let mut collect_one = || {
-        let (victim, _) = mgr.pick_victim(black_box(policy)).expect("a dead block");
+        let (victim, _) = mgr.pick_victim(black_box(policy)).expect("a sealed block");
+        assert_eq!(
+            flash.valid_pages_in(victim),
+            Ok(1),
+            "victim was a free reclaim"
+        );
+        flash
+            .invalidate(geom.first_ppn(victim) + 1)
+            .expect("invalidate");
         flash.erase_block(victim, OpPurpose::GcData).expect("erase");
         mgr.on_erased(victim);
-        fill_dead_block(&mut mgr, &mut flash);
+        fill_block(&mut mgr, &mut flash);
     };
     // Turn the whole bucket over once, untimed: from here on every victim
     // is a block this loop sealed, whatever `warmup` and `ops` are.
