@@ -152,10 +152,6 @@ pub struct SsdEnv {
     /// paying two hardware divisions per lookup.
     tp_shift: u32,
     tp_mask: u32,
-    /// Immutable all-`PPN_NONE` page, returned by reference for
-    /// translation pages that have never been written (possible only
-    /// before [`SsdEnv::format`]), so that path allocates nothing either.
-    unmapped_tp: Box<[Ppn]>,
     /// Scratch page for building translation payloads on the cold paths
     /// (first write of a page, format, prefill). Owned here, borrowed via
     /// `mem::take`, and put back — never reallocated in steady state.
@@ -204,7 +200,6 @@ impl SsdEnv {
             entries_per_tp,
             tp_shift: entries_per_tp.trailing_zeros(),
             tp_mask: (entries_per_tp - 1) as u32,
-            unmapped_tp: vec![PPN_NONE; entries_per_tp].into_boxed_slice(),
             tp_scratch: Vec::new(),
             gc_page_scratch: Vec::new(),
             gc_moved_scratch: Vec::new(),
@@ -424,7 +419,10 @@ impl SsdEnv {
     pub fn read_translation_entries(&mut self, vtpn: Vtpn, purpose: OpPurpose) -> Result<&[Ppn]> {
         match self.gtd.get(vtpn) {
             Some(ppn) => Ok(self.flash.read_translation_payload(ppn, purpose)?),
-            None => Ok(&self.unmapped_tp),
+            // Never written (possible only before `format`): the flash
+            // model's shared all-unmapped page, so this path allocates
+            // nothing either.
+            None => Ok(self.flash.unmapped_translation_payload()),
         }
     }
 

@@ -49,6 +49,10 @@ pub enum FlashError {
         /// Entries a translation page must hold.
         expected: usize,
     },
+    /// The device has used up its 32-bit program sequence stamps: programming
+    /// this page would need a stamp past `u32::MAX`, or (on open) its stored
+    /// record carries one. Nothing was changed.
+    SeqExhausted(Ppn),
     /// Geometry parameters are inconsistent (zero-sized, overflowing, ...).
     InvalidGeometry,
     /// The file-backed media layer failed (I/O error, corrupt or missing
@@ -85,6 +89,12 @@ impl core::fmt::Display for FlashError {
                 f,
                 "translation payload holds {got} entries, expected {expected}"
             ),
+            Self::SeqExhausted(p) => {
+                write!(
+                    f,
+                    "page {p}: program sequence stamps exhausted (past u32::MAX)"
+                )
+            }
             Self::InvalidGeometry => write!(f, "invalid flash geometry"),
             Self::Media(e) => write!(f, "media error: {e}"),
         }

@@ -4,7 +4,7 @@ use std::path::Path;
 
 use crate::media::FileBacking;
 use crate::timing::UnitClocks;
-use crate::tpslab::TpSlab;
+use crate::tpslab::{TpSlab, TpStoreCensus};
 use crate::{
     BlockId, FaultPlan, FaultRecord, FlashError, FlashGeometry, FlashStats, OpKind, OpPurpose, Ppn,
     Result,
@@ -46,6 +46,16 @@ enum TpContent<'a> {
     Supersede(Ppn, &'a [(u16, Ppn)]),
 }
 
+/// The error of a program past the last 32-bit stamp, kept out of line:
+/// inline, its few instructions tip the inliner into calling the clocks,
+/// the fault check and the file mirror out of line from every program
+/// (+24 % on a 64 MB device's pre-fill).
+#[cold]
+#[inline(never)]
+fn seq_exhausted(ppn: Ppn) -> FlashError {
+    FlashError::SeqExhausted(ppn)
+}
+
 /// A simulated NAND flash device.
 ///
 /// See the crate-level documentation for the invariants enforced. All state
@@ -76,12 +86,14 @@ pub struct Flash {
     valid_count: Vec<u32>,
     erase_count: Vec<u32>,
     /// Slab-backed translation-payload store: payloads for valid
-    /// translation pages, addressed by PPN through a dense slot index.
+    /// translation pages, addressed by PPN through a per-block slot index.
     tp: TpSlab,
     /// Out-of-band program sequence stamp per page (0 = never programmed
     /// since the last erase). Monotonic across the device's life, so crash
-    /// recovery can order two valid copies of the same logical page.
-    seq: Vec<u64>,
+    /// recovery can order two valid copies of the same logical page. Held
+    /// in 32 bits: a program that would need a stamp past `u32::MAX` fails
+    /// with [`FlashError::SeqExhausted`] (the device file stores 64).
+    seq: Vec<u32>,
     next_seq: u64,
     faults: Option<FaultPlan>,
     stats: FlashStats,
@@ -145,7 +157,7 @@ impl Flash {
             write_ptr: vec![0; blocks],
             valid_count: vec![0; blocks],
             erase_count: vec![0; blocks],
-            tp: TpSlab::new(pages, entries_per_tp),
+            tp: TpSlab::new(blocks, geom.pages_per_block, entries_per_tp),
             seq: vec![0; pages],
             next_seq: 1,
             faults: None,
@@ -183,8 +195,10 @@ impl Flash {
     ///
     /// [`FlashError::Media`] when the file is missing, both superblock
     /// copies are corrupt, the layout version is unknown, or the file
-    /// length disagrees with the elected geometry. Never panics on
-    /// corrupt record bytes — those classify as torn pages.
+    /// length disagrees with the elected geometry;
+    /// [`FlashError::SeqExhausted`] when a committed record carries a
+    /// sequence stamp past `u32::MAX`. Never panics on corrupt record
+    /// bytes — those classify as torn pages.
     pub fn open_file<P: AsRef<Path>>(path: P) -> Result<Self> {
         let (mut backing, sb) = FileBacking::open(path.as_ref())?;
         let geom = sb.geometry;
@@ -198,7 +212,7 @@ impl Flash {
             let block = flash.geom.block_of(ppn) as usize;
             flash.state[i] = m.state;
             flash.tag[i] = m.tag;
-            flash.seq[i] = m.seq;
+            flash.seq[i] = u32::try_from(m.seq).map_err(|_| FlashError::SeqExhausted(ppn))?;
             if m.state == PageState::Valid {
                 flash.valid_count[block] += 1;
                 if m.is_translation {
@@ -369,7 +383,7 @@ impl Flash {
     /// copies of the same logical page.
     #[inline]
     pub fn program_seq(&self, ppn: Ppn) -> u64 {
-        self.seq[ppn as usize]
+        self.seq[ppn as usize] as u64
     }
 
     /// Number of torn pages on the device (power-loss damage awaiting an
@@ -489,14 +503,14 @@ impl Flash {
             return Ok(());
         };
         let i = ppn as usize;
-        b.program(ppn, self.tag[i], self.seq[i], self.tp.get(ppn))
+        b.program(ppn, self.tag[i], self.seq[i].into(), self.tp.get(ppn))
     }
 
     /// Mirrors an *interrupted* program of `ppn` to the backing file: the
     /// torn OOB marker, or — with a tear budget on the fault plan — the
     /// partial prefix of the record the program would have written. The
     /// payload a torn supersede *would* have committed is materialized
-    /// here on this cold path only, from the source's still-bound slot
+    /// here on this cold path only, from the source's still-bound payload
     /// (the RAM slab stores nothing for torn programs).
     fn mirror_torn_program(&mut self, ppn: Ppn, tag: u32, content: &TpContent<'_>) -> Result<()> {
         if self.backing.is_none() {
@@ -554,6 +568,10 @@ impl Flash {
             });
         }
         let next_ptr = ppn - first + 1;
+        if self.next_seq > u32::MAX as u64 {
+            return Err(seq_exhausted(ppn));
+        }
+        let seq = self.next_seq as u32;
         let is_translation = !matches!(content, TpContent::Data);
         if self.fault_trips(OpKind::Write, is_translation) {
             // The program pulse started: the page is torn (indeterminate
@@ -565,7 +583,7 @@ impl Flash {
         }
         self.state[ppn as usize] = PageState::Valid;
         self.tag[ppn as usize] = tag;
-        self.seq[ppn as usize] = self.next_seq;
+        self.seq[ppn as usize] = seq;
         self.next_seq += 1;
         self.write_ptr[block as usize] = next_ptr;
         self.valid_count[block as usize] += 1;
@@ -573,9 +591,9 @@ impl Flash {
             TpContent::Data => {}
             TpContent::Tp(payload) => self.tp.insert(ppn, payload),
             TpContent::Supersede(src, updates) => {
-                // The payload's slot moves with it, so `src` stops being
-                // valid in the same step (a slot exists exactly while its
-                // page is `Valid`).
+                // The payload's binding moves with it, so `src` stops
+                // being valid in the same step (a binding exists exactly
+                // while its page is `Valid`).
                 self.tp.rebind(ppn, src, updates);
                 self.state[src as usize] = PageState::Invalid;
                 self.valid_count[self.geom.block_of(src) as usize] -= 1;
@@ -631,7 +649,9 @@ impl Flash {
     /// with `updates` patched in, and invalidates `src` — the write half of
     /// a read-modify-write and of a GC migration, which both retire the old
     /// copy the moment the new one exists. The payload is not copied: its
-    /// slab slot is re-bound from `src` to `dst` and patched in place.
+    /// slab binding moves from `src` to `dst` and is patched in place (a
+    /// page sharing the all-unmapped payload gets its own slot at the first
+    /// patch that maps an entry).
     ///
     /// One fault point, the program: if it trips, `dst` is torn and `src`
     /// stays valid, bound and unpatched. A file backing receives the
@@ -674,8 +694,8 @@ impl Flash {
                 let block = self.geom.block_of(ppn);
                 self.valid_count[block as usize] -= 1;
                 // Stale translation payloads are unreachable in the model
-                // (reading invalid pages is an error), so recycle their
-                // slab slot eagerly.
+                // (reading invalid pages is an error), so drop their slab
+                // binding eagerly.
                 self.tp.remove(ppn);
                 if let Some(b) = self.backing.as_mut() {
                     b.invalidate(ppn)?;
@@ -775,6 +795,27 @@ impl Flash {
     /// Direct payload access without read accounting; for oracles in tests.
     pub fn peek_translation_payload(&self, ppn: Ppn) -> Option<&[Ppn]> {
         self.tp.get(ppn)
+    }
+
+    /// The all-unmapped translation payload (every entry
+    /// [`crate::PPN_NONE`]) that every translation page programmed with
+    /// nothing mapped shares.
+    #[inline]
+    pub fn unmapped_translation_payload(&self) -> &[Ppn] {
+        self.tp.shared()
+    }
+
+    /// Occupancy of the translation-payload store, counted by walking its
+    /// index (cost proportional to the device's blocks); for oracles in
+    /// tests and footprint checks.
+    pub fn translation_store_census(&self) -> TpStoreCensus {
+        self.tp.census()
+    }
+
+    /// Starts the sequence stamps at `next`, so tests reach their limit.
+    #[cfg(test)]
+    pub(crate) fn start_seq_at(&mut self, next: u64) {
+        self.next_seq = next;
     }
 }
 
@@ -1161,6 +1202,77 @@ mod tests {
         // Stamps keep increasing across erases (device-lifetime clock).
         f.program_page(0, 12, OpPurpose::HostData).unwrap();
         assert!(f.program_seq(0) > s1);
+    }
+
+    /// A program that would need a stamp past `u32::MAX` is refused before
+    /// anything changes: the page stays free and the fault plan sees no op.
+    #[test]
+    fn a_program_past_the_last_stamp_is_a_typed_error_and_changes_nothing() {
+        let mut f = small();
+        f.start_seq_at(u32::MAX as u64 - 1);
+        let mut payload = vec![crate::PPN_NONE; 1024];
+        payload[0] = 9;
+        f.program_translation_page(0, 4, &payload, OpPurpose::Translation)
+            .unwrap();
+        f.program_page(1, 1, OpPurpose::HostData).unwrap();
+        assert_eq!(f.program_seq(1), u32::MAX as u64);
+        let writes = f.stats().total_writes();
+        f.arm_faults(FaultPlan::at_op(0));
+        assert_eq!(
+            f.program_page(2, 2, OpPurpose::HostData),
+            Err(FlashError::SeqExhausted(2))
+        );
+        assert_eq!(
+            f.program_translation_page(2, 5, &payload, OpPurpose::Translation),
+            Err(FlashError::SeqExhausted(2))
+        );
+        assert_eq!(
+            f.supersede_translation_page(2, 4, 0, &[(0, 7)], OpPurpose::Translation),
+            Err(FlashError::SeqExhausted(2))
+        );
+        let plan = f.disarm_faults().unwrap();
+        assert_eq!(plan.ops_observed(), 0);
+        assert!(plan.fired().is_none());
+        assert_eq!(f.state(2).unwrap(), PageState::Free);
+        assert_eq!(f.program_seq(2), 0);
+        assert_eq!(f.next_free_ppn(0), Some(2));
+        assert_eq!(f.valid_pages_in(0).unwrap(), 2);
+        assert_eq!(f.stats().total_writes(), writes);
+        // The refused supersede left its source valid and unpatched.
+        assert_eq!(f.peek_translation_payload(0).unwrap()[0], 9);
+    }
+
+    /// A device file stores 64-bit stamps; one past `u32::MAX` refuses to
+    /// open with the typed error, and `u32::MAX` itself still opens.
+    #[test]
+    fn open_refuses_a_stored_stamp_past_the_last() {
+        let path = std::env::temp_dir().join(format!("tpftl_seq_{}.img", std::process::id()));
+        let mut f = Flash::create_file(small().geometry().clone(), &path).unwrap();
+        f.program_page(0, 1, OpPurpose::HostData).unwrap();
+        let last = u32::MAX as u64;
+        f.backing
+            .as_mut()
+            .unwrap()
+            .program(1, 2, last, None)
+            .unwrap();
+        drop(f);
+        let mut f = Flash::open_file(&path).unwrap();
+        assert_eq!(f.program_seq(1), last);
+        assert_eq!(
+            f.program_page(2, 3, OpPurpose::HostData),
+            Err(FlashError::SeqExhausted(2))
+        );
+        f.backing
+            .as_mut()
+            .unwrap()
+            .program(2, 3, last + 1, None)
+            .unwrap();
+        drop(f);
+        assert_eq!(
+            Flash::open_file(&path).err(),
+            Some(FlashError::SeqExhausted(2))
+        );
+        std::fs::remove_file(&path).unwrap();
     }
 
     #[test]

@@ -25,9 +25,10 @@
 //! through, and migrated by, the flash model itself rather than being
 //! shadow-copied in the FTL, which lets the test suite verify that the
 //! on-flash mapping state is always consistent. Payloads live in a
-//! slab-backed arena (fixed-size slots, free-list, dense `Ppn -> slot`
-//! index), so programming or dropping one is index arithmetic with no
-//! per-page heap allocation in steady state.
+//! slab-backed arena (fixed-size slots, free-list, per-block slot index;
+//! every all-unmapped page shares one read-only payload), so programming or
+//! dropping one is index arithmetic with no per-page heap allocation in
+//! steady state.
 
 mod error;
 mod fault;
@@ -45,6 +46,7 @@ pub use geometry::{FlashGeometry, FlashTopology};
 pub use media::MediaError;
 pub use stats::{FlashStats, OpKind, OpPurpose, PurposeCounts};
 pub use timing::{LanePlacement, UnitClocks};
+pub use tpslab::TpStoreCensus;
 
 /// Physical page number: a global index over every page of the device.
 pub type Ppn = u32;

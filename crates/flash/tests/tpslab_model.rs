@@ -7,11 +7,18 @@
 //! the model tracks what each valid translation page must hold. After every
 //! operation the two stores must agree exactly, which exercises slot
 //! recycling through the slab's free list under arbitrary interleavings.
+//!
+//! A third of the programs are all-unmapped, and supersedes patch them with
+//! nothing, with `PPN_NONE` or with real mappings, so pages move on and off
+//! the shared all-unmapped payload. The model also predicts which pages
+//! share it, and after every operation the store's census must agree: the
+//! shared payload still all-unmapped, every binding counted, and exactly
+//! the blocks holding a valid translation page owning an index group.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 
 use tpftl_flash::{
-    FaultPlan, Flash, FlashError, FlashGeometry, FlashTopology, OpPurpose, PageState, Ppn,
+    FaultPlan, Flash, FlashError, FlashGeometry, FlashTopology, OpPurpose, PageState, Ppn, PPN_NONE,
 };
 use tpftl_rng::Rng64;
 
@@ -41,7 +48,16 @@ fn pick_tp(model: &HashMap<Ppn, Box<[Ppn]>>, rng: &mut Rng64) -> Option<Ppn> {
     Some(keys[rng.range_usize(0, keys.len())])
 }
 
-fn check(flash: &Flash, model: &HashMap<Ppn, Box<[Ppn]>>, seed: u64) {
+/// The reference model: each valid translation page's payload, and the
+/// pages that must be bound to the shared all-unmapped payload.
+#[derive(Default)]
+struct Model {
+    payloads: HashMap<Ppn, Box<[Ppn]>>,
+    shared: HashSet<Ppn>,
+}
+
+fn check(flash: &Flash, m: &Model, seed: u64) {
+    let model = &m.payloads;
     for ppn in 0..PAGES as Ppn {
         assert_eq!(
             flash.peek_translation_payload(ppn),
@@ -56,6 +72,32 @@ fn check(flash: &Flash, model: &HashMap<Ppn, Box<[Ppn]>>, seed: u64) {
             "flag mismatch, seed {seed}"
         );
     }
+    let census = flash.translation_store_census();
+    assert!(
+        census.shared_unmapped,
+        "shared payload written, seed {seed}"
+    );
+    assert_eq!(
+        census.shared,
+        m.shared.len(),
+        "shared bindings, seed {seed}"
+    );
+    assert_eq!(
+        census.private,
+        model.len() - m.shared.len(),
+        "private bindings, seed {seed}"
+    );
+    let blocks: HashSet<Ppn> = model.keys().map(|&p| p / PAGES_PER_BLOCK as Ppn).collect();
+    assert_eq!(census.groups, blocks.len(), "index groups, seed {seed}");
+}
+
+/// A payload that maps nothing a third of the time.
+fn random_payload(rng: &mut Rng64, entries: usize) -> Vec<Ppn> {
+    if rng.below(3) == 0 {
+        vec![PPN_NONE; entries]
+    } else {
+        (0..entries).map(|_| rng.next_u64() as Ppn).collect()
+    }
 }
 
 #[test]
@@ -64,7 +106,7 @@ fn slab_matches_hashmap_model() {
         let mut rng = Rng64::seed_from_u64(0x51AB + seed);
         let mut flash = Flash::new(tiny_geom()).unwrap();
         let entries = flash.entries_per_translation_page();
-        let mut model: HashMap<Ppn, Box<[Ppn]>> = HashMap::new();
+        let mut m = Model::default();
         let n_ops = rng.range_usize(50, 300);
 
         for _ in 0..n_ops {
@@ -76,7 +118,7 @@ fn slab_matches_hashmap_model() {
                         continue;
                     };
                     let vtpn = rng.range_u32(0, 64);
-                    let payload: Vec<Ppn> = (0..entries).map(|_| rng.next_u64() as Ppn).collect();
+                    let payload = random_payload(&mut rng, entries);
                     if rng.below(8) == 0 {
                         flash.arm_faults(FaultPlan::on_translation_write(0));
                         assert_eq!(
@@ -95,12 +137,15 @@ fn slab_matches_hashmap_model() {
                         flash
                             .program_translation_page(ppn, vtpn, &payload, OpPurpose::Translation)
                             .unwrap();
-                        model.insert(ppn, payload.into_boxed_slice());
+                        if payload.iter().all(|&p| p == PPN_NONE) {
+                            m.shared.insert(ppn);
+                        }
+                        m.payloads.insert(ppn, payload.into_boxed_slice());
                     }
                 }
                 // Read-modify-write: supersede an existing translation page.
                 25..=44 => {
-                    let Some(src) = pick_tp(&model, &mut rng) else {
+                    let Some(src) = pick_tp(&m.payloads, &mut rng) else {
                         continue;
                     };
                     let b = rng.range_u32(0, BLOCKS as u32);
@@ -110,10 +155,11 @@ fn slab_matches_hashmap_model() {
                     let n_updates = rng.range_usize(0, 4);
                     let updates: Vec<(u16, Ppn)> = (0..n_updates)
                         .map(|_| {
-                            (
-                                rng.range_u32(0, entries as u32) as u16,
-                                rng.next_u64() as Ppn,
-                            )
+                            let off = rng.range_u32(0, entries as u32) as u16;
+                            match rng.below(3) {
+                                0 => (off, PPN_NONE),
+                                _ => (off, rng.next_u64() as Ppn),
+                            }
                         })
                         .collect();
                     let vtpn = rng.range_u32(0, 64);
@@ -137,11 +183,15 @@ fn slab_matches_hashmap_model() {
                         assert_eq!(flash.state(dst).unwrap(), PageState::Torn);
                     } else {
                         res.unwrap();
-                        let mut payload = model.remove(&src).expect("picked from the model");
+                        let mut payload = m.payloads.remove(&src).expect("picked from the model");
                         for &(off, ppn) in &updates {
                             payload[off as usize] = ppn;
                         }
-                        model.insert(dst, payload);
+                        // A shared binding moves until a patch maps an entry.
+                        if m.shared.remove(&src) && updates.iter().all(|u| u.1 == PPN_NONE) {
+                            m.shared.insert(dst);
+                        }
+                        m.payloads.insert(dst, payload);
                         assert_eq!(flash.state(src).unwrap(), PageState::Invalid);
                     }
                 }
@@ -159,7 +209,8 @@ fn slab_matches_hashmap_model() {
                     let ppn = rng.range_u32(0, PAGES as u32);
                     if flash.state(ppn).unwrap() == PageState::Valid {
                         flash.invalidate(ppn).unwrap();
-                        model.remove(&ppn);
+                        m.payloads.remove(&ppn);
+                        m.shared.remove(&ppn);
                     }
                 }
                 // Erase a block with no valid pages, occasionally torn.
@@ -182,7 +233,7 @@ fn slab_matches_hashmap_model() {
                 }
             }
 
-            check(&flash, &model, seed);
+            check(&flash, &m, seed);
         }
     }
 }
