@@ -164,10 +164,13 @@ pub struct SsdEnv {
     /// The one GC-miss buffer: the moved pages an FTL's cache did not hold
     /// (`ftl::cmt::absorb_gc_moves`).
     pub(crate) gc_miss_scratch: Vec<(Lpn, Ppn)>,
-    /// Scratch of `ftl::cmt::write_back_by_tp`: one key per update,
-    /// `vtpn << 32 | arrival index`, for sorting into per-page runs, and the
-    /// one batch handed to each page's hook and write.
-    pub(crate) wb_keyed_scratch: Vec<u64>,
+    /// Scratch of `ftl::cmt::write_back_by_tp`'s counting sort: one slot
+    /// per VTPN, sized here once (a page's update count, then its start,
+    /// then its end in `wb_laid_scratch`); the updates laid out page by
+    /// page as `(offset, ppn)`; and the one batch handed to each page's
+    /// hook and write.
+    pub(crate) wb_page_ends: Vec<u32>,
+    pub(crate) wb_laid_scratch: Vec<(u16, Ppn)>,
     pub(crate) wb_batch_scratch: Vec<(u16, Ppn)>,
     /// Write-temperature estimator routing host writes to data streams.
     heat: HeatTracker,
@@ -204,7 +207,8 @@ impl SsdEnv {
             gc_page_scratch: Vec::new(),
             gc_moved_scratch: Vec::new(),
             gc_miss_scratch: Vec::new(),
-            wb_keyed_scratch: Vec::new(),
+            wb_page_ends: vec![0; config.num_vtpns() as usize],
+            wb_laid_scratch: Vec::new(),
             wb_batch_scratch: Vec::new(),
             heat: HeatTracker::new(config.logical_pages(), config.streams.get() as usize),
             config,

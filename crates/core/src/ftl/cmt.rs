@@ -438,38 +438,58 @@ pub(crate) enum PageStep<'a> {
 /// [`PageStep::Gather`], ZFTL patches its active page in
 /// [`PageStep::Persisted`].
 ///
-/// Grouping is a sort of one `u64` per update, `vtpn << 32 | arrival
-/// index`, in the environment's scratch and a walk over the runs, so a call
-/// allocates nothing once the scratch has grown.
+/// Grouping is a stable counting sort by VTPN in the environment's
+/// scratch: the updates are counted per page, the counts become each
+/// page's start, and every `(offset, ppn)` is scattered into its page's
+/// range in arrival order, so each page's batch is one slice. A call costs
+/// O(n + V) for n updates and V translation pages and allocates nothing
+/// once the scratch has grown.
 pub(crate) fn write_back_by_tp(
     env: &mut SsdEnv,
     updates: &[(Lpn, Ppn)],
     purpose: OpPurpose,
     mut hook: impl FnMut(&mut SsdEnv, Vtpn, PageStep<'_>),
 ) -> Result<()> {
-    let mut keyed = std::mem::take(&mut env.wb_keyed_scratch);
+    if updates.is_empty() {
+        return Ok(());
+    }
+    let mut ends = std::mem::take(&mut env.wb_page_ends);
+    let mut laid = std::mem::take(&mut env.wb_laid_scratch);
     let mut batch = std::mem::take(&mut env.wb_batch_scratch);
-    keyed.clear();
-    let key = |(&(lpn, _), i): (&(Lpn, Ppn), u64)| u64::from(env.vtpn_of(lpn)) << 32 | i;
-    keyed.extend(updates.iter().zip(0u64..).map(key));
-    // The arrival index makes the keys distinct, so the unstable sort is
-    // exact.
-    keyed.sort_unstable();
-    let res = keyed
-        .chunk_by(|a, b| a >> 32 == b >> 32)
-        .try_for_each(|run| {
-            let vtpn = (run[0] >> 32) as Vtpn;
-            batch.clear();
-            batch.extend(run.iter().map(|&key| {
-                let (lpn, ppn) = updates[key as u32 as usize];
-                (env.offset_of(lpn), ppn)
-            }));
-            hook(env, vtpn, PageStep::Gather(&mut batch));
-            env.update_translation_page(vtpn, &batch, purpose)?;
-            hook(env, vtpn, PageStep::Persisted(&batch));
-            Ok(())
-        });
-    env.wb_keyed_scratch = keyed;
+    ends.fill(0);
+    for &(lpn, _) in updates {
+        ends[env.vtpn_of(lpn) as usize] += 1;
+    }
+    let mut start = 0;
+    for slot in ends.iter_mut() {
+        let count = *slot;
+        *slot = start;
+        start += count;
+    }
+    // Each page's slot walks from its start to its end as its updates land.
+    laid.clear();
+    laid.resize(updates.len(), (0, PPN_NONE));
+    for &(lpn, ppn) in updates {
+        let slot = &mut ends[env.vtpn_of(lpn) as usize];
+        laid[*slot as usize] = (env.offset_of(lpn), ppn);
+        *slot += 1;
+    }
+    let mut start = 0;
+    let res = ends.iter().zip(0..).try_for_each(|(&end, vtpn)| {
+        let page = &laid[start..end as usize];
+        start = end as usize;
+        if page.is_empty() {
+            return Ok(());
+        }
+        batch.clear();
+        batch.extend_from_slice(page);
+        hook(env, vtpn, PageStep::Gather(&mut batch));
+        env.update_translation_page(vtpn, &batch, purpose)?;
+        hook(env, vtpn, PageStep::Persisted(&batch));
+        Ok(())
+    });
+    env.wb_page_ends = ends;
+    env.wb_laid_scratch = laid;
     env.wb_batch_scratch = batch;
     res
 }
@@ -511,6 +531,9 @@ pub(crate) fn absorb_gc_moves<F>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::driver;
+    use crate::ftl::{AccessCtx, Ftl, FtlKind};
+    use crate::recovery;
     use crate::SsdConfig;
 
     /// Four entries per translation page, so a dozen LPNs span three pages.
@@ -642,5 +665,131 @@ mod tests {
         assert_eq!(env.flash().stats().translation_writes(), writes + 2);
         let stored = env.read_translation_entry(0, 9, OpPurpose::Translation);
         assert_eq!(stored.unwrap(), 99);
+    }
+
+    /// The `(vtpn, batch)` pairs `write_back_by_tp` hands its `Gather` hook,
+    /// in the order it hands them.
+    fn batches_seen(env: &mut SsdEnv, updates: &[(Lpn, Ppn)]) -> Vec<(Vtpn, Vec<(u16, Ppn)>)> {
+        let mut seen = Vec::new();
+        let purpose = OpPurpose::GcTranslation;
+        write_back_by_tp(env, updates, purpose, |_, vtpn, step| {
+            if let PageStep::Gather(batch) = step {
+                seen.push((vtpn, batch.clone()));
+            }
+        })
+        .unwrap();
+        seen
+    }
+
+    /// The grouping the batcher had before its counting sort: one key per
+    /// update, `vtpn << 32 | arrival index`, sorted, and a walk over runs.
+    fn key_sorted(env: &SsdEnv, updates: &[(Lpn, Ppn)]) -> Vec<(Vtpn, Vec<(u16, Ppn)>)> {
+        let key = |(&(lpn, _), i): (&(Lpn, Ppn), u64)| u64::from(env.vtpn_of(lpn)) << 32 | i;
+        let mut keys: Vec<u64> = updates.iter().zip(0..).map(key).collect();
+        keys.sort_unstable();
+        let batch = |run: &[u64]| -> Vec<(u16, Ppn)> {
+            let update = |&k: &u64| updates[k as u32 as usize];
+            run.iter()
+                .map(update)
+                .map(|(lpn, ppn)| (env.offset_of(lpn), ppn))
+                .collect()
+        };
+        let runs = keys.chunk_by(|a, b| a >> 32 == b >> 32);
+        runs.map(|run| ((run[0] >> 32) as Vtpn, batch(run)))
+            .collect()
+    }
+
+    /// The counting sort hands the hook the pages and batches the key sort
+    /// did — for the empty list, one page, every page of a 128-page table,
+    /// an LPN moved twice, the last page and 40 seeded random lists — and
+    /// every page it writes then holds each updated entry's last PPN.
+    #[test]
+    fn write_back_by_tp_groups_as_the_key_sort_did() {
+        // 512 MB -> 128 translation pages of 1024 entries.
+        let mut env = SsdEnv::new(SsdConfig::paper_default(512 << 20)).unwrap();
+        env.format().unwrap();
+        let pages = env.config().num_vtpns() as u32;
+        assert_eq!(pages, 128);
+        let per_tp = env.entries_per_tp() as u32;
+        let last = pages * per_tp - 1;
+        let mut cases: Vec<Vec<(Lpn, Ppn)>> = vec![
+            vec![],
+            vec![(5, 11), (3, 12), (7, 13)],
+            (0..pages)
+                .rev()
+                .map(|v| (v * per_tp + v, 100 + v))
+                .collect(),
+            vec![(2000, 21), (9, 22), (2000, 23), (10, 24)],
+            vec![(last, 31), (0, 32), (last - 1, 33), (last, 34)],
+        ];
+        let mut rng = tpftl_rng::Rng64::seed_from_u64(0xC0DE);
+        for _ in 0..40 {
+            let n = rng.range_u32(1, 600);
+            // Every other list crowds three pages, so offsets repeat.
+            let span = [3 * per_tp, pages * per_tp][cases.len() % 2];
+            let update = |_| (rng.range_u32(0, span), rng.range_u32(0, 1 << 20));
+            cases.push((0..n).map(update).collect());
+        }
+        for (i, updates) in cases.iter().enumerate() {
+            assert_eq!(
+                batches_seen(&mut env, updates),
+                key_sorted(&env, updates),
+                "case {i}"
+            );
+            let mut shadow = FxHashMap::default();
+            shadow.extend(updates.iter().copied());
+            for (lpn, ppn) in shadow {
+                let (vtpn, off) = (env.vtpn_of(lpn), env.offset_of(lpn));
+                let stored = env.read_translation_entry(vtpn, off, OpPurpose::Translation);
+                assert_eq!(stored.unwrap(), ppn, "case {i}, LPN {lpn}");
+            }
+        }
+    }
+
+    /// One pass's write-back in which one uncached LPN was moved twice,
+    /// beside a moved cached entry, behind the cached dirty entries of
+    /// the same page: under TPFTL and LearnedFTL the page then holds what
+    /// a shadow map says (what was cached, else what was persisted, then
+    /// every move in order), and none of its entries is dirty any more.
+    #[test]
+    fn a_pass_that_moves_an_lpn_twice_persists_the_shadow_map() {
+        for kind in [FtlKind::Tpftl, FtlKind::Learned] {
+            let mut config = SsdConfig::paper_default(8 << 20);
+            config.cache_bytes = config.gtd_bytes() + 1024;
+            let mut env = SsdEnv::new(config.clone()).unwrap();
+            let mut ftl = kind.build(&config).unwrap();
+            driver::bootstrap(&mut *ftl, &mut env).unwrap();
+            for lpn in 0..300 {
+                let ctx = AccessCtx::single(true);
+                driver::serve_page_access(&mut *ftl, &mut env, lpn, ctx).unwrap();
+            }
+            let held = |ftl: &dyn Ftl, env: &SsdEnv, lpn| ftl.peek_cached(env, lpn).unwrap();
+            let dirty = |ftl: &dyn Ftl| {
+                let dist = ftl.cached_tp_distribution();
+                dist.iter().find(|d| d.vtpn == 0).map_or(0, |d| d.dirty)
+            };
+            assert!(dirty(&*ftl) > 0, "{kind:?}: no dirty entry rides along");
+            let uncached: Vec<Lpn> = (0..300)
+                .filter(|&l| held(&*ftl, &env, l).is_none())
+                .collect();
+            let cached = (0..300).find(|&l| held(&*ftl, &env, l).is_some()).unwrap();
+            let mut shadow: Vec<Option<Ppn>> = (0..env.entries_per_tp() as Lpn)
+                .map(|lpn| held(&*ftl, &env, lpn).unwrap_or(recovery::lookup(&env, lpn)))
+                .collect();
+            let mut moved = Vec::new();
+            for lpn in [uncached[0], cached, uncached[1], uncached[0], 1500] {
+                let ppn = env.program_data_page(lpn, OpPurpose::GcData).unwrap();
+                moved.push((lpn, ppn));
+                if let Some(slot) = shadow.get_mut(lpn as usize) {
+                    *slot = Some(ppn);
+                }
+            }
+            ftl.on_gc_data_block(&mut env, &moved).unwrap();
+            let page = env.read_translation_entries(0, OpPurpose::Translation);
+            let page: Vec<Option<Ppn>> = page.unwrap().iter().map(|&p| mapped(p)).collect();
+            assert_eq!(page, shadow, "{kind:?}");
+            assert_eq!(dirty(&*ftl), 0, "{kind:?}");
+            assert_eq!(recovery::lookup(&env, 1500), Some(moved[4].1), "{kind:?}");
+        }
     }
 }

@@ -617,6 +617,14 @@ impl Ftl for LearnedFtl {
         // takes the region's cached dirty entries along (TPFTL §4.4).
         let piggyback = |ftl: &mut Self, _: &mut SsdEnv, vtpn, step: PageStep<'_>| {
             if let PageStep::Gather(updates) = step {
+                // The misses are uncached, so no drained offset repeats
+                // one of theirs and the batch needs no sort.
+                debug_assert!(
+                    ftl.regions[vtpn as usize].node.as_ref().is_none_or(|node| {
+                        updates.iter().all(|&(off, _)| !node.tables.is_dirty(off))
+                    }),
+                    "a GC miss of region {vtpn} is a cached dirty entry"
+                );
                 let from = updates.len();
                 ftl.drain_dirty(vtpn, updates);
                 ftl.split_written(vtpn, &updates[from..]);

@@ -645,17 +645,21 @@ impl Ftl for TpFtl {
                 };
                 // Piggyback every cached dirty entry of this page on the
                 // unavoidable update (Section 4.4), marking them clean.
+                // The batch needs no sort: a dirty entry is cached, so its
+                // offset is none of the misses'; the only offset the misses
+                // repeat, an LPN the pass moved twice, arrives in move
+                // order, and the write applies a batch in order.
                 if ftl.cfg.batch_update {
                     if let Some(node) = ftl.nodes.get_mut(vtpn) {
+                        debug_assert!(
+                            updates.iter().all(|&(off, _)| !node.tables.is_dirty(off)),
+                            "a GC miss of page {vtpn} is a cached dirty entry"
+                        );
                         if node.dirty_count > 0 {
                             node.drain_dirty(updates);
                         }
                     }
                 }
-                // Stable: an LPN a pass moved twice is in the batch twice,
-                // uncached, and the write applies updates in order, so the
-                // later move must stay behind the earlier one.
-                updates.sort_by_key(|u| u.0);
             },
         )
     }
@@ -960,12 +964,13 @@ mod tests {
         let hits = ftl.on_gc_data_block(&mut env, &moved).unwrap();
         assert_eq!(hits, 0);
         assert_eq!(env.flash().stats().translation_writes(), tw + 1);
-        // The cached dirty entries were flushed alongside, the one update
-        // (still in the batcher's buffer) ascending by offset.
+        // The cached dirty entries were flushed alongside, in one update
+        // (still in the batcher's buffer): the miss, then the dirty
+        // entries ascending by offset.
         assert_eq!(ftl.cached_tp_distribution()[0].dirty, 0);
         assert_dirty_bitmaps_in_sync(&ftl);
         let offsets: Vec<u16> = env.wb_batch_scratch.iter().map(|u| u.0).collect();
-        assert_eq!(offsets, [0, 1, 64, 512, 700]);
+        assert_eq!(offsets, [512, 0, 1, 64, 700]);
         // And are durable in flash.
         let entries = env
             .read_translation_entries(0, OpPurpose::Translation)
@@ -1102,9 +1107,9 @@ mod tests {
 
     /// A collection pass can move one LPN twice (its first new page sits
     /// in a lane block that the same pass collects). Uncached, both moves
-    /// are in one page's write-back batch, behind the cached dirty entries
-    /// that ride along; the later PPN must be what the translation page
-    /// holds.
+    /// are in one page's write-back batch, in move order, ahead of the
+    /// cached dirty entries that ride along; the later PPN must be what
+    /// the translation page holds.
     #[test]
     fn a_later_gc_move_of_an_lpn_wins_its_write_back() {
         let (mut ftl, mut env) = setup(4 << 10, "rsbc");

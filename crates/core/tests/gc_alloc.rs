@@ -17,9 +17,10 @@
 //! every policy kept one) — is not built by a single-stream manager, whose
 //! pick never reads it. Each FTL runs twice: under the greedy pick this
 //! device derives and under the 64-wide window the devices with longer
-//! passes derive. Before the write-back batcher sorted
-//! into scratch it built a `BTreeMap` of `Vec`s per data victim: 13 or more
-//! allocations each on the 512 MB Financial1 cell, and a mean of 20.0 per
+//! passes derive. Before the write-back batcher grouped its updates in
+//! scratch (now a counting sort by translation page into buffers the
+//! environment sizes once) it built a `BTreeMap` of `Vec`s per data
+//! victim: 13 or more allocations each on the 512 MB Financial1 cell, and a mean of 20.0 per
 //! victim (data and translation) on this device.
 
 use std::alloc::{GlobalAlloc, Layout, System};
