@@ -747,10 +747,11 @@ mod tests {
     }
 
     /// One pass's write-back in which one uncached LPN was moved twice,
-    /// beside a moved cached entry, behind the cached dirty entries of
+    /// beside a moved cached dirty entry, behind the cached dirty entries of
     /// the same page: under TPFTL and LearnedFTL the page then holds what
     /// a shadow map says (what was cached, else what was persisted, then
-    /// every move in order), and none of its entries is dirty any more.
+    /// every move in order), none of its entries is dirty any more, and
+    /// the cache holds the moved dirty entry's new PPN.
     #[test]
     fn a_pass_that_moves_an_lpn_twice_persists_the_shadow_map() {
         for kind in [FtlKind::Tpftl, FtlKind::Learned] {
@@ -772,7 +773,9 @@ mod tests {
             let uncached: Vec<Lpn> = (0..300)
                 .filter(|&l| held(&*ftl, &env, l).is_none())
                 .collect();
-            let cached = (0..300).find(|&l| held(&*ftl, &env, l).is_some()).unwrap();
+            // Cached with a PPN its page does not hold yet: dirty.
+            let stale = |l| held(&*ftl, &env, l).is_some_and(|p| p != recovery::lookup(&env, l));
+            let cached = (0..300).find(|&l| stale(l)).unwrap();
             let mut shadow: Vec<Option<Ppn>> = (0..env.entries_per_tp() as Lpn)
                 .map(|lpn| held(&*ftl, &env, lpn).unwrap_or(recovery::lookup(&env, lpn)))
                 .collect();
@@ -789,6 +792,11 @@ mod tests {
             let page: Vec<Option<Ppn>> = page.unwrap().iter().map(|&p| mapped(p)).collect();
             assert_eq!(page, shadow, "{kind:?}");
             assert_eq!(dirty(&*ftl), 0, "{kind:?}");
+            assert_eq!(
+                held(&*ftl, &env, cached),
+                Some(Some(moved[1].1)),
+                "{kind:?}"
+            );
             assert_eq!(recovery::lookup(&env, 1500), Some(moved[4].1), "{kind:?}");
         }
     }
