@@ -2,7 +2,7 @@
 //!
 //! The paper's taxonomy (Sections 2.2 and 3.2) has one substrate — DFTL's
 //! cached mapping table, an LRU of `(LPN, PPN, dirty)` entries — that the
-//! other designs extend: CDFTL and ZFTL put a second tier behind it, S-FTL
+//! other designs extend: CDFTL puts a second tier behind it, S-FTL
 //! parks sparse dirty entries in one, LearnedFTL orders its entries and its
 //! learned segments in one LRU. This module holds that substrate once:
 //!
@@ -15,8 +15,8 @@
 //!   LearnedFTL's regions are built on it, at [`NODE_ENTRY_BYTES`] an entry
 //!   and [`NODE_BYTES`] a node;
 //! * [`write_back_by_tp`] — the per-translation-page batcher every FTL
-//!   uses for GC misses (and ZFTL for its reserve flush), with a per-page
-//!   hook for the designs that piggyback on or react to the write;
+//!   uses for GC misses, with a per-page hook for the designs that
+//!   piggyback on the write;
 //! * [`absorb_gc_moves`] — the shape every `on_gc_data_block` has: offer
 //!   each migrated page to the cache, batch what it did not hold;
 //! * [`TpTally`] and [`mapped`] — the two small conversions every
@@ -91,8 +91,8 @@ impl Entry {
 
 /// An LRU of mapping entries indexed by LPN.
 ///
-/// Capacity is the caller's business (CDFTL and ZFTL count entries of one
-/// tier, S-FTL bytes of a buffer), so nothing here evicts on its own.
+/// Capacity is the caller's business (CDFTL counts entries of one tier,
+/// S-FTL bytes of a buffer), so nothing here evicts on its own.
 pub(crate) struct EntryCache {
     index: FxHashMap<Lpn, LruIdx>,
     list: LruList<Entry>,
@@ -145,13 +145,6 @@ impl EntryCache {
     /// The coldest entry.
     pub fn peek_lru(&self) -> Option<&Entry> {
         self.list.peek_lru().map(|(_, e)| e)
-    }
-
-    /// Removes and returns the coldest entry.
-    pub fn pop_lru(&mut self) -> Option<Entry> {
-        let e = self.list.pop_lru()?;
-        self.index.remove(&e.lpn);
-        Some(e)
     }
 
     /// Removes and returns the entry for `lpn`.
@@ -420,23 +413,12 @@ impl TpTally {
     }
 }
 
-/// Where in one translation page's write-back a [`write_back_by_tp`] hook
-/// is running.
-pub(crate) enum PageStep<'a> {
-    /// Before the write: the hook may add updates that ride along on it.
-    Gather(&'a mut Vec<(u16, Ppn)>),
-    /// After the write persisted exactly these updates.
-    Persisted(&'a [(u16, Ppn)]),
-}
-
 /// Writes mapping updates back in batches: one read-modify-write per
 /// translation page touched, in ascending VTPN order, updates within a
 /// page in the order given, so a later update of an entry supersedes an
-/// earlier one (a hook may append to a batch, never reorder it). `hook`
-/// runs twice per page, around the write —
-/// TPFTL and LearnedFTL piggyback their cached dirty entries in
-/// [`PageStep::Gather`], ZFTL patches its active page in
-/// [`PageStep::Persisted`].
+/// earlier one. `gather` runs once per page, before its write, and may
+/// append updates that ride along on it, never reorder the batch: TPFTL
+/// and LearnedFTL piggyback their cached dirty entries there.
 ///
 /// Grouping is a stable counting sort by VTPN in the environment's
 /// scratch: the updates are counted per page, the counts become each
@@ -448,7 +430,7 @@ pub(crate) fn write_back_by_tp(
     env: &mut SsdEnv,
     updates: &[(Lpn, Ppn)],
     purpose: OpPurpose,
-    mut hook: impl FnMut(&mut SsdEnv, Vtpn, PageStep<'_>),
+    mut gather: impl FnMut(&mut SsdEnv, Vtpn, &mut Vec<(u16, Ppn)>),
 ) -> Result<()> {
     if updates.is_empty() {
         return Ok(());
@@ -483,10 +465,8 @@ pub(crate) fn write_back_by_tp(
         }
         batch.clear();
         batch.extend_from_slice(page);
-        hook(env, vtpn, PageStep::Gather(&mut batch));
-        env.update_translation_page(vtpn, &batch, purpose)?;
-        hook(env, vtpn, PageStep::Persisted(&batch));
-        Ok(())
+        gather(env, vtpn, &mut batch);
+        env.update_translation_page(vtpn, &batch, purpose)
     });
     env.wb_page_ends = ends;
     env.wb_laid_scratch = laid;
@@ -497,7 +477,7 @@ pub(crate) fn write_back_by_tp(
 /// The body of an [`Ftl::on_gc_data_block`](super::Ftl::on_gc_data_block):
 /// offers every migrated `(lpn, new_ppn)` to `absorb`, which returns
 /// whether `ftl`'s cache held the mapping and took the new PPN (a GC hit),
-/// then writes the misses back through [`write_back_by_tp`] with `hook`.
+/// then writes the misses back through [`write_back_by_tp`] with `gather`.
 /// Returns the hit count. The misses collect in the environment's one
 /// GC-miss buffer; `ftl` is threaded through so both closures can use it.
 pub(crate) fn absorb_gc_moves<F>(
@@ -505,7 +485,7 @@ pub(crate) fn absorb_gc_moves<F>(
     env: &mut SsdEnv,
     moved: &[(Lpn, Ppn)],
     mut absorb: impl FnMut(&mut F, &mut SsdEnv, Lpn, Ppn) -> Result<bool>,
-    mut hook: impl FnMut(&mut F, &mut SsdEnv, Vtpn, PageStep<'_>),
+    mut gather: impl FnMut(&mut F, &mut SsdEnv, Vtpn, &mut Vec<(u16, Ppn)>),
 ) -> Result<u64> {
     let mut misses = std::mem::take(&mut env.gc_miss_scratch);
     misses.clear();
@@ -519,8 +499,9 @@ pub(crate) fn absorb_gc_moves<F>(
             Ok(hits + u64::from(hit))
         })
         .and_then(|hits| {
-            write_back_by_tp(env, &misses, OpPurpose::GcTranslation, |env, vtpn, step| {
-                hook(ftl, env, vtpn, step)
+            let purpose = OpPurpose::GcTranslation;
+            write_back_by_tp(env, &misses, purpose, |env, vtpn, batch| {
+                gather(ftl, env, vtpn, batch)
             })
             .map(|()| hits)
         });
@@ -577,8 +558,9 @@ mod tests {
                 3 => assert_eq!(cache.remove(lpn), at.map(|i| model.remove(i))),
                 4 => {
                     let want = (!model.is_empty()).then(|| model.remove(0));
-                    assert_eq!(cache.peek_lru().copied(), want);
-                    assert_eq!(cache.pop_lru(), want);
+                    let coldest = cache.peek_lru().copied();
+                    assert_eq!(coldest, want);
+                    assert_eq!(coldest.and_then(|e| cache.remove(e.lpn)), want);
                 }
                 5 => {
                     let taken = cache.take_vtpn(vtpn);
@@ -624,60 +606,45 @@ mod tests {
         }
     }
 
-    /// The batcher writes one page per VTPN in ascending order, runs the
-    /// hook before and after each write, and persists what `Gather` added.
+    /// The batcher writes one page per VTPN in ascending order, runs
+    /// `gather` on each page before its write, and persists what `gather`
+    /// appended.
     #[test]
     fn write_back_by_tp_wraps_each_page_write_in_the_hook() {
         // 8 MB -> 2048 pages -> 2 translation pages of 1024 entries.
         let mut env = SsdEnv::new(SsdConfig::paper_default(8 << 20)).unwrap();
         env.format().unwrap();
         let writes = env.flash().stats().translation_writes();
-        let mut steps = Vec::new();
+        let mut seen = Vec::new();
         write_back_by_tp(
             &mut env,
             &[(1030, 5), (2, 6), (1029, 7)],
             OpPurpose::GcTranslation,
-            |env, vtpn, step| match step {
-                PageStep::Gather(batch) => {
-                    steps.push((vtpn, "gather", batch.clone()));
-                    if vtpn == 0 {
-                        batch.push((9, 99));
-                    }
-                }
-                PageStep::Persisted(batch) => {
-                    let (off, ppn) = batch[0];
-                    let stored = env.read_translation_entry(vtpn, off, OpPurpose::Translation);
-                    assert_eq!(stored.unwrap(), ppn, "hook ran before the write");
-                    steps.push((vtpn, "persisted", batch.to_vec()));
+            |env, vtpn, batch| {
+                let (off, ppn) = batch[0];
+                let stored = env.read_translation_entry(vtpn, off, OpPurpose::Translation);
+                assert_ne!(stored.unwrap(), ppn, "gather ran after the write");
+                seen.push((vtpn, batch.clone()));
+                if vtpn == 0 {
+                    batch.push((9, 99));
                 }
             },
         )
         .unwrap();
-        assert_eq!(
-            steps,
-            vec![
-                (0, "gather", vec![(2, 6)]),
-                (0, "persisted", vec![(2, 6), (9, 99)]),
-                (1, "gather", vec![(6, 5), (5, 7)]),
-                (1, "persisted", vec![(6, 5), (5, 7)]),
-            ]
-        );
+        assert_eq!(seen, vec![(0, vec![(2, 6)]), (1, vec![(6, 5), (5, 7)])]);
         assert_eq!(env.flash().stats().translation_writes(), writes + 2);
-        let stored = env.read_translation_entry(0, 9, OpPurpose::Translation);
-        assert_eq!(stored.unwrap(), 99);
+        for (vtpn, off, ppn) in [(0, 2, 6), (0, 9, 99), (1, 6, 5), (1, 5, 7)] {
+            let stored = env.read_translation_entry(vtpn, off, OpPurpose::Translation);
+            assert_eq!(stored.unwrap(), ppn, "page {vtpn}, offset {off}");
+        }
     }
 
-    /// The `(vtpn, batch)` pairs `write_back_by_tp` hands its `Gather` hook,
-    /// in the order it hands them.
+    /// The `(vtpn, batch)` pairs `write_back_by_tp` hands `gather`, in the
+    /// order it hands them.
     fn batches_seen(env: &mut SsdEnv, updates: &[(Lpn, Ppn)]) -> Vec<(Vtpn, Vec<(u16, Ppn)>)> {
         let mut seen = Vec::new();
         let purpose = OpPurpose::GcTranslation;
-        write_back_by_tp(env, updates, purpose, |_, vtpn, step| {
-            if let PageStep::Gather(batch) = step {
-                seen.push((vtpn, batch.clone()));
-            }
-        })
-        .unwrap();
+        write_back_by_tp(env, updates, purpose, |_, v, b| seen.push((v, b.clone()))).unwrap();
         seen
     }
 
@@ -699,7 +666,7 @@ mod tests {
             .collect()
     }
 
-    /// The counting sort hands the hook the pages and batches the key sort
+    /// The counting sort hands `gather` the pages and batches the key sort
     /// did — for the empty list, one page, every page of a 128-page table,
     /// an LPN moved twice, the last page and 40 seeded random lists — and
     /// every page it writes then holds each updated entry's last PPN.

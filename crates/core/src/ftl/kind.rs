@@ -3,7 +3,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use super::{Cdftl, Dftl, Ftl, LearnedFtl, OptimalFtl, Sftl, TpFtl, TpftlConfig, Zftl};
+use super::{Cdftl, Dftl, Ftl, LearnedFtl, OptimalFtl, Sftl, TpFtl, TpftlConfig};
 use crate::{Result, SsdConfig};
 
 /// Which FTL to construct.
@@ -33,20 +33,17 @@ pub enum FtlKind {
     /// LearnedFTL (extension): piecewise-linear learned mapping with
     /// OOB-validated predictions and a demand-paged fallback.
     Learned,
-    /// ZFTL with 8 zones (extension).
-    Zftl,
 }
 
 /// Every fixed-configuration kind with its command-line name and its
 /// display label (what the built FTL's [`Ftl::name`] returns).
-const NAMED: [(FtlKind, &str, &str); 7] = [
+const NAMED: [(FtlKind, &str, &str); 6] = [
     (FtlKind::Dftl, "dftl", "DFTL"),
     (FtlKind::Tpftl, "tpftl", "TPFTL(rsbc)"),
     (FtlKind::Sftl, "sftl", "S-FTL"),
     (FtlKind::Cdftl, "cdftl", "CDFTL"),
     (FtlKind::Optimal, "optimal", "Optimal"),
     (FtlKind::Learned, "learned", "LearnedFTL(e4)"),
-    (FtlKind::Zftl, "zftl", "ZFTL(8)"),
 ];
 
 impl FtlKind {
@@ -102,7 +99,7 @@ impl FtlKind {
 
     /// Parses a command-line FTL name (`dftl`, `tpftl`, `tpftl:FLAGS` with
     /// FLAGS a subset of `rsbc` or `-` for the bare variant, `sftl`,
-    /// `cdftl`, `zftl`, `optimal`, `learned`) or a display
+    /// `cdftl`, `optimal`, `learned`) or a display
     /// [`label`](Self::label); `None` for anything else.
     pub fn parse(name: &str) -> Option<Self> {
         if let Some(&(kind, ..)) = NAMED
@@ -136,7 +133,6 @@ impl FtlKind {
             FtlKind::Cdftl => Box::new(Cdftl::new(config)?),
             FtlKind::Optimal => Box::new(OptimalFtl::new(config)),
             FtlKind::Learned => Box::new(LearnedFtl::new(config)?),
-            FtlKind::Zftl => Box::new(Zftl::with_defaults(config)?),
         })
     }
 }
@@ -165,7 +161,11 @@ mod tests {
             let ftl = kind.build(&config).unwrap();
             assert_eq!(ftl.name(), kind.label());
             assert_eq!(FtlKind::parse(&kind.label()), Some(kind), "{kind:?}");
-            assert!(ftl.uses_translation_pages() || !FtlKind::PERSISTING.contains(&kind));
+            // A named kind that writes translation pages is swept for crashes.
+            if !matches!(kind, FtlKind::TpftlVariant { .. }) {
+                let persisting = FtlKind::PERSISTING.contains(&kind);
+                assert_eq!(ftl.uses_translation_pages(), persisting, "{kind:?}");
+            }
         }
     }
 
@@ -179,7 +179,6 @@ mod tests {
             ("tpftl:", FtlKind::variant("")),
             ("sftl", FtlKind::Sftl),
             ("cdftl", FtlKind::Cdftl),
-            ("zftl", FtlKind::Zftl),
             ("optimal", FtlKind::Optimal),
             ("learned", FtlKind::Learned),
         ] {
@@ -195,6 +194,8 @@ mod tests {
             "TPFTL(q)",
             "fast",
             "blocklevel",
+            "zftl",
+            "ZFTL(8)",
         ] {
             assert_eq!(FtlKind::parse(bad), None, "{bad:?}");
         }

@@ -27,7 +27,7 @@ use std::ops::RangeInclusive;
 use tpftl_flash::{Lpn, OpPurpose, PageState, Ppn, Vtpn, PPN_NONE};
 
 use crate::env::SsdEnv;
-use crate::ftl::cmt::{self, mapped, OffsetTables, PageStep, TablePool};
+use crate::ftl::cmt::{self, mapped, OffsetTables, TablePool};
 use crate::ftl::cmt::{NODE_BYTES, NODE_ENTRY_BYTES as ENTRY_BYTES};
 use crate::ftl::{AccessCtx, Ftl, TpDistEntry};
 use crate::lru::{LruIdx, LruList};
@@ -615,20 +615,18 @@ impl Ftl for LearnedFtl {
         };
         // The write-back of a page the pass moved uncached entries of also
         // takes the region's cached dirty entries along (TPFTL §4.4).
-        let piggyback = |ftl: &mut Self, _: &mut SsdEnv, vtpn, step: PageStep<'_>| {
-            if let PageStep::Gather(updates) = step {
-                // The misses are uncached, so no drained offset repeats
-                // one of theirs and the batch needs no sort.
-                debug_assert!(
-                    ftl.regions[vtpn as usize].node.as_ref().is_none_or(|node| {
-                        updates.iter().all(|&(off, _)| !node.tables.is_dirty(off))
-                    }),
-                    "a GC miss of region {vtpn} is a cached dirty entry"
-                );
-                let from = updates.len();
-                ftl.drain_dirty(vtpn, updates);
-                ftl.split_written(vtpn, &updates[from..]);
-            }
+        let piggyback = |ftl: &mut Self, _: &mut SsdEnv, vtpn, updates: &mut Vec<(u16, Ppn)>| {
+            // The misses are uncached, so no drained offset repeats one of
+            // theirs and the batch needs no sort.
+            debug_assert!(
+                ftl.regions[vtpn as usize].node.as_ref().is_none_or(|node| {
+                    updates.iter().all(|&(off, _)| !node.tables.is_dirty(off))
+                }),
+                "a GC miss of region {vtpn} is a cached dirty entry"
+            );
+            let from = updates.len();
+            ftl.drain_dirty(vtpn, updates);
+            ftl.split_written(vtpn, &updates[from..]);
         };
         cmt::absorb_gc_moves(self, env, moved, absorb, piggyback)
     }

@@ -13,7 +13,6 @@ mod learned;
 mod optimal;
 mod sftl;
 mod tpftl;
-mod zftl;
 
 pub use cdftl::Cdftl;
 pub use dftl::Dftl;
@@ -22,7 +21,6 @@ pub use learned::{LearnedFtl, DEFAULT_EPSILON};
 pub use optimal::OptimalFtl;
 pub use sftl::Sftl;
 pub use tpftl::{TpFtl, TpftlConfig};
-pub use zftl::Zftl;
 
 /// Per-page-access context handed to [`Ftl::translate`].
 ///
@@ -274,7 +272,6 @@ const _: () = {
     assert_send::<Cdftl>();
     assert_send::<LearnedFtl>();
     assert_send::<OptimalFtl>();
-    assert_send::<Zftl>();
     assert_send::<Box<dyn Ftl + Send>>();
 };
 

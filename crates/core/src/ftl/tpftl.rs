@@ -44,7 +44,7 @@
 use tpftl_flash::{Lpn, OpPurpose, Ppn, Vtpn};
 
 use crate::env::SsdEnv;
-use crate::ftl::cmt::{self, mapped, OffsetTables, PageStep, TablePool, TpTally, VtpnTable};
+use crate::ftl::cmt::{self, mapped, OffsetTables, TablePool, TpTally, VtpnTable};
 use crate::ftl::cmt::{NODE_BYTES, NODE_ENTRY_BYTES as ENTRY_BYTES};
 use crate::ftl::{AccessCtx, Ftl, TpDistEntry};
 use crate::lru::{LruIdx, LruList};
@@ -639,10 +639,7 @@ impl Ftl for TpFtl {
                 node.remap(idx, offset, new_ppn);
                 Ok(true)
             },
-            |ftl, _, vtpn, step| {
-                let PageStep::Gather(updates) = step else {
-                    return;
-                };
+            |ftl, _, vtpn, updates| {
                 // Piggyback every cached dirty entry of this page on the
                 // unavoidable update (Section 4.4), marking them clean.
                 // The batch needs no sort: a dirty entry is cached, so its

@@ -21,7 +21,6 @@
 //!   RAM; the paper's upper bound.
 //! * [`ftl::LearnedFtl`] — LearnedFTL (extension): piecewise-linear learned
 //!   mappings over demand-paged translation pages.
-//! * [`ftl::Zftl`] — ZFTL (extension): a zone-based two-tier mapping cache.
 //!
 //! Every FTL is page-mapped, with one write path and one page-level
 //! garbage collector that owns the whole free pool.

@@ -143,12 +143,12 @@ fn lru_free_list_reuses_slots_without_growth() {
 
 // ---- FTL mapping consistency under random workloads ---------------------------
 
-/// Every FTL, the small ZFTL among them, against the tester's shadow:
-/// resolved mappings point at the one valid page holding the LPN,
-/// unwritten LPNs own none, and the cache budget holds.
+/// Every FTL against the tester's shadow: resolved mappings point at the
+/// one valid page holding the LPN, unwritten LPNs own none, and the cache
+/// budget holds.
 #[test]
 fn ftl_mapping_matches_flash_oracle() {
-    let ftls = "optimal dftl sftl cdftl zftl:4 tpftl tpftl:- tpftl:b tpftl:rs";
+    let ftls = "optimal dftl sftl cdftl tpftl tpftl:- tpftl:b tpftl:rs";
     for (ftl, prefill) in ftls.split(' ').flat_map(|f| [(f, 0.0), (f, 0.6)]) {
         let mut case = Case::plain(0xF71);
         (case.ftl, case.prefill) = (ftl, prefill);

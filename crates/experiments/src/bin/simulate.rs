@@ -15,7 +15,7 @@ use tpftl_trace::{parse, IoRequest};
 const USAGE: &str = "\
 usage: simulate [options]
   --ftl NAME          dftl | tpftl | tpftl:FLAGS | sftl | cdftl | optimal |
-                      learned | zftl (default tpftl); FLAGS is a subset
+                      learned (default tpftl); FLAGS is a subset
                       of rsbc, or - for the bare two-level TPFTL
   --workload NAME     financial1|financial2|msr-ts|msr-src (default financial1)
   --trace FILE        replay an SPC/MSR trace file instead of a preset

@@ -130,14 +130,9 @@ fn cases() -> Vec<(FtlKind, Workload, f64, &'static str)> {
         (FtlKind::Learned, Workload::Financial1, 0.005, "LearnedFTL(e4) req=10000 lk=14046 hit=11820 rep=3011 drep=644 gcu=0 gch=0 upr=3012 upw=11034 tr=2870 tw=644 er=0 gcd=0 gcm=0 gct=0 gctm=0 ce=533 cb=8150 resp=40700ea9d34bb787"),
         (FtlKind::Sftl, Workload::Financial1, 0.005, "S-FTL req=10000 lk=14046 hit=12567 rep=1983 drep=675 gcu=0 gch=0 upr=3012 upw=11034 tr=2013 tw=675 er=0 gcd=0 gcm=0 gct=0 gctm=0 ce=30816 cb=8040 resp=40701de0b42a7b8c"),
         (FtlKind::Cdftl, Workload::Financial1, 0.005, "CDFTL req=10000 lk=14046 hit=10556 rep=7677 drep=5892 gcu=0 gch=0 upr=3012 upw=11034 tr=3490 tw=2635 er=0 gcd=0 gcm=0 gct=0 gctm=0 ce=1535 cb=8192 resp=40731bbedb14f735"),
-        // GC-heavy pins for the two single-entry-writeback caches, and the
-        // only pins ZFTL has (zone switches, reserve flushes, GC patching of
-        // the active page) — recorded before the five caches moved onto
-        // `ftl/cmt.rs`.
+        // GC-heavy pins of DFTL and LearnedFTL.
         (FtlKind::Dftl, Workload::Financial1, 0.02, "DFTL req=40000 lk=56827 hit=45126 rep=10677 drep=8596 gcu=3725 gch=63 upr=12056 upw=44771 tr=21805 tw=10104 er=622 gcd=478 gcm=3725 gct=144 gctm=67 ce=1024 cb=8192 resp=40737de7d5c9a7ec"),
         (FtlKind::Learned, Workload::Financial1, 0.02, "LearnedFTL(e4) req=40000 lk=56827 hit=46575 rep=13054 drep=1808 gcu=3664 gch=34 upr=12056 upw=44771 tr=13437 tw=3169 er=521 gcd=475 gcm=3664 gct=46 gctm=17 ce=700 cb=8192 resp=407088021671042e"),
-        (FtlKind::Zftl, Workload::Financial1, 0.005, "ZFTL(8) req=10000 lk=14046 hit=5352 rep=6926 drep=6926 gcu=0 gch=0 upr=3012 upw=11034 tr=15620 tw=6926 er=0 gcd=0 gcm=0 gct=0 gctm=0 ce=1025 cb=4112 resp=407b3badb1651193"),
-        (FtlKind::Zftl, Workload::Financial1, 0.02, "ZFTL(8) req=40000 lk=56827 hit=22482 rep=27467 drep=27467 gcu=4091 gch=0 upr=12056 upw=44771 tr=63784 tw=29439 er=957 gcd=509 gcm=4091 gct=448 gctm=178 ce=1025 cb=4112 resp=407c0931708f5d67"),
     ]
 }
 

@@ -15,7 +15,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use tpftl_core::blockmgr::BlockManager;
 use tpftl_core::config::{GcPolicy, StreamCount};
 use tpftl_core::env::SsdEnv;
-use tpftl_core::ftl::{AccessCtx, Ftl, FtlKind, LearnedFtl, Zftl};
+use tpftl_core::ftl::{AccessCtx, Ftl, FtlKind, LearnedFtl};
 use tpftl_core::{driver, gc, recovery, FtlError, SsdConfig};
 use tpftl_flash::{FaultMode, FaultPlan, Flash, Lpn, OpPurpose, Ppn, Vtpn};
 use tpftl_rng::Rng64;
@@ -42,11 +42,10 @@ const MAX_REQUESTS: usize = 2_000;
 /// Requests between two side-effect-free probes.
 const PROBE_EVERY: usize = 64;
 
-/// Every registry kind (a few TPFTL ablations among them), a small ZFTL
-/// that switches zones within a few hundred accesses, and a LearnedFTL
+/// Every registry kind (a few TPFTL ablations among them) and a LearnedFTL
 /// fitted exactly (ε = 0), which must then never mispredict.
 const FTLS: &str = "dftl tpftl tpftl:- tpftl:b tpftl:rs tpftl:bc sftl cdftl learned \
-                    learned:e0 optimal zftl zftl:4";
+                    learned:e0 optimal";
 
 /// A power loss, and how many bytes of the fatal program's `[data][OOB]`
 /// record reach a device file ([`FaultPlan::with_tear`]).
@@ -72,7 +71,7 @@ pub struct Case {
     pub write_ratio: f64,
     /// Mean request length, in 512 B sectors.
     pub sectors: f64,
-    /// A `simulate --ftl` name, or `zftl:4`, `learned:e0`.
+    /// A `simulate --ftl` name, or `learned:e0`.
     pub ftl: &'static str,
     /// `GcPolicy::Windowed { window: 8 }` instead of the device's derived
     /// pick (greedy on the 8 MB device, `Windowed { window: 64 }` on the
@@ -128,7 +127,7 @@ impl Case {
         let mut pick = |n: usize| rng.range_usize(0, n);
         let ftls: Vec<_> = FTLS.split_whitespace().collect();
         let ftl = ftls[pick(ftls.len())];
-        let caches: &[usize] = match ["sftl", "cdftl", "zftl", "zftl:4"].contains(&ftl) {
+        let caches: &[usize] = match ["sftl", "cdftl"].contains(&ftl) {
             true => &[6 << 10, 10 << 10],
             false => &[256, 1 << 10, 4 << 10, 10 << 10, 16 << 10],
         };
@@ -279,7 +278,6 @@ impl<T, E: Into<FtlError>> At<T> for Result<T, E> {
 fn build(name: &str, c: &SsdConfig) -> tpftl_core::Result<Dyn> {
     Ok(match name {
         "learned:e0" => Box::new(LearnedFtl::with_epsilon(c, 0)?),
-        "zftl:4" => Box::new(Zftl::new(c, 4)?),
         _ => FtlKind::parse(name).expect("an FTL name").build(c)?,
     })
 }

@@ -14,14 +14,12 @@ use tpftl_trace::{Dir, IoRequest, SyntheticSpec};
 
 const PAGE_BYTES: u64 = 4096;
 
-const SEVEN: [&str; 7] = [
-    "dftl", "cdftl", "sftl", "tpftl", "learned", "zftl", "optimal",
-];
+const SIX: [&str; 6] = ["dftl", "cdftl", "sftl", "tpftl", "learned", "optimal"];
 
 #[test]
 fn all_ftls_agree_on_read_your_writes() {
     let base = Case::plain(1234);
-    for ftl in SEVEN {
+    for ftl in SIX {
         check(&Case { ftl, ..base });
     }
 }
@@ -32,7 +30,7 @@ fn all_ftls_agree_on_read_your_writes() {
 fn all_ftls_agree_with_two_streams_and_windowed_gc() {
     let mut base = Case::plain(1234);
     (base.streams, base.windowed) = (2, true);
-    for ftl in SEVEN {
+    for ftl in SIX {
         check(&Case { ftl, ..base });
     }
 }
